@@ -158,10 +158,11 @@ def main(ctx, config_path, seed, out, log_base, no_timestamp):
     simulation, and error-exponent regions.
 
     Config keys: channels.n0/.n1 (zoo name + params, or a channel JSON
-    file), seed, log_base, out, optimizer (restarts, max_iters, tolerances,
-    pvm_restarts, seed), divergence (kinds, alpha, l), simulate (mode, n, l,
-    tau, trials, constraint, epsilon), sweep (budgets, trials, constraint,
-    epsilon), regions (which, l_max, alpha_grid, samples, slack).
+    file), seed, log_base, out, optimizer (restarts, max_iters = L-BFGS
+    iterations per start, cross_check_tol, pvm_restarts, seed), divergence
+    (kinds, alpha, l), simulate (mode, n, l, tau, trials, constraint,
+    epsilon), sweep (budgets, trials, constraint, epsilon), regions (which,
+    l_max, alpha_grid, samples, slack).
     """
     ctx.ensure_object(dict)
     ctx.obj["config_path"] = config_path
@@ -180,7 +181,10 @@ def _run_command(ctx, command: str, fn) -> None:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     try:
-        fn(cfg, start_run(cfg, command, ctx.obj["no_timestamp"]))
+        # channels are built before the run directory exists, so a rejected
+        # config leaves nothing behind
+        pair = build_pair(cfg)
+        fn(cfg, pair, start_run(cfg, command, ctx.obj["no_timestamp"]))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -197,8 +201,8 @@ def _run_command(ctx, command: str, fn) -> None:
 def divergence(ctx):
     """Compute the requested channel divergences and their witnesses."""
 
-    def run(cfg, out):
-        n0, n1 = build_pair(cfg)
+    def run(cfg, pair, out):
+        n0, n1 = pair
         opts = cfg.get("divergence", {})
         kinds = opts.get("kinds", ["relative", "measured", "max"])
         alphas = opts.get("alpha", [2.0])
@@ -233,8 +237,8 @@ def divergence(ctx):
     _run_command(ctx, "divergence", run)
 
 
-def _build_strategy(cfg, ocfg):
-    n0, n1 = build_pair(cfg)
+def _build_strategy(cfg, pair, ocfg):
+    n0, n1 = pair
     opts = cfg.get("simulate", {})
     mode = opts.get("mode", "adaptive")
     n = opts.get("n", 400)
@@ -257,10 +261,10 @@ def simulate(ctx):
     Exits 0 whether or not the stopping-time constraint holds; the
     constraint report records the outcome."""
 
-    def run(cfg, out):
+    def run(cfg, pair, out):
         opts = cfg.get("simulate", {})
         ocfg = optimizer_config(cfg)
-        strategy = _build_strategy(cfg, ocfg)
+        strategy = _build_strategy(cfg, pair, ocfg)
         plan = SimulationPlan(
             strategy=strategy,
             trials=opts.get("trials", 1000),
@@ -297,11 +301,11 @@ def simulate(ctx):
 def sweep(ctx):
     """Re-run one strategy over a list of budgets for convergence curves."""
 
-    def run(cfg, out):
+    def run(cfg, pair, out):
         opts = cfg.get("sweep", {})
         budgets = opts.get("budgets", [100, 200, 400, 800])
         ocfg = optimizer_config(cfg)
-        strategy = _build_strategy(cfg, ocfg)
+        strategy = _build_strategy(cfg, pair, ocfg)
         records = sweep_budgets(
             strategy,
             budgets,
@@ -326,8 +330,8 @@ def sweep(ctx):
 def regions(ctx):
     """Compute the requested exponent regions and the containment matrix."""
 
-    def run(cfg, out):
-        n0, n1 = build_pair(cfg)
+    def run(cfg, pair, out):
+        n0, n1 = pair
         opts = cfg.get("regions", {})
         which = opts.get("which", ["nonAdaptive", "adaptive", "converse"])
         l_max = opts.get("l_max", 2)
@@ -380,9 +384,8 @@ def regions(ctx):
 def validate(ctx):
     """Validate the config and report finiteness of the channel pair."""
 
-    def run(cfg, out):
-        n0, n1 = build_pair(cfg)
-        report = validate_channel_pair(n0, n1)
+    def run(cfg, pair, out):
+        report = validate_channel_pair(*pair)
         doc = {
             "finite_01": report.finite_01,
             "finite_10": report.finite_10,

@@ -3,7 +3,10 @@
 State level: quantum relative entropy, max-divergence, sandwiched Renyi
 divergence (alpha > 1) and the measured relative entropy (two independent
 estimators, cross-validated).  Channel level: ancilla-assisted input
-optimization over pure bipartite states, and block (tensor-power) values.
+optimization over pure bipartite states by multi-start L-BFGS on analytic
+gradients (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with
+A_k = I_R (x) K_k, matrix gradients pulled back through the A_k), and block
+(tensor-power) values.
 
 All values are in nats.  Channel divergences obtained by numerical
 maximization are certified lower bounds; the channel max-divergence is exact
@@ -15,11 +18,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg, optimize
 from .errors import (
     DimensionMismatchError,
     InvalidAlphaError,
@@ -28,9 +30,11 @@ from .errors import (
 from .linalg import PSD_TOL, hermitian_eigen, matrix_function, support_contained
 from .optimize import (
     OptimizerConfig,
+    _log_kernel,
+    _power_kernel,
     _safe_log_state,
-    basis_kl,
-    kl_divergence,
+    _variational_terms,
+    hermitian_to_params,
     multistart_maximize,
     params_to_pure_vector,
     pure_vector_to_params,
@@ -41,7 +45,6 @@ from .quantum import (
     DensityMatrix,
     Povm,
     QuantumChannel,
-    apply_channel,
     max_entangled_vector,
     pure_state,
     tensor_power_channel,
@@ -200,16 +203,118 @@ def measured_rel_entropy_states(
 KINDS = ("relative", "measured", "max", "renyi")
 
 
+def _lifted_kraus(ch: QuantumChannel, d_r: int) -> np.ndarray:
+    """The operators I_R (x) K_k stacked along the first axis."""
+    a = np.einsum("rs,koi->krosi", np.eye(d_r), np.asarray(ch.kraus))
+    return a.reshape(len(ch.kraus), d_r * ch.out_dim, d_r * ch.in_dim)
+
+
+def _output(a: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma = sum_k A_k |psi><psi| A_k^dag, and the rows V_k = A_k psi."""
+    v = a @ psi
+    return v.T @ v.conj(), v
+
+
+def _pull_back(a: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient in psi of Tr[G sigma(psi)] for Hermitian G: the vector
+    2 sum_k A_k^dag G A_k psi, with d Tr[G sigma] = Re <gradient, d psi>."""
+    return 2.0 * np.einsum("kma,km->a", a.conj(), v @ g.T)
+
+
 def _apply_to_pure(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
     """(id_R (x) ch)(|psi><psi|) for psi on R (x) A with |R| = in_dim."""
-    d_in = ch.in_dim
-    d_r = psi.size // d_in
-    psi_mat = psi.reshape(d_r, d_in)
-    out = np.zeros((d_r * ch.out_dim, d_r * ch.out_dim), dtype=complex)
-    for k in ch.kraus:
-        v = (psi_mat @ k.T).reshape(-1)
-        out += np.outer(v, v.conj())
-    return out
+    return _output(_lifted_kraus(ch, psi.size // ch.in_dim), psi)[0]
+
+
+def _spectrum(s: np.ndarray):
+    """Eigenvalues, eigenvectors and support mask of an output state."""
+    w, u = np.linalg.eigh(s)
+    return w, u, w > PSD_TOL
+
+
+def _relative_terms(s0: np.ndarray, s1: np.ndarray):
+    """D(s0||s1) on the support of s1, and its matrix gradients in s0 and
+    s1: log s0 - log s1 and -Dlog_{s1}[s0]."""
+    w0, u0, m0 = _spectrum(s0)
+    w1, u1, m1 = _spectrum(s1)
+    l0 = np.log(np.where(m0, w0, 1.0)) * m0
+    l1 = np.log(np.where(m1, w1, 1.0)) * m1
+    log1 = (u1 * l1) @ u1.conj().T
+    f = float(np.sum(w0 * l0)) - float(np.real(np.sum(s0 * log1.T)))
+    g0 = (u0 * l0) @ u0.conj().T - log1
+    g1 = -u1 @ ((u1.conj().T @ s0 @ u1) * _log_kernel(w1, m1)) @ u1.conj().T
+    return f, g0, g1
+
+
+def _renyi_terms(s0: np.ndarray, s1: np.ndarray, alpha: float):
+    """Sandwiched D_alpha(s0||s1) on the support of s1, and its matrix
+    gradients in s0 and s1 (the latter through the divided-difference
+    adjoint of s1^gamma, gamma = (1 - alpha) / 2 alpha)."""
+    gamma = (1.0 - alpha) / (2.0 * alpha)
+    w1, u1, m1 = _spectrum(s1)
+    p = np.where(m1, np.where(m1, w1, 1.0) ** gamma, 0.0)
+    g = (u1 * p) @ u1.conj().T
+    wm, um = np.linalg.eigh(g @ s0 @ g)
+    wm = np.maximum(wm, 0.0)
+    q = max(float(np.sum(wm**alpha)), 1e-300)
+    mpow = (um * wm ** (alpha - 1.0)) @ um.conj().T
+    c = alpha / ((alpha - 1.0) * q)
+    x = s0 @ g @ mpow
+    x = x + x.conj().T
+    g0 = c * (g @ mpow @ g)
+    g1 = c * (u1 @ ((u1.conj().T @ x @ u1) * _power_kernel(w1, m1, gamma)) @ u1.conj().T)
+    return math.log(q) / (alpha - 1.0), g0, g1
+
+
+def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None = None):
+    """The input search's objective and its number of real parameters.
+
+    theta holds v = theta[:n] + i theta[n:2n], normalized to psi on R (x) A;
+    for the measured kind theta[2n:] parametrizes a Hermitian H on the
+    output.  The objective returns the value and its analytic gradient:
+    relative / renyi give D(sigma0||sigma1) / D_alpha, measured gives the
+    variational lower bound Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] on D_M.
+    """
+    d_r = n0.in_dim
+    n = d_r * n0.in_dim
+    m = d_r * n0.out_dim
+    a0, a1 = _lifted_kraus(n0, d_r), _lifted_kraus(n1, d_r)
+
+    def objective(theta: np.ndarray):
+        v = theta[:n] + 1j * theta[n : 2 * n]
+        nrm = np.linalg.norm(v)
+        psi = v / nrm
+        s0, v0 = _output(a0, psi)
+        s1, v1 = _output(a1, psi)
+        rest = ()
+        if kind == "relative":
+            f, g0, g1 = _relative_terms(s0, s1)
+        elif kind == "renyi":
+            f, g0, g1 = _renyi_terms(s0, s1, alpha)
+        else:
+            f, rest, g0, omega = _variational_terms(theta[2 * n :], s0, s1)
+            g1 = -omega
+        g = _pull_back(a0, v0, g0) + _pull_back(a1, v1, g1)
+        gr = np.concatenate([g.real, g.imag])
+        pr = np.concatenate([psi.real, psi.imag])
+        # chain rule through psi = v / |v|: project onto the sphere's tangent
+        return f, np.concatenate([(gr - pr * (pr @ gr)) / nrm, rest])
+
+    return objective, 2 * n + (m * m if kind == "measured" else 0)
+
+
+# Inputs on the product boundary are reached only up to Schmidt residues of
+# 1e-8 to 1e-6.  Their outputs carry eigenvalues near PSD_TOL, where the
+# state-level support test is ill-conditioned and can read a finite pair as
+# infinite, so Schmidt coefficients below this floor are dropped before the
+# value is certified.  Near an optimum this moves the value by O(floor^2).
+_SCHMIDT_FLOOR = 1e-4
+
+
+def _drop_schmidt_residue(psi: np.ndarray, d_in: int) -> np.ndarray:
+    u, s, vh = np.linalg.svd(psi.reshape(-1, d_in), full_matrices=False)
+    s = np.where(s >= _SCHMIDT_FLOOR * s[0], s, 0.0)
+    return ((u * (s / np.linalg.norm(s))) @ vh).reshape(-1)
 
 
 def _pair_finite(n0: QuantumChannel, n1: QuantumChannel) -> bool:
@@ -228,8 +333,12 @@ def channel_divergence(
 
     kind "max" is optimization-free and exact: the supremum is attained at
     the maximally entangled input, i.e. on the unit-trace Choi pair.  The
-    other kinds use seeded multi-start Nelder-Mead over unit input vectors
-    and return certified lower bounds with the best input as witness.
+    other kinds use seeded multi-start L-BFGS on analytic gradients over
+    unit input vectors and return certified lower bounds with the best
+    input as witness.  The measured kind ascends the variational formula
+    jointly in the input and the observable H, then certifies the value at
+    the best input with measured_rel_entropy_states, whose PVM is the
+    witness measurement.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown divergence kind {kind!r}")
@@ -238,64 +347,43 @@ def channel_divergence(
     cfg = cfg or OptimizerConfig()
 
     if kind == "max":
-        from .quantum import max_entangled_state  # noqa: F401 (witness note)
-
         val = max_div_states(n0.choi_state(), n1.choi_state())
         val.witness = ChannelWitness(input_vector=max_entangled_vector(n0.in_dim))
         return val
 
     if not _pair_finite(n0, n1):
         return DivergenceValue(math.inf, is_finite=False, is_lower_bound=False)
+    if kind == "renyi" and (alpha is None or alpha <= 1.0):
+        raise InvalidAlphaError("renyi kind needs alpha > 1")
 
     d = n0.in_dim
     dim_psi = d * d
-    npar = 2 * dim_psi
-
-    if kind == "renyi":
-        if alpha is None or alpha <= 1.0:
-            raise InvalidAlphaError("renyi kind needs alpha > 1")
-
-        def value_at(psi: np.ndarray) -> float:
-            s0 = DensityMatrix(_apply_to_pure(n0, psi))
-            s1 = DensityMatrix(_apply_to_pure(n1, psi))
-            v = sandwiched_renyi_states(s0, s1, alpha).value
-            return v if math.isfinite(v) else -1e6
-
-    elif kind == "relative":
-
-        def value_at(psi: np.ndarray) -> float:
-            s0 = DensityMatrix(_apply_to_pure(n0, psi))
-            s1 = DensityMatrix(_apply_to_pure(n1, psi))
-            v = rel_entropy_states(s0, s1).value
-            return v if math.isfinite(v) else -1e6
-
-    else:  # measured: the input search is steered by the cheap KL of the
-        # eigenbasis measurement of log s0 - log s1 (a specific measurement,
-        # hence a lower bound on D_M, and exact when the outputs commute);
-        # the certified value is recomputed at the best input below
-
-        def value_at(psi: np.ndarray) -> float:
-            s0 = _apply_to_pure(n0, psi)
-            s1 = _apply_to_pure(n1, psi)
-            _, basis = hermitian_eigen(_safe_log_state(s0) - _safe_log_state(s1))
-            v = basis_kl(basis, s0, s1)
-            return v if math.isfinite(v) else -1e6
-
-    def objective(theta: np.ndarray) -> float:
-        return value_at(params_to_pure_vector(theta, dim_psi))
-
-    starts = [pure_vector_to_params(max_entangled_vector(d))]
-    for vec in cfg.extra_starts:
-        starts.append(pure_vector_to_params(np.asarray(vec, dtype=complex)))
+    objective, npar = _input_objective(n0, n1, kind, alpha)
+    inputs = [max_entangled_vector(d)] + [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
+    if kind == "measured":
+        # H starts at the variational program's warm start for each input
+        while len(inputs) < cfg.restarts:
+            inputs.append(params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi))
+        starts = []
+        for psi in inputs:
+            s0, s1 = _apply_to_pure(n0, psi), _apply_to_pure(n1, psi)
+            h0 = _safe_log_state(s0) - _safe_log_state(s1)
+            starts.append(np.concatenate([pure_vector_to_params(psi), hermitian_to_params(h0)]))
+    else:
+        starts = [pure_vector_to_params(psi) for psi in inputs]
     theta, best = multistart_maximize(objective, npar, cfg, starts=starts, rng=rng)
-    psi = params_to_pure_vector(theta, dim_psi)
+    psi = _drop_schmidt_residue(params_to_pure_vector(theta[: 2 * dim_psi], dim_psi), d)
 
     witness = ChannelWitness(input_vector=psi)
-    if kind == "measured":
-        s0 = _apply_to_pure(n0, psi)
-        s1 = _apply_to_pure(n1, psi)
-        mv = measured_rel_entropy_states(DensityMatrix(s0), DensityMatrix(s1), cfg)
+    s0 = DensityMatrix(_apply_to_pure(n0, psi))
+    s1 = DensityMatrix(_apply_to_pure(n1, psi))
+    if kind == "relative":
+        best = rel_entropy_states(s0, s1).value
+    elif kind == "renyi":
+        best = sandwiched_renyi_states(s0, s1, alpha).value
+    else:
+        mv = measured_rel_entropy_states(s0, s1, cfg)
         best = max(best, mv.value) if mv.is_finite else best
         witness.povm = mv.witness.povm if mv.witness else None
     return DivergenceValue(max(best, 0.0), is_lower_bound=True, witness=witness)
@@ -334,12 +422,15 @@ def block_divergence(
         return BlockEstimate(1, dv.value, witness=dv.witness, total_value=dv.value)
     b0 = tensor_power_channel(n0, l)
     b1 = tensor_power_channel(n1, l)
-    lifted = cfg.scaled()
-    lifted.extra_starts = [
-        product_input_vector(np.asarray(v, dtype=complex), n0.in_dim, l)
-        for v in cfg.extra_starts
-        if np.asarray(v).size == n0.in_dim**2
-    ] + [v for v in cfg.extra_starts if np.asarray(v).size == (n0.in_dim**2) ** l]
+    lifted = replace(
+        cfg,
+        extra_starts=[
+            product_input_vector(np.asarray(v, dtype=complex), n0.in_dim, l)
+            for v in cfg.extra_starts
+            if np.asarray(v).size == n0.in_dim**2
+        ]
+        + [v for v in cfg.extra_starts if np.asarray(v).size == (n0.in_dim**2) ** l],
+    )
     dv = channel_divergence(b0, b1, kind=kind, alpha=alpha, cfg=lifted)
     per_use = dv.value / l
     return BlockEstimate(l, per_use, witness=dv.witness, total_value=dv.value)

@@ -1,20 +1,20 @@
-"""Shared optimization machinery: Hermitian / unitary / pure-state
-parametrizations, a multi-start Nelder-Mead driver, and the two measured
-relative entropy estimators (variational program and direct PVM search).
+"""Shared optimization machinery: Hermitian / pure-state parametrizations,
+divided-difference kernels of Frechet derivatives, a multi-start L-BFGS
+driver on analytic gradients, and the two measured relative entropy
+estimators (variational program and direct PVM search).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .errors import OptimizerFailure
-from .linalg import PSD_TOL, hermitian_eigen
-from .quantum import DensityMatrix, Povm, basis_pvm
+from .linalg import hermitian_eigen
+from .quantum import Povm, basis_pvm
 
 
 @dataclass
@@ -23,29 +23,16 @@ class OptimizerConfig:
 
     All channel-divergence and measured-entropy values produced under this
     config are certified lower bounds; raising the budgets tightens them.
+    max_iters caps the L-BFGS iterations of each start.
     """
 
     restarts: int = 16
     max_iters: int = 400
-    xatol: float = 1e-8
-    fatol: float = 1e-10
     cross_check_tol: float = 1e-4
     seed: int = 0
     pvm_restarts: int = 8
     # extra deterministic starting vectors for the input-state search
     extra_starts: list = field(default_factory=list)
-
-    def scaled(self, restarts: int | None = None, max_iters: int | None = None) -> "OptimizerConfig":
-        return OptimizerConfig(
-            restarts=restarts if restarts is not None else self.restarts,
-            max_iters=max_iters if max_iters is not None else self.max_iters,
-            xatol=self.xatol,
-            fatol=self.fatol,
-            cross_check_tol=self.cross_check_tol,
-            seed=self.seed,
-            pvm_restarts=self.pvm_restarts,
-            extra_starts=list(self.extra_starts),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -58,49 +45,30 @@ def hermitian_param_count(d: int) -> int:
 
 
 def params_to_hermitian(theta: np.ndarray, d: int) -> np.ndarray:
-    """Real vector of length d^2 -> Hermitian d x d matrix."""
-    h = np.zeros((d, d), dtype=complex)
-    idx = d
-    h[np.diag_indices(d)] = theta[:d]
-    for i in range(d):
-        for j in range(i + 1, d):
-            h[i, j] = theta[idx] + 1j * theta[idx + 1]
-            h[j, i] = theta[idx] - 1j * theta[idx + 1]
-            idx += 2
-    return h
+    """Real vector of length d^2 -> Hermitian d x d matrix: the diagonal,
+    then (Re, Im) of each upper entry in row-major order."""
+    iu = np.triu_indices(d, 1)
+    upper = np.zeros((d, d), dtype=complex)
+    upper[iu] = theta[d::2] + 1j * theta[d + 1 :: 2]
+    return upper + upper.conj().T + np.diag(theta[:d])
 
 
 def hermitian_to_params(h: np.ndarray) -> np.ndarray:
     d = h.shape[0]
+    upper = h[np.triu_indices(d, 1)]
     theta = np.empty(d * d)
     theta[:d] = np.real(np.diagonal(h))
-    idx = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            theta[idx] = h[i, j].real
-            theta[idx + 1] = h[i, j].imag
-            idx += 2
+    theta[d::2] = upper.real
+    theta[d + 1 :: 2] = upper.imag
     return theta
 
 
 def hermitian_grad_to_params(g: np.ndarray) -> np.ndarray:
     """Gradient of f wrt the real parameters, given the matrix gradient G
     (Hermitian, df = Tr[G dH])."""
-    d = g.shape[0]
-    out = np.empty(d * d)
-    out[:d] = np.real(np.diagonal(g))
-    idx = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[idx] = 2.0 * g[i, j].real
-            out[idx + 1] = 2.0 * g[i, j].imag
-            idx += 2
+    out = hermitian_to_params(g)
+    out[g.shape[0] :] *= 2.0
     return out
-
-
-def params_to_unitary(theta: np.ndarray, d: int, base: np.ndarray | None = None) -> np.ndarray:
-    u = expm(1j * params_to_hermitian(theta, d))
-    return u if base is None else u @ base
 
 
 def params_to_pure_vector(theta: np.ndarray, d: int) -> np.ndarray:
@@ -118,7 +86,58 @@ def pure_vector_to_params(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Multi-start Nelder-Mead
+# Divided differences: for f applied to a Hermitian matrix with eigenvalues
+# w, the Frechet derivative in the eigenbasis is the Hadamard product with
+# [f(w_i) - f(w_j)] / (w_i - w_j) (f'(w_i) on the diagonal).  Each kernel is
+# written without a difference quotient, so close eigenvalues lose no digits.
+# ---------------------------------------------------------------------------
+
+
+def _ratio(num: np.ndarray, x: np.ndarray, fn) -> np.ndarray:
+    """num * fn(x) / x, with fn(x) / x continued by 1 at x = 0 (fn is sinh
+    or arctanh)."""
+    safe = np.where(x == 0.0, 0.5, x)
+    return np.where(x == 0.0, 1.0, fn(safe) / safe) * num
+
+
+def _exp_kernel(lam: np.ndarray) -> np.ndarray:
+    half = 0.5 * (lam[:, None] - lam[None, :])
+    return _ratio(np.exp(0.5 * (lam[:, None] + lam[None, :])), half, np.sinh)
+
+
+def _phase_kernel(lam: np.ndarray) -> np.ndarray:
+    """Divided differences of exp at i lam: (e^{i a} - e^{i b}) / (i a - i b)."""
+    mean = 0.5 * (lam[:, None] + lam[None, :])
+    return np.exp(1j * mean) * np.sinc((lam[:, None] - lam[None, :]) / (2.0 * np.pi))
+
+
+def _support_pairs(w: np.ndarray, mask: np.ndarray):
+    """Mean and relative half-difference u of each pair of support
+    eigenvalues (placeholders elsewhere) and the support-pair mask."""
+    ws = np.where(mask, w, 1.0)
+    mean = 0.5 * (ws[:, None] + ws[None, :])
+    u = 0.5 * (ws[:, None] - ws[None, :]) / mean
+    return mean, u, mask[:, None] & mask[None, :]
+
+
+def _log_kernel(w: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Divided differences of log on the support eigenvalues; 0 on pairs
+    touching the kernel."""
+    mean, u, pairs = _support_pairs(w, mask)
+    return np.where(pairs, _ratio(1.0 / mean, u, np.arctanh), 0.0)
+
+
+def _power_kernel(w: np.ndarray, mask: np.ndarray, gamma: float) -> np.ndarray:
+    """Divided differences of x^gamma on the support eigenvalues; 0 on
+    pairs touching the kernel."""
+    mean, u, pairs = _support_pairs(w, mask)
+    t = np.arctanh(u)
+    k = gamma * mean ** (gamma - 1.0) * (1.0 - u * u) ** (0.5 * gamma)
+    return np.where(pairs, _ratio(_ratio(k, gamma * t, np.sinh), u, np.arctanh), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Multi-start L-BFGS
 # ---------------------------------------------------------------------------
 
 
@@ -127,32 +146,37 @@ def multistart_maximize(
     dim: int,
     cfg: OptimizerConfig,
     starts: list[np.ndarray] | None = None,
-    scale: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Maximize objective(theta) with Nelder-Mead from several starts.
+    """Maximize objective(theta) -> (value, gradient) with L-BFGS-B from
+    several starts, at most cfg.max_iters iterations each.
 
-    Deterministic for a fixed cfg.seed; restarts are combined by max with
-    the lowest restart index winning ties.
+    The starts are the given ones, padded with seeded standard normal draws
+    up to cfg.restarts.  L-BFGS-B only accepts ascending steps, so each start's
+    result is at least its starting value.  Deterministic for a fixed
+    cfg.seed; restarts are combined by max with the lowest restart index
+    winning ties.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     pts = list(starts or [])
     while len(pts) < cfg.restarts:
-        pts.append(scale * rng.standard_normal(dim))
+        pts.append(rng.standard_normal(dim))
+
+    def negated(theta):
+        f, g = objective(theta)
+        return -f, -g
+
     best_x, best_f = None, -math.inf
     failures = 0
     for x0 in pts:
         try:
             res = minimize(
-                lambda t: -objective(t),
+                negated,
                 np.asarray(x0, dtype=float),
-                method="Nelder-Mead",
-                options={
-                    "maxiter": cfg.max_iters * dim,
-                    "xatol": cfg.xatol,
-                    "fatol": cfg.fatol,
-                },
+                jac=True,
+                method="L-BFGS-B",
+                options={"maxiter": cfg.max_iters, "gtol": 1e-10, "ftol": 1e-15},
             )
         except (ValueError, FloatingPointError):
             failures += 1
@@ -162,15 +186,6 @@ def multistart_maximize(
             best_x = res.x
     if best_x is None:
         raise OptimizerFailure(f"all {failures} restarts failed")
-    # one polishing pass from the incumbent
-    res = minimize(
-        lambda t: -objective(t),
-        best_x,
-        method="Nelder-Mead",
-        options={"maxiter": cfg.max_iters * dim, "xatol": cfg.xatol * 0.1, "fatol": cfg.fatol * 0.1},
-    )
-    if -res.fun > best_f:
-        best_f, best_x = -res.fun, res.x
     return best_x, best_f
 
 
@@ -195,6 +210,20 @@ def _safe_log_state(rho: np.ndarray) -> np.ndarray:
     return (v * np.log(w)) @ v.conj().T
 
 
+def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
+    """Tr[rho0 H] + 1 - Tr[rho1 exp(H)] at H = H(theta), its gradient in
+    theta, H and exp(H).  The value lower-bounds the measured relative
+    entropy for every theta."""
+    h = params_to_hermitian(theta, rho0.shape[0])
+    lam, u = np.linalg.eigh(h)
+    lam = np.clip(lam, -200.0, 200.0)
+    elam = np.exp(lam)
+    b = u.conj().T @ rho1 @ u
+    f = float(np.real(np.sum(rho0 * h.T))) + 1.0 - float(np.sum(np.real(np.diagonal(b)) * elam))
+    g = rho0 - u @ (b * _exp_kernel(lam)) @ u.conj().T
+    return f, hermitian_grad_to_params(0.5 * (g + g.conj().T)), h, (u * elam) @ u.conj().T
+
+
 def variational_measured(
     rho0: np.ndarray, rho1: np.ndarray, gtol: float = 1e-10
 ) -> tuple[float, np.ndarray]:
@@ -206,59 +235,67 @@ def variational_measured(
     d = rho0.shape[0]
 
     def negf_and_grad(theta: np.ndarray):
-        h = params_to_hermitian(theta, d)
-        lam, u = np.linalg.eigh(h)
-        lam = np.clip(lam, -200.0, 200.0)
-        elam = np.exp(lam)
-        b = u.conj().T @ rho1 @ u
-        # divided differences of exp on the spectrum
-        diff = lam[:, None] - lam[None, :]
-        phi = np.where(
-            np.abs(diff) > 1e-12,
-            (elam[:, None] - elam[None, :]) / np.where(np.abs(diff) > 1e-12, diff, 1.0),
-            0.5 * (elam[:, None] + elam[None, :]),
-        )
-        trace_exp = float(np.sum(np.real(np.diagonal(b)) * elam))
-        f = float(np.trace(rho0 @ h).real) + 1.0 - trace_exp
-        g = rho0 - u @ (b * phi) @ u.conj().T
-        g = 0.5 * (g + g.conj().T)
-        return -f, -hermitian_grad_to_params(g)
+        f, g, _, _ = _variational_terms(theta, rho0, rho1)
+        return -f, -g
 
-    theta0 = hermitian_to_params(_safe_log_state(rho0) - _safe_log_state(rho1))
-    res = minimize(
-        negf_and_grad,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 2000, "gtol": gtol, "ftol": 1e-15},
-    )
-    res2 = minimize(
-        negf_and_grad,
-        np.zeros(d * d),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 2000, "gtol": gtol, "ftol": 1e-15},
-    )
-    if res2.fun < res.fun:
-        res = res2
-    h = params_to_hermitian(res.x, d)
-    lam, u = np.linalg.eigh(h)
-    omega = (u * np.exp(np.clip(lam, -200.0, 200.0))) @ u.conj().T
-    return float(-res.fun), omega
+    best = None
+    for theta0 in (hermitian_to_params(_safe_log_state(rho0) - _safe_log_state(rho1)), np.zeros(d * d)):
+        res = minimize(
+            negf_and_grad,
+            theta0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 2000, "gtol": gtol, "ftol": 1e-15},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    _, _, _, omega = _variational_terms(best.x, rho0, rho1)
+    return float(-best.fun), omega
 
 
 def basis_kl(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> float:
     """Classical KL of the two outcome distributions in a rank-one PVM built
     from the columns of basis."""
-    p = np.maximum(np.real(np.diagonal(basis.conj().T @ rho0 @ basis)), 0.0)
-    q = np.maximum(np.real(np.diagonal(basis.conj().T @ rho1 @ basis)), 0.0)
-    p = p / max(p.sum(), 1e-300)
-    q = q / max(q.sum(), 1e-300)
+    p, q, _, _ = _basis_laws(basis, rho0, rho1)
     return kl_divergence(p, q)
 
 
-# NM over the full unitary group is only worthwhile for small systems; above
-# this dimension the search degrades to evaluating the candidate bases.
+def _basis_laws(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
+    """Normalized outcome laws of the basis PVM, and basis^dag rho_i."""
+    left0 = basis.conj().T @ rho0
+    left1 = basis.conj().T @ rho1
+    p = np.maximum(np.real(np.sum(left0 * basis.T, axis=1)), 0.0)
+    q = np.maximum(np.real(np.sum(left1 * basis.T, axis=1)), 0.0)
+    return p / max(p.sum(), 1e-300), q / max(q.sum(), 1e-300), left0, left1
+
+
+def _pvm_objective(rho0: np.ndarray, rho1: np.ndarray, base: np.ndarray):
+    """theta -> (KL of the outcome laws in the basis exp(i H(theta)) base,
+    gradient in theta).  An infinite KL reads -1e6 with a zero gradient."""
+    d = rho0.shape[0]
+
+    def objective(theta: np.ndarray):
+        lam, v = np.linalg.eigh(params_to_hermitian(theta, d))
+        basis = (v * np.exp(1j * lam)) @ v.conj().T @ base
+        p, q, left0, left1 = _basis_laws(basis, rho0, rho1)
+        val = kl_divergence(p, q)
+        if not math.isfinite(val):
+            return -1e6, np.zeros_like(theta)
+        # dKL/dp_i and dKL/dq_i; empty outcomes are stationary (dp_i = 0)
+        live = p > 1e-15
+        qs = np.where(live, q, 1.0)
+        dp = np.where(live, np.log(np.where(live, p, 1.0)) + 1.0 - np.log(qs), 0.0)
+        dq = np.where(live, -p / qs, 0.0)
+        # dKL = 2 Re Tr[Z dW] with W = exp(i H), Z = base (D_p U^dag rho0 + D_q U^dag rho1)
+        z = base @ (dp[:, None] * left0 + dq[:, None] * left1)
+        c = 1j * v @ ((v.conj().T @ z @ v) * _phase_kernel(lam)) @ v.conj().T
+        return val, hermitian_grad_to_params(c + c.conj().T)
+
+    return objective
+
+
+# The unitary search is only worthwhile for small systems; above this
+# dimension the estimator evaluates the candidate bases only.
 _PVM_SEARCH_MAX_DIM = 6
 
 
@@ -269,7 +306,8 @@ def pvm_search_measured(
     extra_bases: list[np.ndarray] | None = None,
 ) -> tuple[float, Povm]:
     """Maximize the classical KL of the outcome distributions over rank-one
-    PVMs, parametrized as exp(i H) applied to a reference basis.
+    PVMs, parametrized as exp(i H) applied to a reference basis, by seeded
+    multi-start L-BFGS on the analytic gradient.
 
     Candidate reference bases always include the eigenbasis of
     log rho0 - log rho1 (optimal in the commuting case) plus any caller
@@ -291,17 +329,14 @@ def pvm_search_measured(
             best_val, best_u = val, base_u
 
     if d <= _PVM_SEARCH_MAX_DIM:
-
-        def obj(theta):
-            val = basis_kl(params_to_unitary(theta, d, best_u), rho0, rho1)
-            return val if math.isfinite(val) else -1e6
-
         starts = [np.zeros(npar)]
         for _ in range(max(cfg.pvm_restarts - 1, 1)):
             starts.append(0.5 * rng.standard_normal(npar))
-        sub = cfg.scaled(restarts=len(starts))
-        x, val = multistart_maximize(obj, npar, sub, starts=starts, rng=rng)
+        sub = replace(cfg, restarts=len(starts))
+        x, _ = multistart_maximize(_pvm_objective(rho0, rho1, best_u), npar, sub, starts=starts, rng=rng)
+        lam, v = np.linalg.eigh(params_to_hermitian(x, d))
+        found = (v * np.exp(1j * lam)) @ v.conj().T @ best_u
+        val = basis_kl(found, rho0, rho1)
         if val > best_val:
-            best_val = val
-            best_u = params_to_unitary(x, d, best_u)
+            best_val, best_u = val, found
     return best_val, basis_pvm(best_u, label="measured-witness")

@@ -11,7 +11,7 @@ still meaningful in the finite coordinate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -310,13 +310,11 @@ def region_chain(
     adaptive: dict[int, ExponentRegion] = {}
     carried: list[np.ndarray] = list(cfg.extra_starts)
     for l in range(1, l_max + 1):
-        sub = cfg.scaled()
-        sub.extra_starts = list(carried)
+        sub = replace(cfg, extra_starts=list(carried))
         if l > 1:
             # block searches get a reduced budget; the product starts carry
             # the l = 1 quality
-            sub = sub.scaled(restarts=max(4, cfg.restarts // 4), max_iters=cfg.max_iters // 2)
-            sub.extra_starts = list(carried)
+            sub = replace(sub, restarts=max(4, cfg.restarts // 4), max_iters=cfg.max_iters // 2)
         region = adaptive_region(n0, n1, l=l, cfg=sub)
         if l > 1:
             # blocks are superadditive: the per-use corner never drops when
@@ -348,8 +346,7 @@ def region_chain(
         floor_x, floor_y = max(x, floor_x), max(y, floor_y)
         adaptive[l].frontier = [(floor_x, floor_y)]
 
-    conv_cfg = cfg.scaled(restarts=max(4, cfg.restarts // 4))
-    conv_cfg.extra_starts = list(carried)
+    conv_cfg = replace(cfg, restarts=max(4, cfg.restarts // 4), extra_starts=list(carried))
     conv = converse_region(n0, n1, list(alpha_grid), l=l_max, cfg=conv_cfg)
     # the sandwiched divergence dominates the measured one pointwise, so the
     # adaptive corner is also a certified floor for the converse estimate

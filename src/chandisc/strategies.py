@@ -201,7 +201,7 @@ class NonAdaptiveStrategy:
         )
 
 
-def _arm_from_witness(witness, out_total_dim: int, ancilla_dim: int) -> Arm:
+def _arm_from_witness(witness, ancilla_dim: int) -> Arm:
     return Arm(
         input_state=witness.input_state,
         povm=witness.povm,
@@ -241,8 +241,8 @@ def build_sprt(
     dv01 = channel_divergence(n0, n1, kind="measured", cfg=cfg)
     dv10 = channel_divergence(n1, n0, kind="measured", cfg=cfg)
     ancilla = n0.in_dim
-    arm_zero = _arm_from_witness(dv01.witness, n0.out_dim, ancilla)
-    arm_one = _arm_from_witness(dv10.witness, n0.out_dim, ancilla)
+    arm_zero = _arm_from_witness(dv01.witness, ancilla)
+    arm_one = _arm_from_witness(dv10.witness, ancilla)
     # achieved per-step rates of the arms (certified lower bounds)
     rate1 = _arm_rate(arm_zero, n0, n1, direction=0)
     rate0 = _arm_rate(arm_one, n0, n1, direction=1)

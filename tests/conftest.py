@@ -1,0 +1,19 @@
+import numpy as np
+import pytest
+
+
+def _assert_gradient_matches(objective, theta, tol=1e-6, h=1e-6):
+    """objective(theta) -> (value, gradient): the gradient must match central
+    differences of the value to tol, relative to the largest component."""
+    _, grad = objective(theta)
+    ref = np.zeros_like(theta)
+    for i in range(theta.size):
+        e = np.zeros_like(theta)
+        e[i] = h
+        ref[i] = (objective(theta + e)[0] - objective(theta - e)[0]) / (2 * h)
+    assert np.max(np.abs(grad - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.fixture
+def assert_gradient_matches():
+    return _assert_gradient_matches

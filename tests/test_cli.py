@@ -130,19 +130,22 @@ def test_validate_command(tmp_path, runner):
 
 
 def test_config_errors_exit_2(tmp_path, runner):
-    res = runner.invoke(main, ["--config", str(tmp_path / "nope.json"), "validate"])
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["--config", str(tmp_path / "nope.json"), "--out", str(out), "validate"])
     assert res.exit_code == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"channels": {"n0": {"name": "identity"}, "n1": {"name": "identity"}}, "junk": 1}))
-    res2 = runner.invoke(main, ["--config", str(bad), "validate"])
+    res2 = runner.invoke(main, ["--config", str(bad), "--out", str(out), "validate"])
     assert res2.exit_code == 2
     assert "schema" in res2.output
     missing = tmp_path / "missing_param.json"
     missing.write_text(
         json.dumps({"channels": {"n0": {"name": "depolarizing"}, "n1": {"name": "identity"}}})
     )
-    res3 = runner.invoke(main, ["--config", str(missing), "validate"])
+    res3 = runner.invoke(main, ["--config", str(missing), "--out", str(out), "validate"])
     assert res3.exit_code == 2
+    # a rejected config leaves no run directory behind
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, runner):

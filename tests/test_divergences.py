@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chandisc.divergences import (
+    _apply_to_pure,
+    _input_objective,
     block_divergence,
     channel_divergence,
     max_div_states,
@@ -13,15 +17,19 @@ from chandisc.divergences import (
     sandwiched_renyi_states,
 )
 from chandisc.errors import InvalidAlphaError
-from chandisc.optimize import OptimizerConfig, kl_divergence, variational_measured
+from chandisc.optimize import OptimizerConfig, _pvm_objective, kl_divergence, variational_measured
 from chandisc.quantum import (
     DensityMatrix,
     bernoulli_replacer,
+    dephasing_channel,
     depolarizing_channel,
     identity_channel,
     max_entangled_vector,
+    outcome_distribution,
     pure_state,
+    random_channel,
     random_density_matrix,
+    random_unitary,
 )
 
 CFG = OptimizerConfig(restarts=4, max_iters=100)
@@ -165,8 +173,6 @@ def test_witness_certifies_value():
     n0 = depolarizing_channel(0.3)
     n1 = depolarizing_channel(0.7)
     dv = channel_divergence(n0, n1, kind="relative", cfg=CFG)
-    from chandisc.divergences import _apply_to_pure
-
     psi = dv.witness.input_vector
     s0 = DensityMatrix(_apply_to_pure(n0, psi))
     s1 = DensityMatrix(_apply_to_pure(n1, psi))
@@ -210,3 +216,78 @@ def test_block_divergence_dominates_single_use():
     cfg2.extra_starts = [dv1.witness.input_vector]
     est = block_divergence(n0, n1, 2, kind="measured", cfg=cfg2)
     assert est.value_per_use >= dv1.value - 1e-5
+
+
+def _gradient_pairs():
+    rng = np.random.default_rng(23)
+    return {
+        "random_full_rank": (random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)),
+        "dephasing_rank2": (dephasing_channel(0.2), dephasing_channel(0.6)),
+        "bernoulli_replacers": (bernoulli_replacer(0.2), bernoulli_replacer(0.8)),
+    }
+
+
+@pytest.mark.parametrize("pair", ["random_full_rank", "dephasing_rank2", "bernoulli_replacers"])
+@pytest.mark.parametrize("kind,alpha", [("relative", None), ("renyi", 1.5), ("renyi", 2.0), ("measured", None)])
+def test_input_objective_gradient_matches_central_differences(pair, kind, alpha, assert_gradient_matches):
+    n0, n1 = _gradient_pairs()[pair]
+    objective, npar = _input_objective(n0, n1, kind, alpha)
+    rng = np.random.default_rng(29)
+    for _ in range(2):
+        assert_gradient_matches(objective, 0.5 * rng.standard_normal(npar))
+
+
+@pytest.mark.parametrize("pair", ["random_full_rank", "dephasing_rank2", "bernoulli_replacers"])
+def test_pvm_gradient_on_channel_outputs(pair, assert_gradient_matches):
+    n0, n1 = _gradient_pairs()[pair]
+    rng = np.random.default_rng(31)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    s0, s1 = _apply_to_pure(n0, psi), _apply_to_pure(n1, psi)
+    objective = _pvm_objective(s0, s1, random_unitary(4, rng))
+    assert_gradient_matches(objective, 0.5 * rng.standard_normal(16))
+
+
+def test_apply_to_pure_matches_kraus_sum():
+    rng = np.random.default_rng(37)
+    ch = random_channel(2, 3, 2, rng)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    ref = sum(np.outer(v, v.conj()) for v in (np.kron(np.eye(2), k) @ psi for k in ch.kraus))
+    assert np.allclose(_apply_to_pure(ch, psi), ref, atol=1e-14)
+
+
+PROPERTY_CFG = OptimizerConfig(restarts=2, max_iters=60, pvm_restarts=4)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=6335)  # the measured optimum sits on the product boundary
+def test_channel_divergence_bounds_and_witnesses(seed):
+    """Relative and Renyi values lie between their value at the maximally
+    entangled input and the Choi D_max; every witness re-evaluates to the
+    reported value."""
+    rng = np.random.default_rng(seed)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+    j0, j1 = n0.choi_state(), n1.choi_state()
+    d_max = max_div_states(j0, j1).value
+    tol = PROPERTY_CFG.cross_check_tol
+    for kind, alpha in (("relative", None), ("renyi", 1.5), ("renyi", 2.0), ("measured", None), ("max", None)):
+        dv = channel_divergence(n0, n1, kind=kind, alpha=alpha, cfg=PROPERTY_CFG)
+        psi = dv.witness.input_vector
+        s0 = DensityMatrix(_apply_to_pure(n0, psi))
+        s1 = DensityMatrix(_apply_to_pure(n1, psi))
+        if kind == "relative":
+            floor, again = rel_entropy_states(j0, j1).value, rel_entropy_states(s0, s1).value
+        elif kind == "renyi":
+            floor = sandwiched_renyi_states(j0, j1, alpha).value
+            again = sandwiched_renyi_states(s0, s1, alpha).value
+        elif kind == "measured":
+            floor = 0.0
+            p0 = outcome_distribution(n0, pure_state(psi), 2, dv.witness.povm)
+            p1 = outcome_distribution(n1, pure_state(psi), 2, dv.witness.povm)
+            again = kl_divergence(p0, p1)
+        else:
+            floor, again = d_max, max_div_states(s0, s1).value
+        assert floor - 1e-9 <= dv.value <= d_max + 1e-9, (kind, alpha, floor, dv.value, d_max)
+        assert abs(again - dv.value) <= tol, (kind, alpha, again, dv.value)
