@@ -1,10 +1,22 @@
 """Seeded Monte-Carlo harness for discrimination strategies.
 
-Each trace owns an independent RNG stream keyed by (base seed, hypothesis,
+Each trace owns an independent RNG stream, trial_rng(base seed, hypothesis,
 trial index), so summaries are bit-identical for a fixed seed regardless of
 execution order or batching.  The batch engine consumes uniforms in exactly
 the same order as strategies.step_sprt: one coin for the first arm of an
 adaptive strategy, then one uniform per step.
+
+The engine builds the same streams without a SeedSequence per trace:
+_seed_words runs numpy's SeedSequence hash and mix for every trial index of
+a hypothesis in one uint32 pass, and PCG64 seeds itself from those words as
+it would from the SeedSequence.  Traces are walked in row blocks, a chunk of
+uniforms per trace at a time; PCG64 spends one word per double, so chunked
+draws continue the stream exactly.  Each chunk maps to increments with one
+searchsorted per arm.  When every playable arm has the same table the running
+sums are one cumsum, a sequential add.accumulate, so they are the floats of
+step-by-step addition.  Distinct adaptive arms take a per-step loop, since
+the arm rule is a recurrence on the sign of the sum.  The first crossing of
+a threshold in the chunk is the stop.
 """
 
 from __future__ import annotations
@@ -22,6 +34,9 @@ PROBABILISTIC = "probabilistic"
 
 CENSOR_FRACTION_LIMIT = 0.05
 
+_CHUNK = 256  # uniforms drawn per trace and pass
+_ROWS = 256  # traces walked together
+
 
 @dataclass
 class SimulationPlan:
@@ -35,6 +50,8 @@ class SimulationPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not isinstance(self.base_seed, (int, np.integer)) or self.base_seed < 0:
+            raise ValueError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
         if self.constraint == PROBABILISTIC and not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
 
@@ -133,69 +150,117 @@ def trial_rng(base_seed: int, hypothesis: int, trial: int) -> np.random.Generato
     )
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """numpy SeedSequence's hashmix on uint32 arrays; const advances per call."""
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    return hashmix
+
+
+def _seed_words(base_seed: int, hyp: int, trials: int) -> np.ndarray:
+    """Row t is SeedSequence(entropy=base_seed, spawn_key=(hyp, t))
+    .generate_state(4, np.uint64), for every t < trials in one uint32 pass."""
+    seed = int(base_seed)
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    entropy += [0] * (4 - len(entropy))  # a spawn key pads the entropy to the pool size
+    # arrays, not scalars: numpy wraps uint32 arrays silently but warns on scalar overflow
+    words = [np.full(1, w, np.uint32) for w in entropy + [hyp]] + [np.arange(trials, dtype=np.uint32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([out(pool[i % 4]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PresetSeed(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 seed words computed ahead of time by _seed_words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _simulate_hypothesis(plan: SimulationPlan, hyp: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized simulation of all trials under hypothesis hyp.
+    """Simulate all trials under hypothesis hyp, _ROWS traces at a time, each
+    drawing _CHUNK uniforms per pass.  Distinct adaptive arms stay a per-step
+    loop: the arm rule is a recurrence on the sign of the running sum.
 
     Returns (stop times in steps, decisions)."""
     strategy = plan.strategy
     tables = strategy.tables
-    trials = plan.trials
     cap = plan.step_cap_factor * strategy.n
-    adaptive = strategy.adaptive
     incs = tables.increments
     cdfs = tables.cdfs[:, hyp, :]
     if not np.all(np.isfinite(incs[tables.dists[:, hyp, :] > 0])):
         raise ZeroProbabilityOutcomeError(
             "an outcome with zero probability under one hypothesis is reachable"
         )
+    arms = range(len(incs) if strategy.adaptive else 1)
+    if all(np.array_equal(cdfs[a], cdfs[0]) and np.array_equal(incs[a], incs[0]) for a in arms):
+        arms = range(1)  # one law for every step
+    hi, lo = strategy.threshold_b, -strategy.threshold_a
+    seeds = _seed_words(plan.base_seed, hyp, plan.trials)
+    t_stop = np.full(plan.trials, cap, dtype=np.int64)
+    decision = np.full(plan.trials, CENSORED, dtype=np.int64)
 
-    gens = [trial_rng(plan.base_seed, hyp, t) for t in range(trials)]
-    s = np.zeros(trials)
-    t_stop = np.full(trials, cap, dtype=np.int64)
-    decision = np.full(trials, CENSORED, dtype=np.int64)
-    active = np.arange(trials)
-
-    if adaptive:
-        coin = np.array([g.random() for g in gens])
-        first_arm = np.where(coin < 0.5, 0, 1)
-    else:
-        first_arm = np.zeros(trials, dtype=np.int64)
-    arm = first_arm.copy()
-
-    chunk = 256
-    step = 0
-    while active.size and step < cap:
-        width = min(chunk, cap - step)
-        u = np.empty((active.size, width))
-        for row, t in enumerate(active):
-            u[row] = gens[t].random(width)
-        s_act = s[active]
-        arm_act = arm[active]
-        done = np.zeros(active.size, dtype=bool)
-        for j in range(width):
-            live = ~done
-            if not live.any():
-                break
-            if step + j > 0 and adaptive:
-                arm_act[live] = np.where(s_act[live] >= 0, 0, 1)
-            for a in range(cdfs.shape[0]):
-                sel = live & (arm_act == a)
-                if not sel.any():
-                    continue
-                y = np.searchsorted(cdfs[a], u[sel, j], side="right")
-                s_act[sel] += incs[a, y]
-            hit_b = live & (s_act >= strategy.threshold_b)
-            hit_a = live & (s_act <= -strategy.threshold_a)
-            newly = hit_b | hit_a
-            if newly.any():
-                idx = active[newly]
-                t_stop[idx] = step + j + 1
-                decision[idx] = np.where(hit_b[newly], DECISION_H0, DECISION_H1)
-                done |= newly
-        s[active] = s_act
-        arm[active] = arm_act
-        active = active[~done]
-        step += width
+    for start in range(0, plan.trials, _ROWS):
+        rows = np.arange(start, min(start + _ROWS, plan.trials))
+        gens = [np.random.Generator(np.random.PCG64(_PresetSeed(w))) for w in seeds[rows]]
+        if strategy.adaptive:
+            first_arm = np.array([g.random() for g in gens]) >= 0.5
+        s = np.zeros(rows.size)
+        step = 0
+        while rows.size and step < cap:
+            width = min(_CHUNK, cap - step)
+            u = np.empty((rows.size, width))
+            for g, row in zip(gens, u):
+                g.random(out=row)
+            # steps down, traces across: each step's values are contiguous
+            z = [incs[a][np.searchsorted(cdfs[a], u.T, side="right")] for a in arms]
+            if len(arms) == 1:  # sequential add.accumulate: the sums of step-by-step addition
+                path = z[0]
+                path[0] += s
+                np.cumsum(path, axis=0, out=path)
+            else:  # the arm depends on the sign of the running sum
+                path = np.empty_like(z[0])
+                arm_one = first_arm if step == 0 else s < 0
+                for z0, z1, out in zip(*z, path):
+                    s = np.add(s, np.where(arm_one, z1, z0), out=out)
+                    arm_one = s < 0
+            crossed = (path >= hi) | (path <= lo)
+            first = crossed.argmax(axis=0)
+            hit = crossed[first, np.arange(rows.size)]
+            done = rows[hit]
+            t_stop[done] = step + first[hit] + 1
+            decision[done] = np.where(path[first[hit], hit] >= hi, DECISION_H0, DECISION_H1)
+            left = ~hit
+            rows, s, step = rows[left], path[-1, left], step + width
+            gens = [g for g, keep in zip(gens, left) if keep]
     return t_stop, decision
 
 

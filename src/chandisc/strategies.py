@@ -74,8 +74,21 @@ def _build_tables(arms: list[Arm], n0: QuantumChannel, n1: QuantumChannel) -> St
             z = np.log(p0) - np.log(p1)
         z[(p0 <= 0) & (p1 <= 0)] = 0.0  # never sampled
         incs[i, :k] = z
-    cdfs = np.cumsum(dists, axis=2)
-    return StrategyTables(dists=dists, cdfs=cdfs, increments=incs)
+    return StrategyTables(dists=dists, cdfs=outcome_cdf(dists), increments=incs)
+
+
+def outcome_cdf(dists: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, exactly 1.0 from the last outcome
+    of positive probability on.
+
+    A plain cumsum often ends at 1 - 2**-53; a uniform at or above that
+    would sample past the last outcome.
+    """
+    cdf = np.cumsum(dists, axis=-1)
+    k = dists.shape[-1]
+    last = k - 1 - np.argmax(dists[..., ::-1] > 0, axis=-1)
+    cdf[np.arange(k) >= last[..., None]] = 1.0
+    return cdf
 
 
 @dataclass
@@ -344,7 +357,7 @@ def step_sprt(
     if hyp is None:
         arm_obj = strategy.arms[arm]
         p = outcome_distribution(true_channel, arm_obj.input_state, arm_obj.ancilla_dim, arm_obj.povm)
-        cdf = np.cumsum(p)
+        cdf = outcome_cdf(p)
     else:
         cdf = tables.cdfs[arm, hyp]
     y = sample_outcome(cdf, rng.random())

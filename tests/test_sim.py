@@ -2,20 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
+from chandisc import sim
 from chandisc.errors import ExcessiveCensoringError
 from chandisc.optimize import OptimizerConfig
-from chandisc.quantum import bernoulli_replacer, depolarizing_channel
+from chandisc.quantum import DensityMatrix, basis_pvm, bernoulli_replacer, depolarizing_channel
 from chandisc.sim import (
     EXPECTATION,
     PROBABILISTIC,
+    HypothesisStats,
     SimulationPlan,
+    _PresetSeed,
+    _seed_words,
+    _simulate_hypothesis,
     check_constraint,
     run_trials,
     sweep_budgets,
     trial_rng,
 )
-from chandisc.strategies import StrategyTrace, build_sprt, step_sprt
+from chandisc.strategies import (
+    CENSORED,
+    Arm,
+    SprtStrategy,
+    StrategyTrace,
+    build_non_adaptive,
+    build_sprt,
+    lift_to_blocks,
+    step_sprt,
+)
 
 CFG = OptimizerConfig(restarts=2, max_iters=60)
 
@@ -36,21 +52,135 @@ def test_seed_changes_results(classical_strategy):
     assert run_trials(p1) != run_trials(p2)
 
 
-def test_batch_engine_matches_single_step(classical_strategy):
-    """The vectorized engine must consume uniforms exactly like step_sprt."""
-    strat = classical_strategy
-    plan = SimulationPlan(strategy=strat, trials=100, base_seed=21)
-    from chandisc.sim import _simulate_hypothesis
+@pytest.fixture(scope="module")
+def fixed_strategy():
+    zero = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    comp = basis_pvm(np.eye(2, dtype=complex))
+    return build_non_adaptive(bernoulli_replacer(0.2), bernoulli_replacer(0.8), zero, comp, n=100, tau=0.08)
 
+
+@pytest.fixture(scope="module")
+def block_strategy():
+    return lift_to_blocks(
+        bernoulli_replacer(0.2), bernoulli_replacer(0.8), l=2, n=100, tau=0.08, cfg=CFG
+    )
+
+
+@pytest.fixture(scope="module")
+def depolarizing_strategy():
+    """Two distinct arms whose increments lie on no common lattice."""
+    strat = build_sprt(depolarizing_channel(0.3), depolarizing_channel(0.7), n=60, cfg=CFG)
+    assert not np.array_equal(strat.tables.increments[0], strat.tables.increments[1])
+    return strat
+
+
+@pytest.fixture(scope="module")
+def tie_strategy():
+    """Two distinct analytic arms, one with its outcomes swapped, whose
+    increments are exactly +-log 3: running sums return to exactly 0, so the
+    coin, the sign rule and its tie to arm zero all act."""
+    zero = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    comp = Arm(zero, basis_pvm(np.eye(2, dtype=complex)), 1)
+    swapped = Arm(zero, basis_pvm(np.eye(2, dtype=complex)[:, ::-1]), 1)
+    rate = 0.5 * math.log(3)
+    strat = SprtStrategy(
+        n0=bernoulli_replacer(0.25),
+        n1=bernoulli_replacer(0.75),
+        arm_zero=comp,
+        arm_one=swapped,
+        rate0=rate,
+        rate1=rate,
+        tau=0.08,
+        n=3,
+    )
+    assert np.array_equal(strat.tables.increments[0], -strat.tables.increments[1])
+    return strat
+
+
+def _has_censored(t_stop, decision):
+    return bool(np.any(decision == CENSORED))
+
+
+def _crosses_chunk(t_stop, decision):
+    return bool(np.any((t_stop > sim._CHUNK) & (decision != CENSORED)))
+
+
+@pytest.mark.parametrize(
+    "fixture, budget, trials, cap_factor, exercised",
+    [
+        ("classical_strategy", None, 100, 20, None),
+        ("fixed_strategy", None, 100, 20, None),
+        ("block_strategy", None, 100, 20, None),
+        ("depolarizing_strategy", None, 100, 20, None),
+        ("tie_strategy", None, 200, 20, None),
+        ("classical_strategy", None, 100, 1, _has_censored),
+        ("classical_strategy", 300, 30, 20, _crosses_chunk),
+        ("fixed_strategy", 10, sim._ROWS + 44, 20, None),
+    ],
+    ids=[
+        "adaptive",
+        "non-adaptive",
+        "block-l2",
+        "distinct-arms-non-lattice",
+        "exact-ties",
+        "censored",
+        "chunk-boundary",
+        "row-blocks",
+    ],
+)
+def test_batch_engine_matches_single_step(request, fixture, budget, trials, cap_factor, exercised):
+    """The batch engine must consume uniforms exactly like step_sprt: equal
+    stop times and decisions, trace by trace."""
+    strat = request.getfixturevalue(fixture)
+    if budget is not None:
+        strat = strat.with_budget(budget)
+    plan = SimulationPlan(strategy=strat, trials=trials, base_seed=21, step_cap_factor=cap_factor)
+    cap = cap_factor * strat.n
     for hyp, ch in ((0, strat.n0), (1, strat.n1)):
         t_stop, decision = _simulate_hypothesis(plan, hyp)
         for t in range(plan.trials):
             rng = trial_rng(plan.base_seed, hyp, t)
             trace = StrategyTrace()
-            while not trace.stopped and len(trace.steps) < 20 * strat.n:
+            while not trace.stopped and len(trace.steps) < cap:
                 step_sprt(strat, ch, trace, rng)
-            assert trace.stopping_time == t_stop[t]
-            assert trace.decision == decision[t]
+            if trace.stopped:
+                assert (t_stop[t], decision[t]) == (trace.stopping_time, trace.decision)
+            else:
+                assert (t_stop[t], decision[t]) == (cap, CENSORED)
+        if exercised is not None:
+            assert exercised(t_stop, decision)
+
+
+def test_pinned_summary(tie_strategy):
+    """Fixed streams and walk: a change to either shows here."""
+    summary = run_trials(SimulationPlan(strategy=tie_strategy, trials=200, base_seed=2**33 + 7))
+    assert summary.per_hyp == [
+        HypothesisStats(200, 16, 0, 3.27, 0.15177450378769156, 0.38, 0.03432200460346103),
+        HypothesisStats(200, 16, 0, 3.03, 0.12327002879856888, 0.325, 0.03311910324872942),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=hst.integers(0, 2**128 - 1),
+    hyp=hst.sampled_from([0, 1]),
+    trial=hst.integers(0, 3000),
+)
+@example(base=2**32 - 1, hyp=0, trial=0)
+@example(base=2**32, hyp=1, trial=1)
+@example(base=2**64, hyp=0, trial=2999)
+def test_batch_seed_words_match_seed_sequence(base, hyp, trial):
+    words = _seed_words(base, hyp, trial + 1)[trial]
+    expect = np.random.SeedSequence(entropy=base, spawn_key=(hyp, trial)).generate_state(4, np.uint64)
+    assert np.array_equal(words, expect)
+    rng = np.random.Generator(np.random.PCG64(_PresetSeed(words)))
+    assert np.array_equal(rng.random(300), trial_rng(base, hyp, trial).random(300))
+
+
+@pytest.mark.parametrize("base_seed", [-1, -(2**40), 1.5, "3", None])
+def test_base_seed_must_be_nonnegative_int(classical_strategy, base_seed):
+    with pytest.raises(ValueError):
+        SimulationPlan(strategy=classical_strategy, trials=10, base_seed=base_seed)
 
 
 def test_wald_bounds_hold(classical_strategy):
@@ -128,19 +258,13 @@ def test_trial_rng_streams_independent():
     assert np.allclose(a, trial_rng(0, 0, 0).random(4))
 
 
-def test_block_strategy_stop_times_in_uses():
-    from chandisc.strategies import lift_to_blocks
-
-    strat = lift_to_blocks(
-        bernoulli_replacer(0.2), bernoulli_replacer(0.8), l=2, n=100, tau=0.08, cfg=CFG
-    )
+def test_block_strategy_stop_times_in_uses(block_strategy):
+    strat = block_strategy
     plan = SimulationPlan(strategy=strat, trials=200, base_seed=12)
     s = run_trials(plan)
     assert s.budget == 100
     assert s.alpha_hat == 0.0 and s.beta_hat == 0.0
     # stopping times are counted in channel uses: with pairs of uses per
     # block step, the mean over any trial set has at most .5 fractional part
-    from chandisc.sim import _simulate_hypothesis
-
     t_steps, _ = _simulate_hypothesis(plan, 0)
     assert np.all((t_steps * strat.block_size) % 2 == 0)

@@ -17,6 +17,7 @@ from chandisc.quantum import (
     depolarizing_channel,
     identity_channel,
     pure_state,
+    random_channel,
 )
 from chandisc.strategies import (
     CENSORED,
@@ -27,6 +28,7 @@ from chandisc.strategies import (
     build_non_adaptive,
     build_sprt,
     lift_to_blocks,
+    outcome_cdf,
     sample_outcome,
     step_sprt,
 )
@@ -183,3 +185,38 @@ def test_sample_outcome_inverse_cdf():
     assert sample_outcome(cdf, 0.25) == 1  # right-continuous
     assert sample_outcome(cdf, 0.5) == 1
     assert sample_outcome(cdf, 0.99) == 2
+
+
+def test_outcome_cdf_ends_at_exactly_one():
+    p = np.append(np.full(10, 0.1), 0.0)  # a padded slot after the last outcome
+    assert np.cumsum(p)[-1] < 1.0  # the float sum falls short
+    cdf = outcome_cdf(p)
+    assert cdf[-2] == cdf[-1] == 1.0
+    assert np.array_equal(cdf[:-2], np.cumsum(p)[:-2])
+    assert sample_outcome(cdf, np.nextafter(1.0, 0.0)) == 9
+
+
+def _random_pair():
+    rng = np.random.default_rng(3)
+    return random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng), 1
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: (depolarizing_channel(0.3), depolarizing_channel(0.7), 1),
+        _random_pair,
+        lambda: (depolarizing_channel(0.3), depolarizing_channel(0.7), 2),
+    ],
+    ids=["depolarizing", "random", "block-l2"],
+)
+def test_strategy_cdfs_sample_every_uniform(pair):
+    """The largest uniform below 1 samples an outcome that has positive
+    probability, under every arm and hypothesis."""
+    n0, n1, l = pair()
+    tables = lift_to_blocks(n0, n1, l=l, n=20, cfg=CFG).tables
+    assert np.all(tables.cdfs[..., -1] == 1.0)
+    for arm in range(tables.cdfs.shape[0]):
+        for hyp in (0, 1):
+            y = sample_outcome(tables.cdfs[arm, hyp], np.nextafter(1.0, 0.0))
+            assert tables.dists[arm, hyp, y] > 0
