@@ -138,8 +138,13 @@ def support_projector(h: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
 
 
 def support_contained(a: np.ndarray, b: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Whether supp(a) is contained in supp(b), both Hermitian PSD."""
+    """Whether supp(a) is contained in supp(b), both Hermitian PSD.
+
+    Compares the weight a puts outside supp(b), Tr[a - P_b a P_b], to
+    1e-7 max(1, ||a||_F).  For PSD a it vanishes exactly when a - P_b a P_b
+    does; the norm of that residual would also count cross terms of size
+    sqrt(weight), so nearly rank-deficient pairs would read as not contained.
+    """
     pb = support_projector(b, tol)
-    # a restricted to the kernel of b must vanish
-    residual = a - pb @ a @ pb
-    return frob(residual) <= 1e-7 * max(1.0, frob(a))
+    outside = float(np.trace(a - pb @ a @ pb).real)
+    return outside <= 1e-7 * max(1.0, frob(a))

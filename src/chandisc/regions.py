@@ -15,17 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .divergences import _apply_to_pure, block_divergence
+from .divergences import block_divergence
 from .errors import DegenerateSamplingError
 from .linalg import support_contained
-from .optimize import OptimizerConfig, kl_divergence
-from .quantum import (
-    QuantumChannel,
-    outcome_distribution,
-    random_basis_pvm,
-    random_pure_state,
-    tensor_power_channel,
-)
+from .optimize import OptimizerConfig
+from .quantum import QuantumChannel, random_basis_pvm, random_pure_state, tensor_power_channel
+from .strategies import Arm, arm_laws, rate_pair
 
 RECTANGLE = "rectangle"
 HULL = "hull"
@@ -104,20 +99,6 @@ def _direction_value(
     return est.value_per_use, est.witness
 
 
-def _arm_kl_pair(b0: QuantumChannel, b1: QuantumChannel, witness) -> tuple[float, float]:
-    """(KL(P1||P0), KL(P0||P1)) of a witness (input, POVM) arm under the two
-    channels; each coordinate lower-bounds the corresponding measured channel
-    divergence."""
-    psi = witness.input_vector
-    s0 = _apply_to_pure(b0, psi)
-    s1 = _apply_to_pure(b1, psi)
-    p0 = np.maximum([float(np.trace(s0 @ e).real) for e in witness.povm.effects], 0.0)
-    p1 = np.maximum([float(np.trace(s1 @ e).real) for e in witness.povm.effects], 0.0)
-    p0 = p0 / p0.sum()
-    p1 = p1 / p1.sum()
-    return kl_divergence(p1, p0), kl_divergence(p0, p1)
-
-
 def adaptive_region(
     n0: QuantumChannel,
     n1: QuantumChannel,
@@ -139,7 +120,7 @@ def adaptive_region(
     for w in (w10, w01):
         if w is None or getattr(w, "povm", None) is None:
             continue
-        a0, a1 = _arm_kl_pair(b0, b1, w)
+        a0, a1 = rate_pair(*arm_laws(Arm(w.input_state, w.povm, b0.in_dim), b0, b1))
         if math.isfinite(a0):
             r0 = max(r0, a0 / l)
         if math.isfinite(a1):
@@ -161,7 +142,7 @@ def non_adaptive_region(
     n1: QuantumChannel,
     cfg: OptimizerConfig | None = None,
     samples: int = 512,
-    extra_arms: list | None = None,
+    extra_arms: list[Arm] | None = None,
 ) -> ExponentRegion:
     """Down-closure of the convex hull of sampled classical KL pairs.
 
@@ -176,23 +157,19 @@ def non_adaptive_region(
     points = []
     skipped = 0
 
-    def add_pair(rho, m, ancilla):
+    def add_pair(arm):
         nonlocal skipped
-        p0 = outcome_distribution(n0, rho, ancilla, m)
-        p1 = outcome_distribution(n1, rho, ancilla, m)
-        r0 = kl_divergence(p1, p0)
-        r1 = kl_divergence(p0, p1)
+        r0, r1 = rate_pair(*arm_laws(arm, n0, n1))
         if math.isfinite(r0) and math.isfinite(r1):
             points.append((r0, r1))
         else:
             skipped += 1
 
     for arm in extra_arms or []:
-        add_pair(arm.input_state, arm.povm, arm.ancilla_dim)
+        add_pair(arm)
     for _ in range(samples):
         rho = random_pure_state(d_in * d_in, rng)
-        m = random_basis_pvm(d_meas, rng)
-        add_pair(rho, m, d_in)
+        add_pair(Arm(rho, random_basis_pvm(d_meas, rng), d_in))
 
     if not points or max(max(p) for p in points) <= 1e-12:
         if points:
@@ -304,8 +281,6 @@ def region_chain(
     Witness inputs found at block size l seed the searches at l+1 and the
     converse, which keeps the chain monotone up to optimizer tolerance.
     """
-    from .strategies import Arm
-
     cfg = cfg or OptimizerConfig()
     adaptive: dict[int, ExponentRegion] = {}
     carried: list[np.ndarray] = list(cfg.extra_starts)
@@ -333,7 +308,7 @@ def region_chain(
     w10 = adaptive[1].metadata.get("witness_10")
     for w in (w01, w10):
         if w is not None and w.povm is not None:
-            arms.append(Arm(input_state=w.input_state, povm=w.povm, ancilla_dim=n0.in_dim))
+            arms.append(Arm(w.input_state, w.povm, n0.in_dim))
     non_adapt = non_adaptive_region(n0, n1, cfg=cfg, samples=samples, extra_arms=arms)
 
     # every sampled (input, POVM) pair certifies lower bounds on both

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .quantum import DensityMatrix, Povm, QuantumChannel
+from .strategies import Arm, SprtStrategy
 
 # ---------------------------------------------------------------------------
 # complex matrices
@@ -85,7 +86,7 @@ def povm_from_json(doc: dict) -> Povm:
 # ---------------------------------------------------------------------------
 
 
-def arm_to_json(arm) -> dict:
+def arm_to_json(arm: Arm) -> dict:
     return {
         "input_state": state_to_json(arm.input_state),
         "povm": povm_to_json(arm.povm),
@@ -93,9 +94,7 @@ def arm_to_json(arm) -> dict:
     }
 
 
-def arm_from_json(doc: dict):
-    from .strategies import Arm
-
+def arm_from_json(doc: dict) -> Arm:
     return Arm(
         input_state=state_from_json(doc["input_state"]),
         povm=povm_from_json(doc["povm"]),
@@ -103,7 +102,7 @@ def arm_from_json(doc: dict):
     )
 
 
-def strategy_to_json(strategy) -> dict:
+def strategy_to_json(strategy: SprtStrategy) -> dict:
     doc = {
         "type": "strategy",
         "adaptive": strategy.adaptive,
@@ -119,29 +118,23 @@ def strategy_to_json(strategy) -> dict:
         doc["arm_zero"] = arm_to_json(strategy.arm_zero)
         doc["arm_one"] = arm_to_json(strategy.arm_one)
     else:
-        doc["arm"] = arm_to_json(strategy.arm)
+        doc["arm"] = arm_to_json(strategy.arm_zero)
     return doc
 
 
-def strategy_from_json(doc: dict):
-    from .strategies import NonAdaptiveStrategy, SprtStrategy
-
-    common = dict(
+def strategy_from_json(doc: dict) -> SprtStrategy:
+    adaptive = doc["adaptive"]
+    return SprtStrategy(
         n0=channel_from_json(doc["n0"]),
         n1=channel_from_json(doc["n1"]),
+        arm_zero=arm_from_json(doc["arm_zero" if adaptive else "arm"]),
+        arm_one=arm_from_json(doc["arm_one"]) if adaptive else None,
         rate0=float(doc["rate0"]),
         rate1=float(doc["rate1"]),
         tau=float(doc["tau"]),
         n=int(doc["n"]),
         block_size=int(doc.get("block_size", 1)),
     )
-    if doc["adaptive"]:
-        return SprtStrategy(
-            arm_zero=arm_from_json(doc["arm_zero"]),
-            arm_one=arm_from_json(doc["arm_one"]),
-            **common,
-        )
-    return NonAdaptiveStrategy(arm=arm_from_json(doc["arm"]), **common)
 
 
 # ---------------------------------------------------------------------------

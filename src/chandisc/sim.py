@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExcessiveCensoringError, ZeroProbabilityOutcomeError
-from .strategies import CENSORED, DECISION_H0, DECISION_H1
+from .strategies import CENSORED, DECISION_H0, DECISION_H1, SprtStrategy
 
 EXPECTATION = "expectation"
 PROBABILISTIC = "probabilistic"
@@ -40,7 +40,7 @@ _ROWS = 256  # traces walked together
 
 @dataclass
 class SimulationPlan:
-    strategy: object
+    strategy: SprtStrategy
     trials: int
     base_seed: int
     constraint: str = EXPECTATION
@@ -220,7 +220,7 @@ def _simulate_hypothesis(plan: SimulationPlan, hyp: int) -> tuple[np.ndarray, np
         raise ZeroProbabilityOutcomeError(
             "an outcome with zero probability under one hypothesis is reachable"
         )
-    arms = range(len(incs) if strategy.adaptive else 1)
+    arms = range(len(incs))
     if all(np.array_equal(cdfs[a], cdfs[0]) and np.array_equal(incs[a], incs[0]) for a in arms):
         arms = range(1)  # one law for every step
     hi, lo = strategy.threshold_b, -strategy.threshold_a
@@ -327,7 +327,7 @@ def check_constraint(summary: SimulationSummary, plan: SimulationPlan) -> Constr
 
 
 def sweep_budgets(
-    strategy,
+    strategy: SprtStrategy,
     budgets: list[int],
     trials: int,
     base_seed: int,

@@ -1,15 +1,18 @@
 """Executable discrimination strategies.
 
-The adaptive SPRT uses two arms, each an (input state, PVM) pair witnessing
-one direction of the measured channel divergence.  The accumulated sum of
-per-step log-likelihood increments drives both the arm choice (sign rule,
-ties to arm zero) and the stopping rule (first exit from (-A_n, B_n)).
+One Wald SPRT type with one or two arms, each an (input state, POVM) pair.
+The adaptive SPRT plays two arms, each witnessing one direction of the
+measured channel divergence, and picks one by the sign of the running sum
+(ties to arm zero); the non-adaptive SPRT plays its one arm every round.
+The accumulated sum of per-step log-likelihood increments drives the
+stopping rule (first exit from (-A_n, B_n)).  arm_laws is the one map from
+an arm to its outcome laws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,13 +63,25 @@ class StrategyTables:
     increments: np.ndarray  # (n_arms, n_outcomes)
 
 
+def arm_laws(arm: Arm, *channels: QuantumChannel) -> list[np.ndarray]:
+    """Outcome law p_y = Tr[(id (x) N)(input) E_y] of the arm under each
+    channel N, in order."""
+    return [outcome_distribution(ch, arm.input_state, arm.ancilla_dim, arm.povm) for ch in channels]
+
+
+def rate_pair(p0: np.ndarray, p1: np.ndarray) -> tuple[float, float]:
+    """(D(P1||P0), D(P0||P1)): the per-step rates (rate0, rate1) that an arm
+    with outcome laws p0, p1 witnesses.  Each lower-bounds the measured
+    channel divergence in its direction."""
+    return kl_divergence(p1, p0), kl_divergence(p0, p1)
+
+
 def _build_tables(arms: list[Arm], n0: QuantumChannel, n1: QuantumChannel) -> StrategyTables:
     n_out = max(a.povm.outcome_count for a in arms)
     dists = np.zeros((len(arms), 2, n_out))
     incs = np.zeros((len(arms), n_out))
     for i, arm in enumerate(arms):
-        p0 = outcome_distribution(n0, arm.input_state, arm.ancilla_dim, arm.povm)
-        p1 = outcome_distribution(n1, arm.input_state, arm.ancilla_dim, arm.povm)
+        p0, p1 = arm_laws(arm, n0, n1)
         k = arm.povm.outcome_count
         dists[i, 0, :k] = p0
         dists[i, 1, :k] = p1
@@ -114,20 +129,24 @@ class StrategyTrace:
         return self.decision is not None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SprtStrategy:
-    """Two-armed adaptive SPRT.
+    """Wald SPRT with one or two arms.
+
+    With arm_one set the strategy is adaptive: arm zero or arm one is played
+    by the sign of the running sum.  With arm_one None, arm_zero is played
+    every round and no coin is drawn.
 
     rate0 is the witnessed per-step rate governing the type-I exponent
-    (arm one's KL, direction N1 vs N0); rate1 governs the type-II exponent
-    (arm zero's KL).  threshold_a = n (rate0 - tau), threshold_b =
-    n (rate1 - tau).
+    (D(P1||P0) of arm one, or of the only arm); rate1 governs the type-II
+    exponent (D(P0||P1) of arm zero).  threshold_a = n (rate0 - tau),
+    threshold_b = n (rate1 - tau).
     """
 
     n0: QuantumChannel
     n1: QuantumChannel
     arm_zero: Arm
-    arm_one: Arm
+    arm_one: Arm | None = None
     rate0: float
     rate1: float
     tau: float
@@ -144,90 +163,19 @@ class SprtStrategy:
             )
         self.threshold_a = self.n * (self.rate0 - self.tau)
         self.threshold_b = self.n * (self.rate1 - self.tau)
-        self.tables = _build_tables([self.arm_zero, self.arm_one], self.n0, self.n1)
-
-    @property
-    def arms(self) -> list[Arm]:
-        return [self.arm_zero, self.arm_one]
+        self.tables = _build_tables(self.arms, self.n0, self.n1)
 
     @property
     def adaptive(self) -> bool:
-        return True
-
-    def with_budget(self, n: int) -> "SprtStrategy":
-        return SprtStrategy(
-            n0=self.n0,
-            n1=self.n1,
-            arm_zero=self.arm_zero,
-            arm_one=self.arm_one,
-            rate0=self.rate0,
-            rate1=self.rate1,
-            tau=self.tau,
-            n=n,
-            block_size=self.block_size,
-        )
-
-
-@dataclass
-class NonAdaptiveStrategy:
-    """A single fixed (input, POVM) pair played every round."""
-
-    n0: QuantumChannel
-    n1: QuantumChannel
-    arm: Arm
-    rate0: float  # D(P1||P0)
-    rate1: float  # D(P0||P1)
-    tau: float
-    n: int
-    threshold_a: float = field(init=False)
-    threshold_b: float = field(init=False)
-    block_size: int = 1
-    tables: StrategyTables = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.tau <= 0 or self.tau >= min(self.rate0, self.rate1):
-            raise TauTooLargeError(
-                f"tau {self.tau} not in (0, {min(self.rate0, self.rate1)})"
-            )
-        self.threshold_a = self.n * (self.rate0 - self.tau)
-        self.threshold_b = self.n * (self.rate1 - self.tau)
-        self.tables = _build_tables([self.arm], self.n0, self.n1)
+        return self.arm_one is not None
 
     @property
     def arms(self) -> list[Arm]:
-        return [self.arm]
+        return [self.arm_zero, self.arm_one] if self.adaptive else [self.arm_zero]
 
-    @property
-    def adaptive(self) -> bool:
-        return False
-
-    def with_budget(self, n: int) -> "NonAdaptiveStrategy":
-        return NonAdaptiveStrategy(
-            n0=self.n0,
-            n1=self.n1,
-            arm=self.arm,
-            rate0=self.rate0,
-            rate1=self.rate1,
-            tau=self.tau,
-            n=n,
-            block_size=self.block_size,
-        )
-
-
-def _arm_from_witness(witness, ancilla_dim: int) -> Arm:
-    return Arm(
-        input_state=witness.input_state,
-        povm=witness.povm,
-        ancilla_dim=ancilla_dim,
-    )
-
-
-def _arm_rate(arm: Arm, n0: QuantumChannel, n1: QuantumChannel, direction: int) -> float:
-    """Classical KL of the arm's induced distributions: direction 0 means
-    D(P0||P1), direction 1 means D(P1||P0)."""
-    p0 = outcome_distribution(n0, arm.input_state, arm.ancilla_dim, arm.povm)
-    p1 = outcome_distribution(n1, arm.input_state, arm.ancilla_dim, arm.povm)
-    return kl_divergence(p0, p1) if direction == 0 else kl_divergence(p1, p0)
+    def with_budget(self, n: int) -> SprtStrategy:
+        # replace re-runs __post_init__: thresholds and tables are rebuilt
+        return replace(self, n=n)
 
 
 def build_sprt(
@@ -253,12 +201,11 @@ def build_sprt(
         )
     dv01 = channel_divergence(n0, n1, kind="measured", cfg=cfg)
     dv10 = channel_divergence(n1, n0, kind="measured", cfg=cfg)
-    ancilla = n0.in_dim
-    arm_zero = _arm_from_witness(dv01.witness, ancilla)
-    arm_one = _arm_from_witness(dv10.witness, ancilla)
+    arm_zero = Arm(dv01.witness.input_state, dv01.witness.povm, n0.in_dim)
+    arm_one = Arm(dv10.witness.input_state, dv10.witness.povm, n0.in_dim)
     # achieved per-step rates of the arms (certified lower bounds)
-    rate1 = _arm_rate(arm_zero, n0, n1, direction=0)
-    rate0 = _arm_rate(arm_one, n0, n1, direction=1)
+    _, rate1 = rate_pair(*arm_laws(arm_zero, n0, n1))
+    rate0, _ = rate_pair(*arm_laws(arm_one, n0, n1))
     if min(rate0, rate1) <= 0:
         raise TauTooLargeError("witnessed rates are zero; channels indistinguishable")
     if tau is None:
@@ -283,23 +230,18 @@ def build_non_adaptive(
     m: Povm,
     n: int,
     tau: float | None = None,
-) -> NonAdaptiveStrategy:
+) -> SprtStrategy:
     """Fixed-pair SPRT; thresholds from the pair's classical KLs."""
-    ancilla = input_state.dim // n0.in_dim
-    arm = Arm(input_state=input_state, povm=m, ancilla_dim=ancilla)
-    p0 = outcome_distribution(n0, input_state, ancilla, m)
-    p1 = outcome_distribution(n1, input_state, ancilla, m)
+    arm = Arm(input_state, m, input_state.dim // n0.in_dim)
+    p0, p1 = arm_laws(arm, n0, n1)
     if np.any((p0 > 1e-12) != (p1 > 1e-12)):
         raise SupportMismatchError("induced distributions not mutually absolutely continuous")
-    rate1 = kl_divergence(p0, p1)
-    rate0 = kl_divergence(p1, p0)
+    rate0, rate1 = rate_pair(p0, p1)
     if min(rate0, rate1) <= 1e-15:
         raise TauTooLargeError("measurement is uninformative (zero KL both ways)")
     if tau is None:
         tau = 0.1 * min(rate0, rate1)
-    return NonAdaptiveStrategy(
-        n0=n0, n1=n1, arm=arm, rate0=rate0, rate1=rate1, tau=tau, n=n
-    )
+    return SprtStrategy(n0=n0, n1=n1, arm_zero=arm, rate0=rate0, rate1=rate1, tau=tau, n=n)
 
 
 def lift_to_blocks(
@@ -332,7 +274,7 @@ def sample_outcome(cdf: np.ndarray, u: float) -> int:
 
 
 def step_sprt(
-    strategy,
+    strategy: SprtStrategy,
     true_channel: QuantumChannel,
     trace: StrategyTrace,
     rng: np.random.Generator,
@@ -355,8 +297,7 @@ def step_sprt(
     tables = strategy.tables
     hyp = _hypothesis_index(strategy, true_channel)
     if hyp is None:
-        arm_obj = strategy.arms[arm]
-        p = outcome_distribution(true_channel, arm_obj.input_state, arm_obj.ancilla_dim, arm_obj.povm)
+        p, = arm_laws(strategy.arms[arm], true_channel)
         cdf = outcome_cdf(p)
     else:
         cdf = tables.cdfs[arm, hyp]
@@ -377,7 +318,7 @@ def step_sprt(
     return trace
 
 
-def _hypothesis_index(strategy, true_channel: QuantumChannel) -> int | None:
+def _hypothesis_index(strategy: SprtStrategy, true_channel: QuantumChannel) -> int | None:
     if true_channel is strategy.n0:
         return 0
     if true_channel is strategy.n1:

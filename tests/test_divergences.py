@@ -257,6 +257,19 @@ def test_apply_to_pure_matches_kraus_sum():
     assert np.allclose(_apply_to_pure(ch, psi), ref, atol=1e-14)
 
 
+def test_nearly_rank_deficient_outputs_stay_finite():
+    """Outputs whose smallest eigenvalues lie between 1e-15 and 1e-9 keep
+    the finite divergences of their neighbours on both sides."""
+    rng = np.random.default_rng(6335)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+    for s in (0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4):
+        psi = np.array([math.sqrt(1.0 - s * s), 0.0, 0.0, s])
+        s0 = DensityMatrix(_apply_to_pure(n0, psi))
+        s1 = DensityMatrix(_apply_to_pure(n1, psi))
+        assert rel_entropy_states(s0, s1).value == pytest.approx(0.974839, abs=1e-6), s
+        assert measured_rel_entropy_states(s0, s1).value == pytest.approx(0.831486, abs=1e-6), s
+
+
 PROPERTY_CFG = OptimizerConfig(restarts=2, max_iters=60, pvm_restarts=4)
 
 

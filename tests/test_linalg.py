@@ -71,6 +71,13 @@ def test_support_projector_and_containment():
     assert linalg.support_contained(a, p)
     assert not linalg.support_contained(b, p)
     assert linalg.support_contained(np.zeros((3, 3)), p)
+    # weight 1e-12 outside the support, with cross terms of size 1e-6
+    v = np.array([1.0, 0.0, 1e-6]) / np.sqrt(1.0 + 1e-12)
+    assert np.linalg.norm(np.outer(v, v) - proj @ np.outer(v, v) @ proj) > 1e-7
+    assert linalg.support_contained(np.outer(v, v), p)
+    # weight 1e-6 outside the support is not contained
+    v = np.array([1.0, 0.0, 1e-3]) / np.sqrt(1.0 + 1e-6)
+    assert not linalg.support_contained(np.outer(v, v), p)
 
 
 def test_partial_trace_multi_factor():

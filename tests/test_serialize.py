@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
 from chandisc import serialize
 from chandisc.optimize import OptimizerConfig
 from chandisc.quantum import (
+    DensityMatrix,
     Povm,
     basis_pvm,
     bernoulli_replacer,
@@ -15,7 +17,9 @@ from chandisc.quantum import (
 )
 from chandisc.regions import ExponentRegion
 from chandisc.sim import SimulationPlan, run_trials, sweep_budgets
-from chandisc.strategies import build_sprt
+from chandisc.strategies import build_non_adaptive, build_sprt, lift_to_blocks
+
+CFG = OptimizerConfig(restarts=2, max_iters=60)
 
 
 def test_matrix_roundtrip_exact():
@@ -50,18 +54,37 @@ def test_povm_roundtrip():
         assert np.array_equal(a, b)
 
 
-def test_strategy_roundtrip_reproduces_tables():
-    strat = build_sprt(
-        bernoulli_replacer(0.2),
-        bernoulli_replacer(0.8),
-        n=50,
-        tau=0.08,
-        cfg=OptimizerConfig(restarts=2, max_iters=60),
-    )
-    text = serialize.dumps(serialize.strategy_to_json(strat))
+def _fixed_strategy(n0, n1):
+    zero = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    return build_non_adaptive(n0, n1, zero, basis_pvm(np.eye(2, dtype=complex)), n=50, tau=0.08)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n0, n1: build_sprt(n0, n1, n=50, tau=0.08, cfg=CFG),
+        _fixed_strategy,
+        lambda n0, n1: lift_to_blocks(n0, n1, l=2, n=50, tau=0.08, cfg=CFG),
+    ],
+    ids=["adaptive", "non-adaptive", "block-l2"],
+)
+def test_strategy_roundtrip_reproduces_tables(build):
+    strat = build(bernoulli_replacer(0.2), bernoulli_replacer(0.8))
+    doc = serialize.strategy_to_json(strat)
+    # a non-adaptive strategy stores its one arm as "arm"
+    assert ("arm" in doc) == (not strat.adaptive) == ("arm_zero" not in doc)
+    text = serialize.dumps(doc)
     back = serialize.strategy_from_json(serialize.loads(text))
+    assert serialize.dumps(serialize.strategy_to_json(back)) == text
+    assert back.adaptive == strat.adaptive
+    assert len(back.arms) == len(strat.arms)
+    for a, b in zip(back.arms, strat.arms):
+        assert a.ancilla_dim == b.ancilla_dim
+        assert np.array_equal(a.input_state.mat, b.input_state.mat)
+        assert all(np.array_equal(x, y) for x, y in zip(a.povm.effects, b.povm.effects))
     assert back.threshold_a == strat.threshold_a
     assert back.threshold_b == strat.threshold_b
+    assert np.array_equal(back.tables.dists, strat.tables.dists)
     assert np.array_equal(back.tables.increments, strat.tables.increments)
     assert np.array_equal(back.tables.cdfs, strat.tables.cdfs)
     # identical simulation results

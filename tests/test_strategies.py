@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chandisc.divergences import channel_divergence
 from chandisc.errors import (
     InfiniteDivergenceError,
     SupportMismatchError,
@@ -25,10 +26,12 @@ from chandisc.strategies import (
     DECISION_H1,
     Arm,
     StrategyTrace,
+    arm_laws,
     build_non_adaptive,
     build_sprt,
     lift_to_blocks,
     outcome_cdf,
+    rate_pair,
     sample_outcome,
     step_sprt,
 )
@@ -171,12 +174,22 @@ def test_lift_to_blocks():
     assert strat.tau == pytest.approx(0.16)
 
 
-def test_with_budget_rescales_thresholds():
+def _fixed_classical(n0, n1):
+    rho = pure_state(np.array([1.0, 0.0, 0.0, 0.0]))
+    return build_non_adaptive(n0, n1, rho, basis_pvm(np.eye(4)), n=100, tau=0.08)
+
+
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "non-adaptive"])
+def test_with_budget_rescales_thresholds(adaptive):
     n0, n1 = classical_pair()
-    strat = build_sprt(n0, n1, n=100, tau=0.08, cfg=CFG)
+    strat = build_sprt(n0, n1, n=100, tau=0.08, cfg=CFG) if adaptive else _fixed_classical(n0, n1)
     bigger = strat.with_budget(200)
     assert bigger.threshold_a == pytest.approx(2 * strat.threshold_a)
     assert bigger.rate0 == strat.rate0 and bigger.tau == strat.tau
+    assert bigger.n == 200 and bigger.adaptive == strat.adaptive == adaptive
+    assert len(bigger.arms) == len(strat.arms) == (2 if adaptive else 1)
+    assert all(a is b for a, b in zip(bigger.arms, strat.arms))
+    assert np.array_equal(bigger.tables.increments, strat.tables.increments)
 
 
 def test_sample_outcome_inverse_cdf():
@@ -220,3 +233,30 @@ def test_strategy_cdfs_sample_every_uniform(pair):
         for hyp in (0, 1):
             y = sample_outcome(tables.cdfs[arm, hyp], np.nextafter(1.0, 0.0))
             assert tables.dists[arm, hyp, y] > 0
+
+
+def test_arm_laws_on_replacers():
+    n0, n1 = classical_pair()
+    arm = Arm(pure_state(np.array([1.0, 0.0, 0.0, 0.0])), basis_pvm(np.eye(4)), 2)
+    kl = kl_divergence([0.2, 0.8], [0.8, 0.2])
+    r0, r1 = rate_pair(*arm_laws(arm, n0, n1))
+    assert abs(r0 - kl) < 1e-12 and abs(r1 - kl) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [lambda: (depolarizing_channel(0.3), depolarizing_channel(0.7)), lambda: _random_pair()[:2]],
+    ids=["depolarizing", "random"],
+)
+def test_arm_laws_match_witness_trace(pair):
+    """The laws of a measured witness arm are Tr[sigma_i E_y], with sigma_i
+    the Kraus sum of N_i on the witness input."""
+    n0, n1 = pair()
+    w = channel_divergence(n0, n1, kind="measured", cfg=CFG).witness
+    d = n0.in_dim
+    psi = w.input_vector
+    laws = arm_laws(Arm(w.input_state, w.povm, d), n0, n1)
+    for ch, p in zip((n0, n1), laws):
+        sigma = sum(np.outer(v, v.conj()) for v in (np.kron(np.eye(d), k) @ psi for k in ch.kraus))
+        direct = [np.trace(sigma @ e).real for e in w.povm.effects]
+        assert np.allclose(p, direct, rtol=0.0, atol=1e-12)
