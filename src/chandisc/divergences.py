@@ -2,11 +2,14 @@
 
 State level: quantum relative entropy, max-divergence, sandwiched Renyi
 divergence (alpha > 1) and the measured relative entropy (two independent
-estimators, cross-validated).  Channel level: ancilla-assisted input
+estimators, cross-validated).  The relative and Renyi values have one
+formula each (_relative_terms, _renyi_terms), which returns the value with
+its matrix gradients: the input search ascends it and the state-level
+functions certify with it.  Channel level: ancilla-assisted input
 optimization over pure bipartite states by multi-start L-BFGS on analytic
-gradients (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with
-A_k = I_R (x) K_k, matrix gradients pulled back through the A_k), and block
-(tensor-power) values.
+gradients (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack
+A_k = I_R (x) K_k that quantum applies every channel with, matrix gradients
+pulled back through the A_k), and block (tensor-power) values.
 
 All values are in nats.  Channel divergences obtained by numerical
 maximization are certified lower bounds; the channel max-divergence is exact
@@ -45,6 +48,7 @@ from .quantum import (
     DensityMatrix,
     Povm,
     QuantumChannel,
+    _lifted_kraus,
     max_entangled_vector,
     pure_state,
     tensor_power_channel,
@@ -110,17 +114,53 @@ def _check_pair(rho0: DensityMatrix, rho1: DensityMatrix) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _spectrum(s: np.ndarray):
+    """Eigenvalues, eigenvectors and support mask of a state."""
+    w, u = np.linalg.eigh(s)
+    return w, u, w > PSD_TOL
+
+
+def _relative_terms(s0: np.ndarray, s1: np.ndarray):
+    """D(s0||s1) on the support of s1, and its matrix gradients in s0 and
+    s1: log s0 - log s1 and -Dlog_{s1}[s0]."""
+    w0, u0, m0 = _spectrum(s0)
+    w1, u1, m1 = _spectrum(s1)
+    l0 = np.log(np.where(m0, w0, 1.0)) * m0
+    l1 = np.log(np.where(m1, w1, 1.0)) * m1
+    log1 = (u1 * l1) @ u1.conj().T
+    f = float(np.sum(w0 * l0)) - float(np.real(np.sum(s0 * log1.T)))
+    g0 = (u0 * l0) @ u0.conj().T - log1
+    g1 = -u1 @ ((u1.conj().T @ s0 @ u1) * _log_kernel(w1, m1)) @ u1.conj().T
+    return f, g0, g1
+
+
+def _renyi_terms(s0: np.ndarray, s1: np.ndarray, alpha: float):
+    """Sandwiched D_alpha(s0||s1) on the support of s1, and its matrix
+    gradients in s0 and s1 (the latter through the divided-difference
+    adjoint of s1^gamma, gamma = (1 - alpha) / 2 alpha)."""
+    gamma = (1.0 - alpha) / (2.0 * alpha)
+    w1, u1, m1 = _spectrum(s1)
+    p = np.where(m1, np.where(m1, w1, 1.0) ** gamma, 0.0)
+    g = (u1 * p) @ u1.conj().T
+    wm, um = np.linalg.eigh(g @ s0 @ g)
+    wm = np.maximum(wm, 0.0)
+    q = max(float(np.sum(wm**alpha)), 1e-300)
+    mpow = (um * wm ** (alpha - 1.0)) @ um.conj().T
+    c = alpha / ((alpha - 1.0) * q)
+    x = s0 @ g @ mpow
+    x = x + x.conj().T
+    g0 = c * (g @ mpow @ g)
+    g1 = c * (u1 @ ((u1.conj().T @ x @ u1) * _power_kernel(w1, m1, gamma)) @ u1.conj().T)
+    return math.log(q) / (alpha - 1.0), g0, g1
+
+
 def rel_entropy_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
-    """Quantum relative entropy Tr[rho0 (log rho0 - log rho1)] in nats."""
+    """Quantum relative entropy Tr[rho0 (log rho0 - log rho1)] in nats: the
+    value of _relative_terms, the formula the input search ascends."""
     _check_pair(rho0, rho1)
     if not support_contained(rho0.mat, rho1.mat):
         return DivergenceValue(math.inf, is_finite=False)
-    w0, v0 = hermitian_eigen(rho0.mat)
-    mask = w0 > PSD_TOL
-    term0 = float(np.sum(w0[mask] * np.log(w0[mask])))
-    log1 = matrix_function(rho1.mat, np.log, support_only=True)
-    term1 = float(np.trace(rho0.mat @ log1).real)
-    return DivergenceValue(term0 - term1)
+    return DivergenceValue(_relative_terms(rho0.mat, rho1.mat)[0])
 
 
 def max_div_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
@@ -139,19 +179,14 @@ def sandwiched_renyi_states(
     rho0: DensityMatrix, rho1: DensityMatrix, alpha: float
 ) -> DivergenceValue:
     """Sandwiched Renyi divergence, alpha > 1:
-    (1/(alpha-1)) log Tr[(rho1^{(1-a)/2a} rho0 rho1^{(1-a)/2a})^a]."""
+    (1/(alpha-1)) log Tr[(rho1^{(1-a)/2a} rho0 rho1^{(1-a)/2a})^a]; the value
+    of _renyi_terms, the formula the input search ascends."""
     if alpha <= 1.0:
         raise InvalidAlphaError(f"alpha must exceed 1, got {alpha}")
     _check_pair(rho0, rho1)
     if not support_contained(rho0.mat, rho1.mat):
         return DivergenceValue(math.inf, is_finite=False)
-    expo = (1.0 - alpha) / (2.0 * alpha)
-    g = matrix_function(rho1.mat, lambda x: x**expo, support_only=True)
-    m = g @ rho0.mat @ g
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    w = np.maximum(w, 0.0)
-    tr = float(np.sum(w**alpha))
-    return DivergenceValue(math.log(max(tr, 1e-300)) / (alpha - 1.0))
+    return DivergenceValue(_renyi_terms(rho0.mat, rho1.mat, alpha)[0])
 
 
 def measured_rel_entropy_states(
@@ -203,12 +238,6 @@ def measured_rel_entropy_states(
 KINDS = ("relative", "measured", "max", "renyi")
 
 
-def _lifted_kraus(ch: QuantumChannel, d_r: int) -> np.ndarray:
-    """The operators I_R (x) K_k stacked along the first axis."""
-    a = np.einsum("rs,koi->krosi", np.eye(d_r), np.asarray(ch.kraus))
-    return a.reshape(len(ch.kraus), d_r * ch.out_dim, d_r * ch.in_dim)
-
-
 def _output(a: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigma = sum_k A_k |psi><psi| A_k^dag, and the rows V_k = A_k psi."""
     v = a @ psi
@@ -224,46 +253,6 @@ def _pull_back(a: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _apply_to_pure(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
     """(id_R (x) ch)(|psi><psi|) for psi on R (x) A with |R| = in_dim."""
     return _output(_lifted_kraus(ch, psi.size // ch.in_dim), psi)[0]
-
-
-def _spectrum(s: np.ndarray):
-    """Eigenvalues, eigenvectors and support mask of an output state."""
-    w, u = np.linalg.eigh(s)
-    return w, u, w > PSD_TOL
-
-
-def _relative_terms(s0: np.ndarray, s1: np.ndarray):
-    """D(s0||s1) on the support of s1, and its matrix gradients in s0 and
-    s1: log s0 - log s1 and -Dlog_{s1}[s0]."""
-    w0, u0, m0 = _spectrum(s0)
-    w1, u1, m1 = _spectrum(s1)
-    l0 = np.log(np.where(m0, w0, 1.0)) * m0
-    l1 = np.log(np.where(m1, w1, 1.0)) * m1
-    log1 = (u1 * l1) @ u1.conj().T
-    f = float(np.sum(w0 * l0)) - float(np.real(np.sum(s0 * log1.T)))
-    g0 = (u0 * l0) @ u0.conj().T - log1
-    g1 = -u1 @ ((u1.conj().T @ s0 @ u1) * _log_kernel(w1, m1)) @ u1.conj().T
-    return f, g0, g1
-
-
-def _renyi_terms(s0: np.ndarray, s1: np.ndarray, alpha: float):
-    """Sandwiched D_alpha(s0||s1) on the support of s1, and its matrix
-    gradients in s0 and s1 (the latter through the divided-difference
-    adjoint of s1^gamma, gamma = (1 - alpha) / 2 alpha)."""
-    gamma = (1.0 - alpha) / (2.0 * alpha)
-    w1, u1, m1 = _spectrum(s1)
-    p = np.where(m1, np.where(m1, w1, 1.0) ** gamma, 0.0)
-    g = (u1 * p) @ u1.conj().T
-    wm, um = np.linalg.eigh(g @ s0 @ g)
-    wm = np.maximum(wm, 0.0)
-    q = max(float(np.sum(wm**alpha)), 1e-300)
-    mpow = (um * wm ** (alpha - 1.0)) @ um.conj().T
-    c = alpha / ((alpha - 1.0) * q)
-    x = s0 @ g @ mpow
-    x = x + x.conj().T
-    g0 = c * (g @ mpow @ g)
-    g1 = c * (u1 @ ((u1.conj().T @ x @ u1) * _power_kernel(w1, m1, gamma)) @ u1.conj().T)
-    return math.log(q) / (alpha - 1.0), g0, g1
 
 
 def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None = None):
@@ -317,10 +306,6 @@ def _drop_schmidt_residue(psi: np.ndarray, d_in: int) -> np.ndarray:
     return ((u * (s / np.linalg.norm(s))) @ vh).reshape(-1)
 
 
-def _pair_finite(n0: QuantumChannel, n1: QuantumChannel) -> bool:
-    return support_contained(n0.choi, n1.choi)
-
-
 def channel_divergence(
     n0: QuantumChannel,
     n1: QuantumChannel,
@@ -351,7 +336,7 @@ def channel_divergence(
         val.witness = ChannelWitness(input_vector=max_entangled_vector(n0.in_dim))
         return val
 
-    if not _pair_finite(n0, n1):
+    if not support_contained(n0.choi, n1.choi):
         return DivergenceValue(math.inf, is_finite=False, is_lower_bound=False)
     if kind == "renyi" and (alpha is None or alpha <= 1.0):
         raise InvalidAlphaError("renyi kind needs alpha > 1")

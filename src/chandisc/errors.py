@@ -13,10 +13,6 @@ class NotHermitianError(ChandiscError):
     pass
 
 
-class ConvergenceFailure(ChandiscError):
-    pass
-
-
 class NegativeEigenvalueError(ChandiscError):
     pass
 

@@ -40,10 +40,6 @@ class OptimizerConfig:
 # ---------------------------------------------------------------------------
 
 
-def hermitian_param_count(d: int) -> int:
-    return d * d
-
-
 def params_to_hermitian(theta: np.ndarray, d: int) -> np.ndarray:
     """Real vector of length d^2 -> Hermitian d x d matrix: the diagonal,
     then (Re, Im) of each upper entry in row-major order."""
@@ -314,7 +310,7 @@ def pvm_search_measured(
     supplied bases, e.g. the eigenbasis of the variational optimizer's omega
     (whose basis KL always dominates the variational value)."""
     d = rho0.shape[0]
-    npar = hermitian_param_count(d)
+    npar = d * d
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x9E)))
 
     _, base = hermitian_eigen(_safe_log_state(rho0) - _safe_log_state(rho1))

@@ -1,8 +1,11 @@
 """States, channels and measurements for finite-dimensional systems.
 
-Channels are stored as Kraus operator lists with a cached unit-trace Choi
-state.  The Choi convention used throughout: J = (id (x) N)(|w><w|) with |w>
-the *normalized* maximally entangled vector, so J is itself a density matrix.
+Channels are stored as Kraus operator lists.  Every application of
+id_R (x) N goes through one map: the stacked operators A_k = I_R (x) K_k
+built by _lifted_kraus, applied as sum_k A_k rho A_k^dag.  The cached
+unit-trace Choi state is that map's output on the maximally entangled
+input: J = (id (x) N)(|w><w|) with |w> the *normalized* maximally entangled
+vector, so J is itself a density matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import (
     InvalidStateError,
     NormalizationError,
 )
-from .linalg import PSD_TOL, frob, hermitian_eigen, kron, kron_all, partial_trace
+from .linalg import PSD_TOL, frob, hermitian_eigen, kron
 
 STATE_TOL = 1e-9
 CHANNEL_TOL = 1e-8
@@ -95,9 +98,6 @@ class QuantumChannel:
         self.in_dim = in_dim
         self.out_dim = out_dim
 
-    def apply_raw(self, mat: np.ndarray) -> np.ndarray:
-        return sum(k @ mat @ k.conj().T for k in self.kraus)
-
     @property
     def choi(self) -> np.ndarray:
         if self._choi is None:
@@ -119,6 +119,8 @@ class Povm:
 
     def __post_init__(self):
         self.effects = [np.asarray(e, dtype=complex) for e in self.effects]
+        if not self.effects:
+            raise InvalidStateError("POVM needs at least one effect")
         dim = self.effects[0].shape[0]
         acc = np.zeros((dim, dim), dtype=complex)
         for e in self.effects:
@@ -146,31 +148,29 @@ def basis_pvm(basis: np.ndarray, label: str | None = None) -> Povm:
     return Povm([np.outer(c, c.conj()) for c in cols], label=label)
 
 
+def _lifted_kraus(ch: QuantumChannel, d_r: int) -> np.ndarray:
+    """The operators A_k = I_R (x) K_k with |R| = d_r, stacked along the
+    first axis."""
+    a = np.einsum("rs,koi->krosi", np.eye(d_r), np.asarray(ch.kraus))
+    return a.reshape(len(ch.kraus), d_r * ch.out_dim, d_r * ch.in_dim)
+
+
 def apply_channel(ch: QuantumChannel, state: DensityMatrix, ancilla_dim: int = 1) -> DensityMatrix:
-    """(id_R (x) ch)(state) for a state on R (x) A with |R| = ancilla_dim."""
+    """(id_R (x) ch)(state) = sum_k A_k state A_k^dag for a state on R (x) A
+    with |R| = ancilla_dim."""
     if state.dim != ancilla_dim * ch.in_dim:
         raise DimensionMismatchError(
             f"state dim {state.dim} != ancilla {ancilla_dim} * channel input {ch.in_dim}"
         )
-    if ancilla_dim == 1:
-        out = ch.apply_raw(state.mat)
-    else:
-        eye = np.eye(ancilla_dim)
-        out = sum(
-            (k_l := np.kron(eye, k)) @ state.mat @ k_l.conj().T for k in ch.kraus
-        )
-    return DensityMatrix(out)
+    a = _lifted_kraus(ch, ancilla_dim)
+    return DensityMatrix((a @ state.mat @ a.conj().transpose(0, 2, 1)).sum(axis=0))
 
 
 def choi_from_kraus(ch: QuantumChannel) -> np.ndarray:
-    """Unit-trace Choi state J = (id (x) ch)(|w><w|), |w> normalized."""
-    d = ch.in_dim
-    j = np.zeros((d * ch.out_dim, d * ch.out_dim), dtype=complex)
-    for k in ch.kraus:
-        # (I (x) K)|w> has components K[b,a]/sqrt(d) at index (a, b)
-        vec = (k.T / math.sqrt(d)).reshape(-1)
-        j += np.outer(vec, vec.conj())
-    return j
+    """Unit-trace Choi state J = (id (x) ch)(|w><w|), |w> normalized: the
+    rows v_k = A_k |w> give J = sum_k |v_k><v_k|."""
+    v = _lifted_kraus(ch, ch.in_dim) @ max_entangled_vector(ch.in_dim)
+    return v.T @ v.conj()
 
 
 def tensor_power_channel(ch: QuantumChannel, l: int, dim_cap: int = linalg.DIM_CAP) -> QuantumChannel:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .divergences import block_divergence
 from .errors import DegenerateSamplingError
-from .linalg import support_contained
 from .optimize import OptimizerConfig
 from .quantum import QuantumChannel, random_basis_pvm, random_pure_state, tensor_power_channel
 from .strategies import Arm, arm_laws, rate_pair
@@ -83,22 +82,6 @@ def containment(a: ExponentRegion, b: ExponentRegion, slack: float = 0.0) -> Con
     return ContainmentReport(contained=not violations, slack=slack, violations=violations)
 
 
-def _direction_value(
-    n0: QuantumChannel,
-    n1: QuantumChannel,
-    l: int,
-    kind: str,
-    alpha: float | None,
-    cfg: OptimizerConfig,
-):
-    """Per-use block divergence in the (n0 || n1) direction; inf when the
-    Choi support condition fails."""
-    if not support_contained(n0.choi, n1.choi):
-        return math.inf, None
-    est = block_divergence(n0, n1, l, kind=kind, alpha=alpha, cfg=cfg)
-    return est.value_per_use, est.witness
-
-
 def adaptive_region(
     n0: QuantumChannel,
     n1: QuantumChannel,
@@ -113,8 +96,10 @@ def adaptive_region(
     divergences), so the corner takes the max over both arms per coordinate.
     """
     cfg = cfg or OptimizerConfig()
-    r0, w10 = _direction_value(n1, n0, l, "measured", None, cfg)
-    r1, w01 = _direction_value(n0, n1, l, "measured", None, cfg)
+    e10 = block_divergence(n1, n0, l, kind="measured", cfg=cfg)
+    e01 = block_divergence(n0, n1, l, kind="measured", cfg=cfg)
+    r0, w10 = e10.value_per_use, e10.witness
+    r1, w01 = e01.value_per_use, e01.witness
     b0 = n0 if l == 1 else tensor_power_channel(n0, l)
     b1 = n1 if l == 1 else tensor_power_channel(n1, l)
     for w in (w10, w01):
@@ -247,10 +232,10 @@ def converse_region(
         raise ValueError("alpha grid must lie strictly above 1")
     corners = []
     for a_ch, b_ch in ((n1, n0), (n0, n1)):
-        vals = []
-        for alpha in alpha_grid:
-            v, _ = _direction_value(a_ch, b_ch, l, "renyi", alpha, cfg)
-            vals.append(v)
+        vals = [
+            block_divergence(a_ch, b_ch, l, kind="renyi", alpha=alpha, cfg=cfg).value_per_use
+            for alpha in alpha_grid
+        ]
         corners.append(min(vals))
     return ExponentRegion(
         kind=CONVERSE,

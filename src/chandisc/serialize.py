@@ -38,10 +38,6 @@ def vector_to_json(v: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
 
 
-def vector_from_json(pairs: list) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # quantum objects
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ an arm to its outcome laws.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,8 +152,6 @@ class SprtStrategy:
     rate1: float
     tau: float
     n: int
-    threshold_a: float = field(init=False)
-    threshold_b: float = field(init=False)
     block_size: int = 1
     tables: StrategyTables = field(init=False, repr=False)
 
@@ -161,9 +160,15 @@ class SprtStrategy:
             raise TauTooLargeError(
                 f"tau {self.tau} not in (0, {min(self.rate0, self.rate1)})"
             )
-        self.threshold_a = self.n * (self.rate0 - self.tau)
-        self.threshold_b = self.n * (self.rate1 - self.tau)
         self.tables = _build_tables(self.arms, self.n0, self.n1)
+
+    @property
+    def threshold_a(self) -> float:
+        return self.n * (self.rate0 - self.tau)
+
+    @property
+    def threshold_b(self) -> float:
+        return self.n * (self.rate1 - self.tau)
 
     @property
     def adaptive(self) -> bool:
@@ -174,8 +179,11 @@ class SprtStrategy:
         return [self.arm_zero, self.arm_one] if self.adaptive else [self.arm_zero]
 
     def with_budget(self, n: int) -> SprtStrategy:
-        # replace re-runs __post_init__: thresholds and tables are rebuilt
-        return replace(self, n=n)
+        """The same strategy with budget n.  The thresholds follow n; the
+        tables do not depend on it and are shared, never rebuilt."""
+        strategy = copy.copy(self)
+        strategy.n = n
+        return strategy
 
 
 def build_sprt(

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -202,3 +203,31 @@ def test_channel_file_loading(tmp_path, runner):
     out = tmp_path / "run"
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "validate"])
     assert res.exit_code == 0, res.output
+
+
+# Golden run directories: the --no-timestamp output of each command on
+# write_config's config.  A deliberate change of any output regenerates them.
+REPLAY = Path(__file__).parent / "data" / "replay"
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _assert_matches_golden(text: str, golden: str, name: str) -> None:
+    """Text between numbers must match exactly; each number must agree
+    within 1e-12 max(1, |golden|)."""
+    assert _NUMBER.split(text) == _NUMBER.split(golden), name
+    got, want = _NUMBER.findall(text), _NUMBER.findall(golden)
+    for a, b in zip(got, want):
+        assert abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(b))), (name, a, b)
+
+
+@pytest.mark.parametrize("command", ["divergence", "simulate", "sweep", "regions", "validate"])
+def test_golden_replay(tmp_path, runner, command):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", command])
+    assert res.exit_code == 0, res.output
+    golden = REPLAY / command
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        _assert_matches_golden((out / name).read_text(), (golden / name).read_text(), name)

@@ -94,6 +94,31 @@ def test_apply_channel_with_ancilla():
     assert np.allclose(out.mat, ch.choi, atol=1e-12)
 
 
+@pytest.mark.parametrize("ancilla_dim", [1, 2, 3])
+def test_apply_channel_matches_kron_loop(ancilla_dim):
+    # reference: sum_k (I (x) K_k) rho (I (x) K_k)^dag, one kron per Kraus operator
+    rng = np.random.default_rng(11)
+    ch = random_channel(2, 3, 2, rng)
+    rho = random_density_matrix(ancilla_dim * 2, rng)
+    eye = np.eye(ancilla_dim)
+    ref = sum((a := np.kron(eye, k)) @ rho.mat @ a.conj().T for k in ch.kraus)
+    out = apply_channel(ch, rho, ancilla_dim).mat
+    assert out.shape == (ancilla_dim * 3, ancilla_dim * 3)
+    assert np.max(np.abs(out - ref)) <= 1e-14
+
+
+def test_choi_matches_kraus_outer_products():
+    # 16 Kraus operators; (I (x) K)|w> has entry K[b, a] / sqrt(d) at (a, b)
+    ch = tensor_power_channel(depolarizing_channel(0.3), 2)
+    assert len(ch.kraus) == 16
+    d = ch.in_dim
+    ref = np.zeros((d * ch.out_dim, d * ch.out_dim), dtype=complex)
+    for k in ch.kraus:
+        vec = (k.T / np.sqrt(d)).reshape(-1)
+        ref += np.outer(vec, vec.conj())
+    assert np.max(np.abs(ch.choi - ref)) <= 1e-14
+
+
 def test_tensor_power_channel():
     ch = depolarizing_channel(0.5)
     ch2 = tensor_power_channel(ch, 2)
@@ -112,6 +137,8 @@ def test_povm_validation_and_pvm_flag():
     assert not smeared.is_pvm
     with pytest.raises(InvalidStateError):
         Povm([np.eye(2), 0.5 * np.eye(2)])
+    with pytest.raises(InvalidStateError):
+        Povm([])
 
 
 def test_outcome_distribution_normalizes():

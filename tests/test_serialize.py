@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chandisc import serialize
+from chandisc.errors import InvalidStateError
 from chandisc.optimize import OptimizerConfig
 from chandisc.quantum import (
     DensityMatrix,
@@ -52,6 +53,11 @@ def test_povm_roundtrip():
     assert back.is_pvm
     for a, b in zip(m.effects, back.effects):
         assert np.array_equal(a, b)
+
+
+def test_povm_without_effects_rejected():
+    with pytest.raises(InvalidStateError):
+        serialize.povm_from_json({"type": "povm", "label": "empty", "effects": []})
 
 
 def _fixed_strategy(n0, n1):

@@ -190,6 +190,9 @@ def test_with_budget_rescales_thresholds(adaptive):
     assert len(bigger.arms) == len(strat.arms) == (2 if adaptive else 1)
     assert all(a is b for a, b in zip(bigger.arms, strat.arms))
     assert np.array_equal(bigger.tables.increments, strat.tables.increments)
+    # the tables do not depend on n, so a new budget shares them
+    assert bigger.tables is strat.tables
+    assert strat.n == 100 and strat.threshold_a == pytest.approx(bigger.threshold_a / 2)
 
 
 def test_sample_outcome_inverse_cdf():
