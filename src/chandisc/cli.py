@@ -160,7 +160,7 @@ def main(ctx, config_path, seed, out, log_base, no_timestamp):
     Config keys: channels.n0/.n1 (zoo name + params, or a channel JSON
     file), seed, log_base, out, optimizer (restarts, max_iters = L-BFGS
     iterations per start, cross_check_tol, pvm_restarts, seed), divergence
-    (kinds, alpha, l), simulate (mode, n, l, tau, trials, constraint,
+    (kinds, alpha), simulate (mode, n, l, tau, trials, constraint,
     epsilon), sweep (budgets, trials, constraint, epsilon), regions (which,
     l_max, alpha_grid, samples, slack).
     """

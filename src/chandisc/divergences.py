@@ -193,7 +193,6 @@ def measured_rel_entropy_states(
     rho0: DensityMatrix,
     rho1: DensityMatrix,
     cfg: OptimizerConfig | None = None,
-    extra_bases: list[np.ndarray] | None = None,
 ) -> DivergenceValue:
     """Measured relative entropy: best classical KL obtainable by a common
     measurement.
@@ -210,8 +209,7 @@ def measured_rel_entropy_states(
         return DivergenceValue(math.inf, is_finite=False)
     var_val, omega = variational_measured(rho0.mat, rho1.mat)
     _, omega_basis = hermitian_eigen(omega)
-    bases = [omega_basis] + list(extra_bases or [])
-    pvm_val, povm = pvm_search_measured(rho0.mat, rho1.mat, cfg, extra_bases=bases)
+    pvm_val, povm = pvm_search_measured(rho0.mat, rho1.mat, cfg, extra_bases=[omega_basis])
     notes = []
     if abs(var_val - pvm_val) > cfg.cross_check_tol:
         if abs(var_val - pvm_val) > 10 * cfg.cross_check_tol:

@@ -13,10 +13,6 @@ class NotHermitianError(ChandiscError):
     pass
 
 
-class NegativeEigenvalueError(ChandiscError):
-    pass
-
-
 class DimensionOverflowError(ChandiscError):
     pass
 

@@ -24,7 +24,6 @@ HERMITICITY_RTOL = 1e-9
 from .errors import (
     DimensionMismatchError,
     DimensionOverflowError,
-    NegativeEigenvalueError,
     NonSquareError,
     NotHermitianError,
 )
@@ -61,43 +60,39 @@ def matrix_function(
     h: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
     support_only: bool = False,
-    check_positive: bool = False,
 ) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix via its spectrum.
 
     With support_only set, eigenvalues below PSD_TOL are mapped to 0 instead
     of being passed through f (support-projection convention for log and
-    fractional powers of rank-deficient states).  check_positive raises
-    NegativeEigenvalueError when an eigenvalue falls below -PSD_TOL.
+    fractional powers of rank-deficient states).
     """
     w, v = hermitian_eigen(h)
-    if check_positive and w[0] < -PSD_TOL:
-        raise NegativeEigenvalueError(f"eigenvalue {w[0]:.3e} below -{PSD_TOL}")
     if support_only:
         fw = np.zeros_like(w)
         mask = w > PSD_TOL
         fw[mask] = f(w[mask])
     else:
-        fw = f(np.maximum(w, 0.0) if check_positive else w)
+        fw = f(w)
     return (v * fw) @ v.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product with a configurable dimension cap."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product; a result beyond DIM_CAP on either side raises."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape[0] * b.shape[0] > dim_cap or a.shape[1] * b.shape[1] > dim_cap:
+    if a.shape[0] * b.shape[0] > DIM_CAP or a.shape[1] * b.shape[1] > DIM_CAP:
         raise DimensionOverflowError(
             f"kron result {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} "
-            f"exceeds cap {dim_cap}"
+            f"exceeds cap {DIM_CAP}"
         )
     return np.kron(a, b)
 
 
-def kron_all(mats: list[np.ndarray], dim_cap: int = DIM_CAP) -> np.ndarray:
+def kron_all(mats: list[np.ndarray]) -> np.ndarray:
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
-        out = kron(out, m, dim_cap)
+        out = kron(out, m)
     return out
 
 
@@ -130,14 +125,14 @@ def partial_trace(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray
     return t.reshape(d_keep, d_keep)
 
 
-def support_projector(h: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Projector onto the span of eigenvectors with eigenvalue above tol."""
+def support_projector(h: np.ndarray) -> np.ndarray:
+    """Projector onto the span of eigenvectors with eigenvalue above PSD_TOL."""
     w, v = hermitian_eigen(h)
-    cols = v[:, w > tol]
+    cols = v[:, w > PSD_TOL]
     return cols @ cols.conj().T
 
 
-def support_contained(a: np.ndarray, b: np.ndarray, tol: float = PSD_TOL) -> bool:
+def support_contained(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether supp(a) is contained in supp(b), both Hermitian PSD.
 
     Compares the weight a puts outside supp(b), Tr[a - P_b a P_b], to
@@ -145,6 +140,6 @@ def support_contained(a: np.ndarray, b: np.ndarray, tol: float = PSD_TOL) -> boo
     does; the norm of that residual would also count cross terms of size
     sqrt(weight), so nearly rank-deficient pairs would read as not contained.
     """
-    pb = support_projector(b, tol)
+    pb = support_projector(b)
     outside = float(np.trace(a - pb @ a @ pb).real)
     return outside <= 1e-7 * max(1.0, frob(a))

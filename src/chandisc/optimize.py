@@ -220,9 +220,7 @@ def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
     return f, hermitian_grad_to_params(0.5 * (g + g.conj().T)), h, (u * elam) @ u.conj().T
 
 
-def variational_measured(
-    rho0: np.ndarray, rho1: np.ndarray, gtol: float = 1e-10
-) -> tuple[float, np.ndarray]:
+def variational_measured(rho0: np.ndarray, rho1: np.ndarray) -> tuple[float, np.ndarray]:
     """Concave program sup_H Tr[rho0 H] + 1 - Tr[rho1 exp(H)].
 
     The optimum equals the measured relative entropy; any iterate gives a
@@ -241,7 +239,7 @@ def variational_measured(
             theta0,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": 2000, "gtol": gtol, "ftol": 1e-15},
+            options={"maxiter": 2000, "gtol": 1e-10, "ftol": 1e-15},
         )
         if best is None or res.fun < best.fun:
             best = res

@@ -173,17 +173,17 @@ def choi_from_kraus(ch: QuantumChannel) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def tensor_power_channel(ch: QuantumChannel, l: int, dim_cap: int = linalg.DIM_CAP) -> QuantumChannel:
+def tensor_power_channel(ch: QuantumChannel, l: int) -> QuantumChannel:
     """l-fold tensor power; Kraus set is all l-fold products."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    if ch.in_dim**l > dim_cap or ch.out_dim**l > dim_cap:
+    if ch.in_dim**l > linalg.DIM_CAP or ch.out_dim**l > linalg.DIM_CAP:
         raise DimensionOverflowError(f"tensor power {l} exceeds dimension cap")
     if l == 1:
         return ch
     kraus = [np.array([[1.0 + 0j]])]
     for _ in range(l):
-        kraus = [kron(a, k, dim_cap) for a in kraus for k in ch.kraus]
+        kraus = [kron(a, k) for a in kraus for k in ch.kraus]
     return QuantumChannel(kraus, label=f"{ch.label}^(x){l}" if ch.label else None)
 
 

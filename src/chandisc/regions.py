@@ -2,8 +2,9 @@
 hull, and the finite-block converse estimate.
 
 Regions are down-closed subsets of the nonnegative quadrant represented by
-their Pareto frontier vertices (R0 ascending, R1 descending).  Rectangles
-have a single corner vertex.  Coordinates may be +inf when the corresponding
+their Pareto frontier vertices (R0 strictly ascending, R1 strictly
+descending).  Rectangles have a single corner vertex, and are its
+down-closure.  Coordinates may be +inf when the corresponding
 channel direction has infinite max-divergence (the chain of inclusions is
 still meaningful in the finite coordinate).
 """
@@ -39,28 +40,23 @@ class ExponentRegion:
         return max(v[1] for v in self.frontier)
 
     def boundary_r1(self, r0: float) -> float:
-        """Largest R1 such that (r0, R1) lies in the region."""
-        if r0 < 0:
-            r0 = 0.0
+        """Largest R1 such that (r0, R1) lies in the region.
+
+        One rule serves every kind, since a rectangle is the down-closure of
+        its one corner: -inf right of the last vertex, the first vertex's R1
+        at or left of it, and linear interpolation between vertices.
+        """
+        r0 = max(r0, 0.0)
         verts = self.frontier
-        if self.kind == HULL and len(verts) > 1:
-            if r0 > verts[-1][0]:
-                return -math.inf
-            if r0 <= verts[0][0]:
-                return verts[0][1]
-            for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-                if x0 <= r0 <= x1:
-                    if x1 == x0:
-                        return max(y0, y1)
-                    t = (r0 - x0) / (x1 - x0)
-                    return y0 + t * (y1 - y0)
+        if r0 > verts[-1][0]:
             return -math.inf
-        # staircase: best vertex whose R0 covers r0
-        best = -math.inf
-        for x, y in verts:
-            if x >= r0 or (math.isinf(x) and math.isinf(r0)):
-                best = max(best, y)
-        return best
+        if r0 <= verts[0][0]:
+            return verts[0][1]
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            if r0 <= x1:
+                t = (r0 - x0) / (x1 - x0)
+                return y0 + t * (y1 - y0)
+        return -math.inf
 
     def contains_point(self, r0: float, r1: float, slack: float = 0.0) -> bool:
         if r0 <= slack and r1 <= slack:
@@ -100,8 +96,7 @@ def adaptive_region(
     e01 = block_divergence(n0, n1, l, kind="measured", cfg=cfg)
     r0, w10 = e10.value_per_use, e10.witness
     r1, w01 = e01.value_per_use, e01.witness
-    b0 = n0 if l == 1 else tensor_power_channel(n0, l)
-    b1 = n1 if l == 1 else tensor_power_channel(n1, l)
+    b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
     for w in (w10, w01):
         if w is None or getattr(w, "povm", None) is None:
             continue
@@ -170,47 +165,30 @@ def non_adaptive_region(
 
 
 def pareto_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Upper-right portion of the convex hull of points together with their
-    axis projections: the Pareto frontier of the down-closed hull, sorted by
-    R0 ascending with R1 descending."""
-    pts = [(float(x), float(y)) for x, y in points]
-    pts += [(0.0, 0.0), (max(p[0] for p in pts), 0.0), (0.0, max(p[1] for p in pts))]
-    hull = _convex_hull(sorted(set(pts)))
-    # keep only Pareto-optimal hull vertices
-    frontier = [
-        p
-        for p in hull
-        if not any(q != p and q[0] >= p[0] - 1e-15 and q[1] >= p[1] - 1e-15 for q in hull)
-    ]
-    frontier.sort(key=lambda p: (p[0], -p[1]))
-    # enforce strictly descending R1
-    cleaned = []
-    for p in frontier:
-        while cleaned and cleaned[-1][1] <= p[1] + 1e-15:
-            cleaned.pop()
-        cleaned.append(p)
-    return cleaned or [(0.0, 0.0)]
+    """Pareto frontier of the down-closed convex hull of points.
+
+    One walk over the distinct points sorted by (R0 ascending, R1
+    descending): start at the largest-R1 point (largest R0 among ties), skip
+    everything left of it and every repeated R0, and keep an upper chain
+    that pops its last vertex until the turn to the next point is strictly
+    clockwise.  The chain ends at the largest-R0 point.  Every vertex is an
+    input point, R0 rises and R1 falls strictly along it, and each interior
+    vertex lies strictly above the chord of its neighbours.
+    """
+    pts = sorted({(float(x), float(y)) for x, y in points}, key=lambda p: (p[0], -p[1]))
+    chain = [max(pts, key=lambda p: (p[1], p[0]))]
+    for p in pts:
+        if p[0] <= chain[-1][0]:
+            continue
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) >= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
-def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Monotone-chain convex hull; returns vertices in counterclockwise order."""
-    if len(points) <= 2:
-        return list(points)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in points:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(points):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def _cross(o, a, b) -> float:
+    """z-component of (a - o) x (b - o): negative for a clockwise turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def converse_region(
@@ -264,7 +242,10 @@ def region_chain(
     """Compute the whole inclusion chain with witness chaining.
 
     Witness inputs found at block size l seed the searches at l+1 and the
-    converse, which keeps the chain monotone up to optimizer tolerance.
+    converse.  One floor pass then makes the adaptive corners monotone: each
+    corner is raised to the running maximum over the hull extremes and the
+    corners of all smaller blocks, every one of which certifies it.  The
+    converse estimate is floored by the largest adaptive corner.
     """
     cfg = cfg or OptimizerConfig()
     adaptive: dict[int, ExponentRegion] = {}
@@ -275,14 +256,7 @@ def region_chain(
             # block searches get a reduced budget; the product starts carry
             # the l = 1 quality
             sub = replace(sub, restarts=max(4, cfg.restarts // 4), max_iters=cfg.max_iters // 2)
-        region = adaptive_region(n0, n1, l=l, cfg=sub)
-        if l > 1:
-            # blocks are superadditive: the per-use corner never drops when
-            # the block grows, so the previous corner is a certified floor
-            (px, py), = adaptive[l - 1].frontier
-            (x, y), = region.frontier
-            region.frontier = [(max(x, px), max(y, py))]
-        adaptive[l] = region
+        region = adaptive[l] = adaptive_region(n0, n1, l=l, cfg=sub)
         for key in ("witness_10", "witness_01"):
             w = region.metadata.get(key)
             if w is not None:
@@ -298,7 +272,8 @@ def region_chain(
 
     # every sampled (input, POVM) pair certifies lower bounds on both
     # measured divergences, so the hull extremes are valid floors for the
-    # adaptive corners (and propagate upward through the blocks)
+    # adaptive corners; blocks are superadditive, so each corner is also a
+    # floor for every larger block
     hull_x, hull_y = non_adapt.max_r0(), non_adapt.max_r1()
     floor_x, floor_y = hull_x, hull_y
     for l in range(1, l_max + 1):

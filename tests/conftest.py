@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a failure always
+# reproduces and a pass is not a lucky draw that the next run may lose.
+settings.register_profile("chandisc", derandomize=True)
+settings.load_profile("chandisc")
 
 
 def _assert_gradient_matches(objective, theta, tol=1e-6, h=1e-6):

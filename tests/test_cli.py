@@ -145,6 +145,11 @@ def test_config_errors_exit_2(tmp_path, runner):
     )
     res3 = runner.invoke(main, ["--config", str(missing), "--out", str(out), "validate"])
     assert res3.exit_code == 2
+    # the divergence command has no block size, so the schema rejects one
+    block = write_config(tmp_path, divergence={"kinds": ["max"], "l": 2})
+    res4 = runner.invoke(main, ["--config", str(block), "--out", str(out), "divergence"])
+    assert res4.exit_code == 2
+    assert "schema" in res4.output
     # a rejected config leaves no run directory behind
     assert not out.exists()
 

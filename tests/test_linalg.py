@@ -59,7 +59,7 @@ def test_kron_and_partial_trace_inverse():
 
 def test_kron_dimension_cap():
     with pytest.raises(DimensionOverflowError):
-        linalg.kron(np.eye(100), np.eye(100), dim_cap=4096)
+        linalg.kron(np.eye(100), np.eye(100))
 
 
 def test_support_projector_and_containment():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chandisc.optimize import OptimizerConfig, kl_divergence
 from chandisc.quantum import bernoulli_replacer, depolarizing_channel, random_channel
@@ -55,6 +57,66 @@ def test_pareto_hull_staircase_properties():
     region = ExponentRegion(kind="hull", frontier=frontier)
     for p in pts:
         assert region.contains_point(p[0], p[1], slack=1e-12)
+
+
+def test_rectangle_boundary_is_its_corner_down_closure():
+    # values the per-vertex staircase rule gave for single-corner regions
+    rect = ExponentRegion(kind="rectangle", frontier=[(1.0, 2.0)])
+    assert rect.boundary_r1(-1.0) == 2.0
+    assert rect.boundary_r1(0.0) == 2.0
+    assert rect.boundary_r1(0.5) == 2.0
+    assert rect.boundary_r1(1.0) == 2.0
+    assert rect.boundary_r1(1.0 + 1e-12) == -math.inf
+    assert rect.boundary_r1(math.inf) == -math.inf
+    wide = ExponentRegion(kind="rectangle", frontier=[(math.inf, 0.4)])
+    assert wide.boundary_r1(5.0) == 0.4
+    assert wide.boundary_r1(math.inf) == 0.4
+    tall = ExponentRegion(kind="converseRectangle", frontier=[(0.3, math.inf)])
+    assert tall.boundary_r1(0.2) == math.inf
+    assert tall.boundary_r1(0.3) == math.inf
+    assert tall.boundary_r1(0.4) == -math.inf
+    both = ExponentRegion(kind="converseRectangle", frontier=[(math.inf, math.inf)])
+    assert both.boundary_r1(math.inf) == math.inf
+    assert both.boundary_r1(0.0) == math.inf
+
+
+def test_pareto_hull_keeps_nearly_tied_pair():
+    # each point lies within 1e-15 of dominating the other; neither does
+    a = (0.8317766166719346, 0.8317766166719341)
+    b = (0.831776616671934, 0.8317766166719348)
+    assert pareto_hull([a, b]) == [b, a]
+    assert pareto_hull([a, b, (0.4518, 0.4206), (0.0, 0.0)]) == [b, a]
+
+
+@st.composite
+def _jittered_clouds(draw):
+    """A few base points in the nonnegative quadrant, each repeated up to
+    three times with 1e-16-scale jitter (zero jitter gives exact repeats)."""
+    coord = st.floats(0.0, 1.0)
+    base = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    jitter = st.integers(-4, 4).map(lambda k: k * 1e-16)
+    pts = []
+    for x, y in base:
+        for _ in range(draw(st.integers(1, 3))):
+            pts.append((max(x + draw(jitter), 0.0), max(y + draw(jitter), 0.0)))
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_jittered_clouds())
+def test_pareto_hull_properties(pts):
+    frontier = pareto_hull(pts)
+    for (x0, y0), (x1, y1) in zip(frontier, frontier[1:]):
+        assert x0 < x1 and y0 > y1
+    assert set(frontier) <= set(pts)
+    assert frontier[0][1] == max(y for _, y in pts)
+    assert frontier[-1][0] == max(x for x, _ in pts)
+    region = ExponentRegion(kind="hull", frontier=frontier)
+    for x, y in pts:
+        assert region.contains_point(x, y, slack=1e-12)
+    for (ox, oy), (vx, vy), (nx, ny) in zip(frontier, frontier[1:], frontier[2:]):
+        # a clockwise turn: v lies strictly above the chord from o to n
+        assert (vx - ox) * (ny - oy) - (vy - oy) * (nx - ox) < 0
 
 
 def test_adaptive_region_equal_channels_degenerate():
@@ -134,5 +196,19 @@ def test_region_chain_handles_infinite_direction():
     (x, y), = chain.adaptive[1].frontier
     assert math.isinf(x)  # dep-vs-id direction has no support containment
     assert y == pytest.approx(-math.log(0.625), abs=1e-3)
+    for key, rep in chain.containments.items():
+        assert rep.contained, (key, rep.violations)
+
+
+def test_region_chain_depolarizing_hull_is_not_collapsed():
+    chain = region_chain(
+        depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=CFG, l_max=1, samples=32
+    )
+    frontier = chain.non_adaptive.frontier
+    assert frontier != [(0.0, 0.0)]
+    # the witness arms reach the adaptive corner, so the hull does too
+    (x, y), = chain.adaptive[1].frontier
+    assert chain.non_adaptive.max_r0() == pytest.approx(x, abs=1e-9)
+    assert chain.non_adaptive.max_r1() == pytest.approx(y, abs=1e-9)
     for key, rep in chain.containments.items():
         assert rep.contained, (key, rep.violations)
