@@ -3,13 +3,15 @@
 State level: quantum relative entropy, max-divergence, sandwiched Renyi
 divergence (alpha > 1) and the measured relative entropy (two independent
 estimators, cross-validated).  The relative and Renyi values have one
-formula each (_relative_terms, _renyi_terms), which returns the value with
-its matrix gradients: the input search ascends it and the state-level
-functions certify with it.  Channel level: ancilla-assisted input
-optimization over pure bipartite states by multi-start L-BFGS on analytic
-gradients (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack
-A_k = I_R (x) K_k that quantum applies every channel with, matrix gradients
-pulled back through the A_k), and block (tensor-power) values.
+formula each (_relative_terms, _renyi_terms), which maps a stack of state
+pairs to the values with their matrix gradients: the input search ascends
+it on a batch of inputs and the state-level functions certify with it on a
+batch of one.  Channel level: ancilla-assisted input optimization over pure
+bipartite states by lockstep multi-start L-BFGS on analytic gradients, each
+round of the search one batched objective call (outputs
+sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack A_k = I_R (x) K_k
+that quantum applies every channel with, matrix gradients pulled back
+through the A_k), and block (tensor-power) values.
 
 All values are in nats.  Channel divergences obtained by numerical
 maximization are certified lower bounds; the channel max-divergence is exact
@@ -33,6 +35,7 @@ from .errors import (
 from .linalg import PSD_TOL, hermitian_eigen, matrix_function, support_contained
 from .optimize import (
     OptimizerConfig,
+    _adjoint,
     _log_kernel,
     _power_kernel,
     _safe_log_state,
@@ -115,43 +118,48 @@ def _check_pair(rho0: DensityMatrix, rho1: DensityMatrix) -> None:
 
 
 def _spectrum(s: np.ndarray):
-    """Eigenvalues, eigenvectors and support mask of a state."""
+    """Eigenvalues, eigenvectors and support mask of each state."""
     w, u = np.linalg.eigh(s)
     return w, u, w > PSD_TOL
 
 
 def _relative_terms(s0: np.ndarray, s1: np.ndarray):
     """D(s0||s1) on the support of s1, and its matrix gradients in s0 and
-    s1: log s0 - log s1 and -Dlog_{s1}[s0]."""
+    s1: log s0 - log s1 and -Dlog_{s1}[s0], for each pair of a stack
+    (B, d, d)."""
     w0, u0, m0 = _spectrum(s0)
     w1, u1, m1 = _spectrum(s1)
     l0 = np.log(np.where(m0, w0, 1.0)) * m0
     l1 = np.log(np.where(m1, w1, 1.0)) * m1
-    log1 = (u1 * l1) @ u1.conj().T
-    f = float(np.sum(w0 * l0)) - float(np.real(np.sum(s0 * log1.T)))
-    g0 = (u0 * l0) @ u0.conj().T - log1
-    g1 = -u1 @ ((u1.conj().T @ s0 @ u1) * _log_kernel(w1, m1)) @ u1.conj().T
+    u1h = _adjoint(u1)
+    log1 = (u1 * l1[:, None, :]) @ u1h
+    f = np.sum(w0 * l0, axis=-1) - np.real(np.sum(s0 * np.swapaxes(log1, -1, -2), axis=(-2, -1)))
+    g0 = (u0 * l0[:, None, :]) @ _adjoint(u0) - log1
+    g1 = -u1 @ ((u1h @ s0 @ u1) * _log_kernel(w1, m1)) @ u1h
     return f, g0, g1
 
 
 def _renyi_terms(s0: np.ndarray, s1: np.ndarray, alpha: float):
     """Sandwiched D_alpha(s0||s1) on the support of s1, and its matrix
     gradients in s0 and s1 (the latter through the divided-difference
-    adjoint of s1^gamma, gamma = (1 - alpha) / 2 alpha)."""
+    adjoint of s1^gamma, gamma = (1 - alpha) / 2 alpha), for each pair of a
+    stack (B, d, d)."""
     gamma = (1.0 - alpha) / (2.0 * alpha)
     w1, u1, m1 = _spectrum(s1)
+    u1h = _adjoint(u1)
     p = np.where(m1, np.where(m1, w1, 1.0) ** gamma, 0.0)
-    g = (u1 * p) @ u1.conj().T
+    g = (u1 * p[:, None, :]) @ u1h
     wm, um = np.linalg.eigh(g @ s0 @ g)
     wm = np.maximum(wm, 0.0)
-    q = max(float(np.sum(wm**alpha)), 1e-300)
-    mpow = (um * wm ** (alpha - 1.0)) @ um.conj().T
-    c = alpha / ((alpha - 1.0) * q)
+    q = np.maximum(np.sum(wm**alpha, axis=-1), 1e-300)
+    mpow = (um * (wm ** (alpha - 1.0))[:, None, :]) @ _adjoint(um)
+    c = (alpha / ((alpha - 1.0) * q))[:, None, None]
     x = s0 @ g @ mpow
-    x = x + x.conj().T
+    x = x + _adjoint(x)
     g0 = c * (g @ mpow @ g)
-    g1 = c * (u1 @ ((u1.conj().T @ x @ u1) * _power_kernel(w1, m1, gamma)) @ u1.conj().T)
-    return math.log(q) / (alpha - 1.0), g0, g1
+    g1 = c * (u1 @ ((u1h @ x @ u1) * _power_kernel(w1, m1, gamma)) @ u1h)
+    f = np.array([math.log(qi) for qi in q.tolist()]) / (alpha - 1.0)
+    return f, g0, g1
 
 
 def rel_entropy_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
@@ -160,7 +168,7 @@ def rel_entropy_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceVa
     _check_pair(rho0, rho1)
     if not support_contained(rho0.mat, rho1.mat):
         return DivergenceValue(math.inf, is_finite=False)
-    return DivergenceValue(_relative_terms(rho0.mat, rho1.mat)[0])
+    return DivergenceValue(float(_relative_terms(rho0.mat[None], rho1.mat[None])[0][0]))
 
 
 def max_div_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
@@ -186,7 +194,7 @@ def sandwiched_renyi_states(
     _check_pair(rho0, rho1)
     if not support_contained(rho0.mat, rho1.mat):
         return DivergenceValue(math.inf, is_finite=False)
-    return DivergenceValue(_renyi_terms(rho0.mat, rho1.mat, alpha)[0])
+    return DivergenceValue(float(_renyi_terms(rho0.mat[None], rho1.mat[None], alpha)[0][0]))
 
 
 def measured_rel_entropy_states(
@@ -237,15 +245,23 @@ KINDS = ("relative", "measured", "max", "renyi")
 
 
 def _output(a: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma = sum_k A_k |psi><psi| A_k^dag, and the rows V_k = A_k psi."""
-    v = a @ psi
-    return v.T @ v.conj(), v
+    """sigma = sum_k A_k |psi><psi| A_k^dag, and the rows V_k = A_k psi, for
+    one input vector psi or a stack (B, n) of them."""
+    v = (a @ psi[..., None, :, None])[..., 0]
+    return np.swapaxes(v, -1, -2) @ v.conj(), v
 
 
 def _pull_back(a: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient in psi of Tr[G sigma(psi)] for Hermitian G: the vector
-    2 sum_k A_k^dag G A_k psi, with d Tr[G sigma] = Re <gradient, d psi>."""
-    return 2.0 * np.einsum("kma,km->a", a.conj(), v @ g.T)
+    """Gradients in psi of Tr[G sigma(psi)] for Hermitian G, on a stack: the
+    vectors 2 sum_k A_k^dag G A_k psi, with d Tr[G sigma] = Re <gradient,
+    d psi>."""
+    return 2.0 * np.einsum("kma,bkm->ba", a.conj(), v @ np.swapaxes(g, -1, -2))
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] for real rows, each as a 1 x n @ n x 1 product: the BLAS
+    dot that np.dot and np.linalg.norm take on one vector."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _apply_to_pure(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
@@ -254,13 +270,15 @@ def _apply_to_pure(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
 
 
 def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None = None):
-    """The input search's objective and its number of real parameters.
+    """The input search's batched objective and its number of real
+    parameters.
 
-    theta holds v = theta[:n] + i theta[n:2n], normalized to psi on R (x) A;
-    for the measured kind theta[2n:] parametrizes a Hermitian H on the
-    output.  The objective returns the value and its analytic gradient:
-    relative / renyi give D(sigma0||sigma1) / D_alpha, measured gives the
-    variational lower bound Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] on D_M.
+    Each row theta holds v = theta[:n] + i theta[n:2n], normalized to psi on
+    R (x) A; for the measured kind theta[2n:] parametrizes a Hermitian H on
+    the output.  The objective maps rows (B, P) to the values (B,) and their
+    analytic gradients (B, P): relative / renyi give D(sigma0||sigma1) /
+    D_alpha, measured gives the variational lower bound
+    Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] on D_M.
     """
     d_r = n0.in_dim
     n = d_r * n0.in_dim
@@ -268,24 +286,26 @@ def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: f
     a0, a1 = _lifted_kraus(n0, d_r), _lifted_kraus(n1, d_r)
 
     def objective(theta: np.ndarray):
-        v = theta[:n] + 1j * theta[n : 2 * n]
-        nrm = np.linalg.norm(v)
-        psi = v / nrm
+        v = theta[:, :n] + 1j * theta[:, n : 2 * n]
+        # |v| as np.linalg.norm takes it: two BLAS dots on the strided parts
+        nrm = np.sqrt(_dot_rows(v.real, v.real) + _dot_rows(v.imag, v.imag))
+        psi = v / nrm[:, None]
         s0, v0 = _output(a0, psi)
         s1, v1 = _output(a1, psi)
-        rest = ()
+        rest = theta[:, :0]
         if kind == "relative":
             f, g0, g1 = _relative_terms(s0, s1)
         elif kind == "renyi":
             f, g0, g1 = _renyi_terms(s0, s1, alpha)
         else:
-            f, rest, g0, omega = _variational_terms(theta[2 * n :], s0, s1)
+            f, rest, g0, omega = _variational_terms(theta[:, 2 * n :], s0, s1)
             g1 = -omega
         g = _pull_back(a0, v0, g0) + _pull_back(a1, v1, g1)
-        gr = np.concatenate([g.real, g.imag])
-        pr = np.concatenate([psi.real, psi.imag])
+        gr = np.concatenate([g.real, g.imag], axis=-1)
+        pr = np.concatenate([psi.real, psi.imag], axis=-1)
         # chain rule through psi = v / |v|: project onto the sphere's tangent
-        return f, np.concatenate([(gr - pr * (pr @ gr)) / nrm, rest])
+        tangent = (gr - pr * _dot_rows(pr, gr)[:, None]) / nrm[:, None]
+        return f, np.concatenate([tangent, rest], axis=-1)
 
     return objective, 2 * n + (m * m if kind == "measured" else 0)
 

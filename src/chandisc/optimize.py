@@ -1,20 +1,31 @@
 """Shared optimization machinery: Hermitian / pure-state parametrizations,
-divided-difference kernels of Frechet derivatives, a multi-start L-BFGS
-driver on analytic gradients, and the two measured relative entropy
+divided-difference kernels of Frechet derivatives, a lockstep multi-start
+L-BFGS-B driver on analytic gradients, and the two measured relative entropy
 estimators (variational program and direct PVM search).
+
+Every objective the driver ascends is batched: objective(X) takes the
+parameter rows X of shape (B, P) and returns the values f of shape (B,) and
+the gradients g of shape (B, P).  Each row is computed by the same sequence
+of floating-point operations whatever the batch, so objective(X)[i] equals
+objective(X[i:i+1]) bit for bit and the lockstep iterates equal those of
+running each start on its own.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from .errors import OptimizerFailure
 from .linalg import hermitian_eigen
 from .quantum import Povm, basis_pvm
+
+logger = logging.getLogger("chandisc.optimize")
 
 
 @dataclass
@@ -36,26 +47,34 @@ class OptimizerConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parametrizations
+# Parametrizations.  Each works on a stack: theta (..., d^2) <-> H (..., d, d).
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle, row-major."""
+    return np.triu_indices(d, 1)
+
+
 def params_to_hermitian(theta: np.ndarray, d: int) -> np.ndarray:
-    """Real vector of length d^2 -> Hermitian d x d matrix: the diagonal,
+    """Real vectors of length d^2 -> Hermitian d x d matrices: the diagonal,
     then (Re, Im) of each upper entry in row-major order."""
-    iu = np.triu_indices(d, 1)
-    upper = np.zeros((d, d), dtype=complex)
-    upper[iu] = theta[d::2] + 1j * theta[d + 1 :: 2]
-    return upper + upper.conj().T + np.diag(theta[:d])
+    rows, cols = _upper_indices(d)
+    upper = np.zeros(theta.shape[:-1] + (d, d), dtype=complex)
+    upper[..., rows, cols] = theta[..., d::2] + 1j * theta[..., d + 1 :: 2]
+    diag = np.zeros(theta.shape[:-1] + (d, d))
+    diag[..., range(d), range(d)] = theta[..., :d]
+    return upper + np.swapaxes(upper.conj(), -1, -2) + diag
 
 
 def hermitian_to_params(h: np.ndarray) -> np.ndarray:
-    d = h.shape[0]
-    upper = h[np.triu_indices(d, 1)]
-    theta = np.empty(d * d)
-    theta[:d] = np.real(np.diagonal(h))
-    theta[d::2] = upper.real
-    theta[d + 1 :: 2] = upper.imag
+    d = h.shape[-1]
+    upper = h[(...,) + _upper_indices(d)]
+    theta = np.empty(h.shape[:-2] + (d * d,))
+    theta[..., :d] = np.real(np.diagonal(h, axis1=-2, axis2=-1))
+    theta[..., d::2] = upper.real
+    theta[..., d + 1 :: 2] = upper.imag
     return theta
 
 
@@ -63,7 +82,7 @@ def hermitian_grad_to_params(g: np.ndarray) -> np.ndarray:
     """Gradient of f wrt the real parameters, given the matrix gradient G
     (Hermitian, df = Tr[G dH])."""
     out = hermitian_to_params(g)
-    out[g.shape[0] :] *= 2.0
+    out[..., g.shape[-1] :] *= 2.0
     return out
 
 
@@ -81,11 +100,17 @@ def pure_vector_to_params(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v.real, v.imag])
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 # ---------------------------------------------------------------------------
 # Divided differences: for f applied to a Hermitian matrix with eigenvalues
 # w, the Frechet derivative in the eigenbasis is the Hadamard product with
 # [f(w_i) - f(w_j)] / (w_i - w_j) (f'(w_i) on the diagonal).  Each kernel is
 # written without a difference quotient, so close eigenvalues lose no digits.
+# The eigenvalues may carry leading batch axes.
 # ---------------------------------------------------------------------------
 
 
@@ -97,23 +122,23 @@ def _ratio(num: np.ndarray, x: np.ndarray, fn) -> np.ndarray:
 
 
 def _exp_kernel(lam: np.ndarray) -> np.ndarray:
-    half = 0.5 * (lam[:, None] - lam[None, :])
-    return _ratio(np.exp(0.5 * (lam[:, None] + lam[None, :])), half, np.sinh)
+    half = 0.5 * (lam[..., :, None] - lam[..., None, :])
+    return _ratio(np.exp(0.5 * (lam[..., :, None] + lam[..., None, :])), half, np.sinh)
 
 
 def _phase_kernel(lam: np.ndarray) -> np.ndarray:
     """Divided differences of exp at i lam: (e^{i a} - e^{i b}) / (i a - i b)."""
-    mean = 0.5 * (lam[:, None] + lam[None, :])
-    return np.exp(1j * mean) * np.sinc((lam[:, None] - lam[None, :]) / (2.0 * np.pi))
+    mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
+    return np.exp(1j * mean) * np.sinc((lam[..., :, None] - lam[..., None, :]) / (2.0 * np.pi))
 
 
 def _support_pairs(w: np.ndarray, mask: np.ndarray):
     """Mean and relative half-difference u of each pair of support
     eigenvalues (placeholders elsewhere) and the support-pair mask."""
     ws = np.where(mask, w, 1.0)
-    mean = 0.5 * (ws[:, None] + ws[None, :])
-    u = 0.5 * (ws[:, None] - ws[None, :]) / mean
-    return mean, u, mask[:, None] & mask[None, :]
+    mean = 0.5 * (ws[..., :, None] + ws[..., None, :])
+    u = 0.5 * (ws[..., :, None] - ws[..., None, :]) / mean
+    return mean, u, mask[..., :, None] & mask[..., None, :]
 
 
 def _log_kernel(w: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -133,8 +158,84 @@ def _power_kernel(w: np.ndarray, mask: np.ndarray, gamma: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Multi-start L-BFGS
+# Lockstep multi-start L-BFGS-B
 # ---------------------------------------------------------------------------
+
+# The options every search runs with, as scipy.optimize.minimize spells them
+# for method="L-BFGS-B": maxcor 10, maxls 20, maxfun 15000, ftol 1e-15 and
+# gtol 1e-10.
+_LBFGS_MEMORY = 10
+_LBFGS_MAX_LINE_SEARCH = 20
+_LBFGS_MAX_EVALS = 15000
+_LBFGS_FACTR = 1e-15 / np.finfo(float).eps
+_LBFGS_PGTOL = 1e-10
+
+
+def _lbfgsb_start(x0: np.ndarray, max_iters: int):
+    """One start of L-BFGS-B minimization, unbounded, as a generator.
+
+    It runs the reverse-communication loop of scipy's _minimize_lbfgsb step
+    for step, including the evaluation at x0 that ScalarFunction makes when
+    it is created and its cache of the last evaluated x.  Each new x that
+    needs f and g is yielded, and (f, g) is sent back.  The generator
+    returns (x, f, nfev, nit), the fields of minimize's result.
+    """
+    n = x0.size
+    m = _LBFGS_MEMORY
+    x = np.array(x0, dtype=np.float64)
+    seen_x = x.copy()
+    seen_f, seen_g = yield seen_x
+    nfev = 1
+    f = np.array(0.0, dtype=np.float64)
+    g = np.zeros(n, dtype=np.float64)
+    low, up, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m, np.float64)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29, np.float64)
+    nit = 0
+    while True:
+        g = g.astype(np.float64)
+        _lbfgsb.setulb(m, x, low, up, nbd, f, g, _LBFGS_FACTR, _LBFGS_PGTOL, wa, iwa, task, lsave, isave, dsave,
+                       _LBFGS_MAX_LINE_SEARCH, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not np.array_equal(x, seen_x):
+                seen_x = x.copy()
+                seen_f, seen_g = yield seen_x
+                nfev += 1
+            f, g = seen_f, seen_g
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            # stop (5) with scipy's codes for the iteration and evaluation limits
+            if nit >= max_iters:
+                task[:] = 5, 504
+            elif nfev > _LBFGS_MAX_EVALS:
+                task[:] = 5, 502
+        else:
+            return x, f, nfev, nit
+
+
+def _evaluate(objective, rows: np.ndarray):
+    """objective on a batch of rows: (f, g, failed).  When the batch raises
+    ValueError or FloatingPointError the rows are evaluated one at a time and
+    the rows that raise are marked failed."""
+    try:
+        f, g = objective(rows)
+        return f, g, np.zeros(len(rows), dtype=bool)
+    except (ValueError, FloatingPointError):
+        pass
+    f, g = np.zeros(len(rows)), np.zeros(rows.shape)
+    failed = np.zeros(len(rows), dtype=bool)
+    for i in range(len(rows)):
+        try:
+            fi, gi = objective(rows[i : i + 1])
+            f[i], g[i] = fi[0], gi[0]
+        except (ValueError, FloatingPointError):
+            failed[i] = True
+    return f, g, failed
 
 
 def multistart_maximize(
@@ -144,45 +245,63 @@ def multistart_maximize(
     starts: list[np.ndarray] | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Maximize objective(theta) -> (value, gradient) with L-BFGS-B from
-    several starts, at most cfg.max_iters iterations each.
+    """Maximize a batched objective(X) -> (values, gradients) with L-BFGS-B
+    from several starts, at most cfg.max_iters iterations each.
 
     The starts are the given ones, padded with seeded standard normal draws
-    up to cfg.restarts.  L-BFGS-B only accepts ascending steps, so each start's
-    result is at least its starting value.  Deterministic for a fixed
-    cfg.seed; restarts are combined by max with the lowest restart index
-    winning ties.
+    up to cfg.restarts, and run in lockstep (_lockstep_maximize).  L-BFGS-B
+    only accepts ascending steps, so each start's result is at least its
+    starting value.  Deterministic for a fixed cfg.seed; restarts are
+    combined by max with the lowest restart index winning ties.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     pts = list(starts or [])
+    if len(pts) < cfg.restarts and rng is None:
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     while len(pts) < cfg.restarts:
         pts.append(rng.standard_normal(dim))
+    return _lockstep_maximize(objective, pts, cfg.max_iters)
 
-    def negated(theta):
-        f, g = objective(theta)
-        return -f, -g
 
-    best_x, best_f = None, -math.inf
-    failures = 0
-    for x0 in pts:
-        try:
-            res = minimize(
-                negated,
-                np.asarray(x0, dtype=float),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": cfg.max_iters, "gtol": 1e-10, "ftol": 1e-15},
-            )
-        except (ValueError, FloatingPointError):
-            failures += 1
-            continue
-        if -res.fun > best_f:
-            best_f = -res.fun
-            best_x = res.x
-    if best_x is None:
+def _lockstep_maximize(objective, starts: list[np.ndarray], max_iters: int) -> tuple[np.ndarray, float]:
+    """Run every start in lockstep: each round, the points that the live
+    starts need evaluated form one call objective(X).  Each start follows
+    the iterates that scipy.optimize.minimize(method="L-BFGS-B",
+    options={"maxiter": max_iters, "gtol": 1e-10, "ftol": 1e-15}) takes
+    from it on the negated objective.  A start whose evaluation raises
+    ValueError or FloatingPointError is dropped as a failed restart.  Returns
+    the best (x, value), the lowest start index winning ties, and logs one
+    DEBUG record of the starts' diagnostics on the chandisc.optimize logger.
+    """
+    runs = [_lbfgsb_start(np.asarray(x0, dtype=float), max_iters) for x0 in starts]
+    # (x, f, nfev, nit) of each start; a failed start keeps a NaN f
+    results = [(None, math.nan, None, None)] * len(runs)
+    live = {i: run.send(None) for i, run in enumerate(runs)}
+    failures = batches = 0
+    while live:
+        f, g, failed = _evaluate(objective, np.stack(list(live.values())))
+        batches += 1
+        asked, live = list(live), {}
+        for j, i in enumerate(asked):
+            if failed[j]:
+                failures += 1
+                continue
+            try:
+                live[i] = runs[i].send((-f[j], -g[j]))
+            except StopIteration as done:
+                results[i] = done.value
+
+    xs, fs, nfev, nit = zip(*results)
+    best_i, best_f = None, -math.inf
+    for i, f_i in enumerate(fs):
+        if -f_i > best_f:
+            best_i, best_f = i, -f_i
+    if logger.isEnabledFor(logging.DEBUG):
+        stats = dict(starts=len(runs), nfev=list(nfev), nit=list(nit), values=(-np.array(fs)).tolist())
+        stats.update(failed=failures, winner=best_i, batched_calls=batches)
+        logger.debug("multistart search %s", stats, extra={"multistart": stats})
+    if best_i is None:
         raise OptimizerFailure(f"all {failures} restarts failed")
-    return best_x, best_f
+    return xs[best_i], best_f
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +319,20 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """kl_divergence of each row pair.  Below 8 outcomes numpy sums a row
+    term by term, so zeros in place of the masked terms leave every partial
+    sum unchanged; longer rows are summed pairwise, and are summed one by
+    one to keep kl_divergence's order."""
+    if p.shape[-1] >= 8:
+        return np.array([kl_divergence(pi, qi) for pi, qi in zip(p, q)])
+    mask = p > 1e-15
+    zero_q = mask & (q <= 1e-300)
+    ok = mask & ~zero_q
+    terms = np.where(ok, p * (np.log(np.where(ok, p, 1.0)) - np.log(np.where(ok, q, 1.0))), 0.0)
+    return np.where(zero_q.any(axis=-1), math.inf, terms.sum(axis=-1))
+
+
 def _safe_log_state(rho: np.ndarray) -> np.ndarray:
     w, v = hermitian_eigen(rho)
     w = np.maximum(w, 1e-12)
@@ -208,43 +341,38 @@ def _safe_log_state(rho: np.ndarray) -> np.ndarray:
 
 def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
     """Tr[rho0 H] + 1 - Tr[rho1 exp(H)] at H = H(theta), its gradient in
-    theta, H and exp(H).  The value lower-bounds the measured relative
+    theta, H and exp(H), for each row of theta (B, d^2) and state pair
+    (B, d, d) or (d, d).  The value lower-bounds the measured relative
     entropy for every theta."""
-    h = params_to_hermitian(theta, rho0.shape[0])
+    h = params_to_hermitian(theta, rho0.shape[-1])
     lam, u = np.linalg.eigh(h)
     lam = np.clip(lam, -200.0, 200.0)
     elam = np.exp(lam)
-    b = u.conj().T @ rho1 @ u
-    f = float(np.real(np.sum(rho0 * h.T))) + 1.0 - float(np.sum(np.real(np.diagonal(b)) * elam))
-    g = rho0 - u @ (b * _exp_kernel(lam)) @ u.conj().T
-    return f, hermitian_grad_to_params(0.5 * (g + g.conj().T)), h, (u * elam) @ u.conj().T
+    uh = _adjoint(u)
+    b = uh @ rho1 @ u
+    tr0 = np.real(np.sum(rho0 * np.swapaxes(h, -1, -2), axis=(-2, -1)))
+    f = tr0 + 1.0 - np.sum(np.real(np.diagonal(b, axis1=-2, axis2=-1)) * elam, axis=-1)
+    g = rho0 - u @ (b * _exp_kernel(lam)) @ uh
+    return f, hermitian_grad_to_params(0.5 * (g + _adjoint(g))), h, (u * elam[..., None, :]) @ uh
 
 
 def variational_measured(rho0: np.ndarray, rho1: np.ndarray) -> tuple[float, np.ndarray]:
     """Concave program sup_H Tr[rho0 H] + 1 - Tr[rho1 exp(H)].
 
     The optimum equals the measured relative entropy; any iterate gives a
-    lower bound.  Returns (value in nats, optimal omega = exp(H)).
+    lower bound.  Two starts (log rho0 - log rho1, then H = 0) run in
+    lockstep, at most 2000 iterations each; the first wins ties.  Returns
+    (value in nats, optimal omega = exp(H)).
     """
     d = rho0.shape[0]
 
-    def negf_and_grad(theta: np.ndarray):
-        f, g, _, _ = _variational_terms(theta, rho0, rho1)
-        return -f, -g
+    def objective(theta: np.ndarray):
+        return _variational_terms(theta, rho0, rho1)[:2]
 
-    best = None
-    for theta0 in (hermitian_to_params(_safe_log_state(rho0) - _safe_log_state(rho1)), np.zeros(d * d)):
-        res = minimize(
-            negf_and_grad,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 2000, "gtol": 1e-10, "ftol": 1e-15},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    _, _, _, omega = _variational_terms(best.x, rho0, rho1)
-    return float(-best.fun), omega
+    starts = [hermitian_to_params(_safe_log_state(rho0) - _safe_log_state(rho1)), np.zeros(d * d)]
+    x, value = _lockstep_maximize(objective, starts, 2000)
+    omega = _variational_terms(x[None], rho0, rho1)[3][0]
+    return float(value), omega
 
 
 def basis_kl(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> float:
@@ -255,35 +383,42 @@ def basis_kl(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> float:
 
 
 def _basis_laws(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
-    """Normalized outcome laws of the basis PVM, and basis^dag rho_i."""
-    left0 = basis.conj().T @ rho0
-    left1 = basis.conj().T @ rho1
-    p = np.maximum(np.real(np.sum(left0 * basis.T, axis=1)), 0.0)
-    q = np.maximum(np.real(np.sum(left1 * basis.T, axis=1)), 0.0)
-    return p / max(p.sum(), 1e-300), q / max(q.sum(), 1e-300), left0, left1
+    """Normalized outcome laws of the basis PVMs (..., d, d), and
+    basis^dag rho_i."""
+    bh = _adjoint(basis)
+    left0 = bh @ rho0
+    left1 = bh @ rho1
+    bt = np.swapaxes(basis, -1, -2)
+    p = np.maximum(np.real(np.sum(left0 * bt, axis=-1)), 0.0)
+    q = np.maximum(np.real(np.sum(left1 * bt, axis=-1)), 0.0)
+    p_total = np.maximum(p.sum(axis=-1, keepdims=True), 1e-300)
+    q_total = np.maximum(q.sum(axis=-1, keepdims=True), 1e-300)
+    return p / p_total, q / q_total, left0, left1
 
 
 def _pvm_objective(rho0: np.ndarray, rho1: np.ndarray, base: np.ndarray):
-    """theta -> (KL of the outcome laws in the basis exp(i H(theta)) base,
-    gradient in theta).  An infinite KL reads -1e6 with a zero gradient."""
+    """theta (B, d^2) -> (KL of the outcome laws in each basis
+    exp(i H(theta)) base, gradients in theta).  An infinite KL reads -1e6
+    with a zero gradient."""
     d = rho0.shape[0]
 
     def objective(theta: np.ndarray):
         lam, v = np.linalg.eigh(params_to_hermitian(theta, d))
-        basis = (v * np.exp(1j * lam)) @ v.conj().T @ base
+        vh = _adjoint(v)
+        basis = (v * np.exp(1j * lam)[:, None, :]) @ vh @ base
         p, q, left0, left1 = _basis_laws(basis, rho0, rho1)
-        val = kl_divergence(p, q)
-        if not math.isfinite(val):
-            return -1e6, np.zeros_like(theta)
+        val = _kl_rows(p, q)
+        finite = np.isfinite(val)
         # dKL/dp_i and dKL/dq_i; empty outcomes are stationary (dp_i = 0)
         live = p > 1e-15
-        qs = np.where(live, q, 1.0)
+        qs = np.where(live & (q > 1e-300), q, 1.0)
         dp = np.where(live, np.log(np.where(live, p, 1.0)) + 1.0 - np.log(qs), 0.0)
         dq = np.where(live, -p / qs, 0.0)
         # dKL = 2 Re Tr[Z dW] with W = exp(i H), Z = base (D_p U^dag rho0 + D_q U^dag rho1)
-        z = base @ (dp[:, None] * left0 + dq[:, None] * left1)
-        c = 1j * v @ ((v.conj().T @ z @ v) * _phase_kernel(lam)) @ v.conj().T
-        return val, hermitian_grad_to_params(c + c.conj().T)
+        z = base @ (dp[..., None] * left0 + dq[..., None] * left1)
+        c = 1j * v @ ((vh @ z @ v) * _phase_kernel(lam)) @ vh
+        grad = hermitian_grad_to_params(c + _adjoint(c))
+        return np.where(finite, val, -1e6), np.where(finite[:, None], grad, 0.0)
 
     return objective
 

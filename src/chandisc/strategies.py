@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -77,13 +77,13 @@ def rate_pair(p0: np.ndarray, p1: np.ndarray) -> tuple[float, float]:
     return kl_divergence(p1, p0), kl_divergence(p0, p1)
 
 
-def _build_tables(arms: list[Arm], n0: QuantumChannel, n1: QuantumChannel) -> StrategyTables:
-    n_out = max(a.povm.outcome_count for a in arms)
-    dists = np.zeros((len(arms), 2, n_out))
-    incs = np.zeros((len(arms), n_out))
-    for i, arm in enumerate(arms):
-        p0, p1 = arm_laws(arm, n0, n1)
-        k = arm.povm.outcome_count
+def _build_tables(laws: list[tuple[np.ndarray, np.ndarray]]) -> StrategyTables:
+    """Tables from the outcome laws (p0, p1) of each arm."""
+    n_out = max(p0.size for p0, _ in laws)
+    dists = np.zeros((len(laws), 2, n_out))
+    incs = np.zeros((len(laws), n_out))
+    for i, (p0, p1) in enumerate(laws):
+        k = p0.size
         dists[i, 0, :k] = p0
         dists[i, 1, :k] = p1
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -141,7 +141,8 @@ class SprtStrategy:
     rate0 is the witnessed per-step rate governing the type-I exponent
     (D(P1||P0) of arm one, or of the only arm); rate1 governs the type-II
     exponent (D(P0||P1) of arm zero).  threshold_a = n (rate0 - tau),
-    threshold_b = n (rate1 - tau).
+    threshold_b = n (rate1 - tau).  laws, when given, holds each arm's
+    outcome laws (p0, p1) already computed, so the tables reuse them.
     """
 
     n0: QuantumChannel
@@ -154,13 +155,16 @@ class SprtStrategy:
     n: int
     block_size: int = 1
     tables: StrategyTables = field(init=False, repr=False)
+    laws: InitVar[list | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, laws):
         if self.tau <= 0 or self.tau >= min(self.rate0, self.rate1):
             raise TauTooLargeError(
                 f"tau {self.tau} not in (0, {min(self.rate0, self.rate1)})"
             )
-        self.tables = _build_tables(self.arms, self.n0, self.n1)
+        if laws is None:
+            laws = [arm_laws(arm, self.n0, self.n1) for arm in self.arms]
+        self.tables = _build_tables(laws)
 
     @property
     def threshold_a(self) -> float:
@@ -212,8 +216,9 @@ def build_sprt(
     arm_zero = Arm(dv01.witness.input_state, dv01.witness.povm, n0.in_dim)
     arm_one = Arm(dv10.witness.input_state, dv10.witness.povm, n0.in_dim)
     # achieved per-step rates of the arms (certified lower bounds)
-    _, rate1 = rate_pair(*arm_laws(arm_zero, n0, n1))
-    rate0, _ = rate_pair(*arm_laws(arm_one, n0, n1))
+    laws = [arm_laws(arm_zero, n0, n1), arm_laws(arm_one, n0, n1)]
+    _, rate1 = rate_pair(*laws[0])
+    rate0, _ = rate_pair(*laws[1])
     if min(rate0, rate1) <= 0:
         raise TauTooLargeError("witnessed rates are zero; channels indistinguishable")
     if tau is None:
@@ -228,6 +233,7 @@ def build_sprt(
         tau=tau,
         n=n,
         block_size=block_size,
+        laws=laws,
     )
 
 
@@ -249,7 +255,9 @@ def build_non_adaptive(
         raise TauTooLargeError("measurement is uninformative (zero KL both ways)")
     if tau is None:
         tau = 0.1 * min(rate0, rate1)
-    return SprtStrategy(n0=n0, n1=n1, arm_zero=arm, rate0=rate0, rate1=rate1, tau=tau, n=n)
+    return SprtStrategy(
+        n0=n0, n1=n1, arm_zero=arm, rate0=rate0, rate1=rate1, tau=tau, n=n, laws=[(p0, p1)]
+    )
 
 
 def lift_to_blocks(

@@ -9,14 +9,20 @@ settings.load_profile("chandisc")
 
 
 def _assert_gradient_matches(objective, theta, tol=1e-6, h=1e-6):
-    """objective(theta) -> (value, gradient): the gradient must match central
-    differences of the value to tol, relative to the largest component."""
-    _, grad = objective(theta)
+    """objective(X) -> (values, gradients) on a batch of rows, called here on
+    a batch of one: the gradient at theta must match central differences of
+    the value to tol, relative to the largest component."""
+
+    def one(t):
+        f, g = objective(t[None])
+        return f[0], g[0]
+
+    _, grad = one(theta)
     ref = np.zeros_like(theta)
     for i in range(theta.size):
         e = np.zeros_like(theta)
         e[i] = h
-        ref[i] = (objective(theta + e)[0] - objective(theta - e)[0]) / (2 * h)
+        ref[i] = (one(theta + e)[0] - one(theta - e)[0]) / (2 * h)
     assert np.max(np.abs(grad - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
 
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from chandisc.divergences import (
     _apply_to_pure,
     _input_objective,
+    _relative_terms,
+    _renyi_terms,
     block_divergence,
     channel_divergence,
     max_div_states,
@@ -17,7 +19,13 @@ from chandisc.divergences import (
     sandwiched_renyi_states,
 )
 from chandisc.errors import InvalidAlphaError
-from chandisc.optimize import OptimizerConfig, _pvm_objective, kl_divergence, variational_measured
+from chandisc.optimize import (
+    OptimizerConfig,
+    _pvm_objective,
+    _variational_terms,
+    kl_divergence,
+    variational_measured,
+)
 from chandisc.quantum import (
     DensityMatrix,
     bernoulli_replacer,
@@ -30,6 +38,7 @@ from chandisc.quantum import (
     random_channel,
     random_density_matrix,
     random_unitary,
+    tensor_power_channel,
 )
 
 CFG = OptimizerConfig(restarts=4, max_iters=100)
@@ -246,6 +255,52 @@ def test_pvm_gradient_on_channel_outputs(pair, assert_gradient_matches):
     s0, s1 = _apply_to_pure(n0, psi), _apply_to_pure(n1, psi)
     objective = _pvm_objective(s0, s1, random_unitary(4, rng))
     assert_gradient_matches(objective, 0.5 * rng.standard_normal(16))
+
+
+def _assert_batch_size_independent(objective, x):
+    """objective(X)[i] equals objective(X[i:i+1]) bit for bit, value and
+    gradient: what makes the lockstep iterates equal the sequential ones."""
+    f, g = objective(x)
+    for i in range(len(x)):
+        fi, gi = objective(x[i : i + 1])
+        assert np.array_equal(f[i : i + 1], fi) and np.array_equal(g[i : i + 1], gi)
+
+
+def _check_batched_objectives(n0, n1, l, rng):
+    if l > 1:
+        n0, n1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+    for kind, alpha in [("relative", None), ("renyi", 1.5), ("renyi", 2.0), ("measured", None)]:
+        objective, npar = _input_objective(n0, n1, kind, alpha)
+        _assert_batch_size_independent(objective, 0.5 * rng.standard_normal((4, npar)))
+    psi = rng.standard_normal(n0.in_dim**2) + 1j * rng.standard_normal(n0.in_dim**2)
+    psi /= np.linalg.norm(psi)
+    s0, s1 = _apply_to_pure(n0, psi), _apply_to_pure(n1, psi)
+    m = s0.shape[0]
+    _assert_batch_size_independent(_pvm_objective(s0, s1, random_unitary(m, rng)), 0.5 * rng.standard_normal((4, m * m)))
+    _assert_batch_size_independent(lambda t: _variational_terms(t, s0, s1)[:2], rng.standard_normal((4, m * m)))
+    # the state-level formulas on a stack of output pairs
+    outs = [(_apply_to_pure(n0, p), _apply_to_pure(n1, p)) for p in rng.standard_normal((3, n0.in_dim**2))]
+    stack0, stack1 = np.stack([a for a, _ in outs]), np.stack([b for _, b in outs])
+    for terms in (_relative_terms, lambda a, b: _renyi_terms(a, b, 1.5)):
+        whole = terms(stack0, stack1)
+        for i in range(3):
+            one = terms(stack0[i : i + 1], stack1[i : i + 1])
+            assert all(np.array_equal(w[i : i + 1], o) for w, o in zip(whole, one))
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("pair", ["random_full_rank", "dephasing_rank2", "bernoulli_replacers"])
+def test_batched_objectives_are_batch_size_independent_on_zoo(pair, l):
+    n0, n1 = _gradient_pairs()[pair]
+    _check_batched_objectives(n0, n1, l, np.random.default_rng(47))
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), l=st.sampled_from([1, 2]))
+def test_batched_objectives_are_batch_size_independent_on_random_pairs(seed, l):
+    rng = np.random.default_rng(seed)
+    n0, n1 = random_channel(2, 2, 3, rng), random_channel(2, 2, 3, rng)
+    _check_batched_objectives(n0, n1, l, rng)
 
 
 def test_apply_to_pure_matches_kraus_sum():

@@ -1,9 +1,16 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from chandisc.divergences import _input_objective
+from chandisc.errors import OptimizerFailure
 from chandisc.optimize import (
     OptimizerConfig,
     _exp_kernel,
+    _kl_rows,
     _log_kernel,
     _phase_kernel,
     _power_kernel,
@@ -11,10 +18,11 @@ from chandisc.optimize import (
     _variational_terms,
     hermitian_grad_to_params,
     hermitian_to_params,
+    kl_divergence,
     multistart_maximize,
     params_to_hermitian,
 )
-from chandisc.quantum import random_density_matrix, random_unitary
+from chandisc.quantum import depolarizing_channel, random_density_matrix, random_unitary
 
 
 def _loop_params_to_hermitian(theta, d):
@@ -98,12 +106,24 @@ def test_pvm_gradient_matches_central_differences(assert_gradient_matches):
         assert_gradient_matches(objective, 0.5 * rng.standard_normal(d * d))
 
 
+@pytest.mark.parametrize("k", [4, 7, 8, 16])
+def test_kl_rows_equal_kl_divergence_bit_for_bit(k):
+    rng = np.random.default_rng(59 + k)
+    p, q = rng.dirichlet(np.ones(k), size=6), rng.dirichlet(np.ones(k), size=6)
+    p[0, :3] = 0.0  # outcomes that drop out of the sum
+    p[1, 0], q[1, 0] = 0.5, 0.0  # support mismatch: inf
+    p /= p.sum(axis=1, keepdims=True)
+    rows = _kl_rows(p, q)
+    assert [float(r) for r in rows] == [kl_divergence(a, b) for a, b in zip(p, q)]
+    assert rows[1] == np.inf
+
+
 def test_multistart_maximize_concave_quadratic():
     target = np.array([0.3, -1.2, 2.0])
 
     def objective(theta):
         diff = theta - target
-        return -float(diff @ diff), -2.0 * diff
+        return -np.sum(diff * diff, axis=1), -2.0 * diff
 
     x, f = multistart_maximize(objective, 3, OptimizerConfig(restarts=3, max_iters=50))
     assert np.allclose(x, target, atol=1e-8) and abs(f) < 1e-14
@@ -111,7 +131,8 @@ def test_multistart_maximize_concave_quadratic():
 
 def test_multistart_maximize_lowest_start_wins_ties():
     def objective(theta):
-        return -float((theta[0] ** 2 - 1.0) ** 2), np.array([-4.0 * theta[0] * (theta[0] ** 2 - 1.0)])
+        t = theta[:, :1]
+        return -((t[:, 0] ** 2 - 1.0) ** 2), -4.0 * t * (t**2 - 1.0)
 
     cfg = OptimizerConfig(restarts=2, max_iters=50)
     x, _ = multistart_maximize(objective, 1, cfg, starts=[np.array([2.0]), np.array([-2.0])])
@@ -121,10 +142,116 @@ def test_multistart_maximize_lowest_start_wins_ties():
 
 
 def test_multistart_maximize_raises_when_every_start_fails():
-    from chandisc.errors import OptimizerFailure
-
     def objective(theta):
         raise FloatingPointError("overflow")
 
     with pytest.raises(OptimizerFailure, match="all 2 restarts failed"):
         multistart_maximize(objective, 2, OptimizerConfig(restarts=2))
+
+
+# ---------------------------------------------------------------------------
+# The lockstep driver against scipy.optimize.minimize, one start at a time
+# ---------------------------------------------------------------------------
+
+
+def _quadratic(theta):
+    diff = theta - np.array([0.3, -1.2, 2.0])
+    return -np.sum(diff * diff, axis=1), -2.0 * diff
+
+
+def _quartic(theta):
+    """Nonconvex: a double well in each coordinate, tilted and coupled."""
+    x, y = theta[:, 0], theta[:, 1]
+    f = -((x**2 - 1.0) ** 2) - (y**2 - 1.0) ** 2 + 0.3 * x + 0.2 * x * y
+    g = np.stack([-4.0 * x * (x**2 - 1.0) + 0.3 + 0.2 * y, -4.0 * y * (y**2 - 1.0) + 0.2 * x], axis=1)
+    return f, g
+
+
+def _rosenbrock(theta):
+    x, y = theta[:, 0], theta[:, 1]
+    f = -((1.0 - x) ** 2) - 100.0 * (y - x**2) ** 2
+    g = np.stack([2.0 * (1.0 - x) + 400.0 * x * (y - x**2), -200.0 * (y - x**2)], axis=1)
+    return f, g
+
+
+def _driver_case(case):
+    """(objective, starts, max_iters)."""
+    rng = np.random.default_rng(53)
+    if case == "quadratic":
+        return _quadratic, list(rng.standard_normal((3, 3))), 50
+    if case == "quartic":
+        return _quartic, list(1.5 * rng.standard_normal((4, 2))), 100
+    if case == "stationary_start":
+        return _quadratic, [np.array([0.3, -1.2, 2.0]), rng.standard_normal(3)], 50
+    if case == "max_iters":
+        return _rosenbrock, [np.array([-1.2, 1.0]), np.array([2.0, -1.0])], 5
+    objective, npar = _input_objective(depolarizing_channel(0.3), depolarizing_channel(0.7), "measured")
+    return objective, list(rng.standard_normal((3, npar))), 60
+
+
+def _negated_one(objective):
+    """The negated batched objective on one point, as minimize takes it."""
+
+    def negated(theta):
+        f, g = objective(theta[None])
+        return -f[0], -g[0]
+
+    return negated
+
+
+@pytest.mark.parametrize("case", ["quadratic", "quartic", "stationary_start", "max_iters", "measured_input"])
+def test_lockstep_driver_matches_scipy_minimize(case, caplog):
+    objective, starts, max_iters = _driver_case(case)
+    cfg = OptimizerConfig(restarts=len(starts), max_iters=max_iters)
+    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+        multistart_maximize(objective, starts[0].size, cfg, starts=starts)
+    (record,) = caplog.records
+    stats = record.multistart
+    for i, x0 in enumerate(starts):
+        ref = minimize(
+            _negated_one(objective),
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": max_iters, "gtol": 1e-10, "ftol": 1e-15},
+        )
+        # the start run with all others in lockstep, and on its own
+        assert (stats["nfev"][i], stats["nit"][i], stats["values"][i]) == (ref.nfev, ref.nit, -ref.fun)
+        x, f = multistart_maximize(objective, x0.size, replace(cfg, restarts=1), starts=[x0])
+        assert np.array_equal(x, ref.x) and f == -ref.fun
+    if case == "stationary_start":
+        assert (stats["nfev"][0], stats["nit"][0]) == (1, 0)
+    if case == "max_iters":
+        assert stats["nit"] == [max_iters, max_iters]
+
+
+def test_failed_start_is_dropped_and_the_others_go_on(caplog):
+    def objective(theta):
+        if np.any(np.abs(theta) > 50.0):
+            raise FloatingPointError("overflow")
+        x = theta[:, 0]
+        return -((x**2 - 1.0) ** 2) + 0.1 * x, (-4.0 * x * (x**2 - 1.0) + 0.1)[:, None]
+
+    cfg = OptimizerConfig(restarts=3, max_iters=50)
+    good = [np.array([-2.0]), np.array([2.0])]
+    x_ref, f_ref = multistart_maximize(objective, 1, replace(cfg, restarts=2), starts=good)
+    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+        x, f = multistart_maximize(objective, 1, cfg, starts=[good[0], np.array([100.0]), good[1]])
+    assert np.array_equal(x, x_ref) and f == f_ref and x[0] > 0.9
+    stats = caplog.records[0].multistart
+    assert stats["failed"] == 1 and stats["winner"] == 2 and stats["nfev"][1] is None
+
+
+def test_multistart_logs_one_debug_record(caplog):
+    cfg = OptimizerConfig(restarts=3, max_iters=50)
+    multistart_maximize(_quadratic, 3, cfg)
+    assert not caplog.records  # nothing at the default level
+    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+        multistart_maximize(_quadratic, 3, cfg)
+    (record,) = caplog.records
+    assert record.name == "chandisc.optimize" and record.levelno == logging.DEBUG
+    stats = record.multistart
+    assert stats["starts"] == 3 and stats["failed"] == 0 and stats["winner"] in (0, 1, 2)
+    assert len(stats["nfev"]) == len(stats["nit"]) == 3 and min(stats["nit"]) >= 1
+    # every start is evaluated once per batched call while it is live
+    assert stats["batched_calls"] == max(stats["nfev"])

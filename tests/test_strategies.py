@@ -20,11 +20,13 @@ from chandisc.quantum import (
     pure_state,
     random_channel,
 )
+from chandisc import strategies
 from chandisc.strategies import (
     CENSORED,
     DECISION_H0,
     DECISION_H1,
     Arm,
+    SprtStrategy,
     StrategyTrace,
     arm_laws,
     build_non_adaptive,
@@ -263,3 +265,30 @@ def test_arm_laws_match_witness_trace(pair):
         sigma = sum(np.outer(v, v.conj()) for v in (np.kron(np.eye(d), k) @ psi for k in ch.kraus))
         direct = [np.trace(sigma @ e).real for e in w.povm.effects]
         assert np.allclose(p, direct, rtol=0.0, atol=1e-12)
+
+
+def test_build_sprt_computes_each_arm_law_once(monkeypatch):
+    calls = []
+    real = strategies.outcome_distribution
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(strategies, "outcome_distribution", spy)
+    strat = build_sprt(depolarizing_channel(0.3), depolarizing_channel(0.7), n=100, cfg=CFG)
+    # two arms, each under both channels
+    assert len(calls) == 4
+    # the tables built from those laws equal the ones a fresh strategy computes
+    fresh = SprtStrategy(
+        n0=strat.n0,
+        n1=strat.n1,
+        arm_zero=strat.arm_zero,
+        arm_one=strat.arm_one,
+        rate0=strat.rate0,
+        rate1=strat.rate1,
+        tau=strat.tau,
+        n=strat.n,
+    )
+    for name in ("dists", "cdfs", "increments"):
+        assert np.array_equal(getattr(fresh.tables, name), getattr(strat.tables, name))
