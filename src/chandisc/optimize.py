@@ -254,9 +254,9 @@ def multistart_maximize(
     starting value.  Deterministic for a fixed cfg.seed; restarts are
     combined by max with the lowest restart index winning ties.
     """
-    pts = list(starts or [])
-    if len(pts) < cfg.restarts and rng is None:
+    if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    pts = list(starts or [])
     while len(pts) < cfg.restarts:
         pts.append(rng.standard_normal(dim))
     return _lockstep_maximize(objective, pts, cfg.max_iters)
@@ -272,6 +272,8 @@ def _lockstep_maximize(objective, starts: list[np.ndarray], max_iters: int) -> t
     the best (x, value), the lowest start index winning ties, and logs one
     DEBUG record of the starts' diagnostics on the chandisc.optimize logger.
     """
+    if not starts:
+        raise OptimizerFailure("all 0 restarts failed")
     runs = [_lbfgsb_start(np.asarray(x0, dtype=float), max_iters) for x0 in starts]
     # (x, f, nfev, nit) of each start; a failed start keeps a NaN f
     results = [(None, math.nan, None, None)] * len(runs)
@@ -322,10 +324,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """kl_divergence of each row pair.  Below 8 outcomes numpy sums a row
     term by term, so zeros in place of the masked terms leave every partial
-    sum unchanged; longer rows are summed pairwise, and are summed one by
-    one to keep kl_divergence's order."""
-    if p.shape[-1] >= 8:
-        return np.array([kl_divergence(pi, qi) for pi, qi in zip(p, q)])
+    sum unchanged and each row equals kl_divergence bit for bit; the PVM
+    search only runs at d <= _PVM_SEARCH_MAX_DIM outcomes."""
     mask = p > 1e-15
     zero_q = mask & (q <= 1e-300)
     ok = mask & ~zero_q

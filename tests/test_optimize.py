@@ -106,7 +106,7 @@ def test_pvm_gradient_matches_central_differences(assert_gradient_matches):
         assert_gradient_matches(objective, 0.5 * rng.standard_normal(d * d))
 
 
-@pytest.mark.parametrize("k", [4, 7, 8, 16])
+@pytest.mark.parametrize("k", [4, 6, 7])
 def test_kl_rows_equal_kl_divergence_bit_for_bit(k):
     rng = np.random.default_rng(59 + k)
     p, q = rng.dirichlet(np.ones(k), size=6), rng.dirichlet(np.ones(k), size=6)
@@ -147,6 +147,14 @@ def test_multistart_maximize_raises_when_every_start_fails():
 
     with pytest.raises(OptimizerFailure, match="all 2 restarts failed"):
         multistart_maximize(objective, 2, OptimizerConfig(restarts=2))
+
+
+def test_multistart_maximize_raises_without_starts():
+    def objective(theta):
+        return -np.sum(theta * theta, axis=1), -2.0 * theta
+
+    with pytest.raises(OptimizerFailure, match="all 0 restarts failed"):
+        multistart_maximize(objective, 2, OptimizerConfig(restarts=0))
 
 
 # ---------------------------------------------------------------------------
