@@ -10,19 +10,28 @@ The engine builds the same streams without a SeedSequence per trace:
 _seed_words runs numpy's SeedSequence hash and mix for every trial index of
 a hypothesis in one uint32 pass, and PCG64 seeds itself from those words as
 it would from the SeedSequence.  Traces are walked in row blocks, a chunk of
-uniforms per trace at a time; PCG64 spends one word per double, so chunked
-draws continue the stream exactly.  Each chunk maps to increments with one
-searchsorted per arm.  When every playable arm has the same table the running
-sums are one cumsum, a sequential add.accumulate, so they are the floats of
+uniforms per trace at a time (32 in the first pass, 256 in each later one),
+traces down and steps across; PCG64 spends one word per double, so chunked
+draws continue the stream exactly.  The outcome of a uniform is the count of
+cdf entries at or below it, the index searchsorted(side="right") gives.  When
+every playable arm has the same table the running sums are one cumsum along
+each row, a sequential add.accumulate, so they are the floats of
 step-by-step addition.  Distinct adaptive arms take a per-step loop, since
-the arm rule is a recurrence on the sign of the sum.  The first crossing of
-a threshold in the chunk is the stop.
+the arm rule is a recurrence on the sign of the sum.
+
+One walk serves every budget of a sweep: the budgets share the seed and the
+tables, and differ only in the band (-A_n, B_n) and the cap.  As 0 < tau <
+rate, the bands are nested, a trace exits them in order and its open bands
+are a suffix.  A trace walks until it exits its last band or reaches the
+largest cap, and records the first exit of each band.  run_trials is the
+one-budget case.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +43,11 @@ PROBABILISTIC = "probabilistic"
 
 CENSOR_FRACTION_LIMIT = 0.05
 
-_CHUNK = 256  # uniforms drawn per trace and pass
+_FIRST_CHUNK = 32  # uniforms drawn per trace in the first pass: short plans stop in it
+_CHUNK = 256  # uniforms drawn per trace in every later pass
 _ROWS = 256  # traces walked together
+
+logger = logging.getLogger("chandisc.sim")
 
 
 @dataclass
@@ -52,8 +64,12 @@ class SimulationPlan:
             raise ValueError("trials must be >= 1")
         if not isinstance(self.base_seed, (int, np.integer)) or self.base_seed < 0:
             raise ValueError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
+        if self.constraint not in (EXPECTATION, PROBABILISTIC):
+            raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.constraint == PROBABILISTIC and not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
+        if not isinstance(self.step_cap_factor, (int, np.integer)) or self.step_cap_factor < 1:
+            raise ValueError(f"step_cap_factor must be an int >= 1, got {self.step_cap_factor!r}")
 
     @property
     def budget(self) -> int:
@@ -205,15 +221,26 @@ class _PresetSeed(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _simulate_hypothesis(plan: SimulationPlan, hyp: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate all trials under hypothesis hyp, _ROWS traces at a time, each
-    drawing _CHUNK uniforms per pass.  Distinct adaptive arms stay a per-step
-    loop: the arm rule is a recurrence on the sign of the running sum.
+def _outcome_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome of each uniform u in [0, 1): the count of cdf entries <= u,
+    the integer searchsorted(cdf, u, side="right") returns, ties and repeated
+    entries included.  Entries of 1.0 never count, so they are not compared."""
+    cuts = cdf[cdf < 1.0]
+    idx = np.zeros(u.shape, np.min_scalar_type(cuts.size))
+    for c in cuts:
+        idx += u >= c
+    return idx
 
-    Returns (stop times in steps, decisions)."""
-    strategy = plan.strategy
+
+def _simulate_hypothesis(plans: list[SimulationPlan], hyp: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk all trials under hypothesis hyp once for every plan.  The plans
+    share the strategy's tables, trials and seed; their budgets, and so their
+    bands (-A_n, B_n) and caps, ascend.
+
+    Returns (stop times in steps, decisions), one row per plan, and the
+    number of outcome uniforms drawn."""
+    strategy, trials = plans[0].strategy, plans[0].trials
     tables = strategy.tables
-    cap = plan.step_cap_factor * strategy.n
     incs = tables.increments
     cdfs = tables.cdfs[:, hyp, :]
     if not np.all(np.isfinite(incs[tables.dists[:, hyp, :] > 0])):
@@ -223,82 +250,109 @@ def _simulate_hypothesis(plan: SimulationPlan, hyp: int) -> tuple[np.ndarray, np
     arms = range(len(incs))
     if all(np.array_equal(cdfs[a], cdfs[0]) and np.array_equal(incs[a], incs[0]) for a in arms):
         arms = range(1)  # one law for every step
-    hi, lo = strategy.threshold_b, -strategy.threshold_a
-    seeds = _seed_words(plan.base_seed, hyp, plan.trials)
-    t_stop = np.full(plan.trials, cap, dtype=np.int64)
-    decision = np.full(plan.trials, CENSORED, dtype=np.int64)
+    hi = np.array([p.strategy.threshold_b for p in plans])
+    lo = -np.array([p.strategy.threshold_a for p in plans])
+    caps = np.array([p.step_cap_factor * p.strategy.n for p in plans])
+    seeds = _seed_words(plans[0].base_seed, hyp, trials)
+    t_stop = np.repeat(caps[:, None], trials, axis=1)
+    decision = np.full(t_stop.shape, CENSORED, dtype=np.int64)
+    drawn = 0
 
-    for start in range(0, plan.trials, _ROWS):
-        rows = np.arange(start, min(start + _ROWS, plan.trials))
+    for start in range(0, trials, _ROWS):
+        rows = np.arange(start, min(start + _ROWS, trials))
+        band = np.zeros(rows.size, np.intp)  # first open band: the open ones are a suffix
         gens = [np.random.Generator(np.random.PCG64(_PresetSeed(w))) for w in seeds[rows]]
         if strategy.adaptive:
             first_arm = np.array([g.random() for g in gens]) >= 0.5
         s = np.zeros(rows.size)
         step = 0
-        while rows.size and step < cap:
-            width = min(_CHUNK, cap - step)
-            u = np.empty((rows.size, width))
+        while rows.size:
+            width = min(_CHUNK if step else _FIRST_CHUNK, caps[band.min()] - step)
+            u = np.empty((rows.size, width))  # traces down, steps across
             for g, row in zip(gens, u):
                 g.random(out=row)
-            # steps down, traces across: each step's values are contiguous
-            z = [incs[a][np.searchsorted(cdfs[a], u.T, side="right")] for a in arms]
+            drawn += u.size
+            idx = [_outcome_index(cdfs[a], u) for a in arms]
+            # arm zero's increments overwrite the uniforms; mode="clip" takes unbuffered
+            z = [np.take(incs[a], i, out=u if a == 0 else None, mode="clip") for a, i in zip(arms, idx)]
+            path = u
             if len(arms) == 1:  # sequential add.accumulate: the sums of step-by-step addition
-                path = z[0]
-                path[0] += s
-                np.cumsum(path, axis=0, out=path)
+                path[:, 0] += s
+                np.cumsum(path, axis=1, out=path)
             else:  # the arm depends on the sign of the running sum
-                path = np.empty_like(z[0])
                 arm_one = first_arm if step == 0 else s < 0
-                for z0, z1, out in zip(*z, path):
-                    s = np.add(s, np.where(arm_one, z1, z0), out=out)
+                for j in range(width):
+                    s = np.add(s, np.where(arm_one, z[1][:, j], z[0][:, j]), out=path[:, j])
                     arm_one = s < 0
-            crossed = (path >= hi) | (path <= lo)
-            first = crossed.argmax(axis=0)
-            hit = crossed[first, np.arange(rows.size)]
-            done = rows[hit]
-            t_stop[done] = step + first[hit] + 1
-            decision[done] = np.where(path[first[hit], hit] >= hi, DECISION_H0, DECISION_H1)
-            left = ~hit
-            rows, s, step = rows[left], path[-1, left], step + width
+            # first exit of each trace's open band; the bands are nested, so no
+            # trace leaves its next band before this one, and the traces that
+            # exit are searched again for the next
+            hit = np.arange(rows.size)
+            while hit.size:
+                k = band[hit]
+                p = path if hit.size == rows.size else path[hit]
+                crossed = (p >= hi[k, None]) | (p <= lo[k, None])
+                at = crossed.argmax(axis=1)
+                ok = crossed[np.arange(hit.size), at]
+                hit, at, k = hit[ok], at[ok], k[ok]
+                t_stop[k, rows[hit]] = step + at + 1
+                decision[k, rows[hit]] = np.where(path[hit, at] >= hi[k], DECISION_H0, DECISION_H1)
+                band[hit] += 1
+                hit = hit[band[hit] < len(plans)]
+            step += width
+            band = np.maximum(band, np.searchsorted(caps, step, side="right"))  # censored at their caps
+            left = band < len(plans)
+            rows, band, s = rows[left], band[left], path[left, -1]
             gens = [g for g, keep in zip(gens, left) if keep]
-    return t_stop, decision
+    return t_stop, decision, drawn
+
+
+def _run(plans: list[SimulationPlan]) -> list[SimulationSummary]:
+    """Summaries of plans that differ only in their ascending budgets, from
+    one walk per hypothesis."""
+    trials = plans[0].trials
+    walks = [_simulate_hypothesis(plans, hyp) for hyp in (0, 1)]
+    if logger.isEnabledFor(logging.DEBUG):
+        steps = int(sum(t_stop[-1].sum() for t_stop, _, _ in walks))
+        stats = dict(trials=trials, budgets=[p.budget for p in plans], steps=steps,
+                     drawn=sum(w[2] for w in walks))
+        logger.debug("monte-carlo walk %s", stats, extra={"mc": stats})
+    summaries = []
+    for b, plan in enumerate(plans):
+        per_hyp = []
+        for hyp, (t_steps, decision, _) in enumerate(walks):
+            t_uses = t_steps[b] * plan.strategy.block_size
+            wrong = DECISION_H1 if hyp == 0 else DECISION_H0
+            censored = int(np.sum(decision[b] == CENSORED))
+            over = float(np.mean(t_uses > plan.budget))
+            per_hyp.append(
+                HypothesisStats(
+                    trials=trials,
+                    errors=int(np.sum(decision[b] == wrong)) + censored,
+                    censored=censored,
+                    mean_stop=float(np.mean(t_uses)),
+                    stop_se=float(np.std(t_uses) / math.sqrt(trials)),
+                    overshoot=over,
+                    overshoot_se=math.sqrt(over * (1.0 - over) / trials),
+                )
+            )
+        summary = SimulationSummary(
+            budget=plan.budget,
+            per_hyp=per_hyp,
+            threshold_a=plan.strategy.threshold_a,
+            threshold_b=plan.strategy.threshold_b,
+        )
+        frac = summary.censored_count / (2 * trials)
+        if frac > CENSOR_FRACTION_LIMIT:
+            raise ExcessiveCensoringError(f"censored fraction {frac:.3f} exceeds 5%")
+        summaries.append(summary)
+    return summaries
 
 
 def run_trials(plan: SimulationPlan) -> SimulationSummary:
     """Estimate error probabilities, stopping times and overshoot under both
     hypotheses.  Deterministic for a fixed base seed."""
-    strategy = plan.strategy
-    l = strategy.block_size
-    n_uses = plan.budget
-    per_hyp = []
-    for hyp in (0, 1):
-        t_steps, decision = _simulate_hypothesis(plan, hyp)
-        t_uses = t_steps * l
-        wrong = DECISION_H1 if hyp == 0 else DECISION_H0
-        errors = int(np.sum(decision == wrong) + np.sum(decision == CENSORED))
-        censored = int(np.sum(decision == CENSORED))
-        over = float(np.mean(t_uses > n_uses))
-        per_hyp.append(
-            HypothesisStats(
-                trials=plan.trials,
-                errors=errors,
-                censored=censored,
-                mean_stop=float(np.mean(t_uses)),
-                stop_se=float(np.std(t_uses) / math.sqrt(plan.trials)),
-                overshoot=over,
-                overshoot_se=math.sqrt(over * (1.0 - over) / plan.trials),
-            )
-        )
-    summary = SimulationSummary(
-        budget=n_uses,
-        per_hyp=per_hyp,
-        threshold_a=strategy.threshold_a,
-        threshold_b=strategy.threshold_b,
-    )
-    frac = summary.censored_count / (2 * plan.trials)
-    if frac > CENSOR_FRACTION_LIMIT:
-        raise ExcessiveCensoringError(f"censored fraction {frac:.3f} exceeds 5%")
-    return summary
+    return _run([plan])[0]
 
 
 def check_constraint(summary: SimulationSummary, plan: SimulationPlan) -> ConstraintReport:
@@ -334,33 +388,35 @@ def sweep_budgets(
     constraint: str = EXPECTATION,
     epsilon: float = 0.05,
 ) -> list[SweepRecord]:
-    """Re-run the same arms at a list of budgets for convergence curves.
+    """The same arms at a list of ascending budgets, for convergence curves.
 
-    Arms and rates are reused; only the thresholds scale with n.
+    Arms and rates are reused; only the thresholds and caps scale with n.
+    Every budget shares the base seed, so one walk per trace serves them all:
+    each record equals run_trials of that budget's plan.
     """
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")
-    records = []
-    for n in budgets:
-        strat_n = strategy.with_budget(max(1, n // strategy.block_size))
-        plan = SimulationPlan(
-            strategy=strat_n,
+    plans = [
+        SimulationPlan(
+            strategy=strategy.with_budget(max(1, n // strategy.block_size)),
             trials=trials,
             base_seed=base_seed,
             constraint=constraint,
             epsilon=epsilon,
         )
-        summary = run_trials(plan)
-        report = check_constraint(summary, plan)
+        for n in budgets
+    ]
+    records = []
+    for n, plan, summary in zip(budgets, plans, _run(plans) if plans else []):
         records.append(
             SweepRecord(
                 n=n,
                 summary=summary,
-                report=report,
+                report=check_constraint(summary, plan),
                 exponent_alpha=summary.empirical_exponent(0),
                 exponent_beta=summary.empirical_exponent(1),
-                bound_exponent_alpha=strat_n.threshold_a / summary.budget,
-                bound_exponent_beta=strat_n.threshold_b / summary.budget,
+                bound_exponent_alpha=plan.strategy.threshold_a / summary.budget,
+                bound_exponent_beta=plan.strategy.threshold_b / summary.budget,
             )
         )
     return records

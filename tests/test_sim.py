@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from chandisc.sim import (
     PROBABILISTIC,
     HypothesisStats,
     SimulationPlan,
+    _outcome_index,
     _PresetSeed,
+    _run,
     _seed_words,
     _simulate_hypothesis,
     check_constraint,
@@ -30,6 +33,7 @@ from chandisc.strategies import (
     build_non_adaptive,
     build_sprt,
     lift_to_blocks,
+    outcome_cdf,
     step_sprt,
 )
 
@@ -137,7 +141,7 @@ def test_batch_engine_matches_single_step(request, fixture, budget, trials, cap_
     plan = SimulationPlan(strategy=strat, trials=trials, base_seed=21, step_cap_factor=cap_factor)
     cap = cap_factor * strat.n
     for hyp, ch in ((0, strat.n0), (1, strat.n1)):
-        t_stop, decision = _simulate_hypothesis(plan, hyp)
+        (t_stop,), (decision,), _ = _simulate_hypothesis([plan], hyp)
         for t in range(plan.trials):
             rng = trial_rng(plan.base_seed, hyp, t)
             trace = StrategyTrace()
@@ -151,6 +155,64 @@ def test_batch_engine_matches_single_step(request, fixture, budget, trials, cap_
             assert exercised(t_stop, decision)
 
 
+def _replay(strat, hyp, plan):
+    """(stop time, decision) of every trace of plan under hyp, stepped by
+    step_sprt."""
+    cap = plan.step_cap_factor * strat.n
+    out = []
+    for t in range(plan.trials):
+        rng = trial_rng(plan.base_seed, hyp, t)
+        trace = StrategyTrace()
+        while not trace.stopped and len(trace.steps) < cap:
+            step_sprt(strat, (strat.n0, strat.n1)[hyp], trace, rng)
+        out.append((trace.stopping_time, trace.decision) if trace.stopped else (cap, CENSORED))
+    return out
+
+
+def _crosses_two_chunks(t_stop, decision):
+    return bool(np.any((t_stop[-1] > sim._FIRST_CHUNK + sim._CHUNK) & (decision[-1] != CENSORED)))
+
+
+def _smallest_censored(t_stop, decision):
+    return bool(np.any(decision[0] == CENSORED))
+
+
+@pytest.mark.parametrize(
+    "fixture, budgets, trials, cap_factors, exercised",
+    [
+        ("depolarizing_strategy", [20, 60, 61], 60, None, None),
+        ("tie_strategy", [3, 3, 8], 200, None, None),
+        ("block_strategy", [10, 50], 60, None, None),
+        ("fixed_strategy", [4, 10], sim._ROWS + 44, None, None),
+        ("classical_strategy", [100, 300], 30, None, _crosses_two_chunks),
+        ("classical_strategy", [100, 200], 100, [1, 20], _smallest_censored),
+    ],
+    ids=[
+        "distinct-arms",
+        "exact-ties-duplicate",
+        "block-l2",
+        "row-blocks",
+        "past-two-chunks",
+        "censored-smallest",
+    ],
+)
+def test_multi_budget_walk_matches_single_step(request, fixture, budgets, trials, cap_factors, exercised):
+    """One walk for several budgets stops every trace, for every budget, where
+    step_sprt with that budget's thresholds and cap stops it."""
+    strat = request.getfixturevalue(fixture)
+    plans = [
+        SimulationPlan(strategy=strat.with_budget(n), trials=trials, base_seed=33, step_cap_factor=f)
+        for n, f in zip(budgets, cap_factors or [20] * len(budgets))
+    ]
+    for hyp in (0, 1):
+        t_stop, decision, drawn = _simulate_hypothesis(plans, hyp)
+        assert drawn >= t_stop[-1].sum()
+        for b, plan in enumerate(plans):
+            assert list(zip(t_stop[b], decision[b])) == _replay(plan.strategy, hyp, plan)
+        if exercised is not None:
+            assert exercised(t_stop, decision)
+
+
 def test_pinned_summary(tie_strategy):
     """Fixed streams and walk: a change to either shows here."""
     summary = run_trials(SimulationPlan(strategy=tie_strategy, trials=200, base_seed=2**33 + 7))
@@ -158,6 +220,103 @@ def test_pinned_summary(tie_strategy):
         HypothesisStats(200, 16, 0, 3.27, 0.15177450378769156, 0.38, 0.03432200460346103),
         HypothesisStats(200, 16, 0, 3.03, 0.12327002879856888, 0.325, 0.03311910324872942),
     ]
+
+
+def test_pinned_sweep(tie_strategy):
+    """Fixed streams and one walk for three budgets: a change to either shows
+    here.  The n = 3 record is test_pinned_summary's."""
+    recs = sweep_budgets(tie_strategy, [3, 6, 12], trials=200, base_seed=2**33 + 7)
+    assert [r.summary.per_hyp for r in recs] == [
+        [
+            HypothesisStats(200, 16, 0, 3.27, 0.15177450378769156, 0.38, 0.03432200460346103),
+            HypothesisStats(200, 16, 0, 3.03, 0.12327002879856888, 0.325, 0.03311910324872942),
+        ],
+        [
+            HypothesisStats(200, 5, 0, 5.53, 0.22648509884758422, 0.34, 0.03349626844888845),
+            HypothesisStats(200, 9, 0, 5.56, 0.24785479620132428, 0.325, 0.03311910324872942),
+        ],
+        [
+            HypothesisStats(200, 0, 0, 11.43, 0.41937513040236424, 0.275, 0.031573327350787724),
+            HypothesisStats(200, 0, 0, 11.74, 0.4217368847990414, 0.3, 0.0324037034920393),
+        ],
+    ]
+
+
+def test_sweep_records_equal_run_trials(depolarizing_strategy, block_strategy):
+    for strat, budgets in ((depolarizing_strategy, [20, 60]), (block_strategy, [40, 100, 101])):
+        recs = sweep_budgets(strat, budgets, trials=80, base_seed=4)
+        for rec in recs:
+            plan = SimulationPlan(strategy=strat.with_budget(rec.n // strat.block_size), trials=80, base_seed=4)
+            assert rec.summary == run_trials(plan)
+    # 100 and 101 uses are the same 50 blocks
+    assert recs[1].summary == recs[2].summary and recs[2].summary.budget == 100
+
+
+def test_sweep_of_no_budgets(classical_strategy):
+    assert sweep_budgets(classical_strategy, [], trials=10, base_seed=0) == []
+
+
+def test_first_over_censored_budget_raises(classical_strategy):
+    capped = SimulationPlan(strategy=classical_strategy, trials=200, base_seed=9, step_cap_factor=1)
+    wide = SimulationPlan(strategy=classical_strategy.with_budget(300), trials=200, base_seed=9)
+    with pytest.raises(ExcessiveCensoringError) as alone:
+        run_trials(capped)
+    with pytest.raises(ExcessiveCensoringError) as walked:
+        _run([capped, wide])
+    assert str(walked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"constraint": "median"}, {"step_cap_factor": 0}, {"step_cap_factor": -3}, {"step_cap_factor": 1.5}],
+)
+def test_plan_rejects_bad_constraint_and_cap(classical_strategy, kwargs):
+    with pytest.raises(ValueError):
+        SimulationPlan(strategy=classical_strategy, trials=10, base_seed=0, **kwargs)
+
+
+def test_monte_carlo_logs_one_debug_record(classical_strategy, caplog):
+    plan = SimulationPlan(strategy=classical_strategy, trials=300, base_seed=5)
+    summary = run_trials(plan)
+    assert not caplog.records  # nothing at the default level
+    with caplog.at_level(logging.DEBUG, logger="chandisc.sim"):
+        run_trials(plan)
+    (record,) = caplog.records
+    assert record.name == "chandisc.sim" and record.levelno == logging.DEBUG
+    mc = record.mc
+    assert (mc["trials"], mc["budgets"]) == (300, [100])
+    assert mc["steps"] == round(sum(s.mean_stop * s.trials for s in summary.per_hyp))
+    assert mc["steps"] <= mc["drawn"] <= 2 * 300 * 20 * 100
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="chandisc.sim"):
+        sweep_budgets(classical_strategy, [50, 100, 200], trials=300, base_seed=5)
+    (record,) = caplog.records
+    assert record.mc["budgets"] == [50, 100, 200] and record.mc["steps"] <= record.mc["drawn"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=hst.lists(hst.sampled_from([0.0, 0.0, 1e-300, 0.1, 0.5, 1.0, 3.0, 7.25]), min_size=2, max_size=64),
+    pad=hst.integers(0, 5),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_outcome_index_is_searchsorted(weights, pad, seed):
+    """The comparison count is searchsorted(side="right") on uniforms in
+    [0, 1), also on ties with cdf entries, zero-probability outcomes and the
+    zero-padded laws of a shorter arm."""
+    p = np.array(weights)
+    if not p.any():
+        p[-1] = 1.0
+    q = p[: p.size // 2 + 1] if p[: p.size // 2 + 1].any() else np.ones(1)
+    dists = np.zeros((2, p.size + pad))  # the second arm's law is padded to the first's outcomes
+    dists[0, : p.size] = p / p.sum()
+    dists[1, : q.size] = q / q.sum()
+    rng = np.random.default_rng(seed)
+    for cdf in outcome_cdf(dists):
+        u = np.concatenate([rng.random(64), cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0]])
+        u = u[u < 1.0]
+        u = np.resize(u, (3, u.size))
+        assert np.array_equal(_outcome_index(cdf, u), np.searchsorted(cdf, u, side="right"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,5 +425,5 @@ def test_block_strategy_stop_times_in_uses(block_strategy):
     assert s.alpha_hat == 0.0 and s.beta_hat == 0.0
     # stopping times are counted in channel uses: with pairs of uses per
     # block step, the mean over any trial set has at most .5 fractional part
-    t_steps, _ = _simulate_hypothesis(plan, 0)
+    (t_steps,), _, _ = _simulate_hypothesis([plan], 0)
     assert np.all((t_steps * strat.block_size) % 2 == 0)
