@@ -12,8 +12,10 @@ a hypothesis in one uint32 pass, and PCG64 seeds itself from those words as
 it would from the SeedSequence.  Traces are walked in row blocks, a chunk of
 uniforms per trace at a time (32 in the first pass, 256 in each later one),
 traces down and steps across; PCG64 spends one word per double, so chunked
-draws continue the stream exactly.  The outcome of a uniform is the count of
-cdf entries at or below it, the index searchsorted(side="right") gives.  When
+draws continue the stream exactly.  The outcome of a uniform is the index
+searchsorted(side="right") gives: the count of cdf entries at or below it,
+one comparison pass per entry below 1, for laws of up to _COUNT_MAX such
+entries, and searchsorted's binary search itself for larger laws.  When
 every playable arm has the same table the running sums are one cumsum along
 each row, a sequential add.accumulate, so they are the floats of
 step-by-step addition.  Distinct adaptive arms take a per-step loop, since
@@ -46,6 +48,7 @@ CENSOR_FRACTION_LIMIT = 0.05
 _FIRST_CHUNK = 32  # uniforms drawn per trace in the first pass: short plans stop in it
 _CHUNK = 256  # uniforms drawn per trace in every later pass
 _ROWS = 256  # traces walked together
+_COUNT_MAX = 128  # cdf cuts up to which one comparison pass per cut beats a binary search
 
 logger = logging.getLogger("chandisc.sim")
 
@@ -222,24 +225,26 @@ class _PresetSeed(np.random.bit_generator.ISeedSequence):
 
 
 def _outcome_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome of each uniform u in [0, 1): the count of cdf entries <= u,
-    the integer searchsorted(cdf, u, side="right") returns, ties and repeated
-    entries included.  Entries of 1.0 never count, so they are not compared."""
+    """Outcome of each uniform u in [0, 1): searchsorted(cdf, u, side="right").
+    Up to _COUNT_MAX cuts it is the count of cdf entries <= u, ties and
+    repeated entries included; entries of 1.0 never count and are skipped."""
     cuts = cdf[cdf < 1.0]
-    idx = np.zeros(u.shape, np.min_scalar_type(cuts.size))
+    if cuts.size > _COUNT_MAX:
+        return np.searchsorted(cdf, u, side="right")
+    idx = np.zeros(u.shape, np.uint8)
     for c in cuts:
         idx += u >= c
     return idx
 
 
-def _simulate_hypothesis(plans: list[SimulationPlan], hyp: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Walk all trials under hypothesis hyp once for every plan.  The plans
-    share the strategy's tables, trials and seed; their budgets, and so their
-    bands (-A_n, B_n) and caps, ascend.
+def _simulate_hypothesis(plan: SimulationPlan, hyp: int, ns: list[int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk all trials of plan under hypothesis hyp once for every budget n
+    in ns, ascending and counted in steps: plan's strategy at budget n has
+    the band (-A_n, B_n) and the cap step_cap_factor * n.
 
-    Returns (stop times in steps, decisions), one row per plan, and the
+    Returns (stop times in steps, decisions), one row per budget, and the
     number of outcome uniforms drawn."""
-    strategy, trials = plans[0].strategy, plans[0].trials
+    strategy, trials = plan.strategy, plan.trials
     tables = strategy.tables
     incs = tables.increments
     cdfs = tables.cdfs[:, hyp, :]
@@ -250,10 +255,10 @@ def _simulate_hypothesis(plans: list[SimulationPlan], hyp: int) -> tuple[np.ndar
     arms = range(len(incs))
     if all(np.array_equal(cdfs[a], cdfs[0]) and np.array_equal(incs[a], incs[0]) for a in arms):
         arms = range(1)  # one law for every step
-    hi = np.array([p.strategy.threshold_b for p in plans])
-    lo = -np.array([p.strategy.threshold_a for p in plans])
-    caps = np.array([p.step_cap_factor * p.strategy.n for p in plans])
-    seeds = _seed_words(plans[0].base_seed, hyp, trials)
+    hi = np.array([strategy.with_budget(n).threshold_b for n in ns])
+    lo = -np.array([strategy.with_budget(n).threshold_a for n in ns])
+    caps = plan.step_cap_factor * np.array(ns)
+    seeds = _seed_words(plan.base_seed, hyp, trials)
     t_stop = np.repeat(caps[:, None], trials, axis=1)
     decision = np.full(t_stop.shape, CENSORED, dtype=np.int64)
     drawn = 0
@@ -298,33 +303,33 @@ def _simulate_hypothesis(plans: list[SimulationPlan], hyp: int) -> tuple[np.ndar
                 t_stop[k, rows[hit]] = step + at + 1
                 decision[k, rows[hit]] = np.where(path[hit, at] >= hi[k], DECISION_H0, DECISION_H1)
                 band[hit] += 1
-                hit = hit[band[hit] < len(plans)]
+                hit = hit[band[hit] < len(ns)]
             step += width
             band = np.maximum(band, np.searchsorted(caps, step, side="right"))  # censored at their caps
-            left = band < len(plans)
+            left = band < len(ns)
             rows, band, s = rows[left], band[left], path[left, -1]
             gens = [g for g, keep in zip(gens, left) if keep]
     return t_stop, decision, drawn
 
 
-def _run(plans: list[SimulationPlan]) -> list[SimulationSummary]:
-    """Summaries of plans that differ only in their ascending budgets, from
-    one walk per hypothesis."""
-    trials = plans[0].trials
-    walks = [_simulate_hypothesis(plans, hyp) for hyp in (0, 1)]
+def _run(plan: SimulationPlan, ns: list[int]) -> list[SimulationSummary]:
+    """Summaries of plan's strategy at each budget n in ns, ascending and
+    counted in steps, from one walk per hypothesis."""
+    trials, l = plan.trials, plan.strategy.block_size
+    walks = [_simulate_hypothesis(plan, hyp, ns) for hyp in (0, 1)]
     if logger.isEnabledFor(logging.DEBUG):
         steps = int(sum(t_stop[-1].sum() for t_stop, _, _ in walks))
-        stats = dict(trials=trials, budgets=[p.budget for p in plans], steps=steps,
-                     drawn=sum(w[2] for w in walks))
+        stats = dict(trials=trials, budgets=[n * l for n in ns], steps=steps, drawn=sum(w[2] for w in walks))
         logger.debug("monte-carlo walk %s", stats, extra={"mc": stats})
     summaries = []
-    for b, plan in enumerate(plans):
+    for b, n in enumerate(ns):
+        strategy = plan.strategy.with_budget(n)
         per_hyp = []
         for hyp, (t_steps, decision, _) in enumerate(walks):
-            t_uses = t_steps[b] * plan.strategy.block_size
+            t_uses = t_steps[b] * l
             wrong = DECISION_H1 if hyp == 0 else DECISION_H0
             censored = int(np.sum(decision[b] == CENSORED))
-            over = float(np.mean(t_uses > plan.budget))
+            over = float(np.mean(t_uses > n * l))
             per_hyp.append(
                 HypothesisStats(
                     trials=trials,
@@ -337,10 +342,10 @@ def _run(plans: list[SimulationPlan]) -> list[SimulationSummary]:
                 )
             )
         summary = SimulationSummary(
-            budget=plan.budget,
+            budget=n * l,
             per_hyp=per_hyp,
-            threshold_a=plan.strategy.threshold_a,
-            threshold_b=plan.strategy.threshold_b,
+            threshold_a=strategy.threshold_a,
+            threshold_b=strategy.threshold_b,
         )
         frac = summary.censored_count / (2 * trials)
         if frac > CENSOR_FRACTION_LIMIT:
@@ -352,7 +357,7 @@ def _run(plans: list[SimulationPlan]) -> list[SimulationSummary]:
 def run_trials(plan: SimulationPlan) -> SimulationSummary:
     """Estimate error probabilities, stopping times and overshoot under both
     hypotheses.  Deterministic for a fixed base seed."""
-    return _run([plan])[0]
+    return _run(plan, [plan.strategy.n])[0]
 
 
 def check_constraint(summary: SimulationSummary, plan: SimulationPlan) -> ConstraintReport:
@@ -396,27 +401,19 @@ def sweep_budgets(
     """
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")
-    plans = [
-        SimulationPlan(
-            strategy=strategy.with_budget(max(1, n // strategy.block_size)),
-            trials=trials,
-            base_seed=base_seed,
-            constraint=constraint,
-            epsilon=epsilon,
+    plan = SimulationPlan(
+        strategy=strategy, trials=trials, base_seed=base_seed, constraint=constraint, epsilon=epsilon
+    )
+    ns = [max(1, n // strategy.block_size) for n in budgets]
+    return [
+        SweepRecord(
+            n=n,
+            summary=summary,
+            report=check_constraint(summary, plan),
+            exponent_alpha=summary.empirical_exponent(0),
+            exponent_beta=summary.empirical_exponent(1),
+            bound_exponent_alpha=summary.threshold_a / summary.budget,
+            bound_exponent_beta=summary.threshold_b / summary.budget,
         )
-        for n in budgets
+        for n, summary in zip(budgets, _run(plan, ns) if ns else [])
     ]
-    records = []
-    for n, plan, summary in zip(budgets, plans, _run(plans) if plans else []):
-        records.append(
-            SweepRecord(
-                n=n,
-                summary=summary,
-                report=check_constraint(summary, plan),
-                exponent_alpha=summary.empirical_exponent(0),
-                exponent_beta=summary.empirical_exponent(1),
-                bound_exponent_alpha=plan.strategy.threshold_a / summary.budget,
-                bound_exponent_beta=plan.strategy.threshold_b / summary.budget,
-            )
-        )
-    return records

@@ -9,7 +9,15 @@ from hypothesis import strategies as hst
 from chandisc import sim
 from chandisc.errors import ExcessiveCensoringError
 from chandisc.optimize import OptimizerConfig
-from chandisc.quantum import DensityMatrix, basis_pvm, bernoulli_replacer, depolarizing_channel
+from chandisc.quantum import (
+    DensityMatrix,
+    basis_pvm,
+    bernoulli_replacer,
+    depolarizing_channel,
+    max_entangled_state,
+    random_basis_pvm,
+    random_channel,
+)
 from chandisc.sim import (
     EXPECTATION,
     PROBABILISTIC,
@@ -101,12 +109,26 @@ def tie_strategy():
     return strat
 
 
+@pytest.fixture(scope="module")
+def many_outcome_strategy():
+    """Distinct random arms on a 12-dimensional system and its ancilla:
+    144-outcome laws, more cuts than _outcome_index compares one by one."""
+    rng = np.random.default_rng(5)
+    n0, n1 = random_channel(12, rng=rng), random_channel(12, rng=rng)
+    arm_zero, arm_one = (Arm(max_entangled_state(12), random_basis_pvm(144, rng), 12) for _ in range(2))
+    strat = SprtStrategy(
+        n0=n0, n1=n1, arm_zero=arm_zero, arm_one=arm_one, rate0=1.0, rate1=1.0, tau=0.1, n=20
+    )
+    assert np.all(np.sum(strat.tables.cdfs < 1.0, axis=-1) > sim._COUNT_MAX)
+    return strat
+
+
 def _has_censored(t_stop, decision):
     return bool(np.any(decision == CENSORED))
 
 
 def _crosses_chunk(t_stop, decision):
-    return bool(np.any((t_stop > sim._CHUNK) & (decision != CENSORED)))
+    return bool(np.any((t_stop > sim._FIRST_CHUNK + sim._CHUNK) & (decision != CENSORED)))
 
 
 @pytest.mark.parametrize(
@@ -120,6 +142,7 @@ def _crosses_chunk(t_stop, decision):
         ("classical_strategy", None, 100, 1, _has_censored),
         ("classical_strategy", 300, 30, 20, _crosses_chunk),
         ("fixed_strategy", 10, sim._ROWS + 44, 20, None),
+        ("many_outcome_strategy", None, 60, 20, None),
     ],
     ids=[
         "adaptive",
@@ -130,6 +153,7 @@ def _crosses_chunk(t_stop, decision):
         "censored",
         "chunk-boundary",
         "row-blocks",
+        "many-outcomes",
     ],
 )
 def test_batch_engine_matches_single_step(request, fixture, budget, trials, cap_factor, exercised):
@@ -141,7 +165,7 @@ def test_batch_engine_matches_single_step(request, fixture, budget, trials, cap_
     plan = SimulationPlan(strategy=strat, trials=trials, base_seed=21, step_cap_factor=cap_factor)
     cap = cap_factor * strat.n
     for hyp, ch in ((0, strat.n0), (1, strat.n1)):
-        (t_stop,), (decision,), _ = _simulate_hypothesis([plan], hyp)
+        (t_stop,), (decision,), _ = _simulate_hypothesis(plan, hyp, [strat.n])
         for t in range(plan.trials):
             rng = trial_rng(plan.base_seed, hyp, t)
             trace = StrategyTrace()
@@ -178,14 +202,14 @@ def _smallest_censored(t_stop, decision):
 
 
 @pytest.mark.parametrize(
-    "fixture, budgets, trials, cap_factors, exercised",
+    "fixture, budgets, trials, cap_factor, exercised",
     [
-        ("depolarizing_strategy", [20, 60, 61], 60, None, None),
-        ("tie_strategy", [3, 3, 8], 200, None, None),
-        ("block_strategy", [10, 50], 60, None, None),
-        ("fixed_strategy", [4, 10], sim._ROWS + 44, None, None),
-        ("classical_strategy", [100, 300], 30, None, _crosses_two_chunks),
-        ("classical_strategy", [100, 200], 100, [1, 20], _smallest_censored),
+        ("depolarizing_strategy", [20, 60, 61], 60, 20, None),
+        ("tie_strategy", [3, 3, 8], 200, 20, None),
+        ("block_strategy", [10, 50], 60, 20, None),
+        ("fixed_strategy", [4, 10], sim._ROWS + 44, 20, None),
+        ("classical_strategy", [100, 300], 30, 20, _crosses_two_chunks),
+        ("classical_strategy", [100, 200], 100, 1, _smallest_censored),
     ],
     ids=[
         "distinct-arms",
@@ -196,19 +220,16 @@ def _smallest_censored(t_stop, decision):
         "censored-smallest",
     ],
 )
-def test_multi_budget_walk_matches_single_step(request, fixture, budgets, trials, cap_factors, exercised):
+def test_multi_budget_walk_matches_single_step(request, fixture, budgets, trials, cap_factor, exercised):
     """One walk for several budgets stops every trace, for every budget, where
     step_sprt with that budget's thresholds and cap stops it."""
     strat = request.getfixturevalue(fixture)
-    plans = [
-        SimulationPlan(strategy=strat.with_budget(n), trials=trials, base_seed=33, step_cap_factor=f)
-        for n, f in zip(budgets, cap_factors or [20] * len(budgets))
-    ]
+    plan = SimulationPlan(strategy=strat, trials=trials, base_seed=33, step_cap_factor=cap_factor)
     for hyp in (0, 1):
-        t_stop, decision, drawn = _simulate_hypothesis(plans, hyp)
+        t_stop, decision, drawn = _simulate_hypothesis(plan, hyp, budgets)
         assert drawn >= t_stop[-1].sum()
-        for b, plan in enumerate(plans):
-            assert list(zip(t_stop[b], decision[b])) == _replay(plan.strategy, hyp, plan)
+        for b, n in enumerate(budgets):
+            assert list(zip(t_stop[b], decision[b])) == _replay(strat.with_budget(n), hyp, plan)
         if exercised is not None:
             assert exercised(t_stop, decision)
 
@@ -258,11 +279,10 @@ def test_sweep_of_no_budgets(classical_strategy):
 
 def test_first_over_censored_budget_raises(classical_strategy):
     capped = SimulationPlan(strategy=classical_strategy, trials=200, base_seed=9, step_cap_factor=1)
-    wide = SimulationPlan(strategy=classical_strategy.with_budget(300), trials=200, base_seed=9)
     with pytest.raises(ExcessiveCensoringError) as alone:
         run_trials(capped)
     with pytest.raises(ExcessiveCensoringError) as walked:
-        _run([capped, wide])
+        _run(capped, [classical_strategy.n, 300])
     assert str(walked.value) == str(alone.value)
 
 
@@ -300,6 +320,7 @@ def test_monte_carlo_logs_one_debug_record(classical_strategy, caplog):
     pad=hst.integers(0, 5),
     seed=hst.integers(0, 2**32 - 1),
 )
+@example(weights=[1.0] * (sim._COUNT_MAX + 1), pad=0, seed=0)
 def test_outcome_index_is_searchsorted(weights, pad, seed):
     """The comparison count is searchsorted(side="right") on uniforms in
     [0, 1), also on ties with cdf entries, zero-probability outcomes and the
@@ -425,5 +446,5 @@ def test_block_strategy_stop_times_in_uses(block_strategy):
     assert s.alpha_hat == 0.0 and s.beta_hat == 0.0
     # stopping times are counted in channel uses: with pairs of uses per
     # block step, the mean over any trial set has at most .5 fractional part
-    (t_steps,), _, _ = _simulate_hypothesis([plan], 0)
+    (t_steps,), _, _ = _simulate_hypothesis(plan, 0, [strat.n])
     assert np.all((t_steps * strat.block_size) % 2 == 0)
