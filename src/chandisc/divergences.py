@@ -32,7 +32,7 @@ from .errors import (
     InvalidAlphaError,
     OptimizerFailure,
 )
-from .linalg import PSD_TOL, hermitian_eigen, matrix_function, support_contained
+from .linalg import PSD_TOL, hermitian_eigen, support_contained
 from .optimize import (
     OptimizerConfig,
     _adjoint,
@@ -166,18 +166,20 @@ def rel_entropy_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceVa
     """Quantum relative entropy Tr[rho0 (log rho0 - log rho1)] in nats: the
     value of _relative_terms, the formula the input search ascends."""
     _check_pair(rho0, rho1)
-    if not support_contained(rho0.mat, rho1.mat):
+    if not support_contained(rho0.mat, rho1.spectrum):
         return DivergenceValue(math.inf, is_finite=False)
     return DivergenceValue(float(_relative_terms(rho0.mat[None], rho1.mat[None])[0][0]))
 
 
 def max_div_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
     """Max-divergence: log of the largest generalized eigenvalue of
-    (rho0, rho1) on the support of rho1, in nats."""
+    (rho0, rho1) on the support of rho1, in nats, with rho1^{-1/2} taken on
+    its support from rho1's spectrum."""
     _check_pair(rho0, rho1)
-    if not support_contained(rho0.mat, rho1.mat):
+    if not support_contained(rho0.mat, rho1.spectrum):
         return DivergenceValue(math.inf, is_finite=False)
-    inv_sqrt = matrix_function(rho1.mat, lambda x: x**-0.5, support_only=True)
+    w, v = rho1.spectrum
+    inv_sqrt = (v * np.where(w > PSD_TOL, np.maximum(w, PSD_TOL) ** -0.5, 0.0)) @ v.conj().T
     m = inv_sqrt @ rho0.mat @ inv_sqrt
     lam = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
     return DivergenceValue(math.log(max(lam, 1e-300)))
@@ -192,7 +194,7 @@ def sandwiched_renyi_states(
     if alpha <= 1.0:
         raise InvalidAlphaError(f"alpha must exceed 1, got {alpha}")
     _check_pair(rho0, rho1)
-    if not support_contained(rho0.mat, rho1.mat):
+    if not support_contained(rho0.mat, rho1.spectrum):
         return DivergenceValue(math.inf, is_finite=False)
     return DivergenceValue(float(_renyi_terms(rho0.mat[None], rho1.mat[None], alpha)[0][0]))
 
@@ -213,11 +215,12 @@ def measured_rel_entropy_states(
     """
     cfg = cfg or OptimizerConfig()
     _check_pair(rho0, rho1)
-    if not support_contained(rho0.mat, rho1.mat):
+    if not support_contained(rho0.mat, rho1.spectrum):
         return DivergenceValue(math.inf, is_finite=False)
-    var_val, omega = variational_measured(rho0.mat, rho1.mat)
+    log_ratio = _safe_log_state(rho0.spectrum) - _safe_log_state(rho1.spectrum)
+    var_val, omega = variational_measured(rho0.mat, rho1.mat, log_ratio)
     _, omega_basis = hermitian_eigen(omega)
-    pvm_val, povm = pvm_search_measured(rho0.mat, rho1.mat, cfg, extra_bases=[omega_basis])
+    pvm_val, povm = pvm_search_measured(rho0.mat, rho1.mat, cfg, log_ratio, extra_bases=[omega_basis])
     notes = []
     if abs(var_val - pvm_val) > cfg.cross_check_tol:
         if abs(var_val - pvm_val) > 10 * cfg.cross_check_tol:
@@ -354,7 +357,7 @@ def channel_divergence(
         val.witness = ChannelWitness(input_vector=max_entangled_vector(n0.in_dim))
         return val
 
-    if not support_contained(n0.choi, n1.choi):
+    if not support_contained(n0.choi, n1.choi_state().spectrum):
         return DivergenceValue(math.inf, is_finite=False, is_lower_bound=False)
     if kind == "renyi" and (alpha is None or alpha <= 1.0):
         raise InvalidAlphaError("renyi kind needs alpha > 1")
@@ -371,7 +374,7 @@ def channel_divergence(
         starts = []
         for psi in inputs:
             s0, s1 = _apply_to_pure(n0, psi), _apply_to_pure(n1, psi)
-            h0 = _safe_log_state(s0) - _safe_log_state(s1)
+            h0 = _safe_log_state(hermitian_eigen(s0)) - _safe_log_state(hermitian_eigen(s1))
             starts.append(np.concatenate([pure_vector_to_params(psi), hermitian_to_params(h0)]))
     else:
         starts = [pure_vector_to_params(psi) for psi in inputs]

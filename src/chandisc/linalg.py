@@ -1,5 +1,5 @@
-"""Dense complex matrix kernel: Hermitian eigendecompositions, matrix
-functions, Kronecker products and partial traces.
+"""Dense complex matrix kernel: Hermitian eigendecompositions, Kronecker
+products, partial traces and the support-containment test.
 
 Everything downstream (states, channels, divergences) sits on top of these
 few routines, so the tolerances used here are the global numerical knobs of
@@ -7,8 +7,6 @@ the whole library.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -56,27 +54,6 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def matrix_function(
-    h: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    support_only: bool = False,
-) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix via its spectrum.
-
-    With support_only set, eigenvalues below PSD_TOL are mapped to 0 instead
-    of being passed through f (support-projection convention for log and
-    fractional powers of rank-deficient states).
-    """
-    w, v = hermitian_eigen(h)
-    if support_only:
-        fw = np.zeros_like(w)
-        mask = w > PSD_TOL
-        fw[mask] = f(w[mask])
-    else:
-        fw = f(w)
-    return (v * fw) @ v.conj().T
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; a result beyond DIM_CAP on either side raises."""
     a = np.asarray(a, dtype=complex)
@@ -87,13 +64,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"exceeds cap {DIM_CAP}"
         )
     return np.kron(a, b)
-
-
-def kron_all(mats: list[np.ndarray]) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
 
 
 def partial_trace(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
@@ -125,21 +95,17 @@ def partial_trace(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray
     return t.reshape(d_keep, d_keep)
 
 
-def support_projector(h: np.ndarray) -> np.ndarray:
-    """Projector onto the span of eigenvectors with eigenvalue above PSD_TOL."""
-    w, v = hermitian_eigen(h)
-    cols = v[:, w > PSD_TOL]
-    return cols @ cols.conj().T
-
-
-def support_contained(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether supp(a) is contained in supp(b), both Hermitian PSD.
+def support_contained(a: np.ndarray, spectrum_b: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether supp(a) is contained in supp(b), both Hermitian PSD, from b's
+    spectrum (eigenvalues, eigenvectors as columns).
 
     Compares the weight a puts outside supp(b), Tr[a - P_b a P_b], to
     1e-7 max(1, ||a||_F).  For PSD a it vanishes exactly when a - P_b a P_b
     does; the norm of that residual would also count cross terms of size
     sqrt(weight), so nearly rank-deficient pairs would read as not contained.
     """
-    pb = support_projector(b)
+    w, v = spectrum_b
+    cols = v[:, w > PSD_TOL]
+    pb = cols @ cols.conj().T
     outside = float(np.trace(a - pb @ a @ pb).real)
     return outside <= 1e-7 * max(1.0, frob(a))

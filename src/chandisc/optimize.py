@@ -311,11 +311,16 @@ def _lockstep_maximize(objective, starts: list[np.ndarray], max_iters: int) -> t
 # ---------------------------------------------------------------------------
 
 
+# Outcome probabilities at or below this are rounding noise: the KL rates
+# drop them, and the SPRT tables treat them as unreachable.
+NEGLIGIBLE_PROB = 1e-15
+
+
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """Classical KL in nats; +inf on support mismatch."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    mask = p > 1e-15
+    mask = p > NEGLIGIBLE_PROB
     if np.any(q[mask] <= 1e-300):
         return math.inf
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
@@ -326,15 +331,16 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     term by term, so zeros in place of the masked terms leave every partial
     sum unchanged and each row equals kl_divergence bit for bit; the PVM
     search only runs at d <= _PVM_SEARCH_MAX_DIM outcomes."""
-    mask = p > 1e-15
+    mask = p > NEGLIGIBLE_PROB
     zero_q = mask & (q <= 1e-300)
     ok = mask & ~zero_q
     terms = np.where(ok, p * (np.log(np.where(ok, p, 1.0)) - np.log(np.where(ok, q, 1.0))), 0.0)
     return np.where(zero_q.any(axis=-1), math.inf, terms.sum(axis=-1))
 
 
-def _safe_log_state(rho: np.ndarray) -> np.ndarray:
-    w, v = hermitian_eigen(rho)
+def _safe_log_state(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """log of a state from its spectrum, eigenvalues floored at 1e-12."""
+    w, v = spectrum
     w = np.maximum(w, 1e-12)
     return (v * np.log(w)) @ v.conj().T
 
@@ -356,20 +362,20 @@ def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
     return f, hermitian_grad_to_params(0.5 * (g + _adjoint(g))), h, (u * elam[..., None, :]) @ uh
 
 
-def variational_measured(rho0: np.ndarray, rho1: np.ndarray) -> tuple[float, np.ndarray]:
+def variational_measured(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray) -> tuple[float, np.ndarray]:
     """Concave program sup_H Tr[rho0 H] + 1 - Tr[rho1 exp(H)].
 
     The optimum equals the measured relative entropy; any iterate gives a
-    lower bound.  Two starts (log rho0 - log rho1, then H = 0) run in
-    lockstep, at most 2000 iterations each; the first wins ties.  Returns
-    (value in nats, optimal omega = exp(H)).
+    lower bound.  Two starts (log_ratio = log rho0 - log rho1, then H = 0)
+    run in lockstep, at most 2000 iterations each; the first wins ties.
+    Returns (value in nats, optimal omega = exp(H)).
     """
     d = rho0.shape[0]
 
     def objective(theta: np.ndarray):
         return _variational_terms(theta, rho0, rho1)[:2]
 
-    starts = [hermitian_to_params(_safe_log_state(rho0) - _safe_log_state(rho1)), np.zeros(d * d)]
+    starts = [hermitian_to_params(log_ratio), np.zeros(d * d)]
     x, value = _lockstep_maximize(objective, starts, 2000)
     omega = _variational_terms(x[None], rho0, rho1)[3][0]
     return float(value), omega
@@ -410,7 +416,7 @@ def _pvm_objective(rho0: np.ndarray, rho1: np.ndarray, base: np.ndarray):
         val = _kl_rows(p, q)
         finite = np.isfinite(val)
         # dKL/dp_i and dKL/dq_i; empty outcomes are stationary (dp_i = 0)
-        live = p > 1e-15
+        live = p > NEGLIGIBLE_PROB
         qs = np.where(live & (q > 1e-300), q, 1.0)
         dp = np.where(live, np.log(np.where(live, p, 1.0)) + 1.0 - np.log(qs), 0.0)
         dq = np.where(live, -p / qs, 0.0)
@@ -432,6 +438,7 @@ def pvm_search_measured(
     rho0: np.ndarray,
     rho1: np.ndarray,
     cfg: OptimizerConfig,
+    log_ratio: np.ndarray,
     extra_bases: list[np.ndarray] | None = None,
 ) -> tuple[float, Povm]:
     """Maximize the classical KL of the outcome distributions over rank-one
@@ -439,14 +446,14 @@ def pvm_search_measured(
     multi-start L-BFGS on the analytic gradient.
 
     Candidate reference bases always include the eigenbasis of
-    log rho0 - log rho1 (optimal in the commuting case) plus any caller
-    supplied bases, e.g. the eigenbasis of the variational optimizer's omega
-    (whose basis KL always dominates the variational value)."""
+    log_ratio = log rho0 - log rho1 (optimal in the commuting case) plus any
+    caller supplied bases, e.g. the eigenbasis of the variational optimizer's
+    omega (whose basis KL always dominates the variational value)."""
     d = rho0.shape[0]
     npar = d * d
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x9E)))
 
-    _, base = hermitian_eigen(_safe_log_state(rho0) - _safe_log_state(rho1))
+    _, base = hermitian_eigen(log_ratio)
     bases = [base, np.eye(d, dtype=complex)]
     if extra_bases:
         bases = list(extra_bases) + bases

@@ -22,7 +22,7 @@ from .errors import (
     InvalidStateError,
     NormalizationError,
 )
-from .linalg import PSD_TOL, frob, hermitian_eigen, kron
+from .linalg import PSD_TOL, frob, kron
 
 STATE_TOL = 1e-9
 CHANNEL_TOL = 1e-8
@@ -31,28 +31,28 @@ POVM_TOL = 1e-8
 
 @dataclass
 class DensityMatrix:
-    """Hermitian PSD unit-trace matrix; validated on construction."""
+    """Hermitian PSD unit-trace matrix; validated on construction.  mat is
+    stored exactly Hermitian, and spectrum is its one eigendecomposition, equal
+    to hermitian_eigen(mat) bit for bit, which validation and readers use."""
 
     mat: np.ndarray
     label: str | None = None
     dim: int = field(init=False)
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
-        m = linalg.check_square(self.mat)
+        m = linalg.check_square(np.asarray(self.mat, dtype=complex))
         if frob(m - m.conj().T) > STATE_TOL * max(1.0, frob(m)):
             raise InvalidStateError("state is not Hermitian within tolerance")
-        w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        self.mat = 0.5 * (m + m.conj().T)
+        self.spectrum = np.linalg.eigh(self.mat)
+        w = self.spectrum[0]
         if w[0] < -PSD_TOL:
             raise InvalidStateError(f"state has negative eigenvalue {w[0]:.3e}")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > STATE_TOL * 10:
             raise InvalidStateError(f"state trace {tr} differs from 1")
-        self.mat = 0.5 * (m + m.conj().T)
         self.dim = m.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
 
 
 def pure_state(vec: np.ndarray, label: str | None = None) -> DensityMatrix:
@@ -74,13 +74,14 @@ def max_entangled_state(d: int) -> DensityMatrix:
 
 @dataclass
 class QuantumChannel:
-    """CPTP map held as a Kraus list; Choi state cached lazily."""
+    """CPTP map held as a Kraus list; Choi matrix and state cached lazily."""
 
     kraus: list[np.ndarray]
     label: str | None = None
     in_dim: int = field(init=False)
     out_dim: int = field(init=False)
     _choi: np.ndarray | None = field(init=False, default=None, repr=False)
+    _choi_state: DensityMatrix | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.kraus = [np.asarray(k, dtype=complex) for k in self.kraus]
@@ -105,7 +106,9 @@ class QuantumChannel:
         return self._choi
 
     def choi_state(self) -> DensityMatrix:
-        return DensityMatrix(self.choi, label=f"choi({self.label})")
+        if self._choi_state is None:
+            self._choi_state = DensityMatrix(self.choi, label=f"choi({self.label})")
+        return self._choi_state
 
 
 @dataclass
@@ -280,7 +283,7 @@ def replacer_channel(sigma: DensityMatrix, in_dim: int | None = None) -> Quantum
     """rho -> Tr(rho) sigma; reduces channel discrimination to states."""
     if in_dim is None:
         in_dim = sigma.dim
-    w, v = hermitian_eigen(sigma.mat)
+    w, v = sigma.spectrum
     kraus = []
     for i, lam in enumerate(w):
         if lam <= PSD_TOL:

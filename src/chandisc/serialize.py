@@ -146,8 +146,8 @@ def _num_to_json(x: float):
 
 
 def _num_from_json(x) -> float:
-    if isinstance(x, str):
-        return math.inf if x == "inf" else -math.inf
+    if isinstance(x, str) and x not in ("inf", "-inf"):
+        raise ValueError(f"expected a number, 'inf' or '-inf', got {x!r}")
     return float(x)
 
 

@@ -63,8 +63,8 @@ class SimulationPlan:
     step_cap_factor: int = 20
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
         if not isinstance(self.base_seed, (int, np.integer)) or self.base_seed < 0:
             raise ValueError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
         if self.constraint not in (EXPECTATION, PROBABILISTIC):

@@ -25,7 +25,7 @@ from .errors import (
     TauTooLargeError,
     ZeroProbabilityOutcomeError,
 )
-from .optimize import OptimizerConfig, kl_divergence
+from .optimize import NEGLIGIBLE_PROB, OptimizerConfig, kl_divergence
 from .quantum import (
     DensityMatrix,
     Povm,
@@ -78,11 +78,13 @@ def rate_pair(p0: np.ndarray, p1: np.ndarray) -> tuple[float, float]:
 
 
 def _build_tables(laws: list[tuple[np.ndarray, np.ndarray]]) -> StrategyTables:
-    """Tables from the outcome laws (p0, p1) of each arm."""
+    """Tables from the outcome laws (p0, p1) of each arm.  Entries at or below
+    NEGLIGIBLE_PROB are rounding noise: set to 0, as the rates drop them."""
     n_out = max(p0.size for p0, _ in laws)
     dists = np.zeros((len(laws), 2, n_out))
     incs = np.zeros((len(laws), n_out))
     for i, (p0, p1) in enumerate(laws):
+        p0, p1 = (np.where(p > NEGLIGIBLE_PROB, p, 0.0) for p in (p0, p1))
         k = p0.size
         dists[i, 0, :k] = p0
         dists[i, 1, :k] = p1

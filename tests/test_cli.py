@@ -103,6 +103,20 @@ def test_sweep_command(tmp_path, runner):
     assert lines[1].startswith("50,") and lines[2].startswith("100,")
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_rounding_noise_outcomes_are_not_reachable(tmp_path, runner, command):
+    # the dephasing pair's witness arm has outcomes of probability ~1e-17
+    # under N_0 and exactly 0 under N_1; they must not read as reachable
+    channels = {
+        "n0": {"name": "dephasing", "params": {"p": 0.2}},
+        "n1": {"name": "dephasing", "params": {"p": 0.6}},
+    }
+    cfg = write_config(tmp_path, channels=channels)
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", command])
+    assert res.exit_code == 0, res.output
+
+
 def test_regions_command_and_rectangle_only(tmp_path, runner):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"

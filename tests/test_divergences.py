@@ -19,9 +19,11 @@ from chandisc.divergences import (
     sandwiched_renyi_states,
 )
 from chandisc.errors import InvalidAlphaError
+from chandisc.linalg import support_contained
 from chandisc.optimize import (
     OptimizerConfig,
     _pvm_objective,
+    _safe_log_state,
     _variational_terms,
     kl_divergence,
     variational_measured,
@@ -70,6 +72,36 @@ def test_max_div_oracle_one_bit():
     dv = max_div_states(diag(1.0, 0.0), diag(0.5, 0.5))
     assert abs(dv.in_bits() - 1.0) < 1e-12
     assert abs(dv.value - math.log(2.0)) < 1e-12
+
+
+def test_max_div_states_on_common_kernel():
+    # rho1^{-1/2} is taken on supp(rho1) only; the shared kernel adds nothing
+    dv = max_div_states(diag(0.8, 0.2, 0.0), diag(0.5, 0.5, 0.0))
+    assert abs(dv.value - math.log(1.6)) <= 1e-14
+
+
+def test_state_readers_reuse_the_stored_spectrum(monkeypatch):
+    """D_max and the support test read the spectra the states were built
+    with: neither state is decomposed again."""
+    rng = np.random.default_rng(5)
+    states = [random_density_matrix(3, rng), random_density_matrix(3, rng, rank=2)]
+    seen = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            seen.append((fn.__name__, np.array(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    for r0, r1 in (states, states[::-1]):
+        max_div_states(r0, r1)
+        support_contained(r0.mat, r1.spectrum)
+    # one pair is not contained; the finite one decomposes rho1^{-1/2} rho0 rho1^{-1/2} only
+    assert [name for name, _ in seen] == ["eigvalsh"]
+    assert not any(np.array_equal(a, r.mat) for _, a in seen for r in states)
 
 
 def test_sandwiched_renyi_alpha_to_one_limit():
@@ -129,7 +161,7 @@ def test_variational_measured_is_lower_bound_of_relative():
     rng = np.random.default_rng(17)
     r0 = random_density_matrix(3, rng)
     r1 = random_density_matrix(3, rng)
-    v, omega = variational_measured(r0.mat, r1.mat)
+    v, omega = variational_measured(r0.mat, r1.mat, _safe_log_state(r0.spectrum) - _safe_log_state(r1.spectrum))
     assert v <= rel_entropy_states(r0, r1).value + 1e-8
     assert np.linalg.eigvalsh(omega).min() > 0  # omega = exp(H) is positive
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chandisc import quantum
 from chandisc.errors import InvalidStateError, NormalizationError
+from chandisc.linalg import hermitian_eigen
 from chandisc.quantum import (
     DensityMatrix,
     Povm,
@@ -33,6 +36,22 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
     s = DensityMatrix(np.diag([0.25, 0.75]))
     assert s.dim == 2
+
+
+@given(
+    dim=st.integers(1, 16),
+    rank_cut=st.integers(0, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stored_spectrum_is_the_eigendecomposition(dim, rank_cut, seed):
+    """A state's one decomposition equals both eigh and hermitian_eigen of
+    its matrix bit for bit, full rank or not, so every reader gets the floats
+    it would compute itself."""
+    rank = max(1, dim - rank_cut)
+    s = random_density_matrix(dim, np.random.default_rng(seed), rank=rank)
+    w, v = s.spectrum
+    for w_ref, v_ref in (np.linalg.eigh(s.mat), hermitian_eigen(s.mat)):
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
 
 def test_channel_validation_and_choi():

@@ -111,6 +111,15 @@ def test_region_roundtrip_with_infinities():
     assert back.metadata["l"] == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "Infinity", "-Infinity", "inff", ""])
+def test_region_from_json_rejects_unknown_number_strings(bad):
+    doc = serialize.region_to_json(ExponentRegion(kind="rectangle", frontier=[(math.inf, -math.inf)]))
+    assert serialize.region_from_json(doc).frontier == [(math.inf, -math.inf)]
+    doc["frontier"] = [[bad, 0.5]]
+    with pytest.raises(ValueError, match=repr(bad)):
+        serialize.region_from_json(doc)
+
+
 def test_region_csv_contains_metadata_and_vertices():
     region = ExponentRegion(kind="hull", frontier=[(0.0, 1.0), (1.0, 0.0)], metadata={"samples": 8})
     text = serialize.region_to_csv(region, name="test")

@@ -288,11 +288,18 @@ def test_first_over_censored_budget_raises(classical_strategy):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"constraint": "median"}, {"step_cap_factor": 0}, {"step_cap_factor": -3}, {"step_cap_factor": 1.5}],
+    [
+        {"constraint": "median"},
+        {"step_cap_factor": 0},
+        {"step_cap_factor": -3},
+        {"step_cap_factor": 1.5},
+        {"trials": 2.5},
+        {"trials": 0},
+    ],
 )
 def test_plan_rejects_bad_constraint_and_cap(classical_strategy, kwargs):
     with pytest.raises(ValueError):
-        SimulationPlan(strategy=classical_strategy, trials=10, base_seed=0, **kwargs)
+        SimulationPlan(**{"strategy": classical_strategy, "trials": 10, "base_seed": 0, **kwargs})
 
 
 def test_monte_carlo_logs_one_debug_record(classical_strategy, caplog):
