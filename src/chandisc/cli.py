@@ -55,6 +55,11 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+# "integer" means a JSON integer literal: draft 7 alone also accepts 100.0
+_INTEGER = jsonschema.Draft7Validator.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int)
+_Validator = jsonschema.validators.extend(jsonschema.Draft7Validator, type_checker=_INTEGER)
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     if path is None:
         raise ConfigError("--config is required")
@@ -69,7 +74,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if value is not None:
             cfg[key] = value
     try:
-        jsonschema.validate(cfg, _schema())
+        jsonschema.validate(cfg, _schema(), cls=_Validator)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config rejected by schema: {exc.message}") from exc
     cfg.setdefault("seed", 0)

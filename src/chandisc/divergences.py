@@ -51,7 +51,9 @@ from .quantum import (
     DensityMatrix,
     Povm,
     QuantumChannel,
+    _apply_to_pure,
     _lifted_kraus,
+    _output,
     max_entangled_vector,
     pure_state,
     tensor_power_channel,
@@ -247,13 +249,6 @@ def measured_rel_entropy_states(
 KINDS = ("relative", "measured", "max", "renyi")
 
 
-def _output(a: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma = sum_k A_k |psi><psi| A_k^dag, and the rows V_k = A_k psi, for
-    one input vector psi or a stack (B, n) of them."""
-    v = (a @ psi[..., None, :, None])[..., 0]
-    return np.swapaxes(v, -1, -2) @ v.conj(), v
-
-
 def _pull_back(a: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradients in psi of Tr[G sigma(psi)] for Hermitian G, on a stack: the
     vectors 2 sum_k A_k^dag G A_k psi, with d Tr[G sigma] = Re <gradient,
@@ -265,11 +260,6 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] . b[i] for real rows, each as a 1 x n @ n x 1 product: the BLAS
     dot that np.dot and np.linalg.norm take on one vector."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _apply_to_pure(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
-    """(id_R (x) ch)(|psi><psi|) for psi on R (x) A with |R| = in_dim."""
-    return _output(_lifted_kraus(ch, psi.size // ch.in_dim), psi)[0]
 
 
 def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None = None):
@@ -351,6 +341,12 @@ def channel_divergence(
     if (n0.in_dim, n0.out_dim) != (n1.in_dim, n1.out_dim):
         raise DimensionMismatchError("channel pair has mismatched dimensions")
     cfg = cfg or OptimizerConfig()
+    d = n0.in_dim
+    dim_psi = d * d
+    extra = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
+    if any(v.shape != (dim_psi,) for v in extra):
+        shapes = [v.shape for v in extra]
+        raise DimensionMismatchError(f"extra starts {shapes}: input vectors on R (x) A have length {dim_psi}")
 
     if kind == "max":
         val = max_div_states(n0.choi_state(), n1.choi_state())
@@ -362,10 +358,8 @@ def channel_divergence(
     if kind == "renyi" and (alpha is None or alpha <= 1.0):
         raise InvalidAlphaError("renyi kind needs alpha > 1")
 
-    d = n0.in_dim
-    dim_psi = d * d
     objective, npar = _input_objective(n0, n1, kind, alpha)
-    inputs = [max_entangled_vector(d)] + [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
+    inputs = [max_entangled_vector(d)] + extra
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
     if kind == "measured":
         # H starts at the variational program's warm start for each input

@@ -23,7 +23,7 @@ from scipy.optimize import _lbfgsb
 
 from .errors import OptimizerFailure
 from .linalg import hermitian_eigen
-from .quantum import Povm, basis_pvm
+from .quantum import Povm, _basis_laws, basis_pvm
 
 logger = logging.getLogger("chandisc.optimize")
 
@@ -386,20 +386,6 @@ def basis_kl(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> float:
     from the columns of basis."""
     p, q, _, _ = _basis_laws(basis, rho0, rho1)
     return kl_divergence(p, q)
-
-
-def _basis_laws(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
-    """Normalized outcome laws of the basis PVMs (..., d, d), and
-    basis^dag rho_i."""
-    bh = _adjoint(basis)
-    left0 = bh @ rho0
-    left1 = bh @ rho1
-    bt = np.swapaxes(basis, -1, -2)
-    p = np.maximum(np.real(np.sum(left0 * bt, axis=-1)), 0.0)
-    q = np.maximum(np.real(np.sum(left1 * bt, axis=-1)), 0.0)
-    p_total = np.maximum(p.sum(axis=-1, keepdims=True), 1e-300)
-    q_total = np.maximum(q.sum(axis=-1, keepdims=True), 1e-300)
-    return p / p_total, q / q_total, left0, left1
 
 
 def _pvm_objective(rho0: np.ndarray, rho1: np.ndarray, base: np.ndarray):

@@ -2,10 +2,11 @@
 
 Channels are stored as Kraus operator lists.  Every application of
 id_R (x) N goes through one map: the stacked operators A_k = I_R (x) K_k
-built by _lifted_kraus, applied as sum_k A_k rho A_k^dag.  The cached
-unit-trace Choi state is that map's output on the maximally entangled
-input: J = (id (x) N)(|w><w|) with |w> the *normalized* maximally entangled
-vector, so J is itself a density matrix.
+built by _lifted_kraus, applied as sum_k A_k rho A_k^dag (by _output on pure
+inputs, one vector or a stack).  The cached unit-trace Choi state is that
+map's output on the maximally entangled input: J = (id (x) N)(|w><w|) with
+|w> the *normalized* maximally entangled vector, so J is itself a density
+matrix.  _basis_laws gives the outcome laws of every rank-one PVM.
 """
 
 from __future__ import annotations
@@ -169,11 +170,31 @@ def apply_channel(ch: QuantumChannel, state: DensityMatrix, ancilla_dim: int = 1
     return DensityMatrix((a @ state.mat @ a.conj().transpose(0, 2, 1)).sum(axis=0))
 
 
+def _output(a: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma = sum_k A_k |psi><psi| A_k^dag, and the rows V_k = A_k psi, for
+    one input vector psi or a stack (B, n) of them."""
+    v = (a @ psi[..., None, :, None])[..., 0]
+    return np.swapaxes(v, -1, -2) @ v.conj(), v
+
+
+def _apply_to_pure(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
+    """(id_R (x) ch)(|psi><psi|) for psi (or a stack of them) on R (x) A."""
+    return _output(_lifted_kraus(ch, psi.shape[-1] // ch.in_dim), psi)[0]
+
+
 def choi_from_kraus(ch: QuantumChannel) -> np.ndarray:
-    """Unit-trace Choi state J = (id (x) ch)(|w><w|), |w> normalized: the
-    rows v_k = A_k |w> give J = sum_k |v_k><v_k|."""
-    v = _lifted_kraus(ch, ch.in_dim) @ max_entangled_vector(ch.in_dim)
-    return v.T @ v.conj()
+    """Unit-trace Choi state J = (id (x) ch)(|w><w|), |w> normalized."""
+    return _apply_to_pure(ch, max_entangled_vector(ch.in_dim))
+
+
+def _basis_laws(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
+    """Normalized outcome laws of the rank-one PVMs on the columns of basis
+    (..., d, d) in rho0 and in rho1, and basis^dag rho_i."""
+    bh, bt = np.swapaxes(basis.conj(), -1, -2), np.swapaxes(basis, -1, -2)
+    left0, left1 = bh @ rho0, bh @ rho1
+    p, q = (np.maximum(np.real(np.sum(left * bt, axis=-1)), 0.0) for left in (left0, left1))
+    p_total, q_total = (np.maximum(x.sum(axis=-1, keepdims=True), 1e-300) for x in (p, q))
+    return p / p_total, q / q_total, left0, left1
 
 
 def tensor_power_channel(ch: QuantumChannel, l: int) -> QuantumChannel:

@@ -19,7 +19,7 @@ import numpy as np
 from .divergences import block_divergence
 from .errors import DegenerateSamplingError
 from .optimize import OptimizerConfig
-from .quantum import QuantumChannel, random_basis_pvm, random_pure_state, tensor_power_channel
+from .quantum import QuantumChannel, _apply_to_pure, _basis_laws, _ginibre, random_unitary, tensor_power_channel
 from .strategies import Arm, arm_laws, rate_pair
 
 RECTANGLE = "rectangle"
@@ -126,41 +126,33 @@ def non_adaptive_region(
 ) -> ExponentRegion:
     """Down-closure of the convex hull of sampled classical KL pairs.
 
-    Samples random pure bipartite inputs with random rank-one PVMs, plus any
-    caller-supplied (input, POVM) arms (e.g. the SPRT witness arms).  Inner
-    bound by construction.
+    Each sample is a Ginibre input on R (x) A, then a Haar random rank-one
+    PVM; all samples' laws come from one batched pass of the pure-input map
+    and the basis-law kernel, and caller-supplied arms (e.g. the SPRT
+    witness arms) go through arm_laws.  Rates come from rate_pair; pairs
+    with an infinite rate count as skipped_infinite.  Inner bound by
+    construction, and (0, 0) when no rate exceeds 1e-12.
     """
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5A)))
     d_in = n0.in_dim
     d_meas = d_in * n0.out_dim
-    points = []
-    skipped = 0
-
-    def add_pair(arm):
-        nonlocal skipped
-        r0, r1 = rate_pair(*arm_laws(arm, n0, n1))
-        if math.isfinite(r0) and math.isfinite(r1):
-            points.append((r0, r1))
-        else:
-            skipped += 1
-
-    for arm in extra_arms or []:
-        add_pair(arm)
-    for _ in range(samples):
-        rho = random_pure_state(d_in * d_in, rng)
-        add_pair(Arm(rho, random_basis_pvm(d_meas, rng), d_in))
-
-    if not points or max(max(p) for p in points) <= 1e-12:
-        if points:
-            return ExponentRegion(kind=HULL, frontier=[(0.0, 0.0)], metadata={"samples": samples})
+    psis = np.empty((samples, d_in * d_in), dtype=complex)
+    bases = np.empty((samples, d_meas, d_meas), dtype=complex)
+    for i in range(samples):
+        psis[i], bases[i] = _ginibre(d_in * d_in, 1, rng)[:, 0], random_unitary(d_meas, rng)
+    # the kernel normalizes each law, so the inputs need not be unit vectors
+    p0, p1, _, _ = _basis_laws(bases, _apply_to_pure(n0, psis), _apply_to_pure(n1, psis))
+    pairs = [rate_pair(*arm_laws(arm, n0, n1)) for arm in extra_arms or []]
+    pairs += [rate_pair(a, b) for a, b in zip(p0, p1)]
+    points = [p for p in pairs if math.isfinite(p[0]) and math.isfinite(p[1])]
+    if not points:
         raise DegenerateSamplingError("no finite KL pairs sampled")
-
-    frontier = pareto_hull(points)
+    frontier = pareto_hull(points) if max(max(p) for p in points) > 1e-12 else [(0.0, 0.0)]
     return ExponentRegion(
         kind=HULL,
         frontier=frontier,
-        metadata={"samples": samples, "skipped_infinite": skipped, "bound": "inner"},
+        metadata={"samples": samples, "skipped_infinite": len(pairs) - len(points), "bound": "inner"},
     )
 
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from chandisc.divergences import (
-    _apply_to_pure,
     channel_divergence,
     max_div_states,
     measured_rel_entropy_states,
@@ -24,6 +23,7 @@ from chandisc.divergences import (
 from chandisc.optimize import OptimizerConfig, kl_divergence
 from chandisc.quantum import (
     DensityMatrix,
+    _apply_to_pure,
     bernoulli_replacer,
     depolarizing_channel,
     identity_channel,

@@ -164,6 +164,32 @@ def test_config_errors_exit_2(tmp_path, runner):
     res4 = runner.invoke(main, ["--config", str(block), "--out", str(out), "divergence"])
     assert res4.exit_code == 2
     assert "schema" in res4.output
+    # "integer" keys take JSON integer literals only: an integral float is a
+    # config error for the command that reads the key
+    base = json.loads(write_config(tmp_path).read_text())
+    floats = [
+        ("simulate", ("simulate", "trials"), 100.0),
+        ("simulate", ("simulate", "step_cap_factor"), 4.0),
+        ("simulate", ("simulate", "l"), 2.0),
+        ("simulate", ("simulate", "n"), 100.0),
+        ("simulate", ("seed",), 7.0),
+        ("sweep", ("sweep", "trials"), 50.0),
+        ("sweep", ("sweep", "budgets"), [50.0, 100]),
+        ("regions", ("regions", "l_max"), 2.0),
+        ("regions", ("regions", "samples"), 32.0),
+        ("divergence", ("optimizer", "restarts"), 2.0),
+    ]
+    for command, key, value in floats:
+        cfg = json.loads(json.dumps(base))
+        node = cfg
+        for k in key[:-1]:
+            node = node[k]
+        node[key[-1]] = value
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(cfg))
+        res5 = runner.invoke(main, ["--config", str(path), "--out", str(out), "--no-timestamp", command])
+        assert res5.exit_code == 2, (key, res5.output)
+        assert "config rejected by schema" in res5.output, key
     # a rejected config leaves no run directory behind
     assert not out.exists()
 

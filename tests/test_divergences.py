@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chandisc.divergences import (
-    _apply_to_pure,
     _input_objective,
     _relative_terms,
     _renyi_terms,
@@ -18,7 +17,7 @@ from chandisc.divergences import (
     rel_entropy_states,
     sandwiched_renyi_states,
 )
-from chandisc.errors import InvalidAlphaError
+from chandisc.errors import DimensionMismatchError, InvalidAlphaError
 from chandisc.linalg import support_contained
 from chandisc.optimize import (
     OptimizerConfig,
@@ -30,6 +29,7 @@ from chandisc.optimize import (
 )
 from chandisc.quantum import (
     DensityMatrix,
+    _apply_to_pure,
     bernoulli_replacer,
     dephasing_channel,
     depolarizing_channel,
@@ -191,6 +191,14 @@ def test_channel_max_divergence_exact_on_choi():
 def test_channel_divergence_infinite_pair():
     dv = channel_divergence(depolarizing_channel(0.5), identity_channel(2), kind="relative")
     assert not dv.is_finite and math.isinf(dv.value)
+
+
+def test_channel_divergence_rejects_wrong_length_extra_start():
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    for bad in (np.ones(3), np.ones(16), np.ones((4, 1))):
+        for kind in ("relative", "measured", "max"):
+            with pytest.raises(DimensionMismatchError, match="length 4"):
+                channel_divergence(n0, n1, kind=kind, cfg=OptimizerConfig(extra_starts=[bad]))
 
 
 def test_equal_channels_zero():

@@ -23,6 +23,7 @@ from chandisc.quantum import (
     random_channel,
     random_density_matrix,
     random_pure_state,
+    random_unitary,
     replacer_channel,
     tensor_power_channel,
     validate_channel_pair,
@@ -167,6 +168,26 @@ def test_outcome_distribution_normalizes():
     p = outcome_distribution(ch, rho, 1, m)
     assert abs(p.sum() - 1.0) < 1e-15
     assert np.allclose(p, [1.0, 0.0], atol=1e-12)
+
+
+def test_pure_input_map_and_basis_laws_on_a_stack():
+    """The stacked pure-input map equals the map on each input bit for bit,
+    and the basis-law kernel agrees with outcome_distribution to rounding."""
+    rng = np.random.default_rng(11)
+    ch = random_channel(2, 3, 4, rng)
+    psis = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    bases = np.array([random_unitary(6, rng) for _ in psis])
+    outs = quantum._apply_to_pure(ch, psis)
+    assert outs.shape == (5, 6, 6)
+    for psi, out in zip(psis, outs):
+        assert np.array_equal(out, quantum._apply_to_pure(ch, psi))
+    p, q, _, _ = quantum._basis_laws(bases, outs, outs[::-1])
+    for i, (psi, basis) in enumerate(zip(psis, bases)):
+        want = outcome_distribution(ch, pure_state(psi), 2, basis_pvm(basis))
+        assert np.max(np.abs(p[i] - want)) <= 1e-15
+        want_q = outcome_distribution(ch, pure_state(psis[4 - i]), 2, basis_pvm(basis))
+        assert np.max(np.abs(q[i] - want_q)) <= 1e-15
 
 
 def test_validate_channel_pair_finiteness():

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chandisc import quantum, regions, strategies
 from chandisc.optimize import OptimizerConfig, kl_divergence
-from chandisc.quantum import bernoulli_replacer, depolarizing_channel, random_channel
+from chandisc.quantum import (
+    basis_pvm,
+    bernoulli_replacer,
+    depolarizing_channel,
+    pure_state,
+    random_channel,
+    random_unitary,
+)
 from chandisc.regions import (
     ExponentRegion,
     adaptive_region,
@@ -16,6 +24,7 @@ from chandisc.regions import (
     pareto_hull,
     region_chain,
 )
+from chandisc.strategies import Arm, arm_laws, rate_pair
 
 CFG = OptimizerConfig(restarts=2, max_iters=60)
 
@@ -159,6 +168,72 @@ def test_non_adaptive_region_inside_adaptive():
     hull = non_adaptive_region(n0, n1, cfg=CFG, samples=64)
     assert hull.kind == "hull"
     assert containment(hull, adapt, slack=1e-6).contained
+
+
+def _qutrit_pair():
+    rng = np.random.default_rng(5)
+    return random_channel(3, 3, 9, rng), random_channel(3, 3, 9, rng)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [lambda: (depolarizing_channel(0.3), depolarizing_channel(0.7)), _qutrit_pair],
+    ids=["qubit", "qutrit"],
+)
+def test_non_adaptive_samples_match_per_sample_arms(pair, monkeypatch):
+    """The batched hull rates equal those of one Arm per sample on the same
+    seeded draws (per sample: the Ginibre input, then the PVM's unitary).
+    The qutrit pair has 9 outcomes per law."""
+    n0, n1 = pair()
+    got = []
+
+    def spy(p0, p1):
+        got.append(rate_pair(p0, p1))
+        return got[-1]
+
+    monkeypatch.setattr(regions, "rate_pair", spy)
+    cfg = OptimizerConfig(seed=3)
+    hull = non_adaptive_region(n0, n1, cfg=cfg, samples=64, extra_arms=[])
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5A)))
+    d = n0.in_dim
+    want = []
+    for _ in range(64):
+        psi = quantum._ginibre(d * d, 1, rng)[:, 0]
+        arm = Arm(pure_state(psi), basis_pvm(random_unitary(d * n0.out_dim, rng)), d)
+        want.append(rate_pair(*arm_laws(arm, n0, n1)))
+    assert len(got) == len(want) == 64
+    for g, w in zip(np.ravel(got), np.ravel(want)):
+        assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (g, w)
+    skipped = sum(not (math.isfinite(a) and math.isfinite(b)) for a, b in want)
+    assert hull.metadata["skipped_infinite"] == skipped
+
+
+def test_non_adaptive_samples_make_no_per_sample_objects(monkeypatch):
+    calls = []
+    real = quantum.outcome_distribution
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quantum, "outcome_distribution", spy)
+    monkeypatch.setattr(strategies, "outcome_distribution", spy)
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    non_adaptive_region(n0, n1, cfg=CFG, samples=64, extra_arms=[])
+    assert calls == []
+    # the extra arms still go through arm_laws, two laws each
+    arm = Arm(pure_state(quantum.max_entangled_vector(2)), basis_pvm(np.eye(4)), 2)
+    non_adaptive_region(n0, n1, cfg=CFG, samples=64, extra_arms=[arm, arm])
+    assert len(calls) == 4
+
+
+def test_non_adaptive_region_degenerate_pair_has_full_metadata():
+    ch = depolarizing_channel(0.3)
+    flat = non_adaptive_region(ch, ch, cfg=CFG, samples=16)
+    assert flat.frontier == [(0.0, 0.0)]
+    normal = non_adaptive_region(ch, depolarizing_channel(0.7), cfg=CFG, samples=16)
+    assert flat.metadata == {"samples": 16, "skipped_infinite": 0, "bound": "inner"}
+    assert flat.metadata.keys() == normal.metadata.keys()
 
 
 def test_converse_dominates_adaptive():
