@@ -414,22 +414,26 @@ def block_divergence(
     When the l = 1 witness input is known, pass it via cfg.extra_starts as a
     vector on (R A); it is lifted to the product input on the block system so
     the per-use value never drops below the l = 1 estimate (up to optimizer
-    tolerance).
+    tolerance).  Starts on the block system (R A)^l are used as they are;
+    a start of any other length raises DimensionMismatchError.
     """
     cfg = cfg or OptimizerConfig()
     if l == 1:
         dv = channel_divergence(n0, n1, kind=kind, alpha=alpha, cfg=cfg)
         return BlockEstimate(1, dv.value, witness=dv.witness, total_value=dv.value)
+    d2 = n0.in_dim**2
+    starts = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
+    if any(v.size not in (d2, d2**l) for v in starts):
+        raise DimensionMismatchError(
+            f"extra starts of sizes {[v.size for v in starts]}: input vectors on R (x) A have length {d2}, "
+            f"on its {l}-fold block {d2**l}"
+        )
     b0 = tensor_power_channel(n0, l)
     b1 = tensor_power_channel(n1, l)
     lifted = replace(
         cfg,
-        extra_starts=[
-            product_input_vector(np.asarray(v, dtype=complex), n0.in_dim, l)
-            for v in cfg.extra_starts
-            if np.asarray(v).size == n0.in_dim**2
-        ]
-        + [v for v in cfg.extra_starts if np.asarray(v).size == (n0.in_dim**2) ** l],
+        extra_starts=[product_input_vector(v, n0.in_dim, l) for v in starts if v.size == d2]
+        + [v for v in starts if v.size == d2**l],
     )
     dv = channel_divergence(b0, b1, kind=kind, alpha=alpha, cfg=lifted)
     per_use = dv.value / l

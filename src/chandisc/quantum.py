@@ -349,10 +349,6 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    return pure_state(_ginibre(dim, 1, rng).reshape(-1))
-
-
 def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     g = _ginibre(dim, rank or dim, rng)
     m = g @ g.conj().T
@@ -362,10 +358,6 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(_ginibre(dim, dim, rng))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_basis_pvm(dim: int, rng: np.random.Generator) -> Povm:
-    return basis_pvm(random_unitary(dim, rng), label="random-pvm")
 
 
 def random_channel(

@@ -241,9 +241,15 @@ def region_chain(
     """
     cfg = cfg or OptimizerConfig()
     adaptive: dict[int, ExponentRegion] = {}
-    carried: list[np.ndarray] = list(cfg.extra_starts)
+    carried: list[np.ndarray] = []  # witness inputs, on (R A)^l for the block size l that found them
+
+    def starts(l: int) -> list:
+        """The caller's starts, then the carried witnesses block size l takes:
+        those of l = 1, lifted to product inputs, and those of l itself."""
+        return list(cfg.extra_starts) + [w for w in carried if w.size in (n0.in_dim**2, n0.in_dim ** (2 * l))]
+
     for l in range(1, l_max + 1):
-        sub = replace(cfg, extra_starts=list(carried))
+        sub = replace(cfg, extra_starts=starts(l))
         if l > 1:
             # block searches get a reduced budget; the product starts carry
             # the l = 1 quality
@@ -273,7 +279,7 @@ def region_chain(
         floor_x, floor_y = max(x, floor_x), max(y, floor_y)
         adaptive[l].frontier = [(floor_x, floor_y)]
 
-    conv_cfg = replace(cfg, restarts=max(4, cfg.restarts // 4), extra_starts=list(carried))
+    conv_cfg = replace(cfg, restarts=max(4, cfg.restarts // 4), extra_starts=starts(l_max))
     conv = converse_region(n0, n1, list(alpha_grid), l=l_max, cfg=conv_cfg)
     # the sandwiched divergence dominates the measured one pointwise, so the
     # adaptive corner is also a certified floor for the converse estimate

@@ -12,14 +12,21 @@ a hypothesis in one uint32 pass, and PCG64 seeds itself from those words as
 it would from the SeedSequence.  Traces are walked in row blocks, a chunk of
 uniforms per trace at a time (32 in the first pass, 256 in each later one),
 traces down and steps across; PCG64 spends one word per double, so chunked
-draws continue the stream exactly.  The outcome of a uniform is the index
-searchsorted(side="right") gives: the count of cdf entries at or below it,
-one comparison pass per entry below 1, for laws of up to _COUNT_MAX such
-entries, and searchsorted's binary search itself for larger laws.  When
-every playable arm has the same table the running sums are one cumsum along
-each row, a sequential add.accumulate, so they are the floats of
-step-by-step addition.  Distinct adaptive arms take a per-step loop, since
-the arm rule is a recurrence on the sign of the sum.
+draws continue the stream exactly.  Most short traces stop in the first
+chunk, so no generator is built for it: _first_pass computes the coin and
+the first chunk of _PASS traces at once, with PCG64's 128-bit LCG jumped
+ahead on uint64 words.  A trace that outlives it gets a numpy PCG64 seeded
+with words whose stream starts where the pass stopped: the state of
+PCG64.advance by the uniforms drawn, coin included, without its cost.
+
+The outcome of a uniform is the index searchsorted(side="right") gives:
+the count of cdf entries at or below it, one comparison pass per entry
+below 1, for laws of up to _COUNT_MAX such entries, and searchsorted's
+binary search itself for larger laws.  When every playable arm has the same
+table the running sums are one cumsum along each row, a sequential
+add.accumulate, so they are the floats of step-by-step addition.  Distinct
+adaptive arms take a per-step loop, since the arm rule is a recurrence on
+the sign of the sum.
 
 One walk serves every budget of a sweep: the budgets share the seed and the
 tables, and differ only in the band (-A_n, B_n) and the cap.  As 0 < tau <
@@ -31,6 +38,7 @@ one-budget case.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -48,6 +56,7 @@ CENSOR_FRACTION_LIMIT = 0.05
 _FIRST_CHUNK = 32  # uniforms drawn per trace in the first pass: short plans stop in it
 _CHUNK = 256  # uniforms drawn per trace in every later pass
 _ROWS = 256  # traces walked together
+_PASS = 4 * _ROWS  # traces whose first chunk one vectorised PCG64 pass draws: its uint64 arrays stay near 1.4 MB
 _COUNT_MAX = 128  # cdf cuts up to which one comparison pass per cut beats a binary search
 
 logger = logging.getLogger("chandisc.sim")
@@ -173,33 +182,34 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _hasher(const: int, mult: int):
-    """numpy SeedSequence's hashmix on uint32 arrays; const advances per call."""
+    """numpy SeedSequence's hashmix on ints or uint32 arrays; const advances per call."""
 
     def hashmix(v):
         nonlocal const
-        v = v ^ np.uint32(const)
+        v = v ^ const
         const = const * mult & _MASK32
-        v = v * np.uint32(const)
-        return v ^ (v >> np.uint32(16))
+        v = v * const & _MASK32
+        return v ^ (v >> 16)
 
     return hashmix
 
 
 def _seed_words(base_seed: int, hyp: int, trials: int) -> np.ndarray:
     """Row t is SeedSequence(entropy=base_seed, spawn_key=(hyp, t))
-    .generate_state(4, np.uint64), for every t < trials in one uint32 pass."""
+    .generate_state(4, np.uint64), for every t < trials in one uint32 pass.
+    Every word but the trial index is shared, so the pool is mixed on ints
+    until the trial indices enter it."""
     seed = int(base_seed)
     entropy = [seed & _MASK32]
     while seed := seed >> 32:
         entropy.append(seed & _MASK32)
     entropy += [0] * (4 - len(entropy))  # a spawn key pads the entropy to the pool size
-    # arrays, not scalars: numpy wraps uint32 arrays silently but warns on scalar overflow
-    words = [np.full(1, w, np.uint32) for w in entropy + [hyp]] + [np.arange(trials, dtype=np.uint32)]
+    words = entropy + [hyp, np.arange(trials, dtype=np.uint32)]
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
 
     def mix(x, y):
-        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-        return r ^ (r >> np.uint32(16))
+        r = (0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32) & _MASK32
+        return r ^ (r >> 16)
 
     pool = [hashmix(w) for w in words[:4]]
     for src in range(4):
@@ -222,6 +232,78 @@ class _PresetSeed(np.random.bit_generator.ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # the multiplier of numpy PCG64's 128-bit LCG
+_U32 = np.uint64(_MASK32)
+
+
+@functools.cache
+def _jumps(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Multipliers a and b, as (high, low) uint64 words with one row each,
+    such that a (s + inc) + b inc is the state of PCG64(seed s, increment
+    inc) after j draws, for j = 1..k, and in the last row is the seed s'
+    whose PCG64 starts after those k draws.
+
+    Seeding starts the LCG X <- M X + inc at M (s + inc) + inc, so after j
+    draws X = M^(j+1) (s + inc) + S_(j+1) inc, S_j = 1 + M + ... + M^(j-1);
+    and M (s' + inc) + inc equals it at j = k for s' = M^k (s + inc) + (S_k - 1) inc."""
+    pows, sums = [1], [0]
+    for _ in range(k + 1):
+        sums.append(sums[-1] + pows[-1])
+        pows.append(pows[-1] * _PCG_MULT % (1 << 128))
+    rows = (pows[2 : k + 2] + [pows[k]], sums[2 : k + 2] + [sums[k] - 1])
+    rows = [np.array(r, dtype=object)[:, None] % (1 << 128) for r in rows]
+    return [((r >> 64).astype(np.uint64), (r & (1 << 64) - 1).astype(np.uint64)) for r in rows]
+
+
+def _mul_add(x, c, hi, lo, tmp):
+    """(hi, lo) += x c mod 2**128 on (high, low) uint64 words, x one per
+    trace and c one per row, with 32-bit limbs for the high word of the low
+    words' product.  tmp is three work arrays shaped like hi."""
+    (xh, xl), (ch, cl) = x, c
+    x0, x1, c0, c1 = xl & _U32, xl >> 32, cl & _U32, cl >> 32
+    mid, p, q = tmp
+    np.right_shift(np.multiply(c0, x0, out=mid), 32, out=mid)
+    for ci, xi in ((c0, x1), (c1, x0)):
+        np.multiply(ci, xi, out=p)
+        mid += np.bitwise_and(p, _U32, out=q)
+        hi += np.right_shift(p, 32, out=p)
+    hi += np.right_shift(mid, 32, out=mid)
+    for ci, xi in ((c1, x1), (ch, xl), (cl, xh)):
+        hi += np.multiply(ci, xi, out=p)
+    lo += np.multiply(cl, xl, out=p)
+    hi += lo < p  # the carry of the low words
+
+
+def _first_pass(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k uniforms of Generator(PCG64(_PresetSeed(w))) for every row
+    w of words, one row per trace, and the seed words of the PCG64s that
+    continue each stream after them.
+
+    As numpy's pcg64_set_seed, the seed s is words 0-1 and the increment is
+    inc = 2 (words 2-3) + 1, high words first.  A draw steps the LCG and
+    turns its state into a double by XSL-RR, then (x >> 11) 2^-53.  Every
+    state is one jump from the seed (_jumps), so the draws are computed
+    across all traces and draws at once, draws down and traces across."""
+    w0, w1, w2, w3 = words.T
+    inc = ((w2 << 1) | (w3 >> 63), (w3 << 1) | 1)
+    lo = w1 + inc[1]
+    y = (w0 + inc[0] + (lo < w1), lo)  # s + inc
+    a, b = _jumps(k)
+    hi, lo, *tmp = np.zeros((5, k + 1, len(words)), np.uint64)
+    _mul_add(y, a, hi, lo, tmp)
+    _mul_add(inc, b, hi, lo, tmp)
+    later = words.copy()
+    later[:, 0], later[:, 1] = hi[k], lo[k]
+    hi, lo, x = hi[:k], lo[:k], tmp[0][:k]
+    lo ^= hi  # XSL-RR: fold the words, rotate right by the top 6 bits
+    rot = np.right_shift(hi, 58, out=hi)
+    np.right_shift(lo, rot, out=x)
+    lo <<= np.negative(rot, out=rot) & 63
+    lo |= x
+    lo >>= 11
+    return lo.T * 2.0**-53, later
 
 
 def _outcome_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -262,20 +344,26 @@ def _simulate_hypothesis(plan: SimulationPlan, hyp: int, ns: list[int]) -> tuple
     t_stop = np.repeat(caps[:, None], trials, axis=1)
     decision = np.full(t_stop.shape, CENSORED, dtype=np.int64)
     drawn = 0
+    coin = int(strategy.adaptive)
+    first_width = min(_FIRST_CHUNK, caps[0])
 
     for start in range(0, trials, _ROWS):
+        if start % _PASS == 0:
+            first, later = _first_pass(seeds[start : start + _PASS], coin + first_width)
         rows = np.arange(start, min(start + _ROWS, trials))
         band = np.zeros(rows.size, np.intp)  # first open band: the open ones are a suffix
-        gens = [np.random.Generator(np.random.PCG64(_PresetSeed(w))) for w in seeds[rows]]
-        if strategy.adaptive:
-            first_arm = np.array([g.random() for g in gens]) >= 0.5
+        if coin:
+            first_arm = first[rows % _PASS, 0] >= 0.5
         s = np.zeros(rows.size)
         step = 0
         while rows.size:
-            width = min(_CHUNK if step else _FIRST_CHUNK, caps[band.min()] - step)
-            u = np.empty((rows.size, width))  # traces down, steps across
-            for g, row in zip(gens, u):
-                g.random(out=row)
+            if step:
+                width = min(_CHUNK, caps[band.min()] - step)
+                u = np.empty((rows.size, width))  # traces down, steps across
+                for g, row in zip(gens, u):
+                    g.random(out=row)
+            else:
+                width, u = first_width, first[rows % _PASS, coin:]
             drawn += u.size
             idx = [_outcome_index(cdfs[a], u) for a in arms]
             # arm zero's increments overwrite the uniforms; mode="clip" takes unbuffered
@@ -308,7 +396,10 @@ def _simulate_hypothesis(plan: SimulationPlan, hyp: int, ns: list[int]) -> tuple
             band = np.maximum(band, np.searchsorted(caps, step, side="right"))  # censored at their caps
             left = band < len(ns)
             rows, band, s = rows[left], band[left], path[left, -1]
-            gens = [g for g, keep in zip(gens, left) if keep]
+            if step == first_width:  # the traces that outlive the first pass get generators
+                gens = [np.random.Generator(np.random.PCG64(_PresetSeed(w))) for w in later[rows % _PASS]]
+            else:
+                gens = [g for g, keep in zip(gens, left) if keep]
     return t_stop, decision, drawn
 
 

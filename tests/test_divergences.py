@@ -201,6 +201,13 @@ def test_channel_divergence_rejects_wrong_length_extra_start():
                 channel_divergence(n0, n1, kind=kind, cfg=OptimizerConfig(extra_starts=[bad]))
 
 
+def test_block_divergence_rejects_wrong_length_extra_start():
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    for bad in (np.ones(3), np.ones(64)):
+        with pytest.raises(DimensionMismatchError, match="length 4, on its 2-fold block 16"):
+            block_divergence(n0, n1, 2, kind="relative", cfg=OptimizerConfig(extra_starts=[bad]))
+
+
 def test_equal_channels_zero():
     ch = depolarizing_channel(0.4)
     for kind, alpha in (("relative", None), ("measured", None), ("max", None), ("renyi", 2.0)):

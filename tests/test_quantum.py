@@ -22,7 +22,6 @@ from chandisc.quantum import (
     pure_state,
     random_channel,
     random_density_matrix,
-    random_pure_state,
     random_unitary,
     replacer_channel,
     tensor_power_channel,
@@ -210,8 +209,8 @@ def test_random_channel_is_cptp():
 
 
 def test_random_generators_are_seeded():
-    a = random_pure_state(4, np.random.default_rng(7))
-    b = random_pure_state(4, np.random.default_rng(7))
+    a = pure_state(quantum._ginibre(4, 1, np.random.default_rng(7)).reshape(-1))
+    b = pure_state(quantum._ginibre(4, 1, np.random.default_rng(7)).reshape(-1))
     assert np.allclose(a.mat, b.mat)
 
 

@@ -287,3 +287,22 @@ def test_region_chain_depolarizing_hull_is_not_collapsed():
     assert chain.non_adaptive.max_r1() == pytest.approx(y, abs=1e-9)
     for key, rep in chain.containments.items():
         assert rep.contained, (key, rep.violations)
+
+
+def test_region_chain_passes_each_block_size_the_witnesses_that_fit(monkeypatch):
+    """Witnesses found at l = 2 are inputs on (R A)^2: block size 3 takes the
+    l = 1 witnesses, lifted, and its own, never those of l = 2."""
+    seen = []
+    real = regions.block_divergence
+
+    def spy(n0, n1, l, **kwargs):
+        seen.append((l, kwargs["kind"], sorted({np.asarray(v).size for v in kwargs["cfg"].extra_starts})))
+        return real(n0, n1, l, **kwargs)
+
+    monkeypatch.setattr(regions, "block_divergence", spy)
+    cfg = OptimizerConfig(restarts=1, max_iters=5)
+    region_chain(bernoulli_replacer(0.2), bernoulli_replacer(0.8), cfg=cfg, l_max=3, alpha_grid=(1.5,), samples=8)
+    assert {(l, kind) for l, kind, _ in seen} == {(1, "measured"), (2, "measured"), (3, "measured"), (3, "renyi")}
+    for l, kind, sizes in seen:
+        # the adaptive stage at l runs before its own witnesses exist; the converse runs after
+        assert sizes == ([] if l == 1 else [4] if kind == "measured" else [4, 4**l])

@@ -15,7 +15,7 @@ from chandisc.quantum import (
     bernoulli_replacer,
     depolarizing_channel,
     max_entangled_state,
-    random_basis_pvm,
+    random_unitary,
     random_channel,
 )
 from chandisc.sim import (
@@ -23,6 +23,7 @@ from chandisc.sim import (
     PROBABILISTIC,
     HypothesisStats,
     SimulationPlan,
+    _first_pass,
     _outcome_index,
     _PresetSeed,
     _run,
@@ -115,7 +116,7 @@ def many_outcome_strategy():
     144-outcome laws, more cuts than _outcome_index compares one by one."""
     rng = np.random.default_rng(5)
     n0, n1 = random_channel(12, rng=rng), random_channel(12, rng=rng)
-    arm_zero, arm_one = (Arm(max_entangled_state(12), random_basis_pvm(144, rng), 12) for _ in range(2))
+    arm_zero, arm_one = (Arm(max_entangled_state(12), basis_pvm(random_unitary(144, rng)), 12) for _ in range(2))
     strat = SprtStrategy(
         n0=n0, n1=n1, arm_zero=arm_zero, arm_one=arm_one, rate0=1.0, rate1=1.0, tau=0.1, n=20
     )
@@ -131,6 +132,10 @@ def _crosses_chunk(t_stop, decision):
     return bool(np.any((t_stop > sim._FIRST_CHUNK + sim._CHUNK) & (decision != CENSORED)))
 
 
+def _outlives_second_first_pass(t_stop, decision):
+    return bool(np.any(t_stop[sim._PASS :] > sim._FIRST_CHUNK))
+
+
 @pytest.mark.parametrize(
     "fixture, budget, trials, cap_factor, exercised",
     [
@@ -142,7 +147,11 @@ def _crosses_chunk(t_stop, decision):
         ("classical_strategy", None, 100, 1, _has_censored),
         ("classical_strategy", 300, 30, 20, _crosses_chunk),
         ("fixed_strategy", 10, sim._ROWS + 44, 20, None),
+        ("fixed_strategy", 20, sim._PASS + 44, 20, _outlives_second_first_pass),
         ("many_outcome_strategy", None, 60, 20, None),
+        ("classical_strategy", 1, 100, 20, None),
+        ("classical_strategy", None, 1, 20, None),
+        ("fixed_strategy", None, 1, 20, None),
     ],
     ids=[
         "adaptive",
@@ -153,7 +162,11 @@ def _crosses_chunk(t_stop, decision):
         "censored",
         "chunk-boundary",
         "row-blocks",
+        "pass-blocks",
         "many-outcomes",
+        "cap-below-first-chunk",
+        "one-trace-adaptive",
+        "one-trace-non-adaptive",
     ],
 )
 def test_batch_engine_matches_single_step(request, fixture, budget, trials, cap_factor, exercised):
@@ -201,6 +214,10 @@ def _smallest_censored(t_stop, decision):
     return bool(np.any(decision[0] == CENSORED))
 
 
+def _outlives_first_pass(t_stop, decision):
+    return bool(np.any((t_stop[-1] > sim._FIRST_CHUNK) & (decision[-1] != CENSORED)))
+
+
 @pytest.mark.parametrize(
     "fixture, budgets, trials, cap_factor, exercised",
     [
@@ -210,6 +227,9 @@ def _smallest_censored(t_stop, decision):
         ("fixed_strategy", [4, 10], sim._ROWS + 44, 20, None),
         ("classical_strategy", [100, 300], 30, 20, _crosses_two_chunks),
         ("classical_strategy", [100, 200], 100, 1, _smallest_censored),
+        ("classical_strategy", [1, 100], 100, 20, _outlives_first_pass),
+        ("fixed_strategy", [1, 100], 100, 20, _outlives_first_pass),
+        ("classical_strategy", [4, 100], 1, 20, None),
     ],
     ids=[
         "distinct-arms",
@@ -218,6 +238,9 @@ def _smallest_censored(t_stop, decision):
         "row-blocks",
         "past-two-chunks",
         "censored-smallest",
+        "first-cap-below-first-chunk-adaptive",
+        "first-cap-below-first-chunk-non-adaptive",
+        "one-trace",
     ],
 )
 def test_multi_budget_walk_matches_single_step(request, fixture, budgets, trials, cap_factor, exercised):
@@ -362,6 +385,34 @@ def test_batch_seed_words_match_seed_sequence(base, hyp, trial):
     assert np.array_equal(words, expect)
     rng = np.random.Generator(np.random.PCG64(_PresetSeed(words)))
     assert np.array_equal(rng.random(300), trial_rng(base, hyp, trial).random(300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=hst.integers(0, 2**128 - 1),
+    hyp=hst.sampled_from([0, 1]),
+    trials=hst.integers(1, 40),
+    k=hst.integers(1, sim._FIRST_CHUNK + 1),
+)
+@example(base=2**32 - 1, hyp=0, trials=1, k=sim._FIRST_CHUNK + 1)
+@example(base=2**32, hyp=1, trials=3, k=1)
+@example(base=2**64, hyp=0, trials=40, k=sim._FIRST_CHUNK)
+@example(base=2**128 - 1, hyp=1, trials=7, k=21)
+def test_first_pass_matches_numpy(base, hyp, trials, k):
+    """The vectorised first pass draws each trace's first k uniforms as
+    numpy's PCG64 does, and its continuation seeds start each stream where
+    PCG64.advance(k) does."""
+    words = _seed_words(base, hyp, trials)
+    first, later = _first_pass(words, k)
+    assert first.shape == (trials, k)
+    for w, u, v in zip(words, first, later):
+        assert np.array_equal(u, np.random.Generator(np.random.PCG64(_PresetSeed(w))).random(k))
+        assert np.random.PCG64(_PresetSeed(v)).state == np.random.PCG64(_PresetSeed(w)).advance(k).state
+    t = trials - 1
+    expect = trial_rng(base, hyp, t).random(k + 300)[k:]
+    advanced = np.random.Generator(np.random.PCG64(_PresetSeed(words[t])).advance(k))
+    assert np.array_equal(advanced.random(300), expect)
+    assert np.array_equal(np.random.Generator(np.random.PCG64(_PresetSeed(later[t]))).random(300), expect)
 
 
 @pytest.mark.parametrize("base_seed", [-1, -(2**40), 1.5, "3", None])
