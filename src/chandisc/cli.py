@@ -43,6 +43,7 @@ from .strategies import build_non_adaptive, build_sprt, lift_to_blocks
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+_SWEEP_BUDGETS = [100, 200, 400, 800]  # channel uses, when the config gives none
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +180,18 @@ def _load(ctx) -> dict:
     return load_config(ctx.obj["config_path"], ctx.obj["overrides"])
 
 
-def _run_command(ctx, command: str, fn) -> None:
+def _run_command(ctx, command: str, fn, check=None) -> None:
     try:
         cfg = _load(ctx)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     try:
-        # channels are built before the run directory exists, so a rejected
-        # config leaves nothing behind
+        # channels are built and the command's own check runs before the run
+        # directory exists, so a rejected config leaves nothing behind
         pair = build_pair(cfg)
+        if check is not None:
+            check(cfg)
         fn(cfg, pair, start_run(cfg, command, ctx.obj["no_timestamp"]))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
@@ -308,7 +311,7 @@ def sweep(ctx):
 
     def run(cfg, pair, out):
         opts = cfg.get("sweep", {})
-        budgets = opts.get("budgets", [100, 200, 400, 800])
+        budgets = opts.get("budgets", _SWEEP_BUDGETS)
         ocfg = optimizer_config(cfg)
         strategy = _build_strategy(cfg, pair, ocfg)
         records = sweep_budgets(
@@ -327,7 +330,14 @@ def sweep(ctx):
                 f"constraint_passed={rec.report.passed}"
             )
 
-    _run_command(ctx, "sweep", run)
+    def check(cfg):
+        sim = cfg.get("simulate", {})
+        l = sim.get("l", 2) if sim.get("mode") == "block" else 1
+        bad = [n for n in cfg.get("sweep", {}).get("budgets", _SWEEP_BUDGETS) if n % l]
+        if bad:
+            raise ConfigError(f"sweep budgets {bad} are not multiples of the block size {l}")
+
+    _run_command(ctx, "sweep", run, check)
 
 
 @main.command()

@@ -11,7 +11,12 @@ bipartite states by lockstep multi-start L-BFGS on analytic gradients, each
 round of the search one batched objective call (outputs
 sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack A_k = I_R (x) K_k
 that quantum applies every channel with, matrix gradients pulled back
-through the A_k), and block (tensor-power) values.
+through the A_k), and block (tensor-power) values.  The pair entries
+channel_divergence_pair and block_divergence_pair return (D(N0||N1),
+D(N1||N0)) from one lockstep run: every row computes both outputs N0(psi)
+and N1(psi) anyway, so each objective call carries the rows of both
+directions, and the measured certifications of both share their calls too.
+channel_divergence and block_divergence are the one-direction case.
 
 All values are in nats.  Channel divergences obtained by numerical
 maximization are certified lower bounds; the channel max-divergence is exact
@@ -39,6 +44,7 @@ from .optimize import (
     _log_kernel,
     _power_kernel,
     _safe_log_state,
+    _split_rows,
     _variational_terms,
     hermitian_to_params,
     multistart_maximize,
@@ -215,31 +221,45 @@ def measured_rel_entropy_states(
     lower bounds); disagreement beyond the configured tolerance attaches a
     ConvergenceWarning, and disagreement beyond 10x raises OptimizerFailure.
     """
+    return _measured_rel_entropies([(rho0, rho1)], cfg)[0]
+
+
+def _measured_rel_entropies(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: OptimizerConfig | None):
+    """measured_rel_entropy_states of every state pair, all of one
+    dimension: the variational programs of the pairs share each objective
+    call, and so do their PVM searches."""
     cfg = cfg or OptimizerConfig()
-    _check_pair(rho0, rho1)
-    if not support_contained(rho0.mat, rho1.spectrum):
-        return DivergenceValue(math.inf, is_finite=False)
-    log_ratio = _safe_log_state(rho0.spectrum) - _safe_log_state(rho1.spectrum)
-    var_val, omega = variational_measured(rho0.mat, rho1.mat, log_ratio)
-    _, omega_basis = hermitian_eigen(omega)
-    pvm_val, povm = pvm_search_measured(rho0.mat, rho1.mat, cfg, log_ratio, extra_bases=[omega_basis])
-    notes = []
-    if abs(var_val - pvm_val) > cfg.cross_check_tol:
-        if abs(var_val - pvm_val) > 10 * cfg.cross_check_tol:
-            raise OptimizerFailure(
-                f"measured-entropy estimators disagree: variational {var_val:.6f} "
-                f"vs PVM search {pvm_val:.6f}"
-            )
-        msg = f"estimators disagree by {abs(var_val - pvm_val):.2e}"
-        warnings.warn(msg, ConvergenceWarning)
-        notes.append(msg)
-    value = max(var_val, pvm_val)
-    return DivergenceValue(
-        max(value, 0.0),
-        is_lower_bound=True,
-        witness=MeasuredWitness(povm=povm, variational_value=var_val, pvm_value=pvm_val),
-        warnings=notes,
-    )
+    for rho0, rho1 in pairs:
+        _check_pair(rho0, rho1)
+    out = [None if support_contained(rho0.mat, rho1.spectrum) else DivergenceValue(math.inf, is_finite=False)
+           for rho0, rho1 in pairs]
+    live = [i for i, dv in enumerate(out) if dv is None]
+    if not live:
+        return out
+    r0 = np.stack([pairs[i][0].mat for i in live])
+    r1 = np.stack([pairs[i][1].mat for i in live])
+    log_ratio = np.stack([_safe_log_state(pairs[i][0].spectrum) - _safe_log_state(pairs[i][1].spectrum) for i in live])
+    var_vals, omegas = variational_measured(r0, r1, log_ratio)
+    omega_bases = np.stack([hermitian_eigen(omega)[1] for omega in omegas])
+    searched = pvm_search_measured(r0, r1, cfg, log_ratio, extra_bases=omega_bases[:, None])
+    for i, var_val, (pvm_val, povm) in zip(live, var_vals, searched):
+        notes = []
+        if abs(var_val - pvm_val) > cfg.cross_check_tol:
+            if abs(var_val - pvm_val) > 10 * cfg.cross_check_tol:
+                raise OptimizerFailure(
+                    f"measured-entropy estimators disagree: variational {var_val:.6f} "
+                    f"vs PVM search {pvm_val:.6f}"
+                )
+            msg = f"estimators disagree by {abs(var_val - pvm_val):.2e}"
+            warnings.warn(msg, ConvergenceWarning)
+            notes.append(msg)
+        out[i] = DivergenceValue(
+            max(var_val, pvm_val, 0.0),
+            is_lower_bound=True,
+            witness=MeasuredWitness(povm=povm, variational_value=var_val, pvm_value=pvm_val),
+            warnings=notes,
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,29 +282,47 @@ def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None = None):
-    """The input search's batched objective and its number of real
-    parameters.
+def _pick(flip, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a on the rows of D(N0||N1) and b on those of D(N1||N0); flip is one
+    bool for every row, or a mask (B, 1, 1) of the rows of D(N1||N0)."""
+    if flip is True:
+        return b
+    if flip is False:
+        return a
+    return np.where(flip, b, a)
 
-    Each row theta holds v = theta[:n] + i theta[n:2n], normalized to psi on
+
+def _input_objectives(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None, flips: list[bool]):
+    """The input search's objective over the row blocks of one or more
+    searches, and its number of real parameters.
+
+    Block s searches D(N1||N0) when flips[s] and D(N0||N1) otherwise.  Each
+    row theta holds v = theta[:n] + i theta[n:2n], normalized to psi on
     R (x) A; for the measured kind theta[2n:] parametrizes a Hermitian H on
-    the output.  The objective maps rows (B, P) to the values (B,) and their
-    analytic gradients (B, P): relative / renyi give D(sigma0||sigma1) /
-    D_alpha, measured gives the variational lower bound
-    Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] on D_M.
+    the output.  Every row's outputs N0(psi) and N1(psi) come from one pass;
+    the direction only decides which is "0".  The objective maps the blocks
+    (B_s, P) to one pair of values (B_s,) and analytic gradients (B_s, P)
+    per block: relative / renyi give D(sigma0||sigma1) / D_alpha, measured
+    gives the variational lower bound Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)]
+    on D_M.
     """
     d_r = n0.in_dim
     n = d_r * n0.in_dim
     m = d_r * n0.out_dim
     a0, a1 = _lifted_kraus(n0, d_r), _lifted_kraus(n1, d_r)
 
-    def objective(theta: np.ndarray):
+    def objective(blocks: list[np.ndarray]):
+        sizes = [len(b) for b in blocks]
+        present = {f for f, size in zip(flips, sizes) if size}
+        flip = present.pop() if len(present) == 1 else np.repeat(flips, sizes)[:, None, None]
+        theta = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
         v = theta[:, :n] + 1j * theta[:, n : 2 * n]
         # |v| as np.linalg.norm takes it: two BLAS dots on the strided parts
         nrm = np.sqrt(_dot_rows(v.real, v.real) + _dot_rows(v.imag, v.imag))
         psi = v / nrm[:, None]
-        s0, v0 = _output(a0, psi)
-        s1, v1 = _output(a1, psi)
+        out0, v0 = _output(a0, psi)
+        out1, v1 = _output(a1, psi)
+        s0, s1 = _pick(flip, out0, out1), _pick(flip, out1, out0)
         rest = theta[:, :0]
         if kind == "relative":
             f, g0, g1 = _relative_terms(s0, s1)
@@ -293,14 +331,22 @@ def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: f
         else:
             f, rest, g0, omega = _variational_terms(theta[:, 2 * n :], s0, s1)
             g1 = -omega
-        g = _pull_back(a0, v0, g0) + _pull_back(a1, v1, g1)
+        # IEEE addition commutes, so a flipped row sums the same two terms
+        g = _pull_back(a0, v0, _pick(flip, g0, g1)) + _pull_back(a1, v1, _pick(flip, g1, g0))
         gr = np.concatenate([g.real, g.imag], axis=-1)
         pr = np.concatenate([psi.real, psi.imag], axis=-1)
         # chain rule through psi = v / |v|: project onto the sphere's tangent
         tangent = (gr - pr * _dot_rows(pr, gr)[:, None]) / nrm[:, None]
-        return f, np.concatenate([tangent, rest], axis=-1)
+        return _split_rows(f, np.concatenate([tangent, rest], axis=-1), sizes)
 
     return objective, 2 * n + (m * m if kind == "measured" else 0)
+
+
+def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None = None):
+    """The one-search case of _input_objectives, D(N0||N1), on a plain
+    batch of rows (B, P) -> (values, gradients)."""
+    objective, npar = _input_objectives(n0, n1, kind, alpha, [False])
+    return (lambda theta: objective([theta])[0]), npar
 
 
 # Inputs on the product boundary are reached only up to Schmidt residues of
@@ -324,8 +370,8 @@ def channel_divergence(
     alpha: float | None = None,
     cfg: OptimizerConfig | None = None,
 ) -> DivergenceValue:
-    """Divergence between channels, maximized over pure bipartite inputs
-    with the ancilla isomorphic to the input system.
+    """Divergence D(N0||N1) between channels, maximized over pure bipartite
+    inputs with the ancilla isomorphic to the input system.
 
     kind "max" is optimization-free and exact: the supremum is attained at
     the maximally entangled input, i.e. on the unit-trace Choi pair.  The
@@ -334,13 +380,34 @@ def channel_divergence(
     input as witness.  The measured kind ascends the variational formula
     jointly in the input and the observable H, then certifies the value at
     the best input with measured_rel_entropy_states, whose PVM is the
-    witness measurement.
+    witness measurement.  This is the one-direction case of
+    channel_divergence_pair.
     """
+    return _channel_divergences(n0, n1, kind, alpha, cfg, pair=False)[0]
+
+
+def channel_divergence_pair(
+    n0: QuantumChannel,
+    n1: QuantumChannel,
+    kind: str = "relative",
+    alpha: float | None = None,
+    cfg: OptimizerConfig | None = None,
+) -> tuple[DivergenceValue, DivergenceValue]:
+    """(D(N0||N1), D(N1||N0)), each equal to its channel_divergence.  The
+    two input searches share every objective call, and so do the two
+    measured certifications."""
+    return tuple(_channel_divergences(n0, n1, kind, alpha, cfg, pair=True))
+
+
+def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[DivergenceValue]:
+    """[D(N0||N1)], or with pair [D(N0||N1), D(N1||N0)] from one lockstep
+    search over both directions."""
     if kind not in KINDS:
         raise ValueError(f"unknown divergence kind {kind!r}")
     if (n0.in_dim, n0.out_dim) != (n1.in_dim, n1.out_dim):
         raise DimensionMismatchError("channel pair has mismatched dimensions")
     cfg = cfg or OptimizerConfig()
+    directions = [(n0, n1), (n1, n0)] if pair else [(n0, n1)]
     d = n0.in_dim
     dim_psi = d * d
     extra = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
@@ -349,44 +416,56 @@ def channel_divergence(
         raise DimensionMismatchError(f"extra starts {shapes}: input vectors on R (x) A have length {dim_psi}")
 
     if kind == "max":
-        val = max_div_states(n0.choi_state(), n1.choi_state())
-        val.witness = ChannelWitness(input_vector=max_entangled_vector(n0.in_dim))
-        return val
+        out = [max_div_states(a.choi_state(), b.choi_state()) for a, b in directions]
+        for val in out:
+            val.witness = ChannelWitness(input_vector=max_entangled_vector(d))
+        return out
 
-    if not support_contained(n0.choi, n1.choi_state().spectrum):
-        return DivergenceValue(math.inf, is_finite=False, is_lower_bound=False)
+    out = [None if support_contained(a.choi, b.choi_state().spectrum)
+           else DivergenceValue(math.inf, is_finite=False, is_lower_bound=False) for a, b in directions]
+    live = [i for i, dv in enumerate(out) if dv is None]
+    if not live:
+        return out
     if kind == "renyi" and (alpha is None or alpha <= 1.0):
         raise InvalidAlphaError("renyi kind needs alpha > 1")
 
-    objective, npar = _input_objective(n0, n1, kind, alpha)
+    objective, npar = _input_objectives(n0, n1, kind, alpha, [i == 1 for i in live])
     inputs = [max_entangled_vector(d)] + extra
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
     if kind == "measured":
         # H starts at the variational program's warm start for each input
         while len(inputs) < cfg.restarts:
             inputs.append(params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi))
-        starts = []
-        for psi in inputs:
-            s0, s1 = _apply_to_pure(n0, psi), _apply_to_pure(n1, psi)
-            h0 = _safe_log_state(hermitian_eigen(s0)) - _safe_log_state(hermitian_eigen(s1))
-            starts.append(np.concatenate([pure_vector_to_params(psi), hermitian_to_params(h0)]))
+        logs = [[_safe_log_state(hermitian_eigen(_apply_to_pure(ch, psi))) for ch in (n0, n1)] for psi in inputs]
+        searches = [
+            [np.concatenate([pure_vector_to_params(psi), hermitian_to_params(lg[i] - lg[1 - i])])
+             for psi, lg in zip(inputs, logs)]
+            for i in live
+        ]
     else:
-        starts = [pure_vector_to_params(psi) for psi in inputs]
-    theta, best = multistart_maximize(objective, npar, cfg, starts=starts, rng=rng)
-    psi = _drop_schmidt_residue(params_to_pure_vector(theta[: 2 * dim_psi], dim_psi), d)
+        searches = [[pure_vector_to_params(psi) for psi in inputs]] * len(live)
+    found = multistart_maximize(objective, npar, cfg, rng=rng, searches=searches)
 
-    witness = ChannelWitness(input_vector=psi)
-    s0 = DensityMatrix(_apply_to_pure(n0, psi))
-    s1 = DensityMatrix(_apply_to_pure(n1, psi))
-    if kind == "relative":
-        best = rel_entropy_states(s0, s1).value
-    elif kind == "renyi":
-        best = sandwiched_renyi_states(s0, s1, alpha).value
-    else:
-        mv = measured_rel_entropy_states(s0, s1, cfg)
-        best = max(best, mv.value) if mv.is_finite else best
-        witness.povm = mv.witness.povm if mv.witness else None
-    return DivergenceValue(max(best, 0.0), is_lower_bound=True, witness=witness)
+    psis = [_drop_schmidt_residue(params_to_pure_vector(theta[: 2 * dim_psi], dim_psi), d) for theta, _ in found]
+    states = [
+        (DensityMatrix(_apply_to_pure(directions[i][0], psi)), DensityMatrix(_apply_to_pure(directions[i][1], psi)))
+        for i, psi in zip(live, psis)
+    ]
+    if kind == "measured":
+        measured = _measured_rel_entropies(states, cfg)
+    for j, i in enumerate(live):
+        (s0, s1), (_, best) = states[j], found[j]
+        witness = ChannelWitness(input_vector=psis[j])
+        if kind == "relative":
+            best = rel_entropy_states(s0, s1).value
+        elif kind == "renyi":
+            best = sandwiched_renyi_states(s0, s1, alpha).value
+        else:
+            mv = measured[j]
+            best = max(best, mv.value) if mv.is_finite else best
+            witness.povm = mv.witness.povm if mv.witness else None
+        out[i] = DivergenceValue(max(best, 0.0), is_lower_bound=True, witness=witness)
+    return out
 
 
 def product_input_vector(psi: np.ndarray, d: int, l: int) -> np.ndarray:
@@ -409,32 +488,49 @@ def block_divergence(
     alpha: float | None = None,
     cfg: OptimizerConfig | None = None,
 ) -> BlockEstimate:
-    """Per-use divergence of the l-fold tensor powers.
+    """Per-use divergence of the l-fold tensor powers, D(N0^l||N1^l) / l.
 
     When the l = 1 witness input is known, pass it via cfg.extra_starts as a
     vector on (R A); it is lifted to the product input on the block system so
     the per-use value never drops below the l = 1 estimate (up to optimizer
     tolerance).  Starts on the block system (R A)^l are used as they are;
-    a start of any other length raises DimensionMismatchError.
+    a start of any other length raises DimensionMismatchError.  This is the
+    one-direction case of block_divergence_pair.
     """
+    return _block_divergences(n0, n1, l, kind, alpha, cfg, pair=False)[0]
+
+
+def block_divergence_pair(
+    n0: QuantumChannel,
+    n1: QuantumChannel,
+    l: int,
+    kind: str = "measured",
+    alpha: float | None = None,
+    cfg: OptimizerConfig | None = None,
+) -> tuple[BlockEstimate, BlockEstimate]:
+    """(block_divergence(n0, n1, l), block_divergence(n1, n0, l)) from one
+    channel_divergence_pair on tensor powers built once."""
+    return tuple(_block_divergences(n0, n1, l, kind, alpha, cfg, pair=True))
+
+
+def _block_divergences(n0, n1, l, kind, alpha, cfg, pair: bool) -> list[BlockEstimate]:
     cfg = cfg or OptimizerConfig()
-    if l == 1:
-        dv = channel_divergence(n0, n1, kind=kind, alpha=alpha, cfg=cfg)
-        return BlockEstimate(1, dv.value, witness=dv.witness, total_value=dv.value)
-    d2 = n0.in_dim**2
-    starts = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
-    if any(v.size not in (d2, d2**l) for v in starts):
-        raise DimensionMismatchError(
-            f"extra starts of sizes {[v.size for v in starts]}: input vectors on R (x) A have length {d2}, "
-            f"on its {l}-fold block {d2**l}"
+    if l > 1:
+        d2 = n0.in_dim**2
+        starts = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
+        if any(v.size not in (d2, d2**l) for v in starts):
+            raise DimensionMismatchError(
+                f"extra starts of sizes {[v.size for v in starts]}: input vectors on R (x) A have length {d2}, "
+                f"on its {l}-fold block {d2**l}"
+            )
+        cfg = replace(
+            cfg,
+            extra_starts=[product_input_vector(v, n0.in_dim, l) for v in starts if v.size == d2]
+            + [v for v in starts if v.size == d2**l],
         )
-    b0 = tensor_power_channel(n0, l)
-    b1 = tensor_power_channel(n1, l)
-    lifted = replace(
-        cfg,
-        extra_starts=[product_input_vector(v, n0.in_dim, l) for v in starts if v.size == d2]
-        + [v for v in starts if v.size == d2**l],
-    )
-    dv = channel_divergence(b0, b1, kind=kind, alpha=alpha, cfg=lifted)
-    per_use = dv.value / l
-    return BlockEstimate(l, per_use, witness=dv.witness, total_value=dv.value)
+        n0, n1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+    if pair:
+        dvs = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=cfg)
+    else:
+        dvs = [channel_divergence(n0, n1, kind=kind, alpha=alpha, cfg=cfg)]
+    return [BlockEstimate(l, dv.value / l, witness=dv.witness, total_value=dv.value) for dv in dvs]

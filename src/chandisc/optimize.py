@@ -9,6 +9,11 @@ the gradients g of shape (B, P).  Each row is computed by the same sequence
 of floating-point operations whatever the batch, so objective(X)[i] equals
 objective(X[i:i+1]) bit for bit and the lockstep iterates equal those of
 running each start on its own.
+
+Several searches can share the driver, such as the two directions of a
+channel pair: each round makes one objective call with a list of row
+blocks, one per search, and every search keeps its own starts, winner and
+DEBUG record.  The measured estimators take stacks of state pairs this way.
 """
 
 from __future__ import annotations
@@ -218,24 +223,48 @@ def _lbfgsb_start(x0: np.ndarray, max_iters: int):
             return x, f, nfev, nit
 
 
-def _evaluate(objective, rows: np.ndarray):
-    """objective on a batch of rows: (f, g, failed).  When the batch raises
-    ValueError or FloatingPointError the rows are evaluated one at a time and
-    the rows that raise are marked failed."""
+def _evaluate(objective, blocks: list[np.ndarray]):
+    """objective on the row blocks of every search: one (f, g, failed) per
+    block.  When the call raises ValueError or FloatingPointError, each row
+    is evaluated alone, every other block empty, and the rows that raise are
+    marked failed."""
     try:
-        f, g = objective(rows)
-        return f, g, np.zeros(len(rows), dtype=bool)
+        return [(f, g, np.zeros(len(f), dtype=bool)) for f, g in objective(blocks)]
     except (ValueError, FloatingPointError):
         pass
-    f, g = np.zeros(len(rows)), np.zeros(rows.shape)
-    failed = np.zeros(len(rows), dtype=bool)
-    for i in range(len(rows)):
-        try:
-            fi, gi = objective(rows[i : i + 1])
-            f[i], g[i] = fi[0], gi[0]
-        except (ValueError, FloatingPointError):
-            failed[i] = True
-    return f, g, failed
+    out = []
+    for s, rows in enumerate(blocks):
+        f, g = np.zeros(len(rows)), np.zeros(rows.shape)
+        failed = np.zeros(len(rows), dtype=bool)
+        for i in range(len(rows)):
+            alone = [rows[i : i + 1] if t == s else b[:0] for t, b in enumerate(blocks)]
+            try:
+                fi, gi = objective(alone)[s]
+                f[i], g[i] = fi[0], gi[0]
+            except (ValueError, FloatingPointError):
+                failed[i] = True
+        out.append((f, g, failed))
+    return out
+
+
+def _split_rows(f: np.ndarray, g: np.ndarray, sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Values and gradients of stacked row blocks, cut back into one
+    (values, gradients) per block."""
+    out, start = [], 0
+    for size in sizes:
+        out.append((f[start : start + size], g[start : start + size]))
+        start += size
+    return out
+
+
+def _per_search(terms, blocks: list[np.ndarray], *stacks: np.ndarray):
+    """terms(rows, *matrices)[:2] on the row blocks of every search in one
+    call, each row of block s reading the matrices stacks[j][s]; one
+    (values, gradients) per block."""
+    sizes = [len(b) for b in blocks]
+    idx = np.repeat(np.arange(len(blocks)), sizes)
+    f, g = terms(np.concatenate(blocks), *(m[idx] for m in stacks))[:2]
+    return _split_rows(f, g, sizes)
 
 
 def multistart_maximize(
@@ -244,7 +273,9 @@ def multistart_maximize(
     cfg: OptimizerConfig,
     starts: list[np.ndarray] | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, float]:
+    *,
+    searches: list[list[np.ndarray]] | None = None,
+):
     """Maximize a batched objective(X) -> (values, gradients) with L-BFGS-B
     from several starts, at most cfg.max_iters iterations each.
 
@@ -253,52 +284,77 @@ def multistart_maximize(
     only accepts ascending steps, so each start's result is at least its
     starting value.  Deterministic for a fixed cfg.seed; restarts are
     combined by max with the lowest restart index winning ties.
+
+    searches, a list of start lists, runs several searches in the same
+    lockstep instead of starts: objective then takes a list of row blocks,
+    one per search, and returns one (values, gradients) per block, and the
+    result is one (x, value) per search.  Every search pads its list from
+    the state rng has on entry, so each equals the search run alone.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    pts = list(starts or [])
-    while len(pts) < cfg.restarts:
-        pts.append(rng.standard_normal(dim))
-    return _lockstep_maximize(objective, pts, cfg.max_iters)
+    state = rng.bit_generator.state
+    padded = []
+    for pts in [starts or []] if searches is None else searches:
+        rng.bit_generator.state = state
+        pts = list(pts)
+        while len(pts) < cfg.restarts:
+            pts.append(rng.standard_normal(dim))
+        padded.append(pts)
+    if searches is None:
+        return _lockstep_maximize(lambda blocks: [objective(blocks[0])], padded, cfg.max_iters)[0]
+    return _lockstep_maximize(objective, padded, cfg.max_iters)
 
 
-def _lockstep_maximize(objective, starts: list[np.ndarray], max_iters: int) -> tuple[np.ndarray, float]:
-    """Run every start in lockstep: each round, the points that the live
-    starts need evaluated form one call objective(X).  Each start follows
-    the iterates that scipy.optimize.minimize(method="L-BFGS-B",
+def _lockstep_maximize(objective, searches: list[list[np.ndarray]], max_iters: int) -> list[tuple[np.ndarray, float]]:
+    """Run the starts of every search in lockstep: each round, the points
+    that the live starts need evaluated form one call objective(blocks),
+    blocks[s] holding the rows of search s (empty once it is done), which
+    returns one (values, gradients) per block.  Each start follows the
+    iterates that scipy.optimize.minimize(method="L-BFGS-B",
     options={"maxiter": max_iters, "gtol": 1e-10, "ftol": 1e-15}) takes
     from it on the negated objective.  A start whose evaluation raises
     ValueError or FloatingPointError is dropped as a failed restart.  Returns
-    the best (x, value), the lowest start index winning ties, and logs one
-    DEBUG record of the starts' diagnostics on the chandisc.optimize logger.
+    each search's best (x, value), the lowest start index winning ties, and
+    logs one DEBUG record of each search's starts on the chandisc.optimize
+    logger.
     """
-    if not starts:
+    if not all(searches):
         raise OptimizerFailure("all 0 restarts failed")
-    runs = [_lbfgsb_start(np.asarray(x0, dtype=float), max_iters) for x0 in starts]
+    runs = [[_lbfgsb_start(np.asarray(x0, dtype=float), max_iters) for x0 in starts] for starts in searches]
     # (x, f, nfev, nit) of each start; a failed start keeps a NaN f
-    results = [(None, math.nan, None, None)] * len(runs)
-    live = {i: run.send(None) for i, run in enumerate(runs)}
-    failures = batches = 0
-    while live:
-        f, g, failed = _evaluate(objective, np.stack(list(live.values())))
-        batches += 1
-        asked, live = list(live), {}
-        for j, i in enumerate(asked):
-            if failed[j]:
-                failures += 1
+    results = [[(None, math.nan, None, None)] * len(r) for r in runs]
+    live = [{i: run.send(None) for i, run in enumerate(r)} for r in runs]
+    empty = [np.empty((0, np.asarray(starts[0]).size)) for starts in searches]
+    failures, batches = [0] * len(runs), [0] * len(runs)
+    while any(live):
+        blocks = [np.stack(list(asked.values())) if asked else e for asked, e in zip(live, empty)]
+        for s, (f, g, failed) in enumerate(_evaluate(objective, blocks)):
+            if not live[s]:
                 continue
-            try:
-                live[i] = runs[i].send((-f[j], -g[j]))
-            except StopIteration as done:
-                results[i] = done.value
+            batches[s] += 1
+            asked, live[s] = list(live[s]), {}
+            for j, i in enumerate(asked):
+                if failed[j]:
+                    failures[s] += 1
+                    continue
+                try:
+                    live[s][i] = runs[s][i].send((-f[j], -g[j]))
+                except StopIteration as done:
+                    results[s][i] = done.value
+    return [_best_start(*args) for args in zip(results, failures, batches)]
 
+
+def _best_start(results: list, failures: int, batches: int) -> tuple[np.ndarray, float]:
+    """The best (x, value) of one search's starts, the lowest start index
+    winning ties; logs the search's DEBUG record."""
     xs, fs, nfev, nit = zip(*results)
     best_i, best_f = None, -math.inf
     for i, f_i in enumerate(fs):
         if -f_i > best_f:
             best_i, best_f = i, -f_i
     if logger.isEnabledFor(logging.DEBUG):
-        stats = dict(starts=len(runs), nfev=list(nfev), nit=list(nit), values=(-np.array(fs)).tolist())
+        stats = dict(starts=len(results), nfev=list(nfev), nit=list(nit), values=(-np.array(fs)).tolist())
         stats.update(failed=failures, winner=best_i, batched_calls=batches)
         logger.debug("multistart search %s", stats, extra={"multistart": stats})
     if best_i is None:
@@ -362,23 +418,30 @@ def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
     return f, hermitian_grad_to_params(0.5 * (g + _adjoint(g))), h, (u * elam[..., None, :]) @ uh
 
 
-def variational_measured(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray) -> tuple[float, np.ndarray]:
+def variational_measured(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray):
     """Concave program sup_H Tr[rho0 H] + 1 - Tr[rho1 exp(H)].
 
     The optimum equals the measured relative entropy; any iterate gives a
     lower bound.  Two starts (log_ratio = log rho0 - log rho1, then H = 0)
     run in lockstep, at most 2000 iterations each; the first wins ties.
     Returns (value in nats, optimal omega = exp(H)).
+
+    Given stacks (k, d, d) of k state pairs and their log ratios, the k
+    programs share every objective call and the result is (the k values,
+    the omegas (k, d, d)).
     """
-    d = rho0.shape[0]
+    stacked = rho0.ndim == 3
+    if not stacked:
+        rho0, rho1, log_ratio = rho0[None], rho1[None], log_ratio[None]
+    d = rho0.shape[-1]
 
-    def objective(theta: np.ndarray):
-        return _variational_terms(theta, rho0, rho1)[:2]
+    def objective(blocks: list[np.ndarray]):
+        return _per_search(_variational_terms, blocks, rho0, rho1)
 
-    starts = [hermitian_to_params(log_ratio), np.zeros(d * d)]
-    x, value = _lockstep_maximize(objective, starts, 2000)
-    omega = _variational_terms(x[None], rho0, rho1)[3][0]
-    return float(value), omega
+    found = _lockstep_maximize(objective, [[hermitian_to_params(lr), np.zeros(d * d)] for lr in log_ratio], 2000)
+    values = [float(value) for _, value in found]
+    omegas = _variational_terms(np.stack([x for x, _ in found]), rho0, rho1)[3]
+    return (values, omegas) if stacked else (values[0], omegas[0])
 
 
 def basis_kl(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> float:
@@ -388,31 +451,33 @@ def basis_kl(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> float:
     return kl_divergence(p, q)
 
 
+def _pvm_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray, base: np.ndarray):
+    """KL of the outcome laws in each basis exp(i H(theta)) base, and its
+    gradient in theta, for each row of theta (B, d^2) with states and
+    reference basis (d, d) or one per row (B, d, d).  An infinite KL reads
+    -1e6 with a zero gradient."""
+    lam, v = np.linalg.eigh(params_to_hermitian(theta, rho0.shape[-1]))
+    vh = _adjoint(v)
+    basis = (v * np.exp(1j * lam)[:, None, :]) @ vh @ base
+    p, q, left0, left1 = _basis_laws(basis, rho0, rho1)
+    val = _kl_rows(p, q)
+    finite = np.isfinite(val)
+    # dKL/dp_i and dKL/dq_i; empty outcomes are stationary (dp_i = 0)
+    live = p > NEGLIGIBLE_PROB
+    qs = np.where(live & (q > 1e-300), q, 1.0)
+    dp = np.where(live, np.log(np.where(live, p, 1.0)) + 1.0 - np.log(qs), 0.0)
+    dq = np.where(live, -p / qs, 0.0)
+    # dKL = 2 Re Tr[Z dW] with W = exp(i H), Z = base (D_p U^dag rho0 + D_q U^dag rho1)
+    z = base @ (dp[..., None] * left0 + dq[..., None] * left1)
+    c = 1j * v @ ((vh @ z @ v) * _phase_kernel(lam)) @ vh
+    grad = hermitian_grad_to_params(c + _adjoint(c))
+    return np.where(finite, val, -1e6), np.where(finite[:, None], grad, 0.0)
+
+
 def _pvm_objective(rho0: np.ndarray, rho1: np.ndarray, base: np.ndarray):
-    """theta (B, d^2) -> (KL of the outcome laws in each basis
-    exp(i H(theta)) base, gradients in theta).  An infinite KL reads -1e6
-    with a zero gradient."""
-    d = rho0.shape[0]
-
-    def objective(theta: np.ndarray):
-        lam, v = np.linalg.eigh(params_to_hermitian(theta, d))
-        vh = _adjoint(v)
-        basis = (v * np.exp(1j * lam)[:, None, :]) @ vh @ base
-        p, q, left0, left1 = _basis_laws(basis, rho0, rho1)
-        val = _kl_rows(p, q)
-        finite = np.isfinite(val)
-        # dKL/dp_i and dKL/dq_i; empty outcomes are stationary (dp_i = 0)
-        live = p > NEGLIGIBLE_PROB
-        qs = np.where(live & (q > 1e-300), q, 1.0)
-        dp = np.where(live, np.log(np.where(live, p, 1.0)) + 1.0 - np.log(qs), 0.0)
-        dq = np.where(live, -p / qs, 0.0)
-        # dKL = 2 Re Tr[Z dW] with W = exp(i H), Z = base (D_p U^dag rho0 + D_q U^dag rho1)
-        z = base @ (dp[..., None] * left0 + dq[..., None] * left1)
-        c = 1j * v @ ((vh @ z @ v) * _phase_kernel(lam)) @ vh
-        grad = hermitian_grad_to_params(c + _adjoint(c))
-        return np.where(finite, val, -1e6), np.where(finite[:, None], grad, 0.0)
-
-    return objective
+    """The PVM search's batched objective for one state pair: theta
+    (B, d^2) -> _pvm_terms."""
+    return lambda theta: _pvm_terms(theta, rho0, rho1, base)
 
 
 # The unitary search is only worthwhile for small systems; above this
@@ -425,40 +490,53 @@ def pvm_search_measured(
     rho1: np.ndarray,
     cfg: OptimizerConfig,
     log_ratio: np.ndarray,
-    extra_bases: list[np.ndarray] | None = None,
-) -> tuple[float, Povm]:
+    extra_bases: np.ndarray | None = None,
+) -> list[tuple[float, Povm]]:
     """Maximize the classical KL of the outcome distributions over rank-one
     PVMs, parametrized as exp(i H) applied to a reference basis, by seeded
     multi-start L-BFGS on the analytic gradient.
 
-    Candidate reference bases always include the eigenbasis of
-    log_ratio = log rho0 - log rho1 (optimal in the commuting case) plus any
-    caller supplied bases, e.g. the eigenbasis of the variational optimizer's
-    omega (whose basis KL always dominates the variational value)."""
-    d = rho0.shape[0]
+    Runs one search per state pair of the stacks rho0, rho1 (k, d, d), with
+    log_ratio (k, d, d) = log rho0 - log rho1 and extra_bases (k, e, d, d)
+    or None; the k searches share every objective call.  Returns one
+    (value, PVM) per pair.
+
+    Candidate reference bases always include the eigenbasis of log_ratio
+    (optimal in the commuting case) plus any caller supplied bases, e.g. the
+    eigenbasis of the variational optimizer's omega (whose basis KL always
+    dominates the variational value)."""
+    d = rho0.shape[-1]
     npar = d * d
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x9E)))
 
-    _, base = hermitian_eigen(log_ratio)
-    bases = [base, np.eye(d, dtype=complex)]
-    if extra_bases:
-        bases = list(extra_bases) + bases
-
-    best_val, best_u = -math.inf, None
-    for base_u in bases:
-        val = basis_kl(base_u, rho0, rho1)
-        if math.isfinite(val) and val > best_val:
-            best_val, best_u = val, base_u
+    best = []
+    for j in range(len(rho0)):
+        _, base = hermitian_eigen(log_ratio[j])
+        bases = [base, np.eye(d, dtype=complex)]
+        if extra_bases is not None:
+            bases = list(extra_bases[j]) + bases
+        best_val, best_u = -math.inf, None
+        for base_u in bases:
+            val = basis_kl(base_u, rho0[j], rho1[j])
+            if math.isfinite(val) and val > best_val:
+                best_val, best_u = val, base_u
+        best.append((best_val, best_u))
 
     if d <= _PVM_SEARCH_MAX_DIM:
         starts = [np.zeros(npar)]
         for _ in range(max(cfg.pvm_restarts - 1, 1)):
             starts.append(0.5 * rng.standard_normal(npar))
         sub = replace(cfg, restarts=len(starts))
-        x, _ = multistart_maximize(_pvm_objective(rho0, rho1, best_u), npar, sub, starts=starts, rng=rng)
-        lam, v = np.linalg.eigh(params_to_hermitian(x, d))
-        found = (v * np.exp(1j * lam)) @ v.conj().T @ best_u
-        val = basis_kl(found, rho0, rho1)
-        if val > best_val:
-            best_val, best_u = val, found
-    return best_val, basis_pvm(best_u, label="measured-witness")
+        refs = np.stack([u for _, u in best])
+
+        def objective(blocks: list[np.ndarray]):
+            return _per_search(_pvm_terms, blocks, rho0, rho1, refs)
+
+        found = multistart_maximize(objective, npar, sub, rng=rng, searches=[starts] * len(best))
+        for j, (x, _) in enumerate(found):
+            lam, v = np.linalg.eigh(params_to_hermitian(x, d))
+            u = (v * np.exp(1j * lam)) @ v.conj().T @ refs[j]
+            val = basis_kl(u, rho0[j], rho1[j])
+            if val > best[j][0]:
+                best[j] = (val, u)
+    return [(val, basis_pvm(u, label="measured-witness")) for val, u in best]

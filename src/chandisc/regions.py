@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .divergences import block_divergence
+from .divergences import block_divergence_pair
 from .errors import DegenerateSamplingError
 from .optimize import OptimizerConfig
 from .quantum import QuantumChannel, _apply_to_pure, _basis_laws, _ginibre, random_unitary, tensor_power_channel
@@ -92,8 +92,7 @@ def adaptive_region(
     divergences), so the corner takes the max over both arms per coordinate.
     """
     cfg = cfg or OptimizerConfig()
-    e10 = block_divergence(n1, n0, l, kind="measured", cfg=cfg)
-    e01 = block_divergence(n0, n1, l, kind="measured", cfg=cfg)
+    e01, e10 = block_divergence_pair(n0, n1, l, kind="measured", cfg=cfg)
     r0, w10 = e10.value_per_use, e10.witness
     r1, w01 = e01.value_per_use, e01.witness
     b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
@@ -200,16 +199,12 @@ def converse_region(
     cfg = cfg or OptimizerConfig()
     if any(a <= 1.0 for a in alpha_grid):
         raise ValueError("alpha grid must lie strictly above 1")
-    corners = []
-    for a_ch, b_ch in ((n1, n0), (n0, n1)):
-        vals = [
-            block_divergence(a_ch, b_ch, l, kind="renyi", alpha=alpha, cfg=cfg).value_per_use
-            for alpha in alpha_grid
-        ]
-        corners.append(min(vals))
+    # one pair call per alpha: rows share a call only at one scalar order, since
+    # numpy's fast paths for scalar exponents (w**2.0) are not the array pow
+    pairs = [block_divergence_pair(n0, n1, l, kind="renyi", alpha=alpha, cfg=cfg) for alpha in alpha_grid]
     return ExponentRegion(
         kind=CONVERSE,
-        frontier=[(corners[0], corners[1])],
+        frontier=[(min(e10.value_per_use for _, e10 in pairs), min(e01.value_per_use for e01, _ in pairs))],
         metadata={"l": l, "alpha_grid": list(alpha_grid), "bound": "converse estimate"},
     )
 

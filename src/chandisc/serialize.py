@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -309,8 +310,81 @@ def sweep_to_csv(records) -> str:
 
 
 def dumps(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, stable float repr, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, stable float repr, trailing newline.
+
+    The bytes are those of json.dumps(doc, sort_keys=True, indent=2) + "\n".
+    indent makes the stdlib use its pure-Python encoder, so documents of
+    dicts with str keys, lists, tuples, str, int, float, bool and None are
+    written here instead; any other type or key defers to the stdlib.
+    """
+    parts: list[str] = []
+    try:
+        _write(doc, parts, "\n")
+    except (_Unsupported, RecursionError):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    parts.append("\n")
+    return "".join(parts)
+
+
+class _Unsupported(Exception):
+    pass
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    """A float as the stdlib encoder writes it: its repr, which ends in a
+    digit unless it is nan or an infinity."""
+    text = float.__repr__(x)
+    return _NONFINITE[text] if text[-1] in "nf" else text
+
+
+def _write(x, parts: list[str], nl: str) -> None:
+    """Append the indent=2 JSON text of x to parts; nl is a newline and the
+    indentation of the line x starts on."""
+    t = type(x)
+    if t is float:
+        parts.append(_float_text(x))
+    elif t is str:
+        parts.append(_encode_str(x))
+    elif x is None:
+        parts.append("null")
+    elif x is True or x is False:
+        parts.append("true" if x else "false")
+    elif t is int:
+        parts.append(int.__repr__(x))
+    elif t is list or t is tuple:
+        if not x:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        pair = inner + "  "
+        sep = "["
+        for item in x:
+            if type(item) is list and len(item) == 2 and type(item[0]) is float and type(item[1]) is float:
+                # the [re, im] pairs that make up most documents
+                parts.append(f"{sep}{inner}[{pair}{_float_text(item[0])},{pair}{_float_text(item[1])}{inner}]")
+            else:
+                parts.append(sep + inner)
+                _write(item, parts, inner)
+            sep = ","
+        parts.append(nl + "]")
+    elif t is dict:
+        if not x:
+            parts.append("{}")
+            return
+        if any(type(k) is not str for k in x):
+            raise _Unsupported
+        inner = nl + "  "
+        sep = "{"
+        for k in sorted(x):
+            parts.append(f"{sep}{inner}{_encode_str(k)}: ")
+            _write(x[k], parts, inner)
+            sep = ","
+        parts.append(nl + "}")
+    else:
+        raise _Unsupported
 
 
 def loads(text: str) -> dict:

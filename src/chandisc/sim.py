@@ -62,6 +62,11 @@ _COUNT_MAX = 128  # cdf cuts up to which one comparison pass per cut beats a bin
 logger = logging.getLogger("chandisc.sim")
 
 
+def _is_int(x) -> bool:
+    """An int or numpy integer; bools are not counts."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass
 class SimulationPlan:
     strategy: SprtStrategy
@@ -72,15 +77,15 @@ class SimulationPlan:
     step_cap_factor: int = 20
 
     def __post_init__(self):
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        if not isinstance(self.base_seed, (int, np.integer)) or self.base_seed < 0:
+        if not _is_int(self.base_seed) or self.base_seed < 0:
             raise ValueError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
         if self.constraint not in (EXPECTATION, PROBABILISTIC):
             raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.constraint == PROBABILISTIC and not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if not isinstance(self.step_cap_factor, (int, np.integer)) or self.step_cap_factor < 1:
+        if not _is_int(self.step_cap_factor) or self.step_cap_factor < 1:
             raise ValueError(f"step_cap_factor must be an int >= 1, got {self.step_cap_factor!r}")
 
     @property
@@ -488,14 +493,20 @@ def sweep_budgets(
 
     Arms and rates are reused; only the thresholds and caps scale with n.
     Every budget shares the base seed, so one walk per trace serves them all:
-    each record equals run_trials of that budget's plan.
+    each record equals run_trials of that budget's plan.  Budgets count
+    channel uses and must be int multiples of the block size, so that each
+    record's n is its summary's budget.
     """
+    l = strategy.block_size
+    bad = [n for n in budgets if not _is_int(n) or n < l or n % l]
+    if bad:
+        raise ValueError(f"budgets must be int multiples of the block size {l}, got {bad}")
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")
     plan = SimulationPlan(
         strategy=strategy, trials=trials, base_seed=base_seed, constraint=constraint, epsilon=epsilon
     )
-    ns = [max(1, n // strategy.block_size) for n in budgets]
+    ns = [n // l for n in budgets]
     return [
         SweepRecord(
             n=n,

@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .divergences import channel_divergence
+from .divergences import channel_divergence_pair
 from .errors import (
     DimensionOverflowError,
     InfiniteDivergenceError,
@@ -213,8 +213,7 @@ def build_sprt(
             f"max-divergence infinite (finite 0||1: {report.finite_01}, "
             f"1||0: {report.finite_10}); the SPRT needs both directions finite"
         )
-    dv01 = channel_divergence(n0, n1, kind="measured", cfg=cfg)
-    dv10 = channel_divergence(n1, n0, kind="measured", cfg=cfg)
+    dv01, dv10 = channel_divergence_pair(n0, n1, kind="measured", cfg=cfg)
     arm_zero = Arm(dv01.witness.input_state, dv01.witness.povm, n0.in_dim)
     arm_one = Arm(dv10.witness.input_state, dv10.witness.povm, n0.in_dim)
     # achieved per-step rates of the arms (certified lower bounds)

@@ -144,6 +144,19 @@ def test_validate_command(tmp_path, runner):
     assert doc["both_finite"] is True
 
 
+def test_block_sweep_budgets_off_the_block_size_exit_2(tmp_path, runner):
+    """A block-mode sweep runs whole blocks only: a budget that is not a
+    multiple of l is a config error, caught before the run directory exists."""
+    block = {"mode": "block", "l": 2, "n": 100, "tau": 0.08, "trials": 100}
+    for sweep, l in (({"budgets": [50, 101], "trials": 50}, 2), ({"trials": 50}, 3)):
+        out = tmp_path / f"run{l}"
+        cfg = write_config(tmp_path, simulate={**block, "l": l}, sweep=sweep)
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "sweep"])
+        assert res.exit_code == 2, res.output
+        assert "not multiples of the block size" in res.output
+        assert not out.exists()
+
+
 def test_config_errors_exit_2(tmp_path, runner):
     out = tmp_path / "run"
     res = runner.invoke(main, ["--config", str(tmp_path / "nope.json"), "--out", str(out), "validate"])

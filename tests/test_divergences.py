@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 
 from chandisc.divergences import (
     _input_objective,
+    _input_objectives,
     _relative_terms,
     _renyi_terms,
     block_divergence,
+    block_divergence_pair,
     channel_divergence,
+    channel_divergence_pair,
     max_div_states,
     measured_rel_entropy_states,
     product_input_vector,
@@ -21,7 +25,9 @@ from chandisc.errors import DimensionMismatchError, InvalidAlphaError
 from chandisc.linalg import support_contained
 from chandisc.optimize import (
     OptimizerConfig,
+    _per_search,
     _pvm_objective,
+    _pvm_terms,
     _safe_log_state,
     _variational_terms,
     kl_divergence,
@@ -348,6 +354,112 @@ def test_batched_objectives_are_batch_size_independent_on_random_pairs(seed, l):
     rng = np.random.default_rng(seed)
     n0, n1 = random_channel(2, 2, 3, rng), random_channel(2, 2, 3, rng)
     _check_batched_objectives(n0, n1, l, rng)
+
+
+def _assert_rows_equal(got, want):
+    """One (values, gradients) per block, equal bit for bit."""
+    assert len(got) == len(want)
+    for (f, g), (f_ref, g_ref) in zip(got, want):
+        assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
+
+
+def _check_two_direction_rows(n0, n1, l, rng):
+    """Every row of a batch that carries both directions equals the row of
+    the one-direction objective, for the input objectives of every kind and
+    for the variational and PVM objectives with states and bases per row."""
+    if l > 1:
+        n0, n1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+    for kind, alpha in [("relative", None), ("renyi", 1.5), ("renyi", 2.0), ("measured", None)]:
+        both, npar = _input_objectives(n0, n1, kind, alpha, [False, True])
+        x, y = 0.5 * rng.standard_normal((3, npar)), 0.5 * rng.standard_normal((2, npar))
+        forward, backward = _input_objective(n0, n1, kind, alpha)[0], _input_objective(n1, n0, kind, alpha)[0]
+        _assert_rows_equal(both([x, y]), [forward(x), backward(y)])
+        _assert_rows_equal(both([x[:0], y]), [forward(x[:0]), backward(y)])
+        _assert_rows_equal(_input_objectives(n0, n1, kind, alpha, [True])[0]([y]), [backward(y)])
+    psi = rng.standard_normal(n0.in_dim**2) + 1j * rng.standard_normal(n0.in_dim**2)
+    s0, s1 = _apply_to_pure(n0, psi / np.linalg.norm(psi)), _apply_to_pure(n1, psi / np.linalg.norm(psi))
+    m = s0.shape[0]
+    x, y = rng.standard_normal((3, m * m)), rng.standard_normal((2, m * m))
+    got = _per_search(_variational_terms, [x, y], np.stack([s0, s1]), np.stack([s1, s0]))
+    _assert_rows_equal(got, [_variational_terms(x, s0, s1)[:2], _variational_terms(y, s1, s0)[:2]])
+    bases = np.stack([random_unitary(m, rng), random_unitary(m, rng)])
+    got = _per_search(_pvm_terms, [0.5 * x, 0.5 * y], np.stack([s0, s1]), np.stack([s1, s0]), bases)
+    _assert_rows_equal(got, [_pvm_objective(s0, s1, bases[0])(0.5 * x), _pvm_objective(s1, s0, bases[1])(0.5 * y)])
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("pair", ["random_full_rank", "dephasing_rank2", "bernoulli_replacers"])
+def test_two_direction_rows_equal_one_direction_rows_on_zoo(pair, l):
+    n0, n1 = _gradient_pairs()[pair]
+    _check_two_direction_rows(n0, n1, l, np.random.default_rng(71))
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), l=st.sampled_from([1, 2]))
+def test_two_direction_rows_equal_one_direction_rows_on_random_pairs(seed, l):
+    rng = np.random.default_rng(seed)
+    n0, n1 = random_channel(2, 2, 3, rng), random_channel(2, 2, 3, rng)
+    _check_two_direction_rows(n0, n1, l, rng)
+
+
+def _same_value(a, b):
+    """Two DivergenceValues or BlockEstimates agree bit for bit, witness
+    input and POVM included."""
+    if hasattr(a, "value_per_use"):
+        assert (a.block_size, a.value_per_use, a.total_value) == (b.block_size, b.value_per_use, b.total_value)
+    else:
+        assert (a.value, a.is_lower_bound, a.is_finite, a.warnings) == (b.value, b.is_lower_bound, b.is_finite, b.warnings)
+    if a.witness is None:
+        assert b.witness is None
+        return
+    assert np.array_equal(a.witness.input_vector, b.witness.input_vector)
+    effects = [[] if w.povm is None else w.povm.effects for w in (a.witness, b.witness)]
+    assert len(effects[0]) == len(effects[1]) and all(map(np.array_equal, *effects))
+
+
+def _records(caplog) -> list[str]:
+    """The multistart DEBUG records, as a sorted list: a pair run logs each
+    search's record, in another order than two one-direction runs."""
+    out = sorted(repr(r.multistart) for r in caplog.records)
+    caplog.clear()
+    return out
+
+
+@pytest.mark.parametrize("pair", ["bernoulli", "depolarizing"])
+def test_measured_pair_equals_two_one_direction_runs(pair, caplog):
+    """build_sprt's pairs under the default config: both values, witnesses
+    and the DEBUG record of every search equal those of the two directions
+    run one after the other."""
+    n0, n1 = {
+        "bernoulli": (bernoulli_replacer(0.2), bernoulli_replacer(0.8)),
+        "depolarizing": (depolarizing_channel(0.3), depolarizing_channel(0.7)),
+    }[pair]
+    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+        both = channel_divergence_pair(n0, n1, kind="measured")
+        together = _records(caplog)
+        alone = (channel_divergence(n0, n1, kind="measured"), channel_divergence(n1, n0, kind="measured"))
+        separate = _records(caplog)
+    # input search, variational program and PVM search of each direction
+    assert together == separate and len(together) == 6
+    for a, b in zip(both, alone):
+        _same_value(a, b)
+
+
+def test_every_kind_of_pair_equals_two_one_direction_runs():
+    rng = np.random.default_rng(73)
+    pairs = [
+        (random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)),
+        (depolarizing_channel(0.5), identity_channel(2)),  # D(dep||id) is infinite, D(id||dep) is not
+    ]
+    for n0, n1 in pairs:
+        for kind, alpha in (("relative", None), ("renyi", 1.5), ("max", None), ("measured", None)):
+            both = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=PROPERTY_CFG)
+            for a, (x, y) in zip(both, ((n0, n1), (n1, n0))):
+                _same_value(a, channel_divergence(x, y, kind=kind, alpha=alpha, cfg=PROPERTY_CFG))
+        est = block_divergence_pair(n0, n1, 2, kind="renyi", alpha=2.0, cfg=OptimizerConfig(restarts=2, max_iters=20))
+        for a, (x, y) in zip(est, ((n0, n1), (n1, n0))):
+            _same_value(a, block_divergence(x, y, 2, kind="renyi", alpha=2.0, cfg=OptimizerConfig(restarts=2, max_iters=20)))
+    assert not channel_divergence_pair(*pairs[1], kind="relative")[0].is_finite
 
 
 def test_apply_to_pure_matches_kraus_sum():

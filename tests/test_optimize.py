@@ -263,3 +263,97 @@ def test_multistart_logs_one_debug_record(caplog):
     assert len(stats["nfev"]) == len(stats["nit"]) == 3 and min(stats["nit"]) >= 1
     # every start is evaluated once per batched call while it is live
     assert stats["batched_calls"] == max(stats["nfev"])
+
+
+# ---------------------------------------------------------------------------
+# Several searches in one lockstep run
+# ---------------------------------------------------------------------------
+
+
+def _blockwise(*objectives):
+    """A multi-search objective from one plain objective per search, and
+    the list of calls it receives (the row count of each block)."""
+    calls = []
+
+    def objective(blocks):
+        calls.append([len(b) for b in blocks])
+        return [fn(b) for fn, b in zip(objectives, blocks)]
+
+    return objective, calls
+
+
+def _alone(objective, starts, max_iters, caplog):
+    """(x, value) and the DEBUG stats of one search run on its own."""
+    caplog.clear()
+    cfg = OptimizerConfig(restarts=len(starts), max_iters=max_iters)
+    x, f = multistart_maximize(objective, starts[0].size, cfg, starts=starts)
+    (record,) = caplog.records
+    return x, f, record.multistart
+
+
+def test_searches_ending_in_different_rounds_equal_their_runs_alone(caplog):
+    rng = np.random.default_rng(61)
+    starts = [list(1.5 * rng.standard_normal((3, 2))), [np.array([-1.2, 1.0]), np.array([2.0, -1.0])]]
+    objective, calls = _blockwise(_quartic, _rosenbrock)
+    cfg = OptimizerConfig(restarts=2, max_iters=80)
+    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+        found = multistart_maximize(objective, 2, cfg, searches=starts)
+        together = [r.multistart for r in caplog.records]
+        alone = [_alone(fn, pts, 80, caplog) for fn, pts in zip((_quartic, _rosenbrock), starts)]
+    assert len(found) == len(together) == 2
+    for (x, f), stats, (x_ref, f_ref, stats_ref) in zip(found, together, alone):
+        assert np.array_equal(x, x_ref) and f == f_ref
+        # every field, nfev and nit of each start and batched_calls included
+        assert stats == stats_ref
+        assert stats["batched_calls"] == max(stats["nfev"])
+    # one call per round while either search is live; the quartic ends first
+    rounds = [stats["batched_calls"] for stats in together]
+    assert rounds[0] < rounds[1] == len(calls)
+    assert all(sizes[0] == 0 for sizes in calls[rounds[0] :])
+
+
+def test_a_failing_row_retires_only_its_start(caplog):
+    def fragile(theta):
+        if np.any(np.abs(theta) > 50.0):
+            raise FloatingPointError("overflow")
+        return _quartic(theta)
+
+    good = [np.array([-2.0, 0.5]), np.array([2.0, -0.5])]
+    starts = [[good[0], np.array([100.0, 0.0]), good[1]], list(good)]
+    objective, _ = _blockwise(fragile, fragile)
+    cfg = OptimizerConfig(restarts=2, max_iters=50)
+    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+        (x0, f0), (x1, f1) = multistart_maximize(objective, 2, cfg, searches=starts)
+        stats = [r.multistart for r in caplog.records]
+        x_ref, f_ref, _ = _alone(fragile, good, 50, caplog)
+    assert np.array_equal(x0, x_ref) and f0 == f_ref
+    assert np.array_equal(x1, x_ref) and f1 == f_ref
+    assert (stats[0]["failed"], stats[0]["nfev"][1], stats[1]["failed"]) == (1, None, 0)
+    assert stats[0]["nfev"][::2] == stats[1]["nfev"]
+
+
+def test_every_search_keeps_its_own_tie_rule():
+    def well(theta):
+        t = theta[:, :1]
+        return -((t[:, 0] ** 2 - 1.0) ** 2), -4.0 * t * (t**2 - 1.0)
+
+    objective, _ = _blockwise(well, well)
+    plus, minus = np.array([2.0]), np.array([-2.0])
+    cfg = OptimizerConfig(restarts=2, max_iters=50)
+    (x0, f0), (x1, f1) = multistart_maximize(objective, 1, cfg, searches=[[plus, minus], [minus, plus]])
+    assert f0 == f1 and abs(x0[0] - 1.0) < 1e-6 and abs(x1[0] + 1.0) < 1e-6
+
+
+def test_searches_pad_from_the_same_generator_state(caplog):
+    objective, _ = _blockwise(_quartic, _quartic)
+    cfg = OptimizerConfig(restarts=4, max_iters=50)
+    seeded = [np.array([0.5, -0.5])]
+    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+        found = multistart_maximize(objective, 2, cfg, rng=np.random.default_rng(67), searches=[seeded, []])
+        together = [r.multistart for r in caplog.records]
+        for (x, f), stats, starts in zip(found, together, (seeded, [])):
+            caplog.clear()
+            x_ref, f_ref = multistart_maximize(_quartic, 2, cfg, starts=starts, rng=np.random.default_rng(67))
+            assert np.array_equal(x, x_ref) and f == f_ref and stats == caplog.records[0].multistart
+    # both lists pad with the same draws: the second search starts at the first of them
+    assert together[1]["values"][:3] == together[0]["values"][1:] and together[1]["starts"] == 4

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chandisc import quantum, regions, strategies
+from chandisc.divergences import block_divergence
 from chandisc.optimize import OptimizerConfig, kl_divergence
 from chandisc.quantum import (
     basis_pvm,
@@ -293,16 +295,55 @@ def test_region_chain_passes_each_block_size_the_witnesses_that_fit(monkeypatch)
     """Witnesses found at l = 2 are inputs on (R A)^2: block size 3 takes the
     l = 1 witnesses, lifted, and its own, never those of l = 2."""
     seen = []
-    real = regions.block_divergence
+    real = regions.block_divergence_pair
 
     def spy(n0, n1, l, **kwargs):
         seen.append((l, kwargs["kind"], sorted({np.asarray(v).size for v in kwargs["cfg"].extra_starts})))
         return real(n0, n1, l, **kwargs)
 
-    monkeypatch.setattr(regions, "block_divergence", spy)
+    monkeypatch.setattr(regions, "block_divergence_pair", spy)
     cfg = OptimizerConfig(restarts=1, max_iters=5)
     region_chain(bernoulli_replacer(0.2), bernoulli_replacer(0.8), cfg=cfg, l_max=3, alpha_grid=(1.5,), samples=8)
     assert {(l, kind) for l, kind, _ in seen} == {(1, "measured"), (2, "measured"), (3, "measured"), (3, "renyi")}
     for l, kind, sizes in seen:
         # the adaptive stage at l runs before its own witnesses exist; the converse runs after
         assert sizes == ([] if l == 1 else [4] if kind == "measured" else [4, 4**l])
+
+
+def test_region_chain_with_pair_searches_equals_one_direction_runs(monkeypatch, caplog):
+    """The chain of the block_regions benchmark config: frontiers, witnesses,
+    verdicts and every search's DEBUG record equal those of a chain that runs
+    each direction's block search on its own."""
+    cfg = OptimizerConfig(restarts=4, max_iters=100)
+
+    def chain():
+        caplog.clear()
+        c = region_chain(depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=cfg, l_max=2,
+                         alpha_grid=(1.1, 1.5), samples=256, slack=1e-3)
+        return c, sorted(repr(r.multistart) for r in caplog.records)
+
+    def one_direction_runs(n0, n1, l, **kwargs):
+        return block_divergence(n0, n1, l, **kwargs), block_divergence(n1, n0, l, **kwargs)
+
+    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+        paired, together = chain()
+        monkeypatch.setattr(regions, "block_divergence_pair", one_direction_runs)
+        alone, separate = chain()
+    assert together == separate and len(together) > 0
+    for a, b in zip(_regions_of(paired), _regions_of(alone)):
+        assert a.frontier == b.frontier
+        assert {k: v for k, v in a.metadata.items() if not k.startswith("witness")} == {
+            k: v for k, v in b.metadata.items() if not k.startswith("witness")
+        }
+        for key in ("witness_01", "witness_10"):
+            if key in a.metadata:
+                wa, wb = a.metadata[key], b.metadata[key]
+                assert np.array_equal(wa.input_vector, wb.input_vector)
+                assert all(map(np.array_equal, wa.povm.effects, wb.povm.effects))
+    assert {k: (r.contained, r.violations) for k, r in paired.containments.items()} == {
+        k: (r.contained, r.violations) for k, r in alone.containments.items()
+    }
+
+
+def _regions_of(chain) -> list:
+    return [chain.non_adaptive, chain.converse] + [chain.adaptive[l] for l in sorted(chain.adaptive)]

@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chandisc import serialize
 from chandisc.errors import InvalidStateError
@@ -153,3 +157,46 @@ def test_dumps_is_canonical():
     doc = {"b": 1.5, "a": [1, 2]}
     assert serialize.dumps(doc) == serialize.dumps({"a": [1, 2], "b": 1.5})
     assert serialize.dumps(doc).endswith("\n")
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(st.floats(), st.floats()).map(list)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(doc=_JSON)
+@example(doc={"a": [-0.0, 1e16, 1e-05], "b": [math.nan, math.inf, -math.inf], "c": []})
+@example(doc={"é\u2603\n\"\\\x00": [[], {}, [[1.5, -2.0]], True, False, None, 3, -(2**70)]})
+@example(doc=[1.0, 2.0])
+@example(doc=math.nan)
+def test_dumps_equals_the_stdlib_encoder(doc):
+    assert serialize.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_defers_other_types_and_keys_to_the_stdlib():
+    for doc in ({1: "a", 2.5: [np.float64(0.1)]}, {"s": np.float64(0.25), "t": (1, [])}):
+        assert serialize.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for doc in ({"arr": np.zeros(2)}, {"x": np.int64(2)}, {"b": True, 1: None}):
+        with pytest.raises(TypeError):
+            serialize.dumps(doc)
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        serialize.dumps(loop)
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("data/replay/*/*.json")), ids=lambda p: p.parent.name + "/" + p.name)
+def test_replay_documents_redump_to_their_bytes(path):
+    text = path.read_text()
+    assert serialize.dumps(serialize.loads(text)) == text

@@ -287,13 +287,25 @@ def test_pinned_sweep(tie_strategy):
 
 
 def test_sweep_records_equal_run_trials(depolarizing_strategy, block_strategy):
-    for strat, budgets in ((depolarizing_strategy, [20, 60]), (block_strategy, [40, 100, 101])):
+    for strat, budgets in ((depolarizing_strategy, [20, 60]), (block_strategy, [40, 100])):
         recs = sweep_budgets(strat, budgets, trials=80, base_seed=4)
         for rec in recs:
             plan = SimulationPlan(strategy=strat.with_budget(rec.n // strat.block_size), trials=80, base_seed=4)
             assert rec.summary == run_trials(plan)
-    # 100 and 101 uses are the same 50 blocks
-    assert recs[1].summary == recs[2].summary and recs[2].summary.budget == 100
+            assert rec.summary.budget == rec.n
+
+
+@pytest.mark.parametrize("budget", [0, -5, 10.5, True])
+def test_sweep_rejects_budgets_that_are_not_positive_ints(classical_strategy, budget):
+    with pytest.raises(ValueError, match="multiples of the block size 1"):
+        sweep_budgets(classical_strategy, [budget, 20], trials=10, base_seed=0)
+
+
+@pytest.mark.parametrize("budget", [5, 11, 1])
+def test_sweep_rejects_budgets_off_the_block_size(block_strategy, budget):
+    # a budget of 11 uses would run 5 blocks and report a budget of 10
+    with pytest.raises(ValueError, match="multiples of the block size 2"):
+        sweep_budgets(block_strategy, [budget, 40], trials=10, base_seed=0)
 
 
 def test_sweep_of_no_budgets(classical_strategy):
@@ -318,6 +330,8 @@ def test_first_over_censored_budget_raises(classical_strategy):
         {"step_cap_factor": 1.5},
         {"trials": 2.5},
         {"trials": 0},
+        {"trials": True},
+        {"step_cap_factor": True},
     ],
 )
 def test_plan_rejects_bad_constraint_and_cap(classical_strategy, kwargs):
@@ -415,7 +429,7 @@ def test_first_pass_matches_numpy(base, hyp, trials, k):
     assert np.array_equal(np.random.Generator(np.random.PCG64(_PresetSeed(later[t]))).random(300), expect)
 
 
-@pytest.mark.parametrize("base_seed", [-1, -(2**40), 1.5, "3", None])
+@pytest.mark.parametrize("base_seed", [-1, -(2**40), 1.5, "3", None, True, False])
 def test_base_seed_must_be_nonnegative_int(classical_strategy, base_seed):
     with pytest.raises(ValueError):
         SimulationPlan(strategy=classical_strategy, trials=10, base_seed=base_seed)
