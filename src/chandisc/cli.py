@@ -165,10 +165,10 @@ def main(ctx, config_path, seed, out, log_base, no_timestamp):
 
     Config keys: channels.n0/.n1 (zoo name + params, or a channel JSON
     file), seed, log_base, out, optimizer (restarts, max_iters = L-BFGS
-    iterations per start, cross_check_tol, pvm_restarts, seed), divergence
-    (kinds, alpha), simulate (mode, n, l, tau, trials, constraint,
-    epsilon), sweep (budgets, trials, constraint, epsilon), regions (which,
-    l_max, alpha_grid, samples, slack).
+    iterations per start, cross_check_tol, seed, and pvm_restarts, which
+    no command reads), divergence (kinds, alpha), simulate (mode, n, l,
+    tau, trials, constraint, epsilon), sweep (budgets, trials, constraint,
+    epsilon), regions (which, l_max, alpha_grid, samples, slack).
     """
     ctx.ensure_object(dict)
     ctx.obj["config_path"] = config_path
@@ -245,6 +245,12 @@ def divergence(ctx):
     _run_command(ctx, "divergence", run)
 
 
+def _block_size(cfg) -> int:
+    """simulate.l in block mode (default 2), else 1."""
+    sim = cfg.get("simulate", {})
+    return sim.get("l", 2) if sim.get("mode") == "block" else 1
+
+
 def _build_strategy(cfg, pair, ocfg):
     n0, n1 = pair
     opts = cfg.get("simulate", {})
@@ -301,7 +307,12 @@ def simulate(ctx):
             f"constraint {status} ({report.detail})"
         )
 
-    _run_command(ctx, "simulate", run)
+    def check(cfg):
+        n, l = cfg.get("simulate", {}).get("n", 400), _block_size(cfg)
+        if n % l:
+            raise ConfigError(f"simulate.n {n} is not a multiple of the block size {l}")
+
+    _run_command(ctx, "simulate", run, check)
 
 
 @main.command()
@@ -331,8 +342,7 @@ def sweep(ctx):
             )
 
     def check(cfg):
-        sim = cfg.get("simulate", {})
-        l = sim.get("l", 2) if sim.get("mode") == "block" else 1
+        l = _block_size(cfg)
         bad = [n for n in cfg.get("sweep", {}).get("budgets", _SWEEP_BUDGETS) if n % l]
         if bad:
             raise ConfigError(f"sweep budgets {bad} are not multiples of the block size {l}")

@@ -15,8 +15,16 @@ through the A_k), and block (tensor-power) values.  The pair entries
 channel_divergence_pair and block_divergence_pair return (D(N0||N1),
 D(N1||N0)) from one lockstep run: every row computes both outputs N0(psi)
 and N1(psi) anyway, so each objective call carries the rows of both
-directions, and the measured certifications of both share their calls too.
-channel_divergence and block_divergence are the one-direction case.
+directions, and the variational programs of both measured certifications
+share their calls too.  channel_divergence and block_divergence are the
+one-direction case.
+
+A measured channel value is certified from the variational optimum at the
+best input, with no PVM search: measuring in the eigenbasis of the optimal
+omega already reaches the variational value (Berta, Fawzi & Tomamichel,
+arXiv:1512.02615), and the best of that basis, the eigenbasis of
+log sigma0 - log sigma1 and the identity is the witness, with the outcomes
+negligible under both outputs merged (optimize.basis_witness).
 
 All values are in nats.  Channel divergences obtained by numerical
 maximization are certified lower bounds; the channel max-divergence is exact
@@ -46,6 +54,8 @@ from .optimize import (
     _safe_log_state,
     _split_rows,
     _variational_terms,
+    basis_witness,
+    candidate_bases,
     hermitian_to_params,
     multistart_maximize,
     params_to_pure_vector,
@@ -217,48 +227,72 @@ def measured_rel_entropy_states(
 
     Two independent estimators are run and cross-checked: the concave
     variational program over positive operators, and a direct search over
-    rank-one PVMs.  The reported value is the larger of the two (both are
-    lower bounds); disagreement beyond the configured tolerance attaches a
-    ConvergenceWarning, and disagreement beyond 10x raises OptimizerFailure.
+    rank-one PVMs from the best candidate basis.  The reported value is the
+    larger of the two (both are lower bounds); disagreement beyond the
+    configured tolerance attaches a ConvergenceWarning, and disagreement
+    beyond 10x raises OptimizerFailure.
     """
-    return _measured_rel_entropies([(rho0, rho1)], cfg)[0]
-
-
-def _measured_rel_entropies(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: OptimizerConfig | None):
-    """measured_rel_entropy_states of every state pair, all of one
-    dimension: the variational programs of the pairs share each objective
-    call, and so do their PVM searches."""
     cfg = cfg or OptimizerConfig()
+    (dv,), r0, r1, var_vals, best = _measured_programs([(rho0, rho1)])
+    if dv is not None:
+        return dv
+    (pvm_val, povm), = pvm_search_measured(r0, r1, cfg, best)
+    return _cross_checked(var_vals[0], pvm_val, povm, cfg)
+
+
+def _measured_programs(pairs: list[tuple[DensityMatrix, DensityMatrix]]):
+    """The support test, the variational program and the best candidate
+    basis of every state pair, all of one dimension, the programs sharing
+    each objective call.  Returns one DivergenceValue per pair, inf where
+    the support is not contained and None elsewhere, then for the other
+    pairs, in order: their stacked states, variational values and
+    candidate_bases."""
     for rho0, rho1 in pairs:
         _check_pair(rho0, rho1)
     out = [None if support_contained(rho0.mat, rho1.spectrum) else DivergenceValue(math.inf, is_finite=False)
            for rho0, rho1 in pairs]
-    live = [i for i, dv in enumerate(out) if dv is None]
+    live = [pair for pair, dv in zip(pairs, out) if dv is None]
     if not live:
-        return out
-    r0 = np.stack([pairs[i][0].mat for i in live])
-    r1 = np.stack([pairs[i][1].mat for i in live])
-    log_ratio = np.stack([_safe_log_state(pairs[i][0].spectrum) - _safe_log_state(pairs[i][1].spectrum) for i in live])
+        return out, None, None, [], []
+    r0 = np.stack([rho0.mat for rho0, _ in live])
+    r1 = np.stack([rho1.mat for _, rho1 in live])
+    log_ratio = np.stack([_safe_log_state(rho0.spectrum) - _safe_log_state(rho1.spectrum) for rho0, rho1 in live])
     var_vals, omegas = variational_measured(r0, r1, log_ratio)
-    omega_bases = np.stack([hermitian_eigen(omega)[1] for omega in omegas])
-    searched = pvm_search_measured(r0, r1, cfg, log_ratio, extra_bases=omega_bases[:, None])
-    for i, var_val, (pvm_val, povm) in zip(live, var_vals, searched):
-        notes = []
-        if abs(var_val - pvm_val) > cfg.cross_check_tol:
-            if abs(var_val - pvm_val) > 10 * cfg.cross_check_tol:
-                raise OptimizerFailure(
-                    f"measured-entropy estimators disagree: variational {var_val:.6f} "
-                    f"vs PVM search {pvm_val:.6f}"
-                )
-            msg = f"estimators disagree by {abs(var_val - pvm_val):.2e}"
-            warnings.warn(msg, ConvergenceWarning)
-            notes.append(msg)
-        out[i] = DivergenceValue(
-            max(var_val, pvm_val, 0.0),
-            is_lower_bound=True,
-            witness=MeasuredWitness(povm=povm, variational_value=var_val, pvm_value=pvm_val),
-            warnings=notes,
-        )
+    return out, r0, r1, var_vals, candidate_bases(r0, r1, log_ratio, omegas)
+
+
+def _cross_checked(var_val: float, pvm_val: float, povm: Povm, cfg: OptimizerConfig) -> DivergenceValue:
+    """The larger of the variational value and the value of the PVM povm,
+    with a ConvergenceWarning when they disagree beyond cfg.cross_check_tol
+    and OptimizerFailure beyond 10x."""
+    notes = []
+    if abs(var_val - pvm_val) > cfg.cross_check_tol:
+        if abs(var_val - pvm_val) > 10 * cfg.cross_check_tol:
+            raise OptimizerFailure(
+                f"measured-entropy estimators disagree: variational {var_val:.6f} "
+                f"vs PVM search {pvm_val:.6f}"
+            )
+        msg = f"estimators disagree by {abs(var_val - pvm_val):.2e}"
+        warnings.warn(msg, ConvergenceWarning)
+        notes.append(msg)
+    return DivergenceValue(
+        max(var_val, pvm_val, 0.0),
+        is_lower_bound=True,
+        witness=MeasuredWitness(povm=povm, variational_value=var_val, pvm_value=pvm_val),
+        warnings=notes,
+    )
+
+
+def _measured_channel_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: OptimizerConfig):
+    """The measured value of every output pair of a channel search,
+    certified from the variational optimum without a PVM search: the best
+    candidate basis gives the witness PVM (basis_witness) and its KL, which
+    is cross-checked against the variational value as in
+    measured_rel_entropy_states."""
+    out, r0, r1, var_vals, best = _measured_programs(pairs)
+    live = [i for i, dv in enumerate(out) if dv is None]
+    for j, i in enumerate(live):
+        out[i] = _cross_checked(var_vals[j], *basis_witness(best[j][1], r0[j], r1[j]), cfg)
     return out
 
 
@@ -379,8 +413,12 @@ def channel_divergence(
     unit input vectors and return certified lower bounds with the best
     input as witness.  The measured kind ascends the variational formula
     jointly in the input and the observable H, then certifies the value at
-    the best input with measured_rel_entropy_states, whose PVM is the
-    witness measurement.  This is the one-direction case of
+    the best input from the variational optimum there: the witness
+    measurement is the best candidate basis (the optimal omega's
+    eigenbasis first), with the outcomes negligible under both outputs
+    merged into one effect, and the value is the KL of its outcome laws,
+    cross-checked against the variational value as in
+    measured_rel_entropy_states.  This is the one-direction case of
     channel_divergence_pair.
     """
     return _channel_divergences(n0, n1, kind, alpha, cfg, pair=False)[0]
@@ -452,7 +490,7 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
         for i, psi in zip(live, psis)
     ]
     if kind == "measured":
-        measured = _measured_rel_entropies(states, cfg)
+        measured = _measured_channel_values(states, cfg)
     for j, i in enumerate(live):
         (s0, s1), (_, best) = states[j], found[j]
         witness = ChannelWitness(input_vector=psis[j])
@@ -514,9 +552,17 @@ def block_divergence_pair(
 
 
 def _block_divergences(n0, n1, l, kind, alpha, cfg, pair: bool) -> list[BlockEstimate]:
+    return _power_divergences(n0.in_dim, tensor_power_channel(n0, l), tensor_power_channel(n1, l), l, kind, alpha,
+                             cfg, pair)
+
+
+def _power_divergences(d_in, b0, b1, l, kind, alpha, cfg, pair: bool) -> list[BlockEstimate]:
+    """block_divergence, or with pair block_divergence_pair, as a list, on
+    the l-fold tensor powers b0, b1 of two channels with input dimension
+    d_in, built by the caller."""
     cfg = cfg or OptimizerConfig()
     if l > 1:
-        d2 = n0.in_dim**2
+        d2 = d_in**2
         starts = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
         if any(v.size not in (d2, d2**l) for v in starts):
             raise DimensionMismatchError(
@@ -525,12 +571,8 @@ def _block_divergences(n0, n1, l, kind, alpha, cfg, pair: bool) -> list[BlockEst
             )
         cfg = replace(
             cfg,
-            extra_starts=[product_input_vector(v, n0.in_dim, l) for v in starts if v.size == d2]
+            extra_starts=[product_input_vector(v, d_in, l) for v in starts if v.size == d2]
             + [v for v in starts if v.size == d2**l],
         )
-        n0, n1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
-    if pair:
-        dvs = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=cfg)
-    else:
-        dvs = [channel_divergence(n0, n1, kind=kind, alpha=alpha, cfg=cfg)]
+    dvs = _channel_divergences(b0, b1, kind, alpha, cfg, pair)
     return [BlockEstimate(l, dv.value / l, witness=dv.witness, total_value=dv.value) for dv in dvs]

@@ -1,7 +1,9 @@
 """Shared optimization machinery: Hermitian / pure-state parametrizations,
 divided-difference kernels of Frechet derivatives, a lockstep multi-start
 L-BFGS-B driver on analytic gradients, and the two measured relative entropy
-estimators (variational program and direct PVM search).
+estimators (variational program and direct PVM search) with the candidate
+bases that seed the search; basis_witness certifies a channel value from
+the best candidate alone.
 
 Every objective the driver ascends is batched: objective(X) takes the
 parameter rows X of shape (B, P) and returns the values f of shape (B,) and
@@ -485,43 +487,72 @@ def _pvm_objective(rho0: np.ndarray, rho1: np.ndarray, base: np.ndarray):
 _PVM_SEARCH_MAX_DIM = 6
 
 
+def candidate_bases(
+    rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray, omegas: np.ndarray
+) -> list[tuple[float, np.ndarray]]:
+    """The best candidate basis of each state pair of the stacks rho0, rho1
+    (k, d, d), as (KL, basis), the first of equal finite KLs winning.
+
+    The candidates are the eigenbasis of the variational optimizer's omega
+    (its basis KL dominates the variational value at omega), the eigenbasis
+    of log_ratio = log rho0 - log rho1 (optimal in the commuting case) and
+    the identity."""
+    eye = np.eye(rho0.shape[-1], dtype=complex)
+    best = []
+    for j in range(len(rho0)):
+        best_val, best_u = -math.inf, None
+        for base_u in (hermitian_eigen(omegas[j])[1], hermitian_eigen(log_ratio[j])[1], eye):
+            val = basis_kl(base_u, rho0[j], rho1[j])
+            if math.isfinite(val) and val > best_val:
+                best_val, best_u = val, base_u
+        best.append((best_val, best_u))
+    return best
+
+
+def basis_witness(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> tuple[float, Povm]:
+    """The PVM that certifies a basis, and its value: the classical KL of
+    its outcome laws.
+
+    Outcomes at or below NEGLIGIBLE_PROB under both states carry rounding
+    mass only, which a strict re-evaluation can read under rho0 alone (an
+    infinite KL).  They are merged into the outcome of largest rho1
+    probability, whose effect becomes the sum of their projectors.  The
+    effects are ordered by ascending increment log p0 - log p1, as the SPRT
+    tables read it, ties in index order."""
+    p, q, _, _ = _basis_laws(basis, rho0, rho1)
+    effects = basis.T[:, :, None] * basis.T.conj()[:, None, :]
+    merged = (p <= NEGLIGIBLE_PROB) & (q <= NEGLIGIBLE_PROB)
+    if merged.any():
+        t = int(np.argmax(q))
+        effects[t] += effects[merged].sum(axis=0)
+        p[t] += p[merged].sum()
+        q[t] += q[merged].sum()
+        p, q, effects = p[~merged], q[~merged], effects[~merged]
+    with np.errstate(divide="ignore"):
+        increments = np.log(np.where(p > NEGLIGIBLE_PROB, p, 0.0)) - np.log(np.where(q > NEGLIGIBLE_PROB, q, 0.0))
+    order = np.argsort(increments, kind="stable")
+    return kl_divergence(p[order], q[order]), Povm(list(effects[order]), label="measured-witness")
+
+
 def pvm_search_measured(
     rho0: np.ndarray,
     rho1: np.ndarray,
     cfg: OptimizerConfig,
-    log_ratio: np.ndarray,
-    extra_bases: np.ndarray | None = None,
+    best: list[tuple[float, np.ndarray]],
 ) -> list[tuple[float, Povm]]:
     """Maximize the classical KL of the outcome distributions over rank-one
     PVMs, parametrized as exp(i H) applied to a reference basis, by seeded
     multi-start L-BFGS on the analytic gradient.
 
-    Runs one search per state pair of the stacks rho0, rho1 (k, d, d), with
-    log_ratio (k, d, d) = log rho0 - log rho1 and extra_bases (k, e, d, d)
-    or None; the k searches share every objective call.  Returns one
-    (value, PVM) per pair.
-
-    Candidate reference bases always include the eigenbasis of log_ratio
-    (optimal in the commuting case) plus any caller supplied bases, e.g. the
-    eigenbasis of the variational optimizer's omega (whose basis KL always
-    dominates the variational value)."""
+    Runs one search per state pair of the stacks rho0, rho1 (k, d, d), from
+    the reference basis that candidate_bases picked for it, given as its
+    (KL, basis) in best; the k searches share every objective call.
+    Returns one (value, PVM) per pair: the searched basis where it beats
+    the candidate, the candidate otherwise."""
     d = rho0.shape[-1]
     npar = d * d
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x9E)))
-
-    best = []
-    for j in range(len(rho0)):
-        _, base = hermitian_eigen(log_ratio[j])
-        bases = [base, np.eye(d, dtype=complex)]
-        if extra_bases is not None:
-            bases = list(extra_bases[j]) + bases
-        best_val, best_u = -math.inf, None
-        for base_u in bases:
-            val = basis_kl(base_u, rho0[j], rho1[j])
-            if math.isfinite(val) and val > best_val:
-                best_val, best_u = val, base_u
-        best.append((best_val, best_u))
-
+    best = list(best)
     if d <= _PVM_SEARCH_MAX_DIM:
         starts = [np.zeros(npar)]
         for _ in range(max(cfg.pvm_restarts - 1, 1)):

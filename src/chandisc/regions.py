@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .divergences import block_divergence_pair
+from .divergences import _power_divergences
 from .errors import DegenerateSamplingError
 from .optimize import OptimizerConfig
 from .quantum import QuantumChannel, _apply_to_pure, _basis_laws, _ginibre, random_unitary, tensor_power_channel
@@ -91,11 +91,20 @@ def adaptive_region(
     direction (any single measurement lower-bounds both measured
     divergences), so the corner takes the max over both arms per coordinate.
     """
-    cfg = cfg or OptimizerConfig()
-    e01, e10 = block_divergence_pair(n0, n1, l, kind="measured", cfg=cfg)
+    return _adaptive_region(n0.in_dim, l, _powers(n0, n1, l), cfg or OptimizerConfig())
+
+
+def _powers(n0: QuantumChannel, n1: QuantumChannel, l: int) -> tuple[QuantumChannel, QuantumChannel]:
+    return tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+
+
+def _adaptive_region(d_in: int, l: int, powers, cfg: OptimizerConfig) -> ExponentRegion:
+    """adaptive_region on the l-fold tensor powers (b0, b1) of two channels
+    with input dimension d_in."""
+    b0, b1 = powers
+    e01, e10 = _power_divergences(d_in, b0, b1, l, "measured", None, cfg, pair=True)
     r0, w10 = e10.value_per_use, e10.witness
     r1, w01 = e01.value_per_use, e01.witness
-    b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
     for w in (w10, w01):
         if w is None or getattr(w, "povm", None) is None:
             continue
@@ -196,12 +205,17 @@ def converse_region(
     below, so the region is labeled an estimate rather than a certified
     outer bound.
     """
-    cfg = cfg or OptimizerConfig()
+    return _converse_region(n0.in_dim, alpha_grid, l, _powers(n0, n1, l), cfg or OptimizerConfig())
+
+
+def _converse_region(d_in: int, alpha_grid: list[float], l: int, powers, cfg: OptimizerConfig) -> ExponentRegion:
+    """converse_region on the l-fold tensor powers (b0, b1) of two channels
+    with input dimension d_in."""
     if any(a <= 1.0 for a in alpha_grid):
         raise ValueError("alpha grid must lie strictly above 1")
     # one pair call per alpha: rows share a call only at one scalar order, since
     # numpy's fast paths for scalar exponents (w**2.0) are not the array pow
-    pairs = [block_divergence_pair(n0, n1, l, kind="renyi", alpha=alpha, cfg=cfg) for alpha in alpha_grid]
+    pairs = [_power_divergences(d_in, *powers, l, "renyi", alpha, cfg, pair=True) for alpha in alpha_grid]
     return ExponentRegion(
         kind=CONVERSE,
         frontier=[(min(e10.value_per_use for _, e10 in pairs), min(e01.value_per_use for e01, _ in pairs))],
@@ -249,7 +263,8 @@ def region_chain(
             # block searches get a reduced budget; the product starts carry
             # the l = 1 quality
             sub = replace(sub, restarts=max(4, cfg.restarts // 4), max_iters=cfg.max_iters // 2)
-        region = adaptive[l] = adaptive_region(n0, n1, l=l, cfg=sub)
+        powers = _powers(n0, n1, l)
+        region = adaptive[l] = _adaptive_region(n0.in_dim, l, powers, sub)
         for key in ("witness_10", "witness_01"):
             w = region.metadata.get(key)
             if w is not None:
@@ -275,7 +290,7 @@ def region_chain(
         adaptive[l].frontier = [(floor_x, floor_y)]
 
     conv_cfg = replace(cfg, restarts=max(4, cfg.restarts // 4), extra_starts=starts(l_max))
-    conv = converse_region(n0, n1, list(alpha_grid), l=l_max, cfg=conv_cfg)
+    conv = _converse_region(n0.in_dim, list(alpha_grid), l_max, powers, conv_cfg)
     # the sandwiched divergence dominates the measured one pointwise, so the
     # adaptive corner is also a certified floor for the converse estimate
     (ax, ay), = adaptive[l_max].frontier

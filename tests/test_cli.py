@@ -157,6 +157,24 @@ def test_block_sweep_budgets_off_the_block_size_exit_2(tmp_path, runner):
         assert not out.exists()
 
 
+def test_block_simulate_budget_off_the_block_size_exit_2(tmp_path, runner):
+    """simulate.n counts channel uses: in block mode it must be a multiple
+    of l, checked before the run directory exists, instead of running
+    n // l blocks."""
+    block = {"mode": "block", "l": 2, "n": 101, "tau": 0.08, "trials": 20}
+    for sim in (block, {**block, "l": 3, "n": 100}, {k: v for k, v in block.items() if k != "n"} | {"l": 3}):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, simulate=sim)
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "simulate"])
+        assert res.exit_code == 2, (sim, res.output)
+        assert "is not a multiple of the block size" in res.output
+        assert not out.exists()
+    cfg = write_config(tmp_path, simulate={**block, "n": 100})
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "ok"), "--no-timestamp", "simulate"])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "ok" / "strategy.json").read_text())["n"] == 50
+
+
 def test_config_errors_exit_2(tmp_path, runner):
     out = tmp_path / "run"
     res = runner.invoke(main, ["--config", str(tmp_path / "nope.json"), "--out", str(out), "validate"])

@@ -30,12 +30,15 @@ from chandisc.optimize import (
     _pvm_terms,
     _safe_log_state,
     _variational_terms,
+    candidate_bases,
     kl_divergence,
+    pvm_search_measured,
     variational_measured,
 )
 from chandisc.quantum import (
     DensityMatrix,
     _apply_to_pure,
+    amplitude_damping_channel,
     bernoulli_replacer,
     dephasing_channel,
     depolarizing_channel,
@@ -439,8 +442,8 @@ def test_measured_pair_equals_two_one_direction_runs(pair, caplog):
         together = _records(caplog)
         alone = (channel_divergence(n0, n1, kind="measured"), channel_divergence(n1, n0, kind="measured"))
         separate = _records(caplog)
-    # input search, variational program and PVM search of each direction
-    assert together == separate and len(together) == 6
+    # input search and variational program of each direction
+    assert together == separate and len(together) == 4
     for a, b in zip(both, alone):
         _same_value(a, b)
 
@@ -518,3 +521,85 @@ def test_channel_divergence_bounds_and_witnesses(seed):
             floor, again = d_max, max_div_states(s0, s1).value
         assert floor - 1e-9 <= dv.value <= d_max + 1e-9, (kind, alpha, floor, dv.value, d_max)
         assert abs(again - dv.value) <= tol, (kind, alpha, again, dv.value)
+
+
+def _strict_laws(ch, psi: np.ndarray, povm) -> np.ndarray:
+    """Outcome law of povm on (id (x) ch)(|psi><psi|), the output built
+    from Kronecker products instead of the library's channel map; negative
+    rounding is clipped to 0."""
+    rho = np.outer(psi, psi.conj())
+    out = sum(np.kron(np.eye(psi.size // k.shape[1]), k) @ rho @ np.kron(np.eye(psi.size // k.shape[1]), k).conj().T
+              for k in ch.kraus)
+    p = np.array([float(np.trace(out @ e).real) for e in povm.effects])
+    return np.clip(p, 0.0, None) / p.sum()
+
+
+def _strict_kl(p: np.ndarray, q: np.ndarray) -> float:
+    """KL counting every outcome with p > 0: inf where q reads 0 there."""
+    keep = p > 0
+    with np.errstate(divide="ignore"):
+        return float(np.sum(p[keep] * np.log(p[keep] / q[keep])))
+
+
+def _witness_pairs():
+    rng = np.random.default_rng(5)
+    # the 5th pair's witness put 6.9e-18 under N0 on an outcome where N1 reads 0
+    randoms = [(random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)) for _ in range(5)]
+    zoo = [
+        (depolarizing_channel(0.3), depolarizing_channel(0.7)),
+        (dephasing_channel(0.2), dephasing_channel(0.6)),
+        (bernoulli_replacer(0.2), bernoulli_replacer(0.8)),
+        (amplitude_damping_channel(0.2), amplitude_damping_channel(0.6)),
+        (identity_channel(2), depolarizing_channel(0.5)),
+    ]
+    return [(pair, CFG) for pair in zoo + randoms] + [(pair, OptimizerConfig()) for pair in zoo[1:3]]
+
+
+def test_measured_channel_witnesses_reevaluate_under_strict_kl():
+    """Every finite measured channel value re-evaluates within
+    cross_check_tol from its witness under a KL that counts every outcome
+    of positive probability, and the witness lists its outcomes by
+    ascending increment log p0 - log p1."""
+    finite = 0
+    for (n0, n1), cfg in _witness_pairs():
+        for dv, (a, b) in zip(channel_divergence_pair(n0, n1, kind="measured", cfg=cfg), ((n0, n1), (n1, n0))):
+            if not dv.is_finite:
+                continue
+            finite += 1
+            p0, p1 = (_strict_laws(ch, dv.witness.input_vector, dv.witness.povm) for ch in (a, b))
+            again = _strict_kl(p0, p1)
+            assert abs(again - dv.value) <= cfg.cross_check_tol, (a.label, b.label, again, dv.value)
+            live = (p0 > 1e-12) & (p1 > 1e-12)
+            increments = np.log(p0[live]) - np.log(p1[live])
+            assert np.all(np.diff(increments) >= -1e-9), increments
+    assert finite >= 20
+
+
+def _supported_state_pair(kind: int, d: int, rank: int, rng) -> tuple[DensityMatrix, DensityMatrix]:
+    """A zoo Choi pair (kind 0) or a random pair whose rho1 has the given
+    rank and whose rho0 lies in its support (kind 1)."""
+    if kind == 0:
+        zoo = [(depolarizing_channel(0.3), depolarizing_channel(0.7)), (dephasing_channel(0.2), dephasing_channel(0.6)),
+               (bernoulli_replacer(0.2), bernoulli_replacer(0.8)), (identity_channel(2), depolarizing_channel(0.5))]
+        a, b = zoo[rank % len(zoo)]
+        return a.choi_state(), b.choi_state()
+    rank = min(rank, d)
+    g1 = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    g0 = g1 @ (rng.standard_normal((rank, d)) + 1j * rng.standard_normal((rank, d)))
+    return tuple(DensityMatrix(m / np.trace(m).real) for m in (g0 @ g0.conj().T, g1 @ g1.conj().T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.integers(0, 1), d=st.integers(2, 4), rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_pvm_search_never_beats_the_candidate_bases(kind, d, rank, seed):
+    """On supported state pairs the rank-one PVM search, started from the
+    best candidate basis, gains at most cross_check_tol over it: the
+    candidates alone certify the measured value."""
+    rho0, rho1 = _supported_state_pair(kind, d, rank, np.random.default_rng(seed))
+    r0, r1 = rho0.mat[None], rho1.mat[None]
+    log_ratio = (_safe_log_state(rho0.spectrum) - _safe_log_state(rho1.spectrum))[None]
+    _, omegas = variational_measured(r0, r1, log_ratio)
+    best = candidate_bases(r0, r1, log_ratio, omegas)
+    cfg = OptimizerConfig()
+    (searched, _), = pvm_search_measured(r0, r1, cfg, best)
+    assert searched <= best[0][0] + cfg.cross_check_tol, (searched, best[0][0])

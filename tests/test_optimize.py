@@ -16,6 +16,7 @@ from chandisc.optimize import (
     _power_kernel,
     _pvm_objective,
     _variational_terms,
+    basis_witness,
     hermitian_grad_to_params,
     hermitian_to_params,
     kl_divergence,
@@ -357,3 +358,22 @@ def test_searches_pad_from_the_same_generator_state(caplog):
             assert np.array_equal(x, x_ref) and f == f_ref and stats == caplog.records[0].multistart
     # both lists pad with the same draws: the second search starts at the first of them
     assert together[1]["values"][:3] == together[0]["values"][1:] and together[1]["starts"] == 4
+
+
+def test_basis_witness_merges_negligible_outcomes_and_orders_by_increment():
+    """Outcomes negligible under both states join the outcome of largest
+    rho1 probability; the effects run by ascending log p0 - log p1, equal
+    increments in index order; the value is the KL of the merged laws."""
+    p = np.diag([0.6, 0.0, 0.3, 3e-17, 0.1]).astype(complex)
+    q = np.diag([0.1, 0.0, 0.6, 0.0, 0.3]).astype(complex)
+    value, povm = basis_witness(np.eye(5, dtype=complex), p, q)
+    # increments log(1/3) < log(1/2) (outcome 2 with 1 and 3 merged in) < log 6
+    e = np.eye(5)
+    assert povm.is_pvm and len(povm.effects) == 3
+    for got, want in zip(povm.effects, (np.diag(e[4]), np.diag(e[1] + e[2] + e[3]), np.diag(e[0]))):
+        assert np.array_equal(got, want)
+    assert value == pytest.approx(kl_divergence(np.array([0.1, 0.3, 0.6]), np.array([0.3, 0.6, 0.1])), abs=1e-15)
+    # equal increments keep their index order
+    flat = np.diag([0.5, 0.2, 0.3]).astype(complex)
+    _, tied = basis_witness(np.eye(3, dtype=complex), flat, flat)
+    assert [int(np.argmax(np.real(np.diag(t)))) for t in tied.effects] == [0, 1, 2]

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chandisc import quantum, regions, strategies
-from chandisc.divergences import block_divergence
+from chandisc import divergences, quantum, regions, strategies
 from chandisc.optimize import OptimizerConfig, kl_divergence
 from chandisc.quantum import (
     basis_pvm,
@@ -295,19 +294,39 @@ def test_region_chain_passes_each_block_size_the_witnesses_that_fit(monkeypatch)
     """Witnesses found at l = 2 are inputs on (R A)^2: block size 3 takes the
     l = 1 witnesses, lifted, and its own, never those of l = 2."""
     seen = []
-    real = regions.block_divergence_pair
+    real = regions._power_divergences
 
-    def spy(n0, n1, l, **kwargs):
-        seen.append((l, kwargs["kind"], sorted({np.asarray(v).size for v in kwargs["cfg"].extra_starts})))
-        return real(n0, n1, l, **kwargs)
+    def spy(d_in, b0, b1, l, kind, alpha, cfg, pair):
+        seen.append((l, kind, sorted({np.asarray(v).size for v in cfg.extra_starts})))
+        return real(d_in, b0, b1, l, kind, alpha, cfg, pair)
 
-    monkeypatch.setattr(regions, "block_divergence_pair", spy)
+    monkeypatch.setattr(regions, "_power_divergences", spy)
     cfg = OptimizerConfig(restarts=1, max_iters=5)
     region_chain(bernoulli_replacer(0.2), bernoulli_replacer(0.8), cfg=cfg, l_max=3, alpha_grid=(1.5,), samples=8)
     assert {(l, kind) for l, kind, _ in seen} == {(1, "measured"), (2, "measured"), (3, "measured"), (3, "renyi")}
     for l, kind, sizes in seen:
         # the adaptive stage at l runs before its own witnesses exist; the converse runs after
         assert sizes == ([] if l == 1 else [4] if kind == "measured" else [4, 4**l])
+
+
+def test_region_chain_builds_each_tensor_power_once(monkeypatch):
+    """Every l >= 2 power of each channel is built once per chain, for the
+    adaptive stage and the converse together, and again by the next chain."""
+    built = []
+    real = quantum.tensor_power_channel
+
+    def spy(ch, l):
+        built.append((ch.label, l))
+        return real(ch, l)
+
+    monkeypatch.setattr(regions, "tensor_power_channel", spy)
+    monkeypatch.setattr(divergences, "tensor_power_channel", spy)
+    cfg = OptimizerConfig(restarts=1, max_iters=5)
+    for _ in range(2):
+        region_chain(bernoulli_replacer(0.2), bernoulli_replacer(0.8), cfg=cfg, l_max=3, alpha_grid=(1.1, 1.5),
+                     samples=8)
+    blocks = sorted((label, l) for label, l in built if l > 1)
+    assert blocks == sorted(2 * [(f"replacer(bern({q}))", l) for q in (0.2, 0.8) for l in (2, 3)])
 
 
 def test_region_chain_with_pair_searches_equals_one_direction_runs(monkeypatch, caplog):
@@ -322,12 +341,14 @@ def test_region_chain_with_pair_searches_equals_one_direction_runs(monkeypatch, 
                          alpha_grid=(1.1, 1.5), samples=256, slack=1e-3)
         return c, sorted(repr(r.multistart) for r in caplog.records)
 
-    def one_direction_runs(n0, n1, l, **kwargs):
-        return block_divergence(n0, n1, l, **kwargs), block_divergence(n1, n0, l, **kwargs)
+    real = regions._power_divergences
+
+    def one_direction_runs(d_in, b0, b1, l, kind, alpha, cfg, pair):
+        return [real(d_in, *blocks, l, kind, alpha, cfg, False)[0] for blocks in ((b0, b1), (b1, b0))]
 
     with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
         paired, together = chain()
-        monkeypatch.setattr(regions, "block_divergence_pair", one_direction_runs)
+        monkeypatch.setattr(regions, "_power_divergences", one_direction_runs)
         alone, separate = chain()
     assert together == separate and len(together) > 0
     for a, b in zip(_regions_of(paired), _regions_of(alone)):
