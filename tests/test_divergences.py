@@ -528,8 +528,8 @@ def _strict_laws(ch, psi: np.ndarray, povm) -> np.ndarray:
     from Kronecker products instead of the library's channel map; negative
     rounding is clipped to 0."""
     rho = np.outer(psi, psi.conj())
-    out = sum(np.kron(np.eye(psi.size // k.shape[1]), k) @ rho @ np.kron(np.eye(psi.size // k.shape[1]), k).conj().T
-              for k in ch.kraus)
+    lifted = [np.kron(np.eye(psi.size // k.shape[1]), k) for k in ch.kraus]
+    out = sum(a @ rho @ a.conj().T for a in lifted)
     p = np.array([float(np.trace(out @ e).real) for e in povm.effects])
     return np.clip(p, 0.0, None) / p.sum()
 
