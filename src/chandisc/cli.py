@@ -165,10 +165,10 @@ def main(ctx, config_path, seed, out, log_base, no_timestamp):
 
     Config keys: channels.n0/.n1 (zoo name + params, or a channel JSON
     file), seed, log_base, out, optimizer (restarts, max_iters = L-BFGS
-    iterations per start, cross_check_tol, seed, and pvm_restarts, which
-    no command reads), divergence (kinds, alpha), simulate (mode, n, l,
-    tau, trials, constraint, epsilon), sweep (budgets, trials, constraint,
-    epsilon), regions (which, l_max, alpha_grid, samples, slack).
+    iterations per start, cross_check_tol, seed), divergence (kinds,
+    alpha), simulate (mode, n, l, tau, trials, constraint, epsilon), sweep
+    (budgets, trials, constraint, epsilon), regions (which, l_max,
+    alpha_grid, samples, slack).
     """
     ctx.ensure_object(dict)
     ctx.obj["config_path"] = config_path

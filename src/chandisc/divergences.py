@@ -1,17 +1,17 @@
 """Divergences between states and channels.
 
 State level: quantum relative entropy, max-divergence, sandwiched Renyi
-divergence (alpha > 1) and the measured relative entropy (two independent
-estimators, cross-validated).  The relative and Renyi values have one
-formula each (_relative_terms, _renyi_terms), which maps a stack of state
-pairs to the values with their matrix gradients: the input search ascends
-it on a batch of inputs and the state-level functions certify with it on a
-batch of one.  Channel level: ancilla-assisted input optimization over pure
-bipartite states by lockstep multi-start L-BFGS on analytic gradients, each
-round of the search one batched objective call (outputs
-sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack A_k = I_R (x) K_k
-that quantum applies every channel with, matrix gradients pulled back
-through the A_k), and block (tensor-power) values.  The pair entries
+divergence (alpha > 1) and the measured relative entropy (the variational
+program, cross-checked against its witness PVM).  The relative and Renyi
+values have one formula each (_relative_terms, _renyi_terms), which maps a
+stack of state pairs to the values with their matrix gradients: the input
+search ascends it on a batch of inputs and the state-level functions
+certify with it on a batch of one.  Channel level: ancilla-assisted input
+optimization over pure bipartite states by lockstep multi-start L-BFGS on
+analytic gradients, each round of the search one batched objective call
+(outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack
+A_k = I_R (x) K_k that quantum applies every channel with, matrix
+gradients pulled back through the A_k), and block (tensor-power) values.  The pair entries
 channel_divergence_pair and block_divergence_pair return (D(N0||N1),
 D(N1||N0)) from one lockstep run: every row computes both outputs N0(psi)
 and N1(psi) anyway, so each objective call carries the rows of both
@@ -19,12 +19,13 @@ directions, and the variational programs of both measured certifications
 share their calls too.  channel_divergence and block_divergence are the
 one-direction case.
 
-A measured channel value is certified from the variational optimum at the
-best input, with no PVM search: measuring in the eigenbasis of the optimal
-omega already reaches the variational value (Berta, Fawzi & Tomamichel,
+A measured value, of a state pair or of a channel pair at its best input,
+has one certifier (_measured_values), which needs no search over
+measurements: measuring in the eigenbasis of the optimal omega already
+reaches the variational value (Berta, Fawzi & Tomamichel,
 arXiv:1512.02615), and the best of that basis, the eigenbasis of
-log sigma0 - log sigma1 and the identity is the witness, with the outcomes
-negligible under both outputs merged (optimize.basis_witness).
+log rho0 - log rho1 and the identity is the witness, with the outcomes
+negligible under both states merged (optimize.basis_witness).
 
 All values are in nats.  Channel divergences obtained by numerical
 maximization are certified lower bounds; the channel max-divergence is exact
@@ -60,7 +61,6 @@ from .optimize import (
     multistart_maximize,
     params_to_pure_vector,
     pure_vector_to_params,
-    pvm_search_measured,
     variational_measured,
 )
 from .quantum import (
@@ -85,7 +85,8 @@ class ConvergenceWarning(UserWarning):
 @dataclass
 class MeasuredWitness:
     """Measurement achieving the reported measured relative entropy, plus
-    the two estimator values that were cross-checked."""
+    the two values that were cross-checked: the variational program's and
+    the KL of the witness PVM's outcome laws."""
 
     povm: Povm | None
     variational_value: float
@@ -223,76 +224,50 @@ def measured_rel_entropy_states(
     cfg: OptimizerConfig | None = None,
 ) -> DivergenceValue:
     """Measured relative entropy: best classical KL obtainable by a common
-    measurement.
+    measurement.  The batch of one of _measured_values, the certifier that
+    channel values of the measured kind use too."""
+    return _measured_values([(rho0, rho1)], cfg or OptimizerConfig())[0]
 
-    Two independent estimators are run and cross-checked: the concave
-    variational program over positive operators, and a direct search over
-    rank-one PVMs from the best candidate basis.  The reported value is the
-    larger of the two (both are lower bounds); disagreement beyond the
-    configured tolerance attaches a ConvergenceWarning, and disagreement
-    beyond 10x raises OptimizerFailure.
+
+def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: OptimizerConfig) -> list[DivergenceValue]:
+    """The certified measured relative entropy of every state pair, all of
+    one dimension: inf where the support is not contained.
+
+    Elsewhere the variational program runs, the pairs sharing each of its
+    objective calls, and the best candidate basis at its optimum gives the
+    witness PVM and the KL of its outcome laws (basis_witness).  The
+    reported value is the larger of that KL and the variational value (both
+    are lower bounds); disagreement beyond cfg.cross_check_tol attaches a
+    ConvergenceWarning, and disagreement beyond 10x raises OptimizerFailure.
     """
-    cfg = cfg or OptimizerConfig()
-    (dv,), r0, r1, var_vals, best = _measured_programs([(rho0, rho1)])
-    if dv is not None:
-        return dv
-    (pvm_val, povm), = pvm_search_measured(r0, r1, cfg, best)
-    return _cross_checked(var_vals[0], pvm_val, povm, cfg)
-
-
-def _measured_programs(pairs: list[tuple[DensityMatrix, DensityMatrix]]):
-    """The support test, the variational program and the best candidate
-    basis of every state pair, all of one dimension, the programs sharing
-    each objective call.  Returns one DivergenceValue per pair, inf where
-    the support is not contained and None elsewhere, then for the other
-    pairs, in order: their stacked states, variational values and
-    candidate_bases."""
     for rho0, rho1 in pairs:
         _check_pair(rho0, rho1)
     out = [None if support_contained(rho0.mat, rho1.spectrum) else DivergenceValue(math.inf, is_finite=False)
            for rho0, rho1 in pairs]
-    live = [pair for pair, dv in zip(pairs, out) if dv is None]
-    if not live:
-        return out, None, None, [], []
-    r0 = np.stack([rho0.mat for rho0, _ in live])
-    r1 = np.stack([rho1.mat for _, rho1 in live])
-    log_ratio = np.stack([_safe_log_state(rho0.spectrum) - _safe_log_state(rho1.spectrum) for rho0, rho1 in live])
-    var_vals, omegas = variational_measured(r0, r1, log_ratio)
-    return out, r0, r1, var_vals, candidate_bases(r0, r1, log_ratio, omegas)
-
-
-def _cross_checked(var_val: float, pvm_val: float, povm: Povm, cfg: OptimizerConfig) -> DivergenceValue:
-    """The larger of the variational value and the value of the PVM povm,
-    with a ConvergenceWarning when they disagree beyond cfg.cross_check_tol
-    and OptimizerFailure beyond 10x."""
-    notes = []
-    if abs(var_val - pvm_val) > cfg.cross_check_tol:
-        if abs(var_val - pvm_val) > 10 * cfg.cross_check_tol:
-            raise OptimizerFailure(
-                f"measured-entropy estimators disagree: variational {var_val:.6f} "
-                f"vs PVM search {pvm_val:.6f}"
-            )
-        msg = f"estimators disagree by {abs(var_val - pvm_val):.2e}"
-        warnings.warn(msg, ConvergenceWarning)
-        notes.append(msg)
-    return DivergenceValue(
-        max(var_val, pvm_val, 0.0),
-        is_lower_bound=True,
-        witness=MeasuredWitness(povm=povm, variational_value=var_val, pvm_value=pvm_val),
-        warnings=notes,
-    )
-
-
-def _measured_channel_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: OptimizerConfig):
-    """The measured value of every output pair of a channel search,
-    certified from the variational optimum without a PVM search: the best
-    candidate basis gives the witness PVM (basis_witness) and its KL, which
-    is cross-checked against the variational value as in
-    measured_rel_entropy_states."""
-    out, r0, r1, var_vals, best = _measured_programs(pairs)
     live = [i for i, dv in enumerate(out) if dv is None]
-    for j, i in enumerate(live):
-        out[i] = _cross_checked(var_vals[j], *basis_witness(best[j][1], r0[j], r1[j]), cfg)
+    if not live:
+        return out
+    r0 = np.stack([pairs[i][0].mat for i in live])
+    r1 = np.stack([pairs[i][1].mat for i in live])
+    log_ratio = np.stack([_safe_log_state(pairs[i][0].spectrum) - _safe_log_state(pairs[i][1].spectrum)
+                          for i in live])
+    var_vals, omegas = variational_measured(r0, r1, log_ratio)
+    for i, var_val, basis, s0, s1 in zip(live, var_vals, candidate_bases(r0, r1, log_ratio, omegas), r0, r1):
+        pvm_val, povm = basis_witness(basis, s0, s1)
+        gap, notes = abs(var_val - pvm_val), []
+        if gap > cfg.cross_check_tol:
+            if gap > 10 * cfg.cross_check_tol:
+                raise OptimizerFailure(
+                    f"measured-entropy estimators disagree: variational {var_val:.6f} vs witness PVM {pvm_val:.6f}"
+                )
+            notes.append(f"estimators disagree by {gap:.2e}")
+            warnings.warn(notes[0], ConvergenceWarning)
+        out[i] = DivergenceValue(
+            max(var_val, pvm_val, 0.0),
+            is_lower_bound=True,
+            witness=MeasuredWitness(povm=povm, variational_value=var_val, pvm_value=pvm_val),
+            warnings=notes,
+        )
     return out
 
 
@@ -413,13 +388,13 @@ def channel_divergence(
     unit input vectors and return certified lower bounds with the best
     input as witness.  The measured kind ascends the variational formula
     jointly in the input and the observable H, then certifies the value at
-    the best input from the variational optimum there: the witness
-    measurement is the best candidate basis (the optimal omega's
-    eigenbasis first), with the outcomes negligible under both outputs
-    merged into one effect, and the value is the KL of its outcome laws,
-    cross-checked against the variational value as in
-    measured_rel_entropy_states.  This is the one-direction case of
-    channel_divergence_pair.
+    the best input with measured_rel_entropy_states' certifier on its
+    outputs: the witness measurement is the best candidate basis (the
+    optimal omega's eigenbasis first), with the outcomes negligible under
+    both outputs merged into one effect, and the value is the KL of its
+    outcome laws, cross-checked against the variational value; the
+    cross-check's notes are the value's warnings.  This is the
+    one-direction case of channel_divergence_pair.
     """
     return _channel_divergences(n0, n1, kind, alpha, cfg, pair=False)[0]
 
@@ -490,10 +465,10 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
         for i, psi in zip(live, psis)
     ]
     if kind == "measured":
-        measured = _measured_channel_values(states, cfg)
+        measured = _measured_values(states, cfg)
     for j, i in enumerate(live):
         (s0, s1), (_, best) = states[j], found[j]
-        witness = ChannelWitness(input_vector=psis[j])
+        witness, notes = ChannelWitness(input_vector=psis[j]), []
         if kind == "relative":
             best = rel_entropy_states(s0, s1).value
         elif kind == "renyi":
@@ -502,7 +477,8 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
             mv = measured[j]
             best = max(best, mv.value) if mv.is_finite else best
             witness.povm = mv.witness.povm if mv.witness else None
-        out[i] = DivergenceValue(max(best, 0.0), is_lower_bound=True, witness=witness)
+            notes = mv.warnings
+        out[i] = DivergenceValue(max(best, 0.0), is_lower_bound=True, witness=witness, warnings=notes)
     return out
 
 

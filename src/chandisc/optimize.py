@@ -1,9 +1,8 @@
 """Shared optimization machinery: Hermitian / pure-state parametrizations,
 divided-difference kernels of Frechet derivatives, a lockstep multi-start
-L-BFGS-B driver on analytic gradients, and the two measured relative entropy
-estimators (variational program and direct PVM search) with the candidate
-bases that seed the search; basis_witness certifies a channel value from
-the best candidate alone.
+L-BFGS-B driver on analytic gradients, and the pieces of the measured
+relative entropy: the variational program, the candidate bases at its
+optimum and basis_witness, the PVM that certifies the best of them.
 
 Every objective the driver ascends is batched: objective(X) takes the
 parameter rows X of shape (B, P) and returns the values f of shape (B,) and
@@ -15,14 +14,14 @@ running each start on its own.
 Several searches can share the driver, such as the two directions of a
 channel pair: each round makes one objective call with a list of row
 blocks, one per search, and every search keeps its own starts, winner and
-DEBUG record.  The measured estimators take stacks of state pairs this way.
+DEBUG record.  The variational program takes stacks of state pairs this way.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +29,7 @@ from scipy.optimize import _lbfgsb
 
 from .errors import OptimizerFailure
 from .linalg import hermitian_eigen
-from .quantum import Povm, _basis_laws, basis_pvm
+from .quantum import Povm, _basis_laws
 
 logger = logging.getLogger("chandisc.optimize")
 
@@ -48,7 +47,6 @@ class OptimizerConfig:
     max_iters: int = 400
     cross_check_tol: float = 1e-4
     seed: int = 0
-    pvm_restarts: int = 8
     # extra deterministic starting vectors for the input-state search
     extra_starts: list = field(default_factory=list)
 
@@ -131,12 +129,6 @@ def _ratio(num: np.ndarray, x: np.ndarray, fn) -> np.ndarray:
 def _exp_kernel(lam: np.ndarray) -> np.ndarray:
     half = 0.5 * (lam[..., :, None] - lam[..., None, :])
     return _ratio(np.exp(0.5 * (lam[..., :, None] + lam[..., None, :])), half, np.sinh)
-
-
-def _phase_kernel(lam: np.ndarray) -> np.ndarray:
-    """Divided differences of exp at i lam: (e^{i a} - e^{i b}) / (i a - i b)."""
-    mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
-    return np.exp(1j * mean) * np.sinc((lam[..., :, None] - lam[..., None, :]) / (2.0 * np.pi))
 
 
 def _support_pairs(w: np.ndarray, mask: np.ndarray):
@@ -365,7 +357,7 @@ def _best_start(results: list, failures: int, batches: int) -> tuple[np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Measured relative entropy estimators
+# Measured relative entropy
 # ---------------------------------------------------------------------------
 
 
@@ -382,18 +374,6 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     if np.any(q[mask] <= 1e-300):
         return math.inf
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """kl_divergence of each row pair.  Below 8 outcomes numpy sums a row
-    term by term, so zeros in place of the masked terms leave every partial
-    sum unchanged and each row equals kl_divergence bit for bit; the PVM
-    search only runs at d <= _PVM_SEARCH_MAX_DIM outcomes."""
-    mask = p > NEGLIGIBLE_PROB
-    zero_q = mask & (q <= 1e-300)
-    ok = mask & ~zero_q
-    terms = np.where(ok, p * (np.log(np.where(ok, p, 1.0)) - np.log(np.where(ok, q, 1.0))), 0.0)
-    return np.where(zero_q.any(axis=-1), math.inf, terms.sum(axis=-1))
 
 
 def _safe_log_state(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -446,52 +426,10 @@ def variational_measured(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarr
     return (values, omegas) if stacked else (values[0], omegas[0])
 
 
-def basis_kl(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> float:
-    """Classical KL of the two outcome distributions in a rank-one PVM built
-    from the columns of basis."""
-    p, q, _, _ = _basis_laws(basis, rho0, rho1)
-    return kl_divergence(p, q)
-
-
-def _pvm_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray, base: np.ndarray):
-    """KL of the outcome laws in each basis exp(i H(theta)) base, and its
-    gradient in theta, for each row of theta (B, d^2) with states and
-    reference basis (d, d) or one per row (B, d, d).  An infinite KL reads
-    -1e6 with a zero gradient."""
-    lam, v = np.linalg.eigh(params_to_hermitian(theta, rho0.shape[-1]))
-    vh = _adjoint(v)
-    basis = (v * np.exp(1j * lam)[:, None, :]) @ vh @ base
-    p, q, left0, left1 = _basis_laws(basis, rho0, rho1)
-    val = _kl_rows(p, q)
-    finite = np.isfinite(val)
-    # dKL/dp_i and dKL/dq_i; empty outcomes are stationary (dp_i = 0)
-    live = p > NEGLIGIBLE_PROB
-    qs = np.where(live & (q > 1e-300), q, 1.0)
-    dp = np.where(live, np.log(np.where(live, p, 1.0)) + 1.0 - np.log(qs), 0.0)
-    dq = np.where(live, -p / qs, 0.0)
-    # dKL = 2 Re Tr[Z dW] with W = exp(i H), Z = base (D_p U^dag rho0 + D_q U^dag rho1)
-    z = base @ (dp[..., None] * left0 + dq[..., None] * left1)
-    c = 1j * v @ ((vh @ z @ v) * _phase_kernel(lam)) @ vh
-    grad = hermitian_grad_to_params(c + _adjoint(c))
-    return np.where(finite, val, -1e6), np.where(finite[:, None], grad, 0.0)
-
-
-def _pvm_objective(rho0: np.ndarray, rho1: np.ndarray, base: np.ndarray):
-    """The PVM search's batched objective for one state pair: theta
-    (B, d^2) -> _pvm_terms."""
-    return lambda theta: _pvm_terms(theta, rho0, rho1, base)
-
-
-# The unitary search is only worthwhile for small systems; above this
-# dimension the estimator evaluates the candidate bases only.
-_PVM_SEARCH_MAX_DIM = 6
-
-
-def candidate_bases(
-    rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray, omegas: np.ndarray
-) -> list[tuple[float, np.ndarray]]:
+def candidate_bases(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray, omegas: np.ndarray) -> list[np.ndarray]:
     """The best candidate basis of each state pair of the stacks rho0, rho1
-    (k, d, d), as (KL, basis), the first of equal finite KLs winning.
+    (k, d, d): the one whose rank-one PVM has the largest finite KL, the
+    first of equal KLs winning.
 
     The candidates are the eigenbasis of the variational optimizer's omega
     (its basis KL dominates the variational value at omega), the eigenbasis
@@ -502,10 +440,10 @@ def candidate_bases(
     for j in range(len(rho0)):
         best_val, best_u = -math.inf, None
         for base_u in (hermitian_eigen(omegas[j])[1], hermitian_eigen(log_ratio[j])[1], eye):
-            val = basis_kl(base_u, rho0[j], rho1[j])
+            val = kl_divergence(*_basis_laws(base_u, rho0[j], rho1[j]))
             if math.isfinite(val) and val > best_val:
                 best_val, best_u = val, base_u
-        best.append((best_val, best_u))
+        best.append(best_u)
     return best
 
 
@@ -519,7 +457,7 @@ def basis_witness(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> tupl
     probability, whose effect becomes the sum of their projectors.  The
     effects are ordered by ascending increment log p0 - log p1, as the SPRT
     tables read it, ties in index order."""
-    p, q, _, _ = _basis_laws(basis, rho0, rho1)
+    p, q = _basis_laws(basis, rho0, rho1)
     effects = basis.T[:, :, None] * basis.T.conj()[:, None, :]
     merged = (p <= NEGLIGIBLE_PROB) & (q <= NEGLIGIBLE_PROB)
     if merged.any():
@@ -532,42 +470,3 @@ def basis_witness(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> tupl
         increments = np.log(np.where(p > NEGLIGIBLE_PROB, p, 0.0)) - np.log(np.where(q > NEGLIGIBLE_PROB, q, 0.0))
     order = np.argsort(increments, kind="stable")
     return kl_divergence(p[order], q[order]), Povm(list(effects[order]), label="measured-witness")
-
-
-def pvm_search_measured(
-    rho0: np.ndarray,
-    rho1: np.ndarray,
-    cfg: OptimizerConfig,
-    best: list[tuple[float, np.ndarray]],
-) -> list[tuple[float, Povm]]:
-    """Maximize the classical KL of the outcome distributions over rank-one
-    PVMs, parametrized as exp(i H) applied to a reference basis, by seeded
-    multi-start L-BFGS on the analytic gradient.
-
-    Runs one search per state pair of the stacks rho0, rho1 (k, d, d), from
-    the reference basis that candidate_bases picked for it, given as its
-    (KL, basis) in best; the k searches share every objective call.
-    Returns one (value, PVM) per pair: the searched basis where it beats
-    the candidate, the candidate otherwise."""
-    d = rho0.shape[-1]
-    npar = d * d
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x9E)))
-    best = list(best)
-    if d <= _PVM_SEARCH_MAX_DIM:
-        starts = [np.zeros(npar)]
-        for _ in range(max(cfg.pvm_restarts - 1, 1)):
-            starts.append(0.5 * rng.standard_normal(npar))
-        sub = replace(cfg, restarts=len(starts))
-        refs = np.stack([u for _, u in best])
-
-        def objective(blocks: list[np.ndarray]):
-            return _per_search(_pvm_terms, blocks, rho0, rho1, refs)
-
-        found = multistart_maximize(objective, npar, sub, rng=rng, searches=[starts] * len(best))
-        for j, (x, _) in enumerate(found):
-            lam, v = np.linalg.eigh(params_to_hermitian(x, d))
-            u = (v * np.exp(1j * lam)) @ v.conj().T @ refs[j]
-            val = basis_kl(u, rho0[j], rho1[j])
-            if val > best[j][0]:
-                best[j] = (val, u)
-    return [(val, basis_pvm(u, label="measured-witness")) for val, u in best]

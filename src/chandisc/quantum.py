@@ -189,12 +189,11 @@ def choi_from_kraus(ch: QuantumChannel) -> np.ndarray:
 
 def _basis_laws(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
     """Normalized outcome laws of the rank-one PVMs on the columns of basis
-    (..., d, d) in rho0 and in rho1, and basis^dag rho_i."""
+    (..., d, d) in rho0 and in rho1."""
     bh, bt = np.swapaxes(basis.conj(), -1, -2), np.swapaxes(basis, -1, -2)
-    left0, left1 = bh @ rho0, bh @ rho1
-    p, q = (np.maximum(np.real(np.sum(left * bt, axis=-1)), 0.0) for left in (left0, left1))
+    p, q = (np.maximum(np.real(np.sum((bh @ rho) * bt, axis=-1)), 0.0) for rho in (rho0, rho1))
     p_total, q_total = (np.maximum(x.sum(axis=-1, keepdims=True), 1e-300) for x in (p, q))
-    return p / p_total, q / q_total, left0, left1
+    return p / p_total, q / q_total
 
 
 def tensor_power_channel(ch: QuantumChannel, l: int) -> QuantumChannel:

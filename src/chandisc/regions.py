@@ -150,7 +150,7 @@ def non_adaptive_region(
     for i in range(samples):
         psis[i], bases[i] = _ginibre(d_in * d_in, 1, rng)[:, 0], random_unitary(d_meas, rng)
     # the kernel normalizes each law, so the inputs need not be unit vectors
-    p0, p1, _, _ = _basis_laws(bases, _apply_to_pure(n0, psis), _apply_to_pure(n1, psis))
+    p0, p1 = _basis_laws(bases, _apply_to_pure(n0, psis), _apply_to_pure(n1, psis))
     pairs = [rate_pair(*arm_laws(arm, n0, n1)) for arm in extra_arms or []]
     pairs += [rate_pair(a, b) for a, b in zip(p0, p1)]
     points = [p for p in pairs if math.isfinite(p[0]) and math.isfinite(p[1])]

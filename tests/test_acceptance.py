@@ -94,7 +94,7 @@ def test_acceptance_2_divergence_ordering():
     """D_M <= D <= D_1.5 <= D_2 <= D_max over random qubit pairs; D_M = D on
     commuting pairs."""
     rng = np.random.default_rng(7)
-    cfg = OptimizerConfig(restarts=4, pvm_restarts=4)
+    cfg = OptimizerConfig(restarts=4)
     violations = []
     for i in range(200):
         r0 = random_density_matrix(2, rng)
@@ -122,8 +122,8 @@ def test_acceptance_2_divergence_ordering():
 
 
 def test_acceptance_3_measured_cross_validation():
-    """Variational program and PVM search agree on random qubit pairs and
-    reproduce the classical KL on diagonal pairs."""
+    """The variational program and the KL of its witness PVM agree on
+    random qubit pairs and reproduce the classical KL on diagonal pairs."""
     rng = np.random.default_rng(11)
     cfg = OptimizerConfig(restarts=4)
     worst_gap = 0.0

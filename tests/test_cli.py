@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.resources
 import json
 import re
 from pathlib import Path
@@ -6,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from chandisc.cli import main
+from chandisc.optimize import OptimizerConfig
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -195,6 +198,11 @@ def test_config_errors_exit_2(tmp_path, runner):
     res4 = runner.invoke(main, ["--config", str(block), "--out", str(out), "divergence"])
     assert res4.exit_code == 2
     assert "schema" in res4.output
+    # pvm_restarts is not an optimizer key
+    pvm = write_config(tmp_path, optimizer={"restarts": 2, "pvm_restarts": 8})
+    res6 = runner.invoke(main, ["--config", str(pvm), "--out", str(out), "divergence"])
+    assert res6.exit_code == 2
+    assert "schema" in res6.output
     # "integer" keys take JSON integer literals only: an integral float is a
     # config error for the command that reads the key
     base = json.loads(write_config(tmp_path).read_text())
@@ -223,6 +231,15 @@ def test_config_errors_exit_2(tmp_path, runner):
         assert "config rejected by schema" in res5.output, key
     # a rejected config leaves no run directory behind
     assert not out.exists()
+
+
+def test_optimizer_schema_keys_are_the_config_fields():
+    """Every optimizer key the schema admits is an OptimizerConfig field and
+    every field but the library-only extra_starts is a key, so a config
+    that passes the schema builds an OptimizerConfig."""
+    schema = json.loads(importlib.resources.files("chandisc").joinpath("config_schema.json").read_text())
+    keys = set(schema["properties"]["optimizer"]["properties"])
+    assert keys == {f.name for f in dataclasses.fields(OptimizerConfig)} - {"extra_starts"}
 
 
 def test_numerical_failure_exits_3(tmp_path, runner):

@@ -10,11 +10,8 @@ from chandisc.errors import OptimizerFailure
 from chandisc.optimize import (
     OptimizerConfig,
     _exp_kernel,
-    _kl_rows,
     _log_kernel,
-    _phase_kernel,
     _power_kernel,
-    _pvm_objective,
     _variational_terms,
     basis_witness,
     hermitian_grad_to_params,
@@ -23,7 +20,7 @@ from chandisc.optimize import (
     multistart_maximize,
     params_to_hermitian,
 )
-from chandisc.quantum import depolarizing_channel, random_density_matrix, random_unitary
+from chandisc.quantum import depolarizing_channel, random_density_matrix
 
 
 def _loop_params_to_hermitian(theta, d):
@@ -75,7 +72,6 @@ def test_divided_difference_kernels_match_quotients():
     gamma = -1.0 / 6.0
     cases = [
         (_exp_kernel(w), np.exp, np.exp),
-        (_phase_kernel(w) * 1j, lambda x: np.exp(1j * x), lambda x: 1j * np.exp(1j * x)),
         (_log_kernel(w, support), np.log, lambda x: 1.0 / x),
         (_power_kernel(w, support, gamma), lambda x: x**gamma, lambda x: gamma * x ** (gamma - 1)),
     ]
@@ -96,27 +92,6 @@ def test_variational_gradient_matches_central_differences(assert_gradient_matche
         return f, g
 
     assert_gradient_matches(objective, 0.5 * rng.standard_normal(9))
-
-
-def test_pvm_gradient_matches_central_differences(assert_gradient_matches):
-    rng = np.random.default_rng(6)
-    for d in (2, 4):
-        r0 = random_density_matrix(d, rng).mat
-        r1 = random_density_matrix(d, rng).mat
-        objective = _pvm_objective(r0, r1, random_unitary(d, rng))
-        assert_gradient_matches(objective, 0.5 * rng.standard_normal(d * d))
-
-
-@pytest.mark.parametrize("k", [4, 6, 7])
-def test_kl_rows_equal_kl_divergence_bit_for_bit(k):
-    rng = np.random.default_rng(59 + k)
-    p, q = rng.dirichlet(np.ones(k), size=6), rng.dirichlet(np.ones(k), size=6)
-    p[0, :3] = 0.0  # outcomes that drop out of the sum
-    p[1, 0], q[1, 0] = 0.5, 0.0  # support mismatch: inf
-    p /= p.sum(axis=1, keepdims=True)
-    rows = _kl_rows(p, q)
-    assert [float(r) for r in rows] == [kl_divergence(a, b) for a, b in zip(p, q)]
-    assert rows[1] == np.inf
 
 
 def test_multistart_maximize_concave_quadratic():

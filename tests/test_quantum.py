@@ -181,7 +181,7 @@ def test_pure_input_map_and_basis_laws_on_a_stack():
     assert outs.shape == (5, 6, 6)
     for psi, out in zip(psis, outs):
         assert np.array_equal(out, quantum._apply_to_pure(ch, psi))
-    p, q, _, _ = quantum._basis_laws(bases, outs, outs[::-1])
+    p, q = quantum._basis_laws(bases, outs, outs[::-1])
     for i, (psi, basis) in enumerate(zip(psis, bases)):
         want = outcome_distribution(ch, pure_state(psi), 2, basis_pvm(basis))
         assert np.max(np.abs(p[i] - want)) <= 1e-15
