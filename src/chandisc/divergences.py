@@ -31,10 +31,23 @@ All values are in nats.  Channel divergences obtained by numerical
 maximization are certified lower bounds; the channel max-divergence is exact
 (it is attained at the maximally entangled input, equivalently on the Choi
 pair).
+
+Every channel value carries a certified upper end (DivergenceValue.upper),
+in closed form on the unit-trace Choi states (_channel_upper): the
+Belavkin-Staszewski channel divergence D_BS for the relative and measured
+kinds (D_M <= D <= D_BS), the geometric Renyi divergence for the renyi kind
+with alpha in (1, 2], and the Choi D_max above that.  Its lower end is the
+value at the maximally entangled input.  When the two meet within
+_BRACKET_TOL max(1, upper) (the measured kind runs its certifier only once
+the relative value there meets it), that input is the winner and the
+direction skips the input search; on the covariant zoo (depolarizing,
+dephasing, replacers) every bracket closes.  Directions whose bracket stays
+open run the search unchanged.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -46,7 +59,7 @@ from .errors import (
     InvalidAlphaError,
     OptimizerFailure,
 )
-from .linalg import PSD_TOL, hermitian_eigen, support_contained
+from .linalg import PSD_TOL, hermitian_eigen, partial_trace, support_contained
 from .optimize import (
     OptimizerConfig,
     _adjoint,
@@ -58,6 +71,7 @@ from .optimize import (
     basis_witness,
     candidate_bases,
     hermitian_to_params,
+    logger,
     multistart_maximize,
     params_to_pure_vector,
     pure_vector_to_params,
@@ -113,6 +127,7 @@ class DivergenceValue:
     is_finite: bool = True
     witness: object | None = None
     warnings: list[str] = field(default_factory=list)
+    upper: float = math.inf  # nats; a certified upper end of the value
 
     def in_bits(self) -> float:
         return self.value / LN2
@@ -124,6 +139,8 @@ class BlockEstimate:
     value_per_use: float
     witness: object | None = None
     total_value: float = 0.0
+    warnings: list[str] = field(default_factory=list)
+    upper_per_use: float = math.inf
 
 
 def _check_pair(rho0: DensityMatrix, rho1: DensityMatrix) -> None:
@@ -372,6 +389,80 @@ def _drop_schmidt_residue(psi: np.ndarray, d_in: int) -> np.ndarray:
     return ((u * (s / np.linalg.norm(s))) @ vh).reshape(-1)
 
 
+# A channel value is exact once its bracket closes within this tolerance,
+# relative to max(1, upper end).
+_BRACKET_TOL = 1e-12
+
+
+def _geometric_trace(c0: DensityMatrix, c1: DensityMatrix, in_dim: int, g) -> float:
+    """d lambda_max(Tr_B[C1^{1/2} g(C1^{-1/2} C0 C1^{-1/2}) C1^{1/2}]) for the
+    unit-trace Choi states C0, C1 of a channel pair with input dimension d,
+    C1^{-1/2} taken on supp C1 from C1's spectrum: the channel value of the
+    geometric divergence of the operator function g, maximized over inputs
+    in closed form (Fang & Fawzi, arXiv:1909.05758)."""
+    w, v = c1.spectrum
+    keep = w > PSD_TOL
+    root = np.sqrt(w[keep])
+    inv = v[:, keep] / root
+    xw, xu = np.linalg.eigh(inv.conj().T @ c0.mat @ inv)
+    b = (v[:, keep] * root) @ xu
+    marginal = partial_trace((b * g(np.maximum(xw, 0.0))) @ b.conj().T, [in_dim, c0.dim // in_dim], [0])
+    return in_dim * float(np.linalg.eigvalsh(marginal)[-1])
+
+
+def _channel_upper(a: QuantumChannel, b: QuantumChannel, kind: str, alpha: float | None) -> float:
+    """A certified upper end of the channel value D(a||b) of kind relative,
+    measured or renyi, for a pair with supp J_a in supp J_b: the
+    Belavkin-Staszewski channel divergence for D_M <= D <= D_BS, the
+    geometric Renyi one for alpha in (1, 2], which dominates the sandwiched
+    divergence, and the Choi D_max above that."""
+    c0, c1 = a.choi_state(), b.choi_state()
+    if kind != "renyi":
+        return _geometric_trace(c0, c1, a.in_dim, lambda x: x * np.log(np.where(x > 0.0, x, 1.0)))
+    if alpha > 2.0:
+        return max_div_states(c0, c1).value
+    return math.log(max(_geometric_trace(c0, c1, a.in_dim, lambda x: x**alpha), 1e-300)) / (alpha - 1.0)
+
+
+def _state_value(kind: str, alpha: float | None, s0: DensityMatrix, s1: DensityMatrix) -> float:
+    """The certified value of a channel pair's outputs: the sandwiched
+    Renyi divergence for the renyi kind, else the relative entropy."""
+    return (sandwiched_renyi_states(s0, s1, alpha) if kind == "renyi" else rel_entropy_states(s0, s1)).value
+
+
+def _closes(lower: float, upper: float, notes: list[str]) -> bool:
+    """Whether the bracket [lower, upper] is closed within _BRACKET_TOL.  A
+    lower end beyond it above the upper end adds a note to notes."""
+    tol = _BRACKET_TOL * max(1.0, upper)
+    if lower - upper > tol:
+        notes.append(f"value at the maximally entangled input exceeds the upper end by {lower - upper:.2e}")
+    return math.isfinite(upper) and abs(upper - lower) <= tol
+
+
+def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list[bool]):
+    """The best (theta, value) of each of one or more lockstep input
+    searches over the pair's inputs, of D(N1||N0) where flips[s] and of
+    D(N0||N1) otherwise, from the maximally entangled input, the extra
+    starts and seeded draws."""
+    dim_psi = n0.in_dim**2
+    objective, npar = _input_objectives(n0, n1, kind, alpha, flips)
+    inputs = [max_entangled_vector(n0.in_dim)] + extra
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
+    if kind == "measured":
+        # H starts at the variational program's warm start for each input
+        while len(inputs) < cfg.restarts:
+            inputs.append(params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi))
+        logs = [[_safe_log_state(hermitian_eigen(_apply_to_pure(ch, psi))) for ch in (n0, n1)] for psi in inputs]
+        searches = [
+            [np.concatenate([pure_vector_to_params(psi), hermitian_to_params(lg[f] - lg[1 - f])])
+             for psi, lg in zip(inputs, logs)]
+            for f in flips
+        ]
+    else:
+        searches = [[pure_vector_to_params(psi) for psi in inputs]] * len(flips)
+    return multistart_maximize(objective, npar, cfg, rng=rng, searches=searches)
+
+
 def channel_divergence(
     n0: QuantumChannel,
     n1: QuantumChannel,
@@ -395,6 +486,15 @@ def channel_divergence(
     outcome laws, cross-checked against the variational value; the
     cross-check's notes are the value's warnings.  This is the
     one-direction case of channel_divergence_pair.
+
+    The value's upper field is a certified upper end in closed form on the
+    Choi pair (D_BS for relative and measured, the geometric Renyi
+    divergence for renyi with alpha <= 2, D_max above that and for max).
+    Before the search, the value at the maximally entangled input is
+    certified; when it meets the upper end within 1e-12 max(1, upper), that
+    input is the witness and no search runs.  A value there above the upper
+    end by more than that never skips the search and adds a note to the
+    warnings.
     """
     return _channel_divergences(n0, n1, kind, alpha, cfg, pair=False)[0]
 
@@ -413,10 +513,13 @@ def channel_divergence_pair(
 
 
 def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[DivergenceValue]:
-    """[D(N0||N1)], or with pair [D(N0||N1), D(N1||N0)] from one lockstep
-    search over both directions."""
+    """[D(N0||N1)], or with pair [D(N0||N1), D(N1||N0)], each with its
+    upper end; the directions whose bracket stays open at the maximally
+    entangled input share one lockstep search."""
     if kind not in KINDS:
         raise ValueError(f"unknown divergence kind {kind!r}")
+    if kind == "renyi" and (alpha is None or alpha <= 1.0):
+        raise InvalidAlphaError(f"renyi kind needs alpha > 1, got {alpha}")
     if (n0.in_dim, n0.out_dim) != (n1.in_dim, n1.out_dim):
         raise DimensionMismatchError("channel pair has mismatched dimensions")
     cfg = cfg or OptimizerConfig()
@@ -432,6 +535,7 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
         out = [max_div_states(a.choi_state(), b.choi_state()) for a, b in directions]
         for val in out:
             val.witness = ChannelWitness(input_vector=max_entangled_vector(d))
+            val.upper = val.value
         return out
 
     out = [None if support_contained(a.choi, b.choi_state().spectrum)
@@ -439,46 +543,46 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
     live = [i for i, dv in enumerate(out) if dv is None]
     if not live:
         return out
-    if kind == "renyi" and (alpha is None or alpha <= 1.0):
-        raise InvalidAlphaError("renyi kind needs alpha > 1")
 
-    objective, npar = _input_objectives(n0, n1, kind, alpha, [i == 1 for i in live])
-    inputs = [max_entangled_vector(d)] + extra
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
-    if kind == "measured":
-        # H starts at the variational program's warm start for each input
-        while len(inputs) < cfg.restarts:
-            inputs.append(params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi))
-        logs = [[_safe_log_state(hermitian_eigen(_apply_to_pure(ch, psi))) for ch in (n0, n1)] for psi in inputs]
-        searches = [
-            [np.concatenate([pure_vector_to_params(psi), hermitian_to_params(lg[i] - lg[1 - i])])
-             for psi, lg in zip(inputs, logs)]
-            for i in live
-        ]
-    else:
-        searches = [[pure_vector_to_params(psi) for psi in inputs]] * len(live)
-    found = multistart_maximize(objective, npar, cfg, rng=rng, searches=searches)
+    def certified_input(theta: np.ndarray) -> np.ndarray:
+        return _drop_schmidt_residue(params_to_pure_vector(theta[: 2 * dim_psi], dim_psi), d)
 
-    psis = [_drop_schmidt_residue(params_to_pure_vector(theta[: 2 * dim_psi], dim_psi), d) for theta, _ in found]
-    states = [
-        (DensityMatrix(_apply_to_pure(directions[i][0], psi)), DensityMatrix(_apply_to_pure(directions[i][1], psi)))
-        for i, psi in zip(live, psis)
-    ]
+    # The bracket of each direction: the upper end, and the value at start 0
+    # (the maximally entangled input) as the certification below reads it.
+    start = certified_input(pure_vector_to_params(max_entangled_vector(d)))
+    psis, states, values, upper, notes, measured = {}, {}, {}, {}, {}, {}
+    at_start = [DensityMatrix(_apply_to_pure(ch, start)) for ch in (n0, n1)]
+    for i in live:
+        psis[i], states[i], notes[i] = start, (at_start[i], at_start[1 - i]), []
+        upper[i], values[i] = _channel_upper(*directions[i], kind, alpha), _state_value(kind, alpha, *states[i])
+    closed = [i for i in live if _closes(values[i], upper[i], notes[i])]
+    if kind == "measured" and closed:
+        # D_M <= D: only a closed relative bracket can close the measured one
+        measured = dict(zip(closed, _measured_values([states[i] for i in closed], cfg)))
+        closed = [i for i in closed if _closes(measured[i].value, upper[i], notes[i])]
+        values.update((i, measured[i].value) for i in closed)
+    for i in closed:
+        if logger.isEnabledFor(logging.DEBUG):
+            stats = dict(starts=0, lower=values[i], upper=upper[i], gap=upper[i] - values[i])
+            logger.debug("input search skipped, bracket closed %s", stats, extra={"multistart": stats})
+    searched = [i for i in live if i not in closed]
+    found = _input_search(n0, n1, kind, alpha, cfg, extra, [i == 1 for i in searched]) if searched else []
+    for i, (theta, best) in zip(searched, found):
+        psis[i] = certified_input(theta)
+        states[i] = tuple(DensityMatrix(_apply_to_pure(ch, psis[i])) for ch in directions[i])
+        values[i] = best if kind == "measured" else _state_value(kind, alpha, *states[i])
     if kind == "measured":
-        measured = _measured_values(states, cfg)
-    for j, i in enumerate(live):
-        (s0, s1), (_, best) = states[j], found[j]
-        witness, notes = ChannelWitness(input_vector=psis[j]), []
-        if kind == "relative":
-            best = rel_entropy_states(s0, s1).value
-        elif kind == "renyi":
-            best = sandwiched_renyi_states(s0, s1, alpha).value
-        else:
-            mv = measured[j]
-            best = max(best, mv.value) if mv.is_finite else best
+        measured.update(zip(searched, _measured_values([states[i] for i in searched], cfg)))
+
+    for i in live:
+        witness, value = ChannelWitness(input_vector=psis[i]), values[i]
+        if kind == "measured":
+            mv = measured[i]
+            value = max(value, mv.value) if mv.is_finite else value
             witness.povm = mv.witness.povm if mv.witness else None
-            notes = mv.warnings
-        out[i] = DivergenceValue(max(best, 0.0), is_lower_bound=True, witness=witness, warnings=notes)
+            notes[i] += mv.warnings
+        out[i] = DivergenceValue(max(value, 0.0), is_lower_bound=True, witness=witness, warnings=notes[i],
+                                 upper=upper[i])
     return out
 
 
@@ -551,4 +655,5 @@ def _power_divergences(d_in, b0, b1, l, kind, alpha, cfg, pair: bool) -> list[Bl
             + [v for v in starts if v.size == d2**l],
         )
     dvs = _channel_divergences(b0, b1, kind, alpha, cfg, pair)
-    return [BlockEstimate(l, dv.value / l, witness=dv.witness, total_value=dv.value) for dv in dvs]
+    return [BlockEstimate(l, dv.value / l, witness=dv.witness, total_value=dv.value, warnings=dv.warnings,
+                          upper_per_use=dv.upper / l) for dv in dvs]

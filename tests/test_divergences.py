@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chandisc import divergences
 from chandisc.divergences import (
     ConvergenceWarning,
     _input_objective,
@@ -638,3 +639,132 @@ def test_no_sampled_rank_one_pvm_beats_the_certified_measured_value(kind, d, ran
     sampled = _sampled_pvm_kls(rho0.mat, rho1.mat, rng)
     assert dv.witness.pvm_value <= dv.value
     assert sampled.max() <= dv.witness.pvm_value + cfg.cross_check_tol, (sampled.max(), dv.witness.pvm_value)
+
+
+def test_renyi_rejects_an_invalid_order_before_the_support_test():
+    """An order outside (1, inf) raises even where every value would be
+    infinite: amplitude damping(0.2) and (0.6) have disjoint Choi supports
+    both ways."""
+    n0, n1 = amplitude_damping_channel(0.2), amplitude_damping_channel(0.6)
+    with pytest.raises(InvalidAlphaError):
+        channel_divergence(n0, n1, kind="renyi", alpha=0.5)
+    with pytest.raises(InvalidAlphaError):
+        block_divergence(n0, n1, 2, kind="renyi", alpha=None)
+
+
+def test_block_values_keep_the_channel_value_warnings_and_upper_end():
+    """A block value at l = 1 lists the measured certifier's cross-check
+    notes and the upper end of the channel value it comes from."""
+    (n0, n1), cfg = _witness_pairs()[5]
+    cfg = replace(cfg, cross_check_tol=1e-15)
+    with pytest.warns(ConvergenceWarning):
+        dv = channel_divergence(n0, n1, kind="measured", cfg=cfg)
+        est = block_divergence(n0, n1, 1, kind="measured", cfg=cfg)
+    assert dv.warnings and est.warnings == dv.warnings
+    assert (est.value_per_use, est.upper_per_use) == (dv.value, dv.upper)
+
+
+BRACKET_KINDS = (("relative", None), ("measured", None), ("renyi", 1.1), ("renyi", 1.5), ("renyi", 2.0))
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d_l=st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+def test_channel_values_lie_below_their_upper_ends(seed, d_l):
+    """Every kind's per-use value on a random pair of full Kraus rank is at
+    most its certified upper end, at d = 2 and 3 for l = 1 and d = 2 for
+    l = 2; the max kind's upper end is its value."""
+    d, l = d_l
+    rng = np.random.default_rng(seed)
+    n0, n1 = random_channel(d, d, d * d, rng), random_channel(d, d, d * d, rng)
+    for kind, alpha in BRACKET_KINDS + (("renyi", 3.0), ("max", None)):
+        for est in block_divergence_pair(n0, n1, l, kind=kind, alpha=alpha, cfg=PROPERTY_CFG):
+            assert est.value_per_use <= est.upper_per_use + 1e-12, (kind, alpha, est.value_per_use, est.upper_per_use)
+            if kind == "max":
+                assert est.upper_per_use == est.value_per_use
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_brackets_close_on_covariant_pairs(l):
+    """On depolarizing, dephasing and Bernoulli-replacer pairs the value at
+    the maximally entangled input meets the closed-form upper end, in both
+    directions, for the relative, measured and Renyi (alpha <= 2) kinds."""
+    zoo = [(depolarizing_channel(0.3), depolarizing_channel(0.7)), (dephasing_channel(0.2), dephasing_channel(0.6)),
+           (bernoulli_replacer(0.2), bernoulli_replacer(0.8))]
+    for n0, n1 in zoo:
+        for kind, alpha in BRACKET_KINDS:
+            for est in block_divergence_pair(n0, n1, l, kind=kind, alpha=alpha, cfg=CFG):
+                gap = est.upper_per_use - est.value_per_use
+                assert abs(gap) <= 1e-12 and est.warnings == [], (n0.label, n1.label, kind, alpha, gap)
+
+
+def test_renyi_upper_end_above_order_two_is_the_choi_max_divergence():
+    rng = np.random.default_rng(1)
+    pairs = [(depolarizing_channel(0.3), depolarizing_channel(0.7)),
+             (random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng))]
+    for n0, n1 in pairs:
+        dv = channel_divergence(n0, n1, kind="renyi", alpha=3.0, cfg=PROPERTY_CFG)
+        assert dv.upper == max_div_states(n0.choi_state(), n1.choi_state()).value
+        assert dv.value < dv.upper - 0.1
+
+
+def test_open_brackets_run_the_search_unchanged(monkeypatch, caplog):
+    """On a random pair, whose brackets stay open, an upper end forced to
+    inf changes no value, witness, warning or DEBUG record."""
+    rng = np.random.default_rng(1)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+
+    def run():
+        with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+            values = [dv for kind, alpha in BRACKET_KINDS
+                      for dv in channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG)]
+        return values, _records(caplog)
+
+    values, records = run()
+    monkeypatch.setattr(divergences, "_channel_upper", lambda *args: math.inf)
+    forced, forced_records = run()
+    assert forced_records == records and "'starts': 0" not in "".join(records)
+    for a, b in zip(values, forced):
+        _same_value(a, b)
+        assert math.isfinite(a.upper) and b.upper == math.inf
+
+
+def test_closed_brackets_skip_the_input_search(monkeypatch, caplog):
+    """dep(0.3)/dep(0.7) makes no input-search objective call, and each
+    direction logs one record with its bracket; a random pair's search is
+    still counted."""
+    calls = []
+    make = divergences._input_objectives
+
+    def counting(*args):
+        objective, npar = make(*args)
+
+        def counted(blocks):
+            calls.append(sum(len(b) for b in blocks))
+            return objective(blocks)
+
+        return counted, npar
+
+    monkeypatch.setattr(divergences, "_input_objectives", counting)
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    for kind, alpha in BRACKET_KINDS:
+        with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+            both = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha)
+        skipped = [r.multistart for r in caplog.records if r.multistart["starts"] == 0]
+        caplog.clear()
+        brackets = [(dv.value, dv.upper, dv.upper - dv.value) for dv in both]
+        assert [(s["lower"], s["upper"], s["gap"]) for s in skipped] == brackets
+    assert calls == []
+    rng = np.random.default_rng(1)
+    channel_divergence(random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng), cfg=CFG)
+    assert calls
+
+
+def test_a_lower_end_above_the_upper_end_is_noted_and_searched(monkeypatch, caplog):
+    """An upper end below the value at the maximally entangled input never
+    closes the bracket: the search runs and the value notes the excess."""
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    monkeypatch.setattr(divergences, "_channel_upper", lambda *args: 0.1)
+    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+        dv = channel_divergence(n0, n1, kind="relative", cfg=CFG)
+    assert [r.multistart["starts"] for r in caplog.records] == [CFG.restarts]
+    assert dv.warnings == [f"value at the maximally entangled input exceeds the upper end by {dv.value - 0.1:.2e}"]
