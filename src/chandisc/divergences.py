@@ -25,7 +25,12 @@ measurements: measuring in the eigenbasis of the optimal omega already
 reaches the variational value (Berta, Fawzi & Tomamichel,
 arXiv:1512.02615), and the best of that basis, the eigenbasis of
 log rho0 - log rho1 and the identity is the witness, with the outcomes
-negligible under both states merged (optimize.basis_witness).
+negligible under both states merged (optimize.basis_witness).  The
+certifier brackets each pair before it runs the program: D(rho0||rho1)
+bounds D_M from above, and the variational value at the program's own
+first start, H = log rho0 - log rho1, from below.  They meet whenever the
+states commute, and a pair whose bracket closes within _BRACKET_TOL
+max(1, upper) keeps that start; the program runs on the other pairs only.
 
 All values are in nats.  Channel divergences obtained by numerical
 maximization are certified lower bounds; the channel max-divergence is exact
@@ -250,12 +255,18 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     """The certified measured relative entropy of every state pair, all of
     one dimension: inf where the support is not contained.
 
-    Elsewhere the variational program runs, the pairs sharing each of its
-    objective calls, and the best candidate basis at its optimum gives the
-    witness PVM and the KL of its outcome laws (basis_witness).  The
-    reported value is the larger of that KL and the variational value (both
-    are lower bounds); disagreement beyond cfg.cross_check_tol attaches a
-    ConvergenceWarning, and disagreement beyond 10x raises OptimizerFailure.
+    Elsewhere each pair's bracket is evaluated first: its upper end is
+    D(rho0||rho1) >= D_M, its lower end the variational value at the
+    program's own first start, H = log rho0 - log rho1.  A pair whose
+    bracket closes (_closes) keeps that start's value and omega and logs one
+    DEBUG record with its bracket; this holds whenever the two states
+    commute.  The variational program runs on the other pairs only, sharing
+    each of its objective calls.  Then the best candidate basis at the
+    omega gives the witness PVM and the KL of its outcome laws
+    (basis_witness).  The reported value is the larger of that KL and the
+    variational value (both are lower bounds); disagreement beyond
+    cfg.cross_check_tol attaches a ConvergenceWarning, and disagreement
+    beyond 10x raises OptimizerFailure.
     """
     for rho0, rho1 in pairs:
         _check_pair(rho0, rho1)
@@ -268,17 +279,30 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     r1 = np.stack([pairs[i][1].mat for i in live])
     log_ratio = np.stack([_safe_log_state(pairs[i][0].spectrum) - _safe_log_state(pairs[i][1].spectrum)
                           for i in live])
-    var_vals, omegas = variational_measured(r0, r1, log_ratio)
-    for i, var_val, basis, s0, s1 in zip(live, var_vals, candidate_bases(r0, r1, log_ratio, omegas), r0, r1):
+    upper = _relative_terms(r0, r1)[0].tolist()
+    var_vals, _, _, omegas = _variational_terms(hermitian_to_params(log_ratio), r0, r1)
+    var_vals, all_notes = var_vals.tolist(), [[] for _ in live]
+    closed = [_closes(var_vals[j], upper[j], all_notes[j], at="the log-ratio start") for j in range(len(live))]
+    for j, done in enumerate(closed):
+        if done and logger.isEnabledFor(logging.DEBUG):
+            stats = dict(starts=0, lower=var_vals[j], upper=upper[j], gap=upper[j] - var_vals[j])
+            logger.debug("variational program skipped, bracket closed %s", stats, extra={"multistart": stats})
+    searched = [j for j, done in enumerate(closed) if not done]
+    if searched:
+        found, omegas[searched] = variational_measured(r0[searched], r1[searched], log_ratio[searched])
+        for j, value in zip(searched, found):
+            var_vals[j] = value
+    for i, var_val, basis, s0, s1, notes in zip(live, var_vals, candidate_bases(r0, r1, log_ratio, omegas), r0, r1,
+                                                all_notes):
         pvm_val, povm = basis_witness(basis, s0, s1)
-        gap, notes = abs(var_val - pvm_val), []
+        gap = abs(var_val - pvm_val)
         if gap > cfg.cross_check_tol:
             if gap > 10 * cfg.cross_check_tol:
                 raise OptimizerFailure(
                     f"measured-entropy estimators disagree: variational {var_val:.6f} vs witness PVM {pvm_val:.6f}"
                 )
             notes.append(f"estimators disagree by {gap:.2e}")
-            warnings.warn(notes[0], ConvergenceWarning)
+            warnings.warn(notes[-1], ConvergenceWarning)
         out[i] = DivergenceValue(
             max(var_val, pvm_val, 0.0),
             is_lower_bound=True,
@@ -430,12 +454,13 @@ def _state_value(kind: str, alpha: float | None, s0: DensityMatrix, s1: DensityM
     return (sandwiched_renyi_states(s0, s1, alpha) if kind == "renyi" else rel_entropy_states(s0, s1)).value
 
 
-def _closes(lower: float, upper: float, notes: list[str]) -> bool:
-    """Whether the bracket [lower, upper] is closed within _BRACKET_TOL.  A
-    lower end beyond it above the upper end adds a note to notes."""
+def _closes(lower: float, upper: float, notes: list[str], at: str = "the maximally entangled input") -> bool:
+    """Whether the bracket [lower, upper], whose lower end is the value at
+    the start at, is closed within _BRACKET_TOL.  A lower end beyond it
+    above the upper end adds a note to notes."""
     tol = _BRACKET_TOL * max(1.0, upper)
     if lower - upper > tol:
-        notes.append(f"value at the maximally entangled input exceeds the upper end by {lower - upper:.2e}")
+        notes.append(f"value at {at} exceeds the upper end by {lower - upper:.2e}")
     return math.isfinite(upper) and abs(upper - lower) <= tol
 
 

@@ -406,7 +406,10 @@ def variational_measured(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarr
     The optimum equals the measured relative entropy; any iterate gives a
     lower bound.  Two starts (log_ratio = log rho0 - log rho1, then H = 0)
     run in lockstep, at most 2000 iterations each; the first wins ties.
-    Returns (value in nats, optimal omega = exp(H)).
+    Returns (value in nats, optimal omega = exp(H)).  The measured
+    certifier calls it only on the pairs whose value at the first start
+    stays below D(rho0||rho1) beyond rounding; commuting pairs meet it
+    there.
 
     Given stacks (k, d, d) of k state pairs and their log ratios, the k
     programs share every objective call and the result is (the k values,

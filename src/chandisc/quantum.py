@@ -354,9 +354,16 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
     return DensityMatrix(m / np.trace(m).real)
 
 
+def _haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from Ginibre matrices g (..., d, d): the Q of
+    each QR decomposition, its columns rephased by the diagonal of R."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(dim, dim, rng))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return _haar_unitaries(_ginibre(dim, dim, rng))
 
 
 def random_channel(

@@ -19,7 +19,7 @@ import numpy as np
 from .divergences import _power_divergences
 from .errors import DegenerateSamplingError
 from .optimize import OptimizerConfig
-from .quantum import QuantumChannel, _apply_to_pure, _basis_laws, _ginibre, random_unitary, tensor_power_channel
+from .quantum import QuantumChannel, _apply_to_pure, _basis_laws, _haar_unitaries, tensor_power_channel
 from .strategies import Arm, arm_laws, rate_pair
 
 RECTANGLE = "rectangle"
@@ -90,6 +90,8 @@ def adaptive_region(
     Each direction's witness arm also certifies a lower bound in the other
     direction (any single measurement lower-bounds both measured
     divergences), so the corner takes the max over both arms per coordinate.
+    The measured certifier's notes on either direction, if any, are listed
+    in metadata["warnings"].
     """
     return _adaptive_region(n0.in_dim, l, _powers(n0, n1, l), cfg or OptimizerConfig())
 
@@ -113,16 +115,11 @@ def _adaptive_region(d_in: int, l: int, powers, cfg: OptimizerConfig) -> Exponen
             r0 = max(r0, a0 / l)
         if math.isfinite(a1):
             r1 = max(r1, a1 / l)
-    return ExponentRegion(
-        kind=RECTANGLE,
-        frontier=[(r0, r1)],
-        metadata={
-            "l": l,
-            "bound": "inner",
-            "witness_10": w10,
-            "witness_01": w01,
-        },
-    )
+    metadata = {"l": l, "bound": "inner", "witness_10": w10, "witness_01": w01}
+    if e10.warnings or e01.warnings:
+        # the certifier's notes; region documents drop lists of strings
+        metadata["warnings"] = e10.warnings + e01.warnings
+    return ExponentRegion(kind=RECTANGLE, frontier=[(r0, r1)], metadata=metadata)
 
 
 def non_adaptive_region(
@@ -135,8 +132,9 @@ def non_adaptive_region(
     """Down-closure of the convex hull of sampled classical KL pairs.
 
     Each sample is a Ginibre input on R (x) A, then a Haar random rank-one
-    PVM; all samples' laws come from one batched pass of the pure-input map
-    and the basis-law kernel, and caller-supplied arms (e.g. the SPRT
+    PVM; every sample's normals come from one draw and its unitary from one
+    stacked QR, all samples' laws from one batched pass of the pure-input
+    map and the basis-law kernel, and caller-supplied arms (e.g. the SPRT
     witness arms) go through arm_laws.  Rates come from rate_pair; pairs
     with an infinite rate count as skipped_infinite.  Inner bound by
     construction, and (0, 0) when no rate exceeds 1e-12.
@@ -145,10 +143,14 @@ def non_adaptive_region(
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5A)))
     d_in = n0.in_dim
     d_meas = d_in * n0.out_dim
-    psis = np.empty((samples, d_in * d_in), dtype=complex)
-    bases = np.empty((samples, d_meas, d_meas), dtype=complex)
-    for i in range(samples):
-        psis[i], bases[i] = _ginibre(d_in * d_in, 1, rng)[:, 0], random_unitary(d_meas, rng)
+    n, m = d_in * d_in, d_meas * d_meas
+    # each row holds one sample's normals in the order of a Ginibre input
+    # and then a Ginibre matrix, real parts first: the stream of drawing
+    # them sample by sample
+    draws = rng.standard_normal((samples, 2 * n + 2 * m))
+    psis = draws[:, :n] + 1j * draws[:, n : 2 * n]
+    ginibre = draws[:, 2 * n : 2 * n + m] + 1j * draws[:, 2 * n + m :]
+    bases = _haar_unitaries(ginibre.reshape(samples, d_meas, d_meas))
     # the kernel normalizes each law, so the inputs need not be unit vectors
     p0, p1 = _basis_laws(bases, _apply_to_pure(n0, psis), _apply_to_pure(n1, psis))
     pairs = [rate_pair(*arm_laws(arm, n0, n1)) for arm in extra_arms or []]

@@ -31,6 +31,8 @@ from chandisc.optimize import (
     _per_search,
     _safe_log_state,
     _variational_terms,
+    basis_witness,
+    candidate_bases,
     kl_divergence,
     variational_measured,
 )
@@ -749,7 +751,8 @@ def test_closed_brackets_skip_the_input_search(monkeypatch, caplog):
     for kind, alpha in BRACKET_KINDS:
         with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
             both = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha)
-        skipped = [r.multistart for r in caplog.records if r.multistart["starts"] == 0]
+        skipped = [r.multistart for r in caplog.records
+                   if r.multistart["starts"] == 0 and r.msg.startswith("input search skipped")]
         caplog.clear()
         brackets = [(dv.value, dv.upper, dv.upper - dv.value) for dv in both]
         assert [(s["lower"], s["upper"], s["gap"]) for s in skipped] == brackets
@@ -768,3 +771,143 @@ def test_a_lower_end_above_the_upper_end_is_noted_and_searched(monkeypatch, capl
         dv = channel_divergence(n0, n1, kind="relative", cfg=CFG)
     assert [r.multistart["starts"] for r in caplog.records] == [CFG.restarts]
     assert dv.warnings == [f"value at the maximally entangled input exceeds the upper end by {dv.value - 0.1:.2e}"]
+
+
+def _covariant_zoo():
+    return [(depolarizing_channel(0.3), depolarizing_channel(0.7)), (dephasing_channel(0.2), dephasing_channel(0.6)),
+            (bernoulli_replacer(0.2), bernoulli_replacer(0.8))]
+
+
+def _count_programs(monkeypatch) -> list[int]:
+    """The number of state pairs of every variational_measured call that
+    the measured certifier makes from now on."""
+    calls = []
+    real = divergences.variational_measured
+
+    def counting(rho0, rho1, log_ratio):
+        calls.append(len(rho0))
+        return real(rho0, rho1, log_ratio)
+
+    monkeypatch.setattr(divergences, "variational_measured", counting)
+    return calls
+
+
+def _force_certifier_upper(monkeypatch, upper):
+    """Replace the upper end of every bracket the measured certifier reads
+    at its log-ratio start by upper(lower end); channel brackets keep
+    theirs."""
+    real = divergences._closes
+
+    def forced(lower, up, notes, at=None):
+        return real(lower, upper(lower), notes, at=at) if at else real(lower, up, notes)
+
+    monkeypatch.setattr(divergences, "_closes", forced)
+
+
+def test_closed_measured_brackets_skip_the_variational_program(monkeypatch, caplog):
+    """On dep, dephasing and the replacers, at l = 1 and 2, the measured
+    certifier's value at its log-ratio start meets D(rho0||rho1) in both
+    directions: the variational program never runs and each pair logs one
+    record with its bracket.  So does the state-level certifier on their
+    Choi states.  A random pair still runs the program."""
+    calls = _count_programs(monkeypatch)
+    for n0, n1 in _covariant_zoo():
+        for l in (1, 2):
+            with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+                block_divergence_pair(n0, n1, l, kind="measured", cfg=CFG)
+            skipped = [r.multistart for r in caplog.records if r.msg.startswith("variational program skipped")]
+            caplog.clear()
+            assert len(skipped) == 2, (n0.label, l)
+            for s in skipped:
+                assert s["starts"] == 0 and s["gap"] == s["upper"] - s["lower"]
+                assert abs(s["gap"]) <= 1e-12 * max(1.0, s["upper"]), (n0.label, l, s)
+        rho0, rho1 = n0.choi_state(), n1.choi_state()
+        with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+            dv = measured_rel_entropy_states(rho0, rho1, CFG)
+        (s,) = [r.multistart for r in caplog.records]
+        caplog.clear()
+        assert (s["lower"], s["upper"]) == (dv.witness.variational_value, rel_entropy_states(rho0, rho1).value)
+    assert calls == []
+    rng = np.random.default_rng(1)
+    channel_divergence_pair(random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng), kind="measured", cfg=CFG)
+    assert calls and min(calls) >= 1
+
+
+def _output_pairs() -> list[tuple[DensityMatrix, DensityMatrix]]:
+    """Output pairs of the covariant zoo at the maximally entangled input,
+    at l = 1 and 2, and of five random qubit pairs at random inputs."""
+    pairs = []
+    for n0, n1 in _covariant_zoo():
+        for l in (1, 2):
+            b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+            psi = max_entangled_vector(b0.in_dim)
+            pairs += [tuple(DensityMatrix(_apply_to_pure(ch, psi)) for ch in (b0, b1))]
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        pairs += [tuple(DensityMatrix(_apply_to_pure(ch, psi / np.linalg.norm(psi))) for ch in (n0, n1))]
+    return pairs + [pair[::-1] for pair in pairs]
+
+
+def test_open_measured_brackets_run_the_program_unchanged(monkeypatch, caplog):
+    """With the certifier's upper end forced to inf, every measured value
+    comes from the variational program's optimum: on the zoo and random
+    output pairs, in both directions, the value, both estimates, the
+    witness and the warnings equal those of variational_measured,
+    candidate_bases and basis_witness run on all pairs.  On a random
+    channel pair, whose brackets stay open, forcing changes no value,
+    witness, warning or DEBUG record."""
+    rng = np.random.default_rng(1)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+
+    def run():
+        with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+            values = channel_divergence_pair(n0, n1, kind="measured", cfg=CFG)
+        return values, _records(caplog)
+
+    values, records = run()
+    _force_certifier_upper(monkeypatch, lambda lower: math.inf)
+    forced, forced_records = run()
+    assert forced_records == records and "variational program skipped" not in "".join(records)
+    for a, b in zip(values, forced):
+        _same_value(a, b)
+
+    for a, b in _output_pairs():
+        r0, r1 = a.mat[None], b.mat[None]
+        log_ratio = (_safe_log_state(a.spectrum) - _safe_log_state(b.spectrum))[None]
+        (var,), omegas = variational_measured(r0, r1, log_ratio)
+        pvm, povm = basis_witness(candidate_bases(r0, r1, log_ratio, omegas)[0], a.mat, b.mat)
+        dv = measured_rel_entropy_states(a, b, CFG)
+        assert (dv.value, dv.witness.variational_value, dv.witness.pvm_value, dv.warnings) == (
+            max(var, pvm, 0.0), var, pvm, [])
+        assert len(dv.witness.povm.effects) == len(povm.effects)
+        assert all(map(np.array_equal, dv.witness.povm.effects, povm.effects))
+
+
+def test_a_log_ratio_start_above_the_upper_end_is_noted_and_searched(monkeypatch):
+    """An upper end below the value at the log-ratio start never closes the
+    certifier's bracket: the variational program runs and the value notes
+    the excess."""
+    calls = _count_programs(monkeypatch)
+    _force_certifier_upper(monkeypatch, lambda lower: lower - 0.1)
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    dv = measured_rel_entropy_states(n0.choi_state(), n1.choi_state(), CFG)
+    assert calls == [1]
+    assert dv.warnings == ["value at the log-ratio start exceeds the upper end by 1.00e-01"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 3), full=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_state_divergences_are_ordered(d, full, seed):
+    """measured <= relative <= sandwiched Renyi at alpha = 1.1, 1.5, 2, 3
+    <= max-divergence within 1e-12, on full-rank pairs and on pairs whose
+    rho0 lies in the support of a rank-deficient rho1, at d = 2 and 3: the
+    chain that the measured certifier's upper end rests on."""
+    rng = np.random.default_rng(seed)
+    rho0, rho1 = _supported_state_pair(1, d, d if full else int(rng.integers(1, d)), rng)
+    chain = [measured_rel_entropy_states(rho0, rho1, CFG).value, rel_entropy_states(rho0, rho1).value]
+    chain += [sandwiched_renyi_states(rho0, rho1, alpha).value for alpha in (1.1, 1.5, 2.0, 3.0)]
+    chain.append(max_div_states(rho0, rho1).value)
+    for a, b in zip(chain, chain[1:]):
+        assert a <= b + 1e-12 * max(1.0, abs(b)), chain

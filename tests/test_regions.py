@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chandisc import divergences, quantum, regions, strategies
+from chandisc.divergences import (
+    ConvergenceWarning,
+    block_divergence_pair,
+    channel_divergence,
+    measured_rel_entropy_states,
+)
 from chandisc.optimize import OptimizerConfig, kl_divergence
 from chandisc.quantum import (
+    DensityMatrix,
+    _apply_to_pure,
     basis_pvm,
     bernoulli_replacer,
     depolarizing_channel,
@@ -25,6 +34,7 @@ from chandisc.regions import (
     pareto_hull,
     region_chain,
 )
+from chandisc.serialize import region_to_json
 from chandisc.strategies import Arm, arm_laws, rate_pair
 
 CFG = OptimizerConfig(restarts=2, max_iters=60)
@@ -368,3 +378,27 @@ def test_region_chain_with_pair_searches_equals_one_direction_runs(monkeypatch, 
 
 def _regions_of(chain) -> list:
     return [chain.non_adaptive, chain.converse] + [chain.adaptive[l] for l in sorted(chain.adaptive)]
+
+
+def test_adaptive_region_keeps_the_certifier_notes():
+    """An adaptive rectangle lists the cross-check notes of its two
+    measured values in metadata["warnings"], and has no such key when there
+    are none; the region document leaves the notes out.  The first
+    random_channel(2, 2, 4, default_rng(5)) pair at a cross_check_tol of a
+    third of the gap that the state-level certifier reads on the witness
+    outputs."""
+    rng = np.random.default_rng(5)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+    cfg = OptimizerConfig(restarts=4, max_iters=100)
+    psi = channel_divergence(n0, n1, kind="measured", cfg=cfg).witness.input_vector
+    w = measured_rel_entropy_states(*(DensityMatrix(_apply_to_pure(ch, psi)) for ch in (n0, n1)), cfg).witness
+    gap = abs(w.variational_value - w.pvm_value)
+    quiet = adaptive_region(n0, n1, cfg=cfg)
+    assert gap > 0 and "warnings" not in quiet.metadata
+    noted_cfg = replace(cfg, cross_check_tol=gap / 3)
+    with pytest.warns(ConvergenceWarning):
+        noted = adaptive_region(n0, n1, cfg=noted_cfg)
+        e01, e10 = block_divergence_pair(n0, n1, 1, kind="measured", cfg=noted_cfg)
+    assert f"estimators disagree by {gap:.2e}" in noted.metadata["warnings"]
+    assert noted.metadata["warnings"] == e10.warnings + e01.warnings
+    assert noted.frontier == quiet.frontier and region_to_json(noted) == region_to_json(quiet)
