@@ -148,9 +148,12 @@ class BlockEstimate:
     upper_per_use: float = math.inf
 
 
-def _check_pair(rho0: DensityMatrix, rho1: DensityMatrix) -> None:
+def _unsupported(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue | None:
+    """The infinite value of a pair whose rho0 leaves the support of rho1,
+    else None; mismatched dimensions raise."""
     if rho0.dim != rho1.dim:
         raise DimensionMismatchError("state pair has mismatched dimensions")
+    return None if support_contained(rho0.mat, rho1.spectrum) else DivergenceValue(math.inf, is_finite=False)
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +209,15 @@ def _renyi_terms(s0: np.ndarray, s1: np.ndarray, alpha: float):
 def rel_entropy_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
     """Quantum relative entropy Tr[rho0 (log rho0 - log rho1)] in nats: the
     value of _relative_terms, the formula the input search ascends."""
-    _check_pair(rho0, rho1)
-    if not support_contained(rho0.mat, rho1.spectrum):
-        return DivergenceValue(math.inf, is_finite=False)
-    return DivergenceValue(float(_relative_terms(rho0.mat[None], rho1.mat[None])[0][0]))
+    return _unsupported(rho0, rho1) or DivergenceValue(float(_relative_terms(rho0.mat[None], rho1.mat[None])[0][0]))
 
 
 def max_div_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
     """Max-divergence: log of the largest generalized eigenvalue of
     (rho0, rho1) on the support of rho1, in nats, with rho1^{-1/2} taken on
     its support from rho1's spectrum."""
-    _check_pair(rho0, rho1)
-    if not support_contained(rho0.mat, rho1.spectrum):
-        return DivergenceValue(math.inf, is_finite=False)
+    if infinite := _unsupported(rho0, rho1):
+        return infinite
     w, v = rho1.spectrum
     inv_sqrt = (v * np.where(w > PSD_TOL, np.maximum(w, PSD_TOL) ** -0.5, 0.0)) @ v.conj().T
     m = inv_sqrt @ rho0.mat @ inv_sqrt
@@ -234,10 +233,7 @@ def sandwiched_renyi_states(
     of _renyi_terms, the formula the input search ascends."""
     if alpha <= 1.0:
         raise InvalidAlphaError(f"alpha must exceed 1, got {alpha}")
-    _check_pair(rho0, rho1)
-    if not support_contained(rho0.mat, rho1.spectrum):
-        return DivergenceValue(math.inf, is_finite=False)
-    return DivergenceValue(float(_renyi_terms(rho0.mat[None], rho1.mat[None], alpha)[0][0]))
+    return _unsupported(rho0, rho1) or DivergenceValue(float(_renyi_terms(rho0.mat[None], rho1.mat[None], alpha)[0][0]))
 
 
 def measured_rel_entropy_states(
@@ -251,16 +247,19 @@ def measured_rel_entropy_states(
     return _measured_values([(rho0, rho1)], cfg or OptimizerConfig())[0]
 
 
-def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: OptimizerConfig) -> list[DivergenceValue]:
+def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: OptimizerConfig,
+                     upper: list[float] | None = None) -> list[DivergenceValue]:
     """The certified measured relative entropy of every state pair, all of
     one dimension: inf where the support is not contained.
 
     Elsewhere each pair's bracket is evaluated first: its upper end is
     D(rho0||rho1) >= D_M, its lower end the variational value at the
-    program's own first start, H = log rho0 - log rho1.  A pair whose
-    bracket closes (_closes) keeps that start's value and omega and logs one
-    DEBUG record with its bracket; this holds whenever the two states
-    commute.  The variational program runs on the other pairs only, sharing
+    program's own first start, H = log rho0 - log rho1.  A caller that
+    holds every pair's finite rel_entropy_states value passes them as upper:
+    they equal the rows of the stacked _relative_terms bit for bit.  A pair
+    whose bracket closes (_closes) keeps that start's value and omega and
+    logs one DEBUG record with its bracket; this holds whenever the two
+    states commute.  The variational program runs on the other pairs only, sharing
     each of its objective calls.  Then the best candidate basis at the
     omega gives the witness PVM and the KL of its outcome laws
     (basis_witness).  The reported value is the larger of that KL and the
@@ -268,10 +267,7 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     cfg.cross_check_tol attaches a ConvergenceWarning, and disagreement
     beyond 10x raises OptimizerFailure.
     """
-    for rho0, rho1 in pairs:
-        _check_pair(rho0, rho1)
-    out = [None if support_contained(rho0.mat, rho1.spectrum) else DivergenceValue(math.inf, is_finite=False)
-           for rho0, rho1 in pairs]
+    out = [_unsupported(rho0, rho1) for rho0, rho1 in pairs]
     live = [i for i, dv in enumerate(out) if dv is None]
     if not live:
         return out
@@ -279,7 +275,7 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     r1 = np.stack([pairs[i][1].mat for i in live])
     log_ratio = np.stack([_safe_log_state(pairs[i][0].spectrum) - _safe_log_state(pairs[i][1].spectrum)
                           for i in live])
-    upper = _relative_terms(r0, r1)[0].tolist()
+    upper = _relative_terms(r0, r1)[0].tolist() if upper is None else upper
     var_vals, _, _, omegas = _variational_terms(hermitian_to_params(log_ratio), r0, r1)
     var_vals, all_notes = var_vals.tolist(), [[] for _ in live]
     closed = [_closes(var_vals[j], upper[j], all_notes[j], at="the log-ratio start") for j in range(len(live))]
@@ -563,8 +559,7 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
             val.upper = val.value
         return out
 
-    out = [None if support_contained(a.choi, b.choi_state().spectrum)
-           else DivergenceValue(math.inf, is_finite=False, is_lower_bound=False) for a, b in directions]
+    out = [_unsupported(a.choi_state(), b.choi_state()) for a, b in directions]
     live = [i for i, dv in enumerate(out) if dv is None]
     if not live:
         return out
@@ -582,8 +577,9 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
         upper[i], values[i] = _channel_upper(*directions[i], kind, alpha), _state_value(kind, alpha, *states[i])
     closed = [i for i in live if _closes(values[i], upper[i], notes[i])]
     if kind == "measured" and closed:
-        # D_M <= D: only a closed relative bracket can close the measured one
-        measured = dict(zip(closed, _measured_values([states[i] for i in closed], cfg)))
+        # D_M <= D: only a closed relative bracket can close the measured one,
+        # and its relative value is the certifier's upper end
+        measured = dict(zip(closed, _measured_values([states[i] for i in closed], cfg, [values[i] for i in closed])))
         closed = [i for i in closed if _closes(measured[i].value, upper[i], notes[i])]
         values.update((i, measured[i].value) for i in closed)
     for i in closed:

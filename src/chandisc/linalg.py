@@ -31,6 +31,11 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def frobs(a: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack (..., m, n)."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
 def check_square(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:

@@ -366,14 +366,31 @@ def _best_start(results: list, failures: int, batches: int) -> tuple[np.ndarray,
 NEGLIGIBLE_PROB = 1e-15
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Classical KL in nats; +inf on support mismatch."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Classical KL in nats of each pair of laws p, q (..., k), shape (...):
+    the sum of p log(p / q) over the outcomes where p > NEGLIGIBLE_PROB,
+    +inf where q is at or below 1e-300 on one of them.
+
+    Each row sums its kept terms in order, as one compacted array would:
+    masked terms are zeros, which leave numpy's sequential sum of fewer than
+    8 terms unchanged; rows of 8 or more are summed from their kept terms
+    one by one, since pairwise summation would regroup them."""
+    p, q = np.ascontiguousarray(p, float), np.ascontiguousarray(q, float)
     mask = p > NEGLIGIBLE_PROB
-    if np.any(q[mask] <= 1e-300):
-        return math.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mask, p * (np.log(p) - np.log(q)), 0.0)
+    out = np.asarray(terms.sum(axis=-1))
+    if p.shape[-1] >= 8:
+        for i in np.ndindex(p.shape[:-1]):
+            out[i] = terms[i][mask[i]].sum()
+    out[(mask & (q <= 1e-300)).any(axis=-1)] = math.inf
+    return out
+
+
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """Classical KL in nats; +inf on support mismatch.  The batch of one of
+    kl_rows."""
+    return float(kl_rows(p, q))
 
 
 def _safe_log_state(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

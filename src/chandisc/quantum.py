@@ -23,7 +23,7 @@ from .errors import (
     InvalidStateError,
     NormalizationError,
 )
-from .linalg import PSD_TOL, frob, kron
+from .linalg import PSD_TOL, frob, frobs, kron
 
 STATE_TOL = 1e-9
 CHANNEL_TOL = 1e-8
@@ -63,10 +63,7 @@ def pure_state(vec: np.ndarray, label: str | None = None) -> DensityMatrix:
 
 
 def max_entangled_vector(d: int) -> np.ndarray:
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    return v / math.sqrt(d)
+    return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
 
 
 def max_entangled_state(d: int) -> DensityMatrix:
@@ -114,7 +111,12 @@ class QuantumChannel:
 
 @dataclass
 class Povm:
-    """Finite family of PSD effects summing to the identity."""
+    """Finite family of PSD effects summing to the identity.
+
+    Validation works on the effects as one stack (n, d, d): one Frobenius
+    norm per effect for Hermiticity and idempotence, and one stacked
+    eigvalsh for positivity.  The effects stay a list.  is_pvm holds when
+    every effect is a projector within 1e-8 d."""
 
     effects: list[np.ndarray]
     label: str | None = None
@@ -126,20 +128,19 @@ class Povm:
         if not self.effects:
             raise InvalidStateError("POVM needs at least one effect")
         dim = self.effects[0].shape[0]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for e in self.effects:
-            if e.shape != (dim, dim):
-                raise DimensionMismatchError("POVM effects have mixed shapes")
-            if frob(e - e.conj().T) > POVM_TOL * max(1.0, frob(e)):
-                raise InvalidStateError("POVM effect is not Hermitian")
-            w = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
-            if w[0] < -1e-8:
-                raise InvalidStateError(f"POVM effect has eigenvalue {w[0]:.3e}")
-            acc += e
-        if frob(acc - np.eye(dim)) > POVM_TOL * dim:
+        if any(e.shape != (dim, dim) for e in self.effects):
+            raise DimensionMismatchError("POVM effects have mixed shapes")
+        e = np.stack(self.effects)
+        eh = np.swapaxes(e.conj(), 1, 2)
+        if (frobs(e - eh) > POVM_TOL * np.maximum(1.0, frobs(e))).any():
+            raise InvalidStateError("POVM effect is not Hermitian")
+        w = np.linalg.eigvalsh(0.5 * (e + eh)).min()
+        if w < -1e-8:
+            raise InvalidStateError(f"POVM effect has eigenvalue {w:.3e}")
+        if frob(e.sum(axis=0) - np.eye(dim)) > POVM_TOL * dim:
             raise InvalidStateError("POVM effects do not sum to identity")
         self.dim = dim
-        self.is_pvm = all(frob(e @ e - e) <= 1e-8 * dim for e in self.effects)
+        self.is_pvm = bool(frobs(e @ e - e).max() <= 1e-8 * dim)
 
     @property
     def outcome_count(self) -> int:
@@ -148,8 +149,7 @@ class Povm:
 
 def basis_pvm(basis: np.ndarray, label: str | None = None) -> Povm:
     """Rank-one PVM from the columns of a unitary."""
-    cols = [basis[:, i] for i in range(basis.shape[1])]
-    return Povm([np.outer(c, c.conj()) for c in cols], label=label)
+    return Povm([np.outer(c, c.conj()) for c in basis.T], label=label)
 
 
 def _lifted_kraus(ch: QuantumChannel, d_r: int) -> np.ndarray:

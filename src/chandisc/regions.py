@@ -20,7 +20,7 @@ from .divergences import _power_divergences
 from .errors import DegenerateSamplingError
 from .optimize import OptimizerConfig
 from .quantum import QuantumChannel, _apply_to_pure, _basis_laws, _haar_unitaries, tensor_power_channel
-from .strategies import Arm, arm_laws, rate_pair
+from .strategies import Arm, arm_laws, rate_pair, rate_pairs
 
 RECTANGLE = "rectangle"
 HULL = "hull"
@@ -108,7 +108,7 @@ def _adaptive_region(d_in: int, l: int, powers, cfg: OptimizerConfig) -> Exponen
     r0, w10 = e10.value_per_use, e10.witness
     r1, w01 = e01.value_per_use, e01.witness
     for w in (w10, w01):
-        if w is None or getattr(w, "povm", None) is None:
+        if w is None or w.povm is None:
             continue
         a0, a1 = rate_pair(*arm_laws(Arm(w.input_state, w.povm, b0.in_dim), b0, b1))
         if math.isfinite(a0):
@@ -135,9 +135,11 @@ def non_adaptive_region(
     PVM; every sample's normals come from one draw and its unitary from one
     stacked QR, all samples' laws from one batched pass of the pure-input
     map and the basis-law kernel, and caller-supplied arms (e.g. the SPRT
-    witness arms) go through arm_laws.  Rates come from rate_pair; pairs
-    with an infinite rate count as skipped_infinite.  Inner bound by
-    construction, and (0, 0) when no rate exceeds 1e-12.
+    witness arms) go through arm_laws.  All samples are rated by one
+    rate_pairs call on the stacked laws, and each extra arm, whose outcome
+    count may differ, by rate_pair, its batch of one; pairs with an infinite
+    rate count as skipped_infinite.  Inner bound by construction, and
+    (0, 0) when no rate exceeds 1e-12.
     """
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5A)))
@@ -153,16 +155,16 @@ def non_adaptive_region(
     bases = _haar_unitaries(ginibre.reshape(samples, d_meas, d_meas))
     # the kernel normalizes each law, so the inputs need not be unit vectors
     p0, p1 = _basis_laws(bases, _apply_to_pure(n0, psis), _apply_to_pure(n1, psis))
-    pairs = [rate_pair(*arm_laws(arm, n0, n1)) for arm in extra_arms or []]
-    pairs += [rate_pair(a, b) for a, b in zip(p0, p1)]
-    points = [p for p in pairs if math.isfinite(p[0]) and math.isfinite(p[1])]
-    if not points:
+    arms = [rate_pair(*arm_laws(arm, n0, n1)) for arm in extra_arms or []]
+    rates = np.concatenate([np.reshape(arms, (-1, 2)), np.column_stack(rate_pairs(p0, p1))])
+    points = rates[np.isfinite(rates).all(axis=1)]
+    if not points.size:
         raise DegenerateSamplingError("no finite KL pairs sampled")
-    frontier = pareto_hull(points) if max(max(p) for p in points) > 1e-12 else [(0.0, 0.0)]
+    frontier = pareto_hull(points.tolist()) if points.max() > 1e-12 else [(0.0, 0.0)]
     return ExponentRegion(
         kind=HULL,
         frontier=frontier,
-        metadata={"samples": samples, "skipped_infinite": len(pairs) - len(points), "bound": "inner"},
+        metadata={"samples": samples, "skipped_infinite": len(rates) - len(points), "bound": "inner"},
     )
 
 
@@ -272,12 +274,8 @@ def region_chain(
             if w is not None:
                 carried.append(w.input_vector)
 
-    arms = []
-    w01 = adaptive[1].metadata.get("witness_01")
-    w10 = adaptive[1].metadata.get("witness_10")
-    for w in (w01, w10):
-        if w is not None and w.povm is not None:
-            arms.append(Arm(w.input_state, w.povm, n0.in_dim))
+    witnesses = [adaptive[1].metadata.get(key) for key in ("witness_01", "witness_10")]
+    arms = [Arm(w.input_state, w.povm, n0.in_dim) for w in witnesses if w is not None and w.povm is not None]
     non_adapt = non_adaptive_region(n0, n1, cfg=cfg, samples=samples, extra_arms=arms)
 
     # every sampled (input, POVM) pair certifies lower bounds on both

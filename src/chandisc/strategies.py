@@ -25,7 +25,7 @@ from .errors import (
     TauTooLargeError,
     ZeroProbabilityOutcomeError,
 )
-from .optimize import NEGLIGIBLE_PROB, OptimizerConfig, kl_divergence
+from .optimize import NEGLIGIBLE_PROB, OptimizerConfig, kl_rows
 from .quantum import (
     DensityMatrix,
     Povm,
@@ -70,28 +70,31 @@ def arm_laws(arm: Arm, *channels: QuantumChannel) -> list[np.ndarray]:
     return [outcome_distribution(ch, arm.input_state, arm.ancilla_dim, arm.povm) for ch in channels]
 
 
+def rate_pairs(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D(P1||P0), D(P0||P1)) for each row of the stacked outcome laws p0, p1
+    (..., k): the per-step rates (rate0, rate1) that the arm with those laws
+    witnesses.  Each lower-bounds the measured channel divergence in its
+    direction."""
+    return kl_rows(p1, p0), kl_rows(p0, p1)
+
+
 def rate_pair(p0: np.ndarray, p1: np.ndarray) -> tuple[float, float]:
-    """(D(P1||P0), D(P0||P1)): the per-step rates (rate0, rate1) that an arm
-    with outcome laws p0, p1 witnesses.  Each lower-bounds the measured
-    channel divergence in its direction."""
-    return kl_divergence(p1, p0), kl_divergence(p0, p1)
+    """The rates (rate0, rate1) of one arm with outcome laws p0, p1 (k,): the
+    batch of one of rate_pairs."""
+    return tuple(map(float, rate_pairs(p0, p1)))
 
 
 def _build_tables(laws: list[tuple[np.ndarray, np.ndarray]]) -> StrategyTables:
     """Tables from the outcome laws (p0, p1) of each arm.  Entries at or below
     NEGLIGIBLE_PROB are rounding noise: set to 0, as the rates drop them."""
-    n_out = max(p0.size for p0, _ in laws)
-    dists = np.zeros((len(laws), 2, n_out))
-    incs = np.zeros((len(laws), n_out))
-    for i, (p0, p1) in enumerate(laws):
-        p0, p1 = (np.where(p > NEGLIGIBLE_PROB, p, 0.0) for p in (p0, p1))
-        k = p0.size
-        dists[i, 0, :k] = p0
-        dists[i, 1, :k] = p1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.log(p0) - np.log(p1)
-        z[(p0 <= 0) & (p1 <= 0)] = 0.0  # never sampled
-        incs[i, :k] = z
+    dists = np.zeros((len(laws), 2, max(law[0].size for law in laws)))
+    for i, law in enumerate(laws):
+        dists[i, :, : law[0].size] = law
+    dists = np.where(dists > NEGLIGIBLE_PROB, dists, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(dists)
+        # outcomes of probability 0 under both laws are never sampled
+        incs = np.where((dists <= 0).all(axis=1), 0.0, logs[:, 0] - logs[:, 1])
     return StrategyTables(dists=dists, cdfs=outcome_cdf(dists), increments=incs)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -29,3 +31,21 @@ def _assert_gradient_matches(objective, theta, tol=1e-6, h=1e-6):
 @pytest.fixture
 def assert_gradient_matches():
     return _assert_gradient_matches
+
+
+def _scalar_kl(p, q):
+    """The classical KL of one pair of laws in scalar form: the outcomes with
+    p > 1e-15 compacted into one array and summed by one np.sum, +inf when
+    q is at or below 1e-300 on one of them.  The bit-for-bit oracle of the
+    stacked kernel optimize.kl_rows."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    mask = p > 1e-15
+    if np.any(q[mask] <= 1e-300):
+        return math.inf
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+
+
+@pytest.fixture
+def scalar_kl():
+    return _scalar_kl

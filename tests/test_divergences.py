@@ -49,6 +49,7 @@ from chandisc.quantum import (
     pure_state,
     random_channel,
     random_density_matrix,
+    random_unitary,
     tensor_power_channel,
 )
 
@@ -683,6 +684,88 @@ def test_channel_values_lie_below_their_upper_ends(seed, d_l):
             assert est.value_per_use <= est.upper_per_use + 1e-12, (kind, alpha, est.value_per_use, est.upper_per_use)
             if kind == "max":
                 assert est.upper_per_use == est.value_per_use
+
+
+def _bs_operator(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """sigma^1/2 g(sigma^-1/2 rho sigma^-1/2) sigma^1/2 with g(x) = x log x,
+    for a full-rank sigma; its trace is the Belavkin-Staszewski divergence."""
+    w, v = np.linalg.eigh(sigma)
+    root, inv_root = (v * w**0.5) @ v.conj().T, (v * w**-0.5) @ v.conj().T
+    x = inv_root @ rho @ inv_root
+    xw, xv = np.linalg.eigh(0.5 * (x + x.conj().T))
+    xw = np.maximum(xw, 0.0)
+    return root @ ((xv * (xw * np.log(np.where(xw > 0, xw, 1.0)))) @ xv.conj().T) @ root
+
+
+ONE_START = OptimizerConfig(restarts=1, max_iters=1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d_l=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+@example(seed=0, d_l=(2, 2))
+@example(seed=0, d_l=(3, 2))
+def test_channel_chain_bs_lies_below_the_max_divergence(seed, d_l):
+    """The relative kind's upper end, D_BS(N0||N1), lies between the
+    Belavkin-Staszewski divergence of the outputs at an input that nearly
+    attains it and the channel max-divergence, on random pairs at d = 2, 3
+    for l = 1, 2.  With M = Tr_B of the Choi pair's _bs_operator, the
+    outputs at the input of reduced state rho_R on R have D_BS equal to
+    d Tr[rho_R M]; rho_R = (1 - 1e-4) P + 1e-4 I / d, with P the top
+    eigenprojector of M, reads within 1e-4 of the upper end."""
+    d, l = d_l
+    rng = np.random.default_rng(seed)
+    b0, b1 = (tensor_power_channel(random_channel(d, d, d * d, rng), l) for _ in range(2))
+    dim = b0.in_dim
+    q = _bs_operator(b0.choi_state().mat, b1.choi_state().mat)
+    w, v = np.linalg.eigh(np.einsum("abcb->ac", q.reshape(dim, b0.out_dim, dim, b0.out_dim)))
+    rho_r = (1 - 1e-4) * np.outer(v[:, -1], v[:, -1].conj()) + 1e-4 * np.eye(dim) / dim
+    rw, rv = np.linalg.eigh(rho_r)
+    psi = ((rv * np.sqrt(rw)) @ rv.conj().T).reshape(-1)
+    attained = float(np.trace(_bs_operator(_apply_to_pure(b0, psi), _apply_to_pure(b1, psi))).real)
+    upper = channel_divergence(b0, b1, kind="relative", cfg=ONE_START).upper
+    d_max = channel_divergence(b0, b1, kind="max").value
+    assert attained <= upper + 1e-7 * max(1.0, upper), (attained, upper)
+    assert upper <= d_max + 1e-12 * max(1.0, d_max), (upper, d_max)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+def test_bracket_values_are_invariant_under_ancilla_unitaries(seed, d):
+    """The value of the outputs at (U_R (x) I)|Phi> equals the value at the
+    maximally entangled |Phi> within 1e-12, for random unitaries U_R on the
+    ancilla: relative, sandwiched Renyi (alpha = 1.5, 2), measured and max
+    kinds, on random pairs at d = 2, 3."""
+    rng = np.random.default_rng(seed)
+    n0, n1 = random_channel(d, d, d * d, rng), random_channel(d, d, d * d, rng)
+    phi = max_entangled_vector(d)
+    values = []
+    for psi in (phi, np.kron(random_unitary(d, rng), np.eye(d)) @ phi):
+        s0, s1 = (DensityMatrix(_apply_to_pure(ch, psi)) for ch in (n0, n1))
+        values.append([rel_entropy_states(s0, s1).value, sandwiched_renyi_states(s0, s1, 1.5).value,
+                       sandwiched_renyi_states(s0, s1, 2.0).value, measured_rel_entropy_states(s0, s1, CFG).value,
+                       max_div_states(s0, s1).value])
+    for a, b in zip(*values):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a)), values
+
+
+def test_closed_measured_brackets_compute_each_relative_value_once(monkeypatch):
+    """A measured direction whose bracket closes hands the relative value at
+    the maximally entangled input to the certifier as its upper end: one
+    _relative_terms row per direction.  The state-level certifier computes
+    its own."""
+    rows = []
+    real = divergences._relative_terms
+
+    def counting(s0, s1):
+        rows.append(len(s0))
+        return real(s0, s1)
+
+    monkeypatch.setattr(divergences, "_relative_terms", counting)
+    channel_divergence_pair(depolarizing_channel(0.3), depolarizing_channel(0.7), kind="measured", cfg=CFG)
+    assert sum(rows) == 2
+    rows.clear()
+    measured_rel_entropy_states(diag(0.2, 0.8), diag(0.6, 0.4), CFG)
+    assert rows == [1]
 
 
 @pytest.mark.parametrize("l", [1, 2])

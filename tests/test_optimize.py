@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 from chandisc.divergences import _input_objective
 from chandisc.errors import OptimizerFailure
 from chandisc.optimize import (
+    NEGLIGIBLE_PROB,
     OptimizerConfig,
     _exp_kernel,
     _log_kernel,
@@ -17,6 +18,7 @@ from chandisc.optimize import (
     hermitian_grad_to_params,
     hermitian_to_params,
     kl_divergence,
+    kl_rows,
     multistart_maximize,
     params_to_hermitian,
 )
@@ -352,3 +354,33 @@ def test_basis_witness_merges_negligible_outcomes_and_orders_by_increment():
     flat = np.diag([0.5, 0.2, 0.3]).astype(complex)
     _, tied = basis_witness(np.eye(3, dtype=complex), flat, flat)
     assert [int(np.argmax(np.real(np.diag(t)))) for t in tied.effects] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("k", [2, 4, 7, 8, 9, 16])
+def test_kl_rows_equal_the_scalar_kl_bit_for_bit(k, scalar_kl):
+    """kl_rows gives every row's KL bit for bit as the scalar form, on rows
+    without masked outcomes, with outcomes masked under p (at or below
+    NEGLIGIBLE_PROB), under p and q alike, with q at or below 1e-300 where p
+    is kept (inf), and fully masked (0).  Below 8 outcomes the masked terms
+    are zeros in one sum; from 8 on each masked row is summed on its own."""
+    rng = np.random.default_rng(k)
+    n = 500
+    p = rng.dirichlet(np.full(k, 0.7), n)
+    q = rng.dirichlet(np.full(k, 0.7), n)
+    picked = rng.random((n, k)) < 0.3
+    picked[:, 0] = True
+    group = np.arange(n) % 5
+    under_p = picked & (group[:, None] == 1)
+    under_both = picked & (group[:, None] == 2)
+    under_q = picked & (group[:, None] == 3)
+    p[under_p | under_both] = rng.choice([0.0, 1e-16, NEGLIGIBLE_PROB], (under_p | under_both).sum())
+    q[under_both | under_q] = rng.choice([0.0, 1e-301, 1e-300], (under_both | under_q).sum())
+    p[group == 4] = rng.choice([0.0, 1e-17, NEGLIGIBLE_PROB], ((group == 4).sum(), k))
+    got = kl_rows(p, q)
+    want = np.array([scalar_kl(a, b) for a, b in zip(p, q)])
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
+    assert np.all(np.isinf(got[group == 3])) and np.all(got[group == 4] == 0.0)
+    assert np.all(np.isfinite(got[group != 3]))
+    # leading axes are kept, and kl_divergence is the batch of one
+    assert kl_rows(p.reshape(5, -1, k), q.reshape(5, -1, k)).tobytes() == got.tobytes()
+    assert [kl_divergence(a, b) for a, b in zip(p[:20], q[:20])] == want[:20].tolist()

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chandisc import quantum
-from chandisc.errors import InvalidStateError, NormalizationError
-from chandisc.linalg import hermitian_eigen
+from chandisc.errors import DimensionMismatchError, InvalidStateError, NormalizationError
+from chandisc.linalg import frob, hermitian_eigen
 from chandisc.quantum import (
     DensityMatrix,
     Povm,
@@ -158,6 +158,71 @@ def test_povm_validation_and_pvm_flag():
         Povm([np.eye(2), 0.5 * np.eye(2)])
     with pytest.raises(InvalidStateError):
         Povm([])
+
+
+def _faulty_effects(fault: str, where: int) -> list[np.ndarray]:
+    """A rank-one PVM on C^4 with at most one fault, at effect where: a wrong
+    shape, an anti-Hermitian part (added there and taken from the next
+    effect, so the sum stays the identity), a negative eigenvalue (a tenth
+    of the next projector moved there) or a halved effect, whose sum misses
+    the identity."""
+    effects = list(basis_pvm(random_unitary(4, np.random.default_rng(7))).effects)
+    nxt = (where + 1) % 4
+    if fault == "shape":
+        effects[where] = np.eye(3)
+    elif fault == "hermitian":
+        b = np.random.default_rng(8).standard_normal((4, 4))
+        effects[where] = effects[where] + 1e-3 * (b - b.T)
+        effects[nxt] = effects[nxt] - 1e-3 * (b - b.T)
+    elif fault == "eigenvalue":
+        effects[where] = effects[where] - 0.1 * effects[nxt]
+        effects[nxt] = 1.1 * effects[nxt]
+    elif fault == "sum":
+        effects[where] = 0.5 * effects[where]
+    return effects
+
+
+@pytest.mark.parametrize("where", [0, 2, 3])
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("shape", DimensionMismatchError, "mixed shapes"),
+        ("hermitian", InvalidStateError, "not Hermitian"),
+        ("eigenvalue", InvalidStateError, "eigenvalue -1.000e-01"),
+        ("sum", InvalidStateError, "do not sum to identity"),
+    ],
+)
+def test_povm_validation_raises_each_error_on_a_single_fault(fault, error, message, where):
+    """The stacked validation finds a single fault wherever it sits."""
+    assert Povm(_faulty_effects("none", where)).is_pvm
+    with pytest.raises(error, match=message):
+        Povm(_faulty_effects(fault, where))
+
+
+def test_is_pvm_agrees_with_the_per_effect_rule():
+    """is_pvm holds exactly when every effect E has ||E^2 - E||_F <= 1e-8 d,
+    on zoo POVMs and on the witness POVMs of measured values."""
+    from chandisc.divergences import channel_divergence, measured_rel_entropy_states
+    from chandisc.optimize import OptimizerConfig
+
+    rng = np.random.default_rng(3)
+    cfg = OptimizerConfig(restarts=2, max_iters=60)
+    trine = [2 / 3 * np.outer(v, v) for v in ([1, 0], [-0.5, 3**0.5 / 2], [-0.5, -(3**0.5) / 2])]
+    povms = [basis_pvm(np.eye(2)), basis_pvm(random_unitary(4, rng)), basis_pvm(random_unitary(16, rng)),
+             Povm([0.5 * np.eye(2), 0.5 * np.eye(2)]), Povm(trine), Povm([np.eye(3)]),
+             Povm([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])]
+    pairs = [(depolarizing_channel(0.3), depolarizing_channel(0.7)),
+             (random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng))]
+    for n0, n1 in pairs:
+        for l in (1, 2):
+            b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+            povms.append(channel_divergence(b0, b1, kind="measured", cfg=cfg).witness.povm)
+    state_pairs = [(random_density_matrix(3, rng), random_density_matrix(3, rng)),
+                   (DensityMatrix(np.diag([0.5, 0.5, 0.0])), DensityMatrix(np.diag([0.2, 0.8, 0.0])))]
+    povms += [measured_rel_entropy_states(rho0, rho1, cfg).witness.povm for rho0, rho1 in state_pairs]
+    flags = [m.is_pvm for m in povms]
+    assert flags == [all(frob(e @ e - e) <= 1e-8 * m.dim for e in m.effects) for m in povms]
+    assert any(flags) and not all(flags)
 
 
 def test_outcome_distribution_normalizes():

@@ -35,7 +35,7 @@ from chandisc.regions import (
     region_chain,
 )
 from chandisc.serialize import region_to_json
-from chandisc.strategies import Arm, arm_laws, rate_pair
+from chandisc.strategies import Arm, arm_laws, rate_pair, rate_pairs
 
 CFG = OptimizerConfig(restarts=2, max_iters=60)
 
@@ -199,10 +199,11 @@ def test_non_adaptive_samples_match_per_sample_arms(pair, monkeypatch):
     got = []
 
     def spy(p0, p1):
-        got.append(rate_pair(p0, p1))
-        return got[-1]
+        rates = rate_pairs(p0, p1)
+        got.extend(zip(*rates))
+        return rates
 
-    monkeypatch.setattr(regions, "rate_pair", spy)
+    monkeypatch.setattr(regions, "rate_pairs", spy)
     cfg = OptimizerConfig(seed=3)
     hull = non_adaptive_region(n0, n1, cfg=cfg, samples=64, extra_arms=[])
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5A)))
@@ -217,6 +218,51 @@ def test_non_adaptive_samples_match_per_sample_arms(pair, monkeypatch):
         assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (g, w)
     skipped = sum(not (math.isfinite(a) and math.isfinite(b)) for a, b in want)
     assert hull.metadata["skipped_infinite"] == skipped
+
+
+def _acceptance_6_random_pair():
+    rng = np.random.default_rng(20240823)
+    return random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+
+
+def _zero_transition_pair():
+    """Classical channels where 0 never becomes 1 under N0 only."""
+    w0, w1 = np.array([[1.0, 0.5], [0.0, 0.5]]), np.full((2, 2), 0.5)
+    return quantum.classical_channel(w0), quantum.classical_channel(w1)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: (depolarizing_channel(0.3), depolarizing_channel(0.7)),
+        _acceptance_6_random_pair,
+        lambda: (quantum.amplitude_damping_channel(0.2), quantum.amplitude_damping_channel(0.6)),
+        _qutrit_pair,
+        _zero_transition_pair,
+    ],
+    ids=["dep", "random", "amplitude-damping", "qutrit", "zero-transition"],
+)
+def test_non_adaptive_hull_equals_rating_each_sample_alone(pair, monkeypatch, scalar_kl):
+    """Rating every sample and extra arm in one pass gives the frontier and
+    skipped_infinite of rating them one at a time with the scalar KL.
+    Amplitude damping has infinite channel divergences, though its sampled
+    rates are finite; the qutrit laws have 9 outcomes; the classical pair
+    with a zero transition makes the computational arm's rate infinite."""
+    n0, n1 = pair()
+    d = n0.in_dim
+    arms = [Arm(pure_state(quantum.max_entangled_vector(d)), basis_pvm(np.eye(d * n0.out_dim)), d)]
+    cfg = OptimizerConfig(seed=3)
+    got = non_adaptive_region(n0, n1, cfg=cfg, samples=256, extra_arms=arms)
+
+    def one_at_a_time(p0, p1):
+        rates = [(scalar_kl(a, b), scalar_kl(b, a)) for a, b in zip(np.atleast_2d(p1), np.atleast_2d(p0))]
+        return tuple(np.array(r).reshape(np.shape(p0)[:-1]) for r in zip(*rates))
+
+    monkeypatch.setattr(regions, "rate_pairs", one_at_a_time)
+    monkeypatch.setattr(regions, "rate_pair", lambda p0, p1: tuple(map(float, one_at_a_time(p0, p1))))
+    want = non_adaptive_region(n0, n1, cfg=cfg, samples=256, extra_arms=arms)
+    assert got.frontier == want.frontier and got.metadata == want.metadata
+    assert got.metadata["skipped_infinite"] == (n0.label == "classical")
 
 
 def test_non_adaptive_samples_make_no_per_sample_objects(monkeypatch):
