@@ -41,13 +41,17 @@ Every channel value carries a certified upper end (DivergenceValue.upper),
 in closed form on the unit-trace Choi states (_channel_upper): the
 Belavkin-Staszewski channel divergence D_BS for the relative and measured
 kinds (D_M <= D <= D_BS), the geometric Renyi divergence for the renyi kind
-with alpha in (1, 2], and the Choi D_max above that.  Its lower end is the
-value at the maximally entangled input.  When the two meet within
+with alpha in (1, 2], and the Choi D_max above that.  D_max, of states and
+of channels, and both geometric traces read one sandwich kernel
+(_sandwich: X = s1^{-1/2} s0 s1^{-1/2} and s1^{1/2} on supp s1, for one
+pair or a stack).  The value's bracket has that upper end and, as its lower
+end, the value at the maximally entangled input.  When the two meet within
 _BRACKET_TOL max(1, upper) (the measured kind runs its certifier only once
 the relative value there meets it), that input is the winner and the
 direction skips the input search; on the covariant zoo (depolarizing,
 dephasing, replacers) every bracket closes.  Directions whose bracket stays
-open run the search unchanged.
+open run the search unchanged, and a searched value above the upper end
+beyond that tolerance gets a note.
 """
 
 from __future__ import annotations
@@ -127,6 +131,11 @@ class ChannelWitness:
 
 @dataclass
 class DivergenceValue:
+    """A divergence in nats with its certified upper end.  Values and upper
+    ends meet at rounding, so the rule every check of the two reads is
+    value <= upper + 1e-12 max(1, upper) (_BRACKET_TOL); a channel value
+    beyond it carries a note in warnings."""
+
     value: float  # nats; math.inf when not finite
     is_lower_bound: bool = False
     is_finite: bool = True
@@ -212,17 +221,33 @@ def rel_entropy_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceVa
     return _unsupported(rho0, rho1) or DivergenceValue(float(_relative_terms(rho0.mat[None], rho1.mat[None])[0][0]))
 
 
+def _sandwich(s0, spectrum):
+    """The Hermitian X = s1^{-1/2} s0 s1^{-1/2} and s1^{1/2}, for one pair
+    or each pair of a stack (B, d, d), with both powers of s1 taken on
+    supp s1 from s1's spectrum (eigenvalues, eigenvectors as columns): the
+    one sandwich that D_max and the closed-form upper ends read."""
+    w, v = spectrum
+    scale = np.where(w > PSD_TOL, np.maximum(w, PSD_TOL) ** -0.5, 0.0)[..., None, :]
+    vh = _adjoint(v)
+    inv_sqrt = (v * scale) @ vh
+    m = inv_sqrt @ s0 @ inv_sqrt
+    return 0.5 * (m + _adjoint(m)), (v * (scale * w[..., None, :])) @ vh
+
+
+def _max_divs(s0, spectrum):
+    """D_max of each pair of a stack (B, d, d), s1 given by its spectrum:
+    the log of the top eigenvalue of _sandwich's X, or +inf where s0 leaves
+    supp s1 by support_contained's rule."""
+    top = np.linalg.eigvalsh(_sandwich(s0, spectrum)[0])[:, -1].tolist()
+    return np.where(support_contained(s0, spectrum), [math.log(max(t, 1e-300)) for t in top], math.inf)
+
+
 def max_div_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
     """Max-divergence: log of the largest generalized eigenvalue of
-    (rho0, rho1) on the support of rho1, in nats, with rho1^{-1/2} taken on
-    its support from rho1's spectrum."""
-    if infinite := _unsupported(rho0, rho1):
-        return infinite
-    w, v = rho1.spectrum
-    inv_sqrt = (v * np.where(w > PSD_TOL, np.maximum(w, PSD_TOL) ** -0.5, 0.0)) @ v.conj().T
-    m = inv_sqrt @ rho0.mat @ inv_sqrt
-    lam = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
-    return DivergenceValue(math.log(max(lam, 1e-300)))
+    (rho0, rho1) on the support of rho1, in nats; the batch of one of
+    _max_divs."""
+    return _unsupported(rho0, rho1) or DivergenceValue(
+        float(_max_divs(rho0.mat[None], [a[None] for a in rho1.spectrum])[0]))
 
 
 def sandwiched_renyi_states(
@@ -280,9 +305,8 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     var_vals, all_notes = var_vals.tolist(), [[] for _ in live]
     closed = [_closes(var_vals[j], upper[j], all_notes[j], at="the log-ratio start") for j in range(len(live))]
     for j, done in enumerate(closed):
-        if done and logger.isEnabledFor(logging.DEBUG):
-            stats = dict(starts=0, lower=var_vals[j], upper=upper[j], gap=upper[j] - var_vals[j])
-            logger.debug("variational program skipped, bracket closed %s", stats, extra={"multistart": stats})
+        if done:
+            _log_closed("variational program", var_vals[j], upper[j])
     searched = [j for j, done in enumerate(closed) if not done]
     if searched:
         found, omegas[searched] = variational_measured(r0[searched], r1[searched], log_ratio[searched])
@@ -414,20 +438,18 @@ def _drop_schmidt_residue(psi: np.ndarray, d_in: int) -> np.ndarray:
 _BRACKET_TOL = 1e-12
 
 
-def _geometric_trace(c0: DensityMatrix, c1: DensityMatrix, in_dim: int, g) -> float:
-    """d lambda_max(Tr_B[C1^{1/2} g(C1^{-1/2} C0 C1^{-1/2}) C1^{1/2}]) for the
-    unit-trace Choi states C0, C1 of a channel pair with input dimension d,
-    C1^{-1/2} taken on supp C1 from C1's spectrum: the channel value of the
-    geometric divergence of the operator function g, maximized over inputs
-    in closed form (Fang & Fawzi, arXiv:1909.05758)."""
-    w, v = c1.spectrum
-    keep = w > PSD_TOL
-    root = np.sqrt(w[keep])
-    inv = v[:, keep] / root
-    xw, xu = np.linalg.eigh(inv.conj().T @ c0.mat @ inv)
-    b = (v[:, keep] * root) @ xu
-    marginal = partial_trace((b * g(np.maximum(xw, 0.0))) @ b.conj().T, [in_dim, c0.dim // in_dim], [0])
-    return in_dim * float(np.linalg.eigvalsh(marginal)[-1])
+def _geometric_trace(a, b, g) -> float:
+    """d lambda_max(Tr_B[(C1^{1/2} U) g(w) (C1^{1/2} U)^dag]) with
+    eigh(X) = (w, U) for _sandwich's X = C1^{-1/2} C0 C1^{-1/2} of the
+    unit-trace Choi states C0, C1 of channels a, b with input dimension d:
+    the channel value of the geometric divergence of the operator function g
+    (g(0) = 0), maximized over inputs in closed form (Fang & Fawzi,
+    arXiv:1909.05758)."""
+    x, root = _sandwich(a.choi_state().mat, b.choi_state().spectrum)
+    xw, xu = np.linalg.eigh(x)
+    r = root @ xu
+    marginal = partial_trace((r * g(np.maximum(xw, 0.0))) @ r.conj().T, [a.in_dim, a.out_dim], [0])
+    return a.in_dim * float(np.linalg.eigvalsh(marginal)[-1])
 
 
 def _channel_upper(a: QuantumChannel, b: QuantumChannel, kind: str, alpha: float | None) -> float:
@@ -436,12 +458,11 @@ def _channel_upper(a: QuantumChannel, b: QuantumChannel, kind: str, alpha: float
     Belavkin-Staszewski channel divergence for D_M <= D <= D_BS, the
     geometric Renyi one for alpha in (1, 2], which dominates the sandwiched
     divergence, and the Choi D_max above that."""
-    c0, c1 = a.choi_state(), b.choi_state()
     if kind != "renyi":
-        return _geometric_trace(c0, c1, a.in_dim, lambda x: x * np.log(np.where(x > 0.0, x, 1.0)))
+        return _geometric_trace(a, b, lambda x: x * np.log(np.where(x > 0.0, x, 1.0)))
     if alpha > 2.0:
-        return max_div_states(c0, c1).value
-    return math.log(max(_geometric_trace(c0, c1, a.in_dim, lambda x: x**alpha), 1e-300)) / (alpha - 1.0)
+        return max_div_states(a.choi_state(), b.choi_state()).value
+    return math.log(max(_geometric_trace(a, b, lambda x: x**alpha), 1e-300)) / (alpha - 1.0)
 
 
 def _state_value(kind: str, alpha: float | None, s0: DensityMatrix, s1: DensityMatrix) -> float:
@@ -458,6 +479,14 @@ def _closes(lower: float, upper: float, notes: list[str], at: str = "the maximal
     if lower - upper > tol:
         notes.append(f"value at {at} exceeds the upper end by {lower - upper:.2e}")
     return math.isfinite(upper) and abs(upper - lower) <= tol
+
+
+def _log_closed(skipped, lower, upper):
+    """Log the one DEBUG record of a closed bracket: the search named
+    skipped did not run."""
+    if logger.isEnabledFor(logging.DEBUG):
+        stats = dict(starts=0, lower=lower, upper=upper, gap=upper - lower)
+        logger.debug(f"{skipped} skipped, bracket closed %s", stats, extra={"multistart": stats})
 
 
 def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list[bool]):
@@ -515,7 +544,7 @@ def channel_divergence(
     certified; when it meets the upper end within 1e-12 max(1, upper), that
     input is the witness and no search runs.  A value there above the upper
     end by more than that never skips the search and adds a note to the
-    warnings.
+    warnings, and so does a searched value above it.
     """
     return _channel_divergences(n0, n1, kind, alpha, cfg, pair=False)[0]
 
@@ -536,7 +565,8 @@ def channel_divergence_pair(
 def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[DivergenceValue]:
     """[D(N0||N1)], or with pair [D(N0||N1), D(N1||N0)], each with its
     upper end; the directions whose bracket stays open at the maximally
-    entangled input share one lockstep search."""
+    entangled input share one lockstep search, and a searched value above
+    its upper end beyond _BRACKET_TOL max(1, upper) gets a note."""
     if kind not in KINDS:
         raise ValueError(f"unknown divergence kind {kind!r}")
     if kind == "renyi" and (alpha is None or alpha <= 1.0):
@@ -583,9 +613,7 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
         closed = [i for i in closed if _closes(measured[i].value, upper[i], notes[i])]
         values.update((i, measured[i].value) for i in closed)
     for i in closed:
-        if logger.isEnabledFor(logging.DEBUG):
-            stats = dict(starts=0, lower=values[i], upper=upper[i], gap=upper[i] - values[i])
-            logger.debug("input search skipped, bracket closed %s", stats, extra={"multistart": stats})
+        _log_closed("input search", values[i], upper[i])
     searched = [i for i in live if i not in closed]
     found = _input_search(n0, n1, kind, alpha, cfg, extra, [i == 1 for i in searched]) if searched else []
     for i, (theta, best) in zip(searched, found):
@@ -602,6 +630,8 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
             value = max(value, mv.value) if mv.is_finite else value
             witness.povm = mv.witness.povm if mv.witness else None
             notes[i] += mv.warnings
+        # a closed direction meets its upper end, so only searched ones can note
+        _closes(value, upper[i], notes[i], at="the searched input")
         out[i] = DivergenceValue(max(value, 0.0), is_lower_bound=True, witness=witness, warnings=notes[i],
                                  upper=upper[i])
     return out

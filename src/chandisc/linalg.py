@@ -1,5 +1,6 @@
 """Dense complex matrix kernel: Hermitian eigendecompositions, Kronecker
-products, partial traces and the support-containment test.
+products, partial traces and the support-containment test (on one pair or
+a stack).
 
 Everything downstream (states, channels, divergences) sits on top of these
 few routines, so the tolerances used here are the global numerical knobs of
@@ -100,9 +101,10 @@ def partial_trace(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray
     return t.reshape(d_keep, d_keep)
 
 
-def support_contained(a: np.ndarray, spectrum_b: tuple[np.ndarray, np.ndarray]) -> bool:
+def support_contained(a: np.ndarray, spectrum_b):
     """Whether supp(a) is contained in supp(b), both Hermitian PSD, from b's
-    spectrum (eigenvalues, eigenvectors as columns).
+    spectrum (eigenvalues, eigenvectors as columns); for one pair a bool,
+    for a stack (..., d, d) a bool array with one entry per pair.
 
     Compares the weight a puts outside supp(b), Tr[a - P_b a P_b], to
     1e-7 max(1, ||a||_F).  For PSD a it vanishes exactly when a - P_b a P_b
@@ -110,7 +112,6 @@ def support_contained(a: np.ndarray, spectrum_b: tuple[np.ndarray, np.ndarray]) 
     sqrt(weight), so nearly rank-deficient pairs would read as not contained.
     """
     w, v = spectrum_b
-    cols = v[:, w > PSD_TOL]
-    pb = cols @ cols.conj().T
-    outside = float(np.trace(a - pb @ a @ pb).real)
-    return outside <= 1e-7 * max(1.0, frob(a))
+    cols = v * (w > PSD_TOL)[..., None, :]
+    pb = cols @ np.swapaxes(cols.conj(), -1, -2)
+    return np.trace(a - pb @ a @ pb, axis1=-2, axis2=-1).real <= 1e-7 * np.maximum(1.0, frobs(a))

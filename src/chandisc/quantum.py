@@ -99,8 +99,9 @@ class QuantumChannel:
 
     @property
     def choi(self) -> np.ndarray:
+        """Unit-trace Choi state J = (id (x) ch)(|w><w|), |w> normalized."""
         if self._choi is None:
-            self._choi = choi_from_kraus(self)
+            self._choi = _apply_to_pure(self, max_entangled_vector(self.in_dim))
         return self._choi
 
     def choi_state(self) -> DensityMatrix:
@@ -159,15 +160,21 @@ def _lifted_kraus(ch: QuantumChannel, d_r: int) -> np.ndarray:
     return a.reshape(len(ch.kraus), d_r * ch.out_dim, d_r * ch.in_dim)
 
 
-def apply_channel(ch: QuantumChannel, state: DensityMatrix, ancilla_dim: int = 1) -> DensityMatrix:
-    """(id_R (x) ch)(state) = sum_k A_k state A_k^dag for a state on R (x) A
-    with |R| = ancilla_dim."""
+def _channel_sum(ch, state, ancilla_dim):
+    """sum_k A_k state A_k^dag for a state on R (x) A with |R| =
+    ancilla_dim, as a plain matrix."""
     if state.dim != ancilla_dim * ch.in_dim:
         raise DimensionMismatchError(
             f"state dim {state.dim} != ancilla {ancilla_dim} * channel input {ch.in_dim}"
         )
     a = _lifted_kraus(ch, ancilla_dim)
-    return DensityMatrix((a @ state.mat @ a.conj().transpose(0, 2, 1)).sum(axis=0))
+    return (a @ state.mat @ a.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+def apply_channel(ch: QuantumChannel, state: DensityMatrix, ancilla_dim: int = 1) -> DensityMatrix:
+    """(id_R (x) ch)(state) = sum_k A_k state A_k^dag for a state on R (x) A
+    with |R| = ancilla_dim."""
+    return DensityMatrix(_channel_sum(ch, state, ancilla_dim))
 
 
 def _output(a: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,11 +187,6 @@ def _output(a: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _apply_to_pure(ch: QuantumChannel, psi: np.ndarray) -> np.ndarray:
     """(id_R (x) ch)(|psi><psi|) for psi (or a stack of them) on R (x) A."""
     return _output(_lifted_kraus(ch, psi.shape[-1] // ch.in_dim), psi)[0]
-
-
-def choi_from_kraus(ch: QuantumChannel) -> np.ndarray:
-    """Unit-trace Choi state J = (id (x) ch)(|w><w|), |w> normalized."""
-    return _apply_to_pure(ch, max_entangled_vector(ch.in_dim))
 
 
 def _basis_laws(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
@@ -213,14 +215,13 @@ def tensor_power_channel(ch: QuantumChannel, l: int) -> QuantumChannel:
 def outcome_distribution(
     ch: QuantumChannel, state: DensityMatrix, ancilla_dim: int, m: Povm
 ) -> np.ndarray:
-    """Probability vector p_y = Tr[(id (x) ch)(state) m_y]."""
+    """Probability vector p_y = Tr[(id (x) ch)(state) m_y], from the
+    unvalidated channel sum and one stacked trace over the effects."""
     if m.dim != ancilla_dim * ch.out_dim:
         raise DimensionMismatchError(
             f"POVM dim {m.dim} != ancilla {ancilla_dim} * channel output {ch.out_dim}"
         )
-    out = apply_channel(ch, state, ancilla_dim)
-    p = np.array([float(np.trace(out.mat @ e).real) for e in m.effects])
-    p = np.clip(p, 0.0, 1.0)
+    p = np.clip(np.einsum("ij,yji->y", _channel_sum(ch, state, ancilla_dim), np.asarray(m.effects)).real, 0.0, 1.0)
     s = p.sum()
     if abs(s - 1.0) > 1e-8:
         raise NormalizationError(f"outcome probabilities sum to {s}")

@@ -12,8 +12,10 @@ from chandisc.divergences import (
     ConvergenceWarning,
     _input_objective,
     _input_objectives,
+    _max_divs,
     _relative_terms,
     _renyi_terms,
+    _sandwich,
     block_divergence,
     block_divergence_pair,
     channel_divergence,
@@ -41,6 +43,7 @@ from chandisc.quantum import (
     _apply_to_pure,
     amplitude_damping_channel,
     bernoulli_replacer,
+    classical_channel,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
@@ -51,6 +54,7 @@ from chandisc.quantum import (
     random_density_matrix,
     random_unitary,
     tensor_power_channel,
+    validate_channel_pair,
 )
 
 CFG = OptimizerConfig(restarts=4, max_iters=100)
@@ -853,7 +857,105 @@ def test_a_lower_end_above_the_upper_end_is_noted_and_searched(monkeypatch, capl
     with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
         dv = channel_divergence(n0, n1, kind="relative", cfg=CFG)
     assert [r.multistart["starts"] for r in caplog.records] == [CFG.restarts]
-    assert dv.warnings == [f"value at the maximally entangled input exceeds the upper end by {dv.value - 0.1:.2e}"]
+    assert dv.warnings == [f"value at the {at} exceeds the upper end by {dv.value - 0.1:.2e}"
+                           for at in ("maximally entangled input", "searched input")]
+
+
+# Classical channel pairs (letters x, transition columns W(x)): the first
+# has its relative optimum at a pure letter, the second is symmetric.
+CLASSICAL_PAIRS = [([[0.5, 0.9], [0.5, 0.1]], [[0.02, 0.6], [0.98, 0.4]]),
+                   ([[0.5, 0.99], [0.5, 0.01]], [[0.99, 0.5], [0.01, 0.5]])]
+
+
+def _classical_channels(pair) -> tuple:
+    return tuple(classical_channel(np.array(w)) for w in pair)
+
+
+def test_a_searched_value_above_its_upper_end_is_noted(monkeypatch):
+    """With the Schmidt residue kept (_drop_schmidt_residue the identity),
+    the relative kind's search on the first classical pair ends at an input
+    whose value reads 8.8e-9 above the exact upper end max_x KL: the value
+    carries a note.  As shipped, it carries none."""
+    n0, n1 = _classical_channels(CLASSICAL_PAIRS[0])
+    assert channel_divergence(n0, n1).warnings == []
+    monkeypatch.setattr(divergences, "_drop_schmidt_residue", lambda psi, d_in: psi)
+    dv = channel_divergence(n0, n1)
+    assert dv.value - dv.upper > 1e-12 * max(1.0, dv.upper)
+    assert dv.warnings == [f"value at the searched input exceeds the upper end by {dv.value - dv.upper:.2e}"]
+
+
+@pytest.mark.parametrize("pair", CLASSICAL_PAIRS)
+def test_classical_pairs_meet_their_closed_forms(pair):
+    """D_M = D = D_BS = max_x KL(W0(x)||W1(x)) and D_max = max_x log max_y
+    W0(y|x) / W1(y|x) on classical pairs, in both directions.  The upper ends
+    of the relative and measured kinds, the max kind and the measured value
+    meet them within 1e-12.  The relative value lies within 1e-8 of its
+    closed form and at or below its upper end under the rounding rule
+    value <= upper + 1e-12 max(1, upper): on the first pair the search stops
+    at an input with 1.2e-10 weight on the other letter and reads 1.2e-9
+    relative below the exact value, under the measured value."""
+    n0, n1 = _classical_channels(pair)
+    values = {kind: channel_divergence_pair(n0, n1, kind=kind) for kind in ("relative", "measured", "max")}
+    w = [np.array(m) for m in pair]
+    for i, (wa, wb) in enumerate((w, w[::-1])):
+        kl = max(kl_divergence(wa[:, x], wb[:, x]) for x in range(wa.shape[1]))
+        d_max = max(math.log(np.max(wa[:, x] / wb[:, x])) for x in range(wa.shape[1]))
+        rel, meas, mx = (values[kind][i] for kind in ("relative", "measured", "max"))
+        assert abs(rel.upper - kl) <= 1e-12 and abs(meas.upper - kl) <= 1e-12, (i, rel.upper, meas.upper, kl)
+        assert abs(mx.value - d_max) <= 1e-12 and abs(meas.value - kl) <= 1e-12, (i, mx.value, meas.value)
+        assert abs(rel.value - kl) <= 1e-8 and rel.value <= rel.upper + 1e-12 * max(1.0, rel.upper), (i, rel.value)
+        assert rel.warnings == meas.warnings == [], (i, rel.warnings, meas.warnings)
+
+
+def _full_space_max_div(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
+    """D_max from a full-space rho1^{-1/2} on supp rho1, one pair at a time:
+    the reference the stacked sandwich keeps bit for bit."""
+    w, v = rho1.spectrum
+    inv_sqrt = (v * np.where(w > 1e-9, np.maximum(w, 1e-9) ** -0.5, 0.0)) @ v.conj().T
+    m = inv_sqrt @ rho0.mat @ inv_sqrt
+    return math.log(max(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]), 1e-300))
+
+
+def _stack(pairs):
+    """rho0 of each pair as a stack, and the stacked spectra of the rho1."""
+    return np.stack([r0.mat for r0, _ in pairs]), tuple(np.stack(a) for a in zip(*(r1.spectrum for _, r1 in pairs)))
+
+
+def test_sandwich_rows_equal_their_batches_of_one():
+    """Each row of a stacked _sandwich (X and rho1^{1/2}) and of _max_divs
+    equals its batch of one bit for bit, and D_max equals the full-space
+    reference, on d = 3 pairs whose rho1 has rank 3, 2 or 1.  In a mixed
+    stack an unsupported row reads inf and its neighbours are unchanged."""
+    rng = np.random.default_rng(2)
+    pairs = [_supported_state_pair(1, 3, rank, rng) for rank in (3, 2, 1, 3, 2)]
+    s0, spectrum = _stack(pairs)
+    x, root = _sandwich(s0, spectrum)
+    for xi, ri, (r0, r1) in zip(x, root, pairs):
+        want_x, want_root = _sandwich(r0.mat, r1.spectrum)
+        assert np.array_equal(xi, want_x) and np.array_equal(ri, want_root)
+    values = _max_divs(s0, spectrum).tolist()
+    assert values == [max_div_states(*p).value for p in pairs] == [_full_space_max_div(*p) for p in pairs]
+    unsupported = (random_density_matrix(3, rng), random_density_matrix(3, rng, rank=1))
+    mixed = _max_divs(*_stack(pairs[:2] + [unsupported] + pairs[2:])).tolist()
+    assert mixed == values[:2] + [math.inf] + values[2:]
+    assert max_div_states(*unsupported).value == math.inf
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_max_values_on_the_zoo_equal_the_full_space_reference(l):
+    """validate_channel_pair and the max kind read the full-space D_max of
+    the Choi pair bit for bit on the zoo and classical pairs, and inf where
+    a Choi support is not contained."""
+    pairs = _covariant_zoo() + [(identity_channel(2), depolarizing_channel(0.5)),
+                                (amplitude_damping_channel(0.2), amplitude_damping_channel(0.6))]
+    for n0, n1 in pairs + [_classical_channels(p) for p in CLASSICAL_PAIRS]:
+        b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+        report = validate_channel_pair(b0, b1)
+        values = [dv.value for dv in channel_divergence_pair(b0, b1, kind="max")]
+        for value, finite, (a, b) in zip(values, (report.finite_01, report.finite_10), ((b0, b1), (b1, b0))):
+            want = _full_space_max_div(a.choi_state(), b.choi_state()) if finite else math.inf
+            assert value == want, (n0.label, n1.label, l, value, want)
+        assert [report.max_div_01, report.max_div_10] == values
 
 
 def _covariant_zoo():

@@ -232,6 +232,10 @@ def test_outcome_distribution_normalizes():
     p = outcome_distribution(ch, rho, 1, m)
     assert abs(p.sum() - 1.0) < 1e-15
     assert np.allclose(p, [1.0, 0.0], atol=1e-12)
+    with pytest.raises(DimensionMismatchError, match="POVM dim 2 != ancilla 2"):
+        outcome_distribution(ch, rho, 2, m)
+    with pytest.raises(DimensionMismatchError, match="state dim 4 != ancilla 1"):
+        outcome_distribution(ch, pure_state(np.ones(4)), 1, m)
 
 
 def test_pure_input_map_and_basis_laws_on_a_stack():
