@@ -324,7 +324,7 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
             notes.append(f"estimators disagree by {gap:.2e}")
             warnings.warn(notes[-1], ConvergenceWarning)
         out[i] = DivergenceValue(
-            max(var_val, pvm_val, 0.0),
+            float(max(var_val, pvm_val, 0.0)),
             is_lower_bound=True,
             witness=MeasuredWitness(povm=povm, variational_value=var_val, pvm_value=pvm_val),
             warnings=notes,
@@ -632,7 +632,7 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
             notes[i] += mv.warnings
         # a closed direction meets its upper end, so only searched ones can note
         _closes(value, upper[i], notes[i], at="the searched input")
-        out[i] = DivergenceValue(max(value, 0.0), is_lower_bound=True, witness=witness, warnings=notes[i],
+        out[i] = DivergenceValue(float(max(value, 0.0)), is_lower_bound=True, witness=witness, warnings=notes[i],
                                  upper=upper[i])
     return out
 
@@ -678,22 +678,17 @@ def block_divergence_pair(
     cfg: OptimizerConfig | None = None,
 ) -> tuple[BlockEstimate, BlockEstimate]:
     """(block_divergence(n0, n1, l), block_divergence(n1, n0, l)) from one
-    channel_divergence_pair on tensor powers built once."""
+    channel_divergence_pair on the tensor powers that n0 and n1 cache."""
     return tuple(_block_divergences(n0, n1, l, kind, alpha, cfg, pair=True))
 
 
 def _block_divergences(n0, n1, l, kind, alpha, cfg, pair: bool) -> list[BlockEstimate]:
-    return _power_divergences(n0.in_dim, tensor_power_channel(n0, l), tensor_power_channel(n1, l), l, kind, alpha,
-                             cfg, pair)
-
-
-def _power_divergences(d_in, b0, b1, l, kind, alpha, cfg, pair: bool) -> list[BlockEstimate]:
     """block_divergence, or with pair block_divergence_pair, as a list, on
-    the l-fold tensor powers b0, b1 of two channels with input dimension
-    d_in, built by the caller."""
+    the l-fold tensor powers of n0 and n1, which each channel caches."""
     cfg = cfg or OptimizerConfig()
+    b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
     if l > 1:
-        d2 = d_in**2
+        d2 = n0.in_dim**2
         starts = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
         if any(v.size not in (d2, d2**l) for v in starts):
             raise DimensionMismatchError(
@@ -702,7 +697,7 @@ def _power_divergences(d_in, b0, b1, l, kind, alpha, cfg, pair: bool) -> list[Bl
             )
         cfg = replace(
             cfg,
-            extra_starts=[product_input_vector(v, d_in, l) for v in starts if v.size == d2]
+            extra_starts=[product_input_vector(v, n0.in_dim, l) for v in starts if v.size == d2]
             + [v for v in starts if v.size == d2**l],
         )
     dvs = _channel_divergences(b0, b1, kind, alpha, cfg, pair)

@@ -72,7 +72,8 @@ def max_entangled_state(d: int) -> DensityMatrix:
 
 @dataclass
 class QuantumChannel:
-    """CPTP map held as a Kraus list; Choi matrix and state cached lazily."""
+    """CPTP map held as a Kraus list; Choi matrix and state, and the tensor
+    powers that tensor_power_channel builds, cached lazily."""
 
     kraus: list[np.ndarray]
     label: str | None = None
@@ -80,6 +81,7 @@ class QuantumChannel:
     out_dim: int = field(init=False)
     _choi: np.ndarray | None = field(init=False, default=None, repr=False)
     _choi_state: DensityMatrix | None = field(init=False, default=None, repr=False)
+    _powers: dict[int, QuantumChannel] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.kraus = [np.asarray(k, dtype=complex) for k in self.kraus]
@@ -199,17 +201,23 @@ def _basis_laws(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
 
 
 def tensor_power_channel(ch: QuantumChannel, l: int) -> QuantumChannel:
-    """l-fold tensor power; Kraus set is all l-fold products."""
+    """l-fold tensor power; Kraus set is all l-fold products.
+
+    The power is built once and cached on ch, as its Choi state is, so every
+    caller gets the same block channel, with its own Choi state cached; l = 1
+    is ch itself."""
     if l < 1:
         raise ValueError("l must be >= 1")
     if ch.in_dim**l > linalg.DIM_CAP or ch.out_dim**l > linalg.DIM_CAP:
         raise DimensionOverflowError(f"tensor power {l} exceeds dimension cap")
     if l == 1:
         return ch
-    kraus = [np.array([[1.0 + 0j]])]
-    for _ in range(l):
-        kraus = [kron(a, k) for a in kraus for k in ch.kraus]
-    return QuantumChannel(kraus, label=f"{ch.label}^(x){l}" if ch.label else None)
+    if l not in ch._powers:
+        kraus = [np.array([[1.0 + 0j]])]
+        for _ in range(l):
+            kraus = [kron(a, k) for a in kraus for k in ch.kraus]
+        ch._powers[l] = QuantumChannel(kraus, label=f"{ch.label}^(x){l}" if ch.label else None)
+    return ch._powers[l]
 
 
 def outcome_distribution(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .divergences import _power_divergences
+from .divergences import block_divergence_pair
 from .errors import DegenerateSamplingError
 from .optimize import OptimizerConfig
 from .quantum import QuantumChannel, _apply_to_pure, _basis_laws, _haar_unitaries, tensor_power_channel
@@ -90,32 +90,26 @@ def adaptive_region(
     Each direction's witness arm also certifies a lower bound in the other
     direction (any single measurement lower-bounds both measured
     divergences), so the corner takes the max over both arms per coordinate.
-    The measured certifier's notes on either direction, if any, are listed
-    in metadata["warnings"].
+    metadata["witness_rates"] maps the key of each witness with a POVM to
+    its arm's per-use rates (r0, r1), finite or not, so the arms are rated
+    once.  The measured certifier's notes on either direction, if any, are
+    listed in metadata["warnings"].  Region documents leave out both.
     """
-    return _adaptive_region(n0.in_dim, l, _powers(n0, n1, l), cfg or OptimizerConfig())
-
-
-def _powers(n0: QuantumChannel, n1: QuantumChannel, l: int) -> tuple[QuantumChannel, QuantumChannel]:
-    return tensor_power_channel(n0, l), tensor_power_channel(n1, l)
-
-
-def _adaptive_region(d_in: int, l: int, powers, cfg: OptimizerConfig) -> ExponentRegion:
-    """adaptive_region on the l-fold tensor powers (b0, b1) of two channels
-    with input dimension d_in."""
-    b0, b1 = powers
-    e01, e10 = _power_divergences(d_in, b0, b1, l, "measured", None, cfg, pair=True)
+    e01, e10 = block_divergence_pair(n0, n1, l, "measured", cfg=cfg)
+    b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
     r0, w10 = e10.value_per_use, e10.witness
     r1, w01 = e01.value_per_use, e01.witness
-    for w in (w10, w01):
+    rates = {}
+    for key, w in (("witness_10", w10), ("witness_01", w01)):
         if w is None or w.povm is None:
             continue
-        a0, a1 = rate_pair(*arm_laws(Arm(w.input_state, w.povm, b0.in_dim), b0, b1))
+        arm = Arm(w.input_state, w.povm, b0.in_dim)
+        a0, a1 = rates[key] = tuple(a / l for a in rate_pair(*arm_laws(arm, b0, b1)))
         if math.isfinite(a0):
-            r0 = max(r0, a0 / l)
+            r0 = max(r0, a0)
         if math.isfinite(a1):
-            r1 = max(r1, a1 / l)
-    metadata = {"l": l, "bound": "inner", "witness_10": w10, "witness_01": w01}
+            r1 = max(r1, a1)
+    metadata = {"l": l, "bound": "inner", "witness_10": w10, "witness_01": w01, "witness_rates": rates}
     if e10.warnings or e01.warnings:
         # the certifier's notes; region documents drop lists of strings
         metadata["warnings"] = e10.warnings + e01.warnings
@@ -127,19 +121,20 @@ def non_adaptive_region(
     n1: QuantumChannel,
     cfg: OptimizerConfig | None = None,
     samples: int = 512,
-    extra_arms: list[Arm] | None = None,
+    points: list[tuple[float, float]] | None = None,
 ) -> ExponentRegion:
-    """Down-closure of the convex hull of sampled classical KL pairs.
+    """Down-closure of the convex hull of sampled classical KL pairs and of
+    caller-supplied rate pairs.
 
     Each sample is a Ginibre input on R (x) A, then a Haar random rank-one
     PVM; every sample's normals come from one draw and its unitary from one
     stacked QR, all samples' laws from one batched pass of the pure-input
-    map and the basis-law kernel, and caller-supplied arms (e.g. the SPRT
-    witness arms) go through arm_laws.  All samples are rated by one
-    rate_pairs call on the stacked laws, and each extra arm, whose outcome
-    count may differ, by rate_pair, its batch of one; pairs with an infinite
-    rate count as skipped_infinite.  Inner bound by construction, and
-    (0, 0) when no rate exceeds 1e-12.
+    map and the basis-law kernel, and all samples are rated by one
+    rate_pairs call on the stacked laws.  points are the rates (r0, r1) of
+    arms the caller has already rated (e.g. the l = 1 witness arms, from
+    adaptive_region's metadata["witness_rates"]); they join the samples'
+    rates first.  Pairs with an infinite rate count as skipped_infinite.
+    Inner bound by construction, and (0, 0) when no rate exceeds 1e-12.
     """
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5A)))
@@ -155,16 +150,15 @@ def non_adaptive_region(
     bases = _haar_unitaries(ginibre.reshape(samples, d_meas, d_meas))
     # the kernel normalizes each law, so the inputs need not be unit vectors
     p0, p1 = _basis_laws(bases, _apply_to_pure(n0, psis), _apply_to_pure(n1, psis))
-    arms = [rate_pair(*arm_laws(arm, n0, n1)) for arm in extra_arms or []]
-    rates = np.concatenate([np.reshape(arms, (-1, 2)), np.column_stack(rate_pairs(p0, p1))])
-    points = rates[np.isfinite(rates).all(axis=1)]
-    if not points.size:
+    rates = np.concatenate([np.reshape(points or [], (-1, 2)), np.column_stack(rate_pairs(p0, p1))])
+    finite = rates[np.isfinite(rates).all(axis=1)]
+    if not finite.size:
         raise DegenerateSamplingError("no finite KL pairs sampled")
-    frontier = pareto_hull(points.tolist()) if points.max() > 1e-12 else [(0.0, 0.0)]
+    frontier = pareto_hull(finite.tolist()) if finite.max() > 1e-12 else [(0.0, 0.0)]
     return ExponentRegion(
         kind=HULL,
         frontier=frontier,
-        metadata={"samples": samples, "skipped_infinite": len(rates) - len(points), "bound": "inner"},
+        metadata={"samples": samples, "skipped_infinite": len(rates) - len(finite), "bound": "inner"},
     )
 
 
@@ -209,17 +203,11 @@ def converse_region(
     below, so the region is labeled an estimate rather than a certified
     outer bound.
     """
-    return _converse_region(n0.in_dim, alpha_grid, l, _powers(n0, n1, l), cfg or OptimizerConfig())
-
-
-def _converse_region(d_in: int, alpha_grid: list[float], l: int, powers, cfg: OptimizerConfig) -> ExponentRegion:
-    """converse_region on the l-fold tensor powers (b0, b1) of two channels
-    with input dimension d_in."""
     if any(a <= 1.0 for a in alpha_grid):
         raise ValueError("alpha grid must lie strictly above 1")
     # one pair call per alpha: rows share a call only at one scalar order, since
     # numpy's fast paths for scalar exponents (w**2.0) are not the array pow
-    pairs = [_power_divergences(d_in, *powers, l, "renyi", alpha, cfg, pair=True) for alpha in alpha_grid]
+    pairs = [block_divergence_pair(n0, n1, l, "renyi", alpha, cfg) for alpha in alpha_grid]
     return ExponentRegion(
         kind=CONVERSE,
         frontier=[(min(e10.value_per_use for _, e10 in pairs), min(e01.value_per_use for e01, _ in pairs))],
@@ -244,13 +232,18 @@ def region_chain(
     samples: int = 512,
     slack: float = 1e-3,
 ) -> RegionChain:
-    """Compute the whole inclusion chain with witness chaining.
+    """Compute the whole inclusion chain with witness chaining, from the
+    public stages: adaptive_region at each l up to l_max, non_adaptive_region
+    and converse_region at l_max.  The block stages read the tensor powers
+    that n0 and n1 cache, so each power is built once per channel.
 
     Witness inputs found at block size l seed the searches at l+1 and the
-    converse.  One floor pass then makes the adaptive corners monotone: each
-    corner is raised to the running maximum over the hull extremes and the
-    corners of all smaller blocks, every one of which certifies it.  The
-    converse estimate is floored by the largest adaptive corner.
+    converse.  The l = 1 witness arms are rated once, by adaptive_region,
+    and the hull takes those rates as points.  One floor pass then makes the
+    adaptive corners monotone: each corner is raised to the running maximum
+    over the hull extremes and the corners of all smaller blocks, every one
+    of which certifies it.  The converse estimate is floored by the largest
+    adaptive corner.
     """
     cfg = cfg or OptimizerConfig()
     adaptive: dict[int, ExponentRegion] = {}
@@ -267,16 +260,14 @@ def region_chain(
             # block searches get a reduced budget; the product starts carry
             # the l = 1 quality
             sub = replace(sub, restarts=max(4, cfg.restarts // 4), max_iters=cfg.max_iters // 2)
-        powers = _powers(n0, n1, l)
-        region = adaptive[l] = _adaptive_region(n0.in_dim, l, powers, sub)
+        region = adaptive[l] = adaptive_region(n0, n1, l, sub)
         for key in ("witness_10", "witness_01"):
             w = region.metadata.get(key)
             if w is not None:
                 carried.append(w.input_vector)
 
-    witnesses = [adaptive[1].metadata.get(key) for key in ("witness_01", "witness_10")]
-    arms = [Arm(w.input_state, w.povm, n0.in_dim) for w in witnesses if w is not None and w.povm is not None]
-    non_adapt = non_adaptive_region(n0, n1, cfg=cfg, samples=samples, extra_arms=arms)
+    points = list(adaptive[1].metadata["witness_rates"].values())
+    non_adapt = non_adaptive_region(n0, n1, cfg=cfg, samples=samples, points=points)
 
     # every sampled (input, POVM) pair certifies lower bounds on both
     # measured divergences, so the hull extremes are valid floors for the
@@ -290,7 +281,7 @@ def region_chain(
         adaptive[l].frontier = [(floor_x, floor_y)]
 
     conv_cfg = replace(cfg, restarts=max(4, cfg.restarts // 4), extra_starts=starts(l_max))
-    conv = _converse_region(n0.in_dim, list(alpha_grid), l_max, powers, conv_cfg)
+    conv = converse_region(n0, n1, alpha_grid, l_max, conv_cfg)
     # the sandwiched divergence dominates the measured one pointwise, so the
     # adaptive corner is also a certified floor for the converse estimate
     (ax, ay), = adaptive[l_max].frontier

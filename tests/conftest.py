@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -49,3 +50,52 @@ def _scalar_kl(p, q):
 @pytest.fixture
 def scalar_kl():
     return _scalar_kl
+
+
+# Classical channel pairs (letters x, transition columns W(x)), exact oracles
+# for every tier: the first has its relative optimum at a pure letter, the
+# second is symmetric, and the third has three letters, each a vertex of the
+# exact non-adaptive hull.
+CLASSICAL_PAIRS = {
+    "pure-letter": ([[0.5, 0.9], [0.5, 0.1]], [[0.02, 0.6], [0.98, 0.4]]),
+    "symmetric": ([[0.5, 0.99], [0.5, 0.01]], [[0.99, 0.5], [0.01, 0.5]]),
+    "three-letter": ([[0.5, 0.99, 0.15], [0.5, 0.01, 0.85]], [[0.99, 0.5, 0.85], [0.01, 0.5, 0.15]]),
+}
+
+
+@pytest.fixture(params=list(CLASSICAL_PAIRS.values()), ids=list(CLASSICAL_PAIRS))
+def classical_pair(request):
+    """(W0, W1) of each classical pair, as arrays."""
+    return tuple(np.array(w) for w in request.param)
+
+
+@pytest.fixture
+def classical_pairs():
+    """(W0, W1) of every classical pair, for tests that loop over them."""
+    return [tuple(np.array(w) for w in pair) for pair in CLASSICAL_PAIRS.values()]
+
+
+class ClassicalClosedForms(NamedTuple):
+    points: list  # per letter x: (KL(W1(x)||W0(x)), KL(W0(x)||W1(x)))
+    corner: tuple  # (max_x, max_x) of the points: the adaptive and memory corner
+    d_max: float  # D_max(N0||N1) = max_x log max_y W0(y|x) / W1(y|x)
+
+
+def _classical_closed_forms(w0, w1) -> ClassicalClosedForms:
+    """The closed forms of a classical pair with transition columns W0(x),
+    W1(x), all entries positive.  The non-adaptive region is the down-closed
+    convex hull of the points, by joint convexity of KL over the letters an
+    input weighs."""
+    w0, w1 = np.asarray(w0, dtype=float), np.asarray(w1, dtype=float)
+
+    def kl(p, q):
+        return float(np.sum(p * np.log(p / q)))
+
+    points = [(kl(w1[:, x], w0[:, x]), kl(w0[:, x], w1[:, x])) for x in range(w0.shape[1])]
+    d_max = max(math.log(np.max(w0[:, x] / w1[:, x])) for x in range(w0.shape[1]))
+    return ClassicalClosedForms(points, tuple(max(c) for c in zip(*points)), d_max)
+
+
+@pytest.fixture
+def classical_closed_forms():
+    return _classical_closed_forms

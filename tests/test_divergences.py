@@ -861,22 +861,16 @@ def test_a_lower_end_above_the_upper_end_is_noted_and_searched(monkeypatch, capl
                            for at in ("maximally entangled input", "searched input")]
 
 
-# Classical channel pairs (letters x, transition columns W(x)): the first
-# has its relative optimum at a pure letter, the second is symmetric.
-CLASSICAL_PAIRS = [([[0.5, 0.9], [0.5, 0.1]], [[0.02, 0.6], [0.98, 0.4]]),
-                   ([[0.5, 0.99], [0.5, 0.01]], [[0.99, 0.5], [0.01, 0.5]])]
-
-
 def _classical_channels(pair) -> tuple:
     return tuple(classical_channel(np.array(w)) for w in pair)
 
 
 def test_a_searched_value_above_its_upper_end_is_noted(monkeypatch):
     """With the Schmidt residue kept (_drop_schmidt_residue the identity),
-    the relative kind's search on the first classical pair ends at an input
-    whose value reads 8.8e-9 above the exact upper end max_x KL: the value
-    carries a note.  As shipped, it carries none."""
-    n0, n1 = _classical_channels(CLASSICAL_PAIRS[0])
+    the relative kind's search on the pure-letter classical pair ends at an
+    input whose value reads 8.8e-9 above the exact upper end max_x KL: the
+    value carries a note.  As shipped, it carries none."""
+    n0, n1 = _classical_channels(([[0.5, 0.9], [0.5, 0.1]], [[0.02, 0.6], [0.98, 0.4]]))
     assert channel_divergence(n0, n1).warnings == []
     monkeypatch.setattr(divergences, "_drop_schmidt_residue", lambda psi, d_in: psi)
     dv = channel_divergence(n0, n1)
@@ -884,27 +878,35 @@ def test_a_searched_value_above_its_upper_end_is_noted(monkeypatch):
     assert dv.warnings == [f"value at the searched input exceeds the upper end by {dv.value - dv.upper:.2e}"]
 
 
-@pytest.mark.parametrize("pair", CLASSICAL_PAIRS)
-def test_classical_pairs_meet_their_closed_forms(pair):
+def test_classical_pairs_meet_their_closed_forms(classical_pair, classical_closed_forms):
     """D_M = D = D_BS = max_x KL(W0(x)||W1(x)) and D_max = max_x log max_y
     W0(y|x) / W1(y|x) on classical pairs, in both directions.  The upper ends
     of the relative and measured kinds, the max kind and the measured value
     meet them within 1e-12.  The relative value lies within 1e-8 of its
     closed form and at or below its upper end under the rounding rule
-    value <= upper + 1e-12 max(1, upper): on the first pair the search stops
-    at an input with 1.2e-10 weight on the other letter and reads 1.2e-9
-    relative below the exact value, under the measured value."""
-    n0, n1 = _classical_channels(pair)
+    value <= upper + 1e-12 max(1, upper): on the pure-letter pair the search
+    stops at an input with 1.2e-10 weight on the other letter and reads
+    1.2e-9 relative below the exact value, under the measured value."""
+    n0, n1 = _classical_channels(classical_pair)
     values = {kind: channel_divergence_pair(n0, n1, kind=kind) for kind in ("relative", "measured", "max")}
-    w = [np.array(m) for m in pair]
-    for i, (wa, wb) in enumerate((w, w[::-1])):
-        kl = max(kl_divergence(wa[:, x], wb[:, x]) for x in range(wa.shape[1]))
-        d_max = max(math.log(np.max(wa[:, x] / wb[:, x])) for x in range(wa.shape[1]))
+    w0, w1 = classical_pair
+    for i, forms in enumerate((classical_closed_forms(w0, w1), classical_closed_forms(w1, w0))):
+        kl, d_max = forms.corner[1], forms.d_max
         rel, meas, mx = (values[kind][i] for kind in ("relative", "measured", "max"))
         assert abs(rel.upper - kl) <= 1e-12 and abs(meas.upper - kl) <= 1e-12, (i, rel.upper, meas.upper, kl)
         assert abs(mx.value - d_max) <= 1e-12 and abs(meas.value - kl) <= 1e-12, (i, mx.value, meas.value)
         assert abs(rel.value - kl) <= 1e-8 and rel.value <= rel.upper + 1e-12 * max(1.0, rel.upper), (i, rel.value)
         assert rel.warnings == meas.warnings == [], (i, rel.warnings, meas.warnings)
+
+
+def test_channel_values_are_plain_floats(classical_pair):
+    """Every kind's channel values (a block estimate's total_value at l = 1)
+    and their per-use block estimates are plain floats, not numpy scalars; a
+    measured value found by the input search was an np.float64."""
+    n0, n1 = _classical_channels(classical_pair)
+    for kind, alpha in (("relative", None), ("measured", None), ("max", None), ("renyi", 1.5)):
+        blocks = block_divergence_pair(n0, n1, 1, kind=kind, alpha=alpha)
+        assert [type(v) for b in blocks for v in (b.total_value, b.value_per_use)] == 4 * [float], kind
 
 
 def _full_space_max_div(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
@@ -942,13 +944,13 @@ def test_sandwich_rows_equal_their_batches_of_one():
 
 
 @pytest.mark.parametrize("l", [1, 2])
-def test_max_values_on_the_zoo_equal_the_full_space_reference(l):
+def test_max_values_on_the_zoo_equal_the_full_space_reference(l, classical_pairs):
     """validate_channel_pair and the max kind read the full-space D_max of
     the Choi pair bit for bit on the zoo and classical pairs, and inf where
     a Choi support is not contained."""
     pairs = _covariant_zoo() + [(identity_channel(2), depolarizing_channel(0.5)),
                                 (amplitude_damping_channel(0.2), amplitude_damping_channel(0.6))]
-    for n0, n1 in pairs + [_classical_channels(p) for p in CLASSICAL_PAIRS]:
+    for n0, n1 in pairs + [_classical_channels(p) for p in classical_pairs]:
         b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
         report = validate_channel_pair(b0, b1)
         values = [dv.value for dv in channel_divergence_pair(b0, b1, kind="max")]

@@ -148,6 +148,20 @@ def test_tensor_power_channel():
     assert np.allclose(joint, np.kron(single, single), atol=1e-12)
 
 
+def test_tensor_powers_are_cached_on_the_channel():
+    """Each power is built once and cached on its channel, so every caller
+    gets the same block channel with the same cached Choi state; l = 1 is
+    the channel itself, and another channel builds its own powers."""
+    ch = depolarizing_channel(0.5)
+    assert tensor_power_channel(ch, 1) is ch
+    ch2 = tensor_power_channel(ch, 2)
+    assert tensor_power_channel(ch, 2) is ch2 and tensor_power_channel(ch, 3) is tensor_power_channel(ch, 3)
+    assert tensor_power_channel(ch, 2).choi_state() is ch2.choi_state()
+    other = depolarizing_channel(0.5)
+    assert tensor_power_channel(other, 2) is not ch2
+    assert all(np.array_equal(a, b) for a, b in zip(tensor_power_channel(other, 2).kraus, ch2.kraus))
+
+
 def test_povm_validation_and_pvm_flag():
     m = basis_pvm(np.eye(2))
     assert m.is_pvm

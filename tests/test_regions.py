@@ -205,7 +205,7 @@ def test_non_adaptive_samples_match_per_sample_arms(pair, monkeypatch):
 
     monkeypatch.setattr(regions, "rate_pairs", spy)
     cfg = OptimizerConfig(seed=3)
-    hull = non_adaptive_region(n0, n1, cfg=cfg, samples=64, extra_arms=[])
+    hull = non_adaptive_region(n0, n1, cfg=cfg, samples=64)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5A)))
     d = n0.in_dim
     want = []
@@ -243,24 +243,24 @@ def _zero_transition_pair():
     ids=["dep", "random", "amplitude-damping", "qutrit", "zero-transition"],
 )
 def test_non_adaptive_hull_equals_rating_each_sample_alone(pair, monkeypatch, scalar_kl):
-    """Rating every sample and extra arm in one pass gives the frontier and
-    skipped_infinite of rating them one at a time with the scalar KL.
-    Amplitude damping has infinite channel divergences, though its sampled
-    rates are finite; the qutrit laws have 9 outcomes; the classical pair
-    with a zero transition makes the computational arm's rate infinite."""
+    """Rating every sample in one pass gives the frontier and
+    skipped_infinite of rating them one at a time with the scalar KL, with
+    an arm's rates passed as a point either way.  Amplitude damping has
+    infinite channel divergences, though its sampled rates are finite; the
+    qutrit laws have 9 outcomes; the classical pair with a zero transition
+    makes the computational arm's rate infinite."""
     n0, n1 = pair()
     d = n0.in_dim
-    arms = [Arm(pure_state(quantum.max_entangled_vector(d)), basis_pvm(np.eye(d * n0.out_dim)), d)]
+    laws = arm_laws(Arm(pure_state(quantum.max_entangled_vector(d)), basis_pvm(np.eye(d * n0.out_dim)), d), n0, n1)
     cfg = OptimizerConfig(seed=3)
-    got = non_adaptive_region(n0, n1, cfg=cfg, samples=256, extra_arms=arms)
+    got = non_adaptive_region(n0, n1, cfg=cfg, samples=256, points=[rate_pair(*laws)])
 
     def one_at_a_time(p0, p1):
         rates = [(scalar_kl(a, b), scalar_kl(b, a)) for a, b in zip(np.atleast_2d(p1), np.atleast_2d(p0))]
         return tuple(np.array(r).reshape(np.shape(p0)[:-1]) for r in zip(*rates))
 
     monkeypatch.setattr(regions, "rate_pairs", one_at_a_time)
-    monkeypatch.setattr(regions, "rate_pair", lambda p0, p1: tuple(map(float, one_at_a_time(p0, p1))))
-    want = non_adaptive_region(n0, n1, cfg=cfg, samples=256, extra_arms=arms)
+    want = non_adaptive_region(n0, n1, cfg=cfg, samples=256, points=[tuple(map(float, one_at_a_time(*laws)))])
     assert got.frontier == want.frontier and got.metadata == want.metadata
     assert got.metadata["skipped_infinite"] == (n0.label == "classical")
 
@@ -276,12 +276,14 @@ def test_non_adaptive_samples_make_no_per_sample_objects(monkeypatch):
     monkeypatch.setattr(quantum, "outcome_distribution", spy)
     monkeypatch.setattr(strategies, "outcome_distribution", spy)
     n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
-    non_adaptive_region(n0, n1, cfg=CFG, samples=64, extra_arms=[])
+    non_adaptive_region(n0, n1, cfg=CFG, samples=64)
     assert calls == []
-    # the extra arms still go through arm_laws, two laws each
+    # an arm is rated by its caller, two laws; the hull takes its rates as a point
     arm = Arm(pure_state(quantum.max_entangled_vector(2)), basis_pvm(np.eye(4)), 2)
-    non_adaptive_region(n0, n1, cfg=CFG, samples=64, extra_arms=[arm, arm])
-    assert len(calls) == 4
+    point = rate_pair(*arm_laws(arm, n0, n1))
+    assert len(calls) == 2
+    hull = non_adaptive_region(n0, n1, cfg=CFG, samples=64, points=[point, point])
+    assert len(calls) == 2 and hull.contains_point(*point)
 
 
 def test_non_adaptive_region_degenerate_pair_has_full_metadata():
@@ -350,13 +352,13 @@ def test_region_chain_passes_each_block_size_the_witnesses_that_fit(monkeypatch)
     """Witnesses found at l = 2 are inputs on (R A)^2: block size 3 takes the
     l = 1 witnesses, lifted, and its own, never those of l = 2."""
     seen = []
-    real = regions._power_divergences
+    real = regions.block_divergence_pair
 
-    def spy(d_in, b0, b1, l, kind, alpha, cfg, pair):
+    def spy(n0, n1, l, kind="measured", alpha=None, cfg=None):
         seen.append((l, kind, sorted({np.asarray(v).size for v in cfg.extra_starts})))
-        return real(d_in, b0, b1, l, kind, alpha, cfg, pair)
+        return real(n0, n1, l, kind, alpha, cfg)
 
-    monkeypatch.setattr(regions, "_power_divergences", spy)
+    monkeypatch.setattr(regions, "block_divergence_pair", spy)
     cfg = OptimizerConfig(restarts=1, max_iters=5)
     region_chain(bernoulli_replacer(0.2), bernoulli_replacer(0.8), cfg=cfg, l_max=3, alpha_grid=(1.5,), samples=8)
     assert {(l, kind) for l, kind, _ in seen} == {(1, "measured"), (2, "measured"), (3, "measured"), (3, "renyi")}
@@ -366,23 +368,55 @@ def test_region_chain_passes_each_block_size_the_witnesses_that_fit(monkeypatch)
 
 
 def test_region_chain_builds_each_tensor_power_once(monkeypatch):
-    """Every l >= 2 power of each channel is built once per chain, for the
-    adaptive stage and the converse together, and again by the next chain."""
+    """Every l >= 2 power of each channel is built once for that channel's
+    lifetime: by the first chain, for the adaptive stage and the converse
+    together, and neither by a second chain on the same channels nor by
+    lift_to_blocks.  New channels build their own."""
     built = []
-    real = quantum.tensor_power_channel
+    real = quantum.QuantumChannel
 
-    def spy(ch, l):
-        built.append((ch.label, l))
-        return real(ch, l)
+    def spy(kraus, label=None):
+        built.append(label)
+        return real(kraus, label)
 
-    monkeypatch.setattr(regions, "tensor_power_channel", spy)
-    monkeypatch.setattr(divergences, "tensor_power_channel", spy)
     cfg = OptimizerConfig(restarts=1, max_iters=5)
-    for _ in range(2):
-        region_chain(bernoulli_replacer(0.2), bernoulli_replacer(0.8), cfg=cfg, l_max=3, alpha_grid=(1.1, 1.5),
-                     samples=8)
-    blocks = sorted((label, l) for label, l in built if l > 1)
-    assert blocks == sorted(2 * [(f"replacer(bern({q}))", l) for q in (0.2, 0.8) for l in (2, 3)])
+
+    def chains(n0, n1):
+        monkeypatch.setattr(quantum, "QuantumChannel", spy)
+        for _ in range(2):
+            region_chain(n0, n1, cfg=cfg, l_max=3, alpha_grid=(1.1, 1.5), samples=8)
+        strategies.lift_to_blocks(n0, n1, l=2, n=20, cfg=cfg)
+        monkeypatch.setattr(quantum, "QuantumChannel", real)
+
+    powers = [f"replacer(bern({q}))^(x){l}" for q in (0.2, 0.8) for l in (2, 3)]
+    chains(bernoulli_replacer(0.2), bernoulli_replacer(0.8))
+    assert sorted(built) == powers
+    chains(bernoulli_replacer(0.2), bernoulli_replacer(0.8))
+    assert sorted(built) == sorted(2 * powers)
+
+
+def test_region_chain_rates_each_witness_arm_once(monkeypatch):
+    """On the block_regions benchmark config a chain computes 8 outcome laws:
+    each of the four witness arms (l = 1 and 2) under both channels.  The
+    hull computes none; it takes the l = 1 arms' rates as points."""
+    calls, in_hull = [], []
+    real_law, real_hull = quantum.outcome_distribution, regions.non_adaptive_region
+
+    def law(*args):
+        calls.append(args)
+        return real_law(*args)
+
+    def hull(*args, **kwargs):
+        before = len(calls)
+        region = real_hull(*args, **kwargs)
+        in_hull.append(len(calls) - before)
+        return region
+
+    monkeypatch.setattr(strategies, "outcome_distribution", law)
+    monkeypatch.setattr(regions, "non_adaptive_region", hull)
+    region_chain(depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=OptimizerConfig(restarts=4, max_iters=100),
+                 l_max=2, alpha_grid=(1.1, 1.5), samples=256, slack=1e-3)
+    assert len(calls) == 8 and in_hull == [0]
 
 
 def test_region_chain_with_pair_searches_equals_one_direction_runs(monkeypatch, caplog):
@@ -397,14 +431,12 @@ def test_region_chain_with_pair_searches_equals_one_direction_runs(monkeypatch, 
                          alpha_grid=(1.1, 1.5), samples=256, slack=1e-3)
         return c, sorted(repr(r.multistart) for r in caplog.records)
 
-    real = regions._power_divergences
-
-    def one_direction_runs(d_in, b0, b1, l, kind, alpha, cfg, pair):
-        return [real(d_in, *blocks, l, kind, alpha, cfg, False)[0] for blocks in ((b0, b1), (b1, b0))]
+    def one_direction_runs(n0, n1, l, kind="measured", alpha=None, cfg=None):
+        return tuple(divergences.block_divergence(*pair, l, kind, alpha, cfg) for pair in ((n0, n1), (n1, n0)))
 
     with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
         paired, together = chain()
-        monkeypatch.setattr(regions, "_power_divergences", one_direction_runs)
+        monkeypatch.setattr(regions, "block_divergence_pair", one_direction_runs)
         alone, separate = chain()
     assert together == separate and len(together) > 0
     for a, b in zip(_regions_of(paired), _regions_of(alone)):
@@ -424,6 +456,65 @@ def test_region_chain_with_pair_searches_equals_one_direction_runs(monkeypatch, 
 
 def _regions_of(chain) -> list:
     return [chain.non_adaptive, chain.converse] + [chain.adaptive[l] for l in sorted(chain.adaptive)]
+
+
+def _in_down_closed_hull(point, points, tol) -> bool:
+    """Whether point lies within tol in the down-closed convex hull of points:
+    lam r0 + (1 - lam) r1 stays within tol of the hull's support function at
+    every lam in [0, 1].  The gap is concave and piecewise linear in lam, so
+    the ends and the lams where two points' values cross decide it."""
+    lams = [0.0, 1.0] + [(b1 - b0) / ((a0 - b0) - (a1 - b1)) for a0, b0 in points for a1, b1 in points
+                         if a0 - b0 != a1 - b1]
+    return all(lam * point[0] + (1 - lam) * point[1] <= max(lam * a + (1 - lam) * b for a, b in points) + tol
+               for lam in lams if 0.0 <= lam <= 1.0)
+
+
+def test_region_chain_meets_the_classical_closed_forms(classical_pair, classical_closed_forms):
+    """Every tier of region_chain on a classical pair against its closed
+    form, at l_max = 2 on the two-letter pairs and 1 on the three-letter
+    pair: the adaptive corners equal the exact corner (max_x KL per
+    coordinate), every hull vertex lies in the exact hull of the per-letter
+    points and its extremes meet the corner, and build_sprt's rates equal the
+    corner, all within 1e-12.  Every frontier coordinate is a plain float.
+    The hull of the three-letter pair misses the exact middle vertex
+    (1.2142, 1.2142): its Haar samples do not reach it, and the witness arms
+    give only the outer two."""
+    w0, w1 = classical_pair
+    forms = classical_closed_forms(w0, w1)
+    n0, n1 = (quantum.classical_channel(w) for w in classical_pair)
+    cfg = OptimizerConfig(restarts=4, max_iters=100)
+    chain = region_chain(n0, n1, cfg=cfg, l_max=2 if w0.shape[1] == 2 else 1)
+    for l, region in chain.adaptive.items():
+        (x, y), = region.frontier
+        assert max(abs(x - forms.corner[0]), abs(y - forms.corner[1])) <= 1e-12, (l, x, y, forms.corner)
+    hull = chain.non_adaptive
+    assert all(_in_down_closed_hull(v, forms.points, 1e-12) for v in hull.frontier), (hull.frontier, forms.points)
+    assert abs(hull.max_r0() - forms.corner[0]) <= 1e-12 and abs(hull.max_r1() - forms.corner[1]) <= 1e-12
+    strat = strategies.build_sprt(n0, n1, n=100, cfg=cfg)
+    assert abs(strat.rate0 - forms.corner[0]) <= 1e-12 and abs(strat.rate1 - forms.corner[1]) <= 1e-12
+    assert {type(c) for region in _regions_of(chain) for v in region.frontier for c in v} == {float}
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: (quantum.amplitude_damping_channel(0.2), quantum.amplitude_damping_channel(0.6)),
+        lambda: (quantum.identity_channel(2), depolarizing_channel(0.5)),
+        lambda: (bernoulli_replacer(0.2), bernoulli_replacer(0.8)),
+    ],
+    ids=["amplitude-damping", "id-vs-dep", "replacers"],
+)
+def test_region_documents_keep_their_keys(pair):
+    """Each region document of a chain holds the metadata keys of the
+    scalar fields only: the witnesses, their rates and the certifier's notes
+    stay out, also where no witness has a POVM (amplitude damping) and the
+    rates are empty."""
+    chain = region_chain(*pair(), cfg=CFG, samples=32)
+    keys = {name: set(region_to_json(r)["metadata"]) for name, r in
+            [("hull", chain.non_adaptive), ("converse", chain.converse)]
+            + [(f"adaptive{l}", r) for l, r in chain.adaptive.items()]}
+    assert keys == {"hull": {"samples", "skipped_infinite", "bound"}, "converse": {"l", "alpha_grid", "bound"},
+                    "adaptive1": {"l", "bound"}, "adaptive2": {"l", "bound"}}
 
 
 def test_adaptive_region_keeps_the_certifier_notes():
