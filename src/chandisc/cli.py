@@ -23,7 +23,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, serialize
-from .divergences import LN2, channel_divergence
+from .divergences import LN2, channel_divergence, channel_divergence_pair
 from .errors import ChandiscError, ConfigError, ExcessiveCensoringError
 from .optimize import OptimizerConfig
 from .quantum import (
@@ -35,7 +35,6 @@ from .quantum import (
     depolarizing_channel,
     identity_channel,
     replacer_channel,
-    validate_channel_pair,
 )
 from .regions import adaptive_region, containment, region_chain
 from .sim import EXPECTATION, SimulationPlan, check_constraint, run_trials, sweep_budgets
@@ -230,11 +229,10 @@ def divergence(ctx):
                 }
                 if alpha is not None:
                     row["alpha"] = alpha
-                if dv.witness is not None and getattr(dv.witness, "input_vector", None) is not None:
+                if dv.witness is not None:
                     row["witness_input"] = serialize.vector_to_json(dv.witness.input_vector)
-                    povm = getattr(dv.witness, "povm", None)
-                    if povm is not None:
-                        row["witness_povm"] = serialize.povm_to_json(povm)
+                    if dv.witness.povm is not None:
+                        row["witness_povm"] = serialize.povm_to_json(dv.witness.povm)
                 rows.append(row)
                 label = f"{kind}" + (f"(alpha={alpha})" if alpha is not None else "")
                 shown = "inf" if not dv.is_finite else f"{_convert(dv.value, base):.6f}"
@@ -410,18 +408,18 @@ def validate(ctx):
     """Validate the config and report finiteness of the channel pair."""
 
     def run(cfg, pair, out):
-        report = validate_channel_pair(*pair)
+        d01, d10 = channel_divergence_pair(*pair, kind="max")
         doc = {
-            "finite_01": report.finite_01,
-            "finite_10": report.finite_10,
-            "both_finite": report.both_finite,
-            "max_div_01": serialize._num_to_json(report.max_div_01),
-            "max_div_10": serialize._num_to_json(report.max_div_10),
+            "finite_01": d01.is_finite,
+            "finite_10": d10.is_finite,
+            "both_finite": d01.is_finite and d10.is_finite,
+            "max_div_01": serialize._num_to_json(d01.value),
+            "max_div_10": serialize._num_to_json(d10.value),
         }
         (out / "finiteness.json").write_text(serialize.dumps(doc))
         click.echo(
-            f"config valid; max-divergence finite 0||1: {report.finite_01}, "
-            f"1||0: {report.finite_10}"
+            f"config valid; max-divergence finite 0||1: {d01.is_finite}, "
+            f"1||0: {d10.is_finite}"
         )
 
     _run_command(ctx, "validate", run)

@@ -236,37 +236,6 @@ def outcome_distribution(
     return p / s
 
 
-@dataclass
-class FinitenessReport:
-    """Support inclusion and max-divergence for both channel orderings."""
-
-    finite_01: bool
-    finite_10: bool
-    max_div_01: float  # D_max(n0||n1) in nats, inf when not finite
-    max_div_10: float
-
-    @property
-    def both_finite(self) -> bool:
-        return self.finite_01 and self.finite_10
-
-
-def validate_channel_pair(n0: QuantumChannel, n1: QuantumChannel) -> FinitenessReport:
-    """Check max_i D_max(N_i||N_{1-i}) < inf via Choi support inclusion."""
-    if (n0.in_dim, n0.out_dim) != (n1.in_dim, n1.out_dim):
-        raise DimensionMismatchError("channel pair has mismatched dimensions")
-    from .divergences import max_div_states
-
-    j0, j1 = n0.choi_state(), n1.choi_state()
-    d01 = max_div_states(j0, j1)
-    d10 = max_div_states(j1, j0)
-    return FinitenessReport(
-        finite_01=d01.is_finite,
-        finite_10=d10.is_finite,
-        max_div_01=d01.value,
-        max_div_10=d10.value,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Channel zoo
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 from .quantum import DensityMatrix, Povm, QuantumChannel
+from .regions import ExponentRegion
 from .strategies import Arm, SprtStrategy
 
 # ---------------------------------------------------------------------------
@@ -171,8 +172,6 @@ def region_to_json(region) -> dict:
 
 
 def region_from_json(doc: dict):
-    from .regions import ExponentRegion
-
     return ExponentRegion(
         kind=doc["kind"],
         frontier=[(_num_from_json(x), _num_from_json(y)) for x, y in doc["frontier"]],

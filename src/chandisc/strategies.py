@@ -32,7 +32,6 @@ from .quantum import (
     QuantumChannel,
     outcome_distribution,
     tensor_power_channel,
-    validate_channel_pair,
 )
 
 DECISION_H0 = 0
@@ -208,13 +207,15 @@ def build_sprt(
     Thresholds are computed from the witnessed (achieved) arm rates rather
     than the unknown true suprema, so the simulated exponents and the
     thresholds stay on the same footing.  tau defaults to 0.1 x min(rates).
+    Both directions of the channel max-divergence must be finite; the max
+    kind's pair is checked before the measured pair runs.
     """
     cfg = cfg or OptimizerConfig()
-    report = validate_channel_pair(n0, n1)
-    if not report.both_finite:
+    d01, d10 = channel_divergence_pair(n0, n1, kind="max")
+    if not (d01.is_finite and d10.is_finite):
         raise InfiniteDivergenceError(
-            f"max-divergence infinite (finite 0||1: {report.finite_01}, "
-            f"1||0: {report.finite_10}); the SPRT needs both directions finite"
+            f"max-divergence infinite (finite 0||1: {d01.is_finite}, "
+            f"1||0: {d10.is_finite}); the SPRT needs both directions finite"
         )
     dv01, dv10 = channel_divergence_pair(n0, n1, kind="measured", cfg=cfg)
     arm_zero = Arm(dv01.witness.input_state, dv01.witness.povm, n0.in_dim)

@@ -54,7 +54,6 @@ from chandisc.quantum import (
     random_density_matrix,
     random_unitary,
     tensor_power_channel,
-    validate_channel_pair,
 )
 
 CFG = OptimizerConfig(restarts=4, max_iters=100)
@@ -945,19 +944,18 @@ def test_sandwich_rows_equal_their_batches_of_one():
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_max_values_on_the_zoo_equal_the_full_space_reference(l, classical_pairs):
-    """validate_channel_pair and the max kind read the full-space D_max of
-    the Choi pair bit for bit on the zoo and classical pairs, and inf where
-    a Choi support is not contained."""
+    """The max kind reads the full-space D_max of the Choi pair bit for bit
+    on the zoo and classical pairs, and inf, flagged not finite, where a
+    Choi support is not contained."""
     pairs = _covariant_zoo() + [(identity_channel(2), depolarizing_channel(0.5)),
                                 (amplitude_damping_channel(0.2), amplitude_damping_channel(0.6))]
     for n0, n1 in pairs + [_classical_channels(p) for p in classical_pairs]:
         b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
-        report = validate_channel_pair(b0, b1)
-        values = [dv.value for dv in channel_divergence_pair(b0, b1, kind="max")]
-        for value, finite, (a, b) in zip(values, (report.finite_01, report.finite_10), ((b0, b1), (b1, b0))):
-            want = _full_space_max_div(a.choi_state(), b.choi_state()) if finite else math.inf
-            assert value == want, (n0.label, n1.label, l, value, want)
-        assert [report.max_div_01, report.max_div_10] == values
+        dvs = channel_divergence_pair(b0, b1, kind="max")
+        for dv, (a, b) in zip(dvs, ((b0, b1), (b1, b0))):
+            want = _full_space_max_div(a.choi_state(), b.choi_state()) if dv.is_finite else math.inf
+            assert dv.value == want, (n0.label, n1.label, l, dv.value, want)
+            assert dv.is_finite == support_contained(a.choi_state().mat, b.choi_state().spectrum)
 
 
 def _covariant_zoo():

@@ -25,7 +25,6 @@ from chandisc.quantum import (
     random_unitary,
     replacer_channel,
     tensor_power_channel,
-    validate_channel_pair,
 )
 
 
@@ -270,15 +269,6 @@ def test_pure_input_map_and_basis_laws_on_a_stack():
         assert np.max(np.abs(p[i] - want)) <= 1e-15
         want_q = outcome_distribution(ch, pure_state(psis[4 - i]), 2, basis_pvm(basis))
         assert np.max(np.abs(q[i] - want_q)) <= 1e-15
-
-
-def test_validate_channel_pair_finiteness():
-    rep = validate_channel_pair(identity_channel(2), depolarizing_channel(0.5))
-    assert rep.finite_01 and not rep.finite_10
-    assert not rep.both_finite
-    rep2 = validate_channel_pair(depolarizing_channel(0.3), depolarizing_channel(0.7))
-    assert rep2.both_finite
-    assert np.isfinite(rep2.max_div_01) and np.isfinite(rep2.max_div_10)
 
 
 def test_random_channel_is_cptp():

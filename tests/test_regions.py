@@ -304,10 +304,66 @@ def test_converse_dominates_adaptive():
     assert containment(adapt, conv, slack=1e-3).contained
 
 
-def test_converse_rejects_bad_alpha():
+def test_converse_rejects_bad_alpha(monkeypatch):
+    """The converse and the chain name a bad grid; the chain raises before
+    the adaptive searches, the hull or the converse run, so no block pair
+    call is made."""
     ch = depolarizing_channel(0.5)
-    with pytest.raises(ValueError):
-        converse_region(ch, ch, [0.9], l=1, cfg=CFG)
+    for grid in ([0.9], [], [1.5, 1.0]):
+        with pytest.raises(ValueError, match=rf"alpha grid \[{', '.join(map(str, grid))}\]"):
+            converse_region(ch, ch, grid, l=1, cfg=CFG)
+    calls = []
+    monkeypatch.setattr(regions, "block_divergence_pair", lambda *args, **kwargs: calls.append(args))
+    for grid in ((0.9,), ()):
+        with pytest.raises(ValueError, match=r"alpha grid \["):
+            region_chain(depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=CFG, alpha_grid=grid, samples=8)
+    assert calls == []
+
+
+def test_converse_evaluates_the_smallest_order_of_the_grid():
+    """On a shuffled grid the converse equals the per-use values at its
+    smallest order bit for bit, and the grid is recorded whole.  The
+    sandwiched divergence rises with alpha on this pair, so the value at the
+    grid's first or largest order (1.5) would differ."""
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    conv = converse_region(n0, n1, (1.5, 1.05, 1.1), l=1, cfg=CFG)
+    per_order = {a: block_divergence_pair(n0, n1, 1, "renyi", a, CFG) for a in (1.05, 1.1, 1.5)}
+    e01, e10 = per_order[1.05]
+    assert conv.frontier == [(e10.value_per_use, e01.value_per_use)]
+    assert conv.metadata["alpha_grid"] == [1.5, 1.05, 1.1]
+    for i in (0, 1):
+        values = [per_order[a][i].value_per_use for a in (1.05, 1.1, 1.5)]
+        assert values[0] < values[1] < values[2]
+
+
+def test_region_chain_makes_one_renyi_call(monkeypatch):
+    """Whatever the grid's length and order, the chain evaluates the
+    converse once, at the smallest order and at l_max.
+
+    On identity vs dep(0.5) the renyi value is -log 0.625 at every order up
+    to rounding, so the adaptive floor decides the converse coordinate at
+    rounding level: at this config the chain reads 0.4700036292457379, the
+    l = 2 adaptive corner, against 0.4700036292457342 at alpha = 1.05
+    (-log 0.625 = 0.4700036292457356).  Its last bit is not asserted."""
+    seen = []
+    real = regions.block_divergence_pair
+
+    def spy(n0, n1, l, kind="measured", alpha=None, cfg=None):
+        seen.append((l, kind, alpha))
+        return real(n0, n1, l, kind, alpha, cfg)
+
+    monkeypatch.setattr(regions, "block_divergence_pair", spy)
+    cfg = OptimizerConfig(restarts=4, max_iters=100)
+    region_chain(depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=cfg, l_max=2,
+                 alpha_grid=(1.5, 1.05, 1.1), samples=32)
+    assert [c for c in seen if c[1] == "renyi"] == [(2, "renyi", 1.05)]
+    seen.clear()
+    chain = region_chain(quantum.identity_channel(2), depolarizing_channel(0.5), cfg=cfg, l_max=2,
+                         alpha_grid=(1.1, 1.05), samples=32)
+    assert [c for c in seen if c[1] == "renyi"] == [(2, "renyi", 1.05)]
+    (cx, cy), = chain.converse.frontier
+    assert math.isinf(cx) and cy >= chain.adaptive[2].frontier[0][1]
+    assert cy == pytest.approx(-math.log(0.625), abs=1e-12)
 
 
 def test_region_chain_classical_pair():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chandisc.divergences import channel_divergence
+from chandisc import divergences
+from chandisc.divergences import channel_divergence, channel_divergence_pair
 from chandisc.errors import (
     InfiniteDivergenceError,
     SupportMismatchError,
@@ -13,6 +14,7 @@ from chandisc.errors import (
 from chandisc.optimize import OptimizerConfig, kl_divergence
 from chandisc.quantum import (
     DensityMatrix,
+    amplitude_damping_channel,
     basis_pvm,
     bernoulli_replacer,
     depolarizing_channel,
@@ -70,6 +72,37 @@ def test_tau_too_large_rejected():
 def test_infinite_pair_rejected():
     with pytest.raises(InfiniteDivergenceError):
         build_sprt(identity_channel(2), depolarizing_channel(0.5), n=100, cfg=CFG)
+
+
+def test_max_kind_pair_reads_finiteness():
+    d01, d10 = channel_divergence_pair(identity_channel(2), depolarizing_channel(0.5), kind="max")
+    assert d01.is_finite and not d10.is_finite
+    assert not (d01.is_finite and d10.is_finite)
+    e01, e10 = channel_divergence_pair(depolarizing_channel(0.3), depolarizing_channel(0.7), kind="max")
+    assert e01.is_finite and e10.is_finite
+    assert np.isfinite(e01.value) and np.isfinite(e10.value)
+
+
+def test_infinite_pair_rejected_before_any_input_search(monkeypatch):
+    """Amplitude damping(0.3) against a full-rank random channel: the
+    reverse direction is infinite, and the finite one's measured bracket is
+    open (1.473 at the maximally entangled input against the upper end
+    2.550), so only a finiteness check ahead of the measured pair keeps the
+    input search from running."""
+    n0, n1 = amplitude_damping_channel(0.3), random_channel(2, 2, 4, np.random.default_rng(1))
+    calls = []
+    real = divergences._input_search
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(divergences, "_input_search", spy)
+    with pytest.raises(InfiniteDivergenceError, match=r"finite 0\|\|1: True, 1\|\|0: False"):
+        build_sprt(n0, n1, n=100, cfg=CFG)
+    assert calls == []
+    channel_divergence(n0, n1, kind="measured", cfg=CFG)
+    assert calls == ["measured"]
 
 
 def test_arm_rule_sign_with_ties_to_zero():
