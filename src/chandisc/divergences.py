@@ -11,8 +11,14 @@ optimization over pure bipartite states by lockstep multi-start L-BFGS on
 analytic gradients, each round of the search one batched objective call
 (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack
 A_k = I_R (x) K_k that quantum applies every channel with, matrix
-gradients pulled back through the A_k), and block (tensor-power) values.  The pair entries
-channel_divergence_pair and block_divergence_pair return (D(N0||N1),
+gradients pulled back through the A_k), and block (tensor-power) values.
+The measured kind searches the variational observable H alone: at a fixed
+H the value Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] is linear in psi psi^dag,
+so the best input is the top eigenvector of sum_k A0_k^dag H A0_k -
+sum_k A1_k^dag exp(H) A1_k and the value 1 + its top eigenvalue
+(_top_inputs).  Every search stops once a step gains less than
+ROUNDING_TOL max(1, |value|), the rule that closes brackets below.  The
+pair entries channel_divergence_pair and block_divergence_pair return (D(N0||N1),
 D(N1||N0)) from one lockstep run: every row computes both outputs N0(psi)
 and N1(psi) anyway, so each objective call carries the rows of both
 directions, and the variational programs of both measured certifications
@@ -29,7 +35,7 @@ negligible under both states merged (optimize.basis_witness).  The
 certifier brackets each pair before it runs the program: D(rho0||rho1)
 bounds D_M from above, and the variational value at the program's own
 first start, H = log rho0 - log rho1, from below.  They meet whenever the
-states commute, and a pair whose bracket closes within _BRACKET_TOL
+states commute, and a pair whose bracket closes within ROUNDING_TOL
 max(1, upper) keeps that start; the program runs on the other pairs only.
 
 All values are in nats.  Channel divergences obtained by numerical
@@ -46,7 +52,7 @@ of channels, and both geometric traces read one sandwich kernel
 (_sandwich: X = s1^{-1/2} s0 s1^{-1/2} and s1^{1/2} on supp s1, for one
 pair or a stack).  The value's bracket has that upper end and, as its lower
 end, the value at the maximally entangled input.  When the two meet within
-_BRACKET_TOL max(1, upper) (the measured kind runs its certifier only once
+ROUNDING_TOL max(1, upper) (the measured kind runs its certifier only once
 the relative value there meets it), that input is the winner and the
 direction skips the input search; on the covariant zoo (depolarizing,
 dephasing, replacers) every bracket closes.  Directions whose bracket stays
@@ -70,12 +76,15 @@ from .errors import (
 )
 from .linalg import PSD_TOL, hermitian_eigen, partial_trace, support_contained
 from .optimize import (
+    ROUNDING_TOL,
     OptimizerConfig,
     _adjoint,
+    _exponential,
     _log_kernel,
     _power_kernel,
     _safe_log_state,
     _split_rows,
+    _variational_at,
     _variational_terms,
     basis_witness,
     candidate_bases,
@@ -133,7 +142,7 @@ class ChannelWitness:
 class DivergenceValue:
     """A divergence in nats with its certified upper end.  Values and upper
     ends meet at rounding, so the rule every check of the two reads is
-    value <= upper + 1e-12 max(1, upper) (_BRACKET_TOL); a channel value
+    value <= upper + 1e-12 max(1, upper) (ROUNDING_TOL); a channel value
     beyond it carries a note in warnings."""
 
     value: float  # nats; math.inf when not finite
@@ -301,7 +310,7 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     log_ratio = np.stack([_safe_log_state(pairs[i][0].spectrum) - _safe_log_state(pairs[i][1].spectrum)
                           for i in live])
     upper = _relative_terms(r0, r1)[0].tolist() if upper is None else upper
-    var_vals, _, _, omegas = _variational_terms(hermitian_to_params(log_ratio), r0, r1)
+    var_vals, _, omegas = _variational_terms(hermitian_to_params(log_ratio), r0, r1)
     var_vals, all_notes = var_vals.tolist(), [[] for _ in live]
     closed = [_closes(var_vals[j], upper[j], all_notes[j], at="the log-ratio start") for j in range(len(live))]
     for j, done in enumerate(closed):
@@ -362,19 +371,36 @@ def _pick(flip, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(flip, b, a)
 
 
+def _top_inputs(a0, a1, theta, flip):
+    """The unit inputs psi(H) that maximize the variational value
+    Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] at H = H(theta) for each row of
+    theta, and _exponential's parts of each H.  The value is linear in
+    psi psi^dag, so its maximum is 1 + lambda_max(M) at the top eigenvector
+    of M = Phi0^dag(X0) + Phi1^dag(X1), with X = H on the channel read as
+    "0" (N1 where flip) and X = -exp(H) on the other: the two terms are
+    summed in the same order whatever the direction."""
+    exp = _exponential(theta, a0.shape[1])
+    h, neg = exp[0], -exp[3]
+    # the adjoint channels, Phi^dag(X) = sum_k A_k^dag X A_k
+    m0, m1 = ((_adjoint(a) @ _pick(flip, x, y)[:, None] @ a).sum(axis=1) for a, x, y in ((a0, h, neg), (a1, neg, h)))
+    return np.linalg.eigh(m0 + m1)[1][..., -1], exp
+
+
 def _input_objectives(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None, flips: list[bool]):
     """The input search's objective over the row blocks of one or more
     searches, and its number of real parameters.
 
-    Block s searches D(N1||N0) when flips[s] and D(N0||N1) otherwise.  Each
-    row theta holds v = theta[:n] + i theta[n:2n], normalized to psi on
-    R (x) A; for the measured kind theta[2n:] parametrizes a Hermitian H on
-    the output.  Every row's outputs N0(psi) and N1(psi) come from one pass;
-    the direction only decides which is "0".  The objective maps the blocks
-    (B_s, P) to one pair of values (B_s,) and analytic gradients (B_s, P)
-    per block: relative / renyi give D(sigma0||sigma1) / D_alpha, measured
-    gives the variational lower bound Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)]
-    on D_M.
+    Block s searches D(N1||N0) when flips[s] and D(N0||N1) otherwise.  For
+    relative / renyi each row theta holds v = theta[:n] + i theta[n:],
+    normalized to psi on R (x) A, and its value is D(sigma0||sigma1) /
+    D_alpha.  For measured each row parametrizes a Hermitian H on the
+    output, and its value is the variational lower bound
+    Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] on D_M at the best input psi(H)
+    (_top_inputs), 1 + lambda_max(M(H)); psi(H) is stationary, so the
+    gradient is the one at fixed outputs.  Every row's outputs N0(psi) and
+    N1(psi) come from one pass; the direction only decides which is "0".
+    The objective maps the blocks (B_s, P) to one pair of values (B_s,) and
+    analytic gradients (B_s, P) per block.
     """
     d_r = n0.in_dim
     n = d_r * n0.in_dim
@@ -386,30 +412,27 @@ def _input_objectives(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: 
         present = {f for f, size in zip(flips, sizes) if size}
         flip = present.pop() if len(present) == 1 else np.repeat(flips, sizes)[:, None, None]
         theta = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        v = theta[:, :n] + 1j * theta[:, n : 2 * n]
-        # |v| as np.linalg.norm takes it: two BLAS dots on the strided parts
-        nrm = np.sqrt(_dot_rows(v.real, v.real) + _dot_rows(v.imag, v.imag))
-        psi = v / nrm[:, None]
+        if kind == "measured":
+            psi, exp = _top_inputs(a0, a1, theta, flip)
+        else:
+            v = theta[:, :n] + 1j * theta[:, n:]
+            # |v| as np.linalg.norm takes it: two BLAS dots on the strided parts
+            nrm = np.sqrt(_dot_rows(v.real, v.real) + _dot_rows(v.imag, v.imag))
+            psi = v / nrm[:, None]
         out0, v0 = _output(a0, psi)
         out1, v1 = _output(a1, psi)
         s0, s1 = _pick(flip, out0, out1), _pick(flip, out1, out0)
-        rest = theta[:, :0]
-        if kind == "relative":
-            f, g0, g1 = _relative_terms(s0, s1)
-        elif kind == "renyi":
-            f, g0, g1 = _renyi_terms(s0, s1, alpha)
-        else:
-            f, rest, g0, omega = _variational_terms(theta[:, 2 * n :], s0, s1)
-            g1 = -omega
+        if kind == "measured":
+            return _split_rows(*_variational_at(exp, s0, s1), sizes)
+        f, g0, g1 = _relative_terms(s0, s1) if kind == "relative" else _renyi_terms(s0, s1, alpha)
         # IEEE addition commutes, so a flipped row sums the same two terms
         g = _pull_back(a0, v0, _pick(flip, g0, g1)) + _pull_back(a1, v1, _pick(flip, g1, g0))
         gr = np.concatenate([g.real, g.imag], axis=-1)
         pr = np.concatenate([psi.real, psi.imag], axis=-1)
         # chain rule through psi = v / |v|: project onto the sphere's tangent
-        tangent = (gr - pr * _dot_rows(pr, gr)[:, None]) / nrm[:, None]
-        return _split_rows(f, np.concatenate([tangent, rest], axis=-1), sizes)
+        return _split_rows(f, (gr - pr * _dot_rows(pr, gr)[:, None]) / nrm[:, None], sizes)
 
-    return objective, 2 * n + (m * m if kind == "measured" else 0)
+    return objective, m * m if kind == "measured" else 2 * n
 
 
 def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None = None):
@@ -431,11 +454,6 @@ def _drop_schmidt_residue(psi: np.ndarray, d_in: int) -> np.ndarray:
     u, s, vh = np.linalg.svd(psi.reshape(-1, d_in), full_matrices=False)
     s = np.where(s >= _SCHMIDT_FLOOR * s[0], s, 0.0)
     return ((u * (s / np.linalg.norm(s))) @ vh).reshape(-1)
-
-
-# A channel value is exact once its bracket closes within this tolerance,
-# relative to max(1, upper end).
-_BRACKET_TOL = 1e-12
 
 
 def _geometric_trace(a, b, g) -> float:
@@ -473,9 +491,9 @@ def _state_value(kind: str, alpha: float | None, s0: DensityMatrix, s1: DensityM
 
 def _closes(lower: float, upper: float, notes: list[str], at: str = "the maximally entangled input") -> bool:
     """Whether the bracket [lower, upper], whose lower end is the value at
-    the start at, is closed within _BRACKET_TOL.  A lower end beyond it
+    the start at, is closed within ROUNDING_TOL.  A lower end beyond it
     above the upper end adds a note to notes."""
-    tol = _BRACKET_TOL * max(1.0, upper)
+    tol = ROUNDING_TOL * max(1.0, upper)
     if lower - upper > tol:
         notes.append(f"value at {at} exceeds the upper end by {lower - upper:.2e}")
     return math.isfinite(upper) and abs(upper - lower) <= tol
@@ -490,10 +508,12 @@ def _log_closed(skipped, lower, upper):
 
 
 def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list[bool]):
-    """The best (theta, value) of each of one or more lockstep input
+    """The best (input vector, value) of each of one or more lockstep input
     searches over the pair's inputs, of D(N1||N0) where flips[s] and of
     D(N0||N1) otherwise, from the maximally entangled input, the extra
-    starts and seeded draws."""
+    starts and seeded draws.  The measured kind searches H alone, from
+    H = log sigma0 - log sigma1 at each of those inputs, and its input is
+    psi(H) at the best H."""
     dim_psi = n0.in_dim**2
     objective, npar = _input_objectives(n0, n1, kind, alpha, flips)
     inputs = [max_entangled_vector(n0.in_dim)] + extra
@@ -503,14 +523,14 @@ def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list
         while len(inputs) < cfg.restarts:
             inputs.append(params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi))
         logs = [[_safe_log_state(hermitian_eigen(_apply_to_pure(ch, psi))) for ch in (n0, n1)] for psi in inputs]
-        searches = [
-            [np.concatenate([pure_vector_to_params(psi), hermitian_to_params(lg[f] - lg[1 - f])])
-             for psi, lg in zip(inputs, logs)]
-            for f in flips
-        ]
+        searches = [[hermitian_to_params(lg[f] - lg[1 - f]) for lg in logs] for f in flips]
     else:
         searches = [[pure_vector_to_params(psi) for psi in inputs]] * len(flips)
-    return multistart_maximize(objective, npar, cfg, rng=rng, searches=searches)
+    found = multistart_maximize(objective, npar, cfg, rng=rng, searches=searches)
+    if kind != "measured":
+        return [(params_to_pure_vector(theta, dim_psi), value) for theta, value in found]
+    a0, a1 = (_lifted_kraus(ch, n0.in_dim) for ch in (n0, n1))
+    return [(_top_inputs(a0, a1, theta[None], f)[0][0], value) for (theta, value), f in zip(found, flips)]
 
 
 def channel_divergence(
@@ -524,12 +544,17 @@ def channel_divergence(
     inputs with the ancilla isomorphic to the input system.
 
     kind "max" is optimization-free and exact: the supremum is attained at
-    the maximally entangled input, i.e. on the unit-trace Choi pair.  The
-    other kinds use seeded multi-start L-BFGS on analytic gradients over
-    unit input vectors and return certified lower bounds with the best
-    input as witness.  The measured kind ascends the variational formula
-    jointly in the input and the observable H, then certifies the value at
-    the best input with measured_rel_entropy_states' certifier on its
+    the maximally entangled input, i.e. on the unit-trace Choi pair, which
+    is the witness of a finite value.  An infinite value of any kind
+    carries no witness.  The other kinds use seeded multi-start L-BFGS on
+    analytic gradients and return certified lower bounds with the best
+    input as witness; each start stops once a step gains less than
+    1e-12 max(1, |value|).  Relative and renyi search unit input vectors.
+    The measured kind ascends the variational formula in the observable H
+    alone, each H paired with its best input, the top eigenvector of
+    sum_k A0_k^dag H A0_k - sum_k A1_k^dag exp(H) A1_k.  It takes that
+    input at the best H, with its Schmidt residue dropped, and certifies
+    the value there with measured_rel_entropy_states' certifier on its
     outputs: the witness measurement is the best candidate basis (the
     optimal omega's eigenbasis first), with the outcomes negligible under
     both outputs merged into one effect, and the value is the KL of its
@@ -566,7 +591,7 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
     """[D(N0||N1)], or with pair [D(N0||N1), D(N1||N0)], each with its
     upper end; the directions whose bracket stays open at the maximally
     entangled input share one lockstep search, and a searched value above
-    its upper end beyond _BRACKET_TOL max(1, upper) gets a note."""
+    its upper end beyond ROUNDING_TOL max(1, upper) gets a note."""
     if kind not in KINDS:
         raise ValueError(f"unknown divergence kind {kind!r}")
     if kind == "renyi" and (alpha is None or alpha <= 1.0):
@@ -585,7 +610,7 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
     if kind == "max":
         out = [max_div_states(a.choi_state(), b.choi_state()) for a, b in directions]
         for val in out:
-            val.witness = ChannelWitness(input_vector=max_entangled_vector(d))
+            val.witness = ChannelWitness(input_vector=max_entangled_vector(d)) if val.is_finite else None
             val.upper = val.value
         return out
 
@@ -594,12 +619,11 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
     if not live:
         return out
 
-    def certified_input(theta: np.ndarray) -> np.ndarray:
-        return _drop_schmidt_residue(params_to_pure_vector(theta[: 2 * dim_psi], dim_psi), d)
-
     # The bracket of each direction: the upper end, and the value at start 0
-    # (the maximally entangled input) as the certification below reads it.
-    start = certified_input(pure_vector_to_params(max_entangled_vector(d)))
+    # (the maximally entangled input, normalized as params_to_pure_vector
+    # normalizes the search's inputs) as the certification below reads it.
+    start = max_entangled_vector(d)
+    start = _drop_schmidt_residue(start / np.linalg.norm(start), d)
     psis, states, values, upper, notes, measured = {}, {}, {}, {}, {}, {}
     at_start = [DensityMatrix(_apply_to_pure(ch, start)) for ch in (n0, n1)]
     for i in live:
@@ -616,8 +640,8 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
         _log_closed("input search", values[i], upper[i])
     searched = [i for i in live if i not in closed]
     found = _input_search(n0, n1, kind, alpha, cfg, extra, [i == 1 for i in searched]) if searched else []
-    for i, (theta, best) in zip(searched, found):
-        psis[i] = certified_input(theta)
+    for i, (psi, best) in zip(searched, found):
+        psis[i] = _drop_schmidt_residue(psi, d)
         states[i] = tuple(DensityMatrix(_apply_to_pure(ch, psis[i])) for ch in directions[i])
         values[i] = best if kind == "measured" else _state_value(kind, alpha, *states[i])
     if kind == "measured":

@@ -160,13 +160,20 @@ def _power_kernel(w: np.ndarray, mask: np.ndarray, gamma: float) -> np.ndarray:
 # Lockstep multi-start L-BFGS-B
 # ---------------------------------------------------------------------------
 
+# The rounding floor of the objectives' values, relative to max(1, |value|):
+# a search stops once a step gains less (its ftol below), and divergences
+# closes a bracket whose ends meet within it.
+ROUNDING_TOL = 1e-12
+
 # The options every search runs with, as scipy.optimize.minimize spells them
-# for method="L-BFGS-B": maxcor 10, maxls 20, maxfun 15000, ftol 1e-15 and
-# gtol 1e-10.
+# for method="L-BFGS-B": maxcor 10, maxls 20, maxfun 15000, ftol ROUNDING_TOL
+# and gtol 1e-10.  L-BFGS-B stops when (f_k - f_{k+1}) / max(|f_k|,
+# |f_{k+1}|, 1) <= ftol, so a smaller ftol only buys line searches that move
+# the last digits.
 _LBFGS_MEMORY = 10
 _LBFGS_MAX_LINE_SEARCH = 20
 _LBFGS_MAX_EVALS = 15000
-_LBFGS_FACTR = 1e-15 / np.finfo(float).eps
+_LBFGS_FACTR = ROUNDING_TOL / np.finfo(float).eps
 _LBFGS_PGTOL = 1e-10
 
 
@@ -306,8 +313,9 @@ def _lockstep_maximize(objective, searches: list[list[np.ndarray]], max_iters: i
     blocks[s] holding the rows of search s (empty once it is done), which
     returns one (values, gradients) per block.  Each start follows the
     iterates that scipy.optimize.minimize(method="L-BFGS-B",
-    options={"maxiter": max_iters, "gtol": 1e-10, "ftol": 1e-15}) takes
-    from it on the negated objective.  A start whose evaluation raises
+    options={"maxiter": max_iters, "gtol": 1e-10, "ftol": ROUNDING_TOL})
+    takes from it on the negated objective, so a start stops once a step
+    gains less than ROUNDING_TOL max(1, |value|).  A start whose evaluation raises
     ValueError or FloatingPointError is dropped as a failed restart.  Returns
     each search's best (x, value), the lowest start index winning ties, and
     logs one DEBUG record of each search's starts on the chandisc.optimize
@@ -400,21 +408,36 @@ def _safe_log_state(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return (v * np.log(w)) @ v.conj().T
 
 
-def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
-    """Tr[rho0 H] + 1 - Tr[rho1 exp(H)] at H = H(theta), its gradient in
-    theta, H and exp(H), for each row of theta (B, d^2) and state pair
-    (B, d, d) or (d, d).  The value lower-bounds the measured relative
-    entropy for every theta."""
-    h = params_to_hermitian(theta, rho0.shape[-1])
+def _exponential(theta: np.ndarray, d: int):
+    """H = H(theta) for each row of theta (B, d^2), its eigenvalues (clipped
+    to [-200, 200]) and eigenvectors, and exp(H) from them: one eigh per
+    row."""
+    h = params_to_hermitian(theta, d)
     lam, u = np.linalg.eigh(h)
     lam = np.clip(lam, -200.0, 200.0)
+    return h, lam, u, (u * np.exp(lam)[..., None, :]) @ _adjoint(u)
+
+
+def _variational_at(exp, rho0: np.ndarray, rho1: np.ndarray):
+    """Tr[rho0 H] + 1 - Tr[rho1 exp(H)] and its gradient in theta, for each H
+    of _exponential's exp and state pair (B, d, d) or (d, d)."""
+    h, lam, u, _ = exp
     elam = np.exp(lam)
     uh = _adjoint(u)
     b = uh @ rho1 @ u
     tr0 = np.real(np.sum(rho0 * np.swapaxes(h, -1, -2), axis=(-2, -1)))
     f = tr0 + 1.0 - np.sum(np.real(np.diagonal(b, axis1=-2, axis2=-1)) * elam, axis=-1)
     g = rho0 - u @ (b * _exp_kernel(lam)) @ uh
-    return f, hermitian_grad_to_params(0.5 * (g + _adjoint(g))), h, (u * elam[..., None, :]) @ uh
+    return f, hermitian_grad_to_params(0.5 * (g + _adjoint(g)))
+
+
+def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
+    """Tr[rho0 H] + 1 - Tr[rho1 exp(H)] at H = H(theta), its gradient in
+    theta and exp(H), for each row of theta (B, d^2) and state pair
+    (B, d, d) or (d, d).  The value lower-bounds the measured relative
+    entropy for every theta."""
+    exp = _exponential(theta, rho0.shape[-1])
+    return *_variational_at(exp, rho0, rho1), exp[3]
 
 
 def variational_measured(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray):
@@ -442,7 +465,7 @@ def variational_measured(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarr
 
     found = _lockstep_maximize(objective, [[hermitian_to_params(lr), np.zeros(d * d)] for lr in log_ratio], 2000)
     values = [float(value) for _, value in found]
-    omegas = _variational_terms(np.stack([x for x, _ in found]), rho0, rho1)[3]
+    omegas = _variational_terms(np.stack([x for x, _ in found]), rho0, rho1)[2]
     return (values, omegas) if stacked else (values[0], omegas[0])
 
 

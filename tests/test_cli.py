@@ -56,15 +56,19 @@ def test_divergence_infinite_direction_exits_zero(tmp_path, runner):
             "n0": {"name": "depolarizing", "params": {"p": 0.5}},
             "n1": {"name": "identity"},
         },
-        divergence={"kinds": ["max"]},
+        divergence={"kinds": ["relative", "measured", "max", "renyi"], "alpha": [1.5]},
     )
     out = tmp_path / "run"
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "divergence"])
     assert res.exit_code == 0, res.output
     assert "inf" in res.output
     doc = json.loads((out / "divergences.json").read_text())
-    assert doc["rows"][0]["value"] == "inf"
-    assert doc["rows"][0]["is_finite"] is False
+    assert [row["kind"] for row in doc["rows"]] == ["relative", "measured", "max", "renyi"]
+    for row in doc["rows"]:
+        assert row["value"] == "inf"
+        assert row["is_finite"] is False
+        # an infinite value has no witness, whatever its kind
+        assert "witness_input" not in row and "witness_povm" not in row
 
 
 def test_log_base_flag(tmp_path, runner):

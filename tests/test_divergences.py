@@ -31,6 +31,7 @@ from chandisc.linalg import support_contained
 from chandisc.optimize import (
     OptimizerConfig,
     _per_search,
+    params_to_hermitian,
     _safe_log_state,
     _variational_terms,
     basis_witness,
@@ -202,8 +203,13 @@ def test_channel_max_divergence_exact_on_choi():
 
 
 def test_channel_divergence_infinite_pair():
-    dv = channel_divergence(depolarizing_channel(0.5), identity_channel(2), kind="relative")
-    assert not dv.is_finite and math.isinf(dv.value)
+    """D(dep(0.5)||id) is infinite and carries no witness in every kind, max
+    included; D(id||dep(0.5)) is finite and carries one."""
+    for kind, alpha in (("relative", None), ("measured", None), ("max", None), ("renyi", 1.5)):
+        dv = channel_divergence(depolarizing_channel(0.5), identity_channel(2), kind=kind, alpha=alpha)
+        assert not dv.is_finite and math.isinf(dv.value) and dv.witness is None, kind
+        dv = channel_divergence(identity_channel(2), depolarizing_channel(0.5), kind=kind, alpha=alpha, cfg=CFG)
+        assert dv.is_finite and dv.witness is not None, kind
 
 
 def test_channel_divergence_rejects_wrong_length_extra_start():
@@ -304,6 +310,58 @@ def test_input_objective_gradient_matches_central_differences(pair, kind, alpha,
     rng = np.random.default_rng(29)
     for _ in range(2):
         assert_gradient_matches(objective, 0.5 * rng.standard_normal(npar))
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_measured_rows_take_the_best_input_in_closed_form(flip):
+    """A measured row of the input search holds H alone, and its value is
+    the variational value at the best unit input, 1 + lambda_max(M(H)) with
+    M(H) = sum_k A0_k^dag H A0_k - sum_k A1_k^dag exp(H) A1_k (A0 on the
+    channel read as "0", N1 for the rows of D(N1||N0)): checked against M
+    built here from the Kraus operators and scipy's expm, and against the
+    variational value at 50 random unit inputs."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(97)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+    lifted = [[np.kron(np.eye(2), k) for k in ch.kraus] for ch in ((n1, n0) if flip else (n0, n1))]
+    theta = rng.standard_normal((6, 16))
+    values = _input_objectives(n0, n1, "measured", None, [flip])[0]([theta])[0][0]
+    psis = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    for row, value in zip(theta, values):
+        h = params_to_hermitian(row, 4)
+        e = expm(h)
+        m = sum(a.conj().T @ h @ a for a in lifted[0]) - sum(a.conj().T @ e @ a for a in lifted[1])
+        tol = 1e-12 * max(1.0, abs(value))
+        assert abs(value - (1.0 + np.linalg.eigvalsh(m)[-1])) <= tol
+        for psi in psis:
+            s0, s1 = (sum(a @ np.outer(psi, psi.conj()) @ a.conj().T for a in ks) for ks in lifted)
+            assert np.trace(s0 @ h).real + 1.0 - np.trace(s1 @ e).real <= value + tol
+
+
+def test_open_searches_stop_at_the_rounding_floor(caplog):
+    """On a seeded random qubit pair at the region chain's budget (4 starts,
+    100 iterations), each search of a pair run stays within a bound of
+    batched objective calls: the relative and Renyi input searches, the
+    measured one over H alone and the measured certifier's variational
+    programs.  With ftol = ROUNDING_TOL they read 13 and 11, 13 and 10, 20
+    and 22, 30 and 31; with ftol = 1e-15 and the joint (psi, H) measured
+    search, 43 and 47, 23 and 30, 97 and 93, 46 and 35."""
+    rng = np.random.default_rng(11)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+    # (kind, alpha): the bound of each input search, and of each variational program
+    bounds = {("relative", None): (15, None), ("renyi", 1.5): (15, None), ("measured", None): (25, 35)}
+    for (kind, alpha), (search_bound, program_bound) in bounds.items():
+        with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+            channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG)
+        stats = [r.multistart for r in caplog.records]
+        caplog.clear()
+        searches = [s["batched_calls"] for s in stats if s["starts"] == CFG.restarts]
+        programs = [s["batched_calls"] for s in stats if s["starts"] == 2]
+        assert len(searches) == 2 and max(searches) <= search_bound, (kind, searches)
+        assert len(programs) == (0 if program_bound is None else 2), (kind, programs)
+        assert not programs or max(programs) <= program_bound, (kind, programs)
 
 
 def _assert_batch_size_independent(objective, x):
@@ -660,9 +718,15 @@ def test_renyi_rejects_an_invalid_order_before_the_support_test():
 
 def test_block_values_keep_the_channel_value_warnings_and_upper_end():
     """A block value at l = 1 lists the measured certifier's cross-check
-    notes and the upper end of the channel value it comes from."""
+    notes and the upper end of the channel value it comes from.  The note
+    fires at a cross_check_tol of a third of the gap that the state-level
+    certifier reads on the witness outputs."""
     (n0, n1), cfg = _witness_pairs()[5]
-    cfg = replace(cfg, cross_check_tol=1e-15)
+    psi = channel_divergence(n0, n1, kind="measured", cfg=cfg).witness.input_vector
+    w = measured_rel_entropy_states(*(DensityMatrix(_apply_to_pure(ch, psi)) for ch in (n0, n1)), cfg).witness
+    gap = abs(w.variational_value - w.pvm_value)
+    assert gap > 0
+    cfg = replace(cfg, cross_check_tol=gap / 3)
     with pytest.warns(ConvergenceWarning):
         dv = channel_divergence(n0, n1, kind="measured", cfg=cfg)
         est = block_divergence(n0, n1, 1, kind="measured", cfg=cfg)

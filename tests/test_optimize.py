@@ -9,6 +9,7 @@ from chandisc.divergences import _input_objective
 from chandisc.errors import OptimizerFailure
 from chandisc.optimize import (
     NEGLIGIBLE_PROB,
+    ROUNDING_TOL,
     OptimizerConfig,
     _exp_kernel,
     _log_kernel,
@@ -90,7 +91,7 @@ def test_variational_gradient_matches_central_differences(assert_gradient_matche
     r1 = random_density_matrix(3, rng).mat
 
     def objective(theta):
-        f, g, _, _ = _variational_terms(theta, r0, r1)
+        f, g, _ = _variational_terms(theta, r0, r1)
         return f, g
 
     assert_gradient_matches(objective, 0.5 * rng.standard_normal(9))
@@ -199,7 +200,7 @@ def test_lockstep_driver_matches_scipy_minimize(case, caplog):
             x0,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": max_iters, "gtol": 1e-10, "ftol": 1e-15},
+            options={"maxiter": max_iters, "gtol": 1e-10, "ftol": ROUNDING_TOL},
         )
         # the start run with all others in lockstep, and on its own
         assert (stats["nfev"][i], stats["nit"][i], stats["values"][i]) == (ref.nfev, ref.nit, -ref.fun)
