@@ -364,6 +364,38 @@ def test_open_searches_stop_at_the_rounding_floor(caplog):
         assert not programs or max(programs) <= program_bound, (kind, programs)
 
 
+# float.hex of (value, upper end) of each direction, (D(N0||N1), D(N1||N0)),
+# on the pair of test_open_searches_stop_at_the_rounding_floor, whose
+# brackets stay open: every value below comes from an input search.
+SEARCHED_BITS = {
+    ("relative", None): [("0x1.f9d32f37213f4p-1", "0x1.8347ae75832dbp+0"),
+                         ("0x1.ae806783a5e5ap-1", "0x1.46b4e1b6d1dfap+0")],
+    ("measured", None): [("0x1.c7544f0a71196p-1", "0x1.8347ae75832dbp+0"),
+                         ("0x1.876c03f17e8dbp-1", "0x1.46b4e1b6d1dfap+0")],
+    ("renyi", 1.5): [("0x1.8b02e5d4b28f8p+0", "0x1.081bd2945eaa1p+1"),
+                     ("0x1.2ee93d848cad4p+0", "0x1.9a9a65f2f3edap+0")],
+    "block l=2 relative, per use": [("0x1.fafc8541803e6p-1", "0x1.8347ae7583319p+0"),
+                                    ("0x1.aee9062f9d3c9p-1", "0x1.46b4e1b6d1e08p+0")],
+}
+
+
+def test_open_searches_keep_their_bits():
+    """The searched values and upper ends of a random qubit pair, in both
+    directions, bit for bit: channel_divergence_pair of the relative,
+    measured and Renyi-1.5 kinds and block_divergence_pair at l = 2 of the
+    relative kind, at 4 starts and 100 iterations.  Both searches of a pair
+    start from the same seeded draws; padding the second from another
+    generator state moves its values."""
+    rng = np.random.default_rng(11)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+    got = {(kind, alpha): [(dv.value.hex(), dv.upper.hex())
+                           for dv in channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG)]
+           for kind, alpha in (("relative", None), ("measured", None), ("renyi", 1.5))}
+    got["block l=2 relative, per use"] = [(est.value_per_use.hex(), est.upper_per_use.hex())
+                                          for est in block_divergence_pair(n0, n1, 2, kind="relative", cfg=CFG)]
+    assert got == SEARCHED_BITS
+
+
 def _assert_batch_size_independent(objective, x):
     """objective(X)[i] equals objective(X[i:i+1]) bit for bit, value and
     gradient: what makes the lockstep iterates equal the sequential ones."""
