@@ -351,7 +351,15 @@ def sweep(ctx):
 @main.command()
 @click.pass_context
 def regions(ctx):
-    """Compute the requested exponent regions and the containment matrix."""
+    """Compute the requested exponent regions and the containment matrix.
+
+    regions.which names the documents written.  With ["adaptive"] alone no
+    chain runs: adaptive_region is called at each l up to l_max at the full
+    optimizer budget, with no witness chaining and no floors, and the
+    containment matrix is empty, so adaptive_l2 can differ from a full
+    run's.  Otherwise region_chain runs whole and the requested regions are
+    written from it.
+    """
 
     def run(cfg, pair, out):
         n0, n1 = pair

@@ -11,10 +11,11 @@ optimization over pure bipartite states by lockstep multi-start L-BFGS on
 analytic gradients, each round of the search one batched objective call
 (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack
 A_k = I_R (x) K_k that quantum applies every channel with, matrix
-gradients pulled back through the A_k), and block (tensor-power) values.
-The measured kind searches the variational observable H alone: at a fixed
-H the value Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] is linear in psi psi^dag,
-so the best input is the top eigenvector of sum_k A0_k^dag H A0_k -
+gradients pulled back through the A_k), and block (tensor-power) values,
+the block pair's DivergenceValue per use.  The measured kind searches the
+variational observable H alone: at a fixed H the value
+Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] is linear in psi psi^dag, so the best
+input is the top eigenvector of sum_k A0_k^dag H A0_k -
 sum_k A1_k^dag exp(H) A1_k and the value 1 + its top eigenvalue
 (_top_inputs).  Every search stops once a step gains less than
 ROUNDING_TOL max(1, |value|), the rule that closes brackets below.  The
@@ -154,16 +155,6 @@ class DivergenceValue:
 
     def in_bits(self) -> float:
         return self.value / LN2
-
-
-@dataclass
-class BlockEstimate:
-    block_size: int
-    value_per_use: float
-    witness: object | None = None
-    total_value: float = 0.0
-    warnings: list[str] = field(default_factory=list)
-    upper_per_use: float = math.inf
 
 
 def _unsupported(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue | None:
@@ -435,13 +426,6 @@ def _input_objectives(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: 
     return objective, m * m if kind == "measured" else 2 * n
 
 
-def _input_objective(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None = None):
-    """The one-search case of _input_objectives, D(N0||N1), on a plain
-    batch of rows (B, P) -> (values, gradients)."""
-    objective, npar = _input_objectives(n0, n1, kind, alpha, [False])
-    return (lambda theta: objective([theta])[0]), npar
-
-
 # Inputs on the product boundary are reached only up to Schmidt residues of
 # 1e-8 to 1e-6.  Their outputs carry eigenvalues near PSD_TOL, where the
 # state-level support test is ill-conditioned and can read a finite pair as
@@ -510,23 +494,26 @@ def _log_closed(skipped, lower, upper):
 def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list[bool]):
     """The best (input vector, value) of each of one or more lockstep input
     searches over the pair's inputs, of D(N1||N0) where flips[s] and of
-    D(N0||N1) otherwise, from the maximally entangled input, the extra
-    starts and seeded draws.  The measured kind searches H alone, from
-    H = log sigma0 - log sigma1 at each of those inputs, and its input is
-    psi(H) at the best H."""
+    D(N0||N1) otherwise.  Every search starts from one list: the maximally
+    entangled input, the extra starts, and standard normal rows of length
+    2 d^2 drawn from the seeded generator up to cfg.restarts starts.
+    Relative and renyi start at those parameters, the rows raw.  The
+    measured kind searches H alone, from H = log sigma0 - log sigma1 at each
+    of those inputs (a row normalized as params_to_pure_vector reads it),
+    and its input is psi(H) at the best H."""
     dim_psi = n0.in_dim**2
-    objective, npar = _input_objectives(n0, n1, kind, alpha, flips)
+    objective = _input_objectives(n0, n1, kind, alpha, flips)[0]
     inputs = [max_entangled_vector(n0.in_dim)] + extra
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
+    rows = [rng.standard_normal(2 * dim_psi) for _ in range(cfg.restarts - len(inputs))]
     if kind == "measured":
         # H starts at the variational program's warm start for each input
-        while len(inputs) < cfg.restarts:
-            inputs.append(params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi))
+        inputs += [params_to_pure_vector(row, dim_psi) for row in rows]
         logs = [[_safe_log_state(hermitian_eigen(_apply_to_pure(ch, psi))) for ch in (n0, n1)] for psi in inputs]
         searches = [[hermitian_to_params(lg[f] - lg[1 - f]) for lg in logs] for f in flips]
     else:
-        searches = [[pure_vector_to_params(psi) for psi in inputs]] * len(flips)
-    found = multistart_maximize(objective, npar, cfg, rng=rng, searches=searches)
+        searches = [[pure_vector_to_params(psi) for psi in inputs] + rows] * len(flips)
+    found = multistart_maximize(objective, searches, cfg.max_iters)
     if kind != "measured":
         return [(params_to_pure_vector(theta, dim_psi), value) for theta, value in found]
     a0, a1 = (_lifted_kraus(ch, n0.in_dim) for ch in (n0, n1))
@@ -560,7 +547,10 @@ def channel_divergence(
     both outputs merged into one effect, and the value is the KL of its
     outcome laws, cross-checked against the variational value; the
     cross-check's notes are the value's warnings.  This is the
-    one-direction case of channel_divergence_pair.
+    one-direction case of channel_divergence_pair.  Every kind checks
+    cfg.extra_starts first: a start that is not a vector on R (x) A raises
+    DimensionMismatchError, and one without a finite nonzero norm raises
+    ValueError, naming it.
 
     The value's upper field is a certified upper end in closed form on the
     Choi pair (D_BS for relative and measured, the geometric Renyi
@@ -606,6 +596,9 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
     if any(v.shape != (dim_psi,) for v in extra):
         shapes = [v.shape for v in extra]
         raise DimensionMismatchError(f"extra starts {shapes}: input vectors on R (x) A have length {dim_psi}")
+    for i, v in enumerate(extra):
+        if not 0.0 < np.linalg.norm(v) < math.inf:
+            raise ValueError(f"extra start {i} {v}: an input vector needs a finite nonzero norm")
 
     if kind == "max":
         out = [max_div_states(a.choi_state(), b.choi_state()) for a, b in directions]
@@ -680,15 +673,21 @@ def block_divergence(
     kind: str = "measured",
     alpha: float | None = None,
     cfg: OptimizerConfig | None = None,
-) -> BlockEstimate:
-    """Per-use divergence of the l-fold tensor powers, D(N0^l||N1^l) / l.
+) -> DivergenceValue:
+    """Per-use divergence of the l-fold tensor powers, D(N0^l||N1^l) / l: the
+    channel value of the block pair with its value and upper end divided by
+    l, and its labels (is_lower_bound, is_finite), witness on the block
+    system and warnings kept.  The max kind is exact, the searched kinds
+    certified lower bounds, as channel values are.
 
     When the l = 1 witness input is known, pass it via cfg.extra_starts as a
     vector on (R A); it is lifted to the product input on the block system so
     the per-use value never drops below the l = 1 estimate (up to optimizer
     tolerance).  Starts on the block system (R A)^l are used as they are;
-    a start of any other length raises DimensionMismatchError.  This is the
-    one-direction case of block_divergence_pair.
+    a start of any other length raises DimensionMismatchError, and a lifted
+    or block start without a finite nonzero norm raises ValueError, as in
+    channel_divergence.  This is the one-direction case of
+    block_divergence_pair.
     """
     return _block_divergences(n0, n1, l, kind, alpha, cfg, pair=False)[0]
 
@@ -700,13 +699,14 @@ def block_divergence_pair(
     kind: str = "measured",
     alpha: float | None = None,
     cfg: OptimizerConfig | None = None,
-) -> tuple[BlockEstimate, BlockEstimate]:
-    """(block_divergence(n0, n1, l), block_divergence(n1, n0, l)) from one
-    channel_divergence_pair on the tensor powers that n0 and n1 cache."""
+) -> tuple[DivergenceValue, DivergenceValue]:
+    """(block_divergence(n0, n1, l), block_divergence(n1, n0, l)), per-use
+    DivergenceValues from one channel_divergence_pair on the tensor powers
+    that n0 and n1 cache."""
     return tuple(_block_divergences(n0, n1, l, kind, alpha, cfg, pair=True))
 
 
-def _block_divergences(n0, n1, l, kind, alpha, cfg, pair: bool) -> list[BlockEstimate]:
+def _block_divergences(n0, n1, l, kind, alpha, cfg, pair: bool) -> list[DivergenceValue]:
     """block_divergence, or with pair block_divergence_pair, as a list, on
     the l-fold tensor powers of n0 and n1, which each channel caches."""
     cfg = cfg or OptimizerConfig()
@@ -725,5 +725,4 @@ def _block_divergences(n0, n1, l, kind, alpha, cfg, pair: bool) -> list[BlockEst
             + [v for v in starts if v.size == d2**l],
         )
     dvs = _channel_divergences(b0, b1, kind, alpha, cfg, pair)
-    return [BlockEstimate(l, dv.value / l, witness=dv.witness, total_value=dv.value, warnings=dv.warnings,
-                          upper_per_use=dv.upper / l) for dv in dvs]
+    return [replace(dv, value=dv.value / l, upper=dv.upper / l) for dv in dvs]

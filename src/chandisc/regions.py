@@ -91,7 +91,8 @@ def adaptive_region(
     cfg: OptimizerConfig | None = None,
 ) -> ExponentRegion:
     """Rectangle with corner (D_M(N1||N0), D_M(N0||N1)) per use at block
-    size l; witness-certified inner bound.
+    size l; witness-certified inner bound.  The divergences are the .value
+    of block_divergence_pair's per-use DivergenceValues.
 
     Each direction's witness arm also certifies a lower bound in the other
     direction (any single measurement lower-bounds both measured
@@ -103,8 +104,8 @@ def adaptive_region(
     """
     e01, e10 = block_divergence_pair(n0, n1, l, "measured", cfg=cfg)
     b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
-    r0, w10 = e10.value_per_use, e10.witness
-    r1, w01 = e01.value_per_use, e01.witness
+    r0, w10 = e10.value, e10.witness
+    r1, w01 = e01.value, e01.witness
     rates = {}
     for key, w in (("witness_10", w10), ("witness_01", w01)):
         if w is None or w.povm is None:
@@ -207,8 +208,9 @@ def converse_region(
 
     The sandwiched divergence is non-decreasing in alpha, so the minimum
     over the grid is its value at the smallest order, and that one order is
-    evaluated (one block_divergence_pair call); metadata["alpha_grid"]
-    records the whole grid.  Finite-block values only approximate the
+    evaluated: the corner is the .value of the two per-use DivergenceValues
+    of one block_divergence_pair call.  metadata["alpha_grid"] records the
+    whole grid.  Finite-block values only approximate the
     regularized quantity from below, so the region is labeled an estimate
     rather than a certified outer bound.
     """
@@ -216,7 +218,7 @@ def converse_region(
     e01, e10 = block_divergence_pair(n0, n1, l, "renyi", min(alpha_grid), cfg)
     return ExponentRegion(
         kind=CONVERSE,
-        frontier=[(e10.value_per_use, e01.value_per_use)],
+        frontier=[(e10.value, e01.value)],
         metadata={"l": l, "alpha_grid": list(alpha_grid), "bound": "converse estimate"},
     )
 

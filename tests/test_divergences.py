@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chandisc import divergences
 from chandisc.divergences import (
     ConvergenceWarning,
-    _input_objective,
+    DivergenceValue,
     _input_objectives,
     _max_divs,
     _relative_terms,
@@ -175,7 +175,8 @@ def test_variational_measured_is_lower_bound_of_relative():
     rng = np.random.default_rng(17)
     r0 = random_density_matrix(3, rng)
     r1 = random_density_matrix(3, rng)
-    v, omega = variational_measured(r0.mat, r1.mat, _safe_log_state(r0.spectrum) - _safe_log_state(r1.spectrum))
+    log_ratio = _safe_log_state(r0.spectrum) - _safe_log_state(r1.spectrum)
+    (v,), (omega,) = variational_measured(r0.mat[None], r1.mat[None], log_ratio[None])
     assert v <= rel_entropy_states(r0, r1).value + 1e-8
     assert np.linalg.eigvalsh(omega).min() > 0  # omega = exp(H) is positive
 
@@ -225,6 +226,23 @@ def test_block_divergence_rejects_wrong_length_extra_start():
     for bad in (np.ones(3), np.ones(64)):
         with pytest.raises(DimensionMismatchError, match="length 4, on its 2-fold block 16"):
             block_divergence(n0, n1, 2, kind="relative", cfg=OptimizerConfig(extra_starts=[bad]))
+
+
+@pytest.mark.parametrize("bad", [np.zeros(4), np.array([0.5, np.nan, 0.5, 0.0])], ids=["zero", "nan"])
+def test_extra_starts_without_a_finite_nonzero_norm_raise(bad):
+    """A zero or NaN extra start raises ValueError naming it, for every kind
+    at l = 1 and for a block value at l = 2, whose lifted start meets the
+    same check.  The relative and Renyi searches used to drop it as a failed
+    restart with a RuntimeWarning, and the measured one read the zero vector
+    as an input."""
+    rng = np.random.default_rng(1)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+    cfg = replace(CFG, extra_starts=[max_entangled_vector(2), bad])
+    for kind, alpha in (("relative", None), ("measured", None), ("max", None), ("renyi", 1.5)):
+        with pytest.raises(ValueError, match="extra start 1 "):
+            channel_divergence(n0, n1, kind=kind, alpha=alpha, cfg=cfg)
+    with pytest.raises(ValueError, match="extra start 1 "):
+        block_divergence(n0, n1, 2, kind="relative", cfg=cfg)
 
 
 def test_equal_channels_zero():
@@ -277,9 +295,8 @@ def test_block_divergence_additivity_on_replacers():
     kl = kl_divergence([0.2, 0.8], [0.8, 0.2])
     cfg = OptimizerConfig(restarts=2, max_iters=60)
     est = block_divergence(n0, n1, 2, kind="measured", cfg=cfg)
-    assert est.block_size == 2
-    assert abs(est.value_per_use - kl) < 1e-5
-    assert abs(est.total_value - 2 * kl) < 2e-5
+    assert abs(est.value - kl) < 1e-5
+    assert abs(2 * est.value - 2 * kl) < 2e-5
 
 
 def test_block_divergence_dominates_single_use():
@@ -290,7 +307,14 @@ def test_block_divergence_dominates_single_use():
     cfg2 = OptimizerConfig(restarts=2, max_iters=40)
     cfg2.extra_starts = [dv1.witness.input_vector]
     est = block_divergence(n0, n1, 2, kind="measured", cfg=cfg2)
-    assert est.value_per_use >= dv1.value - 1e-5
+    assert est.value >= dv1.value - 1e-5
+
+
+def _one_direction(n0, n1, kind, alpha):
+    """The input objective of D(N0||N1) as one search, on a plain batch of
+    rows (B, P) -> (values, gradients), and its number of parameters."""
+    objective, npar = _input_objectives(n0, n1, kind, alpha, [False])
+    return (lambda theta: objective([theta])[0]), npar
 
 
 def _gradient_pairs():
@@ -306,7 +330,7 @@ def _gradient_pairs():
 @pytest.mark.parametrize("kind,alpha", [("relative", None), ("renyi", 1.5), ("renyi", 2.0), ("measured", None)])
 def test_input_objective_gradient_matches_central_differences(pair, kind, alpha, assert_gradient_matches):
     n0, n1 = _gradient_pairs()[pair]
-    objective, npar = _input_objective(n0, n1, kind, alpha)
+    objective, npar = _one_direction(n0, n1, kind, alpha)
     rng = np.random.default_rng(29)
     for _ in range(2):
         assert_gradient_matches(objective, 0.5 * rng.standard_normal(npar))
@@ -391,7 +415,7 @@ def test_open_searches_keep_their_bits():
     got = {(kind, alpha): [(dv.value.hex(), dv.upper.hex())
                            for dv in channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG)]
            for kind, alpha in (("relative", None), ("measured", None), ("renyi", 1.5))}
-    got["block l=2 relative, per use"] = [(est.value_per_use.hex(), est.upper_per_use.hex())
+    got["block l=2 relative, per use"] = [(est.value.hex(), est.upper.hex())
                                           for est in block_divergence_pair(n0, n1, 2, kind="relative", cfg=CFG)]
     assert got == SEARCHED_BITS
 
@@ -409,7 +433,7 @@ def _check_batched_objectives(n0, n1, l, rng):
     if l > 1:
         n0, n1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
     for kind, alpha in [("relative", None), ("renyi", 1.5), ("renyi", 2.0), ("measured", None)]:
-        objective, npar = _input_objective(n0, n1, kind, alpha)
+        objective, npar = _one_direction(n0, n1, kind, alpha)
         _assert_batch_size_independent(objective, 0.5 * rng.standard_normal((4, npar)))
     psi = rng.standard_normal(n0.in_dim**2) + 1j * rng.standard_normal(n0.in_dim**2)
     psi /= np.linalg.norm(psi)
@@ -457,7 +481,7 @@ def _check_two_direction_rows(n0, n1, l, rng):
     for kind, alpha in [("relative", None), ("renyi", 1.5), ("renyi", 2.0), ("measured", None)]:
         both, npar = _input_objectives(n0, n1, kind, alpha, [False, True])
         x, y = 0.5 * rng.standard_normal((3, npar)), 0.5 * rng.standard_normal((2, npar))
-        forward, backward = _input_objective(n0, n1, kind, alpha)[0], _input_objective(n1, n0, kind, alpha)[0]
+        forward, backward = _one_direction(n0, n1, kind, alpha)[0], _one_direction(n1, n0, kind, alpha)[0]
         _assert_rows_equal(both([x, y]), [forward(x), backward(y)])
         _assert_rows_equal(both([x[:0], y]), [forward(x[:0]), backward(y)])
         _assert_rows_equal(_input_objectives(n0, n1, kind, alpha, [True])[0]([y]), [backward(y)])
@@ -485,12 +509,9 @@ def test_two_direction_rows_equal_one_direction_rows_on_random_pairs(seed, l):
 
 
 def _same_value(a, b):
-    """Two DivergenceValues or BlockEstimates agree bit for bit, witness
-    input and POVM included."""
-    if hasattr(a, "value_per_use"):
-        assert (a.block_size, a.value_per_use, a.total_value) == (b.block_size, b.value_per_use, b.total_value)
-    else:
-        assert (a.value, a.is_lower_bound, a.is_finite, a.warnings) == (b.value, b.is_lower_bound, b.is_finite, b.warnings)
+    """Two DivergenceValues agree bit for bit, witness input and POVM
+    included."""
+    assert (a.value, a.is_lower_bound, a.is_finite, a.warnings) == (b.value, b.is_lower_bound, b.is_finite, b.warnings)
     if a.witness is None:
         assert b.witness is None
         return
@@ -748,6 +769,23 @@ def test_renyi_rejects_an_invalid_order_before_the_support_test():
         block_divergence(n0, n1, 2, kind="renyi", alpha=None)
 
 
+def test_block_values_are_per_use_divergence_values():
+    """A block value at l = 2 is the DivergenceValue of the tensor-power pair
+    with its value and upper end divided by 2, bit for bit, and its labels
+    kept: finite values of the searched kinds are lower bounds, the max kind
+    is exact, and an infinite direction reads is_finite False."""
+    n0, n1 = identity_channel(2), depolarizing_channel(0.5)
+    b0, b1 = tensor_power_channel(n0, 2), tensor_power_channel(n1, 2)
+    for kind, alpha in (("relative", None), ("measured", None), ("max", None), ("renyi", 1.5)):
+        blocks = block_divergence_pair(n0, n1, 2, kind=kind, alpha=alpha, cfg=CFG)
+        for est, dv in zip(blocks, channel_divergence_pair(b0, b1, kind=kind, alpha=alpha, cfg=CFG)):
+            assert type(est) is DivergenceValue
+            assert (est.value, est.upper) == (dv.value / 2, dv.upper / 2)
+            assert (est.is_lower_bound, est.is_finite, est.warnings) == (dv.is_lower_bound, dv.is_finite, dv.warnings)
+        assert blocks[0].is_finite and blocks[0].is_lower_bound == (kind != "max"), kind
+        assert not blocks[1].is_finite and blocks[1].value == math.inf, kind
+
+
 def test_block_values_keep_the_channel_value_warnings_and_upper_end():
     """A block value at l = 1 lists the measured certifier's cross-check
     notes and the upper end of the channel value it comes from.  The note
@@ -763,7 +801,7 @@ def test_block_values_keep_the_channel_value_warnings_and_upper_end():
         dv = channel_divergence(n0, n1, kind="measured", cfg=cfg)
         est = block_divergence(n0, n1, 1, kind="measured", cfg=cfg)
     assert dv.warnings and est.warnings == dv.warnings
-    assert (est.value_per_use, est.upper_per_use) == (dv.value, dv.upper)
+    assert (est.value, est.upper) == (dv.value, dv.upper)
 
 
 BRACKET_KINDS = (("relative", None), ("measured", None), ("renyi", 1.1), ("renyi", 1.5), ("renyi", 2.0))
@@ -780,23 +818,31 @@ def test_channel_values_lie_below_their_upper_ends(seed, d_l):
     n0, n1 = random_channel(d, d, d * d, rng), random_channel(d, d, d * d, rng)
     for kind, alpha in BRACKET_KINDS + (("renyi", 3.0), ("max", None)):
         for est in block_divergence_pair(n0, n1, l, kind=kind, alpha=alpha, cfg=PROPERTY_CFG):
-            assert est.value_per_use <= est.upper_per_use + 1e-12, (kind, alpha, est.value_per_use, est.upper_per_use)
+            assert est.value <= est.upper + 1e-12, (kind, alpha, est.value, est.upper)
             if kind == "max":
-                assert est.upper_per_use == est.value_per_use
+                assert est.upper == est.value
 
 
-def _bs_operator(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """sigma^1/2 g(sigma^-1/2 rho sigma^-1/2) sigma^1/2 with g(x) = x log x,
-    for a full-rank sigma; its trace is the Belavkin-Staszewski divergence."""
+def _geometric_operator(rho: np.ndarray, sigma: np.ndarray, g) -> np.ndarray:
+    """sigma^1/2 g(sigma^-1/2 rho sigma^-1/2) sigma^1/2 for a full-rank
+    sigma; its trace is the geometric quasi-divergence of g: with
+    g(x) = x log x the Belavkin-Staszewski divergence, with g(x) = x^alpha
+    the trace whose log / (alpha - 1) is the geometric Renyi divergence."""
     w, v = np.linalg.eigh(sigma)
     root, inv_root = (v * w**0.5) @ v.conj().T, (v * w**-0.5) @ v.conj().T
     x = inv_root @ rho @ inv_root
     xw, xv = np.linalg.eigh(0.5 * (x + x.conj().T))
-    xw = np.maximum(xw, 0.0)
-    return root @ ((xv * (xw * np.log(np.where(xw > 0, xw, 1.0)))) @ xv.conj().T) @ root
+    return root @ ((xv * g(np.maximum(xw, 0.0))) @ xv.conj().T) @ root
 
 
 ONE_START = OptimizerConfig(restarts=1, max_iters=1)
+
+# (kind, alpha) -> (g, the value read off the trace of _geometric_operator)
+GEOMETRIC_UPPER_ENDS = {
+    ("relative", None): (lambda x: x * np.log(np.where(x > 0, x, 1.0)), lambda q: q),
+    ("renyi", 1.5): (lambda x: x**1.5, lambda q: math.log(q) / 0.5),
+    ("renyi", 2.0): (lambda x: x**2, lambda q: math.log(q)),
+}
 
 
 @settings(max_examples=8, deadline=None)
@@ -804,27 +850,32 @@ ONE_START = OptimizerConfig(restarts=1, max_iters=1)
 @example(seed=0, d_l=(2, 2))
 @example(seed=0, d_l=(3, 2))
 def test_channel_chain_bs_lies_below_the_max_divergence(seed, d_l):
-    """The relative kind's upper end, D_BS(N0||N1), lies between the
-    Belavkin-Staszewski divergence of the outputs at an input that nearly
-    attains it and the channel max-divergence, on random pairs at d = 2, 3
-    for l = 1, 2.  With M = Tr_B of the Choi pair's _bs_operator, the
-    outputs at the input of reduced state rho_R on R have D_BS equal to
-    d Tr[rho_R M]; rho_R = (1 - 1e-4) P + 1e-4 I / d, with P the top
-    eigenprojector of M, reads within 1e-4 of the upper end."""
+    """The closed-form upper ends, D_BS(N0||N1) of the relative kind and the
+    geometric Renyi divergence of the renyi kind at alpha = 1.5 and 2, lie
+    just above the value of the outputs at an input that nearly attains
+    them, and below the channel max-divergence, on random pairs at d = 2, 3
+    for l = 1, 2.  With M = Tr_B of the Choi pair's _geometric_operator, the
+    outputs at the input of reduced state rho_R on R have the trace d Tr[rho_R
+    M]; rho_R = (1 - 1e-4) P + 1e-4 I / d, with P the top eigenprojector of
+    M, reads within 1e-3 max(1, upper) of the upper end.  An upper end that
+    is too large fails that gap even where it stays below D_max."""
     d, l = d_l
     rng = np.random.default_rng(seed)
     b0, b1 = (tensor_power_channel(random_channel(d, d, d * d, rng), l) for _ in range(2))
     dim = b0.in_dim
-    q = _bs_operator(b0.choi_state().mat, b1.choi_state().mat)
-    w, v = np.linalg.eigh(np.einsum("abcb->ac", q.reshape(dim, b0.out_dim, dim, b0.out_dim)))
-    rho_r = (1 - 1e-4) * np.outer(v[:, -1], v[:, -1].conj()) + 1e-4 * np.eye(dim) / dim
-    rw, rv = np.linalg.eigh(rho_r)
-    psi = ((rv * np.sqrt(rw)) @ rv.conj().T).reshape(-1)
-    attained = float(np.trace(_bs_operator(_apply_to_pure(b0, psi), _apply_to_pure(b1, psi))).real)
-    upper = channel_divergence(b0, b1, kind="relative", cfg=ONE_START).upper
     d_max = channel_divergence(b0, b1, kind="max").value
-    assert attained <= upper + 1e-7 * max(1.0, upper), (attained, upper)
-    assert upper <= d_max + 1e-12 * max(1.0, d_max), (upper, d_max)
+    for (kind, alpha), (g, value) in GEOMETRIC_UPPER_ENDS.items():
+        q = _geometric_operator(b0.choi_state().mat, b1.choi_state().mat, g)
+        w, v = np.linalg.eigh(np.einsum("abcb->ac", q.reshape(dim, b0.out_dim, dim, b0.out_dim)))
+        rho_r = (1 - 1e-4) * np.outer(v[:, -1], v[:, -1].conj()) + 1e-4 * np.eye(dim) / dim
+        rw, rv = np.linalg.eigh(rho_r)
+        psi = ((rv * np.sqrt(rw)) @ rv.conj().T).reshape(-1)
+        outputs = (_apply_to_pure(b0, psi), _apply_to_pure(b1, psi))
+        attained = value(float(np.trace(_geometric_operator(*outputs, g)).real))
+        upper = channel_divergence(b0, b1, kind=kind, alpha=alpha, cfg=ONE_START).upper
+        assert attained <= upper + 1e-7 * max(1.0, upper), (kind, alpha, attained, upper)
+        assert upper - attained <= 1e-3 * max(1.0, upper), (kind, alpha, attained, upper)
+        assert upper <= d_max + 1e-12 * max(1.0, d_max), (kind, alpha, upper, d_max)
 
 
 @settings(max_examples=8, deadline=None)
@@ -877,7 +928,7 @@ def test_brackets_close_on_covariant_pairs(l):
     for n0, n1 in zoo:
         for kind, alpha in BRACKET_KINDS:
             for est in block_divergence_pair(n0, n1, l, kind=kind, alpha=alpha, cfg=CFG):
-                gap = est.upper_per_use - est.value_per_use
+                gap = est.upper - est.value
                 assert abs(gap) <= 1e-12 and est.warnings == [], (n0.label, n1.label, kind, alpha, gap)
 
 
@@ -995,13 +1046,14 @@ def test_classical_pairs_meet_their_closed_forms(classical_pair, classical_close
 
 
 def test_channel_values_are_plain_floats(classical_pair):
-    """Every kind's channel values (a block estimate's total_value at l = 1)
-    and their per-use block estimates are plain floats, not numpy scalars; a
-    measured value found by the input search was an np.float64."""
+    """Every kind's block values at l = 1 (each its channel value divided by
+    1, which keeps a numpy scalar one) and their upper ends are plain
+    floats, not numpy scalars; a measured value found by the input search
+    was an np.float64."""
     n0, n1 = _classical_channels(classical_pair)
     for kind, alpha in (("relative", None), ("measured", None), ("max", None), ("renyi", 1.5)):
         blocks = block_divergence_pair(n0, n1, 1, kind=kind, alpha=alpha)
-        assert [type(v) for b in blocks for v in (b.total_value, b.value_per_use)] == 4 * [float], kind
+        assert [type(v) for b in blocks for v in (b.value, b.upper)] == 4 * [float], kind
 
 
 def _full_space_max_div(rho0: DensityMatrix, rho1: DensityMatrix) -> float:

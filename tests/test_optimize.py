@@ -1,16 +1,14 @@
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from chandisc.divergences import _input_objective
+from chandisc.divergences import _input_objectives
 from chandisc.errors import OptimizerFailure
 from chandisc.optimize import (
     NEGLIGIBLE_PROB,
     ROUNDING_TOL,
-    OptimizerConfig,
     _exp_kernel,
     _log_kernel,
     _power_kernel,
@@ -97,6 +95,12 @@ def test_variational_gradient_matches_central_differences(assert_gradient_matche
     assert_gradient_matches(objective, 0.5 * rng.standard_normal(9))
 
 
+def _one_search(objective, starts, max_iters):
+    """(x, value) of the one search of a plain objective(X) -> (values,
+    gradients) from the given starts."""
+    return multistart_maximize(lambda blocks: [objective(blocks[0])], [starts], max_iters)[0]
+
+
 def test_multistart_maximize_concave_quadratic():
     target = np.array([0.3, -1.2, 2.0])
 
@@ -104,7 +108,7 @@ def test_multistart_maximize_concave_quadratic():
         diff = theta - target
         return -np.sum(diff * diff, axis=1), -2.0 * diff
 
-    x, f = multistart_maximize(objective, 3, OptimizerConfig(restarts=3, max_iters=50))
+    x, f = _one_search(objective, list(np.random.default_rng(0).standard_normal((3, 3))), 50)
     assert np.allclose(x, target, atol=1e-8) and abs(f) < 1e-14
 
 
@@ -113,10 +117,9 @@ def test_multistart_maximize_lowest_start_wins_ties():
         t = theta[:, :1]
         return -((t[:, 0] ** 2 - 1.0) ** 2), -4.0 * t * (t**2 - 1.0)
 
-    cfg = OptimizerConfig(restarts=2, max_iters=50)
-    x, _ = multistart_maximize(objective, 1, cfg, starts=[np.array([2.0]), np.array([-2.0])])
+    x, _ = _one_search(objective, [np.array([2.0]), np.array([-2.0])], 50)
     assert abs(x[0] - 1.0) < 1e-6
-    x, _ = multistart_maximize(objective, 1, cfg, starts=[np.array([-2.0]), np.array([2.0])])
+    x, _ = _one_search(objective, [np.array([-2.0]), np.array([2.0])], 50)
     assert abs(x[0] + 1.0) < 1e-6
 
 
@@ -125,15 +128,15 @@ def test_multistart_maximize_raises_when_every_start_fails():
         raise FloatingPointError("overflow")
 
     with pytest.raises(OptimizerFailure, match="all 2 restarts failed"):
-        multistart_maximize(objective, 2, OptimizerConfig(restarts=2))
+        _one_search(objective, [np.zeros(2), np.ones(2)], 50)
 
 
 def test_multistart_maximize_raises_without_starts():
-    def objective(theta):
-        return -np.sum(theta * theta, axis=1), -2.0 * theta
-
-    with pytest.raises(OptimizerFailure, match="all 0 restarts failed"):
-        multistart_maximize(objective, 2, OptimizerConfig(restarts=0))
+    objective, calls = _blockwise(_quadratic, _quadratic)
+    for searches in ([[]], [[np.zeros(3)], []]):
+        with pytest.raises(OptimizerFailure, match="all 0 restarts failed"):
+            multistart_maximize(objective, searches, 50)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +175,8 @@ def _driver_case(case):
         return _quadratic, [np.array([0.3, -1.2, 2.0]), rng.standard_normal(3)], 50
     if case == "max_iters":
         return _rosenbrock, [np.array([-1.2, 1.0]), np.array([2.0, -1.0])], 5
-    objective, npar = _input_objective(depolarizing_channel(0.3), depolarizing_channel(0.7), "measured")
-    return objective, list(rng.standard_normal((3, npar))), 60
+    objective, npar = _input_objectives(depolarizing_channel(0.3), depolarizing_channel(0.7), "measured", None, [False])
+    return (lambda theta: objective([theta])[0]), list(rng.standard_normal((3, npar))), 60
 
 
 def _negated_one(objective):
@@ -189,9 +192,8 @@ def _negated_one(objective):
 @pytest.mark.parametrize("case", ["quadratic", "quartic", "stationary_start", "max_iters", "measured_input"])
 def test_lockstep_driver_matches_scipy_minimize(case, caplog):
     objective, starts, max_iters = _driver_case(case)
-    cfg = OptimizerConfig(restarts=len(starts), max_iters=max_iters)
     with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
-        multistart_maximize(objective, starts[0].size, cfg, starts=starts)
+        _one_search(objective, starts, max_iters)
     (record,) = caplog.records
     stats = record.multistart
     for i, x0 in enumerate(starts):
@@ -204,7 +206,7 @@ def test_lockstep_driver_matches_scipy_minimize(case, caplog):
         )
         # the start run with all others in lockstep, and on its own
         assert (stats["nfev"][i], stats["nit"][i], stats["values"][i]) == (ref.nfev, ref.nit, -ref.fun)
-        x, f = multistart_maximize(objective, x0.size, replace(cfg, restarts=1), starts=[x0])
+        x, f = _one_search(objective, [x0], max_iters)
         assert np.array_equal(x, ref.x) and f == -ref.fun
     if case == "stationary_start":
         assert (stats["nfev"][0], stats["nit"][0]) == (1, 0)
@@ -219,22 +221,21 @@ def test_failed_start_is_dropped_and_the_others_go_on(caplog):
         x = theta[:, 0]
         return -((x**2 - 1.0) ** 2) + 0.1 * x, (-4.0 * x * (x**2 - 1.0) + 0.1)[:, None]
 
-    cfg = OptimizerConfig(restarts=3, max_iters=50)
     good = [np.array([-2.0]), np.array([2.0])]
-    x_ref, f_ref = multistart_maximize(objective, 1, replace(cfg, restarts=2), starts=good)
+    x_ref, f_ref = _one_search(objective, good, 50)
     with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
-        x, f = multistart_maximize(objective, 1, cfg, starts=[good[0], np.array([100.0]), good[1]])
+        x, f = _one_search(objective, [good[0], np.array([100.0]), good[1]], 50)
     assert np.array_equal(x, x_ref) and f == f_ref and x[0] > 0.9
     stats = caplog.records[0].multistart
     assert stats["failed"] == 1 and stats["winner"] == 2 and stats["nfev"][1] is None
 
 
 def test_multistart_logs_one_debug_record(caplog):
-    cfg = OptimizerConfig(restarts=3, max_iters=50)
-    multistart_maximize(_quadratic, 3, cfg)
+    starts = list(np.random.default_rng(0).standard_normal((3, 3)))
+    _one_search(_quadratic, starts, 50)
     assert not caplog.records  # nothing at the default level
     with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
-        multistart_maximize(_quadratic, 3, cfg)
+        _one_search(_quadratic, starts, 50)
     (record,) = caplog.records
     assert record.name == "chandisc.optimize" and record.levelno == logging.DEBUG
     stats = record.multistart
@@ -264,8 +265,7 @@ def _blockwise(*objectives):
 def _alone(objective, starts, max_iters, caplog):
     """(x, value) and the DEBUG stats of one search run on its own."""
     caplog.clear()
-    cfg = OptimizerConfig(restarts=len(starts), max_iters=max_iters)
-    x, f = multistart_maximize(objective, starts[0].size, cfg, starts=starts)
+    x, f = _one_search(objective, starts, max_iters)
     (record,) = caplog.records
     return x, f, record.multistart
 
@@ -274,9 +274,8 @@ def test_searches_ending_in_different_rounds_equal_their_runs_alone(caplog):
     rng = np.random.default_rng(61)
     starts = [list(1.5 * rng.standard_normal((3, 2))), [np.array([-1.2, 1.0]), np.array([2.0, -1.0])]]
     objective, calls = _blockwise(_quartic, _rosenbrock)
-    cfg = OptimizerConfig(restarts=2, max_iters=80)
     with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
-        found = multistart_maximize(objective, 2, cfg, searches=starts)
+        found = multistart_maximize(objective, starts, 80)
         together = [r.multistart for r in caplog.records]
         alone = [_alone(fn, pts, 80, caplog) for fn, pts in zip((_quartic, _rosenbrock), starts)]
     assert len(found) == len(together) == 2
@@ -300,9 +299,8 @@ def test_a_failing_row_retires_only_its_start(caplog):
     good = [np.array([-2.0, 0.5]), np.array([2.0, -0.5])]
     starts = [[good[0], np.array([100.0, 0.0]), good[1]], list(good)]
     objective, _ = _blockwise(fragile, fragile)
-    cfg = OptimizerConfig(restarts=2, max_iters=50)
     with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
-        (x0, f0), (x1, f1) = multistart_maximize(objective, 2, cfg, searches=starts)
+        (x0, f0), (x1, f1) = multistart_maximize(objective, starts, 50)
         stats = [r.multistart for r in caplog.records]
         x_ref, f_ref, _ = _alone(fragile, good, 50, caplog)
     assert np.array_equal(x0, x_ref) and f0 == f_ref
@@ -318,24 +316,8 @@ def test_every_search_keeps_its_own_tie_rule():
 
     objective, _ = _blockwise(well, well)
     plus, minus = np.array([2.0]), np.array([-2.0])
-    cfg = OptimizerConfig(restarts=2, max_iters=50)
-    (x0, f0), (x1, f1) = multistart_maximize(objective, 1, cfg, searches=[[plus, minus], [minus, plus]])
+    (x0, f0), (x1, f1) = multistart_maximize(objective, [[plus, minus], [minus, plus]], 50)
     assert f0 == f1 and abs(x0[0] - 1.0) < 1e-6 and abs(x1[0] + 1.0) < 1e-6
-
-
-def test_searches_pad_from_the_same_generator_state(caplog):
-    objective, _ = _blockwise(_quartic, _quartic)
-    cfg = OptimizerConfig(restarts=4, max_iters=50)
-    seeded = [np.array([0.5, -0.5])]
-    with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
-        found = multistart_maximize(objective, 2, cfg, rng=np.random.default_rng(67), searches=[seeded, []])
-        together = [r.multistart for r in caplog.records]
-        for (x, f), stats, starts in zip(found, together, (seeded, [])):
-            caplog.clear()
-            x_ref, f_ref = multistart_maximize(_quartic, 2, cfg, starts=starts, rng=np.random.default_rng(67))
-            assert np.array_equal(x, x_ref) and f == f_ref and stats == caplog.records[0].multistart
-    # both lists pad with the same draws: the second search starts at the first of them
-    assert together[1]["values"][:3] == together[0]["values"][1:] and together[1]["starts"] == 4
 
 
 def test_basis_witness_merges_negligible_outcomes_and_orders_by_increment():

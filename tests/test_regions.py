@@ -329,10 +329,10 @@ def test_converse_evaluates_the_smallest_order_of_the_grid():
     conv = converse_region(n0, n1, (1.5, 1.05, 1.1), l=1, cfg=CFG)
     per_order = {a: block_divergence_pair(n0, n1, 1, "renyi", a, CFG) for a in (1.05, 1.1, 1.5)}
     e01, e10 = per_order[1.05]
-    assert conv.frontier == [(e10.value_per_use, e01.value_per_use)]
+    assert conv.frontier == [(e10.value, e01.value)]
     assert conv.metadata["alpha_grid"] == [1.5, 1.05, 1.1]
     for i in (0, 1):
-        values = [per_order[a][i].value_per_use for a in (1.05, 1.1, 1.5)]
+        values = [per_order[a][i].value for a in (1.05, 1.1, 1.5)]
         assert values[0] < values[1] < values[2]
 
 
