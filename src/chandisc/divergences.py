@@ -7,8 +7,8 @@ values have one formula each (_relative_terms, _renyi_terms), which maps a
 stack of state pairs to the values with their matrix gradients: the input
 search ascends it on a batch of inputs and the state-level functions
 certify with it on a batch of one.  Channel level: ancilla-assisted input
-optimization over pure bipartite states by lockstep multi-start L-BFGS on
-analytic gradients, each round of the search one batched objective call
+optimization over pure bipartite states by lockstep L-BFGS on analytic
+gradients, each round of the search one batched objective call
 (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack
 A_k = I_R (x) K_k that quantum applies every channel with, matrix
 gradients pulled back through the A_k), and block (tensor-power) values,
@@ -25,6 +25,32 @@ and N1(psi) anyway, so each objective call carries the rows of both
 directions, and the variational programs of both measured certifications
 share their calls too.  channel_divergence and block_divergence are the
 one-direction case.
+
+The relative and Renyi input searches run one start.  For an input psi on
+R (x) A with marginal rho = Tr_R psi psi^dag, f(psi) =
+D(N0(psi)||N1(psi)) depends on psi only through rho: two purifications of
+rho on R (x) A differ by a unitary U on R, and U (x) I commutes with both
+channels and leaves D unchanged.  So f(psi) = F(rho), and F is concave for
+Umegaki's D and for Q_alpha = exp((alpha - 1) D_alpha) with alpha > 1.
+For rho = p rho_a + (1 - p) rho_b with purifications psi_a and psi_b, the
+flagged state p |0><0| (x) psi_a + (1 - p) |1><1| (x) psi_b on F R A has
+marginal rho too, so a channel C on R takes any purification of rho to
+it.  Data processing under C (for the sandwiched family at alpha > 1,
+Frank & Lieb, arXiv:1306.5358) and the flag's direct sum, over which D
+and Q_alpha both average with weights p and 1 - p, give
+F(rho) >= p F(rho_a) + (1 - p) F(rho_b).  D_alpha =
+log Q_alpha / (alpha - 1) is then concave too.  The map psi -> rho is
+open: psi = (U (x) rho^{1/2}) sum_i |ii> for some unitary U on R, and
+rho^{1/2} is continuous, so every marginal near rho is that of an input
+near psi.  A local maximum over psi is therefore a local maximum of F over
+rho, and so global.  A stationary point need not be: at a product input
+a (x) b both outputs are |a><a| (x) N_i(|b><b|), whose matrix gradients
+are block diagonal in R, so the gradient lies in a (x) A: every direction
+that entangles the input has derivative zero, and a search started there
+never leaves the product inputs.  The searches therefore start at the
+maximally entangled input, whose marginal I/d has full rank, plus the
+caller's extra starts.  The measured kind's search over H is not concave,
+and it keeps cfg.restarts seeded starts.
 
 A measured value, of a state pair or of a channel pair at its best input,
 has one certifier (_measured_values), which needs no search over
@@ -379,7 +405,7 @@ def _top_inputs(a0, a1, theta, flip):
 
 def _input_objectives(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None, flips: list[bool]):
     """The input search's objective over the row blocks of one or more
-    searches, and its number of real parameters.
+    searches.
 
     Block s searches D(N1||N0) when flips[s] and D(N0||N1) otherwise.  For
     relative / renyi each row theta holds v = theta[:n] + i theta[n:],
@@ -423,7 +449,7 @@ def _input_objectives(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: 
         # chain rule through psi = v / |v|: project onto the sphere's tangent
         return _split_rows(f, (gr - pr * _dot_rows(pr, gr)[:, None]) / nrm[:, None], sizes)
 
-    return objective, m * m if kind == "measured" else 2 * n
+    return objective
 
 
 # Inputs on the product boundary are reached only up to Schmidt residues of
@@ -494,28 +520,30 @@ def _log_closed(skipped, lower, upper):
 def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list[bool]):
     """The best (input vector, value) of each of one or more lockstep input
     searches over the pair's inputs, of D(N1||N0) where flips[s] and of
-    D(N0||N1) otherwise.  Every search starts from one list: the maximally
-    entangled input, the extra starts, and standard normal rows of length
-    2 d^2 drawn from the seeded generator up to cfg.restarts starts.
-    Relative and renyi start at those parameters, the rows raw.  The
-    measured kind searches H alone, from H = log sigma0 - log sigma1 at each
-    of those inputs (a row normalized as params_to_pure_vector reads it),
-    and its input is psi(H) at the best H."""
+    D(N0||N1) otherwise.  Every search starts from the maximally entangled
+    input and the extra starts.  Relative and renyi search those inputs'
+    parameters alone: their objective is concave in the input marginal
+    (module docstring), so one start of full Schmidt rank reaches the
+    optimum.  The measured kind, whose search over H is not concave, pads
+    the list up to cfg.restarts inputs with standard normal rows of length
+    2 d^2 from the seeded generator, each normalized as
+    params_to_pure_vector reads it.  It searches H alone, from
+    H = log sigma0 - log sigma1 at each input, and its input is psi(H) at
+    the best H."""
     dim_psi = n0.in_dim**2
-    objective = _input_objectives(n0, n1, kind, alpha, flips)[0]
+    objective = _input_objectives(n0, n1, kind, alpha, flips)
     inputs = [max_entangled_vector(n0.in_dim)] + extra
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
-    rows = [rng.standard_normal(2 * dim_psi) for _ in range(cfg.restarts - len(inputs))]
-    if kind == "measured":
-        # H starts at the variational program's warm start for each input
-        inputs += [params_to_pure_vector(row, dim_psi) for row in rows]
-        logs = [[_safe_log_state(hermitian_eigen(_apply_to_pure(ch, psi))) for ch in (n0, n1)] for psi in inputs]
-        searches = [[hermitian_to_params(lg[f] - lg[1 - f]) for lg in logs] for f in flips]
-    else:
-        searches = [[pure_vector_to_params(psi) for psi in inputs] + rows] * len(flips)
-    found = multistart_maximize(objective, searches, cfg.max_iters)
     if kind != "measured":
+        found = multistart_maximize(objective, [[pure_vector_to_params(psi) for psi in inputs]] * len(flips),
+                                    cfg.max_iters)
         return [(params_to_pure_vector(theta, dim_psi), value) for theta, value in found]
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
+    inputs += [params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi)
+               for _ in range(cfg.restarts - len(inputs))]
+    # H starts at the variational program's warm start for each input
+    logs = [[_safe_log_state(hermitian_eigen(_apply_to_pure(ch, psi))) for ch in (n0, n1)] for psi in inputs]
+    searches = [[hermitian_to_params(lg[f] - lg[1 - f]) for lg in logs] for f in flips]
+    found = multistart_maximize(objective, searches, cfg.max_iters)
     a0, a1 = (_lifted_kraus(ch, n0.in_dim) for ch in (n0, n1))
     return [(_top_inputs(a0, a1, theta[None], f)[0][0], value) for (theta, value), f in zip(found, flips)]
 
@@ -533,12 +561,15 @@ def channel_divergence(
     kind "max" is optimization-free and exact: the supremum is attained at
     the maximally entangled input, i.e. on the unit-trace Choi pair, which
     is the witness of a finite value.  An infinite value of any kind
-    carries no witness.  The other kinds use seeded multi-start L-BFGS on
-    analytic gradients and return certified lower bounds with the best
-    input as witness; each start stops once a step gains less than
-    1e-12 max(1, |value|).  Relative and renyi search unit input vectors.
-    The measured kind ascends the variational formula in the observable H
-    alone, each H paired with its best input, the top eigenvector of
+    carries no witness.  The other kinds use L-BFGS on analytic gradients
+    and return certified lower bounds with the best input as witness; each
+    start stops once a step gains less than 1e-12 max(1, |value|).
+    Relative and renyi search unit input vectors from the maximally
+    entangled input and cfg.extra_starts alone: their value is concave in
+    the input marginal, so that start reaches the optimum.  The measured
+    kind, whose search is not concave, also takes seeded random starts up
+    to cfg.restarts.  It ascends the variational formula in the observable
+    H alone, each H paired with its best input, the top eigenvector of
     sum_k A0_k^dag H A0_k - sum_k A1_k^dag exp(H) A1_k.  It takes that
     input at the best H, with its Schmidt residue dropped, and certifies
     the value there with measured_rel_entropy_states' certifier on its
@@ -683,9 +714,10 @@ def block_divergence(
     When the l = 1 witness input is known, pass it via cfg.extra_starts as a
     vector on (R A); it is lifted to the product input on the block system so
     the per-use value never drops below the l = 1 estimate (up to optimizer
-    tolerance).  Starts on the block system (R A)^l are used as they are;
-    a start of any other length raises DimensionMismatchError, and a lifted
-    or block start without a finite nonzero norm raises ValueError, as in
+    tolerance).  Starts on the block system (R A)^l are used as they are,
+    and every start keeps its place in the caller's list; a start of any
+    other length raises DimensionMismatchError, and a lifted or block start
+    without a finite nonzero norm raises ValueError naming its index, as in
     channel_divergence.  This is the one-direction case of
     block_divergence_pair.
     """
@@ -719,10 +751,7 @@ def _block_divergences(n0, n1, l, kind, alpha, cfg, pair: bool) -> list[Divergen
                 f"extra starts of sizes {[v.size for v in starts]}: input vectors on R (x) A have length {d2}, "
                 f"on its {l}-fold block {d2**l}"
             )
-        cfg = replace(
-            cfg,
-            extra_starts=[product_input_vector(v, n0.in_dim, l) for v in starts if v.size == d2]
-            + [v for v in starts if v.size == d2**l],
-        )
+        # each start keeps the caller's index, which the start checks name
+        cfg = replace(cfg, extra_starts=[product_input_vector(v, n0.in_dim, l) if v.size == d2 else v for v in starts])
     dvs = _channel_divergences(b0, b1, kind, alpha, cfg, pair)
     return [replace(dv, value=dv.value / l, upper=dv.upper / l) for dv in dvs]

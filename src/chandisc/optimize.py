@@ -41,7 +41,11 @@ class OptimizerConfig:
 
     All channel-divergence and measured-entropy values produced under this
     config are certified lower bounds; raising the budgets tightens them.
-    max_iters caps the L-BFGS iterations of each start.
+    max_iters caps the L-BFGS iterations of each start.  restarts sets the
+    starts of the measured kind's input search alone, and seed draws its
+    random starts and the non-adaptive hull's samples: the relative and
+    Renyi values are concave in the input marginal, so their searches run
+    from the maximally entangled input and extra_starts only.
     """
 
     restarts: int = 16

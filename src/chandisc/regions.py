@@ -252,8 +252,12 @@ def region_chain(
     and converse_region at l_max.  The block stages read the tensor powers
     that n0 and n1 cache, so each power is built once per channel.
 
-    Witness inputs found at block size l seed the searches at l+1 and the
-    converse.  The l = 1 witness arms are rated once, by adaptive_region,
+    The l = 1 witness inputs, lifted to product inputs, join the caller's
+    starts at every block size l >= 2, whose searches run at
+    max(4, restarts // 4) starts and max_iters // 2 iterations.  The
+    converse takes the caller's cfg alone: its Renyi search is concave in
+    the input marginal, so the maximally entangled start already reaches
+    its optimum.  The l = 1 witness arms are rated once, by adaptive_region,
     and the hull takes those rates as points.  One floor pass then makes the
     adaptive corners monotone: each corner is raised to the running maximum
     over the hull extremes and the corners of all smaller blocks, every one
@@ -265,25 +269,15 @@ def region_chain(
     """
     _check_alpha_grid(alpha_grid)
     cfg = cfg or OptimizerConfig()
-    adaptive: dict[int, ExponentRegion] = {}
-    carried: list[np.ndarray] = []  # witness inputs, on (R A)^l for the block size l that found them
-
-    def starts(l: int) -> list:
-        """The caller's starts, then the carried witnesses block size l takes:
-        those of l = 1, lifted to product inputs, and those of l itself."""
-        return list(cfg.extra_starts) + [w for w in carried if w.size in (n0.in_dim**2, n0.in_dim ** (2 * l))]
-
-    for l in range(1, l_max + 1):
-        sub = replace(cfg, extra_starts=starts(l))
-        if l > 1:
-            # block searches get a reduced budget; the product starts carry
-            # the l = 1 quality
-            sub = replace(sub, restarts=max(4, cfg.restarts // 4), max_iters=cfg.max_iters // 2)
-        region = adaptive[l] = adaptive_region(n0, n1, l, sub)
-        for key in ("witness_10", "witness_01"):
-            w = region.metadata.get(key)
-            if w is not None:
-                carried.append(w.input_vector)
+    adaptive = {1: adaptive_region(n0, n1, 1, cfg)}
+    witnesses = [w.input_vector for w in (adaptive[1].metadata[key] for key in ("witness_10", "witness_01"))
+                 if w is not None]
+    # block searches get a reduced budget; the l = 1 witnesses, lifted to
+    # product inputs, carry the l = 1 quality
+    sub = replace(cfg, extra_starts=list(cfg.extra_starts) + witnesses, restarts=max(4, cfg.restarts // 4),
+                  max_iters=cfg.max_iters // 2)
+    for l in range(2, l_max + 1):
+        adaptive[l] = adaptive_region(n0, n1, l, sub)
 
     points = list(adaptive[1].metadata["witness_rates"].values())
     non_adapt = non_adaptive_region(n0, n1, cfg=cfg, samples=samples, points=points)
@@ -299,8 +293,7 @@ def region_chain(
         floor_x, floor_y = max(x, floor_x), max(y, floor_y)
         adaptive[l].frontier = [(floor_x, floor_y)]
 
-    conv_cfg = replace(cfg, restarts=max(4, cfg.restarts // 4), extra_starts=starts(l_max))
-    conv = converse_region(n0, n1, alpha_grid, l_max, conv_cfg)
+    conv = converse_region(n0, n1, alpha_grid, l_max, cfg)
     # the sandwiched divergence dominates the measured one pointwise, so the
     # adaptive corner is also a certified floor for the converse estimate
     (ax, ay), = adaptive[l_max].frontier

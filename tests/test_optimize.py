@@ -175,8 +175,9 @@ def _driver_case(case):
         return _quadratic, [np.array([0.3, -1.2, 2.0]), rng.standard_normal(3)], 50
     if case == "max_iters":
         return _rosenbrock, [np.array([-1.2, 1.0]), np.array([2.0, -1.0])], 5
-    objective, npar = _input_objectives(depolarizing_channel(0.3), depolarizing_channel(0.7), "measured", None, [False])
-    return (lambda theta: objective([theta])[0]), list(rng.standard_normal((3, npar))), 60
+    objective = _input_objectives(depolarizing_channel(0.3), depolarizing_channel(0.7), "measured", None, [False])
+    # a measured row holds H on the qubit pair's output R (x) B: (2 * 2)^2 parameters
+    return (lambda theta: objective([theta])[0]), list(rng.standard_normal((3, 16))), 60
 
 
 def _negated_one(objective):

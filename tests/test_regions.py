@@ -21,6 +21,7 @@ from chandisc.quantum import (
     basis_pvm,
     bernoulli_replacer,
     depolarizing_channel,
+    max_entangled_vector,
     pure_state,
     random_channel,
     random_unitary,
@@ -405,24 +406,30 @@ def test_region_chain_depolarizing_hull_is_not_collapsed():
 
 
 def test_region_chain_passes_each_block_size_the_witnesses_that_fit(monkeypatch):
-    """Witnesses found at l = 2 are inputs on (R A)^2: block size 3 takes the
-    l = 1 witnesses, lifted, and its own, never those of l = 2."""
+    """Every adaptive block stage l >= 2 takes the caller's starts and the
+    two l = 1 witnesses, in that order, never the witnesses of a block.
+    The converse takes the caller's config itself: its Renyi search needs no
+    carried start."""
     seen = []
     real = regions.block_divergence_pair
 
     def spy(n0, n1, l, kind="measured", alpha=None, cfg=None):
-        seen.append((l, kind, sorted({np.asarray(v).size for v in cfg.extra_starts})))
+        seen.append((l, kind, [np.asarray(v).size for v in cfg.extra_starts], cfg))
         return real(n0, n1, l, kind, alpha, cfg)
 
     monkeypatch.setattr(regions, "block_divergence_pair", spy)
-    cfg = OptimizerConfig(restarts=1, max_iters=5)
-    region_chain(bernoulli_replacer(0.2), bernoulli_replacer(0.8), cfg=cfg, l_max=3, alpha_grid=(1.5,), samples=8)
-    assert {(l, kind) for l, kind, _ in seen} == {(1, "measured"), (2, "measured"), (3, "measured"), (3, "renyi")}
-    for l, kind, sizes in seen:
-        # the adaptive stage at l runs before its own witnesses exist; the converse runs after
-        assert sizes == ([] if l == 1 else [4] if kind == "measured" else [4, 4**l])
-
-
+    start = max_entangled_vector(2) / math.sqrt(2.0)
+    cfg = OptimizerConfig(restarts=1, max_iters=5, extra_starts=[start])
+    chain = region_chain(bernoulli_replacer(0.2), bernoulli_replacer(0.8), cfg=cfg, l_max=3, alpha_grid=(1.5,),
+                         samples=8)
+    assert [(l, kind) for l, kind, _, _ in seen] == [(1, "measured"), (2, "measured"), (3, "measured"), (3, "renyi")]
+    witnesses = [chain.adaptive[1].metadata[key].input_vector for key in ("witness_10", "witness_01")]
+    for l, kind, sizes, sub in seen:
+        if l == 1 or kind == "renyi":
+            assert sub is cfg
+            continue
+        assert sizes == [4, 4, 4]
+        assert all(map(np.array_equal, sub.extra_starts, [start] + witnesses))
 def test_region_chain_builds_each_tensor_power_once(monkeypatch):
     """Every l >= 2 power of each channel is built once for that channel's
     lifetime: by the first chain, for the adaptive stage and the converse
