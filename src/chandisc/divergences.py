@@ -52,18 +52,33 @@ maximally entangled input, whose marginal I/d has full rank, plus the
 caller's extra starts.  The measured kind's search over H is not concave,
 and it keeps cfg.restarts seeded starts.
 
-A measured value, of a state pair or of a channel pair at its best input,
-has one certifier (_measured_values), which needs no search over
-measurements: measuring in the eigenbasis of the optimal omega already
-reaches the variational value (Berta, Fawzi & Tomamichel,
+A measured value, of a state pair or of a channel pair at its witness
+input, is the value of one certifier (_measured_values), which needs no
+search over measurements: measuring in the eigenbasis of the optimal omega
+already reaches the variational value sup_omega Tr rho0 log omega + 1 -
+Tr rho1 omega over positive definite omega (Berta, Fawzi & Tomamichel,
 arXiv:1512.02615), and the best of that basis, the eigenbasis of
 log rho0 - log rho1 and the identity is the witness, with the outcomes
 negligible under both states merged (optimize.basis_witness).  The
 certifier brackets each pair before it runs the program: D(rho0||rho1)
-bounds D_M from above, and the variational value at the program's own
-first start, H = log rho0 - log rho1, from below.  They meet whenever the
-states commute, and a pair whose bracket closes within ROUNDING_TOL
+bounds D_M from above, and the variational value at the program's first
+start from below.  A pair whose bracket closes within ROUNDING_TOL
 max(1, upper) keeps that start; the program runs on the other pairs only.
+A state pair's program starts at H = log rho0 - log rho1, where the
+bracket closes whenever the states commute, then at H = 0.
+
+A searched channel direction's program starts at the search's winning H
+alone, and that start is warm.  The program is concave in omega.  H ->
+exp(H) maps the Hermitian matrices one-to-one and smoothly onto the
+positive definite ones, with a smooth inverse, so a stationary point in H
+is one in omega, and every local maximum in H is global.  At the winning
+H the search's value 1 + lambda_max(M(H)) is the maximum over inputs of
+the program's value on their outputs, attained at the top eigenvector
+psi(H), the witness input.  By Danskin's theorem its gradient in H is the
+program's gradient on the outputs of psi(H), which vanishes where the
+search stops, so H is stationary for the certifier's program on the
+witness outputs: the program only confirms its optimum (3 batched calls
+on a random qubit pair, against 30 from the state-level starts).
 
 All values are in nats.  Channel divergences obtained by numerical
 maximization are certified lower bounds; the channel max-divergence is exact
@@ -84,7 +99,10 @@ the relative value there meets it), that input is the winner and the
 direction skips the input search; on the covariant zoo (depolarizing,
 dephasing, replacers) every bracket closes.  Directions whose bracket stays
 open run the search unchanged, and a searched value above the upper end
-beyond that tolerance gets a note.
+beyond that tolerance gets a note.  A searched direction whose witness
+outputs the state-level support rule reads as unsupported, though the
+Choi states pass it, raises OptimizerFailure: there the measured search's
+objective is unbounded, and its value would be no bound.
 """
 
 from __future__ import annotations
@@ -299,22 +317,30 @@ def measured_rel_entropy_states(
 
 
 def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: OptimizerConfig,
-                     upper: list[float] | None = None) -> list[DivergenceValue]:
+                     upper: list[float] | None = None, starts: list[list[np.ndarray]] | None = None
+                     ) -> list[DivergenceValue]:
     """The certified measured relative entropy of every state pair, all of
     one dimension: inf where the support is not contained.
 
-    Elsewhere each pair's bracket is evaluated first: its upper end is
-    D(rho0||rho1) >= D_M, its lower end the variational value at the
-    program's own first start, H = log rho0 - log rho1.  A caller that
-    holds every pair's finite rel_entropy_states value passes them as upper:
-    they equal the rows of the stacked _relative_terms bit for bit.  A pair
-    whose bracket closes (_closes) keeps that start's value and omega and
-    logs one DEBUG record with its bracket; this holds whenever the two
-    states commute.  The variational program runs on the other pairs only, sharing
-    each of its objective calls.  Then the best candidate basis at the
-    omega gives the witness PVM and the KL of its outcome laws
-    (basis_witness).  The reported value is the larger of that KL and the
-    variational value (both are lower bounds); disagreement beyond
+    Elsewhere each pair runs the variational program from its start list,
+    by default H = log rho0 - log rho1 then H = 0.  Each pair's bracket is
+    evaluated first: its upper end is D(rho0||rho1) >= D_M, its lower end
+    the variational value at its first start.  A caller that holds every
+    pair's finite rel_entropy_states value passes them as upper: they equal
+    the rows of the stacked _relative_terms bit for bit.  Such a caller may
+    also pass each pair's start list (parameter rows of H) as starts.  A
+    pair whose bracket closes (_closes) keeps that start's value and omega
+    and logs one DEBUG record with its bracket; from the log-ratio start
+    this holds whenever the two states commute.  The variational program
+    runs on the other pairs only, sharing each of its objective calls.
+    Then the best candidate basis at the omega gives the witness PVM and
+    the KL of its outcome laws (basis_witness).  A pair on which no candidate basis has a finite KL
+    passes the support rule with rho0 leaking mass onto outcomes that rho1
+    reads as exactly 0; it is certified again, from its log-ratio start, on
+    the support of rho1, as _relative_terms reads the pair: rho0 compressed
+    by rho1's support projector and renormalized, so that D_M <= D still
+    brackets it.  The reported value is the larger of the witness KL and
+    the variational value (both are lower bounds); disagreement beyond
     cfg.cross_check_tol attaches a ConvergenceWarning, and disagreement
     beyond 10x raises OptimizerFailure.
     """
@@ -327,19 +353,30 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     log_ratio = np.stack([_safe_log_state(pairs[i][0].spectrum) - _safe_log_state(pairs[i][1].spectrum)
                           for i in live])
     upper = _relative_terms(r0, r1)[0].tolist() if upper is None else upper
-    var_vals, _, omegas = _variational_terms(hermitian_to_params(log_ratio), r0, r1)
+    at = "the log-ratio start" if starts is None else "the searched H"
+    starts = starts or [[hermitian_to_params(lr), np.zeros(lr.size)] for lr in log_ratio]
+    var_vals, _, omegas = _variational_terms(np.stack([s[0] for s in starts]), r0, r1)
     var_vals, all_notes = var_vals.tolist(), [[] for _ in live]
-    closed = [_closes(var_vals[j], upper[j], all_notes[j], at="the log-ratio start") for j in range(len(live))]
-    for j, done in enumerate(closed):
-        if done:
+    searched = []
+    for j, notes in enumerate(all_notes):
+        if _closes(var_vals[j], upper[j], notes, at=at):
             _log_closed("variational program", var_vals[j], upper[j])
-    searched = [j for j, done in enumerate(closed) if not done]
+        else:
+            searched.append(j)
     if searched:
-        found, omegas[searched] = variational_measured(r0[searched], r1[searched], log_ratio[searched])
+        found, omegas[searched] = variational_measured(r0[searched], r1[searched], [starts[j] for j in searched])
         for j, value in zip(searched, found):
             var_vals[j] = value
     for i, var_val, basis, s0, s1, notes in zip(live, var_vals, candidate_bases(r0, r1, log_ratio, omegas), r0, r1,
                                                 all_notes):
+        if basis is None:
+            # rho1's support projector; the identity basis is finite on the
+            # compressed pair, so the recursion ends there
+            w, v = pairs[i][1].spectrum
+            p = (v * (w > PSD_TOL)) @ _adjoint(v)
+            compressed = p @ s0 @ p
+            out[i] = _measured_values([(DensityMatrix(compressed / compressed.trace().real), pairs[i][1])], cfg)[0]
+            continue
         pvm_val, povm = basis_witness(basis, s0, s1)
         gap = abs(var_val - pvm_val)
         if gap > cfg.cross_check_tol:
@@ -452,11 +489,15 @@ def _input_objectives(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: 
     return objective
 
 
-# Inputs on the product boundary are reached only up to Schmidt residues of
-# 1e-8 to 1e-6.  Their outputs carry eigenvalues near PSD_TOL, where the
-# state-level support test is ill-conditioned and can read a finite pair as
-# infinite, so Schmidt coefficients below this floor are dropped before the
-# value is certified.  Near an optimum this moves the value by O(floor^2).
+# The relative and Renyi searches stall on the product boundary: where an
+# input's Schmidt weight puts an output eigenvalue near PSD_TOL, the formulas'
+# support mask makes the objective jump by about PSD_TOL log PSD_TOL, and a
+# search whose optimum is a product input (a classical pair's best letter)
+# stops with Schmidt residues of 1e-5 to 1e-4, up to 1e-9 below that optimum
+# or 3e-8 above its upper end.  Coefficients below this floor are dropped
+# before the value is certified; near an optimum this moves the value by
+# O(floor^2).  The measured kind's input psi(H) is an eigenvector, certified
+# as it is.
 _SCHMIDT_FLOOR = 1e-4
 
 
@@ -518,25 +559,25 @@ def _log_closed(skipped, lower, upper):
 
 
 def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list[bool]):
-    """The best (input vector, value) of each of one or more lockstep input
-    searches over the pair's inputs, of D(N1||N0) where flips[s] and of
-    D(N0||N1) otherwise.  Every search starts from the maximally entangled
-    input and the extra starts.  Relative and renyi search those inputs'
-    parameters alone: their objective is concave in the input marginal
-    (module docstring), so one start of full Schmidt rank reaches the
-    optimum.  The measured kind, whose search over H is not concave, pads
-    the list up to cfg.restarts inputs with standard normal rows of length
-    2 d^2 from the seeded generator, each normalized as
-    params_to_pure_vector reads it.  It searches H alone, from
-    H = log sigma0 - log sigma1 at each input, and its input is psi(H) at
-    the best H."""
+    """The best (input vector, parameter row) of each of one or more
+    lockstep input searches over the pair's inputs, of D(N1||N0) where
+    flips[s] and of D(N0||N1) otherwise.  Every search starts from the
+    maximally entangled input and the extra starts.  Relative and renyi
+    search those inputs' parameters alone: their objective is concave in
+    the input marginal (module docstring), so one start of full Schmidt
+    rank reaches the optimum.  The measured kind, whose search over H is
+    not concave, pads the list up to cfg.restarts inputs with standard
+    normal rows of length 2 d^2 from the seeded generator, each normalized
+    as params_to_pure_vector reads it.  It searches H alone, from
+    H = log sigma0 - log sigma1 at each input; its input is psi(H) at the
+    best H, and its parameter row that H's."""
     dim_psi = n0.in_dim**2
     objective = _input_objectives(n0, n1, kind, alpha, flips)
     inputs = [max_entangled_vector(n0.in_dim)] + extra
     if kind != "measured":
         found = multistart_maximize(objective, [[pure_vector_to_params(psi) for psi in inputs]] * len(flips),
                                     cfg.max_iters)
-        return [(params_to_pure_vector(theta, dim_psi), value) for theta, value in found]
+        return [(params_to_pure_vector(theta, dim_psi), theta) for theta, _ in found]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
     inputs += [params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi)
                for _ in range(cfg.restarts - len(inputs))]
@@ -545,7 +586,7 @@ def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list
     searches = [[hermitian_to_params(lg[f] - lg[1 - f]) for lg in logs] for f in flips]
     found = multistart_maximize(objective, searches, cfg.max_iters)
     a0, a1 = (_lifted_kraus(ch, n0.in_dim) for ch in (n0, n1))
-    return [(_top_inputs(a0, a1, theta[None], f)[0][0], value) for (theta, value), f in zip(found, flips)]
+    return [(_top_inputs(a0, a1, theta[None], f)[0][0], theta) for (theta, _), f in zip(found, flips)]
 
 
 def channel_divergence(
@@ -570,18 +611,21 @@ def channel_divergence(
     kind, whose search is not concave, also takes seeded random starts up
     to cfg.restarts.  It ascends the variational formula in the observable
     H alone, each H paired with its best input, the top eigenvector of
-    sum_k A0_k^dag H A0_k - sum_k A1_k^dag exp(H) A1_k.  It takes that
-    input at the best H, with its Schmidt residue dropped, and certifies
-    the value there with measured_rel_entropy_states' certifier on its
-    outputs: the witness measurement is the best candidate basis (the
-    optimal omega's eigenbasis first), with the outcomes negligible under
-    both outputs merged into one effect, and the value is the KL of its
-    outcome laws, cross-checked against the variational value; the
-    cross-check's notes are the value's warnings.  This is the
-    one-direction case of channel_divergence_pair.  Every kind checks
-    cfg.extra_starts first: a start that is not a vector on R (x) A raises
-    DimensionMismatchError, and one without a finite nonzero norm raises
-    ValueError, naming it.
+    sum_k A0_k^dag H A0_k - sum_k A1_k^dag exp(H) A1_k.  Its value is that
+    of measured_rel_entropy_states' certifier on the outputs of the input
+    at the best H, with the certifier's program started at that H alone
+    (module docstring): the witness measurement is the best candidate
+    basis (the optimal omega's eigenbasis first), with the outcomes
+    negligible under both outputs merged into one effect, and the value is
+    the larger of the KL of its outcome laws and the variational value,
+    cross-checked against each other; the cross-check's notes are the
+    value's warnings.  Relative and renyi certify their best input with
+    its Schmidt residue dropped.  A searched input whose outputs the
+    state-level support rule reads as unsupported raises OptimizerFailure.
+    This is the one-direction case of channel_divergence_pair.  Every kind
+    checks cfg.extra_starts first: a start that is not a vector on R (x) A
+    raises DimensionMismatchError, and one without a finite nonzero norm
+    raises ValueError, naming it.
 
     The value's upper field is a certified upper end in closed form on the
     Choi pair (D_BS for relative and measured, the geometric Renyi
@@ -647,7 +691,7 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
     # (the maximally entangled input, normalized as params_to_pure_vector
     # normalizes the search's inputs) as the certification below reads it.
     start = max_entangled_vector(d)
-    start = _drop_schmidt_residue(start / np.linalg.norm(start), d)
+    start = start / np.linalg.norm(start)
     psis, states, values, upper, notes, measured = {}, {}, {}, {}, {}, {}
     at_start = [DensityMatrix(_apply_to_pure(ch, start)) for ch in (n0, n1)]
     for i in live:
@@ -664,24 +708,30 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[Divergenc
         _log_closed("input search", values[i], upper[i])
     searched = [i for i in live if i not in closed]
     found = _input_search(n0, n1, kind, alpha, cfg, extra, [i == 1 for i in searched]) if searched else []
-    for i, (psi, best) in zip(searched, found):
-        psis[i] = _drop_schmidt_residue(psi, d)
+    for i, (psi, _) in zip(searched, found):
+        psis[i] = psi if kind == "measured" else _drop_schmidt_residue(psi, d)
         states[i] = tuple(DensityMatrix(_apply_to_pure(ch, psis[i])) for ch in directions[i])
-        values[i] = best if kind == "measured" else _state_value(kind, alpha, *states[i])
-    if kind == "measured":
-        measured.update(zip(searched, _measured_values([states[i] for i in searched], cfg)))
+        values[i] = _state_value(kind, alpha, *states[i])
+        if math.isinf(values[i]):
+            raise OptimizerFailure(
+                f"{kind} D(N{i}||N{1 - i}): the state-level support rule reads the searched input's outputs as "
+                "unsupported, though the Choi states pass it"
+            )
+    if kind == "measured" and searched:
+        # the relative values are the certifier's upper ends, and each of its
+        # programs runs one start, the search's winning H (module docstring)
+        measured.update(zip(searched, _measured_values([states[i] for i in searched], cfg,
+                                                       [values[i] for i in searched], [[h] for _, h in found])))
 
     for i in live:
-        witness, value = ChannelWitness(input_vector=psis[i]), values[i]
+        witness = ChannelWitness(input_vector=psis[i])
         if kind == "measured":
-            mv = measured[i]
-            value = max(value, mv.value) if mv.is_finite else value
-            witness.povm = mv.witness.povm if mv.witness else None
-            notes[i] += mv.warnings
+            values[i], witness.povm = measured[i].value, measured[i].witness.povm
+            notes[i] += measured[i].warnings
         # a closed direction meets its upper end, so only searched ones can note
-        _closes(value, upper[i], notes[i], at="the searched input")
-        out[i] = DivergenceValue(float(max(value, 0.0)), is_lower_bound=True, witness=witness, warnings=notes[i],
-                                 upper=upper[i])
+        _closes(values[i], upper[i], notes[i], at="the searched input")
+        out[i] = DivergenceValue(float(max(values[i], 0.0)), is_lower_bound=True, witness=witness,
+                                 warnings=notes[i], upper=upper[i])
     return out
 
 

@@ -415,25 +415,22 @@ def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
     return *_variational_at(exp, rho0, rho1), exp[3]
 
 
-def variational_measured(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray):
+def variational_measured(rho0: np.ndarray, rho1: np.ndarray, starts: list[list[np.ndarray]]):
     """Concave programs sup_H Tr[rho0 H] + 1 - Tr[rho1 exp(H)], one for each
-    state pair of the stacks rho0, rho1 (k, d, d) with its log ratio
-    log_ratio (k, d, d), sharing every objective call.
+    state pair of the stacks rho0, rho1 (k, d, d), each run from its own
+    list of starts (parameter rows of H, length d^2) as multistart_maximize
+    runs start lists, sharing every objective call.
 
     Each optimum equals the measured relative entropy; any iterate gives a
-    lower bound.  Two starts per pair (H = log_ratio = log rho0 - log rho1,
-    then H = 0) run in lockstep, at most 2000 iterations each; the first
+    lower bound.  Every start runs at most 2000 iterations, and the first
     wins ties.  Returns (the k values in nats, the optimal omegas = exp(H)
-    (k, d, d)).  The measured certifier calls it only on the pairs whose
-    value at the first start stays below D(rho0||rho1) beyond rounding;
-    commuting pairs meet it there.
+    (k, d, d)).
     """
-    d = rho0.shape[-1]
 
     def objective(blocks: list[np.ndarray]):
         return _per_search(_variational_terms, blocks, rho0, rho1)
 
-    found = _lockstep(objective, [[hermitian_to_params(lr), np.zeros(d * d)] for lr in log_ratio], 2000)
+    found = _lockstep(objective, starts, 2000)
     return [float(value) for _, value in found], _variational_terms(np.stack([x for x, _ in found]), rho0, rho1)[2]
 
 
@@ -445,7 +442,8 @@ def candidate_bases(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray, o
     The candidates are the eigenbasis of the variational optimizer's omega
     (its basis KL dominates the variational value at omega), the eigenbasis
     of log_ratio = log rho0 - log rho1 (optimal in the commuting case) and
-    the identity."""
+    the identity.  A pair on which every candidate's KL is infinite gets
+    None."""
     eye = np.eye(rho0.shape[-1], dtype=complex)
     best = []
     for j in range(len(rho0)):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from chandisc import divergences
+
 # Property tests draw the same examples on every run, so a failure always
 # reproduces and a pass is not a lucky draw that the next run may lose.
 settings.register_profile("chandisc", derandomize=True)
@@ -99,3 +101,20 @@ def _classical_closed_forms(w0, w1) -> ClassicalClosedForms:
 @pytest.fixture
 def classical_closed_forms():
     return _classical_closed_forms
+
+
+@pytest.fixture
+def certifier_witnesses(monkeypatch):
+    """The MeasuredWitness of every finite value that the measured
+    certifier returns from now on, in call order: a channel value's
+    cross-check notes read the gap between its two estimates."""
+    seen = []
+    real = divergences._measured_values
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.extend(dv.witness for dv in out if dv.witness)
+        return out
+
+    monkeypatch.setattr(divergences, "_measured_values", spy)
+    return seen

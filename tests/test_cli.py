@@ -261,6 +261,25 @@ def test_numerical_failure_exits_3(tmp_path, runner):
     assert "InfiniteDivergence" in res.output
 
 
+def test_divergence_on_pairs_near_the_support_rule(tmp_path, runner):
+    """A classical pair whose W0 leaks eps onto an output that W1 never
+    gives: at eps = 2e-9, inside the support rule, the measured value is
+    certified on the support and the run exits 0; at eps = 1.2e-7 the
+    search's witness leaks past the state-level rule, and the run exits 3
+    with a one-line message naming the direction."""
+    for eps, code in ((2e-9, 0), (1.2e-7, 3)):
+        channels = {"n0": {"name": "classical", "params": {"stochastic": [[1 - eps, 0.5], [eps, 0.5]]}},
+                    "n1": {"name": "classical", "params": {"stochastic": [[1.0, 0.5], [0.0, 0.5]]}}}
+        cfg = write_config(tmp_path, channels=channels, divergence={"kinds": ["measured"]})
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / f"run{code}"), "--no-timestamp",
+                                   "divergence"])
+        assert res.exit_code == code, (eps, res.output, res.exception)
+        lines = res.output.strip().splitlines()
+        want = ("measured: 0.000000 nats (lower bound)" if code == 0
+                else "divergence failed: OptimizerFailure: measured D(N0||N1)")
+        assert len(lines) == 1 and lines[0].startswith(want), (eps, res.output)
+
+
 def test_seed_flag_overrides_config(tmp_path, runner):
     cfg = write_config(tmp_path)
     out1 = tmp_path / "a"

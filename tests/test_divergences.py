@@ -26,12 +26,13 @@ from chandisc.divergences import (
     rel_entropy_states,
     sandwiched_renyi_states,
 )
-from chandisc.errors import DimensionMismatchError, InvalidAlphaError
+from chandisc.errors import DimensionMismatchError, InvalidAlphaError, OptimizerFailure
 from chandisc.linalg import support_contained
 from chandisc.optimize import (
     ROUNDING_TOL,
     OptimizerConfig,
     _per_search,
+    hermitian_to_params,
     params_to_hermitian,
     _safe_log_state,
     _variational_terms,
@@ -162,6 +163,41 @@ def test_measured_equals_kl_on_diagonal():
     assert abs(w.variational_value - w.pvm_value) < 1e-6
 
 
+def test_measured_pairs_inside_the_support_tolerance_are_certified_on_the_support():
+    """A pair whose rho0 leaks 1e-9 onto a kernel vector of rho1 passes the
+    support rule, but every candidate basis has an outcome with p = 1e-9
+    and q = 0.  Its value is certified on supp rho1: it equals, bit for
+    bit, the value of rho0 compressed by rho1's support projector and
+    renormalized, and its witness is a PVM."""
+    for leaky, r1 in ((diag(1 - 1e-9, 1e-9), diag(1.0, 0.0)),
+                      (diag(0.5, 0.5 - 1e-9, 1e-9), diag(0.25, 0.75, 0.0))):
+        dv = measured_rel_entropy_states(leaky, r1, CFG)
+        compressed = np.diag(np.diag(leaky.mat)[:-1].tolist() + [0.0])
+        on_support = measured_rel_entropy_states(DensityMatrix(compressed / np.trace(compressed).real), r1, CFG)
+        assert math.isfinite(dv.value) and dv.is_lower_bound and dv.witness.povm.is_pvm
+        assert (dv.value, dv.witness.variational_value, dv.witness.pvm_value, dv.warnings) == (
+            on_support.value, on_support.witness.variational_value, on_support.witness.pvm_value, [])
+    assert abs(dv.value - kl_divergence([0.5, 0.5], [0.25, 0.75])) <= 1e-8
+
+
+def test_leaky_classical_pairs_give_a_value_below_the_upper_end_or_fail():
+    """The classical pair W0 = [[1 - eps, .5], [eps, .5]], W1 = [[1, .5],
+    [0, .5]] passes the support rule on its Choi states for these leaks.
+    Each searched kind's value, both directions, lies at or below its
+    upper end under the rounding rule; at eps = 1.2e-7 the measured
+    search's witness leaks more than the state-level rule allows, and
+    D(N0||N1) raises OptimizerFailure naming the direction and the cause."""
+    def pair(eps):
+        return _classical_channels(([[1 - eps, 0.5], [eps, 0.5]], [[1.0, 0.5], [0.0, 0.5]]))
+
+    for eps in (1e-9, 4e-8, 6e-8):
+        for kind, alpha in (("relative", None), ("measured", None), ("renyi", 1.5)):
+            for dv in channel_divergence_pair(*pair(eps), kind=kind, alpha=alpha, cfg=CFG):
+                assert dv.is_finite and dv.value <= dv.upper + 1e-12 * max(1.0, dv.upper), (eps, kind, dv)
+    with pytest.raises(OptimizerFailure, match=r"^measured D\(N0\|\|N1\): the state-level support rule reads"):
+        channel_divergence_pair(*pair(1.2e-7), kind="measured", cfg=CFG)
+
+
 def test_measured_below_relative():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -178,7 +214,7 @@ def test_variational_measured_is_lower_bound_of_relative():
     r0 = random_density_matrix(3, rng)
     r1 = random_density_matrix(3, rng)
     log_ratio = _safe_log_state(r0.spectrum) - _safe_log_state(r1.spectrum)
-    (v,), (omega,) = variational_measured(r0.mat[None], r1.mat[None], log_ratio[None])
+    (v,), (omega,) = variational_measured(r0.mat[None], r1.mat[None], [[hermitian_to_params(log_ratio), np.zeros(9)]])
     assert v <= rel_entropy_states(r0, r1).value + 1e-8
     assert np.linalg.eigvalsh(omega).min() > 0  # omega = exp(H) is positive
 
@@ -421,24 +457,27 @@ def test_open_searches_stop_at_the_rounding_floor(caplog):
     batched objective calls: the relative and Renyi input searches, the
     measured one over H alone and the measured certifier's variational
     programs.  The relative and Renyi searches run one start, the maximally
-    entangled input; the measured one runs CFG.restarts.  They read 13 and
-    9, 10 and 10, 20 and 22, 30 and 31 (with four starts each, 13 and 11,
-    13 and 10; with ftol = 1e-15 and the joint (psi, H) measured search, 43
-    and 47, 23 and 30, 97 and 93, 46 and 35)."""
+    entangled input; the measured one runs CFG.restarts, and each of its
+    certifier programs one start, the search's winning H.  They read 13
+    and 9, 10 and 10, 20 and 22, 3 and 3 (certifier programs started cold
+    from log sigma0 - log sigma1 and H = 0, 30 and 31; with four starts
+    each, 13 and 11, 13 and 10; with ftol = 1e-15 and the joint (psi, H)
+    measured search, 43 and 47, 23 and 30, 97 and 93, 46 and 35)."""
     rng = np.random.default_rng(11)
     n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
     # (kind, alpha): the bound of each input search, and of each variational program
-    bounds = {("relative", None): (15, None), ("renyi", 1.5): (15, None), ("measured", None): (25, 35)}
+    bounds = {("relative", None): (15, None), ("renyi", 1.5): (15, None), ("measured", None): (25, 5)}
     for (kind, alpha), (search_bound, program_bound) in bounds.items():
         with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
             channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG)
         stats = [r.multistart for r in caplog.records]
         caplog.clear()
+        # both searches log first, then the programs, one warm start each
         starts = CFG.restarts if kind == "measured" else 1
-        searches = [s["batched_calls"] for s in stats if s["starts"] == starts]
-        programs = [s["batched_calls"] for s in stats if s["starts"] == 2]
-        assert len(searches) == 2 and max(searches) <= search_bound, (kind, searches)
-        assert len(programs) == (0 if program_bound is None else 2), (kind, programs)
+        assert [s["starts"] for s in stats] == [starts] * 2 + ([1] * 2 if program_bound else []), (kind, stats)
+        searches = [s["batched_calls"] for s in stats[:2]]
+        programs = [s["batched_calls"] for s in stats[2:]]
+        assert max(searches) <= search_bound, (kind, searches)
         assert not programs or max(programs) <= program_bound, (kind, programs)
 
 
@@ -448,8 +487,8 @@ def test_open_searches_stop_at_the_rounding_floor(caplog):
 SEARCHED_BITS = {
     ("relative", None): [("0x1.f9d32f3721400p-1", "0x1.8347ae75832dbp+0"),
                          ("0x1.ae806783a5e5ap-1", "0x1.46b4e1b6d1dfap+0")],
-    ("measured", None): [("0x1.c7544f0a71196p-1", "0x1.8347ae75832dbp+0"),
-                         ("0x1.876c03f17e8dbp-1", "0x1.46b4e1b6d1dfap+0")],
+    ("measured", None): [("0x1.c7544f0a712d2p-1", "0x1.8347ae75832dbp+0"),
+                         ("0x1.876c03f17e8eap-1", "0x1.46b4e1b6d1dfap+0")],
     ("renyi", 1.5): [("0x1.8b02e5d4b28f8p+0", "0x1.081bd2945eaa1p+1"),
                      ("0x1.2ee93d848cad5p+0", "0x1.9a9a65f2f3edap+0")],
     "block l=2 relative, per use": [("0x1.fafc8541803e6p-1", "0x1.8347ae7583319p+0"),
@@ -741,15 +780,14 @@ def test_measured_channel_witnesses_reevaluate_under_strict_kl():
     _assert_strict_reevaluation(n0, n1, psi, dv, cfg.cross_check_tol)
 
 
-def test_measured_channel_values_carry_the_cross_check_notes():
+def test_measured_channel_values_carry_the_cross_check_notes(certifier_witnesses):
     """A channel value lists the note of its certifier's cross-check: at a
-    cross_check_tol of a third of the gap that the state-level certifier
+    cross_check_tol of a third of the gap that the value's own certifier
     reads on the witness outputs, the note fires and reaches
     DivergenceValue.warnings, and the value stays the same."""
     (n0, n1), cfg = _witness_pairs()[5]
     dv = channel_divergence(n0, n1, kind="measured", cfg=cfg)
-    psi = dv.witness.input_vector
-    w = measured_rel_entropy_states(*(DensityMatrix(_apply_to_pure(ch, psi)) for ch in (n0, n1)), cfg).witness
+    (w,) = certifier_witnesses
     gap = abs(w.variational_value - w.pvm_value)
     assert gap > 0 and dv.warnings == []
     with pytest.warns(ConvergenceWarning):
@@ -841,14 +879,14 @@ def test_block_values_are_per_use_divergence_values():
         assert not blocks[1].is_finite and blocks[1].value == math.inf, kind
 
 
-def test_block_values_keep_the_channel_value_warnings_and_upper_end():
+def test_block_values_keep_the_channel_value_warnings_and_upper_end(certifier_witnesses):
     """A block value at l = 1 lists the measured certifier's cross-check
     notes and the upper end of the channel value it comes from.  The note
-    fires at a cross_check_tol of a third of the gap that the state-level
-    certifier reads on the witness outputs."""
+    fires at a cross_check_tol of a third of the gap that the channel
+    value's own certifier reads on the witness outputs."""
     (n0, n1), cfg = _witness_pairs()[5]
-    psi = channel_divergence(n0, n1, kind="measured", cfg=cfg).witness.input_vector
-    w = measured_rel_entropy_states(*(DensityMatrix(_apply_to_pure(ch, psi)) for ch in (n0, n1)), cfg).witness
+    channel_divergence(n0, n1, kind="measured", cfg=cfg)
+    (w,) = certifier_witnesses
     gap = abs(w.variational_value - w.pvm_value)
     assert gap > 0
     cfg = replace(cfg, cross_check_tol=gap / 3)
@@ -1183,9 +1221,9 @@ def _count_programs(monkeypatch) -> list[int]:
     calls = []
     real = divergences.variational_measured
 
-    def counting(rho0, rho1, log_ratio):
+    def counting(rho0, rho1, starts):
         calls.append(len(rho0))
-        return real(rho0, rho1, log_ratio)
+        return real(rho0, rho1, starts)
 
     monkeypatch.setattr(divergences, "variational_measured", counting)
     return calls
@@ -1275,7 +1313,7 @@ def test_open_measured_brackets_run_the_program_unchanged(monkeypatch, caplog):
     for a, b in _output_pairs():
         r0, r1 = a.mat[None], b.mat[None]
         log_ratio = (_safe_log_state(a.spectrum) - _safe_log_state(b.spectrum))[None]
-        (var,), omegas = variational_measured(r0, r1, log_ratio)
+        (var,), omegas = variational_measured(r0, r1, [[hermitian_to_params(log_ratio[0]), np.zeros(log_ratio.size)]])
         pvm, povm = basis_witness(candidate_bases(r0, r1, log_ratio, omegas)[0], a.mat, b.mat)
         dv = measured_rel_entropy_states(a, b, CFG)
         assert (dv.value, dv.witness.variational_value, dv.witness.pvm_value, dv.warnings) == (
