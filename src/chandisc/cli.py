@@ -6,15 +6,16 @@ directory: a config snapshot, a manifest (version, seed, optional
 timestamp), and the result files described in docs/formats.md.  With a fixed
 seed and --no-timestamp the emitted files are byte-identical across runs.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (an invalid channel spec or a
+pair with mismatched dimensions included), 3 numerical failure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import importlib.resources
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, serialize
-from .divergences import LN2, channel_divergence, channel_divergence_pair
+from .divergences import channel_divergence, channel_divergence_pair
 from .errors import ChandiscError, ConfigError, ExcessiveCensoringError
 from .optimize import OptimizerConfig
 from .quantum import (
@@ -36,12 +37,13 @@ from .quantum import (
     identity_channel,
     replacer_channel,
 )
-from .regions import adaptive_region, containment, region_chain
-from .sim import EXPECTATION, SimulationPlan, check_constraint, run_trials, sweep_budgets
-from .strategies import build_non_adaptive, build_sprt, lift_to_blocks
+from .regions import adaptive_region, region_chain
+from .sim import SimulationPlan, check_budgets, check_constraint, run_trials, sweep_budgets
+from .strategies import build_non_adaptive, lift_to_blocks
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+_TRIALS = 1000  # Monte-Carlo traces per hypothesis, when the config gives none
 _SWEEP_BUDGETS = [100, 200, 400, 800]  # channel uses, when the config gives none
 
 
@@ -98,23 +100,28 @@ _ZOO = {
 
 
 def build_channel(spec: dict):
-    if "file" in spec:
-        path = Path(spec["file"])
-        if not path.is_file():
-            raise ConfigError(f"channel file not found: {spec['file']}")
-        return serialize.channel_from_json(json.loads(path.read_text()))
-    name = spec["name"]
-    params = spec.get("params", {})
+    """The channel a spec names, a zoo name or a channel file; a spec the
+    library rejects is a config error."""
+    name = spec.get("name", spec.get("file"))
+    if "file" in spec and not Path(name).is_file():
+        raise ConfigError(f"channel file not found: {name}")
     try:
-        return _ZOO[name](params)
+        if "file" in spec:
+            return serialize.channel_from_json(json.loads(Path(name).read_text()))
+        return _ZOO[name](spec.get("params", {}))
     except KeyError as exc:
         raise ConfigError(f"channel {name!r} missing parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameters for channel {name!r}: {exc}") from exc
+    except (TypeError, ValueError, ChandiscError) as exc:
+        raise ConfigError(f"invalid channel {name!r}: {type(exc).__name__}: {exc}") from exc
 
 
 def build_pair(cfg: dict):
-    return build_channel(cfg["channels"]["n0"]), build_channel(cfg["channels"]["n1"])
+    n0, n1 = build_channel(cfg["channels"]["n0"]), build_channel(cfg["channels"]["n1"])
+    if (n0.in_dim, n0.out_dim) != (n1.in_dim, n1.out_dim):
+        raise ConfigError(
+            f"channels map different dimensions: n0 {n0.in_dim} -> {n0.out_dim}, n1 {n1.in_dim} -> {n1.out_dim}"
+        )
+    return n0, n1
 
 
 def optimizer_config(cfg: dict) -> OptimizerConfig:
@@ -123,8 +130,10 @@ def optimizer_config(cfg: dict) -> OptimizerConfig:
     return OptimizerConfig(**opt)
 
 
-def _convert(value: float, log_base: str) -> float:
-    return value / LN2 if log_base == "2" else value
+def _given(opts: dict, *keys: str) -> dict:
+    """The entries of opts under keys, so the library's defaults fill the keys
+    opts leaves out."""
+    return {k: opts[k] for k in keys if k in opts}
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +174,14 @@ def main(ctx, config_path, seed, out, log_base, no_timestamp):
     Config keys: channels.n0/.n1 (zoo name + params, or a channel JSON
     file), seed, log_base, out, optimizer (restarts, max_iters = L-BFGS
     iterations per start, cross_check_tol, seed), divergence (kinds,
-    alpha), simulate (mode, n, l, tau, trials, constraint, epsilon), sweep
-    (budgets, trials, constraint, epsilon), regions (which, l_max,
-    alpha_grid, samples, slack).
+    alpha), simulate (mode, n, l, tau, trials, constraint, epsilon,
+    step_cap_factor: a trace still undecided after step_cap_factor x n
+    channel uses is censored and counts as an error, and more than 5%
+    censored traces exit 3), sweep (budgets, trials, constraint, epsilon),
+    regions (which, l_max, alpha_grid, samples, slack).
+
+    Exit codes: 0 success, 2 configuration error (an invalid channel spec or
+    a pair with mismatched dimensions included), 3 numerical failure.
     """
     ctx.ensure_object(dict)
     ctx.obj["config_path"] = config_path
@@ -175,17 +189,9 @@ def main(ctx, config_path, seed, out, log_base, no_timestamp):
     ctx.obj["no_timestamp"] = no_timestamp
 
 
-def _load(ctx) -> dict:
-    return load_config(ctx.obj["config_path"], ctx.obj["overrides"])
-
-
 def _run_command(ctx, command: str, fn, check=None) -> None:
     try:
-        cfg = _load(ctx)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
+        cfg = load_config(ctx.obj["config_path"], ctx.obj["overrides"])
         # channels are built and the command's own check runs before the run
         # directory exists, so a rejected config leaves nothing behind
         pair = build_pair(cfg)
@@ -220,9 +226,10 @@ def divergence(ctx):
         for kind in kinds:
             for alpha in alphas if kind == "renyi" else [None]:
                 dv = channel_divergence(n0, n1, kind=kind, alpha=alpha, cfg=ocfg)
+                value = dv.in_bits() if base == "2" else dv.value
                 row = {
                     "kind": kind,
-                    "value": serialize._num_to_json(_convert(dv.value, base)),
+                    "value": serialize._num_to_json(value),
                     "unit": unit,
                     "is_lower_bound": dv.is_lower_bound,
                     "is_finite": dv.is_finite,
@@ -235,7 +242,7 @@ def divergence(ctx):
                         row["witness_povm"] = serialize.povm_to_json(dv.witness.povm)
                 rows.append(row)
                 label = f"{kind}" + (f"(alpha={alpha})" if alpha is not None else "")
-                shown = "inf" if not dv.is_finite else f"{_convert(dv.value, base):.6f}"
+                shown = "inf" if not dv.is_finite else f"{value:.6f}"
                 flag = " (lower bound)" if dv.is_lower_bound else ""
                 click.echo(f"{label}: {shown} {unit}{flag}")
         (out / "divergences.json").write_text(serialize.dumps({"rows": rows}))
@@ -243,22 +250,21 @@ def divergence(ctx):
     _run_command(ctx, "divergence", run)
 
 
-def _block_size(cfg) -> int:
-    """simulate.l in block mode (default 2), else 1."""
+def _budget(cfg) -> tuple[int, int]:
+    """simulate.n (default 400) and the block size: simulate.l (default 2)
+    in block mode, else 1."""
     sim = cfg.get("simulate", {})
-    return sim.get("l", 2) if sim.get("mode") == "block" else 1
+    return sim.get("n", 400), sim.get("l", 2) if sim.get("mode") == "block" else 1
 
 
-def _build_strategy(cfg, pair, ocfg):
+def _build_strategy(cfg, pair):
     n0, n1 = pair
+    ocfg = optimizer_config(cfg)
     opts = cfg.get("simulate", {})
-    mode = opts.get("mode", "adaptive")
-    n = opts.get("n", 400)
+    n, l = _budget(cfg)
     tau = opts.get("tau")
-    if mode == "adaptive":
-        return build_sprt(n0, n1, n, tau, ocfg)
-    if mode == "block":
-        return lift_to_blocks(n0, n1, opts.get("l", 2), n, tau, ocfg)
+    if opts.get("mode") != "nonAdaptive":
+        return lift_to_blocks(n0, n1, l, n, tau, ocfg)
     # non-adaptive: play the measured-divergence witness arm of the 0-vs-1
     # direction at every step
     dv = channel_divergence(n0, n1, kind="measured", cfg=ocfg)
@@ -275,30 +281,18 @@ def simulate(ctx):
 
     def run(cfg, pair, out):
         opts = cfg.get("simulate", {})
-        ocfg = optimizer_config(cfg)
-        strategy = _build_strategy(cfg, pair, ocfg)
+        strategy = _build_strategy(cfg, pair)
         plan = SimulationPlan(
             strategy=strategy,
-            trials=opts.get("trials", 1000),
+            trials=opts.get("trials", _TRIALS),
             base_seed=cfg["seed"],
-            constraint=opts.get("constraint", EXPECTATION),
-            epsilon=opts.get("epsilon", 0.05),
-            step_cap_factor=opts.get("step_cap_factor", 20),
+            **_given(opts, "constraint", "epsilon", "step_cap_factor"),
         )
         summary = run_trials(plan)
         report = check_constraint(summary, plan)
         (out / "strategy.json").write_text(serialize.dumps(serialize.strategy_to_json(strategy)))
         (out / "summary.csv").write_text(serialize.summary_to_csv(summary))
-        (out / "constraint_report.json").write_text(
-            serialize.dumps(
-                {
-                    "constraint": report.constraint,
-                    "passed": report.passed,
-                    "margins": report.margins,
-                    "detail": report.detail,
-                }
-            )
-        )
+        (out / "constraint_report.json").write_text(serialize.dumps(dataclasses.asdict(report)))
         status = "satisfied" if report.passed else "violated"
         click.echo(
             f"alpha_hat={summary.alpha_hat:.3e} beta_hat={summary.beta_hat:.3e} "
@@ -306,7 +300,7 @@ def simulate(ctx):
         )
 
     def check(cfg):
-        n, l = cfg.get("simulate", {}).get("n", 400), _block_size(cfg)
+        n, l = _budget(cfg)
         if n % l:
             raise ConfigError(f"simulate.n {n} is not a multiple of the block size {l}")
 
@@ -321,15 +315,13 @@ def sweep(ctx):
     def run(cfg, pair, out):
         opts = cfg.get("sweep", {})
         budgets = opts.get("budgets", _SWEEP_BUDGETS)
-        ocfg = optimizer_config(cfg)
-        strategy = _build_strategy(cfg, pair, ocfg)
+        strategy = _build_strategy(cfg, pair)
         records = sweep_budgets(
             strategy,
             budgets,
-            trials=opts.get("trials", 1000),
+            trials=opts.get("trials", _TRIALS),
             base_seed=cfg["seed"],
-            constraint=opts.get("constraint", EXPECTATION),
-            epsilon=opts.get("epsilon", 0.05),
+            **_given(opts, "constraint", "epsilon"),
         )
         (out / "sweep.csv").write_text(serialize.sweep_to_csv(records))
         for rec in records:
@@ -340,10 +332,10 @@ def sweep(ctx):
             )
 
     def check(cfg):
-        l = _block_size(cfg)
-        bad = [n for n in cfg.get("sweep", {}).get("budgets", _SWEEP_BUDGETS) if n % l]
-        if bad:
-            raise ConfigError(f"sweep budgets {bad} are not multiples of the block size {l}")
+        try:
+            check_budgets(cfg.get("sweep", {}).get("budgets", _SWEEP_BUDGETS), _budget(cfg)[1])
+        except ValueError as exc:
+            raise ConfigError(f"sweep {exc}") from exc
 
     _run_command(ctx, "sweep", run, check)
 
@@ -365,24 +357,15 @@ def regions(ctx):
         n0, n1 = pair
         opts = cfg.get("regions", {})
         which = opts.get("which", ["nonAdaptive", "adaptive", "converse"])
-        l_max = opts.get("l_max", 2)
         ocfg = optimizer_config(cfg)
         named = []
         containments = {}
         if set(which) == {"adaptive"}:
             # rectangle-only: no sampling or hull computation
-            for l in range(1, l_max + 1):
+            for l in range(1, opts.get("l_max", 2) + 1):
                 named.append((f"adaptive_l{l}", adaptive_region(n0, n1, l=l, cfg=ocfg)))
         else:
-            chain = region_chain(
-                n0,
-                n1,
-                cfg=ocfg,
-                l_max=l_max,
-                alpha_grid=tuple(opts.get("alpha_grid", [1.05, 1.1, 1.5])),
-                samples=opts.get("samples", 512),
-                slack=opts.get("slack", 1e-3),
-            )
+            chain = region_chain(n0, n1, cfg=ocfg, **_given(opts, "l_max", "alpha_grid", "samples", "slack"))
             if "nonAdaptive" in which:
                 named.append(("nonAdaptive", chain.non_adaptive))
             if "adaptive" in which:
@@ -397,10 +380,7 @@ def regions(ctx):
                 serialize.dumps(serialize.region_to_json(region))
             )
         (out / "regions_long.csv").write_text(serialize.regions_long_csv(named))
-        matrix = {
-            key: {"contained": rep.contained, "violations": rep.violations, "slack": rep.slack}
-            for key, rep in containments.items()
-        }
+        matrix = {key: dataclasses.asdict(rep) for key, rep in containments.items()}
         (out / "containment_matrix.json").write_text(serialize.dumps(matrix))
         for key, rep in containments.items():
             click.echo(f"{key}: {'holds' if rep.contained else 'VIOLATED'}")

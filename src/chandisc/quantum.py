@@ -88,6 +88,8 @@ class QuantumChannel:
         if not self.kraus:
             raise InvalidStateError("channel needs at least one Kraus operator")
         out_dim, in_dim = self.kraus[0].shape
+        if not (out_dim and in_dim):
+            raise InvalidStateError(f"channel needs nonzero dimensions, got out {out_dim}, in {in_dim}")
         for k in self.kraus:
             if k.shape != (out_dim, in_dim):
                 raise DimensionMismatchError("Kraus operators have mixed shapes")

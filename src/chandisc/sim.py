@@ -481,6 +481,16 @@ def check_constraint(summary: SimulationSummary, plan: SimulationPlan) -> Constr
     )
 
 
+def check_budgets(budgets: list[int], block_size: int) -> None:
+    """The rule sweep_budgets holds its budgets to: ascending int multiples
+    of the block size, each at least one block; else ValueError."""
+    bad = [n for n in budgets if not _is_int(n) or n < block_size or n % block_size]
+    if bad:
+        raise ValueError(f"budgets {bad} are not multiples of the block size {block_size} (positive ints)")
+    if list(budgets) != sorted(budgets):
+        raise ValueError(f"budgets {list(budgets)} are not ascending")
+
+
 def sweep_budgets(
     strategy: SprtStrategy,
     budgets: list[int],
@@ -498,11 +508,7 @@ def sweep_budgets(
     record's n is its summary's budget.
     """
     l = strategy.block_size
-    bad = [n for n in budgets if not _is_int(n) or n < l or n % l]
-    if bad:
-        raise ValueError(f"budgets must be int multiples of the block size {l}, got {bad}")
-    if list(budgets) != sorted(budgets):
-        raise ValueError("budgets must be ascending")
+    check_budgets(budgets, l)
     plan = SimulationPlan(
         strategy=strategy, trials=trials, base_seed=base_seed, constraint=constraint, epsilon=epsilon
     )

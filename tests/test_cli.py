@@ -164,6 +164,17 @@ def test_block_sweep_budgets_off_the_block_size_exit_2(tmp_path, runner):
         assert not out.exists()
 
 
+def test_sweep_budgets_must_ascend_exit_2(tmp_path, runner):
+    """sweep reads the budget rule sweep_budgets holds: descending budgets
+    are a config error, caught before the run directory exists."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, sweep={"budgets": [100, 50], "trials": 50})
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "sweep"])
+    assert res.exit_code == 2, res.output
+    assert "config error: sweep budgets [100, 50] are not ascending" in res.output
+    assert not out.exists()
+
+
 def test_block_simulate_budget_off_the_block_size_exit_2(tmp_path, runner):
     """simulate.n counts channel uses: in block mode it must be a multiple
     of l, checked before the run directory exists, instead of running
@@ -235,6 +246,101 @@ def test_config_errors_exit_2(tmp_path, runner):
         assert "config rejected by schema" in res5.output, key
     # a rejected config leaves no run directory behind
     assert not out.exists()
+
+
+_DIAG = [[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [
+        {"n0": {"name": "replacer", "params": {"sigma": _DIAG}}, "n1": {"name": "bernoulliReplacer", "params": {"q": 0.5}}},
+        {"n0": {"name": "identity", "params": {"dim": 3}}, "n1": {"name": "depolarizing", "params": {"p": 0.5}}},
+        {"n0": {"name": "identity", "params": {"dim": 0}}, "n1": {"name": "identity", "params": {"dim": 0}}},
+        {"n0": {"file": "twice_identity.json"}, "n1": {"name": "identity"}},
+        {"n0": {"file": "not_json.json"}, "n1": {"name": "identity"}},
+    ],
+    ids=["sigma_not_a_state", "dimensions_differ", "zero_dimension", "file_not_a_channel", "file_not_json"],
+)
+def test_channel_specs_the_library_rejects_exit_2(tmp_path, runner, monkeypatch, channels):
+    """A channel spec the library rejects, or a pair whose channels map
+    different dimensions, is a config error caught before the run
+    directory exists."""
+    monkeypatch.chdir(tmp_path)
+    twice = [[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]]  # sum K^dag K = 4 I
+    (tmp_path / "twice_identity.json").write_text(json.dumps({"type": "channel", "kraus": twice}))
+    (tmp_path / "not_json.json").write_text("{")
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, channels=channels)
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "validate"])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_every_config_key_is_documented():
+    """Each key the schema admits appears in docs/formats.md, in backticks
+    or as a JSON key, alone or at the end of a dotted path."""
+    schema = json.loads(importlib.resources.files("chandisc").joinpath("config_schema.json").read_text())
+    docs = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+
+    def keys(node):
+        for key, sub in node.get("properties", {}).items():
+            yield key
+            yield from keys(sub)
+        for sub in node.get("definitions", {}).values():
+            yield from keys(sub)
+        for sub in node.get("oneOf", []):
+            yield from keys(sub)
+
+    missing = [k for k in keys(schema) if not re.search(rf"[`\"](?:\w+\.)*{k}[`\"]", docs)]
+    assert missing == []
+
+
+def test_cli_passes_only_the_keys_it_is_given(tmp_path, runner, monkeypatch):
+    """SimulationPlan, sweep_budgets and region_chain get an optional key
+    only when the config sets it, unchanged; their own defaults fill the
+    rest."""
+    calls = {}
+
+    class Recorded(Exception):
+        pass
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            calls[name] = {k: v for k, v in kwargs.items() if k not in ("strategy", "cfg")}
+            raise Recorded
+
+        return record
+
+    for name in ("SimulationPlan", "sweep_budgets", "region_chain"):
+        monkeypatch.setattr(f"chandisc.cli.{name}", recorder(name))
+
+    def run(cfg):
+        for command in ("simulate", "sweep", "regions"):
+            res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "run"), "--no-timestamp", command])
+            assert isinstance(res.exception, Recorded), res.output
+
+    run(write_config(tmp_path))
+    assert calls == {
+        "SimulationPlan": {"trials": 100, "base_seed": 7},
+        "sweep_budgets": {"trials": 50, "base_seed": 7},
+        "region_chain": {"l_max": 2, "samples": 32},
+    }
+    given = {"constraint": "probabilistic", "epsilon": 0.1}
+    run(
+        write_config(
+            tmp_path,
+            simulate={"mode": "adaptive", "n": 100, "tau": 0.08, "trials": 100, **given, "step_cap_factor": 4},
+            sweep={"budgets": [50, 100], "trials": 50, **given},
+            regions={"which": ["converse"], "l_max": 1, "alpha_grid": [1.2, 1.7], "samples": 8, "slack": 0.01},
+        )
+    )
+    assert calls == {
+        "SimulationPlan": {"trials": 100, "base_seed": 7, **given, "step_cap_factor": 4},
+        "sweep_budgets": {"trials": 50, "base_seed": 7, **given},
+        "region_chain": {"l_max": 1, "alpha_grid": [1.2, 1.7], "samples": 8, "slack": 0.01},
+    }
 
 
 def test_optimizer_schema_keys_are_the_config_fields():

@@ -63,6 +63,9 @@ def test_channel_validation_and_choi():
     assert w.min() > -1e-12
     with pytest.raises(InvalidStateError):
         QuantumChannel([np.eye(2), np.eye(2)])  # sum K†K = 2I
+    for shape in ((0, 0), (0, 2), (2, 0)):
+        with pytest.raises(InvalidStateError, match="nonzero dimensions"):
+            QuantumChannel([np.zeros(shape)])
 
 
 def test_identity_choi_is_max_entangled():
