@@ -37,9 +37,9 @@ from .quantum import (
     identity_channel,
     replacer_channel,
 )
-from .regions import adaptive_region, region_chain
+from .regions import region_chain
 from .sim import SimulationPlan, check_budgets, check_constraint, run_trials, sweep_budgets
-from .strategies import build_non_adaptive, lift_to_blocks
+from .strategies import build_non_adaptive, build_sprt
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -209,6 +209,11 @@ def _run_command(ctx, command: str, fn, check=None) -> None:
         sys.exit(EXIT_NUMERICAL)
 
 
+def _in_unit(dv, cfg) -> float:
+    """The value of dv in the run's unit: bits at log_base 2, else nats."""
+    return dv.in_bits() if cfg["log_base"] == "2" else dv.value
+
+
 @main.command()
 @click.pass_context
 def divergence(ctx):
@@ -219,14 +224,13 @@ def divergence(ctx):
         opts = cfg.get("divergence", {})
         kinds = opts.get("kinds", ["relative", "measured", "max"])
         alphas = opts.get("alpha", [2.0])
-        base = cfg["log_base"]
-        unit = "bits" if base == "2" else "nats"
+        unit = "bits" if cfg["log_base"] == "2" else "nats"
         ocfg = optimizer_config(cfg)
         rows = []
         for kind in kinds:
             for alpha in alphas if kind == "renyi" else [None]:
                 dv = channel_divergence(n0, n1, kind=kind, alpha=alpha, cfg=ocfg)
-                value = dv.in_bits() if base == "2" else dv.value
+                value = _in_unit(dv, cfg)
                 row = {
                     "kind": kind,
                     "value": serialize._num_to_json(value),
@@ -264,7 +268,7 @@ def _build_strategy(cfg, pair):
     n, l = _budget(cfg)
     tau = opts.get("tau")
     if opts.get("mode") != "nonAdaptive":
-        return lift_to_blocks(n0, n1, l, n, tau, ocfg)
+        return build_sprt(n0, n1, n, tau, ocfg, l)
     # non-adaptive: play the measured-divergence witness arm of the 0-vs-1
     # direction at every step
     dv = channel_divergence(n0, n1, kind="measured", cfg=ocfg)
@@ -343,46 +347,35 @@ def sweep(ctx):
 @main.command()
 @click.pass_context
 def regions(ctx):
-    """Compute the requested exponent regions and the containment matrix.
+    """Compute the exponent regions and the containment matrix.
 
-    regions.which names the documents written.  With ["adaptive"] alone no
-    chain runs: adaptive_region is called at each l up to l_max at the full
-    optimizer budget, with no witness chaining and no floors, and the
-    containment matrix is empty, so adaptive_l2 can differ from a full
-    run's.  Otherwise region_chain runs whole and the requested regions are
-    written from it.
+    region_chain always runs whole, so every region document equals that of
+    a full run; regions.which only names the region documents written, and
+    the containment matrix always holds the chain's verdicts.
     """
 
     def run(cfg, pair, out):
-        n0, n1 = pair
         opts = cfg.get("regions", {})
         which = opts.get("which", ["nonAdaptive", "adaptive", "converse"])
-        ocfg = optimizer_config(cfg)
+        chain = region_chain(*pair, cfg=optimizer_config(cfg),
+                             **_given(opts, "l_max", "alpha_grid", "samples", "slack"))
         named = []
-        containments = {}
-        if set(which) == {"adaptive"}:
-            # rectangle-only: no sampling or hull computation
-            for l in range(1, opts.get("l_max", 2) + 1):
-                named.append((f"adaptive_l{l}", adaptive_region(n0, n1, l=l, cfg=ocfg)))
-        else:
-            chain = region_chain(n0, n1, cfg=ocfg, **_given(opts, "l_max", "alpha_grid", "samples", "slack"))
-            if "nonAdaptive" in which:
-                named.append(("nonAdaptive", chain.non_adaptive))
-            if "adaptive" in which:
-                for l, region in sorted(chain.adaptive.items()):
-                    named.append((f"adaptive_l{l}", region))
-            if "converse" in which:
-                named.append(("converse", chain.converse))
-            containments = chain.containments
+        if "nonAdaptive" in which:
+            named.append(("nonAdaptive", chain.non_adaptive))
+        if "adaptive" in which:
+            for l, region in sorted(chain.adaptive.items()):
+                named.append((f"adaptive_l{l}", region))
+        if "converse" in which:
+            named.append(("converse", chain.converse))
         for name, region in named:
             (out / f"region_{name}.csv").write_text(serialize.region_to_csv(region, name))
             (out / f"region_{name}.json").write_text(
                 serialize.dumps(serialize.region_to_json(region))
             )
         (out / "regions_long.csv").write_text(serialize.regions_long_csv(named))
-        matrix = {key: dataclasses.asdict(rep) for key, rep in containments.items()}
+        matrix = {key: dataclasses.asdict(rep) for key, rep in chain.containments.items()}
         (out / "containment_matrix.json").write_text(serialize.dumps(matrix))
-        for key, rep in containments.items():
+        for key, rep in chain.containments.items():
             click.echo(f"{key}: {'holds' if rep.contained else 'VIOLATED'}")
         for name, region in named:
             click.echo(f"{name}: {len(region.frontier)} frontier vertices")
@@ -401,8 +394,8 @@ def validate(ctx):
             "finite_01": d01.is_finite,
             "finite_10": d10.is_finite,
             "both_finite": d01.is_finite and d10.is_finite,
-            "max_div_01": serialize._num_to_json(d01.value),
-            "max_div_10": serialize._num_to_json(d10.value),
+            "max_div_01": serialize._num_to_json(_in_unit(d01, cfg)),
+            "max_div_10": serialize._num_to_json(_in_unit(d10, cfg)),
         }
         (out / "finiteness.json").write_text(serialize.dumps(doc))
         click.echo(

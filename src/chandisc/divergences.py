@@ -11,20 +11,19 @@ optimization over pure bipartite states by lockstep L-BFGS on analytic
 gradients, each round of the search one batched objective call
 (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack
 A_k = I_R (x) K_k that quantum applies every channel with, matrix
-gradients pulled back through the A_k), and block (tensor-power) values,
-the block pair's DivergenceValue per use.  The measured kind searches the
-variational observable H alone: at a fixed H the value
-Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] is linear in psi psi^dag, so the best
-input is the top eigenvector of sum_k A0_k^dag H A0_k -
-sum_k A1_k^dag exp(H) A1_k and the value 1 + its top eigenvalue
-(_top_inputs).  Every search stops once a step gains less than
-ROUNDING_TOL max(1, |value|), the rule that closes brackets below.  The
-pair entries channel_divergence_pair and block_divergence_pair return (D(N0||N1),
-D(N1||N0)) from one lockstep run: every row computes both outputs N0(psi)
-and N1(psi) anyway, so each objective call carries the rows of both
-directions, and the variational programs of both measured certifications
-share their calls too.  channel_divergence and block_divergence are the
-one-direction case.
+gradients pulled back through the A_k).  Every channel entry takes a block
+size l: at l > 1 it returns the DivergenceValue of the l-fold tensor powers
+per use.  The measured kind searches the variational observable H alone:
+at a fixed H the value Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] is linear in
+psi psi^dag, so the best input is the top eigenvector of
+sum_k A0_k^dag H A0_k - sum_k A1_k^dag exp(H) A1_k and the value 1 + its
+top eigenvalue (_top_inputs).  Every search stops once a step gains less than
+ROUNDING_TOL max(1, |value|), the rule that closes brackets below.
+channel_divergence_pair returns (D(N0||N1), D(N1||N0)) from one lockstep
+run: every row computes both outputs N0(psi) and N1(psi) anyway, so each
+objective call carries the rows of both directions, and the variational
+programs of both measured certifications share their calls too.
+channel_divergence is the one-direction case.
 
 The relative and Renyi input searches run one start.  For an input psi on
 R (x) A with marginal rho = Tr_R psi psi^dag, f(psi) =
@@ -341,8 +340,13 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     by rho1's support projector and renormalized, so that D_M <= D still
     brackets it.  The reported value is the larger of the witness KL and
     the variational value (both are lower bounds); disagreement beyond
-    cfg.cross_check_tol attaches a ConvergenceWarning, and disagreement
-    beyond 10x raises OptimizerFailure.
+    cfg.cross_check_tol attaches a ConvergenceWarning, and a variational
+    value above the witness KL by more than 10x that raises
+    OptimizerFailure.  The other way round nothing is wrong with the value:
+    in omega's eigenbasis the classical variational formula gives
+    KL >= the variational value at omega, so a witness KL above the
+    program's value only shows a program that stopped short, and the KL is
+    still a certified lower bound.
     """
     out = [_unsupported(rho0, rho1) for rho0, rho1 in pairs]
     live = [i for i, dv in enumerate(out) if dv is None]
@@ -380,7 +384,7 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
         pvm_val, povm = basis_witness(basis, s0, s1)
         gap = abs(var_val - pvm_val)
         if gap > cfg.cross_check_tol:
-            if gap > 10 * cfg.cross_check_tol:
+            if var_val - pvm_val > 10 * cfg.cross_check_tol:
                 raise OptimizerFailure(
                     f"measured-entropy estimators disagree: variational {var_val:.6f} vs witness PVM {pvm_val:.6f}"
                 )
@@ -595,9 +599,11 @@ def channel_divergence(
     kind: str = "relative",
     alpha: float | None = None,
     cfg: OptimizerConfig | None = None,
+    l: int = 1,
 ) -> DivergenceValue:
     """Divergence D(N0||N1) between channels, maximized over pure bipartite
-    inputs with the ancilla isomorphic to the input system.
+    inputs with the ancilla isomorphic to the input system; at block size
+    l > 1, the per-use value D(N0^l||N1^l) / l of the l-fold tensor powers.
 
     kind "max" is optimization-free and exact: the supremum is attained at
     the maximally entangled input, i.e. on the unit-trace Choi pair, which
@@ -635,8 +641,19 @@ def channel_divergence(
     input is the witness and no search runs.  A value there above the upper
     end by more than that never skips the search and adds a note to the
     warnings, and so does a searched value above it.
+
+    At l > 1 the searches run on the tensor powers that n0 and n1 cache,
+    and the value and its upper end are divided by l; the labels, the
+    witness on the block system and the warnings are the block pair's.  An
+    extra start of length d^2 (an l = 1 witness, say) is lifted to its
+    l-fold product input, so a relative or Renyi per-use value never drops
+    below the l = 1 estimate (up to optimizer tolerance); the measured
+    kind's search over H only starts there and can end below it.  A start
+    on the block system is used as it is, and every start keeps its index
+    in the caller's list.  A start of any other length raises
+    DimensionMismatchError.
     """
-    return _channel_divergences(n0, n1, kind, alpha, cfg, pair=False)[0]
+    return _channel_divergences(n0, n1, kind, alpha, cfg, l, pair=False)[0]
 
 
 def channel_divergence_pair(
@@ -645,25 +662,40 @@ def channel_divergence_pair(
     kind: str = "relative",
     alpha: float | None = None,
     cfg: OptimizerConfig | None = None,
+    l: int = 1,
 ) -> tuple[DivergenceValue, DivergenceValue]:
-    """(D(N0||N1), D(N1||N0)), each equal to its channel_divergence.  The
-    two input searches share every objective call, and so do the two
-    measured certifications."""
-    return tuple(_channel_divergences(n0, n1, kind, alpha, cfg, pair=True))
+    """(D(N0||N1), D(N1||N0)) at block size l, each equal to its
+    channel_divergence.  The two input searches share every objective call,
+    and so do the two measured certifications."""
+    return tuple(_channel_divergences(n0, n1, kind, alpha, cfg, l, pair=True))
 
 
-def _channel_divergences(n0, n1, kind, alpha, cfg, pair: bool) -> list[DivergenceValue]:
+def _channel_divergences(n0, n1, kind, alpha, cfg, l: int, pair: bool) -> list[DivergenceValue]:
     """[D(N0||N1)], or with pair [D(N0||N1), D(N1||N0)], each with its
-    upper end; the directions whose bracket stays open at the maximally
-    entangled input share one lockstep search, and a searched value above
-    its upper end beyond ROUNDING_TOL max(1, upper) gets a note."""
+    upper end, per use at block size l; the directions whose bracket stays
+    open at the maximally entangled input share one lockstep search, and a
+    searched value above its upper end beyond ROUNDING_TOL max(1, upper)
+    gets a note."""
+    cfg = cfg or OptimizerConfig()
+    if l != 1:
+        b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+        d2 = n0.in_dim**2
+        starts = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
+        if any(v.size not in (d2, d2**l) for v in starts):
+            raise DimensionMismatchError(
+                f"extra starts of sizes {[v.size for v in starts]}: input vectors on R (x) A have length {d2}, "
+                f"on its {l}-fold block {d2**l}"
+            )
+        # each start keeps the caller's index, which the start checks name
+        cfg = replace(cfg, extra_starts=[product_input_vector(v, n0.in_dim, l) if v.size == d2 else v for v in starts])
+        dvs = _channel_divergences(b0, b1, kind, alpha, cfg, 1, pair)
+        return [replace(dv, value=dv.value / l, upper=dv.upper / l) for dv in dvs]
     if kind not in KINDS:
         raise ValueError(f"unknown divergence kind {kind!r}")
     if kind == "renyi" and (alpha is None or alpha <= 1.0):
         raise InvalidAlphaError(f"renyi kind needs alpha > 1, got {alpha}")
     if (n0.in_dim, n0.out_dim) != (n1.in_dim, n1.out_dim):
         raise DimensionMismatchError("channel pair has mismatched dimensions")
-    cfg = cfg or OptimizerConfig()
     directions = [(n0, n1), (n1, n0)] if pair else [(n0, n1)]
     d = n0.in_dim
     dim_psi = d * d
@@ -745,63 +777,3 @@ def product_input_vector(psi: np.ndarray, d: int, l: int) -> np.ndarray:
     t = vec.reshape([d_r, d] * l)
     order = [2 * i for i in range(l)] + [2 * i + 1 for i in range(l)]
     return t.transpose(order).reshape(-1)
-
-
-def block_divergence(
-    n0: QuantumChannel,
-    n1: QuantumChannel,
-    l: int,
-    kind: str = "measured",
-    alpha: float | None = None,
-    cfg: OptimizerConfig | None = None,
-) -> DivergenceValue:
-    """Per-use divergence of the l-fold tensor powers, D(N0^l||N1^l) / l: the
-    channel value of the block pair with its value and upper end divided by
-    l, and its labels (is_lower_bound, is_finite), witness on the block
-    system and warnings kept.  The max kind is exact, the searched kinds
-    certified lower bounds, as channel values are.
-
-    When the l = 1 witness input is known, pass it via cfg.extra_starts as a
-    vector on (R A); it is lifted to the product input on the block system so
-    the per-use value never drops below the l = 1 estimate (up to optimizer
-    tolerance).  Starts on the block system (R A)^l are used as they are,
-    and every start keeps its place in the caller's list; a start of any
-    other length raises DimensionMismatchError, and a lifted or block start
-    without a finite nonzero norm raises ValueError naming its index, as in
-    channel_divergence.  This is the one-direction case of
-    block_divergence_pair.
-    """
-    return _block_divergences(n0, n1, l, kind, alpha, cfg, pair=False)[0]
-
-
-def block_divergence_pair(
-    n0: QuantumChannel,
-    n1: QuantumChannel,
-    l: int,
-    kind: str = "measured",
-    alpha: float | None = None,
-    cfg: OptimizerConfig | None = None,
-) -> tuple[DivergenceValue, DivergenceValue]:
-    """(block_divergence(n0, n1, l), block_divergence(n1, n0, l)), per-use
-    DivergenceValues from one channel_divergence_pair on the tensor powers
-    that n0 and n1 cache."""
-    return tuple(_block_divergences(n0, n1, l, kind, alpha, cfg, pair=True))
-
-
-def _block_divergences(n0, n1, l, kind, alpha, cfg, pair: bool) -> list[DivergenceValue]:
-    """block_divergence, or with pair block_divergence_pair, as a list, on
-    the l-fold tensor powers of n0 and n1, which each channel caches."""
-    cfg = cfg or OptimizerConfig()
-    b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
-    if l > 1:
-        d2 = n0.in_dim**2
-        starts = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
-        if any(v.size not in (d2, d2**l) for v in starts):
-            raise DimensionMismatchError(
-                f"extra starts of sizes {[v.size for v in starts]}: input vectors on R (x) A have length {d2}, "
-                f"on its {l}-fold block {d2**l}"
-            )
-        # each start keeps the caller's index, which the start checks name
-        cfg = replace(cfg, extra_starts=[product_input_vector(v, n0.in_dim, l) if v.size == d2 else v for v in starts])
-    dvs = _channel_divergences(b0, b1, kind, alpha, cfg, pair)
-    return [replace(dv, value=dv.value / l, upper=dv.upper / l) for dv in dvs]

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .divergences import block_divergence_pair
+from .divergences import channel_divergence_pair
 from .errors import DegenerateSamplingError
 from .optimize import OptimizerConfig
-from .quantum import QuantumChannel, _apply_to_pure, _basis_laws, _haar_unitaries, tensor_power_channel
-from .strategies import Arm, arm_laws, rate_pair, rate_pairs
+from .quantum import QuantumChannel, _apply_to_pure, _basis_laws, _haar_unitaries
+from .strategies import rate_pair, rate_pairs, witness_arms
 
 RECTANGLE = "rectangle"
 HULL = "hull"
@@ -91,8 +91,8 @@ def adaptive_region(
     cfg: OptimizerConfig | None = None,
 ) -> ExponentRegion:
     """Rectangle with corner (D_M(N1||N0), D_M(N0||N1)) per use at block
-    size l; witness-certified inner bound.  The divergences are the .value
-    of block_divergence_pair's per-use DivergenceValues.
+    size l; witness-certified inner bound.  The divergences and the arms are
+    those of witness_arms, the stage the adaptive SPRT plays.
 
     Each direction's witness arm also certifies a lower bound in the other
     direction (any single measurement lower-bounds both measured
@@ -102,21 +102,19 @@ def adaptive_region(
     once.  The measured certifier's notes on either direction, if any, are
     listed in metadata["warnings"].  Region documents leave out both.
     """
-    e01, e10 = block_divergence_pair(n0, n1, l, "measured", cfg=cfg)
-    b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
-    r0, w10 = e10.value, e10.witness
-    r1, w01 = e01.value, e01.witness
+    (e01, e10), (arm01, arm10) = witness_arms(n0, n1, l, cfg)
+    r0, r1 = e10.value, e01.value
     rates = {}
-    for key, w in (("witness_10", w10), ("witness_01", w01)):
-        if w is None or w.povm is None:
+    for key, arm in (("witness_10", arm10), ("witness_01", arm01)):
+        if arm is None:
             continue
-        arm = Arm(w.input_state, w.povm, b0.in_dim)
-        a0, a1 = rates[key] = tuple(a / l for a in rate_pair(*arm_laws(arm, b0, b1)))
+        a0, a1 = rates[key] = tuple(a / l for a in rate_pair(*arm[1]))
         if math.isfinite(a0):
             r0 = max(r0, a0)
         if math.isfinite(a1):
             r1 = max(r1, a1)
-    metadata = {"l": l, "bound": "inner", "witness_10": w10, "witness_01": w01, "witness_rates": rates}
+    metadata = {"l": l, "bound": "inner", "witness_10": e10.witness, "witness_01": e01.witness,
+                "witness_rates": rates}
     if e10.warnings or e01.warnings:
         # the certifier's notes; region documents drop lists of strings
         metadata["warnings"] = e10.warnings + e01.warnings
@@ -209,13 +207,13 @@ def converse_region(
     The sandwiched divergence is non-decreasing in alpha, so the minimum
     over the grid is its value at the smallest order, and that one order is
     evaluated: the corner is the .value of the two per-use DivergenceValues
-    of one block_divergence_pair call.  metadata["alpha_grid"] records the
-    whole grid.  Finite-block values only approximate the
-    regularized quantity from below, so the region is labeled an estimate
+    of one channel_divergence_pair call at block size l.
+    metadata["alpha_grid"] records the whole grid.  Finite-block values only
+    approximate the regularized quantity from below, so the region is labeled an estimate
     rather than a certified outer bound.
     """
     _check_alpha_grid(alpha_grid)
-    e01, e10 = block_divergence_pair(n0, n1, l, "renyi", min(alpha_grid), cfg)
+    e01, e10 = channel_divergence_pair(n0, n1, "renyi", min(alpha_grid), cfg, l)
     return ExponentRegion(
         kind=CONVERSE,
         frontier=[(e10.value, e01.value)],

@@ -482,13 +482,13 @@ def check_constraint(summary: SimulationSummary, plan: SimulationPlan) -> Constr
 
 
 def check_budgets(budgets: list[int], block_size: int) -> None:
-    """The rule sweep_budgets holds its budgets to: ascending int multiples
-    of the block size, each at least one block; else ValueError."""
+    """The rule sweep_budgets holds its budgets to: strictly ascending int
+    multiples of the block size, each at least one block; else ValueError."""
     bad = [n for n in budgets if not _is_int(n) or n < block_size or n % block_size]
     if bad:
         raise ValueError(f"budgets {bad} are not multiples of the block size {block_size} (positive ints)")
-    if list(budgets) != sorted(budgets):
-        raise ValueError(f"budgets {list(budgets)} are not ascending")
+    if any(a >= b for a, b in zip(budgets, budgets[1:])):
+        raise ValueError(f"budgets {list(budgets)} are not ascending: each must exceed the one before")
 
 
 def sweep_budgets(
@@ -499,7 +499,8 @@ def sweep_budgets(
     constraint: str = EXPECTATION,
     epsilon: float = 0.05,
 ) -> list[SweepRecord]:
-    """The same arms at a list of ascending budgets, for convergence curves.
+    """The same arms at a list of strictly ascending budgets, for
+    convergence curves.
 
     Arms and rates are reused; only the thresholds and caps scale with n.
     Every budget shares the base seed, so one walk per trace serves them all:

@@ -2,11 +2,12 @@
 
 One Wald SPRT type with one or two arms, each an (input state, POVM) pair.
 The adaptive SPRT plays two arms, each witnessing one direction of the
-measured channel divergence, and picks one by the sign of the running sum
-(ties to arm zero); the non-adaptive SPRT plays its one arm every round.
-The accumulated sum of per-step log-likelihood increments drives the
-stopping rule (first exit from (-A_n, B_n)).  arm_laws is the one map from
-an arm to its outcome laws.
+measured channel divergence at the strategy's block size (witness_arms, the
+one stage that the adaptive rectangle rates too), and picks one by the sign
+of the running sum (ties to arm zero); the non-adaptive SPRT plays its one
+arm every round.  The accumulated sum of per-step log-likelihood
+increments drives the stopping rule (first exit from (-A_n, B_n)).
+arm_laws is the one map from an arm to its outcome laws.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .divergences import channel_divergence_pair
+from .divergences import DivergenceValue, channel_divergence_pair
 from .errors import (
     DimensionOverflowError,
     InfiniteDivergenceError,
@@ -194,51 +195,77 @@ class SprtStrategy:
         return strategy
 
 
+def witness_arms(
+    n0: QuantumChannel,
+    n1: QuantumChannel,
+    l: int = 1,
+    cfg: OptimizerConfig | None = None,
+) -> tuple[tuple[DivergenceValue, DivergenceValue], list[tuple[Arm, list[np.ndarray]] | None]]:
+    """The witness arms of the measured channel pair at block size l.
+
+    Returns the per-use values (D_M(N0||N1), D_M(N1||N0)) of one
+    channel_divergence_pair, and for each direction in that order its
+    witness arm on the l-fold tensor powers with the arm's outcome laws
+    (p0, p1) under them, or None where the witness has no POVM (an infinite
+    value).  The adaptive SPRT plays these arms and the adaptive rectangle
+    rates them.
+    """
+    values = channel_divergence_pair(n0, n1, "measured", cfg=cfg, l=l)
+    b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+    arms = []
+    for dv in values:
+        if dv.witness is None or dv.witness.povm is None:
+            arms.append(None)
+            continue
+        arm = Arm(dv.witness.input_state, dv.witness.povm, b0.in_dim)
+        arms.append((arm, arm_laws(arm, b0, b1)))
+    return values, arms
+
+
 def build_sprt(
     n0: QuantumChannel,
     n1: QuantumChannel,
     n: int,
     tau: float | None = None,
     cfg: OptimizerConfig | None = None,
-    block_size: int = 1,
+    l: int = 1,
 ) -> SprtStrategy:
-    """Construct the adaptive SPRT from measured-divergence witnesses.
+    """Construct the adaptive SPRT from measured-divergence witnesses, on
+    the l-fold tensor powers with budget floor(n/l) block steps.
 
     Thresholds are computed from the witnessed (achieved) arm rates rather
     than the unknown true suprema, so the simulated exponents and the
-    thresholds stay on the same footing.  tau defaults to 0.1 x min(rates).
-    Both directions of the channel max-divergence must be finite; the max
-    kind's pair is checked before the measured pair runs.
+    thresholds stay on the same footing.  tau is per channel use and scaled
+    to the block level; it defaults to 0.1 x min(rates).  The reported
+    stopping times are per use (block steps x l).  Both directions of the
+    block pair's max-divergence must be finite; the max kind's pair is
+    checked before the measured pair runs.
     """
-    cfg = cfg or OptimizerConfig()
-    d01, d10 = channel_divergence_pair(n0, n1, kind="max")
+    if l > 1 and n < l:
+        raise DimensionOverflowError(f"budget {n} smaller than block size {l}")
+    d01, d10 = channel_divergence_pair(n0, n1, kind="max", l=l)
     if not (d01.is_finite and d10.is_finite):
         raise InfiniteDivergenceError(
             f"max-divergence infinite (finite 0||1: {d01.is_finite}, "
             f"1||0: {d10.is_finite}); the SPRT needs both directions finite"
         )
-    dv01, dv10 = channel_divergence_pair(n0, n1, kind="measured", cfg=cfg)
-    arm_zero = Arm(dv01.witness.input_state, dv01.witness.povm, n0.in_dim)
-    arm_one = Arm(dv10.witness.input_state, dv10.witness.povm, n0.in_dim)
+    _, ((arm_zero, laws0), (arm_one, laws1)) = witness_arms(n0, n1, l, cfg)
     # achieved per-step rates of the arms (certified lower bounds)
-    laws = [arm_laws(arm_zero, n0, n1), arm_laws(arm_one, n0, n1)]
-    _, rate1 = rate_pair(*laws[0])
-    rate0, _ = rate_pair(*laws[1])
+    _, rate1 = rate_pair(*laws0)
+    rate0, _ = rate_pair(*laws1)
     if min(rate0, rate1) <= 0:
         raise TauTooLargeError("witnessed rates are zero; channels indistinguishable")
-    if tau is None:
-        tau = 0.1 * min(rate0, rate1)
     return SprtStrategy(
-        n0=n0,
-        n1=n1,
+        n0=tensor_power_channel(n0, l),
+        n1=tensor_power_channel(n1, l),
         arm_zero=arm_zero,
         arm_one=arm_one,
         rate0=rate0,
         rate1=rate1,
-        tau=tau,
-        n=n,
-        block_size=block_size,
-        laws=laws,
+        tau=0.1 * min(rate0, rate1) if tau is None else l * tau,
+        n=n // l,
+        block_size=l,
+        laws=[laws0, laws1],
     )
 
 
@@ -263,31 +290,6 @@ def build_non_adaptive(
     return SprtStrategy(
         n0=n0, n1=n1, arm_zero=arm, rate0=rate0, rate1=rate1, tau=tau, n=n, laws=[(p0, p1)]
     )
-
-
-def lift_to_blocks(
-    n0: QuantumChannel,
-    n1: QuantumChannel,
-    l: int,
-    n: int,
-    tau: float | None = None,
-    cfg: OptimizerConfig | None = None,
-) -> SprtStrategy:
-    """SPRT on the l-fold tensor powers with budget floor(n/l) block steps.
-
-    tau is interpreted per channel use and scaled to the block level; the
-    reported stopping times are per-use (block steps x l).
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if l == 1:
-        return build_sprt(n0, n1, n, tau, cfg)
-    b0 = tensor_power_channel(n0, l)
-    b1 = tensor_power_channel(n1, l)
-    n_blocks = n // l
-    if n_blocks < 1:
-        raise DimensionOverflowError(f"budget {n} smaller than block size {l}")
-    return build_sprt(b0, b1, n_blocks, None if tau is None else l * tau, cfg, block_size=l)
 
 
 def sample_outcome(cdf: np.ndarray, u: float) -> int:

@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -151,6 +152,47 @@ def test_validate_command(tmp_path, runner):
     assert doc["both_finite"] is True
 
 
+def test_validate_reports_in_the_run_unit(tmp_path, runner):
+    """finiteness.json writes the max-divergences in the run's unit: the
+    Bernoulli replacers' Choi D_max is ln 4 nats, 2 bits.  It read ln 4
+    whatever the log base."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "--log-base", "2",
+                               "validate"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads((out / "finiteness.json").read_text())
+    assert abs(doc["max_div_01"] - 2.0) <= 1e-12 and abs(doc["max_div_10"] - 2.0) <= 1e-12, doc
+
+
+def test_regions_adaptive_only_writes_the_full_runs_documents(tmp_path, runner):
+    """regions with which ["adaptive"] runs the whole chain: its adaptive
+    documents and containment matrix are byte for byte those of a full run,
+    on acceptance-6's random pair.  It used to call adaptive_region at each
+    l with no witness chaining or floors, so its l = 2 corner differed and
+    the matrix was empty."""
+    from chandisc import serialize
+    from chandisc.quantum import random_channel
+
+    rng = np.random.default_rng(20240823)
+    channels = {}
+    for key in ("n0", "n1"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(serialize.dumps(serialize.channel_to_json(random_channel(2, 2, 4, rng))))
+        channels[key] = {"file": str(path)}
+    runs = {}
+    for which in (["nonAdaptive", "adaptive", "converse"], ["adaptive"]):
+        out = tmp_path / "_".join(which)
+        cfg = write_config(tmp_path, channels=channels, regions={"which": which, "l_max": 2, "samples": 32})
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "regions"])
+        assert res.exit_code == 0, res.output
+        runs[len(which)] = out
+    names = [f"region_adaptive_l{l}.{ext}" for l in (1, 2) for ext in ("csv", "json")] + ["containment_matrix.json"]
+    for name in names:
+        assert (runs[1] / name).read_bytes() == (runs[3] / name).read_bytes(), name
+    assert json.loads((runs[1] / "containment_matrix.json").read_text())
+
+
 def test_block_sweep_budgets_off_the_block_size_exit_2(tmp_path, runner):
     """A block-mode sweep runs whole blocks only: a budget that is not a
     multiple of l is a config error, caught before the run directory exists."""
@@ -165,14 +207,17 @@ def test_block_sweep_budgets_off_the_block_size_exit_2(tmp_path, runner):
 
 
 def test_sweep_budgets_must_ascend_exit_2(tmp_path, runner):
-    """sweep reads the budget rule sweep_budgets holds: descending budgets
-    are a config error, caught before the run directory exists."""
+    """sweep reads the budget rule sweep_budgets holds: budgets that do not
+    ascend strictly are a config error, caught before the run directory
+    exists.  A repeated budget, [50, 50], ran twice and wrote two identical
+    rows."""
     out = tmp_path / "run"
-    cfg = write_config(tmp_path, sweep={"budgets": [100, 50], "trials": 50})
-    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "sweep"])
-    assert res.exit_code == 2, res.output
-    assert "config error: sweep budgets [100, 50] are not ascending" in res.output
-    assert not out.exists()
+    for budgets in ([100, 50], [50, 50]):
+        cfg = write_config(tmp_path, sweep={"budgets": budgets, "trials": 50})
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "sweep"])
+        assert res.exit_code == 2, res.output
+        assert f"config error: sweep budgets {budgets} are not ascending" in res.output
+        assert not out.exists()
 
 
 def test_block_simulate_budget_off_the_block_size_exit_2(tmp_path, runner):

@@ -16,8 +16,6 @@ from chandisc.divergences import (
     _relative_terms,
     _renyi_terms,
     _sandwich,
-    block_divergence,
-    block_divergence_pair,
     channel_divergence,
     channel_divergence_pair,
     max_div_states,
@@ -263,7 +261,7 @@ def test_block_divergence_rejects_wrong_length_extra_start():
     n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
     for bad in (np.ones(3), np.ones(64)):
         with pytest.raises(DimensionMismatchError, match="length 4, on its 2-fold block 16"):
-            block_divergence(n0, n1, 2, kind="relative", cfg=OptimizerConfig(extra_starts=[bad]))
+            channel_divergence(n0, n1, kind="relative", cfg=OptimizerConfig(extra_starts=[bad]), l=2)
 
 
 @pytest.mark.parametrize("bad", [np.zeros(4), np.array([0.5, np.nan, 0.5, 0.0])], ids=["zero", "nan"])
@@ -282,9 +280,10 @@ def test_extra_starts_without_a_finite_nonzero_norm_raise(bad):
         with pytest.raises(ValueError, match="extra start 1 "):
             channel_divergence(n0, n1, kind=kind, alpha=alpha, cfg=cfg)
     with pytest.raises(ValueError, match="extra start 1 "):
-        block_divergence(n0, n1, 2, kind="relative", cfg=cfg)
+        channel_divergence(n0, n1, kind="relative", cfg=cfg, l=2)
     with pytest.raises(ValueError, match="extra start 0 "):
-        block_divergence(n0, n1, 2, kind="relative", cfg=replace(CFG, extra_starts=[np.kron(bad, bad), np.ones(4)]))
+        channel_divergence(n0, n1, kind="relative", cfg=replace(CFG, extra_starts=[np.kron(bad, bad), np.ones(4)]),
+                           l=2)
 
 
 def test_equal_channels_zero():
@@ -336,7 +335,7 @@ def test_block_divergence_additivity_on_replacers():
     n1 = bernoulli_replacer(0.8)
     kl = kl_divergence([0.2, 0.8], [0.8, 0.2])
     cfg = OptimizerConfig(restarts=2, max_iters=60)
-    est = block_divergence(n0, n1, 2, kind="measured", cfg=cfg)
+    est = channel_divergence(n0, n1, kind="measured", cfg=cfg, l=2)
     assert abs(est.value - kl) < 1e-5
     assert abs(2 * est.value - 2 * kl) < 2e-5
 
@@ -348,7 +347,7 @@ def test_block_divergence_dominates_single_use():
     dv1 = channel_divergence(n0, n1, kind="measured", cfg=cfg1)
     cfg2 = OptimizerConfig(restarts=2, max_iters=40)
     cfg2.extra_starts = [dv1.witness.input_vector]
-    est = block_divergence(n0, n1, 2, kind="measured", cfg=cfg2)
+    est = channel_divergence(n0, n1, kind="measured", cfg=cfg2, l=2)
     assert est.value >= dv1.value - 1e-5
 
 
@@ -440,7 +439,7 @@ def test_one_start_reaches_the_optimum(n0, n1, l, caplog):
     rng = np.random.default_rng(5)
     for kind, alpha in (("relative", None), ("renyi", 1.5)):
         with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
-            pair = block_divergence_pair(n0, n1, l, kind=kind, alpha=alpha, cfg=CFG)
+            pair = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG, l=l)
         # one search per direction, each from the maximally entangled input alone
         assert [r.multistart["starts"] for r in caplog.records] == [1, 1], kind
         caplog.clear()
@@ -499,8 +498,8 @@ SEARCHED_BITS = {
 def test_open_searches_keep_their_bits():
     """The searched values and upper ends of a random qubit pair, in both
     directions, bit for bit: channel_divergence_pair of the relative,
-    measured and Renyi-1.5 kinds and block_divergence_pair at l = 2 of the
-    relative kind, at 4 starts and 100 iterations.  The relative and Renyi
+    measured and Renyi-1.5 kinds, and of the relative kind per use at
+    l = 2, at 4 starts and 100 iterations.  The relative and Renyi
     searches run from the maximally entangled input alone; both measured
     searches of a pair start from the same seeded draws, and padding the
     second from another generator state moves its values."""
@@ -510,7 +509,7 @@ def test_open_searches_keep_their_bits():
                            for dv in channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG)]
            for kind, alpha in (("relative", None), ("measured", None), ("renyi", 1.5))}
     got["block l=2 relative, per use"] = [(est.value.hex(), est.upper.hex())
-                                          for est in block_divergence_pair(n0, n1, 2, kind="relative", cfg=CFG)]
+                                          for est in channel_divergence_pair(n0, n1, kind="relative", cfg=CFG, l=2)]
     assert got == SEARCHED_BITS
 
 
@@ -653,9 +652,10 @@ def test_every_kind_of_pair_equals_two_one_direction_runs():
             both = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=PROPERTY_CFG)
             for a, (x, y) in zip(both, ((n0, n1), (n1, n0))):
                 _same_value(a, channel_divergence(x, y, kind=kind, alpha=alpha, cfg=PROPERTY_CFG))
-        est = block_divergence_pair(n0, n1, 2, kind="renyi", alpha=2.0, cfg=OptimizerConfig(restarts=2, max_iters=20))
+        short = OptimizerConfig(restarts=2, max_iters=20)
+        est = channel_divergence_pair(n0, n1, kind="renyi", alpha=2.0, cfg=short, l=2)
         for a, (x, y) in zip(est, ((n0, n1), (n1, n0))):
-            _same_value(a, block_divergence(x, y, 2, kind="renyi", alpha=2.0, cfg=OptimizerConfig(restarts=2, max_iters=20)))
+            _same_value(a, channel_divergence(x, y, kind="renyi", alpha=2.0, cfg=short, l=2))
     assert not channel_divergence_pair(*pairs[1], kind="relative")[0].is_finite
 
 
@@ -796,6 +796,37 @@ def test_measured_channel_values_carry_the_cross_check_notes(certifier_witnesses
     assert noted.warnings == [f"estimators disagree by {gap:.2e}"]
 
 
+def test_the_cross_check_fails_only_a_program_above_its_witness(monkeypatch):
+    """The measured cross-check raises only where the variational value
+    exceeds the witness PVM's KL by more than 10 cross_check_tol: with
+    basis_witness lowered by 11 tolerances it raises.  Raised by as much,
+    the KL is reported with a note: in omega's eigenbasis the classical
+    variational formula gives KL >= the program's value, so a KL above it
+    only shows a program that stopped short, and the KL is still a lower
+    bound.  Both used to raise."""
+    rng = np.random.default_rng(3)
+    rho0, rho1 = random_density_matrix(3, rng), random_density_matrix(3, rng)
+    cfg = OptimizerConfig()
+    real = divergences.basis_witness
+
+    def shifted(shift):
+        def witness(*args):
+            value, povm = real(*args)
+            return value + shift, povm
+
+        return witness
+
+    monkeypatch.setattr(divergences, "basis_witness", shifted(-11 * cfg.cross_check_tol))
+    with pytest.raises(OptimizerFailure, match="estimators disagree: variational"):
+        measured_rel_entropy_states(rho0, rho1, cfg)
+    monkeypatch.setattr(divergences, "basis_witness", shifted(11 * cfg.cross_check_tol))
+    with pytest.warns(ConvergenceWarning):
+        dv = measured_rel_entropy_states(rho0, rho1, cfg)
+    w = dv.witness
+    assert dv.value == w.pvm_value > w.variational_value + 10 * cfg.cross_check_tol
+    assert dv.warnings == [f"estimators disagree by {w.pvm_value - w.variational_value:.2e}"]
+
+
 def _supported_state_pair(kind: int, d: int, rank: int, rng) -> tuple[DensityMatrix, DensityMatrix]:
     """A zoo Choi pair (kind 0) or a random pair whose rho1 has the given
     rank and whose rho0 lies in its support (kind 1)."""
@@ -859,7 +890,7 @@ def test_renyi_rejects_an_invalid_order_before_the_support_test():
     with pytest.raises(InvalidAlphaError):
         channel_divergence(n0, n1, kind="renyi", alpha=0.5)
     with pytest.raises(InvalidAlphaError):
-        block_divergence(n0, n1, 2, kind="renyi", alpha=None)
+        channel_divergence(n0, n1, kind="renyi", alpha=None, l=2)
 
 
 def test_block_values_are_per_use_divergence_values():
@@ -870,7 +901,7 @@ def test_block_values_are_per_use_divergence_values():
     n0, n1 = identity_channel(2), depolarizing_channel(0.5)
     b0, b1 = tensor_power_channel(n0, 2), tensor_power_channel(n1, 2)
     for kind, alpha in (("relative", None), ("measured", None), ("max", None), ("renyi", 1.5)):
-        blocks = block_divergence_pair(n0, n1, 2, kind=kind, alpha=alpha, cfg=CFG)
+        blocks = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG, l=2)
         for est, dv in zip(blocks, channel_divergence_pair(b0, b1, kind=kind, alpha=alpha, cfg=CFG)):
             assert type(est) is DivergenceValue
             assert (est.value, est.upper) == (dv.value / 2, dv.upper / 2)
@@ -880,21 +911,23 @@ def test_block_values_are_per_use_divergence_values():
 
 
 def test_block_values_keep_the_channel_value_warnings_and_upper_end(certifier_witnesses):
-    """A block value at l = 1 lists the measured certifier's cross-check
-    notes and the upper end of the channel value it comes from.  The note
-    fires at a cross_check_tol of a third of the gap that the channel
-    value's own certifier reads on the witness outputs."""
+    """A block value at l = 2 lists the measured certifier's cross-check
+    notes of the tensor-power pair's channel value, and its value and upper
+    end are that value's divided by 2.  The note fires at a cross_check_tol
+    of a third of the gap that the channel value's own certifier reads on
+    the witness outputs."""
     (n0, n1), cfg = _witness_pairs()[5]
-    channel_divergence(n0, n1, kind="measured", cfg=cfg)
+    b0, b1 = tensor_power_channel(n0, 2), tensor_power_channel(n1, 2)
+    channel_divergence(b0, b1, kind="measured", cfg=cfg)
     (w,) = certifier_witnesses
     gap = abs(w.variational_value - w.pvm_value)
     assert gap > 0
     cfg = replace(cfg, cross_check_tol=gap / 3)
     with pytest.warns(ConvergenceWarning):
-        dv = channel_divergence(n0, n1, kind="measured", cfg=cfg)
-        est = block_divergence(n0, n1, 1, kind="measured", cfg=cfg)
+        dv = channel_divergence(b0, b1, kind="measured", cfg=cfg)
+        est = channel_divergence(n0, n1, kind="measured", cfg=cfg, l=2)
     assert dv.warnings and est.warnings == dv.warnings
-    assert (est.value, est.upper) == (dv.value, dv.upper)
+    assert (est.value, est.upper) == (dv.value / 2, dv.upper / 2)
 
 
 BRACKET_KINDS = (("relative", None), ("measured", None), ("renyi", 1.1), ("renyi", 1.5), ("renyi", 2.0))
@@ -910,7 +943,7 @@ def test_channel_values_lie_below_their_upper_ends(seed, d_l):
     rng = np.random.default_rng(seed)
     n0, n1 = random_channel(d, d, d * d, rng), random_channel(d, d, d * d, rng)
     for kind, alpha in BRACKET_KINDS + (("renyi", 3.0), ("max", None)):
-        for est in block_divergence_pair(n0, n1, l, kind=kind, alpha=alpha, cfg=PROPERTY_CFG):
+        for est in channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=PROPERTY_CFG, l=l):
             assert est.value <= est.upper + 1e-12, (kind, alpha, est.value, est.upper)
             if kind == "max":
                 assert est.upper == est.value
@@ -1020,7 +1053,7 @@ def test_brackets_close_on_covariant_pairs(l):
            (bernoulli_replacer(0.2), bernoulli_replacer(0.8))]
     for n0, n1 in zoo:
         for kind, alpha in BRACKET_KINDS:
-            for est in block_divergence_pair(n0, n1, l, kind=kind, alpha=alpha, cfg=CFG):
+            for est in channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG, l=l):
                 gap = est.upper - est.value
                 assert abs(gap) <= 1e-12 and est.warnings == [], (n0.label, n1.label, kind, alpha, gap)
 
@@ -1134,7 +1167,7 @@ def test_classical_pairs_meet_their_closed_forms(classical_pair, classical_close
     alone both meet it."""
     n0, n1 = _classical_channels(classical_pair)
     values = {kind: channel_divergence_pair(n0, n1, kind=kind) for kind in ("relative", "measured", "max")}
-    blocks = block_divergence_pair(n0, n1, 2, kind="relative")
+    blocks = channel_divergence_pair(n0, n1, kind="relative", l=2)
     w0, w1 = classical_pair
     for i, forms in enumerate((classical_closed_forms(w0, w1), classical_closed_forms(w1, w0))):
         kl, d_max = forms.corner[1], forms.d_max
@@ -1150,14 +1183,13 @@ def test_classical_pairs_meet_their_closed_forms(classical_pair, classical_close
 
 
 def test_channel_values_are_plain_floats(classical_pair):
-    """Every kind's block values at l = 1 (each its channel value divided by
-    1, which keeps a numpy scalar one) and their upper ends are plain
-    floats, not numpy scalars; a measured value found by the input search
-    was an np.float64."""
+    """Every kind's channel values and their upper ends are plain floats,
+    not numpy scalars; a measured value found by the input search was an
+    np.float64."""
     n0, n1 = _classical_channels(classical_pair)
     for kind, alpha in (("relative", None), ("measured", None), ("max", None), ("renyi", 1.5)):
-        blocks = block_divergence_pair(n0, n1, 1, kind=kind, alpha=alpha)
-        assert [type(v) for b in blocks for v in (b.value, b.upper)] == 4 * [float], kind
+        values = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha)
+        assert [type(v) for b in values for v in (b.value, b.upper)] == 4 * [float], kind
 
 
 def _full_space_max_div(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
@@ -1251,7 +1283,7 @@ def test_closed_measured_brackets_skip_the_variational_program(monkeypatch, capl
     for n0, n1 in _covariant_zoo():
         for l in (1, 2):
             with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
-                block_divergence_pair(n0, n1, l, kind="measured", cfg=CFG)
+                channel_divergence_pair(n0, n1, kind="measured", cfg=CFG, l=l)
             skipped = [r.multistart for r in caplog.records if r.msg.startswith("variational program skipped")]
             caplog.clear()
             assert len(skipped) == 2, (n0.label, l)

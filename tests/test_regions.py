@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chandisc import divergences, quantum, regions, strategies
-from chandisc.divergences import (
-    ConvergenceWarning,
-    block_divergence_pair,
-    channel_divergence_pair,
-)
+from chandisc.divergences import ConvergenceWarning, channel_divergence_pair
 from chandisc.optimize import OptimizerConfig, kl_divergence
 from chandisc.quantum import (
     basis_pvm,
@@ -36,6 +32,13 @@ from chandisc.serialize import region_to_json
 from chandisc.strategies import Arm, arm_laws, rate_pair, rate_pairs
 
 CFG = OptimizerConfig(restarts=2, max_iters=60)
+
+
+def _route_pair_calls(monkeypatch, spy):
+    """Route the channel_divergence_pair calls of the region stages through
+    spy: the witness arms' (in strategies) and the converse's."""
+    for module in (strategies, regions):
+        monkeypatch.setattr(module, "channel_divergence_pair", spy)
 
 
 def test_containment_trivialities():
@@ -311,7 +314,7 @@ def test_converse_rejects_bad_alpha(monkeypatch):
         with pytest.raises(ValueError, match=rf"alpha grid \[{', '.join(map(str, grid))}\]"):
             converse_region(ch, ch, grid, l=1, cfg=CFG)
     calls = []
-    monkeypatch.setattr(regions, "block_divergence_pair", lambda *args, **kwargs: calls.append(args))
+    _route_pair_calls(monkeypatch, lambda *args, **kwargs: calls.append(args))
     for grid in ((0.9,), ()):
         with pytest.raises(ValueError, match=r"alpha grid \["):
             region_chain(depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=CFG, alpha_grid=grid, samples=8)
@@ -325,7 +328,7 @@ def test_converse_evaluates_the_smallest_order_of_the_grid():
     grid's first or largest order (1.5) would differ."""
     n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
     conv = converse_region(n0, n1, (1.5, 1.05, 1.1), l=1, cfg=CFG)
-    per_order = {a: block_divergence_pair(n0, n1, 1, "renyi", a, CFG) for a in (1.05, 1.1, 1.5)}
+    per_order = {a: channel_divergence_pair(n0, n1, "renyi", a, CFG) for a in (1.05, 1.1, 1.5)}
     e01, e10 = per_order[1.05]
     assert conv.frontier == [(e10.value, e01.value)]
     assert conv.metadata["alpha_grid"] == [1.5, 1.05, 1.1]
@@ -344,13 +347,12 @@ def test_region_chain_makes_one_renyi_call(monkeypatch):
     l = 2 adaptive corner, against 0.4700036292457342 at alpha = 1.05
     (-log 0.625 = 0.4700036292457356).  Its last bit is not asserted."""
     seen = []
-    real = regions.block_divergence_pair
 
-    def spy(n0, n1, l, kind="measured", alpha=None, cfg=None):
+    def spy(n0, n1, kind="relative", alpha=None, cfg=None, l=1):
         seen.append((l, kind, alpha))
-        return real(n0, n1, l, kind, alpha, cfg)
+        return channel_divergence_pair(n0, n1, kind, alpha, cfg, l)
 
-    monkeypatch.setattr(regions, "block_divergence_pair", spy)
+    _route_pair_calls(monkeypatch, spy)
     cfg = OptimizerConfig(restarts=4, max_iters=100)
     region_chain(depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=cfg, l_max=2,
                  alpha_grid=(1.5, 1.05, 1.1), samples=32)
@@ -362,6 +364,24 @@ def test_region_chain_makes_one_renyi_call(monkeypatch):
     (cx, cy), = chain.converse.frontier
     assert math.isinf(cx) and cy >= chain.adaptive[2].frontier[0][1]
     assert cy == pytest.approx(-math.log(0.625), abs=1e-12)
+
+
+def test_region_chain_keeps_a_witness_pvm_above_the_program():
+    """The 8th of eight random_channel(2, 2, 3) / random_channel(2, 2, 4)
+    pairs drawn from default_rng(7): at l = 2 one direction's witness PVM
+    reads more than 10 cross_check_tol above its variational program.  That
+    is no fault of the value, which the PVM's KL certifies, so the chain
+    completes with the certifier's note and its containments hold.  It
+    raised OptimizerFailure from the l = 2 stage."""
+    rng = np.random.default_rng(7)
+    n0, n1 = [(random_channel(2, 2, 3, rng), random_channel(2, 2, 4, rng)) for _ in range(8)][7]
+    cfg = OptimizerConfig(restarts=4, max_iters=100)
+    with pytest.warns(ConvergenceWarning):
+        chain = region_chain(n0, n1, cfg=cfg)
+    assert "warnings" not in chain.adaptive[1].metadata
+    (note,) = chain.adaptive[2].metadata["warnings"]
+    assert note.startswith("estimators disagree by ") and float(note.split()[-1]) > 10 * cfg.cross_check_tol
+    assert all(rep.contained for rep in chain.containments.values()), chain.containments
 
 
 def test_region_chain_classical_pair():
@@ -408,13 +428,12 @@ def test_region_chain_passes_each_block_size_the_witnesses_that_fit(monkeypatch)
     The converse takes the caller's config itself: its Renyi search needs no
     carried start."""
     seen = []
-    real = regions.block_divergence_pair
 
-    def spy(n0, n1, l, kind="measured", alpha=None, cfg=None):
+    def spy(n0, n1, kind="relative", alpha=None, cfg=None, l=1):
         seen.append((l, kind, [np.asarray(v).size for v in cfg.extra_starts], cfg))
-        return real(n0, n1, l, kind, alpha, cfg)
+        return channel_divergence_pair(n0, n1, kind, alpha, cfg, l)
 
-    monkeypatch.setattr(regions, "block_divergence_pair", spy)
+    _route_pair_calls(monkeypatch, spy)
     start = max_entangled_vector(2) / math.sqrt(2.0)
     cfg = OptimizerConfig(restarts=1, max_iters=5, extra_starts=[start])
     chain = region_chain(bernoulli_replacer(0.2), bernoulli_replacer(0.8), cfg=cfg, l_max=3, alpha_grid=(1.5,),
@@ -431,7 +450,7 @@ def test_region_chain_builds_each_tensor_power_once(monkeypatch):
     """Every l >= 2 power of each channel is built once for that channel's
     lifetime: by the first chain, for the adaptive stage and the converse
     together, and neither by a second chain on the same channels nor by
-    lift_to_blocks.  New channels build their own."""
+    build_sprt at l = 2.  New channels build their own."""
     built = []
     real = quantum.QuantumChannel
 
@@ -445,7 +464,7 @@ def test_region_chain_builds_each_tensor_power_once(monkeypatch):
         monkeypatch.setattr(quantum, "QuantumChannel", spy)
         for _ in range(2):
             region_chain(n0, n1, cfg=cfg, l_max=3, alpha_grid=(1.1, 1.5), samples=8)
-        strategies.lift_to_blocks(n0, n1, l=2, n=20, cfg=cfg)
+        strategies.build_sprt(n0, n1, n=20, cfg=cfg, l=2)
         monkeypatch.setattr(quantum, "QuantumChannel", real)
 
     powers = [f"replacer(bern({q}))^(x){l}" for q in (0.2, 0.8) for l in (2, 3)]
@@ -491,12 +510,12 @@ def test_region_chain_with_pair_searches_equals_one_direction_runs(monkeypatch, 
                          alpha_grid=(1.1, 1.5), samples=256, slack=1e-3)
         return c, sorted(repr(r.multistart) for r in caplog.records)
 
-    def one_direction_runs(n0, n1, l, kind="measured", alpha=None, cfg=None):
-        return tuple(divergences.block_divergence(*pair, l, kind, alpha, cfg) for pair in ((n0, n1), (n1, n0)))
+    def one_direction_runs(n0, n1, kind="relative", alpha=None, cfg=None, l=1):
+        return tuple(divergences.channel_divergence(*pair, kind, alpha, cfg, l) for pair in ((n0, n1), (n1, n0)))
 
     with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
         paired, together = chain()
-        monkeypatch.setattr(regions, "block_divergence_pair", one_direction_runs)
+        _route_pair_calls(monkeypatch, one_direction_runs)
         alone, separate = chain()
     assert together == separate and len(together) > 0
     for a, b in zip(_regions_of(paired), _regions_of(alone)):
@@ -594,7 +613,7 @@ def test_adaptive_region_keeps_the_certifier_notes(certifier_witnesses):
     noted_cfg = replace(cfg, cross_check_tol=gap / 3)
     with pytest.warns(ConvergenceWarning):
         noted = adaptive_region(n0, n1, cfg=noted_cfg)
-        e01, e10 = block_divergence_pair(n0, n1, 1, kind="measured", cfg=noted_cfg)
+        e01, e10 = channel_divergence_pair(n0, n1, kind="measured", cfg=noted_cfg)
     assert f"estimators disagree by {gap:.2e}" in noted.metadata["warnings"]
     assert noted.metadata["warnings"] == e10.warnings + e01.warnings
     assert noted.frontier == quiet.frontier and region_to_json(noted) == region_to_json(quiet)

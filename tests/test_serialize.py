@@ -22,7 +22,7 @@ from chandisc.quantum import (
 )
 from chandisc.regions import ExponentRegion
 from chandisc.sim import SimulationPlan, run_trials, sweep_budgets
-from chandisc.strategies import build_non_adaptive, build_sprt, lift_to_blocks
+from chandisc.strategies import build_non_adaptive, build_sprt
 
 CFG = OptimizerConfig(restarts=2, max_iters=60)
 
@@ -74,7 +74,7 @@ def _fixed_strategy(n0, n1):
     [
         lambda n0, n1: build_sprt(n0, n1, n=50, tau=0.08, cfg=CFG),
         _fixed_strategy,
-        lambda n0, n1: lift_to_blocks(n0, n1, l=2, n=50, tau=0.08, cfg=CFG),
+        lambda n0, n1: build_sprt(n0, n1, l=2, n=50, tau=0.08, cfg=CFG),
     ],
     ids=["adaptive", "non-adaptive", "block-l2"],
 )

@@ -41,7 +41,6 @@ from chandisc.strategies import (
     StrategyTrace,
     build_non_adaptive,
     build_sprt,
-    lift_to_blocks,
     outcome_cdf,
     step_sprt,
 )
@@ -74,7 +73,7 @@ def fixed_strategy():
 
 @pytest.fixture(scope="module")
 def block_strategy():
-    return lift_to_blocks(
+    return build_sprt(
         bernoulli_replacer(0.2), bernoulli_replacer(0.8), l=2, n=100, tau=0.08, cfg=CFG
     )
 
@@ -497,8 +496,11 @@ def test_sweep_budgets(classical_strategy):
 
 
 def test_sweep_requires_ascending(classical_strategy):
-    with pytest.raises(ValueError):
-        sweep_budgets(classical_strategy, [200, 100], trials=10, base_seed=0)
+    """Budgets ascend strictly: a repeated budget would run and report the
+    same record twice."""
+    for budgets in ([200, 100], [100, 100, 200]):
+        with pytest.raises(ValueError, match="are not ascending"):
+            sweep_budgets(classical_strategy, budgets, trials=10, base_seed=0)
 
 
 def test_trial_rng_streams_independent():

@@ -33,7 +33,6 @@ from chandisc.strategies import (
     arm_laws,
     build_non_adaptive,
     build_sprt,
-    lift_to_blocks,
     outcome_cdf,
     rate_pair,
     sample_outcome,
@@ -200,7 +199,7 @@ def test_uninformative_measurement_rejected():
 
 def test_lift_to_blocks():
     n0, n1 = classical_pair()
-    strat = lift_to_blocks(n0, n1, l=2, n=100, tau=0.08, cfg=CFG)
+    strat = build_sprt(n0, n1, l=2, n=100, tau=0.08, cfg=CFG)
     assert strat.block_size == 2
     assert strat.n == 50
     # per-use rate doubles at the block level, tau scales with l
@@ -265,7 +264,7 @@ def test_strategy_cdfs_sample_every_uniform(pair):
     """The largest uniform below 1 samples an outcome that has positive
     probability, under every arm and hypothesis."""
     n0, n1, l = pair()
-    tables = lift_to_blocks(n0, n1, l=l, n=20, cfg=CFG).tables
+    tables = build_sprt(n0, n1, l=l, n=20, cfg=CFG).tables
     assert np.all(tables.cdfs[..., -1] == 1.0)
     for arm in range(tables.cdfs.shape[0]):
         for hyp in (0, 1):
