@@ -28,16 +28,16 @@ from .strategies import Arm, SprtStrategy
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    arr = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    """[re, im] float pairs of a complex array, nested as its axes."""
+    arr = np.ascontiguousarray(m, dtype=complex)
+    return arr.view(np.float64).reshape(arr.shape + (2,)).tolist()
 
 
 def matrix_from_json(rows: list) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
 
 
-def vector_to_json(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+vector_to_json = matrix_to_json
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,30 @@ adaptive strategy, then one uniform per step.
 The engine builds the same streams without a SeedSequence per trace:
 _seed_words runs numpy's SeedSequence hash and mix for every trial index of
 a hypothesis in one uint32 pass, and PCG64 seeds itself from those words as
-it would from the SeedSequence.  Traces are walked in row blocks, a chunk of
-uniforms per trace at a time (32 in the first pass, 256 in each later one),
-traces down and steps across; PCG64 spends one word per double, so chunked
-draws continue the stream exactly.  Most short traces stop in the first
-chunk, so no generator is built for it: _first_pass computes the coin and
-the first chunk of _PASS traces at once, with PCG64's 128-bit LCG jumped
-ahead on uint64 words.  A trace that outlives it gets a numpy PCG64 seeded
-with words whose stream starts where the pass stopped: the state of
-PCG64.advance by the uniforms drawn, coin included, without its cost.
+it would from the SeedSequence.  PCG64 spends one word per double, so
+uniform j of a stream is one jump of its 128-bit LCG from the seed, and
+_draws computes uniforms j0..j0 + k - 1 of many streams at once on uint64
+words.  The walk is one loop of rounds; each round walks every live trace
+on uniforms from one of two sources of the same streams:
+
+- Vectorised stages of _STAGES uniforms, each drawn by _draws for every
+  trace still walking, _PASS traces at a time; the first also draws the
+  coin.  Most short traces stop in them, so no generator is built for them.
+- Generators: a trace that outlives the stages gets a numpy PCG64 seeded
+  with words whose stream starts where the stages stopped, the state of
+  PCG64.advance by the uniforms drawn, coin included, without its cost; a
+  trace that skipped the stages gets one on its own seed words and draws
+  its coin first.  Each round walks _ROWS traces at a time, _CHUNK
+  uniforms each, traces down and steps across.
+
+The stages end, and the generators take over, when the schedule ends, when
+_FLOOR or fewer traces are live (building that many generators costs less
+than a stage), or when no live trace can leave its open band or reach its
+cap within the next stage, judged from the largest reachable |increment|:
+such a stage ends nothing, so it only adds a pass.  Long walks therefore go
+straight to generators.  The hand-off is a cost decision: both sources give
+each trace the same uniforms in the same order, so it cannot change a
+result.
 
 The outcome of a uniform is the index searchsorted(side="right") gives:
 the count of cdf entries at or below it, one comparison pass per entry
@@ -53,10 +68,11 @@ PROBABILISTIC = "probabilistic"
 
 CENSOR_FRACTION_LIMIT = 0.05
 
-_FIRST_CHUNK = 32  # uniforms drawn per trace in the first pass: short plans stop in it
-_CHUNK = 256  # uniforms drawn per trace in every later pass
-_ROWS = 256  # traces walked together
-_PASS = 4 * _ROWS  # traces whose first chunk one vectorised PCG64 pass draws: its uint64 arrays stay near 1.4 MB
+_STAGES = (8, 8, 16)  # uniforms per trace of each vectorised stage: short plans stop in them
+_FLOOR = 64  # live traces at or below which generators cost less than a stage
+_CHUNK = 256  # uniforms drawn per trace and generator at a time
+_ROWS = 256  # traces walked together on generators
+_PASS = 4 * _ROWS  # traces one vectorised PCG64 pass draws for: its uint64 work arrays stay near 150 kB
 _COUNT_MAX = 128  # cdf cuts up to which one comparison pass per cut beats a binary search
 
 logger = logging.getLogger("chandisc.sim")
@@ -244,47 +260,46 @@ _U32 = np.uint64(_MASK32)
 
 
 @functools.cache
-def _jumps(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _jumps(j0: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Multipliers a and b, as (high, low) uint64 words with one row each,
     such that a (s + inc) + b inc is the state of PCG64(seed s, increment
-    inc) after j draws, for j = 1..k, and in the last row is the seed s'
-    whose PCG64 starts after those k draws.
+    inc) after j draws, for j = j0 + 1..j0 + k, and in the last row is the
+    seed s' whose PCG64 starts after j0 + k draws.
 
     Seeding starts the LCG X <- M X + inc at M (s + inc) + inc, so after j
     draws X = M^(j+1) (s + inc) + S_(j+1) inc, S_j = 1 + M + ... + M^(j-1);
-    and M (s' + inc) + inc equals it at j = k for s' = M^k (s + inc) + (S_k - 1) inc."""
+    and M (s' + inc) + inc equals it at j = n for s' = M^n (s + inc) + (S_n - 1) inc."""
+    n = j0 + k
     pows, sums = [1], [0]
-    for _ in range(k + 1):
+    for _ in range(n + 1):
         sums.append(sums[-1] + pows[-1])
         pows.append(pows[-1] * _PCG_MULT % (1 << 128))
-    rows = (pows[2 : k + 2] + [pows[k]], sums[2 : k + 2] + [sums[k] - 1])
+    rows = (pows[j0 + 2 : n + 2] + [pows[n]], sums[j0 + 2 : n + 2] + [sums[n] - 1])
     rows = [np.array(r, dtype=object)[:, None] % (1 << 128) for r in rows]
     return [((r >> 64).astype(np.uint64), (r & (1 << 64) - 1).astype(np.uint64)) for r in rows]
 
 
-def _mul_add(x, c, hi, lo, tmp):
+def _mul_add(x, c, hi, lo):
     """(hi, lo) += x c mod 2**128 on (high, low) uint64 words, x one per
     trace and c one per row, with 32-bit limbs for the high word of the low
-    words' product.  tmp is three work arrays shaped like hi."""
+    words' product."""
     (xh, xl), (ch, cl) = x, c
     x0, x1, c0, c1 = xl & _U32, xl >> 32, cl & _U32, cl >> 32
-    mid, p, q = tmp
-    np.right_shift(np.multiply(c0, x0, out=mid), 32, out=mid)
+    mid = c0 * x0 >> 32
     for ci, xi in ((c0, x1), (c1, x0)):
-        np.multiply(ci, xi, out=p)
-        mid += np.bitwise_and(p, _U32, out=q)
-        hi += np.right_shift(p, 32, out=p)
-    hi += np.right_shift(mid, 32, out=mid)
-    for ci, xi in ((c1, x1), (ch, xl), (cl, xh)):
-        hi += np.multiply(ci, xi, out=p)
-    lo += np.multiply(cl, xl, out=p)
+        p = ci * xi
+        mid += p & _U32
+        hi += p >> 32
+    hi += (mid >> 32) + c1 * x1 + ch * xl + cl * xh
+    p = cl * xl
+    lo += p
     hi += lo < p  # the carry of the low words
 
 
-def _first_pass(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first k uniforms of Generator(PCG64(_PresetSeed(w))) for every row
-    w of words, one row per trace, and the seed words of the PCG64s that
-    continue each stream after them.
+def _draws(words: np.ndarray, j0: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniforms j0..j0 + k - 1 of Generator(PCG64(_PresetSeed(w))) for every
+    row w of words, one row per trace, and the seed words of the PCG64s that
+    continue each stream after j0 + k draws.
 
     As numpy's pcg64_set_seed, the seed s is words 0-1 and the increment is
     inc = 2 (words 2-3) + 1, high words first.  A draw steps the LCG and
@@ -295,20 +310,14 @@ def _first_pass(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     inc = ((w2 << 1) | (w3 >> 63), (w3 << 1) | 1)
     lo = w1 + inc[1]
     y = (w0 + inc[0] + (lo < w1), lo)  # s + inc
-    a, b = _jumps(k)
-    hi, lo, *tmp = np.zeros((5, k + 1, len(words)), np.uint64)
-    _mul_add(y, a, hi, lo, tmp)
-    _mul_add(inc, b, hi, lo, tmp)
+    a, b = _jumps(j0, k)
+    hi, lo = np.zeros((2, k + 1, len(words)), np.uint64)
+    _mul_add(y, a, hi, lo)
+    _mul_add(inc, b, hi, lo)
     later = words.copy()
     later[:, 0], later[:, 1] = hi[k], lo[k]
-    hi, lo, x = hi[:k], lo[:k], tmp[0][:k]
-    lo ^= hi  # XSL-RR: fold the words, rotate right by the top 6 bits
-    rot = np.right_shift(hi, 58, out=hi)
-    np.right_shift(lo, rot, out=x)
-    lo <<= np.negative(rot, out=rot) & 63
-    lo |= x
-    lo >>= 11
-    return lo.T * 2.0**-53, later
+    x, rot = lo[:k] ^ hi[:k], hi[:k] >> 58  # XSL-RR: fold the words, rotate right by the top 6 bits
+    return np.multiply(((x >> rot) | (x << (-rot & 63))).T >> 11, 2.0**-53, order="C"), later
 
 
 def _outcome_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -335,76 +344,97 @@ def _simulate_hypothesis(plan: SimulationPlan, hyp: int, ns: list[int]) -> tuple
     tables = strategy.tables
     incs = tables.increments
     cdfs = tables.cdfs[:, hyp, :]
-    if not np.all(np.isfinite(incs[tables.dists[:, hyp, :] > 0])):
+    sizes = np.abs(incs[tables.dists[:, hyp, :] > 0])
+    if not np.all(np.isfinite(sizes)):
         raise ZeroProbabilityOutcomeError(
             "an outcome with zero probability under one hypothesis is reachable"
         )
+    z_max = sizes.max()  # the longest step a trace can take
     arms = range(len(incs))
     if all(np.array_equal(cdfs[a], cdfs[0]) and np.array_equal(incs[a], incs[0]) for a in arms):
         arms = range(1)  # one law for every step
     hi = np.array([strategy.with_budget(n).threshold_b for n in ns])
     lo = -np.array([strategy.with_budget(n).threshold_a for n in ns])
     caps = plan.step_cap_factor * np.array(ns)
-    seeds = _seed_words(plan.base_seed, hyp, trials)
     t_stop = np.repeat(caps[:, None], trials, axis=1)
     decision = np.full(t_stop.shape, CENSORED, dtype=np.int64)
     drawn = 0
     coin = int(strategy.adaptive)
-    first_width = min(_FIRST_CHUNK, caps[0])
 
-    for start in range(0, trials, _ROWS):
-        if start % _PASS == 0:
-            first, later = _first_pass(seeds[start : start + _PASS], coin + first_width)
-        rows = np.arange(start, min(start + _ROWS, trials))
-        band = np.zeros(rows.size, np.intp)  # first open band: the open ones are a suffix
-        if coin:
-            first_arm = first[rows % _PASS, 0] >= 0.5
-        s = np.zeros(rows.size)
-        step = 0
-        while rows.size:
-            if step:
-                width = min(_CHUNK, caps[band.min()] - step)
-                u = np.empty((rows.size, width))  # traces down, steps across
-                for g, row in zip(gens, u):
+    def walk(rows, band, s, arm_one, u, step):
+        """Walk the traces rows, after step steps at the sums s, on the
+        uniforms u, traces down and steps across; arm_one is each trace's
+        arm for its first step here.  Records each first band exit, moves
+        band past the exited and capped bands in place, and returns the sums
+        after the last step."""
+        nonlocal drawn
+        drawn += u.size
+        idx = [_outcome_index(cdfs[a], u) for a in arms]
+        # arm zero's increments overwrite the uniforms; mode="clip" takes unbuffered
+        z = [np.take(incs[a], i, out=u if a == 0 else None, mode="clip") for a, i in zip(arms, idx)]
+        path = u
+        if len(arms) == 1:  # sequential add.accumulate: the sums of step-by-step addition
+            path[:, 0] += s
+            np.cumsum(path, axis=1, out=path)
+        else:  # the arm depends on the sign of the running sum
+            for j in range(u.shape[1]):
+                s = np.add(s, np.where(arm_one, z[1][:, j], z[0][:, j]), out=path[:, j])
+                arm_one = s < 0
+        # first exit of each trace's open band; the bands are nested, so no
+        # trace leaves its next band before this one, and the traces that
+        # exit are searched again for the next
+        hit = np.arange(rows.size)
+        while hit.size:
+            k = band[hit]
+            p = path if hit.size == rows.size else path[hit]
+            crossed = (p >= hi[k, None]) | (p <= lo[k, None])
+            at = crossed.argmax(axis=1)
+            ok = crossed[np.arange(hit.size), at]
+            hit, at, k = hit[ok], at[ok], k[ok]
+            t_stop[k, rows[hit]] = step + at + 1
+            decision[k, rows[hit]] = np.where(path[hit, at] >= hi[k], DECISION_H0, DECISION_H1)
+            band[hit] += 1
+            hit = hit[band[hit] < len(ns)]
+        # censored at their caps
+        np.maximum(band, np.searchsorted(caps, step + u.shape[1], side="right"), out=band)
+        return path[:, -1]
+
+    # each round walks every live trace, _PASS at a time on a vectorised
+    # stage and _ROWS at a time on generators; the draws at step 0 start with
+    # the coin.  streams holds each live trace's seed words, then its generator
+    # band is each trace's first open band: the open ones are a suffix
+    rows, band, s, step = np.arange(trials), np.zeros(trials, np.intp), np.zeros(trials), 0
+    streams = _seed_words(plan.base_seed, hyp, trials)
+    stages, staged = iter(_STAGES), True
+    while rows.size:
+        b = band.min()  # the narrowest open band, whose cap is the nearest
+        cap = caps[b] - step
+        width = min(next(stages, 0) if staged else _CHUNK, cap)
+        if staged and (
+            not width  # the schedule ended
+            or rows.size <= _FLOOR  # building a few generators costs less than a stage
+            # no trace can end in the stage, so it would only add a pass
+            or width < cap and np.abs(s).max() + width * z_max < min(hi[b], -lo[b])
+        ):
+            if step:  # continue the streams where the stages stopped
+                streams = _draws(streams, coin + step, 0)[1]
+            streams = np.array([np.random.Generator(np.random.PCG64(_PresetSeed(w))) for w in streams])
+            staged, width = False, min(_CHUNK, cap)
+        j0, k = (0, coin + width) if step == 0 else (coin + step, width)
+        per = _PASS if staged else _ROWS
+        for p in range(0, rows.size, per):
+            part = slice(p, p + per)
+            if staged:
+                u = _draws(streams[part], j0, k)[0]
+            else:
+                u = np.empty((len(streams[part]), k))  # traces down, steps across
+                for g, row in zip(streams[part], u):
                     g.random(out=row)
-            else:
-                width, u = first_width, first[rows % _PASS, coin:]
-            drawn += u.size
-            idx = [_outcome_index(cdfs[a], u) for a in arms]
-            # arm zero's increments overwrite the uniforms; mode="clip" takes unbuffered
-            z = [np.take(incs[a], i, out=u if a == 0 else None, mode="clip") for a, i in zip(arms, idx)]
-            path = u
-            if len(arms) == 1:  # sequential add.accumulate: the sums of step-by-step addition
-                path[:, 0] += s
-                np.cumsum(path, axis=1, out=path)
-            else:  # the arm depends on the sign of the running sum
-                arm_one = first_arm if step == 0 else s < 0
-                for j in range(width):
-                    s = np.add(s, np.where(arm_one, z[1][:, j], z[0][:, j]), out=path[:, j])
-                    arm_one = s < 0
-            # first exit of each trace's open band; the bands are nested, so no
-            # trace leaves its next band before this one, and the traces that
-            # exit are searched again for the next
-            hit = np.arange(rows.size)
-            while hit.size:
-                k = band[hit]
-                p = path if hit.size == rows.size else path[hit]
-                crossed = (p >= hi[k, None]) | (p <= lo[k, None])
-                at = crossed.argmax(axis=1)
-                ok = crossed[np.arange(hit.size), at]
-                hit, at, k = hit[ok], at[ok], k[ok]
-                t_stop[k, rows[hit]] = step + at + 1
-                decision[k, rows[hit]] = np.where(path[hit, at] >= hi[k], DECISION_H0, DECISION_H1)
-                band[hit] += 1
-                hit = hit[band[hit] < len(ns)]
-            step += width
-            band = np.maximum(band, np.searchsorted(caps, step, side="right"))  # censored at their caps
-            left = band < len(ns)
-            rows, band, s = rows[left], band[left], path[left, -1]
-            if step == first_width:  # the traces that outlive the first pass get generators
-                gens = [np.random.Generator(np.random.PCG64(_PresetSeed(w))) for w in later[rows % _PASS]]
-            else:
-                gens = [g for g, keep in zip(gens, left) if keep]
+            arm_one = u[:, 0] >= 0.5 if k > width else s[part] < 0
+            s[part] = walk(rows[part], band[part], s[part], arm_one, u[:, k - width :], step)
+        step += width
+        left = band < len(ns)
+        rows, band, s, streams = rows[left], band[left], s[left], streams[left]
     return t_stop, decision, drawn
 
 

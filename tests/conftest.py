@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads: with another process busy on the
+# machine, OpenBLAS's thread pool made scipy's L-BFGS-B steps over ten times
+# slower, so the suite's time followed the machine's load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import math
 from typing import NamedTuple
 

@@ -34,6 +34,22 @@ def test_matrix_roundtrip_exact():
     assert np.array_equal(m, back)
 
 
+def test_complex_writers_give_the_pairs_of_each_entry():
+    """The writers give [float(z.real), float(z.imag)] of every entry, also
+    for signed zeros, subnormal-range and non-finite parts, of real,
+    complex and non-contiguous input."""
+    special = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, math.inf, -math.inf, math.nan, 1.5]
+    m = np.empty((len(special), len(special)), dtype=complex)
+    m.real, m.imag = np.array(special)[:, None], special[::-1]
+    for a in (m, m.T, m[::2, 1::3], m.real, np.array([[1, -2]])):
+        expect = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(a, dtype=complex)]
+        got = serialize.matrix_to_json(a)
+        assert repr(got) == repr(expect) and json.dumps(got) == json.dumps(expect)
+        assert all(type(x) is float for row in got for pair in row for x in pair)
+        vec = serialize.vector_to_json(a[0])
+        assert repr(vec) == repr(expect[0])
+
+
 def test_state_roundtrip():
     s = random_density_matrix(3, np.random.default_rng(1))
     doc = serialize.state_to_json(s)

@@ -23,7 +23,7 @@ from chandisc.sim import (
     PROBABILISTIC,
     HypothesisStats,
     SimulationPlan,
-    _first_pass,
+    _draws,
     _outcome_index,
     _PresetSeed,
     _run,
@@ -123,34 +123,90 @@ def many_outcome_strategy():
     return strat
 
 
-def _has_censored(t_stop, decision):
+@pytest.fixture
+def stage_draws(monkeypatch):
+    """(traces, offset j0, uniforms k) of every vectorised stage draw the
+    engine makes from now on, in call order; a call that draws no uniform
+    only continues the streams for generators."""
+    seen = []
+    real = sim._draws
+
+    def spy(words, j0, k):
+        if k:
+            seen.append((len(words), j0, k))
+        return real(words, j0, k)
+
+    monkeypatch.setattr(sim, "_draws", spy)
+    return seen
+
+
+def _stops(t_stop, decision):
+    """Stop times of the traces that exit their last band."""
+    return t_stop[-1][decision[-1] != CENSORED]
+
+
+def _stage_end(draws):
+    """Uniforms of each stream, coin included, that the stages drew."""
+    return max((j0 + k for _, j0, k in draws), default=0)
+
+
+def _has_censored(t_stop, decision, draws):
     return bool(np.any(decision == CENSORED))
 
 
-def _crosses_chunk(t_stop, decision):
-    return bool(np.any((t_stop > sim._FIRST_CHUNK + sim._CHUNK) & (decision != CENSORED)))
+def _crosses_chunk(t_stop, decision, draws):
+    return not draws and bool(np.any(_stops(t_stop, decision) > sim._CHUNK))
 
 
-def _outlives_second_first_pass(t_stop, decision):
-    return bool(np.any(t_stop[sim._PASS :] > sim._FIRST_CHUNK))
+def _stops_at_stage_ends(t_stop, decision, draws):
+    """Every stage ran, and a trace stops on the last step of each."""
+    ends = np.cumsum(sim._STAGES)
+    return len({j0 for _, j0, _ in draws}) == len(ends) and set(ends) <= set(_stops(t_stop, decision))
+
+
+def _floor_mid_schedule(t_stop, decision, draws):
+    """The stages stopped before the schedule's end with few enough traces
+    left for generators."""
+    ran = sorted({j0 for _, j0, _ in draws})
+    live = np.sum(t_stop[-1] > sum(sim._STAGES[: len(ran)]))
+    return 0 < len(ran) < len(sim._STAGES) and 0 < live <= sim._FLOOR
+
+
+def _straight_to_generators(t_stop, decision, draws):
+    """More traces than the floor, yet no stage: the bands are too far."""
+    return not draws and t_stop.shape[1] > sim._FLOOR
+
+
+def _stage_across_passes(t_stop, decision, draws):
+    """A later stage drew its traces in two passes."""
+    return any(n == sim._PASS and j0 > 0 for n, j0, _ in draws)
+
+
+def _outlives_stages(t_stop, decision, draws):
+    """A stage ran, and a trace walks on past it on a generator."""
+    return bool(draws) and bool(np.any(_stops(t_stop, decision) > _stage_end(draws)))
 
 
 @pytest.mark.parametrize(
     "fixture, budget, trials, cap_factor, exercised",
     [
-        ("classical_strategy", None, 100, 20, None),
-        ("fixed_strategy", None, 100, 20, None),
+        ("classical_strategy", None, 100, 20, _straight_to_generators),
+        ("fixed_strategy", None, 100, 20, _straight_to_generators),
         ("block_strategy", None, 100, 20, None),
         ("depolarizing_strategy", None, 100, 20, None),
         ("tie_strategy", None, 200, 20, None),
         ("classical_strategy", None, 100, 1, _has_censored),
         ("classical_strategy", 300, 30, 20, _crosses_chunk),
-        ("fixed_strategy", 10, sim._ROWS + 44, 20, None),
-        ("fixed_strategy", 20, sim._PASS + 44, 20, _outlives_second_first_pass),
+        ("fixed_strategy", 10, sim._ROWS + 44, 20, _outlives_stages),
+        ("fixed_strategy", 14, sim._PASS + 276, 20, _stage_across_passes),
         ("many_outcome_strategy", None, 60, 20, None),
         ("classical_strategy", 1, 100, 20, None),
         ("classical_strategy", None, 1, 20, None),
         ("fixed_strategy", None, 1, 20, None),
+        ("fixed_strategy", 13, 2000, 20, _stops_at_stage_ends),
+        ("classical_strategy", 13, 2000, 20, _stops_at_stage_ends),
+        ("fixed_strategy", 4, 200, 20, _floor_mid_schedule),
+        ("tie_strategy", 3, 500, 20, _floor_mid_schedule),
     ],
     ids=[
         "adaptive",
@@ -163,12 +219,16 @@ def _outlives_second_first_pass(t_stop, decision):
         "row-blocks",
         "pass-blocks",
         "many-outcomes",
-        "cap-below-first-chunk",
+        "cap-below-stages",
         "one-trace-adaptive",
         "one-trace-non-adaptive",
+        "stage-ends-non-adaptive",
+        "stage-ends-adaptive",
+        "floor-mid-schedule",
+        "floor-mid-schedule-distinct-arms",
     ],
 )
-def test_batch_engine_matches_single_step(request, fixture, budget, trials, cap_factor, exercised):
+def test_batch_engine_matches_single_step(request, stage_draws, fixture, budget, trials, cap_factor, exercised):
     """The batch engine must consume uniforms exactly like step_sprt: equal
     stop times and decisions, trace by trace."""
     strat = request.getfixturevalue(fixture)
@@ -177,6 +237,7 @@ def test_batch_engine_matches_single_step(request, fixture, budget, trials, cap_
     plan = SimulationPlan(strategy=strat, trials=trials, base_seed=21, step_cap_factor=cap_factor)
     cap = cap_factor * strat.n
     for hyp, ch in ((0, strat.n0), (1, strat.n1)):
+        stage_draws.clear()
         (t_stop,), (decision,), _ = _simulate_hypothesis(plan, hyp, [strat.n])
         for t in range(plan.trials):
             rng = trial_rng(plan.base_seed, hyp, t)
@@ -188,7 +249,7 @@ def test_batch_engine_matches_single_step(request, fixture, budget, trials, cap_
             else:
                 assert (t_stop[t], decision[t]) == (cap, CENSORED)
         if exercised is not None:
-            assert exercised(t_stop, decision)
+            assert exercised(t_stop[None], decision[None], stage_draws)
 
 
 def _replay(strat, hyp, plan):
@@ -205,16 +266,13 @@ def _replay(strat, hyp, plan):
     return out
 
 
-def _crosses_two_chunks(t_stop, decision):
-    return bool(np.any((t_stop[-1] > sim._FIRST_CHUNK + sim._CHUNK) & (decision[-1] != CENSORED)))
-
-
-def _smallest_censored(t_stop, decision):
+def _smallest_censored(t_stop, decision, draws):
     return bool(np.any(decision[0] == CENSORED))
 
 
-def _outlives_first_pass(t_stop, decision):
-    return bool(np.any((t_stop[-1] > sim._FIRST_CHUNK) & (decision[-1] != CENSORED)))
+def _capped_stage(t_stop, decision, draws):
+    """A later stage was cut short at a budget's cap."""
+    return any(k not in sim._STAGES for _, j0, k in draws if j0 > 0)
 
 
 @pytest.mark.parametrize(
@@ -223,37 +281,46 @@ def _outlives_first_pass(t_stop, decision):
         ("depolarizing_strategy", [20, 60, 61], 60, 20, None),
         ("tie_strategy", [3, 3, 8], 200, 20, None),
         ("block_strategy", [10, 50], 60, 20, None),
-        ("fixed_strategy", [4, 10], sim._ROWS + 44, 20, None),
-        ("classical_strategy", [100, 300], 30, 20, _crosses_two_chunks),
+        ("fixed_strategy", [4, 10], sim._ROWS + 44, 20, _outlives_stages),
+        ("classical_strategy", [100, 300], 30, 20, _crosses_chunk),
         ("classical_strategy", [100, 200], 100, 1, _smallest_censored),
-        ("classical_strategy", [1, 100], 100, 20, _outlives_first_pass),
-        ("fixed_strategy", [1, 100], 100, 20, _outlives_first_pass),
+        ("classical_strategy", [1, 100], 100, 20, _outlives_stages),
+        ("fixed_strategy", [1, 100], 100, 20, _outlives_stages),
         ("classical_strategy", [4, 100], 1, 20, None),
+        ("fixed_strategy", [6, 13], 2000, 20, _stops_at_stage_ends),
+        ("fixed_strategy", [6, 12], 1000, 1, _capped_stage),
+        ("classical_strategy", [100, 200], 200, 20, _straight_to_generators),
+        ("tie_strategy", [3, 6], 500, 20, _floor_mid_schedule),
     ],
     ids=[
         "distinct-arms",
         "exact-ties-duplicate",
         "block-l2",
         "row-blocks",
-        "past-two-chunks",
+        "past-a-chunk",
         "censored-smallest",
-        "first-cap-below-first-chunk-adaptive",
-        "first-cap-below-first-chunk-non-adaptive",
+        "first-cap-below-stages-adaptive",
+        "first-cap-below-stages-non-adaptive",
         "one-trace",
+        "stage-ends",
+        "stage-cut-at-cap",
+        "far-bands",
+        "floor-mid-schedule",
     ],
 )
-def test_multi_budget_walk_matches_single_step(request, fixture, budgets, trials, cap_factor, exercised):
+def test_multi_budget_walk_matches_single_step(request, stage_draws, fixture, budgets, trials, cap_factor, exercised):
     """One walk for several budgets stops every trace, for every budget, where
     step_sprt with that budget's thresholds and cap stops it."""
     strat = request.getfixturevalue(fixture)
     plan = SimulationPlan(strategy=strat, trials=trials, base_seed=33, step_cap_factor=cap_factor)
     for hyp in (0, 1):
+        stage_draws.clear()
         t_stop, decision, drawn = _simulate_hypothesis(plan, hyp, budgets)
         assert drawn >= t_stop[-1].sum()
         for b, n in enumerate(budgets):
             assert list(zip(t_stop[b], decision[b])) == _replay(strat.with_budget(n), hyp, plan)
         if exercised is not None:
-            assert exercised(t_stop, decision)
+            assert exercised(t_stop, decision, stage_draws)
 
 
 def test_pinned_summary(tie_strategy):
@@ -405,25 +472,26 @@ def test_batch_seed_words_match_seed_sequence(base, hyp, trial):
     base=hst.integers(0, 2**128 - 1),
     hyp=hst.sampled_from([0, 1]),
     trials=hst.integers(1, 40),
-    k=hst.integers(1, sim._FIRST_CHUNK + 1),
+    j0=hst.integers(0, 64),
+    k=hst.integers(1, 33),
 )
-@example(base=2**32 - 1, hyp=0, trials=1, k=sim._FIRST_CHUNK + 1)
-@example(base=2**32, hyp=1, trials=3, k=1)
-@example(base=2**64, hyp=0, trials=40, k=sim._FIRST_CHUNK)
-@example(base=2**128 - 1, hyp=1, trials=7, k=21)
-def test_first_pass_matches_numpy(base, hyp, trials, k):
-    """The vectorised first pass draws each trace's first k uniforms as
-    numpy's PCG64 does, and its continuation seeds start each stream where
-    PCG64.advance(k) does."""
+@example(base=2**32 - 1, hyp=0, trials=1, j0=0, k=33)
+@example(base=2**32, hyp=1, trials=3, j0=0, k=1)
+@example(base=2**64, hyp=0, trials=40, j0=9, k=32)
+@example(base=2**128 - 1, hyp=1, trials=7, j0=64, k=21)
+def test_draws_match_numpy(base, hyp, trials, j0, k):
+    """The vectorised draws give each trace uniforms j0..j0 + k - 1 as
+    numpy's PCG64 does, and their continuation seeds start each stream where
+    PCG64.advance(j0 + k) does."""
     words = _seed_words(base, hyp, trials)
-    first, later = _first_pass(words, k)
-    assert first.shape == (trials, k)
-    for w, u, v in zip(words, first, later):
-        assert np.array_equal(u, np.random.Generator(np.random.PCG64(_PresetSeed(w))).random(k))
-        assert np.random.PCG64(_PresetSeed(v)).state == np.random.PCG64(_PresetSeed(w)).advance(k).state
+    u, later = _draws(words, j0, k)
+    assert u.shape == (trials, k)
+    for w, row, v in zip(words, u, later):
+        assert np.array_equal(row, np.random.Generator(np.random.PCG64(_PresetSeed(w))).random(j0 + k)[j0:])
+        assert np.random.PCG64(_PresetSeed(v)).state == np.random.PCG64(_PresetSeed(w)).advance(j0 + k).state
     t = trials - 1
-    expect = trial_rng(base, hyp, t).random(k + 300)[k:]
-    advanced = np.random.Generator(np.random.PCG64(_PresetSeed(words[t])).advance(k))
+    expect = trial_rng(base, hyp, t).random(j0 + k + 300)[j0 + k :]
+    advanced = np.random.Generator(np.random.PCG64(_PresetSeed(words[t])).advance(j0 + k))
     assert np.array_equal(advanced.random(300), expect)
     assert np.array_equal(np.random.Generator(np.random.PCG64(_PresetSeed(later[t]))).random(300), expect)
 
