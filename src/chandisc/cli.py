@@ -256,9 +256,13 @@ def divergence(ctx):
 
 def _budget(cfg) -> tuple[int, int]:
     """simulate.n (default 400) and the block size: simulate.l (default 2)
-    in block mode, else 1."""
+    in block mode, else 1.  simulate.l in another mode is a config error,
+    not a setting that is dropped."""
     sim = cfg.get("simulate", {})
-    return sim.get("n", 400), sim.get("l", 2) if sim.get("mode") == "block" else 1
+    block = sim.get("mode") == "block"
+    if "l" in sim and not block:
+        raise ConfigError("simulate.l is read in block mode only")
+    return sim.get("n", 400), sim.get("l", 2) if block else 1
 
 
 def _build_strategy(cfg, pair):

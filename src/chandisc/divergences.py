@@ -127,7 +127,6 @@ from .optimize import (
     _log_kernel,
     _power_kernel,
     _safe_log_state,
-    _split_rows,
     _variational_at,
     _variational_terms,
     basis_witness,
@@ -445,31 +444,36 @@ def _top_inputs(a0, a1, theta, flip):
 
 
 def _input_objectives(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: float | None, flips: list[bool]):
-    """The input search's objective over the row blocks of one or more
+    """The input search's objective over the flat batch of one or more
     searches.
 
-    Block s searches D(N1||N0) when flips[s] and D(N0||N1) otherwise.  For
-    relative / renyi each row theta holds v = theta[:n] + i theta[n:],
-    normalized to psi on R (x) A, and its value is D(sigma0||sigma1) /
-    D_alpha.  For measured each row parametrizes a Hermitian H on the
-    output, and its value is the variational lower bound
+    The objective takes one argument, the batch (theta, owner): parameter
+    rows theta (B, P) and each row's search index owner (B,).  It stays one
+    argument because multistart_maximize passes it so and bench/tracing.py
+    wraps it as a one-argument counter; every row of every search has the
+    same length P.  A row of search s searches D(N1||N0) when flips[s] and
+    D(N0||N1) otherwise.  For relative / renyi each row theta holds
+    v = theta[:n] + i theta[n:], normalized to psi on R (x) A, and its value
+    is D(sigma0||sigma1) / D_alpha.  For measured each row parametrizes a
+    Hermitian H on the output, and its value is the variational lower bound
     Tr[sigma0 H] + 1 - Tr[sigma1 exp(H)] on D_M at the best input psi(H)
     (_top_inputs), 1 + lambda_max(M(H)); psi(H) is stationary, so the
     gradient is the one at fixed outputs.  Every row's outputs N0(psi) and
     N1(psi) come from one pass; the direction only decides which is "0".
-    The objective maps the blocks (B_s, P) to one pair of values (B_s,) and
-    analytic gradients (B_s, P) per block.
+    The objective returns the values (B,) and analytic gradients (B, P),
+    each row computed alone whatever the order of owner.
     """
     d_r = n0.in_dim
     n = d_r * n0.in_dim
     m = d_r * n0.out_dim
     a0, a1 = _lifted_kraus(n0, d_r), _lifted_kraus(n1, d_r)
+    flips = np.asarray(flips)
 
-    def objective(blocks: list[np.ndarray]):
-        sizes = [len(b) for b in blocks]
-        present = {f for f, size in zip(flips, sizes) if size}
-        flip = present.pop() if len(present) == 1 else np.repeat(flips, sizes)[:, None, None]
-        theta = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    def objective(batch):
+        theta, owner = batch
+        flip = flips[owner]
+        # one direction in every row: a plain bool picks whole stacks
+        flip = bool(flip[0]) if flip.all() or not flip.any() else flip[:, None, None]
         if kind == "measured":
             psi, exp = _top_inputs(a0, a1, theta, flip)
         else:
@@ -481,14 +485,14 @@ def _input_objectives(n0: QuantumChannel, n1: QuantumChannel, kind: str, alpha: 
         out1, v1 = _output(a1, psi)
         s0, s1 = _pick(flip, out0, out1), _pick(flip, out1, out0)
         if kind == "measured":
-            return _split_rows(*_variational_at(exp, s0, s1), sizes)
+            return _variational_at(exp, s0, s1)
         f, g0, g1 = _relative_terms(s0, s1) if kind == "relative" else _renyi_terms(s0, s1, alpha)
         # IEEE addition commutes, so a flipped row sums the same two terms
         g = _pull_back(a0, v0, _pick(flip, g0, g1)) + _pull_back(a1, v1, _pick(flip, g1, g0))
         gr = np.concatenate([g.real, g.imag], axis=-1)
         pr = np.concatenate([psi.real, psi.imag], axis=-1)
         # chain rule through psi = v / |v|: project onto the sphere's tangent
-        return _split_rows(f, (gr - pr * _dot_rows(pr, gr)[:, None]) / nrm[:, None], sizes)
+        return f, (gr - pr * _dot_rows(pr, gr)[:, None]) / nrm[:, None]
 
     return objective
 

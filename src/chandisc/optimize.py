@@ -4,18 +4,24 @@ L-BFGS-B driver on analytic gradients, and the pieces of the measured
 relative entropy: the variational program, the candidate bases at its
 optimum and basis_witness, the PVM that certifies the best of them.
 
-Every objective the driver ascends is batched: objective(X) takes the
-parameter rows X of shape (B, P) and returns the values f of shape (B,) and
-the gradients g of shape (B, P).  Each row is computed by the same sequence
-of floating-point operations whatever the batch, so objective(X)[i] equals
-objective(X[i:i+1]) bit for bit and the lockstep iterates equal those of
-running each start on its own.
+Every objective multistart_maximize ascends is batched: objective((X,
+owner)) takes one flat batch, the parameter rows X of shape (B, P) and each
+row's search index owner of shape (B,), and returns the values f of shape
+(B,) and the gradients g of shape (B, P).  Each row is computed by the same sequence of
+floating-point operations whatever the batch and the order of its rows, so
+row i equals objective((X[i:i+1], owner[i:i+1])) bit for bit and the
+lockstep iterates equal those of running each start on its own.  The batch
+is one argument, never two, because bench/tracing.py wraps each search
+objective as a one-argument counter; all rows of one run have the same
+length P.
 
 The driver runs the start lists it is given, one per search, and several
 searches can share it, such as the two directions of a channel pair: each
-round makes one objective call with a list of row blocks, one per search,
-and every search keeps its own starts, winner and DEBUG record.  The
-variational program takes stacks of state pairs this way.
+round makes one objective call on the rows of every live start, only
+multistart_maximize maps rows back to searches and starts, and every search
+keeps its own starts, winner and DEBUG record.  The variational program
+takes stacks of state pairs this way, each row reading the pair of its
+owner.
 """
 
 from __future__ import annotations
@@ -229,57 +235,36 @@ def _lbfgsb_start(x0: np.ndarray, max_iters: int):
             return x, f, nfev, nit
 
 
-def _evaluate(objective, blocks: list[np.ndarray]):
-    """objective on the row blocks of every search: one (f, g, failed) per
-    block.  When the call raises ValueError or FloatingPointError, each row
-    is evaluated alone, every other block empty, and the rows that raise are
-    marked failed."""
+def _evaluate(objective, x: np.ndarray, owner: np.ndarray):
+    """objective((x, owner)) as (f, g, failed).  When the call raises
+    ValueError or FloatingPointError, each row is evaluated alone, and the
+    rows that raise are marked failed."""
     try:
-        return [(f, g, np.zeros(len(f), dtype=bool)) for f, g in objective(blocks)]
+        f, g = objective((x, owner))
+        return f, g, np.zeros(len(x), dtype=bool)
     except (ValueError, FloatingPointError):
         pass
-    out = []
-    for s, rows in enumerate(blocks):
-        f, g = np.zeros(len(rows)), np.zeros(rows.shape)
-        failed = np.zeros(len(rows), dtype=bool)
-        for i in range(len(rows)):
-            alone = [rows[i : i + 1] if t == s else b[:0] for t, b in enumerate(blocks)]
-            try:
-                fi, gi = objective(alone)[s]
-                f[i], g[i] = fi[0], gi[0]
-            except (ValueError, FloatingPointError):
-                failed[i] = True
-        out.append((f, g, failed))
-    return out
-
-
-def _split_rows(f: np.ndarray, g: np.ndarray, sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Values and gradients of stacked row blocks, cut back into one
-    (values, gradients) per block."""
-    out, start = [], 0
-    for size in sizes:
-        out.append((f[start : start + size], g[start : start + size]))
-        start += size
-    return out
-
-
-def _per_search(terms, blocks: list[np.ndarray], *stacks: np.ndarray):
-    """terms(rows, *matrices)[:2] on the row blocks of every search in one
-    call, each row of block s reading the matrices stacks[j][s]; one
-    (values, gradients) per block."""
-    sizes = [len(b) for b in blocks]
-    idx = np.repeat(np.arange(len(blocks)), sizes)
-    f, g = terms(np.concatenate(blocks), *(m[idx] for m in stacks))[:2]
-    return _split_rows(f, g, sizes)
+    f, g = np.zeros(len(x)), np.zeros(x.shape)
+    failed = np.zeros(len(x), dtype=bool)
+    for i in range(len(x)):
+        try:
+            fi, gi = objective((x[i : i + 1], owner[i : i + 1]))
+            f[i], g[i] = fi[0], gi[0]
+        except (ValueError, FloatingPointError):
+            failed[i] = True
+    return f, g, failed
 
 
 def multistart_maximize(objective, searches: list[list[np.ndarray]], max_iters: int) -> list[tuple[np.ndarray, float]]:
     """Maximize a batched objective with L-BFGS-B from the start lists of
     one or more searches, run as given, in lockstep: each round, the points
-    that the live starts need evaluated form one call objective(blocks),
-    blocks[s] holding the rows of search s (empty once it is done), which
-    returns one (values, gradients) per block.  Each start follows the
-    iterates that scipy.optimize.minimize(method="L-BFGS-B",
+    that the live starts need evaluated are stacked into one flat batch x
+    (B, P), with owner (B,) giving each row's search index, and one call
+    objective((x, owner)) returns the values (B,) and gradients (B, P).
+    The batch stays one argument, for the one-argument wrappers of
+    bench/tracing.py, and all starts of all searches have the same length
+    P.  Only this function maps rows back to searches and starts.  Each
+    start follows the iterates that scipy.optimize.minimize(method="L-BFGS-B",
     options={"maxiter": max_iters, "gtol": 1e-10, "ftol": ROUNDING_TOL})
     takes from it on the negated objective, so a start stops once a step
     gains less than ROUNDING_TOL max(1, |value|), and its result is at least
@@ -295,24 +280,21 @@ def multistart_maximize(objective, searches: list[list[np.ndarray]], max_iters: 
     runs = [[_lbfgsb_start(np.asarray(x0, dtype=float), max_iters) for x0 in starts] for starts in searches]
     # (x, f, nfev, nit) of each start; a failed start keeps a NaN f
     results = [[(None, math.nan, None, None)] * len(r) for r in runs]
-    live = [{i: run.send(None) for i, run in enumerate(r)} for r in runs]
-    empty = [np.empty((0, np.asarray(starts[0]).size)) for starts in searches]
+    live = {(s, i): run.send(None) for s, r in enumerate(runs) for i, run in enumerate(r)}
     failures, batches = [0] * len(runs), [0] * len(runs)
-    while any(live):
-        blocks = [np.stack(list(asked.values())) if asked else e for asked, e in zip(live, empty)]
-        for s, (f, g, failed) in enumerate(_evaluate(objective, blocks)):
-            if not live[s]:
-                continue
+    while live:
+        (asked, x), live = zip(*live.items()), {}
+        for s in {s for s, _ in asked}:
             batches[s] += 1
-            asked, live[s] = list(live[s]), {}
-            for j, i in enumerate(asked):
-                if failed[j]:
-                    failures[s] += 1
-                    continue
-                try:
-                    live[s][i] = runs[s][i].send((-f[j], -g[j]))
-                except StopIteration as done:
-                    results[s][i] = done.value
+        f, g, failed = _evaluate(objective, np.stack(x), np.array([s for s, _ in asked]))
+        for j, (s, i) in enumerate(asked):
+            if failed[j]:
+                failures[s] += 1
+                continue
+            try:
+                live[s, i] = runs[s][i].send((-f[j], -g[j]))
+            except StopIteration as done:
+                results[s][i] = done.value
     return [_best_start(*args) for args in zip(results, failures, batches)]
 
 
@@ -427,8 +409,9 @@ def variational_measured(rho0: np.ndarray, rho1: np.ndarray, starts: list[list[n
     (k, d, d)).
     """
 
-    def objective(blocks: list[np.ndarray]):
-        return _per_search(_variational_terms, blocks, rho0, rho1)
+    def objective(batch):
+        x, owner = batch
+        return _variational_terms(x, rho0[owner], rho1[owner])[:2]
 
     found = _lockstep(objective, starts, 2000)
     return [float(value) for _, value in found], _variational_terms(np.stack([x for x, _ in found]), rho0, rho1)[2]

@@ -280,7 +280,7 @@ def build_non_adaptive(
     """Fixed-pair SPRT; thresholds from the pair's classical KLs."""
     arm = Arm(input_state, m, input_state.dim // n0.in_dim)
     p0, p1 = arm_laws(arm, n0, n1)
-    if np.any((p0 > 1e-12) != (p1 > 1e-12)):
+    if np.any((p0 > NEGLIGIBLE_PROB) != (p1 > NEGLIGIBLE_PROB)):
         raise SupportMismatchError("induced distributions not mutually absolutely continuous")
     rate0, rate1 = rate_pair(p0, p1)
     if min(rate0, rate1) <= 1e-15:

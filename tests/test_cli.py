@@ -238,6 +238,21 @@ def test_block_simulate_budget_off_the_block_size_exit_2(tmp_path, runner):
     assert json.loads((tmp_path / "ok" / "strategy.json").read_text())["n"] == 50
 
 
+def test_block_size_outside_block_mode_exit_2(tmp_path, runner):
+    """simulate.l sets the block size of block mode alone: in another mode,
+    or with no mode, it is a config error, caught by simulate and sweep
+    before the run directory exists, instead of a run at l = 1."""
+    for mode in ("adaptive", "nonAdaptive", None):
+        sim = {"n": 100, "l": 2, "tau": 0.08, "trials": 20} | ({"mode": mode} if mode else {})
+        for command in ("simulate", "sweep"):
+            out = tmp_path / "run"
+            cfg = write_config(tmp_path, simulate=sim, sweep={"budgets": [50, 100], "trials": 20})
+            res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", command])
+            assert res.exit_code == 2, (mode, command, res.output)
+            assert "config error: simulate.l is read in block mode only" in res.output
+            assert not out.exists()
+
+
 def test_config_errors_exit_2(tmp_path, runner):
     out = tmp_path / "run"
     res = runner.invoke(main, ["--config", str(tmp_path / "nope.json"), "--out", str(out), "validate"])

@@ -1,13 +1,14 @@
 import logging
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chandisc import divergences
+from chandisc import divergences, optimize
 from chandisc.divergences import (
     ConvergenceWarning,
     DivergenceValue,
@@ -29,7 +30,6 @@ from chandisc.linalg import support_contained
 from chandisc.optimize import (
     ROUNDING_TOL,
     OptimizerConfig,
-    _per_search,
     hermitian_to_params,
     params_to_hermitian,
     _safe_log_state,
@@ -357,11 +357,16 @@ def _npar(n0, kind) -> int:
     return (n0.in_dim * n0.out_dim) ** 2 if kind == "measured" else 2 * n0.in_dim**2
 
 
+def _owned_by(s, theta):
+    """The owner array of a batch whose rows all belong to search s."""
+    return np.full(len(theta), s)
+
+
 def _one_direction(n0, n1, kind, alpha):
     """The input objective of D(N0||N1) as one search, on a plain batch of
     rows (B, P) -> (values, gradients), and its number of parameters."""
     objective = _input_objectives(n0, n1, kind, alpha, [False])
-    return (lambda theta: objective([theta])[0]), _npar(n0, kind)
+    return (lambda theta: objective((theta, _owned_by(0, theta)))), _npar(n0, kind)
 
 
 def _gradient_pairs():
@@ -397,7 +402,7 @@ def test_measured_rows_take_the_best_input_in_closed_form(flip):
     n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
     lifted = [[np.kron(np.eye(2), k) for k in ch.kraus] for ch in ((n1, n0) if flip else (n0, n1))]
     theta = rng.standard_normal((6, 16))
-    values = _input_objectives(n0, n1, "measured", None, [flip])([theta])[0][0]
+    values = _input_objectives(n0, n1, "measured", None, [flip])((theta, _owned_by(0, theta)))[0]
     psis = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     for row, value in zip(theta, values):
@@ -558,11 +563,12 @@ def test_batched_objectives_are_batch_size_independent_on_random_pairs(seed, l):
     _check_batched_objectives(n0, n1, l, rng)
 
 
-def _assert_rows_equal(got, want):
-    """One (values, gradients) per block, equal bit for bit."""
-    assert len(got) == len(want)
-    for (f, g), (f_ref, g_ref) in zip(got, want):
-        assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
+def _assert_rows_equal(got, *want):
+    """The (values, gradients) of a flat batch equal those of the given
+    batches, stacked in order, bit for bit."""
+    f, g = got
+    assert np.array_equal(f, np.concatenate([w[0] for w in want]))
+    assert np.array_equal(g, np.concatenate([w[1] for w in want]))
 
 
 def _check_two_direction_rows(n0, n1, l, rng):
@@ -575,15 +581,64 @@ def _check_two_direction_rows(n0, n1, l, rng):
         both, npar = _input_objectives(n0, n1, kind, alpha, [False, True]), _npar(n0, kind)
         x, y = 0.5 * rng.standard_normal((3, npar)), 0.5 * rng.standard_normal((2, npar))
         forward, backward = _one_direction(n0, n1, kind, alpha)[0], _one_direction(n1, n0, kind, alpha)[0]
-        _assert_rows_equal(both([x, y]), [forward(x), backward(y)])
-        _assert_rows_equal(both([x[:0], y]), [forward(x[:0]), backward(y)])
-        _assert_rows_equal(_input_objectives(n0, n1, kind, alpha, [True])([y]), [backward(y)])
+        owner = np.repeat([0, 1], [len(x), len(y)])
+        _assert_rows_equal(both((np.concatenate([x, y]), owner)), forward(x), backward(y))
+        _assert_rows_equal(both((y, _owned_by(1, y))), backward(y))
+        _assert_rows_equal(_input_objectives(n0, n1, kind, alpha, [True])((y, _owned_by(0, y))), backward(y))
     psi = rng.standard_normal(n0.in_dim**2) + 1j * rng.standard_normal(n0.in_dim**2)
     s0, s1 = _apply_to_pure(n0, psi / np.linalg.norm(psi)), _apply_to_pure(n1, psi / np.linalg.norm(psi))
     m = s0.shape[0]
     x, y = rng.standard_normal((3, m * m)), rng.standard_normal((2, m * m))
-    got = _per_search(_variational_terms, [x, y], np.stack([s0, s1]), np.stack([s1, s0]))
-    _assert_rows_equal(got, [_variational_terms(x, s0, s1)[:2], _variational_terms(y, s1, s0)[:2]])
+    owner = np.repeat([0, 1], [len(x), len(y)])
+    got = _variational_terms(np.concatenate([x, y]), np.stack([s0, s1])[owner], np.stack([s1, s0])[owner])[:2]
+    _assert_rows_equal(got, _variational_terms(x, s0, s1)[:2], _variational_terms(y, s1, s0)[:2])
+
+
+def _assert_rows_alone(objective, x, owner):
+    """objective((x, owner))'s row i equals objective on row i alone, bit
+    for bit, value and gradient."""
+    f, g = objective((x, owner))
+    for i in range(len(x)):
+        fi, gi = objective((x[i : i + 1], owner[i : i + 1]))
+        assert np.array_equal(f[i : i + 1], fi) and np.array_equal(g[i : i + 1], gi)
+
+
+def _variational_objective(rho0, rho1):
+    """The objective that variational_measured hands multistart_maximize
+    for the state pairs rho0, rho1 (k, d, d), one search per pair."""
+    captured = []
+
+    def lockstep(objective, searches, max_iters):
+        captured.append(objective)
+        return [(starts[0], 0.0) for starts in searches]
+
+    with mock.patch.object(optimize, "_lockstep", lockstep):
+        variational_measured(rho0, rho1, [[np.zeros(rho0.shape[-1] ** 2)]] * len(rho0))
+    return captured[0]
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("pair", ["random_full_rank", "dephasing_rank2", "bernoulli_replacers"])
+def test_interleaved_rows_equal_row_by_row_calls(pair, l):
+    """Rows stay independent under the flat batch: a batch whose owner
+    entries interleave the searches, not grouped by search, equals
+    row-by-row calls bit for bit.  Checked for the input objectives of
+    every kind in both directions, and for the variational objective with
+    one state pair per row, so multistart_maximize may order its rows freely."""
+    n0, n1 = _gradient_pairs()[pair]
+    if l > 1:
+        n0, n1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+    rng = np.random.default_rng(83)
+    owner = np.array([1, 0, 0, 1, 0, 1, 1])
+    for kind, alpha in [("relative", None), ("renyi", 1.5), ("renyi", 2.0), ("measured", None)]:
+        for flips in ([False, True], [True, False]):
+            x = 0.5 * rng.standard_normal((len(owner), _npar(n0, kind)))
+            _assert_rows_alone(_input_objectives(n0, n1, kind, alpha, flips), x, owner)
+    psis = rng.standard_normal((5, n0.in_dim**2)) + 1j * rng.standard_normal((5, n0.in_dim**2))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    rho0, rho1 = (np.stack([_apply_to_pure(ch, p) for p in psis]) for ch in (n0, n1))
+    m = rho0.shape[-1]
+    _assert_rows_alone(_variational_objective(rho0, rho1), rng.standard_normal((5, m * m)), np.array([3, 0, 4, 1, 2]))
 
 
 @pytest.mark.parametrize("l", [1, 2])
@@ -1099,9 +1154,9 @@ def test_closed_brackets_skip_the_input_search(monkeypatch, caplog):
     def counting(*args):
         objective = make(*args)
 
-        def counted(blocks):
-            calls.append(sum(len(b) for b in blocks))
-            return objective(blocks)
+        def counted(batch):
+            calls.append(len(batch[0]))
+            return objective(batch)
 
         return counted
 

@@ -98,7 +98,7 @@ def test_variational_gradient_matches_central_differences(assert_gradient_matche
 def _one_search(objective, starts, max_iters):
     """(x, value) of the one search of a plain objective(X) -> (values,
     gradients) from the given starts."""
-    return multistart_maximize(lambda blocks: [objective(blocks[0])], [starts], max_iters)[0]
+    return multistart_maximize(lambda batch: objective(batch[0]), [starts], max_iters)[0]
 
 
 def test_multistart_maximize_concave_quadratic():
@@ -177,7 +177,7 @@ def _driver_case(case):
         return _rosenbrock, [np.array([-1.2, 1.0]), np.array([2.0, -1.0])], 5
     objective = _input_objectives(depolarizing_channel(0.3), depolarizing_channel(0.7), "measured", None, [False])
     # a measured row holds H on the qubit pair's output R (x) B: (2 * 2)^2 parameters
-    return (lambda theta: objective([theta])[0]), list(rng.standard_normal((3, 16))), 60
+    return (lambda theta: objective((theta, np.zeros(len(theta), dtype=int)))), list(rng.standard_normal((3, 16))), 60
 
 
 def _negated_one(objective):
@@ -252,13 +252,18 @@ def test_multistart_logs_one_debug_record(caplog):
 
 
 def _blockwise(*objectives):
-    """A multi-search objective from one plain objective per search, and
-    the list of calls it receives (the row count of each block)."""
+    """A multi-search objective from one plain objective per search, each
+    taking the rows its search owns, and the list of calls it receives (the
+    owner of each row)."""
     calls = []
 
-    def objective(blocks):
-        calls.append([len(b) for b in blocks])
-        return [fn(b) for fn, b in zip(objectives, blocks)]
+    def objective(batch):
+        x, owner = batch
+        calls.append(owner.tolist())
+        f, g = np.zeros(len(x)), np.zeros(x.shape)
+        for s, fn in enumerate(objectives):
+            f[owner == s], g[owner == s] = fn(x[owner == s])
+        return f, g
 
     return objective, calls
 
@@ -288,7 +293,8 @@ def test_searches_ending_in_different_rounds_equal_their_runs_alone(caplog):
     # one call per round while either search is live; the quartic ends first
     rounds = [stats["batched_calls"] for stats in together]
     assert rounds[0] < rounds[1] == len(calls)
-    assert all(sizes[0] == 0 for sizes in calls[rounds[0] :])
+    # no row of search 0 after the quartic ends
+    assert all(0 not in owners for owners in calls[rounds[0] :])
 
 
 def test_a_failing_row_retires_only_its_start(caplog):

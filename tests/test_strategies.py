@@ -17,6 +17,7 @@ from chandisc.quantum import (
     amplitude_damping_channel,
     basis_pvm,
     bernoulli_replacer,
+    classical_channel,
     depolarizing_channel,
     identity_channel,
     pure_state,
@@ -185,6 +186,32 @@ def test_non_adaptive_support_mismatch_rejected():
     m = basis_pvm(np.eye(4))
     with pytest.raises(SupportMismatchError):
         build_non_adaptive(n0, n1, rho, m, n=100)
+
+
+def _letter_zero_strategy(law0, law1):
+    """build_non_adaptive on the classical channels whose input letter 0
+    has the outcome laws law0 and law1 (letter 1 uniform), read from input
+    |0> in the computational basis."""
+    n0, n1 = (classical_channel(np.array([law, [0.5, 0.5]]).T) for law in (law0, law1))
+    return build_non_adaptive(n0, n1, pure_state(np.array([1.0, 0.0])), basis_pvm(np.eye(2)), n=100)
+
+
+def test_non_adaptive_support_check_keeps_small_positive_outcomes():
+    """The support check drops only the outcomes the tables and rates drop,
+    those at or below NEGLIGIBLE_PROB: laws positive on every outcome pass
+    it, however small an outcome, and the rates stay finite."""
+    strat = _letter_zero_strategy([1e-13, 1.0 - 1e-13], [0.5, 0.5])
+    p0, p1 = strat.tables.dists[0]
+    assert (strat.rate0, strat.rate1) == rate_pair(p0, p1)
+    assert math.isfinite(strat.rate0) and math.isfinite(strat.rate1) and p0[0] > 0.0
+
+
+def test_non_adaptive_support_check_rejects_small_one_sided_outcomes():
+    """An outcome of probability 1e-13 under one law and 0 under the other
+    is a support mismatch: the tables keep it, and a run would reach it
+    with an infinite increment."""
+    with pytest.raises(SupportMismatchError):
+        _letter_zero_strategy([0.0, 1.0], [1e-13, 1.0 - 1e-13])
 
 
 def test_uninformative_measurement_rejected():
