@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, serialize
 from .divergences import channel_divergence, channel_divergence_pair
-from .errors import ChandiscError, ConfigError, ExcessiveCensoringError
+from .errors import ChandiscError, ConfigError, ExcessiveCensoringError, InfiniteDivergenceError
 from .optimize import OptimizerConfig
 from .quantum import (
     DensityMatrix,
@@ -276,6 +276,8 @@ def _build_strategy(cfg, pair):
     # non-adaptive: play the measured-divergence witness arm of the 0-vs-1
     # direction at every step
     dv = channel_divergence(n0, n1, kind="measured", cfg=ocfg)
+    if not dv.is_finite:
+        raise InfiniteDivergenceError("measured D(N0||N1) is infinite: no witness arm for the non-adaptive SPRT")
     return build_non_adaptive(n0, n1, dv.witness.input_state, dv.witness.povm, n, tau)
 
 

@@ -190,10 +190,13 @@ class DivergenceValue:
 
     value: float  # nats; math.inf when not finite
     is_lower_bound: bool = False
-    is_finite: bool = True
     witness: object | None = None
     warnings: list[str] = field(default_factory=list)
     upper: float = math.inf  # nats; a certified upper end of the value
+
+    @property
+    def is_finite(self) -> bool:
+        return math.isfinite(self.value)
 
     def in_bits(self) -> float:
         return self.value / LN2
@@ -204,7 +207,7 @@ def _unsupported(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue | 
     else None; mismatched dimensions raise."""
     if rho0.dim != rho1.dim:
         raise DimensionMismatchError("state pair has mismatched dimensions")
-    return None if support_contained(rho0.mat, rho1.spectrum) else DivergenceValue(math.inf, is_finite=False)
+    return None if support_contained(rho0.mat, rho1.spectrum) else DivergenceValue(math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +635,15 @@ def channel_divergence(
     value's warnings.  Relative and renyi certify their best input with
     its Schmidt residue dropped.  A searched input whose outputs the
     state-level support rule reads as unsupported raises OptimizerFailure.
-    This is the one-direction case of channel_divergence_pair.  Every kind
-    checks cfg.extra_starts first: a start that is not a vector on R (x) A
-    raises DimensionMismatchError, and one without a finite nonzero norm
-    raises ValueError, naming it.
+    This is the one-direction case of channel_divergence_pair.
+
+    Every argument is checked first, by the same rule at every l, before
+    any tensor power is built or any start is lifted: an unknown kind raises ValueError, a renyi alpha that
+    is not above 1 InvalidAlphaError, and a pair of mismatched dimensions
+    DimensionMismatchError.  So does an extra start whose shape is neither
+    (d^2,), a vector on R (x) A, nor at l > 1 (d^{2l},), a vector on the
+    block system; one without a finite nonzero norm raises ValueError,
+    naming its index in cfg.extra_starts.
 
     The value's upper field is a certified upper end in closed form on the
     Choi pair (D_BS for relative and measured, the geometric Renyi
@@ -654,8 +662,7 @@ def channel_divergence(
     below the l = 1 estimate (up to optimizer tolerance); the measured
     kind's search over H only starts there and can end below it.  A start
     on the block system is used as it is, and every start keeps its index
-    in the caller's list.  A start of any other length raises
-    DimensionMismatchError.
+    in the caller's list.
     """
     return _channel_divergences(n0, n1, kind, alpha, cfg, l, pair=False)[0]
 
@@ -681,35 +688,29 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, l: int, pair: bool) -> list[D
     searched value above its upper end beyond ROUNDING_TOL max(1, upper)
     gets a note."""
     cfg = cfg or OptimizerConfig()
-    if l != 1:
-        b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
-        d2 = n0.in_dim**2
-        starts = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
-        if any(v.size not in (d2, d2**l) for v in starts):
-            raise DimensionMismatchError(
-                f"extra starts of sizes {[v.size for v in starts]}: input vectors on R (x) A have length {d2}, "
-                f"on its {l}-fold block {d2**l}"
-            )
-        # each start keeps the caller's index, which the start checks name
-        cfg = replace(cfg, extra_starts=[product_input_vector(v, n0.in_dim, l) if v.size == d2 else v for v in starts])
-        dvs = _channel_divergences(b0, b1, kind, alpha, cfg, 1, pair)
-        return [replace(dv, value=dv.value / l, upper=dv.upper / l) for dv in dvs]
     if kind not in KINDS:
         raise ValueError(f"unknown divergence kind {kind!r}")
     if kind == "renyi" and (alpha is None or alpha <= 1.0):
         raise InvalidAlphaError(f"renyi kind needs alpha > 1, got {alpha}")
     if (n0.in_dim, n0.out_dim) != (n1.in_dim, n1.out_dim):
         raise DimensionMismatchError("channel pair has mismatched dimensions")
-    directions = [(n0, n1), (n1, n0)] if pair else [(n0, n1)]
     d = n0.in_dim
     dim_psi = d * d
     extra = [np.asarray(v, dtype=complex) for v in cfg.extra_starts]
-    if any(v.shape != (dim_psi,) for v in extra):
-        shapes = [v.shape for v in extra]
-        raise DimensionMismatchError(f"extra starts {shapes}: input vectors on R (x) A have length {dim_psi}")
+    if any(v.shape not in {(dim_psi,), (dim_psi**l,)} for v in extra):
+        block = f", on its {l}-fold block {dim_psi**l}" if l > 1 else ""
+        raise DimensionMismatchError(
+            f"extra starts {[v.shape for v in extra]}: input vectors on R (x) A have length {dim_psi}{block}"
+        )
     for i, v in enumerate(extra):
         if not 0.0 < np.linalg.norm(v) < math.inf:
             raise ValueError(f"extra start {i} {v}: an input vector needs a finite nonzero norm")
+    if l != 1:
+        # each start keeps the caller's index, which the start checks name
+        cfg = replace(cfg, extra_starts=[product_input_vector(v, d, l) if v.size == dim_psi else v for v in extra])
+        dvs = _channel_divergences(tensor_power_channel(n0, l), tensor_power_channel(n1, l), kind, alpha, cfg, 1, pair)
+        return [replace(dv, value=dv.value / l, upper=dv.upper / l) for dv in dvs]
+    directions = [(n0, n1), (n1, n0)] if pair else [(n0, n1)]
 
     if kind == "max":
         out = [max_div_states(a.choi_state(), b.choi_state()) for a, b in directions]

@@ -103,13 +103,11 @@ def hermitian_grad_to_params(g: np.ndarray) -> np.ndarray:
 
 
 def params_to_pure_vector(theta: np.ndarray, d: int) -> np.ndarray:
+    """The unit vector v / |v| of v = theta[:d] + i theta[d:], however small
+    |v| is: a search's row is read as the input it stands for, so a winner
+    of tiny norm keeps its direction.  A zero row has no direction."""
     v = theta[:d] + 1j * theta[d:]
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
-        v = np.zeros(d, dtype=complex)
-        v[0] = 1.0
-        return v
-    return v / nrm
+    return v / np.linalg.norm(v)
 
 
 def pure_vector_to_params(v: np.ndarray) -> np.ndarray:

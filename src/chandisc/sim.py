@@ -104,10 +104,6 @@ class SimulationPlan:
         if not _is_int(self.step_cap_factor) or self.step_cap_factor < 1:
             raise ValueError(f"step_cap_factor must be an int >= 1, got {self.step_cap_factor!r}")
 
-    @property
-    def budget(self) -> int:
-        return self.strategy.n * self.strategy.block_size
-
 
 @dataclass
 class HypothesisStats:

@@ -304,12 +304,16 @@ def step_sprt(
 ) -> StrategyTrace:
     """Advance a trace by one step.
 
+    true_channel is one of the strategy's hypotheses, the object
+    strategy.n0 or strategy.n1, whose outcome laws the strategy's tables
+    hold; any other channel raises ValueError before a uniform is consumed.
     Arm choice: fair coin at k = 1 (adaptive strategies only; one uniform
     consumed), afterwards arm zero iff the running sum is >= 0.  One further
     uniform is consumed per step to sample the outcome.
     """
     if trace.stopped:
         raise ValueError("trace already stopped")
+    hyp = _hypothesis_index(strategy, true_channel)
     if strategy.adaptive:
         if not trace.steps:
             arm = 0 if rng.random() < 0.5 else 1
@@ -318,13 +322,7 @@ def step_sprt(
     else:
         arm = 0
     tables = strategy.tables
-    hyp = _hypothesis_index(strategy, true_channel)
-    if hyp is None:
-        p, = arm_laws(strategy.arms[arm], true_channel)
-        cdf = outcome_cdf(p)
-    else:
-        cdf = tables.cdfs[arm, hyp]
-    y = sample_outcome(cdf, rng.random())
+    y = sample_outcome(tables.cdfs[arm, hyp], rng.random())
     z = float(tables.increments[arm, y])
     if not math.isfinite(z):
         raise ZeroProbabilityOutcomeError(
@@ -341,9 +339,9 @@ def step_sprt(
     return trace
 
 
-def _hypothesis_index(strategy: SprtStrategy, true_channel: QuantumChannel) -> int | None:
+def _hypothesis_index(strategy: SprtStrategy, true_channel: QuantumChannel) -> int:
     if true_channel is strategy.n0:
         return 0
     if true_channel is strategy.n1:
         return 1
-    return None
+    raise ValueError("true_channel is neither of the strategy's hypotheses, strategy.n0 or strategy.n1")

@@ -427,6 +427,78 @@ def test_numerical_failure_exits_3(tmp_path, runner):
     assert "InfiniteDivergence" in res.output
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("mode", ["adaptive", "nonAdaptive"])
+def test_infinite_direction_exits_3_in_every_mode(tmp_path, runner, command, mode):
+    """D(dep(0.5)||id) is infinite in every kind, so there is no witness arm
+    to play: both modes exit 3 with InfiniteDivergenceError.  nonAdaptive
+    read the missing witness and died with AttributeError and exit 1."""
+    cfg = write_config(
+        tmp_path,
+        channels={"n0": {"name": "depolarizing", "params": {"p": 0.5}}, "n1": {"name": "identity"}},
+        simulate={"mode": mode, "n": 100, "tau": 0.08, "trials": 20},
+    )
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "run"), "--no-timestamp", command])
+    assert res.exit_code == 3, (res.output, res.exception)
+    assert f"{command} failed: InfiniteDivergenceError" in res.output
+
+
+def test_non_adaptive_simulate_and_sweep(tmp_path, runner):
+    """nonAdaptive plays the measured witness arm of D(N0||N1) at every step:
+    on the Bernoulli pair both rates are KL(0.2||0.8) = 0.6 log 4, and the
+    sweep writes one row per budget."""
+    cfg = write_config(tmp_path, simulate={"mode": "nonAdaptive", "n": 100, "tau": 0.08, "trials": 100})
+    out = tmp_path / "sim"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "simulate"])
+    assert res.exit_code == 0, res.output
+    strategy = json.loads((out / "strategy.json").read_text())
+    assert strategy["adaptive"] is False and "arm" in strategy and "arm_one" not in strategy
+    assert strategy["rate0"] == strategy["rate1"] == pytest.approx(0.6 * np.log(4.0), rel=1e-12)
+    assert (out / "summary.csv").exists() and (out / "constraint_report.json").exists()
+    out = tmp_path / "sweep"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "sweep"])
+    assert res.exit_code == 0, res.output
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["50", "100"]
+
+
+def test_unreadable_config_and_missing_channel_file_exit_2(tmp_path, runner):
+    """A config that is not JSON, and a channel file that does not exist,
+    are config errors caught before the run directory exists."""
+    out = tmp_path / "run"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    res = runner.invoke(main, ["--config", str(bad), "--out", str(out), "--no-timestamp", "validate"])
+    assert res.exit_code == 2, res.output
+    assert "config error: config is not valid JSON" in res.output
+    cfg = write_config(tmp_path, channels={"n0": {"file": str(tmp_path / "absent.json")}, "n1": {"name": "identity"}})
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "validate"])
+    assert res.exit_code == 2, res.output
+    assert "config error: channel file not found" in res.output
+    assert not out.exists()
+
+
+def test_excessive_censoring_exits_3(tmp_path, runner):
+    """A pair whose informative outcomes are rare: one net jump of
+    log 10 crosses a threshold (100 (rate - tau) = 0.93), but 0.55 % of the
+    uses give a jump, so about exp(-1.1) = 33 % of the traces reach the cap
+    of 2 n uses (the seeded run reads 0.367), far above the 5 % limit."""
+
+    def replacer(*p):
+        sigma = [[[p[i] if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+        return {"name": "replacer", "params": {"sigma": sigma, "in_dim": 2}}
+
+    cfg = write_config(
+        tmp_path,
+        channels={"n0": replacer(0.9945, 0.005, 0.0005), "n1": replacer(0.9945, 0.0005, 0.005)},
+        simulate={"n": 100, "trials": 200, "step_cap_factor": 2},
+    )
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "run"), "--no-timestamp", "simulate"])
+    assert res.exit_code == 3, res.output
+    frac = re.search(r"simulation failed: censored fraction (\S+) exceeds 5%", res.output)
+    assert frac and float(frac[1]) > 0.2, res.output
+
+
 def test_divergence_on_pairs_near_the_support_rule(tmp_path, runner):
     """A classical pair whose W0 leaks eps onto an output that W1 never
     gives: at eps = 2e-9, inside the support rule, the measured value is

@@ -286,6 +286,63 @@ def test_extra_starts_without_a_finite_nonzero_norm_raise(bad):
                            l=2)
 
 
+def test_block_divergence_rejects_a_column_start_as_l1_does():
+    """A (4, 1) column start is not a vector on R (x) A at any block size:
+    it raises at l = 2 as it does at l = 1.  The block path checked sizes
+    alone and lifted it."""
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    for l in (1, 2):
+        with pytest.raises(DimensionMismatchError, match=r"\(4, 1\)"):
+            channel_divergence(n0, n1, kind="relative", cfg=OptimizerConfig(extra_starts=[np.ones((4, 1))]), l=l)
+
+
+def test_arguments_are_checked_before_the_tensor_power():
+    """An unknown kind, a bad alpha or a mismatched pair raises its own
+    error at a block size whose tensor power would overflow the dimension
+    cap: no tensor power is built before the checks."""
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    for l in (1, 13):
+        with pytest.raises(ValueError, match="unknown divergence kind 'bogus'"):
+            channel_divergence(n0, n1, kind="bogus", l=l)
+        with pytest.raises(InvalidAlphaError):
+            channel_divergence(n0, n1, kind="renyi", alpha=1.0, l=l)
+        with pytest.raises(DimensionMismatchError, match="channel pair has mismatched dimensions"):
+            channel_divergence(n0, identity_channel(3), kind="max", l=l)
+
+
+def test_a_tiny_winning_start_keeps_its_direction():
+    """An extra start scaled by 1e-13 stands for the same input as the unit
+    start: the relative value is the unit start's, and the witness is that
+    input, not |0...0>.  A winner of norm below 1e-12 used to be replaced
+    by |0...0>, which read 0.574 against 2.036."""
+    rng = np.random.default_rng(7)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+    cfg = OptimizerConfig(restarts=4, max_iters=100)
+    unit = channel_divergence(n0, n1, cfg=cfg)
+    tiny = channel_divergence(n0, n1, cfg=replace(cfg, extra_starts=[1e-13 * unit.witness.input_vector]))
+    assert tiny.value == pytest.approx(unit.value, rel=1e-12)
+    w = tiny.witness.input_vector
+    assert np.linalg.norm(w) == pytest.approx(1.0)
+    assert abs(np.vdot(unit.witness.input_vector, w)) == pytest.approx(1.0, abs=1e-9)
+    assert abs(w[0]) < 0.9
+
+
+def test_measured_states_outside_the_support_read_inf():
+    """rho0 off the support of rho1: the measured value is inf, not finite,
+    and has no witness."""
+    dv = measured_rel_entropy_states(diag(0.5, 0.5), diag(1.0, 0.0), CFG)
+    assert math.isinf(dv.value) and not dv.is_finite and dv.witness is None
+    assert measured_rel_entropy_states(diag(1.0, 0.0), diag(0.5, 0.5), CFG).is_finite
+
+
+def test_is_finite_reads_the_value():
+    """DivergenceValue.is_finite is the finiteness of value, not a separate
+    field that can disagree with it."""
+    assert DivergenceValue(1.0).is_finite and not DivergenceValue(math.inf).is_finite
+    dv = replace(DivergenceValue(math.inf), value=2.0)
+    assert dv.is_finite
+
+
 def test_equal_channels_zero():
     ch = depolarizing_channel(0.4)
     for kind, alpha in (("relative", None), ("measured", None), ("max", None), ("renyi", 2.0)):

@@ -121,6 +121,21 @@ def test_arm_rule_sign_with_ties_to_zero():
             assert step.arm == (0 if prev >= 0 else 1)
 
 
+def test_step_on_a_channel_that_is_neither_hypothesis_raises():
+    """step_sprt samples from the strategy's tables, which hold the laws of
+    strategy.n0 and strategy.n1 alone: an equal but distinct channel object
+    raises ValueError, and the trace and the generator are left untouched."""
+    n0, n1 = classical_pair()
+    strat = build_sprt(n0, n1, n=1000, tau=0.08, cfg=CFG)
+    other, _ = classical_pair()
+    rng = np.random.default_rng(5)
+    trace = StrategyTrace()
+    with pytest.raises(ValueError, match="neither of the strategy's hypotheses"):
+        step_sprt(strat, other, trace, rng)
+    assert not trace.steps
+    assert rng.random() == np.random.default_rng(5).random()
+
+
 def test_first_arm_is_fair_coin():
     n0, n1 = classical_pair()
     strat = build_sprt(n0, n1, n=1000, tau=0.08, cfg=CFG)
