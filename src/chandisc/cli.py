@@ -177,8 +177,9 @@ def main(ctx, config_path, seed, out, log_base, no_timestamp):
     alpha), simulate (mode, n, l, tau, trials, constraint, epsilon,
     step_cap_factor: a trace still undecided after step_cap_factor x n
     channel uses is censored and counts as an error, and more than 5%
-    censored traces exit 3), sweep (budgets, trials, constraint, epsilon),
-    regions (which, l_max, alpha_grid, samples, slack).
+    censored traces exit 3; the cap binds each budget of sweep too), sweep
+    (budgets, trials, constraint, epsilon), regions (which, l_max,
+    alpha_grid, samples, slack).
 
     Exit codes: 0 success, 2 configuration error (an invalid channel spec or
     a pair with mismatched dimensions included), 3 numerical failure.
@@ -332,6 +333,7 @@ def sweep(ctx):
             trials=opts.get("trials", _TRIALS),
             base_seed=cfg["seed"],
             **_given(opts, "constraint", "epsilon"),
+            **_given(cfg.get("simulate", {}), "step_cap_factor"),
         )
         (out / "sweep.csv").write_text(serialize.sweep_to_csv(records))
         for rec in records:

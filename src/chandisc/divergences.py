@@ -118,7 +118,7 @@ from .errors import (
     InvalidAlphaError,
     OptimizerFailure,
 )
-from .linalg import PSD_TOL, hermitian_eigen, partial_trace, support_contained
+from .linalg import PSD_TOL, hermitian_eigen, support_contained
 from .optimize import (
     ROUNDING_TOL,
     OptimizerConfig,
@@ -528,8 +528,9 @@ def _geometric_trace(a, b, g) -> float:
     x, root = _sandwich(a.choi_state().mat, b.choi_state().spectrum)
     xw, xu = np.linalg.eigh(x)
     r = root @ xu
-    marginal = partial_trace((r * g(np.maximum(xw, 0.0))) @ r.conj().T, [a.in_dim, a.out_dim], [0])
-    return a.in_dim * float(np.linalg.eigvalsh(marginal)[-1])
+    d, n = a.in_dim, a.out_dim
+    marginal = np.trace(((r * g(np.maximum(xw, 0.0))) @ r.conj().T).reshape(d, n, d, n), axis1=1, axis2=3)
+    return d * float(np.linalg.eigvalsh(marginal)[-1])
 
 
 def _channel_upper(a: QuantumChannel, b: QuantumChannel, kind: str, alpha: float | None) -> float:

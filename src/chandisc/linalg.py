@@ -1,10 +1,12 @@
-"""Dense complex matrix kernel: Hermitian eigendecompositions, Kronecker
-products, partial traces and the support-containment test (on one pair or
-a stack).
+"""Dense complex matrix kernel: Frobenius norms, the square and Hermitian
+checks, Hermitian eigendecompositions and the support-containment test (on
+one pair or a stack).
 
 Everything downstream (states, channels, divergences) sits on top of these
 few routines, so the tolerances used here are the global numerical knobs of
-the whole library.
+the whole library.  Tensor products and partial traces are taken with numpy
+where they are needed; the one dimension cap, on tensor powers of channels,
+is quantum.DIM_CAP, checked by quantum.tensor_power_channel.
 """
 
 from __future__ import annotations
@@ -15,17 +17,9 @@ import numpy as np
 # projection occurs.
 PSD_TOL = 1e-9
 
-# Hard cap on matrix dimension produced by kron / tensor powers.
-DIM_CAP = 4096
-
 HERMITICITY_RTOL = 1e-9
 
-from .errors import (
-    DimensionMismatchError,
-    DimensionOverflowError,
-    NonSquareError,
-    NotHermitianError,
-)
+from .errors import NonSquareError, NotHermitianError
 
 
 def frob(a: np.ndarray) -> float:
@@ -58,47 +52,6 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hs = 0.5 * (h + h.conj().T)
     w, v = np.linalg.eigh(hs)
     return w, v
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; a result beyond DIM_CAP on either side raises."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[0] * b.shape[0] > DIM_CAP or a.shape[1] * b.shape[1] > DIM_CAP:
-        raise DimensionOverflowError(
-            f"kron result {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} "
-            f"exceeds cap {DIM_CAP}"
-        )
-    return np.kron(a, b)
-
-
-def partial_trace(m: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Trace out the tensor factors not listed in keep.
-
-    dims lists the factor dimensions in tensor order; keep holds the indices
-    of the factors to retain.  The result acts on the kept factors in their
-    original order.
-    """
-    m = check_square(m)
-    dims = list(dims)
-    total = int(np.prod(dims))
-    if total != m.shape[0]:
-        raise DimensionMismatchError(
-            f"product of dims {dims} is {total}, matrix dim is {m.shape[0]}"
-        )
-    keep = sorted(keep)
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise DimensionMismatchError(f"keep indices {keep} out of range for {dims}")
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    traced = 0
-    for i in range(n):
-        if i not in keep:
-            axis = i - traced
-            t = np.trace(t, axis1=axis, axis2=axis + n - traced)
-            traced += 1
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
 
 
 def support_contained(a: np.ndarray, spectrum_b):

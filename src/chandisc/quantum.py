@@ -23,11 +23,14 @@ from .errors import (
     InvalidStateError,
     NormalizationError,
 )
-from .linalg import PSD_TOL, frob, frobs, kron
+from .linalg import PSD_TOL, frob, frobs
 
 STATE_TOL = 1e-9
 CHANNEL_TOL = 1e-8
 POVM_TOL = 1e-8
+
+# Hard cap on either dimension of a tensor-power channel.
+DIM_CAP = 4096
 
 
 @dataclass
@@ -72,14 +75,13 @@ def max_entangled_state(d: int) -> DensityMatrix:
 
 @dataclass
 class QuantumChannel:
-    """CPTP map held as a Kraus list; Choi matrix and state, and the tensor
-    powers that tensor_power_channel builds, cached lazily."""
+    """CPTP map held as a Kraus list; its Choi state, and the tensor powers
+    that tensor_power_channel builds, cached lazily."""
 
     kraus: list[np.ndarray]
     label: str | None = None
     in_dim: int = field(init=False)
     out_dim: int = field(init=False)
-    _choi: np.ndarray | None = field(init=False, default=None, repr=False)
     _choi_state: DensityMatrix | None = field(init=False, default=None, repr=False)
     _powers: dict[int, QuantumChannel] = field(init=False, default_factory=dict, repr=False)
 
@@ -103,14 +105,15 @@ class QuantumChannel:
 
     @property
     def choi(self) -> np.ndarray:
-        """Unit-trace Choi state J = (id (x) ch)(|w><w|), |w> normalized."""
-        if self._choi is None:
-            self._choi = _apply_to_pure(self, max_entangled_vector(self.in_dim))
-        return self._choi
+        """The Hermitian matrix of choi_state()."""
+        return self.choi_state().mat
 
     def choi_state(self) -> DensityMatrix:
+        """Unit-trace Choi state J = (id (x) ch)(|w><w|), |w> normalized,
+        built once and cached."""
         if self._choi_state is None:
-            self._choi_state = DensityMatrix(self.choi, label=f"choi({self.label})")
+            j = _apply_to_pure(self, max_entangled_vector(self.in_dim))
+            self._choi_state = DensityMatrix(j, label=f"choi({self.label})")
         return self._choi_state
 
 
@@ -146,10 +149,6 @@ class Povm:
             raise InvalidStateError("POVM effects do not sum to identity")
         self.dim = dim
         self.is_pvm = bool(frobs(e @ e - e).max() <= 1e-8 * dim)
-
-    @property
-    def outcome_count(self) -> int:
-        return len(self.effects)
 
 
 def basis_pvm(basis: np.ndarray, label: str | None = None) -> Povm:
@@ -207,17 +206,20 @@ def tensor_power_channel(ch: QuantumChannel, l: int) -> QuantumChannel:
 
     The power is built once and cached on ch, as its Choi state is, so every
     caller gets the same block channel, with its own Choi state cached; l = 1
-    is ch itself."""
+    is ch itself.  A power with either dimension above DIM_CAP raises
+    DimensionOverflowError before any product is built: this is the
+    library's one dimension cap, and every partial product is at most
+    out_dim^l x in_dim^l."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    if ch.in_dim**l > linalg.DIM_CAP or ch.out_dim**l > linalg.DIM_CAP:
+    if ch.in_dim**l > DIM_CAP or ch.out_dim**l > DIM_CAP:
         raise DimensionOverflowError(f"tensor power {l} exceeds dimension cap")
     if l == 1:
         return ch
     if l not in ch._powers:
         kraus = [np.array([[1.0 + 0j]])]
         for _ in range(l):
-            kraus = [kron(a, k) for a in kraus for k in ch.kraus]
+            kraus = [np.kron(a, k) for a in kraus for k in ch.kraus]
         ch._powers[l] = QuantumChannel(kraus, label=f"{ch.label}^(x){l}" if ch.label else None)
     return ch._powers[l]
 

@@ -179,32 +179,34 @@ def region_from_json(doc: dict):
     )
 
 
+def _csv(header: list[str], rows, comments=()) -> str:
+    """CSV text: one "# " line per comment, the header, then the rows.
+    Float cells, numpy floats included, are written by float.__repr__, which
+    round-trips."""
+    buf = io.StringIO()
+    buf.writelines(f"# {c}\n" for c in comments)
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([float.__repr__(x) if isinstance(x, float) else x for x in row] for row in rows)
+    return buf.getvalue()
+
+
 def region_to_csv(region, name: str = "") -> str:
     """Frontier vertices with a commented metadata header."""
-    buf = io.StringIO()
-    buf.write(f"# kind={region.kind}\n")
-    if name:
-        buf.write(f"# name={name}\n")
-    for k in sorted(region.metadata):
-        v = region.metadata[k]
-        if isinstance(v, (str, int, float, bool)):
-            buf.write(f"# {k}={v}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["r0_nats_per_use", "r1_nats_per_use"])
-    for x, y in region.frontier:
-        w.writerow([repr(float(x)), repr(float(y))])
-    return buf.getvalue()
+    comments = [f"kind={region.kind}"] + ([f"name={name}"] if name else [])
+    comments += [f"{k}={v}" for k, v in sorted(region.metadata.items()) if isinstance(v, (str, int, float, bool))]
+    rows = [[float(x), float(y)] for x, y in region.frontier]
+    return _csv(["r0_nats_per_use", "r1_nats_per_use"], rows, comments)
 
 
 def regions_long_csv(named_regions: list[tuple[str, object]]) -> str:
     """Plot-ready long format: one row per (region, vertex)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["region", "kind", "vertex", "r0", "r1"])
-    for name, region in named_regions:
-        for i, (x, y) in enumerate(region.frontier):
-            w.writerow([name, region.kind, i, repr(float(x)), repr(float(y))])
-    return buf.getvalue()
+    rows = [
+        [name, region.kind, i, float(x), float(y)]
+        for name, region in named_regions
+        for i, (x, y) in enumerate(region.frontier)
+    ]
+    return _csv(["region", "kind", "vertex", "r0", "r1"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -234,34 +236,28 @@ SUMMARY_COLUMNS = [
 def summary_to_csv(summary) -> str:
     """Per-hypothesis rows; the Wald columns compare the observed error rate
     against e^{-A_n} (hypothesis 0) / e^{-B_n} (hypothesis 1) plus 3 SE."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SUMMARY_COLUMNS)
-    thresholds = [summary.threshold_a, summary.threshold_b]
-    for hyp, stats in enumerate(summary.per_hyp):
-        bound = math.exp(-thresholds[hyp])
-        ok = stats.error_rate <= bound + 3.0 * stats.error_se
-        w.writerow(
-            [
-                hyp,
-                stats.trials,
-                stats.errors,
-                stats.censored,
-                repr(stats.error_rate),
-                repr(stats.error_se),
-                repr(stats.mean_stop),
-                repr(stats.stop_se),
-                repr(stats.overshoot),
-                repr(stats.overshoot_se),
-                summary.budget,
-                repr(thresholds[hyp]),
-                repr(bound),
-                int(ok),
-                repr(summary.empirical_exponent(hyp, corrected=False)),
-                repr(summary.empirical_exponent(hyp, corrected=True)),
-            ]
-        )
-    return buf.getvalue()
+    rows = []
+    for hyp, (stats, threshold) in enumerate(zip(summary.per_hyp, [summary.threshold_a, summary.threshold_b])):
+        bound = math.exp(-threshold)
+        rows.append([
+            hyp,
+            stats.trials,
+            stats.errors,
+            stats.censored,
+            stats.error_rate,
+            stats.error_se,
+            stats.mean_stop,
+            stats.stop_se,
+            stats.overshoot,
+            stats.overshoot_se,
+            summary.budget,
+            threshold,
+            bound,
+            int(stats.error_rate <= bound + 3.0 * stats.error_se),
+            summary.empirical_exponent(hyp, corrected=False),
+            summary.empirical_exponent(hyp, corrected=True),
+        ])
+    return _csv(SUMMARY_COLUMNS, rows)
 
 
 SWEEP_COLUMNS = [
@@ -280,27 +276,23 @@ SWEEP_COLUMNS = [
 
 
 def sweep_to_csv(records) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SWEEP_COLUMNS)
-    for rec in records:
-        s = rec.summary
-        w.writerow(
-            [
-                rec.n,
-                repr(s.alpha_hat),
-                repr(s.beta_hat),
-                repr(rec.exponent_alpha),
-                repr(rec.exponent_beta),
-                repr(rec.bound_exponent_alpha),
-                repr(rec.bound_exponent_beta),
-                rec.report.constraint,
-                int(rec.report.passed),
-                repr(s.per_hyp[0].mean_stop),
-                repr(s.per_hyp[1].mean_stop),
-            ]
-        )
-    return buf.getvalue()
+    rows = [
+        [
+            rec.n,
+            rec.summary.alpha_hat,
+            rec.summary.beta_hat,
+            rec.exponent_alpha,
+            rec.exponent_beta,
+            rec.bound_exponent_alpha,
+            rec.bound_exponent_beta,
+            rec.report.constraint,
+            int(rec.report.passed),
+            rec.summary.per_hyp[0].mean_stop,
+            rec.summary.per_hyp[1].mean_stop,
+        ]
+        for rec in records
+    ]
+    return _csv(SWEEP_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------

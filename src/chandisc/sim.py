@@ -524,6 +524,7 @@ def sweep_budgets(
     base_seed: int,
     constraint: str = EXPECTATION,
     epsilon: float = 0.05,
+    step_cap_factor: int = 20,
 ) -> list[SweepRecord]:
     """The same arms at a list of strictly ascending budgets, for
     convergence curves.
@@ -532,12 +533,20 @@ def sweep_budgets(
     Every budget shares the base seed, so one walk per trace serves them all:
     each record equals run_trials of that budget's plan.  Budgets count
     channel uses and must be int multiples of the block size, so that each
-    record's n is its summary's budget.
+    record's n is its summary's budget.  step_cap_factor caps the traces as
+    in run_trials: at budget n a trace still undecided after
+    step_cap_factor * n uses is censored, and a budget with more than 5 % of
+    its traces censored raises ExcessiveCensoringError.
     """
     l = strategy.block_size
     check_budgets(budgets, l)
     plan = SimulationPlan(
-        strategy=strategy, trials=trials, base_seed=base_seed, constraint=constraint, epsilon=epsilon
+        strategy=strategy,
+        trials=trials,
+        base_seed=base_seed,
+        constraint=constraint,
+        epsilon=epsilon,
+        step_cap_factor=step_cap_factor,
     )
     ns = [n // l for n in budgets]
     return [

@@ -360,7 +360,8 @@ def test_every_config_key_is_documented():
 def test_cli_passes_only_the_keys_it_is_given(tmp_path, runner, monkeypatch):
     """SimulationPlan, sweep_budgets and region_chain get an optional key
     only when the config sets it, unchanged; their own defaults fill the
-    rest."""
+    rest.  simulate.step_cap_factor reaches both SimulationPlan and
+    sweep_budgets."""
     calls = {}
 
     class Recorded(Exception):
@@ -398,7 +399,7 @@ def test_cli_passes_only_the_keys_it_is_given(tmp_path, runner, monkeypatch):
     )
     assert calls == {
         "SimulationPlan": {"trials": 100, "base_seed": 7, **given, "step_cap_factor": 4},
-        "sweep_budgets": {"trials": 50, "base_seed": 7, **given},
+        "sweep_budgets": {"trials": 50, "base_seed": 7, **given, "step_cap_factor": 4},
         "region_chain": {"l_max": 1, "alpha_grid": [1.2, 1.7], "samples": 8, "slack": 0.01},
     }
 
@@ -478,25 +479,46 @@ def test_unreadable_config_and_missing_channel_file_exit_2(tmp_path, runner):
     assert not out.exists()
 
 
-def test_excessive_censoring_exits_3(tmp_path, runner):
-    """A pair whose informative outcomes are rare: one net jump of
-    log 10 crosses a threshold (100 (rate - tau) = 0.93), but 0.55 % of the
-    uses give a jump, so about exp(-1.1) = 33 % of the traces reach the cap
-    of 2 n uses (the seeded run reads 0.367), far above the 5 % limit."""
+def _rare_jump_config(tmp_path, **sections):
+    """Replacer channels diag(0.9945, 0.005, 0.0005) against
+    diag(0.9945, 0.0005, 0.005), n 100, 200 trials, a step cap of 2 n."""
 
     def replacer(*p):
         sigma = [[[p[i] if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
         return {"name": "replacer", "params": {"sigma": sigma, "in_dim": 2}}
 
-    cfg = write_config(
+    return write_config(
         tmp_path,
         channels={"n0": replacer(0.9945, 0.005, 0.0005), "n1": replacer(0.9945, 0.0005, 0.005)},
         simulate={"n": 100, "trials": 200, "step_cap_factor": 2},
+        **sections,
     )
+
+
+def test_excessive_censoring_exits_3(tmp_path, runner):
+    """A pair whose informative outcomes are rare: one net jump of
+    log 10 crosses a threshold (100 (rate - tau) = 0.93), but 0.55 % of the
+    uses give a jump, so about exp(-1.1) = 33 % of the traces reach the cap
+    of 2 n uses (the seeded run reads 0.367), far above the 5 % limit."""
+    cfg = _rare_jump_config(tmp_path)
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "run"), "--no-timestamp", "simulate"])
     assert res.exit_code == 3, res.output
     frac = re.search(r"simulation failed: censored fraction (\S+) exceeds 5%", res.output)
     assert frac and float(frac[1]) > 0.2, res.output
+
+
+def test_sweep_keeps_the_step_cap(tmp_path, runner):
+    """sweep caps its traces at simulate.step_cap_factor x n, as simulate
+    does: at the one budget 100, with 200 trials, it censors the same traces
+    and exits 3 with the same fraction, instead of running them to the
+    default cap of 20 n (mean stops past 200 uses)."""
+    cfg = _rare_jump_config(tmp_path, sweep={"budgets": [100], "trials": 200})
+    fracs = []
+    for command in ("simulate", "sweep"):
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / command), "--no-timestamp", command])
+        assert res.exit_code == 3, (command, res.output)
+        fracs.append(re.search(r"simulation failed: censored fraction (\S+) exceeds 5%", res.output)[1])
+    assert fracs[0] == fracs[1] == "0.367", fracs
 
 
 def test_divergence_on_pairs_near_the_support_rule(tmp_path, runner):

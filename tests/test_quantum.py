@@ -4,16 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chandisc import quantum
-from chandisc.errors import DimensionMismatchError, InvalidStateError, NormalizationError
+from chandisc.errors import DimensionMismatchError, DimensionOverflowError, InvalidStateError, NormalizationError
 from chandisc.linalg import frob, hermitian_eigen
 from chandisc.quantum import (
     DensityMatrix,
     Povm,
     QuantumChannel,
+    amplitude_damping_channel,
     apply_channel,
     basis_pvm,
     bernoulli_replacer,
     classical_channel,
+    dephasing_channel,
     depolarizing_channel,
     identity_channel,
     max_entangled_state,
@@ -33,6 +35,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(InvalidStateError):
         DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
+    with pytest.raises(InvalidStateError, match="not Hermitian"):
+        DensityMatrix([[0.5, 0.1], [0.0, 0.5]])
     s = DensityMatrix(np.diag([0.25, 0.75]))
     assert s.dim == 2
 
@@ -66,6 +70,21 @@ def test_channel_validation_and_choi():
     for shape in ((0, 0), (0, 2), (2, 0)):
         with pytest.raises(InvalidStateError, match="nonzero dimensions"):
             QuantumChannel([np.zeros(shape)])
+    with pytest.raises(InvalidStateError, match="at least one Kraus operator"):
+        QuantumChannel([])
+    with pytest.raises(DimensionMismatchError, match="mixed shapes"):
+        QuantumChannel([np.eye(2) / np.sqrt(2), np.ones((3, 2)) / np.sqrt(6)])
+
+
+def test_zoo_rejects_parameters_outside_the_unit_interval():
+    for make in (depolarizing_channel, amplitude_damping_channel, dephasing_channel):
+        for p in (-0.1, 1.1):
+            with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+                make(p)
+    # a column summing to 1.1, and a column with a negative entry
+    for w in ([[0.5, 0.5], [0.6, 0.5]], [[1.2, 0.0], [-0.2, 1.0]]):
+        with pytest.raises(ValueError, match="column-stochastic"):
+            classical_channel(np.array(w))
 
 
 def test_identity_choi_is_max_entangled():
@@ -150,6 +169,17 @@ def test_tensor_power_channel():
     assert np.allclose(joint, np.kron(single, single), atol=1e-12)
 
 
+def test_tensor_power_checks_its_order_and_the_cap_first():
+    """l < 1 raises; a qubit power past DIM_CAP (2^13 = 8192 > 4096) raises
+    before any Kraus product is built."""
+    ch = depolarizing_channel(0.3)
+    with pytest.raises(ValueError, match="l must be >= 1"):
+        tensor_power_channel(ch, 0)
+    with pytest.raises(DimensionOverflowError, match="tensor power 13 exceeds dimension cap"):
+        tensor_power_channel(ch, 13)
+    assert not ch._powers
+
+
 def test_tensor_powers_are_cached_on_the_channel():
     """Each power is built once and cached on its channel, so every caller
     gets the same block channel with the same cached Choi state; l = 1 is
@@ -167,7 +197,7 @@ def test_tensor_powers_are_cached_on_the_channel():
 def test_povm_validation_and_pvm_flag():
     m = basis_pvm(np.eye(2))
     assert m.is_pvm
-    assert m.outcome_count == 2
+    assert len(m.effects) == 2
     smeared = Povm([0.5 * np.eye(2), 0.5 * np.eye(2)])
     assert not smeared.is_pvm
     with pytest.raises(InvalidStateError):
@@ -252,6 +282,11 @@ def test_outcome_distribution_normalizes():
         outcome_distribution(ch, rho, 2, m)
     with pytest.raises(DimensionMismatchError, match="state dim 4 != ancilla 1"):
         outcome_distribution(ch, pure_state(np.ones(4)), 1, m)
+    # sum K^dag K = (1 + 1.4e-8) I passes the channel check (1.98e-8 <= 2e-8),
+    # but the outcome law then sums to 1 + 1.4e-8, past its 1e-8 tolerance
+    scaled = QuantumChannel([np.sqrt(1 + 1.4e-8) * np.eye(2)])
+    with pytest.raises(NormalizationError, match="sum to 1.0000000139999996"):
+        outcome_distribution(scaled, pure_state(np.ones(2)), 1, m)
 
 
 def test_pure_input_map_and_basis_laws_on_a_stack():

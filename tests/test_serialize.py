@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 from pathlib import Path
@@ -167,6 +170,23 @@ def test_summary_csv_schema():
     sweep_text = serialize.sweep_to_csv(recs)
     assert sweep_text.splitlines()[0].split(",") == serialize.SWEEP_COLUMNS
     assert len(sweep_text.splitlines()) == 3
+
+
+def test_csv_cells_are_numbers_or_labels():
+    """Every cell of summary.csv and sweep.csv parses as a number, or is the
+    constraint label, also when the strategy's rates are numpy floats."""
+    rate = np.float64(0.6 * np.log(4))  # D(bern(0.2)||bern(0.8)) both ways
+    strat = dataclasses.replace(_fixed_strategy(bernoulli_replacer(0.2), bernoulli_replacer(0.8)), rate0=rate, rate1=rate)
+    summary = run_trials(SimulationPlan(strategy=strat, trials=50, base_seed=0))
+    records = sweep_budgets(strat, [50, 100], trials=50, base_seed=0)
+    for text in (serialize.summary_to_csv(summary), serialize.sweep_to_csv(records)):
+        header, *rows = csv.reader(io.StringIO(text))
+        for row in rows:
+            for column, cell in zip(header, row, strict=True):
+                if column == "constraint":
+                    assert cell == "expectation"
+                else:
+                    float(cell)
 
 
 def test_dumps_is_canonical():
