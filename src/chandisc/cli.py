@@ -38,8 +38,8 @@ from .quantum import (
     replacer_channel,
 )
 from .regions import region_chain
-from .sim import SimulationPlan, check_budgets, check_constraint, run_trials, sweep_budgets
-from .strategies import build_non_adaptive, build_sprt
+from .sim import SimulationPlan, check_constraint, run_trials, sweep_budgets
+from .strategies import build_non_adaptive, build_sprt, check_budgets
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -190,14 +190,20 @@ def main(ctx, config_path, seed, out, log_base, no_timestamp):
     ctx.obj["no_timestamp"] = no_timestamp
 
 
-def _run_command(ctx, command: str, fn, check=None) -> None:
+def _run_command(ctx, command: str, fn, budgets=None) -> None:
+    """Run fn(cfg, pair, run directory).  budgets(cfg), when given, are the
+    budgets the command runs: they must hold check_budgets' rule at the
+    run's block size."""
     try:
         cfg = load_config(ctx.obj["config_path"], ctx.obj["overrides"])
-        # channels are built and the command's own check runs before the run
+        # channels are built and the budgets checked before the run
         # directory exists, so a rejected config leaves nothing behind
         pair = build_pair(cfg)
-        if check is not None:
-            check(cfg)
+        if budgets is not None:
+            try:
+                check_budgets(budgets(cfg), _budget(cfg)[1])
+            except ValueError as exc:
+                raise ConfigError(f"{command} {exc}") from exc
         fn(cfg, pair, start_run(cfg, command, ctx.obj["no_timestamp"]))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
@@ -266,11 +272,12 @@ def _budget(cfg) -> tuple[int, int]:
     return sim.get("n", 400), sim.get("l", 2) if block else 1
 
 
-def _build_strategy(cfg, pair):
+def _build_strategy(cfg, pair, n: int):
+    """The strategy simulate.mode names, at budget n channel uses."""
     n0, n1 = pair
     ocfg = optimizer_config(cfg)
     opts = cfg.get("simulate", {})
-    n, l = _budget(cfg)
+    l = _budget(cfg)[1]
     tau = opts.get("tau")
     if opts.get("mode") != "nonAdaptive":
         return build_sprt(n0, n1, n, tau, ocfg, l)
@@ -292,7 +299,7 @@ def simulate(ctx):
 
     def run(cfg, pair, out):
         opts = cfg.get("simulate", {})
-        strategy = _build_strategy(cfg, pair)
+        strategy = _build_strategy(cfg, pair, _budget(cfg)[0])
         plan = SimulationPlan(
             strategy=strategy,
             trials=opts.get("trials", _TRIALS),
@@ -310,12 +317,7 @@ def simulate(ctx):
             f"constraint {status} ({report.detail})"
         )
 
-    def check(cfg):
-        n, l = _budget(cfg)
-        if n % l:
-            raise ConfigError(f"simulate.n {n} is not a multiple of the block size {l}")
-
-    _run_command(ctx, "simulate", run, check)
+    _run_command(ctx, "simulate", run, lambda cfg: _budget(cfg)[:1])
 
 
 @main.command()
@@ -326,7 +328,9 @@ def sweep(ctx):
     def run(cfg, pair, out):
         opts = cfg.get("sweep", {})
         budgets = opts.get("budgets", _SWEEP_BUDGETS)
-        strategy = _build_strategy(cfg, pair)
+        # sweep_budgets sets every budget itself and never reads
+        # simulate.n; one block is a valid budget at every block size
+        strategy = _build_strategy(cfg, pair, _budget(cfg)[1])
         records = sweep_budgets(
             strategy,
             budgets,
@@ -343,13 +347,7 @@ def sweep(ctx):
                 f"constraint_passed={rec.report.passed}"
             )
 
-    def check(cfg):
-        try:
-            check_budgets(cfg.get("sweep", {}).get("budgets", _SWEEP_BUDGETS), _budget(cfg)[1])
-        except ValueError as exc:
-            raise ConfigError(f"sweep {exc}") from exc
-
-    _run_command(ctx, "sweep", run, check)
+    _run_command(ctx, "sweep", run, lambda cfg: cfg.get("sweep", {}).get("budgets", _SWEEP_BUDGETS))
 
 
 @main.command()

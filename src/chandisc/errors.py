@@ -49,10 +49,6 @@ class SupportMismatchError(ChandiscError):
     pass
 
 
-class ZeroProbabilityOutcomeError(ChandiscError):
-    pass
-
-
 class ExcessiveCensoringError(ChandiscError):
     pass
 

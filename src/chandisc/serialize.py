@@ -130,8 +130,8 @@ def strategy_from_json(doc: dict) -> SprtStrategy:
         rate0=float(doc["rate0"]),
         rate1=float(doc["rate1"]),
         tau=float(doc["tau"]),
-        n=int(doc["n"]),
-        block_size=int(doc.get("block_size", 1)),
+        n=doc["n"],
+        block_size=doc.get("block_size", 1),
     )
 
 

@@ -49,6 +49,10 @@ rate, the bands are nested, a trace exits them in order and its open bands
 are a suffix.  A trace walks until it exits its last band or reaches the
 largest cap, and records the first exit of each band.  run_trials is the
 one-budget case.
+
+The walk trusts the strategy: SprtStrategy's constructor admits only
+mutually absolutely continuous laws, so every reachable increment is finite
+and the walk makes no support check.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExcessiveCensoringError, ZeroProbabilityOutcomeError
-from .strategies import CENSORED, DECISION_H0, DECISION_H1, SprtStrategy
+from .errors import ExcessiveCensoringError
+from .strategies import CENSORED, DECISION_H0, DECISION_H1, SprtStrategy, check_budgets, check_count
 
 EXPECTATION = "expectation"
 PROBABILISTIC = "probabilistic"
@@ -78,11 +82,6 @@ _COUNT_MAX = 128  # cdf cuts up to which one comparison pass per cut beats a bin
 logger = logging.getLogger("chandisc.sim")
 
 
-def _is_int(x) -> bool:
-    """An int or numpy integer; bools are not counts."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 @dataclass
 class SimulationPlan:
     strategy: SprtStrategy
@@ -93,16 +92,13 @@ class SimulationPlan:
     step_cap_factor: int = 20
 
     def __post_init__(self):
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        if not _is_int(self.base_seed) or self.base_seed < 0:
-            raise ValueError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
+        check_count("trials", self.trials)
+        check_count("base_seed", self.base_seed, least=0)
         if self.constraint not in (EXPECTATION, PROBABILISTIC):
             raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.constraint == PROBABILISTIC and not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if not _is_int(self.step_cap_factor) or self.step_cap_factor < 1:
-            raise ValueError(f"step_cap_factor must be an int >= 1, got {self.step_cap_factor!r}")
+        check_count("step_cap_factor", self.step_cap_factor)
 
 
 @dataclass
@@ -340,12 +336,7 @@ def _simulate_hypothesis(plan: SimulationPlan, hyp: int, ns: list[int]) -> tuple
     tables = strategy.tables
     incs = tables.increments
     cdfs = tables.cdfs[:, hyp, :]
-    sizes = np.abs(incs[tables.dists[:, hyp, :] > 0])
-    if not np.all(np.isfinite(sizes)):
-        raise ZeroProbabilityOutcomeError(
-            "an outcome with zero probability under one hypothesis is reachable"
-        )
-    z_max = sizes.max()  # the longest step a trace can take
+    z_max = np.abs(incs).max()  # the longest step a trace can take
     arms = range(len(incs))
     if all(np.array_equal(cdfs[a], cdfs[0]) and np.array_equal(incs[a], incs[0]) for a in arms):
         arms = range(1)  # one law for every step
@@ -492,7 +483,7 @@ def check_constraint(summary: SimulationSummary, plan: SimulationPlan) -> Constr
         detail = "mean stop times " + ", ".join(
             f"{s.mean_stop:.2f}" for s in summary.per_hyp
         ) + f" vs budget {n}"
-    elif plan.constraint == PROBABILISTIC:
+    else:
         margins = [
             plan.epsilon - (s.overshoot + 3 * s.overshoot_se) for s in summary.per_hyp
         ]
@@ -500,21 +491,9 @@ def check_constraint(summary: SimulationSummary, plan: SimulationPlan) -> Constr
         detail = "overshoot probabilities " + ", ".join(
             f"{s.overshoot:.4f}" for s in summary.per_hyp
         ) + f" vs epsilon {plan.epsilon}"
-    else:
-        raise ValueError(f"unknown constraint {plan.constraint!r}")
     return ConstraintReport(
         constraint=plan.constraint, passed=passed, margins=margins, detail=detail
     )
-
-
-def check_budgets(budgets: list[int], block_size: int) -> None:
-    """The rule sweep_budgets holds its budgets to: strictly ascending int
-    multiples of the block size, each at least one block; else ValueError."""
-    bad = [n for n in budgets if not _is_int(n) or n < block_size or n % block_size]
-    if bad:
-        raise ValueError(f"budgets {bad} are not multiples of the block size {block_size} (positive ints)")
-    if any(a >= b for a, b in zip(budgets, budgets[1:])):
-        raise ValueError(f"budgets {list(budgets)} are not ascending: each must exceed the one before")
 
 
 def sweep_budgets(

@@ -8,24 +8,24 @@ of the running sum (ties to arm zero); the non-adaptive SPRT plays its one
 arm every round.  The accumulated sum of per-step log-likelihood
 increments drives the stopping rule (first exit from (-A_n, B_n)).
 arm_laws is the one map from an arm to its outcome laws.
+
+SprtStrategy's constructor is the one place that decides whether a strategy
+is valid: a budget n of whole steps and a block size that are positive ints,
+arms whose outcome laws are mutually absolutely continuous (so every
+increment is finite), informative rates and tau in (0, min rate).  The
+builders, the loader, step_sprt and the Monte-Carlo walk trust it and
+re-check none of these.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .divergences import DivergenceValue, channel_divergence_pair
-from .errors import (
-    DimensionOverflowError,
-    InfiniteDivergenceError,
-    SupportMismatchError,
-    TauTooLargeError,
-    ZeroProbabilityOutcomeError,
-)
+from .errors import InfiniteDivergenceError, SupportMismatchError, TauTooLargeError
 from .optimize import NEGLIGIBLE_PROB, OptimizerConfig, kl_rows
 from .quantum import (
     DensityMatrix,
@@ -38,6 +38,28 @@ from .quantum import (
 DECISION_H0 = 0
 DECISION_H1 = 1
 CENSORED = 2
+
+
+def _is_int(x) -> bool:
+    """An int or numpy integer; bools are not counts."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_count(name: str, x, least: int = 1) -> None:
+    """ValueError unless x is an int, not a bool, and x >= least."""
+    if not _is_int(x) or x < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {x!r}")
+
+
+def check_budgets(budgets: list[int], block_size: int) -> None:
+    """The rule every budget in channel uses is held to, by build_sprt and
+    sweep_budgets: strictly ascending int multiples of the block size, each
+    at least one block; else ValueError."""
+    bad = [n for n in budgets if not _is_int(n) or n < block_size or n % block_size]
+    if bad:
+        raise ValueError(f"budgets {bad} are not multiples of the block size {block_size} (positive ints)")
+    if any(a >= b for a, b in zip(budgets, budgets[1:])):
+        raise ValueError(f"budgets {list(budgets)} are not ascending: each must exceed the one before")
 
 
 @dataclass
@@ -86,15 +108,20 @@ def rate_pair(p0: np.ndarray, p1: np.ndarray) -> tuple[float, float]:
 
 def _build_tables(laws: list[tuple[np.ndarray, np.ndarray]]) -> StrategyTables:
     """Tables from the outcome laws (p0, p1) of each arm.  Entries at or below
-    NEGLIGIBLE_PROB are rounding noise: set to 0, as the rates drop them."""
+    NEGLIGIBLE_PROB are rounding noise: set to 0, as the rates drop them.
+    An outcome left positive under one law only has an infinite increment:
+    SupportMismatchError."""
     dists = np.zeros((len(laws), 2, max(law[0].size for law in laws)))
     for i, law in enumerate(laws):
         dists[i, :, : law[0].size] = law
     dists = np.where(dists > NEGLIGIBLE_PROB, dists, 0.0)
+    positive = dists > 0
+    if np.any(positive[:, 0] != positive[:, 1]):
+        raise SupportMismatchError("induced distributions not mutually absolutely continuous")
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(dists)
         # outcomes of probability 0 under both laws are never sampled
-        incs = np.where((dists <= 0).all(axis=1), 0.0, logs[:, 0] - logs[:, 1])
+        incs = np.where(positive[:, 0], logs[:, 0] - logs[:, 1], 0.0)
     return StrategyTables(dists=dists, cdfs=outcome_cdf(dists), increments=incs)
 
 
@@ -148,6 +175,13 @@ class SprtStrategy:
     exponent (D(P0||P1) of arm zero).  threshold_a = n (rate0 - tau),
     threshold_b = n (rate1 - tau).  laws, when given, holds each arm's
     outcome laws (p0, p1) already computed, so the tables reuse them.
+
+    The constructor checks, in order: n and block_size are ints >= 1
+    (ValueError); each arm's laws are mutually absolutely continuous
+    (SupportMismatchError); rate0 and rate1 > 1e-15 (TauTooLargeError);
+    tau, which defaults to 0.1 min(rate0, rate1), lies in
+    (0, min(rate0, rate1)) (TauTooLargeError).  Nothing downstream
+    re-checks them.
     """
 
     n0: QuantumChannel
@@ -156,20 +190,26 @@ class SprtStrategy:
     arm_one: Arm | None = None
     rate0: float
     rate1: float
-    tau: float
+    tau: float | None = None
     n: int
     block_size: int = 1
     tables: StrategyTables = field(init=False, repr=False)
     laws: InitVar[list | None] = None
 
     def __post_init__(self, laws):
-        if self.tau <= 0 or self.tau >= min(self.rate0, self.rate1):
-            raise TauTooLargeError(
-                f"tau {self.tau} not in (0, {min(self.rate0, self.rate1)})"
-            )
+        check_count("n", self.n)
+        check_count("block_size", self.block_size)
         if laws is None:
             laws = [arm_laws(arm, self.n0, self.n1) for arm in self.arms]
         self.tables = _build_tables(laws)
+        # written so that a NaN fails each check
+        if not (self.rate0 > 1e-15 and self.rate1 > 1e-15):
+            raise TauTooLargeError(f"rates ({self.rate0}, {self.rate1}) not both above 1e-15: the arms are uninformative")
+        rate = min(self.rate0, self.rate1)
+        if self.tau is None:
+            self.tau = 0.1 * rate
+        if not 0 < self.tau < rate:
+            raise TauTooLargeError(f"tau {self.tau} not in (0, {rate})")
 
     @property
     def threshold_a(self) -> float:
@@ -188,8 +228,10 @@ class SprtStrategy:
         return [self.arm_zero, self.arm_one] if self.adaptive else [self.arm_zero]
 
     def with_budget(self, n: int) -> SprtStrategy:
-        """The same strategy with budget n.  The thresholds follow n; the
-        tables do not depend on it and are shared, never rebuilt."""
+        """The same strategy with budget n, an int >= 1.  The thresholds
+        follow n; the tables do not depend on it and are shared, never
+        rebuilt."""
+        check_count("n", n)
         strategy = copy.copy(self)
         strategy.n = n
         return strategy
@@ -231,18 +273,19 @@ def build_sprt(
     l: int = 1,
 ) -> SprtStrategy:
     """Construct the adaptive SPRT from measured-divergence witnesses, on
-    the l-fold tensor powers with budget floor(n/l) block steps.
+    the l-fold tensor powers with budget n // l block steps.
 
-    Thresholds are computed from the witnessed (achieved) arm rates rather
-    than the unknown true suprema, so the simulated exponents and the
-    thresholds stay on the same footing.  tau is per channel use and scaled
-    to the block level; it defaults to 0.1 x min(rates).  The reported
-    stopping times are per use (block steps x l).  Both directions of the
-    block pair's max-divergence must be finite; the max kind's pair is
-    checked before the measured pair runs.
+    n counts channel uses and must be a positive multiple of l
+    (check_budgets, ValueError).  Thresholds are computed from the
+    witnessed (achieved) arm rates rather than the unknown true suprema, so
+    the simulated exponents and the thresholds stay on the same footing.
+    tau is per channel use and scaled to the block level; None leaves
+    SprtStrategy's default, 0.1 x min(rates).  The reported stopping times
+    are per use (block steps x l).  Both directions of the block pair's
+    max-divergence must be finite; the max kind's pair is checked before
+    the measured pair runs.  Every other rule is SprtStrategy's.
     """
-    if l > 1 and n < l:
-        raise DimensionOverflowError(f"budget {n} smaller than block size {l}")
+    check_budgets([n], l)
     d01, d10 = channel_divergence_pair(n0, n1, kind="max", l=l)
     if not (d01.is_finite and d10.is_finite):
         raise InfiniteDivergenceError(
@@ -253,8 +296,6 @@ def build_sprt(
     # achieved per-step rates of the arms (certified lower bounds)
     _, rate1 = rate_pair(*laws0)
     rate0, _ = rate_pair(*laws1)
-    if min(rate0, rate1) <= 0:
-        raise TauTooLargeError("witnessed rates are zero; channels indistinguishable")
     return SprtStrategy(
         n0=tensor_power_channel(n0, l),
         n1=tensor_power_channel(n1, l),
@@ -262,7 +303,7 @@ def build_sprt(
         arm_one=arm_one,
         rate0=rate0,
         rate1=rate1,
-        tau=0.1 * min(rate0, rate1) if tau is None else l * tau,
+        tau=None if tau is None else l * tau,
         n=n // l,
         block_size=l,
         laws=[laws0, laws1],
@@ -277,16 +318,11 @@ def build_non_adaptive(
     n: int,
     tau: float | None = None,
 ) -> SprtStrategy:
-    """Fixed-pair SPRT; thresholds from the pair's classical KLs."""
+    """Fixed-pair SPRT; thresholds from the pair's classical KLs.  Every
+    rule (support, rates, tau and its default, n) is SprtStrategy's."""
     arm = Arm(input_state, m, input_state.dim // n0.in_dim)
     p0, p1 = arm_laws(arm, n0, n1)
-    if np.any((p0 > NEGLIGIBLE_PROB) != (p1 > NEGLIGIBLE_PROB)):
-        raise SupportMismatchError("induced distributions not mutually absolutely continuous")
     rate0, rate1 = rate_pair(p0, p1)
-    if min(rate0, rate1) <= 1e-15:
-        raise TauTooLargeError("measurement is uninformative (zero KL both ways)")
-    if tau is None:
-        tau = 0.1 * min(rate0, rate1)
     return SprtStrategy(
         n0=n0, n1=n1, arm_zero=arm, rate0=rate0, rate1=rate1, tau=tau, n=n, laws=[(p0, p1)]
     )
@@ -309,7 +345,8 @@ def step_sprt(
     hold; any other channel raises ValueError before a uniform is consumed.
     Arm choice: fair coin at k = 1 (adaptive strategies only; one uniform
     consumed), afterwards arm zero iff the running sum is >= 0.  One further
-    uniform is consumed per step to sample the outcome.
+    uniform is consumed per step to sample the outcome.  Its increment is
+    finite: the constructor admits only mutually absolutely continuous laws.
     """
     if trace.stopped:
         raise ValueError("trace already stopped")
@@ -324,10 +361,6 @@ def step_sprt(
     tables = strategy.tables
     y = sample_outcome(tables.cdfs[arm, hyp], rng.random())
     z = float(tables.increments[arm, y])
-    if not math.isfinite(z):
-        raise ZeroProbabilityOutcomeError(
-            f"outcome {y} has zero probability under one hypothesis"
-        )
     s = trace.cumulative + z
     trace.steps.append(TraceStep(arm=arm, outcome=y, increment=z, cumulative=s))
     if s >= strategy.threshold_b:

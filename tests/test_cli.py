@@ -1,4 +1,5 @@
 import dataclasses
+import datetime
 import importlib.resources
 import json
 import re
@@ -225,17 +226,37 @@ def test_block_simulate_budget_off_the_block_size_exit_2(tmp_path, runner):
     of l, checked before the run directory exists, instead of running
     n // l blocks."""
     block = {"mode": "block", "l": 2, "n": 101, "tau": 0.08, "trials": 20}
-    for sim in (block, {**block, "l": 3, "n": 100}, {k: v for k, v in block.items() if k != "n"} | {"l": 3}):
+    for sim in (block, {**block, "n": 1}, {**block, "l": 3, "n": 100},
+                {k: v for k, v in block.items() if k != "n"} | {"l": 3}):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, simulate=sim)
         res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "simulate"])
         assert res.exit_code == 2, (sim, res.output)
-        assert "is not a multiple of the block size" in res.output
+        n, l = sim.get("n", 400), sim["l"]
+        assert f"config error: simulate budgets [{n}] are not multiples of the block size {l}" in res.output
         assert not out.exists()
     cfg = write_config(tmp_path, simulate={**block, "n": 100})
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "ok"), "--no-timestamp", "simulate"])
     assert res.exit_code == 0, res.output
     assert json.loads((tmp_path / "ok" / "strategy.json").read_text())["n"] == 50
+
+
+def test_block_sweep_never_reads_simulate_n(tmp_path, runner):
+    """sweep runs its own budgets: a block-mode sweep whose simulate.n is
+    off the block size (the default 400 at l = 3, or 101 and 1 at l = 2)
+    still runs, and its records equal those of a simulate.n on the block
+    size."""
+    sweep = {"budgets": [30, 60], "trials": 50}
+    block = {"mode": "block", "tau": 0.08, "trials": 20}
+    rows = {}
+    for l, n in ((3, None), (3, 300), (2, 101), (2, 1), (2, 100)):
+        sim = {**block, "l": l} | ({} if n is None else {"n": n})
+        out = tmp_path / f"run_{l}_{n}"
+        cfg = write_config(tmp_path, simulate=sim, sweep=sweep)
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "sweep"])
+        assert res.exit_code == 0, (sim, res.output)
+        rows.setdefault(l, set()).add((out / "sweep.csv").read_text())
+    assert all(len(texts) == 1 for texts in rows.values())
 
 
 def test_block_size_outside_block_mode_exit_2(tmp_path, runner):
@@ -607,3 +628,18 @@ def test_golden_replay(tmp_path, runner, command):
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
         _assert_matches_golden((out / name).read_text(), (golden / name).read_text(), name)
+
+
+def test_missing_config_exits_2(tmp_path, runner):
+    res = runner.invoke(main, ["--out", str(tmp_path / "run"), "validate"])
+    assert res.exit_code == 2
+    assert "config error: --config is required" in res.output
+
+
+def test_manifest_timestamp_is_iso_8601(tmp_path, runner):
+    cfg = write_config(tmp_path, divergence={"kinds": ["max"]})
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "divergence"])
+    assert res.exit_code == 0, res.output
+    stamp = datetime.datetime.fromisoformat(json.loads((out / "manifest.json").read_text())["timestamp"])
+    assert stamp.tzinfo is not None

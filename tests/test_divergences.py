@@ -1490,3 +1490,8 @@ def test_state_divergences_are_ordered(d, full, seed):
     chain.append(max_div_states(rho0, rho1).value)
     for a, b in zip(chain, chain[1:]):
         assert a <= b + 1e-12 * max(1.0, abs(b)), chain
+
+
+def test_rel_entropy_rejects_mismatched_dimensions():
+    with pytest.raises(DimensionMismatchError, match="mismatched dimensions"):
+        rel_entropy_states(diag(0.5, 0.5), diag(0.25, 0.25, 0.25, 0.25))

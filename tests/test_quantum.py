@@ -328,3 +328,10 @@ def test_random_generators_are_seeded():
 def test_max_entangled_vector_normalized():
     v = max_entangled_vector(3)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+
+
+def test_random_channel_without_a_generator_is_a_channel():
+    ch = random_channel(2)
+    assert (ch.in_dim, ch.out_dim) == (2, 2)
+    assert np.allclose(sum(k.conj().T @ k for k in ch.kraus), np.eye(2), atol=1e-10)
+    assert np.linalg.eigvalsh(ch.choi).min() > -1e-10

@@ -11,14 +11,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chandisc import serialize
-from chandisc.errors import InvalidStateError
+from chandisc.errors import InvalidStateError, SupportMismatchError
 from chandisc.optimize import OptimizerConfig
 from chandisc.quantum import (
     DensityMatrix,
-    Povm,
     basis_pvm,
     bernoulli_replacer,
-    depolarizing_channel,
+    classical_channel,
     random_channel,
     random_density_matrix,
     random_unitary,
@@ -236,3 +235,33 @@ def test_dumps_defers_other_types_and_keys_to_the_stdlib():
 def test_replay_documents_redump_to_their_bytes(path):
     text = path.read_text()
     assert serialize.dumps(serialize.loads(text)) == text
+
+
+def test_region_roundtrip_keeps_number_metadata_and_drops_rich_objects():
+    """Float metadata and lists of numbers round-trip, the lists as floats;
+    other objects, such as witnesses, are not part of the document."""
+    metadata = {"slack": 1e-3, "corner": (1, 2.5), "witness": object()}
+    region = ExponentRegion(kind="hull", frontier=[(0.0, 1.0)], metadata=metadata)
+    back = serialize.region_from_json(serialize.loads(serialize.dumps(serialize.region_to_json(region))))
+    assert back.metadata == {"slack": 1e-3, "corner": [1.0, 2.5]}
+
+
+def test_strategy_document_breaking_a_rule_fails_on_load():
+    """A strategy document is checked as a constructed strategy is: the
+    classical channels W0 = [[1, .5], [0, .5]] and W1 = [[.9, .5], [.1, .5]]
+    give the arm |0>, computational basis, one-sided outcome laws, which
+    raise SupportMismatchError."""
+    w0, w1 = (classical_channel(np.array(w)) for w in ([[1.0, 0.5], [0.0, 0.5]], [[0.9, 0.5], [0.1, 0.5]]))
+    doc = serialize.strategy_to_json(_fixed_strategy(bernoulli_replacer(0.2), bernoulli_replacer(0.8)))
+    doc.update(n0=serialize.channel_to_json(w0), n1=serialize.channel_to_json(w1), rate0="inf",
+               rate1=math.log(1 / 0.9), tau=0.01)
+    with pytest.raises(SupportMismatchError):
+        serialize.strategy_from_json(serialize.loads(serialize.dumps(doc)))
+
+
+@pytest.mark.parametrize("n", [0, 2.5])
+def test_strategy_document_with_a_budget_that_is_not_a_count_fails_on_load(n):
+    doc = serialize.strategy_to_json(_fixed_strategy(bernoulli_replacer(0.2), bernoulli_replacer(0.8)))
+    doc["n"] = n
+    with pytest.raises(ValueError, match=rf"n must be an int >= 1, got {n!r}"):
+        serialize.strategy_from_json(serialize.loads(serialize.dumps(doc)))

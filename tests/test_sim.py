@@ -398,6 +398,9 @@ def test_first_over_censored_budget_raises(classical_strategy):
         {"trials": 0},
         {"trials": True},
         {"step_cap_factor": True},
+        {"constraint": PROBABILISTIC, "epsilon": 0.0},
+        {"constraint": PROBABILISTIC, "epsilon": 1.0},
+        {"constraint": PROBABILISTIC, "epsilon": 1.5},
     ],
 )
 def test_plan_rejects_bad_constraint_and_cap(classical_strategy, kwargs):

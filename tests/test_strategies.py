@@ -9,11 +9,9 @@ from chandisc.errors import (
     InfiniteDivergenceError,
     SupportMismatchError,
     TauTooLargeError,
-    ZeroProbabilityOutcomeError,
 )
 from chandisc.optimize import OptimizerConfig, kl_divergence
 from chandisc.quantum import (
-    DensityMatrix,
     amplitude_damping_channel,
     basis_pvm,
     bernoulli_replacer,
@@ -25,7 +23,6 @@ from chandisc.quantum import (
 )
 from chandisc import strategies
 from chandisc.strategies import (
-    CENSORED,
     DECISION_H0,
     DECISION_H1,
     Arm,
@@ -366,3 +363,77 @@ def test_build_sprt_computes_each_arm_law_once(monkeypatch):
     )
     for name in ("dists", "cdfs", "increments"):
         assert np.array_equal(getattr(fresh.tables, name), getattr(strat.tables, name))
+
+
+def test_stepping_a_stopped_trace_raises():
+    strat = _fixed_classical(*classical_pair())
+    rng = np.random.default_rng(2)
+    trace = StrategyTrace()
+    while not trace.stopped:
+        step_sprt(strat, strat.n0, trace, rng)
+    steps = len(trace.steps)
+    with pytest.raises(ValueError, match="trace already stopped"):
+        step_sprt(strat, strat.n0, trace, rng)
+    assert len(trace.steps) == steps
+
+
+@pytest.mark.parametrize("n, l", [(401, 2), (1, 2)])
+def test_build_sprt_budget_is_a_positive_multiple_of_the_block_size(n, l):
+    """n counts channel uses: a budget off the block size or below one block
+    is rejected by the sweep's budget rule, before any divergence runs."""
+    n0, n1 = classical_pair()
+    with pytest.raises(ValueError, match=rf"budgets \[{n}\] are not multiples of the block size {l} \(positive ints\)"):
+        build_sprt(n0, n1, n=n, l=l, tau=0.08, cfg=CFG)
+
+
+def _replacer_kwargs(**changes):
+    """Constructor arguments of a non-adaptive SPRT on the Bernoulli
+    replacers 0.25 and 0.75, read from |0> in the computational basis."""
+    arm = Arm(pure_state(np.array([1.0, 0.0])), basis_pvm(np.eye(2)), 1)
+    rate = 0.5 * math.log(3)
+    kwargs = dict(n0=bernoulli_replacer(0.25), n1=bernoulli_replacer(0.75), arm_zero=arm, rate0=rate, rate1=rate,
+                  tau=0.08, n=100)
+    return {**kwargs, **changes}
+
+
+@pytest.mark.parametrize("n", [0, -5, 2.5, True])
+def test_strategy_budget_and_block_size_are_counts(n):
+    with pytest.raises(ValueError, match=rf"n must be an int >= 1, got {n!r}"):
+        SprtStrategy(**_replacer_kwargs(n=n))
+    with pytest.raises(ValueError, match=rf"block_size must be an int >= 1, got {n!r}"):
+        SprtStrategy(**_replacer_kwargs(block_size=n))
+    strat = SprtStrategy(**_replacer_kwargs(n=np.int64(3)))
+    with pytest.raises(ValueError, match="n must be an int >= 1, got 0"):
+        strat.with_budget(0)
+    assert strat.n == 3
+
+
+def test_strategy_default_tau_is_a_tenth_of_the_smaller_rate():
+    strat = SprtStrategy(**_replacer_kwargs(rate0=0.5, rate1=0.4, tau=None))
+    assert strat.tau == 0.1 * 0.4
+    assert strat.threshold_a == 100 * (0.5 - 0.04)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"rate0": 1e-16, "tau": None}, {"rate1": math.nan}, {"rate0": math.nan, "tau": None}, {"tau": math.nan}],
+)
+def test_uninformative_or_nan_rates_and_tau_rejected_by_the_constructor(changes):
+    """A NaN rate or tau would make the thresholds NaN, which no running sum
+    crosses: every trace would be censored."""
+    with pytest.raises(TauTooLargeError):
+        SprtStrategy(**_replacer_kwargs(**changes))
+
+
+def test_one_sided_laws_rejected_at_construction():
+    """An arm whose laws are not mutually absolutely continuous: letter 0 of
+    W0 = [[1, .5], [0, .5]] gives outcome 1 probability 0, and of
+    W1 = [[.9, .5], [.1, .5]] probability 0.1, so that outcome's increment
+    is -inf.  build_non_adaptive on the same arm raises from the same
+    check."""
+    w0, w1 = (classical_channel(np.array(w)) for w in ([[1.0, 0.5], [0.0, 0.5]], [[0.9, 0.5], [0.1, 0.5]]))
+    arm = Arm(pure_state(np.array([1.0, 0.0])), basis_pvm(np.eye(2)), 1)
+    with pytest.raises(SupportMismatchError):
+        SprtStrategy(n0=w0, n1=w1, arm_zero=arm, rate0=math.inf, rate1=math.log(1 / 0.9), tau=0.01, n=100)
+    with pytest.raises(SupportMismatchError):
+        build_non_adaptive(w0, w1, arm.input_state, arm.povm, n=100)

@@ -1,5 +1,6 @@
-"""Print two size figures of the library: AST nodes per module, and the
-function lines that the test suite never executes.
+"""Print three size figures of the library: AST nodes per module, the
+function lines that the test suite never executes, and the imported names
+that no code in their file reads.
 
     python tools/code_report.py
 
@@ -12,8 +13,14 @@ start), which records the lines executed in src/chandisc.  A line is listed
 when it belongs to the compiled code of a function, lambda, comprehension or
 class body and no test file executed it; module-level lines are excluded.
 A single process for the whole session stopped tracing partway through, so
-each file runs in its own.  Test failures do not stop the report; a process
+each file runs in its own, and the tracer is installed again before each
+test.  Test failures do not stop the report; a process
 that ends in another way than pass or fail is named on stderr.
+
+The import list scans src/chandisc/*.py and tests/*.py with ast: a name
+that an import binds is listed when no Name node of its file reads it.
+__future__ imports and import lines marked "# noqa: F401" (re-exports) are
+skipped.
 """
 
 from __future__ import annotations
@@ -70,10 +77,17 @@ def trace_test_file(test_file: str, out: str) -> None:
 
     import pytest
 
+    class Rearm:
+        """Installs the tracer again before each test: a hypothesis test
+        leaves another trace function, or none, behind it."""
+
+        def pytest_runtest_setup(self, item):
+            sys.settrace(on_call)
+
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        code = pytest.main([test_file, "-q", "-p", "no:cacheprovider"])
+        code = pytest.main([test_file, "-q", "-p", "no:cacheprovider"], plugins=[Rearm()])
     finally:
         sys.settrace(None)
     Path(out).write_text(json.dumps(sorted(hits)))
@@ -98,6 +112,29 @@ def never_executed() -> dict[str, list[int]]:
         p.stem: sorted(function_lines(p) - {line for f, line in hits if f == str(p)})
         for p in sorted(PACKAGE.glob("*.py"))
     }
+
+
+def unused_imports() -> dict[str, list[str]]:
+    """For each scanned file, relative to the repo root, the imported names
+    that its code never reads, sorted."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if "# noqa: F401" not in lines[alias.lineno - 1]
+        ]
+        unused = sorted(name for name in unused if name not in read)
+        if unused:
+            out[str(path.relative_to(ROOT))] = unused
+    return out
 
 
 def ranges(lines: list[int]) -> str:
@@ -126,6 +163,9 @@ def main() -> None:
     for name, lines in never_executed().items():
         if lines:
             print(f"  {name}: {ranges(lines)}")
+    print("Imported names no code in their file reads:")
+    for name, unused in unused_imports().items():
+        print(f"  {name}: {', '.join(unused)}")
 
 
 if __name__ == "__main__":
