@@ -127,7 +127,11 @@ def build_pair(cfg: dict):
 def optimizer_config(cfg: dict) -> OptimizerConfig:
     opt = dict(cfg.get("optimizer", {}))
     opt.setdefault("seed", cfg.get("seed", 0))
-    return OptimizerConfig(**opt)
+    try:
+        return OptimizerConfig(**opt)
+    except ValueError as exc:
+        # the schema's bounds let NaN and Infinity through
+        raise ConfigError(f"optimizer {exc}") from exc
 
 
 def _given(opts: dict, *keys: str) -> dict:
@@ -196,9 +200,10 @@ def _run_command(ctx, command: str, fn, budgets=None) -> None:
     run's block size."""
     try:
         cfg = load_config(ctx.obj["config_path"], ctx.obj["overrides"])
-        # channels are built and the budgets checked before the run
-        # directory exists, so a rejected config leaves nothing behind
+        # channels, the optimizer config and the budgets are checked before
+        # the run directory exists, so a rejected config leaves nothing behind
         pair = build_pair(cfg)
+        optimizer_config(cfg)
         if budgets is not None:
             try:
                 check_budgets(budgets(cfg), _budget(cfg)[1])

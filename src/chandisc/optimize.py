@@ -41,6 +41,17 @@ from .quantum import Povm, _basis_laws
 logger = logging.getLogger("chandisc.optimize")
 
 
+def is_int(x) -> bool:
+    """An int or numpy integer; bools are not counts."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_count(name: str, x, least: int = 1) -> None:
+    """ValueError unless x is an int, not a bool, and x >= least."""
+    if not is_int(x) or x < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {x!r}")
+
+
 @dataclass
 class OptimizerConfig:
     """Knobs for every numerical maximization in the library.
@@ -51,7 +62,10 @@ class OptimizerConfig:
     starts of the measured kind's input search alone, and seed draws its
     random starts and the non-adaptive hull's samples: the relative and
     Renyi values are concave in the input marginal, so their searches run
-    from the maximally entangled input and extra_starts only.
+    from the maximally entangled input and extra_starts only.  The region
+    chain's block searches take no seeded starts either.  The constructor
+    checks the fields: restarts and max_iters are ints >= 1, seed an int
+    >= 0 and cross_check_tol a finite float > 0; else ValueError.
     """
 
     restarts: int = 16
@@ -60,6 +74,14 @@ class OptimizerConfig:
     seed: int = 0
     # extra deterministic starting vectors for the input-state search
     extra_starts: list = field(default_factory=list)
+
+    def __post_init__(self):
+        check_count("restarts", self.restarts)
+        check_count("max_iters", self.max_iters)
+        check_count("seed", self.seed, least=0)
+        # written so that NaN fails
+        if not (self.cross_check_tol > 0 and math.isfinite(self.cross_check_tol)):
+            raise ValueError(f"cross_check_tol must be a finite float > 0, got {self.cross_check_tol!r}")
 
 
 # ---------------------------------------------------------------------------

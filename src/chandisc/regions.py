@@ -251,15 +251,16 @@ def region_chain(
     that n0 and n1 cache, so each power is built once per channel.
 
     The l = 1 witness inputs, lifted to product inputs, join the caller's
-    starts at every block size l >= 2, whose searches run at
-    max(4, restarts // 4) starts and max_iters // 2 iterations.  The
-    converse takes the caller's cfg alone: its Renyi search is concave in
-    the input marginal, so the maximally entangled start already reaches
-    its optimum.  The l = 1 witness arms are rated once, by adaptive_region,
-    and the hull takes those rates as points.  One floor pass then makes the
-    adaptive corners monotone: each corner is raised to the running maximum
-    over the hull extremes and the corners of all smaller blocks, every one
-    of which certifies it.  The converse estimate is floored by the largest
+    starts at every block size l >= 2.  Those searches run at the caller's
+    max_iters from the maximally entangled input, the caller's starts and
+    the witnesses alone: they add no seeded starts, so cfg.restarts and
+    cfg.seed do not reach them.  The converse takes the caller's cfg alone:
+    its Renyi search is concave in the input marginal, so the maximally
+    entangled start already reaches its optimum.  The l = 1 witness arms
+    are rated once, by adaptive_region, and the hull takes those rates as
+    points.  One floor pass then makes the adaptive corners monotone: each
+    corner is raised to the running maximum over the hull extremes and the
+    corners of all smaller blocks, every one of which certifies it.  The converse estimate is floored by the largest
     adaptive corner.  It is evaluated at the grid's smallest order alone,
     since the sandwiched divergence is non-decreasing in alpha; the other
     orders are recorded, not evaluated.  The grid is checked before any
@@ -270,10 +271,10 @@ def region_chain(
     adaptive = {1: adaptive_region(n0, n1, 1, cfg)}
     witnesses = [w.input_vector for w in (adaptive[1].metadata[key] for key in ("witness_10", "witness_01"))
                  if w is not None]
-    # block searches get a reduced budget; the l = 1 witnesses, lifted to
-    # product inputs, carry the l = 1 quality
-    sub = replace(cfg, extra_starts=list(cfg.extra_starts) + witnesses, restarts=max(4, cfg.restarts // 4),
-                  max_iters=cfg.max_iters // 2)
+    # block searches run at the caller's max_iters from the maximally
+    # entangled input, the caller's starts and the l = 1 witnesses, lifted
+    # to product inputs, alone: restarts=1 adds no seeded start
+    sub = replace(cfg, extra_starts=list(cfg.extra_starts) + witnesses, restarts=1)
     for l in range(2, l_max + 1):
         adaptive[l] = adaptive_region(n0, n1, l, sub)
 

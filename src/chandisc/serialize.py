@@ -156,11 +156,11 @@ def _num_from_json(x) -> float:
 def region_to_json(region) -> dict:
     meta = {}
     for k, v in region.metadata.items():
-        if isinstance(v, (str, int, bool)):
+        if isinstance(v, (str, int, np.integer)):
             meta[k] = v
         elif isinstance(v, float):
             meta[k] = _num_to_json(v)
-        elif isinstance(v, (list, tuple)) and all(isinstance(a, (int, float)) for a in v):
+        elif isinstance(v, (list, tuple)) and all(isinstance(a, (int, float, np.integer)) for a in v):
             meta[k] = [float(a) for a in v]
         # witnesses and other rich objects are not part of the document
     return {
@@ -194,7 +194,8 @@ def _csv(header: list[str], rows, comments=()) -> str:
 def region_to_csv(region, name: str = "") -> str:
     """Frontier vertices with a commented metadata header."""
     comments = [f"kind={region.kind}"] + ([f"name={name}"] if name else [])
-    comments += [f"{k}={v}" for k, v in sorted(region.metadata.items()) if isinstance(v, (str, int, float, bool))]
+    comments += [f"{k}={v}" for k, v in sorted(region.metadata.items())
+                 if isinstance(v, (str, int, float, np.integer))]
     rows = [[float(x), float(y)] for x, y in region.frontier]
     return _csv(["r0_nats_per_use", "r1_nats_per_use"], rows, comments)
 
@@ -303,22 +304,17 @@ def sweep_to_csv(records) -> str:
 def dumps(doc: dict) -> str:
     """Canonical JSON text: sorted keys, stable float repr, trailing newline.
 
-    The bytes are those of json.dumps(doc, sort_keys=True, indent=2) + "\n".
-    indent makes the stdlib use its pure-Python encoder, so documents of
-    dicts with str keys, lists, tuples, str, int, float, bool and None are
-    written here instead; any other type or key defers to the stdlib.
+    The bytes are those of json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    on documents of dicts with str keys, lists, tuples, str, int, float,
+    bool and None, which it writes itself: indent makes the stdlib use its
+    pure-Python encoder.  numpy integer and floating scalars are written as
+    the int and float they hold.  Any other type and any key that is not a
+    str raise TypeError, and a circular reference RecursionError.
     """
     parts: list[str] = []
-    try:
-        _write(doc, parts, "\n")
-    except (_Unsupported, RecursionError):
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    _write(doc, parts, "\n")
     parts.append("\n")
     return "".join(parts)
-
-
-class _Unsupported(Exception):
-    pass
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -366,7 +362,7 @@ def _write(x, parts: list[str], nl: str) -> None:
             parts.append("{}")
             return
         if any(type(k) is not str for k in x):
-            raise _Unsupported
+            raise TypeError("keys must be str")
         inner = nl + "  "
         sep = "{"
         for k in sorted(x):
@@ -374,8 +370,12 @@ def _write(x, parts: list[str], nl: str) -> None:
             _write(x[k], parts, inner)
             sep = ","
         parts.append(nl + "}")
+    elif isinstance(x, (float, np.floating)):
+        parts.append(_float_text(float(x)))
+    elif isinstance(x, (int, np.integer)):
+        parts.append(int.__repr__(int(x)))
     else:
-        raise _Unsupported
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def loads(text: str) -> dict:

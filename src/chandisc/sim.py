@@ -65,7 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExcessiveCensoringError
-from .strategies import CENSORED, DECISION_H0, DECISION_H1, SprtStrategy, check_budgets, check_count
+from .optimize import check_count
+from .strategies import CENSORED, DECISION_H0, DECISION_H1, SprtStrategy, check_budgets
 
 EXPECTATION = "expectation"
 PROBABILISTIC = "probabilistic"

@@ -26,7 +26,7 @@ import numpy as np
 
 from .divergences import DivergenceValue, channel_divergence_pair
 from .errors import InfiniteDivergenceError, SupportMismatchError, TauTooLargeError
-from .optimize import NEGLIGIBLE_PROB, OptimizerConfig, kl_rows
+from .optimize import NEGLIGIBLE_PROB, OptimizerConfig, check_count, is_int, kl_rows
 from .quantum import (
     DensityMatrix,
     Povm,
@@ -40,22 +40,11 @@ DECISION_H1 = 1
 CENSORED = 2
 
 
-def _is_int(x) -> bool:
-    """An int or numpy integer; bools are not counts."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def check_count(name: str, x, least: int = 1) -> None:
-    """ValueError unless x is an int, not a bool, and x >= least."""
-    if not _is_int(x) or x < least:
-        raise ValueError(f"{name} must be an int >= {least}, got {x!r}")
-
-
 def check_budgets(budgets: list[int], block_size: int) -> None:
     """The rule every budget in channel uses is held to, by build_sprt and
     sweep_budgets: strictly ascending int multiples of the block size, each
     at least one block; else ValueError."""
-    bad = [n for n in budgets if not _is_int(n) or n < block_size or n % block_size]
+    bad = [n for n in budgets if not is_int(n) or n < block_size or n % block_size]
     if bad:
         raise ValueError(f"budgets {bad} are not multiples of the block size {block_size} (positive ints)")
     if any(a >= b for a, b in zip(budgets, budgets[1:])):

@@ -7,6 +7,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
     os.environ.setdefault(_var, "1")
 
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,25 @@ def _assert_gradient_matches(objective, theta, tol=1e-6, h=1e-6):
 @pytest.fixture
 def assert_gradient_matches():
     return _assert_gradient_matches
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _assert_matches_golden(text: str, golden: str, name: str) -> None:
+    """Text between numbers must match exactly; each number must agree
+    within 1e-12 max(1, |golden|)."""
+    assert _NUMBER.split(text) == _NUMBER.split(golden), name
+    got, want = _NUMBER.findall(text), _NUMBER.findall(golden)
+    for a, b in zip(got, want):
+        assert abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(b))), (name, a, b)
+
+
+@pytest.fixture
+def assert_matches_golden():
+    """The rule every committed output is held to: the CLI replays and the
+    output corpus."""
+    return _assert_matches_golden
 
 
 def _scalar_kl(p, q):

@@ -274,6 +274,20 @@ def test_block_size_outside_block_mode_exit_2(tmp_path, runner):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["NaN", "Infinity"])
+def test_non_finite_cross_check_tol_is_a_config_error(tmp_path, runner, tol):
+    """The schema's exclusiveMinimum lets NaN and Infinity through; the
+    optimizer config rejects them before the run directory exists.  NaN
+    switched the measured cross-check off."""
+    cfg = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace('"max_iters": 60', f'"max_iters": 60, "cross_check_tol": {tol}'))
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "divergence"])
+    assert res.exit_code == 2, res.output
+    assert "config error: optimizer cross_check_tol must be a finite float > 0" in res.output
+    assert not out.exists()
+
+
 def test_config_errors_exit_2(tmp_path, runner):
     out = tmp_path / "run"
     res = runner.invoke(main, ["--config", str(tmp_path / "nope.json"), "--out", str(out), "validate"])
@@ -605,20 +619,10 @@ def test_channel_file_loading(tmp_path, runner):
 # Golden run directories: the --no-timestamp output of each command on
 # write_config's config.  A deliberate change of any output regenerates them.
 REPLAY = Path(__file__).parent / "data" / "replay"
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-def _assert_matches_golden(text: str, golden: str, name: str) -> None:
-    """Text between numbers must match exactly; each number must agree
-    within 1e-12 max(1, |golden|)."""
-    assert _NUMBER.split(text) == _NUMBER.split(golden), name
-    got, want = _NUMBER.findall(text), _NUMBER.findall(golden)
-    for a, b in zip(got, want):
-        assert abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(b))), (name, a, b)
 
 
 @pytest.mark.parametrize("command", ["divergence", "simulate", "sweep", "regions", "validate"])
-def test_golden_replay(tmp_path, runner, command):
+def test_golden_replay(tmp_path, runner, assert_matches_golden, command):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", command])
@@ -627,7 +631,7 @@ def test_golden_replay(tmp_path, runner, command):
     names = sorted(p.name for p in golden.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
-        _assert_matches_golden((out / name).read_text(), (golden / name).read_text(), name)
+        assert_matches_golden((out / name).read_text(), (golden / name).read_text(), name)
 
 
 def test_missing_config_exits_2(tmp_path, runner):

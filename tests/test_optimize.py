@@ -9,6 +9,7 @@ from chandisc.errors import OptimizerFailure
 from chandisc.optimize import (
     NEGLIGIBLE_PROB,
     ROUNDING_TOL,
+    OptimizerConfig,
     _exp_kernel,
     _log_kernel,
     _power_kernel,
@@ -374,3 +375,24 @@ def test_kl_rows_equal_the_scalar_kl_bit_for_bit(k, scalar_kl):
     # leading axes are kept, and kl_divergence is the batch of one
     assert kl_rows(p.reshape(5, -1, k), q.reshape(5, -1, k)).tobytes() == got.tobytes()
     assert [kl_divergence(a, b) for a, b in zip(p[:20], q[:20])] == want[:20].tolist()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("restarts", 0), ("restarts", 2.0), ("max_iters", 0), ("max_iters", 2.5), ("max_iters", True),
+     ("seed", -1), ("seed", 1.0), ("cross_check_tol", float("nan")), ("cross_check_tol", -1.0),
+     ("cross_check_tol", 0.0), ("cross_check_tol", float("inf"))],
+)
+def test_optimizer_config_checks_its_fields_where_it_is_built(field, value):
+    """Counts are ints (restarts and max_iters >= 1, seed >= 0) and the
+    cross-check tolerance is finite and > 0.  A NaN tolerance switched the
+    measured cross-check off, a negative one made every measured value
+    raise, seed -1 failed only inside a padded measured search, and
+    max_iters 0 and 2.5 ran."""
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        OptimizerConfig(**{field: value})
+
+
+def test_optimizer_config_takes_numpy_counts_and_the_bench_budget():
+    OptimizerConfig(restarts=4, max_iters=100)
+    OptimizerConfig(restarts=np.int64(1), max_iters=np.int32(5), seed=np.uint8(0), cross_check_tol=np.float64(1e-9))

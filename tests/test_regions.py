@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chandisc import divergences, quantum, regions, strategies
 from chandisc.divergences import ConvergenceWarning, channel_divergence_pair
+from chandisc.errors import DegenerateSamplingError
 from chandisc.optimize import OptimizerConfig, kl_divergence
 from chandisc.quantum import (
     basis_pvm,
@@ -66,6 +67,16 @@ def test_hull_boundary_interpolates():
     assert hull.boundary_r1(1.5) == pytest.approx(0.5)
     assert hull.contains_point(0.5, 1.5)
     assert not hull.contains_point(0.5, 1.51, slack=1e-3)
+
+
+def test_a_nan_rate_lies_in_no_region():
+    """A NaN r0 passes none of boundary_r1's comparisons, so it falls
+    through to -inf, and contains_point reads False, on a hull and on a
+    rectangle."""
+    for region in (ExponentRegion(kind="hull", frontier=[(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]),
+                   ExponentRegion(kind="rectangle", frontier=[(1.0, 2.0)])):
+        assert region.boundary_r1(math.nan) == -math.inf
+        assert not region.contains_point(math.nan, 0.5)
 
 
 def test_pareto_hull_staircase_properties():
@@ -296,6 +307,17 @@ def test_non_adaptive_region_degenerate_pair_has_full_metadata():
     assert flat.metadata.keys() == normal.metadata.keys()
 
 
+def test_non_adaptive_region_without_samples_is_its_points():
+    """With no samples and no points no finite pair exists, which raises
+    DegenerateSamplingError; with one point the hull is that point."""
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    with pytest.raises(DegenerateSamplingError, match="no finite KL pairs sampled"):
+        non_adaptive_region(n0, n1, samples=0)
+    hull = non_adaptive_region(n0, n1, samples=0, points=[(1.0, 2.0)])
+    assert hull.frontier == [(1.0, 2.0)]
+    assert hull.metadata == {"samples": 0, "skipped_infinite": 0, "bound": "inner"}
+
+
 def test_converse_dominates_adaptive():
     n0 = bernoulli_replacer(0.2)
     n1 = bernoulli_replacer(0.8)
@@ -381,6 +403,19 @@ def test_region_chain_keeps_a_witness_pvm_above_the_program():
     assert "warnings" not in chain.adaptive[1].metadata
     (note,) = chain.adaptive[2].metadata["warnings"]
     assert note.startswith("estimators disagree by ") and float(note.split()[-1]) > 10 * cfg.cross_check_tol
+    assert all(rep.contained for rep in chain.containments.values()), chain.containments
+
+
+def test_region_chain_completes_where_a_cut_block_search_left_the_support_rule():
+    """The 7th of eight random_channel(2, 2, 4) pairs drawn from
+    default_rng(19), at the benchmark's budget.  A block search cut at
+    max_iters // 2 = 50 iterations stopped at an input whose outputs
+    straddle PSD_TOL, which the support rule read as unsupported, and the
+    chain raised OptimizerFailure from its l = 2 stage.  Block searches run
+    at the caller's max_iters, so it completes and its containments hold."""
+    rng = np.random.default_rng(19)
+    n0, n1 = [(random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)) for _ in range(8)][6]
+    chain = region_chain(n0, n1, cfg=OptimizerConfig(restarts=4, max_iters=100), samples=256)
     assert all(rep.contained for rep in chain.containments.values()), chain.containments
 
 

@@ -22,7 +22,7 @@ from chandisc.quantum import (
     random_density_matrix,
     random_unitary,
 )
-from chandisc.regions import ExponentRegion
+from chandisc.regions import ExponentRegion, adaptive_region
 from chandisc.sim import SimulationPlan, run_trials, sweep_budgets
 from chandisc.strategies import build_non_adaptive, build_sprt
 
@@ -219,16 +219,45 @@ def test_dumps_equals_the_stdlib_encoder(doc):
     assert serialize.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def test_dumps_defers_other_types_and_keys_to_the_stdlib():
-    for doc in ({1: "a", 2.5: [np.float64(0.1)]}, {"s": np.float64(0.25), "t": (1, [])}):
-        assert serialize.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    for doc in ({"arr": np.zeros(2)}, {"x": np.int64(2)}, {"b": True, 1: None}):
+def test_dumps_writes_numpy_scalars_and_rejects_other_types_and_keys():
+    """numpy integer and floating scalars are written as the int and float
+    they hold; other types and keys that are not str raise TypeError, and a
+    circular reference RecursionError."""
+    doc = {"s": np.float64(0.25), "t": (1, [])}
+    assert serialize.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    numbers = {"i": np.int64(-2), "u": np.uint8(7), "f": np.float32(0.5), "g": [np.float64(0.1), np.int32(3)]}
+    assert serialize.dumps(numbers) == serialize.dumps({"i": -2, "u": 7, "f": 0.5, "g": [0.1, 3]})
+    for doc in ({"arr": np.zeros(2)}, {"b": np.bool_(True)}, {1: "a"}, {"b": True, 1: None}, {"o": object()}):
         with pytest.raises(TypeError):
             serialize.dumps(doc)
     loop: list = []
     loop.append(loop)
-    with pytest.raises(ValueError, match="Circular reference"):
+    with pytest.raises(RecursionError):
         serialize.dumps(loop)
+
+
+def test_strategy_with_a_numpy_budget_writes_the_bytes_of_an_int_budget():
+    """SprtStrategy accepts a numpy integer n, and its document is the one
+    of the int n.  dumps raised TypeError on the np.int64."""
+    zero = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+    comp = basis_pvm(np.eye(2, dtype=complex))
+    b0, b1 = bernoulli_replacer(0.2), bernoulli_replacer(0.8)
+    text = serialize.dumps(serialize.strategy_to_json(build_non_adaptive(b0, b1, zero, comp, n=np.int64(40),
+                                                                         tau=0.08)))
+    assert text == serialize.dumps(serialize.strategy_to_json(build_non_adaptive(b0, b1, zero, comp, n=40, tau=0.08)))
+    assert serialize.strategy_from_json(serialize.loads(text)).n == 40
+
+
+def test_region_documents_keep_a_numpy_block_size():
+    """adaptive_region at l = np.int64(2) writes the JSON and CSV of l = 2,
+    l included.  Both writers dropped the np.int64."""
+    b0, b1 = bernoulli_replacer(0.2), bernoulli_replacer(0.8)
+    r64, r2 = adaptive_region(b0, b1, l=np.int64(2), cfg=CFG), adaptive_region(b0, b1, l=2, cfg=CFG)
+    text = serialize.dumps(serialize.region_to_json(r64))
+    assert serialize.loads(text)["metadata"]["l"] == 2
+    assert text == serialize.dumps(serialize.region_to_json(r2))
+    assert "# l=2\n" in serialize.region_to_csv(r64)
+    assert serialize.region_to_csv(r64) == serialize.region_to_csv(r2)
 
 
 @pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("data/replay/*/*.json")), ids=lambda p: p.parent.name + "/" + p.name)
