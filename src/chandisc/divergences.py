@@ -6,7 +6,8 @@ program, cross-checked against its witness PVM).  The relative and Renyi
 values have one formula each (_relative_terms, _renyi_terms), which maps a
 stack of state pairs to the values with their matrix gradients: the input
 search ascends it on a batch of inputs and the state-level functions
-certify with it on a batch of one.  Channel level: ancilla-assisted input
+certify with it on a batch of one, from the stored spectra of their
+DensityMatrix arguments.  Channel level: ancilla-assisted input
 optimization over pure bipartite states by lockstep L-BFGS on analytic
 gradients, each round of the search one batched objective call
 (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack
@@ -215,18 +216,24 @@ def _unsupported(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue | 
 # ---------------------------------------------------------------------------
 
 
-def _spectrum(s: np.ndarray):
-    """Eigenvalues, eigenvectors and support mask of each state."""
-    w, u = np.linalg.eigh(s)
+def _spectrum(s: np.ndarray, stored=None):
+    """Eigenvalues, eigenvectors and support mask of each state: from its
+    eigh, or from stored, the (eigenvalues, eigenvectors) stacks a caller
+    already holds (DensityMatrix.spectrum, equal to that eigh bit for bit),
+    with no eigendecomposition."""
+    w, u = np.linalg.eigh(s) if stored is None else stored
     return w, u, w > PSD_TOL
 
 
-def _relative_terms(s0: np.ndarray, s1: np.ndarray):
+def _relative_terms(s0: np.ndarray, s1: np.ndarray, spectra=(None, None)):
     """D(s0||s1) on the support of s1, and its matrix gradients in s0 and
     s1: log s0 - log s1 and -Dlog_{s1}[s0], for each pair of a stack
-    (B, d, d)."""
-    w0, u0, m0 = _spectrum(s0)
-    w1, u1, m1 = _spectrum(s1)
+    (B, d, d).  A caller that holds both stacks' spectra passes them as
+    spectra, a pair of (eigenvalues, eigenvectors), and the formula takes no
+    eigendecomposition; the input search, whose outputs are new on every
+    call, passes none."""
+    w0, u0, m0 = _spectrum(s0, spectra[0])
+    w1, u1, m1 = _spectrum(s1, spectra[1])
     l0 = np.log(np.where(m0, w0, 1.0)) * m0
     l1 = np.log(np.where(m1, w1, 1.0)) * m1
     u1h = _adjoint(u1)
@@ -237,13 +244,15 @@ def _relative_terms(s0: np.ndarray, s1: np.ndarray):
     return f, g0, g1
 
 
-def _renyi_terms(s0: np.ndarray, s1: np.ndarray, alpha: float):
+def _renyi_terms(s0: np.ndarray, s1: np.ndarray, alpha: float, spectrum1=None):
     """Sandwiched D_alpha(s0||s1) on the support of s1, and its matrix
     gradients in s0 and s1 (the latter through the divided-difference
     adjoint of s1^gamma, gamma = (1 - alpha) / 2 alpha), for each pair of a
-    stack (B, d, d)."""
+    stack (B, d, d).  A caller that holds s1's spectrum passes it as
+    spectrum1, and the formula takes one eigendecomposition, that of the
+    sandwich."""
     gamma = (1.0 - alpha) / (2.0 * alpha)
-    w1, u1, m1 = _spectrum(s1)
+    w1, u1, m1 = _spectrum(s1, spectrum1)
     u1h = _adjoint(u1)
     p = np.where(m1, np.where(m1, w1, 1.0) ** gamma, 0.0)
     g = (u1 * p[:, None, :]) @ u1h
@@ -262,8 +271,10 @@ def _renyi_terms(s0: np.ndarray, s1: np.ndarray, alpha: float):
 
 def rel_entropy_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
     """Quantum relative entropy Tr[rho0 (log rho0 - log rho1)] in nats: the
-    value of _relative_terms, the formula the input search ascends."""
-    return _unsupported(rho0, rho1) or DivergenceValue(float(_relative_terms(rho0.mat[None], rho1.mat[None])[0][0]))
+    value of _relative_terms, the formula the input search ascends, on the
+    states' stored spectra."""
+    return _unsupported(rho0, rho1) or DivergenceValue(float(_relative_terms(
+        rho0.mat[None], rho1.mat[None], [[a[None] for a in rho.spectrum] for rho in (rho0, rho1)])[0][0]))
 
 
 def _sandwich(s0, spectrum):
@@ -300,10 +311,12 @@ def sandwiched_renyi_states(
 ) -> DivergenceValue:
     """Sandwiched Renyi divergence, alpha > 1:
     (1/(alpha-1)) log Tr[(rho1^{(1-a)/2a} rho0 rho1^{(1-a)/2a})^a]; the value
-    of _renyi_terms, the formula the input search ascends."""
+    of _renyi_terms, the formula the input search ascends, on rho1's stored
+    spectrum."""
     if alpha <= 1.0:
         raise InvalidAlphaError(f"alpha must exceed 1, got {alpha}")
-    return _unsupported(rho0, rho1) or DivergenceValue(float(_renyi_terms(rho0.mat[None], rho1.mat[None], alpha)[0][0]))
+    return _unsupported(rho0, rho1) or DivergenceValue(float(_renyi_terms(
+        rho0.mat[None], rho1.mat[None], alpha, [a[None] for a in rho1.spectrum])[0][0]))
 
 
 def measured_rel_entropy_states(
@@ -313,7 +326,8 @@ def measured_rel_entropy_states(
 ) -> DivergenceValue:
     """Measured relative entropy: best classical KL obtainable by a common
     measurement.  The batch of one of _measured_values, the certifier that
-    channel values of the measured kind use too."""
+    channel values of the measured kind use too; a finite value's upper end
+    is its bracket's, D(rho0||rho1)."""
     return _measured_values([(rho0, rho1)], cfg or OptimizerConfig())[0]
 
 
@@ -325,30 +339,32 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
 
     Elsewhere each pair runs the variational program from its start list,
     by default H = log rho0 - log rho1 then H = 0.  Each pair's bracket is
-    evaluated first: its upper end is D(rho0||rho1) >= D_M, its lower end
+    evaluated first: its upper end is D(rho0||rho1) >= D_M, from the
+    stacked _relative_terms on the states' stored spectra, its lower end
     the variational value at its first start.  A caller that holds every
     pair's finite rel_entropy_states value passes them as upper: they equal
-    the rows of the stacked _relative_terms bit for bit.  Such a caller may
-    also pass each pair's start list (parameter rows of H) as starts.  A
-    pair whose bracket closes (_closes) keeps that start's value and omega
-    and logs one DEBUG record with its bracket; from the log-ratio start
-    this holds whenever the two states commute.  The variational program
-    runs on the other pairs only, sharing each of its objective calls.
-    Then the best candidate basis at the omega gives the witness PVM and
-    the KL of its outcome laws (basis_witness).  A pair on which no candidate basis has a finite KL
+    those rows bit for bit.  Such a caller may also pass each pair's start
+    list (parameter rows of H) as starts.  Every finite value carries its
+    bracket's upper end as upper.  A pair whose bracket closes (_closes)
+    keeps that start's value and omega and logs one DEBUG record with its
+    bracket; from the log-ratio start this holds whenever the two states
+    commute.  The variational program runs on the other pairs only, sharing
+    each of its objective calls.  Then the best candidate basis at the
+    omega gives the witness PVM and the KL of its outcome laws
+    (basis_witness).  A pair on which no candidate basis has a finite KL
     passes the support rule with rho0 leaking mass onto outcomes that rho1
     reads as exactly 0; it is certified again, from its log-ratio start, on
     the support of rho1, as _relative_terms reads the pair: rho0 compressed
     by rho1's support projector and renormalized, so that D_M <= D still
-    brackets it.  The reported value is the larger of the witness KL and
-    the variational value (both are lower bounds); disagreement beyond
-    cfg.cross_check_tol attaches a ConvergenceWarning, and a variational
-    value above the witness KL by more than 10x that raises
-    OptimizerFailure.  The other way round nothing is wrong with the value:
-    in omega's eigenbasis the classical variational formula gives
-    KL >= the variational value at omega, so a witness KL above the
-    program's value only shows a program that stopped short, and the KL is
-    still a certified lower bound.
+    brackets it, and its upper end is D of the compressed pair.  The
+    reported value is the larger of the witness KL and the variational
+    value (both are lower bounds); disagreement beyond cfg.cross_check_tol
+    attaches a ConvergenceWarning, and a variational value above the
+    witness KL by more than 10x that raises OptimizerFailure.  The other way
+    round nothing is wrong with the value: in omega's eigenbasis the
+    classical variational formula gives KL >= the variational value at
+    omega, so a witness KL above the program's value only shows a program
+    that stopped short, and the KL is still a certified lower bound.
     """
     out = [_unsupported(rho0, rho1) for rho0, rho1 in pairs]
     live = [i for i, dv in enumerate(out) if dv is None]
@@ -358,7 +374,9 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     r1 = np.stack([pairs[i][1].mat for i in live])
     log_ratio = np.stack([_safe_log_state(pairs[i][0].spectrum) - _safe_log_state(pairs[i][1].spectrum)
                           for i in live])
-    upper = _relative_terms(r0, r1)[0].tolist() if upper is None else upper
+    if upper is None:
+        spectra = [[np.stack(a) for a in zip(*(pairs[i][k].spectrum for i in live))] for k in (0, 1)]
+        upper = _relative_terms(r0, r1, spectra)[0].tolist()
     at = "the log-ratio start" if starts is None else "the searched H"
     starts = starts or [[hermitian_to_params(lr), np.zeros(lr.size)] for lr in log_ratio]
     var_vals, _, omegas = _variational_terms(np.stack([s[0] for s in starts]), r0, r1)
@@ -373,8 +391,8 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
         found, omegas[searched] = variational_measured(r0[searched], r1[searched], [starts[j] for j in searched])
         for j, value in zip(searched, found):
             var_vals[j] = value
-    for i, var_val, basis, s0, s1, notes in zip(live, var_vals, candidate_bases(r0, r1, log_ratio, omegas), r0, r1,
-                                                all_notes):
+    for i, var_val, up, basis, s0, s1, notes in zip(live, var_vals, upper, candidate_bases(r0, r1, log_ratio, omegas),
+                                                    r0, r1, all_notes):
         if basis is None:
             # rho1's support projector; the identity basis is finite on the
             # compressed pair, so the recursion ends there
@@ -397,6 +415,7 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
             is_lower_bound=True,
             witness=MeasuredWitness(povm=povm, variational_value=var_val, pvm_value=pvm_val),
             warnings=notes,
+            upper=up,
         )
     return out
 

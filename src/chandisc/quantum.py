@@ -3,10 +3,13 @@
 Channels are stored as Kraus operator lists.  Every application of
 id_R (x) N goes through one map: the stacked operators A_k = I_R (x) K_k
 built by _lifted_kraus, applied as sum_k A_k rho A_k^dag (by _output on pure
-inputs, one vector or a stack).  The cached unit-trace Choi state is that
-map's output on the maximally entangled input: J = (id (x) N)(|w><w|) with
-|w> the *normalized* maximally entangled vector, so J is itself a density
-matrix.  _basis_laws gives the outcome laws of every rank-one PVM.
+inputs, one vector or a stack).  The stack is built once per ancilla
+dimension and cached, read-only, on the channel.  The cached unit-trace Choi
+state is that map's output on the maximally entangled input:
+J = (id (x) N)(|w><w|) with |w> the *normalized* maximally entangled vector,
+so J is itself a density matrix.  _basis_laws gives the outcome laws of every
+rank-one PVM.  A POVM whose effects are projectors is proved positive by its
+idempotence residual, so its validation takes no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -75,8 +78,9 @@ def max_entangled_state(d: int) -> DensityMatrix:
 
 @dataclass
 class QuantumChannel:
-    """CPTP map held as a Kraus list; its Choi state, and the tensor powers
-    that tensor_power_channel builds, cached lazily."""
+    """CPTP map held as a Kraus list; its Choi state, the tensor powers
+    that tensor_power_channel builds and the lifted Kraus stacks of
+    _lifted_kraus, cached lazily."""
 
     kraus: list[np.ndarray]
     label: str | None = None
@@ -84,6 +88,7 @@ class QuantumChannel:
     out_dim: int = field(init=False)
     _choi_state: DensityMatrix | None = field(init=False, default=None, repr=False)
     _powers: dict[int, QuantumChannel] = field(init=False, default_factory=dict, repr=False)
+    _lifted: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.kraus = [np.asarray(k, dtype=complex) for k in self.kraus]
@@ -122,9 +127,13 @@ class Povm:
     """Finite family of PSD effects summing to the identity.
 
     Validation works on the effects as one stack (n, d, d): one Frobenius
-    norm per effect for Hermiticity and idempotence, and one stacked
-    eigvalsh for positivity.  The effects stay a list.  is_pvm holds when
-    every effect is a projector within 1e-8 d."""
+    norm per effect for Hermiticity, and one idempotence residual
+    ||E^2 - E||_F per effect of the symmetrized stack.  is_pvm holds when
+    every residual is at most 1e-8 d.  When every residual is at most 1e-8,
+    the residual also proves positivity: it bounds |lambda^2 - lambda| for
+    every eigenvalue lambda, and |lambda^2 - lambda| >= |lambda| when
+    lambda < 0, so no eigenvalue lies below -1e-8.  Only other POVMs run
+    the stacked eigvalsh for positivity.  The effects stay a list."""
 
     effects: list[np.ndarray]
     label: str | None = None
@@ -142,13 +151,16 @@ class Povm:
         eh = np.swapaxes(e.conj(), 1, 2)
         if (frobs(e - eh) > POVM_TOL * np.maximum(1.0, frobs(e))).any():
             raise InvalidStateError("POVM effect is not Hermitian")
-        w = np.linalg.eigvalsh(0.5 * (e + eh)).min()
-        if w < -1e-8:
-            raise InvalidStateError(f"POVM effect has eigenvalue {w:.3e}")
+        h = 0.5 * (e + eh)
+        residual = frobs(h @ h - h).max()
+        if not residual <= 1e-8:
+            w = np.linalg.eigvalsh(h).min()
+            if w < -1e-8:
+                raise InvalidStateError(f"POVM effect has eigenvalue {w:.3e}")
         if frob(e.sum(axis=0) - np.eye(dim)) > POVM_TOL * dim:
             raise InvalidStateError("POVM effects do not sum to identity")
         self.dim = dim
-        self.is_pvm = bool(frobs(e @ e - e).max() <= 1e-8 * dim)
+        self.is_pvm = bool(residual <= 1e-8 * dim)
 
 
 def basis_pvm(basis: np.ndarray, label: str | None = None) -> Povm:
@@ -158,9 +170,13 @@ def basis_pvm(basis: np.ndarray, label: str | None = None) -> Povm:
 
 def _lifted_kraus(ch: QuantumChannel, d_r: int) -> np.ndarray:
     """The operators A_k = I_R (x) K_k with |R| = d_r, stacked along the
-    first axis."""
-    a = np.einsum("rs,koi->krosi", np.eye(d_r), np.asarray(ch.kraus))
-    return a.reshape(len(ch.kraus), d_r * ch.out_dim, d_r * ch.in_dim)
+    first axis; built once per d_r, cached on ch and read-only."""
+    if d_r not in ch._lifted:
+        a = np.einsum("rs,koi->krosi", np.eye(d_r), np.asarray(ch.kraus))
+        a = a.reshape(len(ch.kraus), d_r * ch.out_dim, d_r * ch.in_dim)
+        a.flags.writeable = False
+        ch._lifted[d_r] = a
+    return ch._lifted[d_r]
 
 
 def _channel_sum(ch, state, ancilla_dim):

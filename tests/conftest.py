@@ -146,3 +146,23 @@ def certifier_witnesses(monkeypatch):
 
     monkeypatch.setattr(divergences, "_measured_values", spy)
     return seen
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """The name of every numpy.linalg.eigh and eigvalsh call from now on, in
+    call order: the eigendecompositions a computation takes."""
+    seen = []
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return seen

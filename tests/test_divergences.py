@@ -1142,9 +1142,9 @@ def test_closed_measured_brackets_compute_each_relative_value_once(monkeypatch):
     rows = []
     real = divergences._relative_terms
 
-    def counting(s0, s1):
+    def counting(s0, s1, *spectra):
         rows.append(len(s0))
-        return real(s0, s1)
+        return real(s0, s1, *spectra)
 
     monkeypatch.setattr(divergences, "_relative_terms", counting)
     channel_divergence_pair(depolarizing_channel(0.3), depolarizing_channel(0.7), kind="measured", cfg=CFG)
@@ -1152,6 +1152,51 @@ def test_closed_measured_brackets_compute_each_relative_value_once(monkeypatch):
     rows.clear()
     measured_rel_entropy_states(diag(0.2, 0.8), diag(0.6, 0.4), CFG)
     assert rows == [1]
+
+
+def test_certified_values_take_no_decomposition_the_code_already_holds(eig_calls):
+    """The state-level relative entropy reads both states' stored spectra
+    and takes no eigendecomposition, and the sandwiched Renyi divergence
+    takes one, its sandwich's.  The measured pair dep(0.3)/dep(0.7), whose
+    brackets close, takes at most 13 on fresh channels (2 of them their Choi
+    states) and 11 once the Choi states are cached, at l = 1 and at l = 2."""
+    rng = np.random.default_rng(5)
+    rho0, rho1 = random_density_matrix(3, rng), random_density_matrix(3, rng)
+    eig_calls.clear()
+    rel_entropy_states(rho0, rho1)
+    assert eig_calls == []
+    sandwiched_renyi_states(rho0, rho1, 1.5)
+    assert eig_calls == ["eigh"]
+    for l in (1, 2):
+        n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+        for most in (13, 11):
+            eig_calls.clear()
+            for dv in channel_divergence_pair(n0, n1, kind="measured", cfg=CFG, l=l):
+                assert abs(dv.upper - dv.value) <= 1e-12, (l, dv)
+            assert len(eig_calls) <= most, (l, eig_calls)
+
+
+def test_state_measured_values_carry_their_relative_entropy_as_upper_end():
+    """A finite state-level measured value carries its bracket's upper end,
+    D(rho0||rho1), and lies at or below it under the rounding rule: on the
+    output corpus's six pairs, and on leaking pairs, certified on rho1's
+    support, where the upper end is D of the compressed pair.  An
+    unsupported pair keeps an infinite value and upper end."""
+    rng = np.random.default_rng(3)
+    for i, d in enumerate((2, 2, 3, 3, 4, 4)):
+        rho0, rho1 = random_density_matrix(d, rng, rank=d - i % 2), random_density_matrix(d, rng)
+        dv = measured_rel_entropy_states(rho0, rho1, CFG)
+        assert dv.upper == rel_entropy_states(rho0, rho1).value
+        assert dv.value <= dv.upper + ROUNDING_TOL * max(1.0, dv.upper), (i, dv)
+    for leaky, r1 in ((diag(1 - 1e-9, 1e-9), diag(1.0, 0.0)),
+                      (diag(0.5, 0.5 - 1e-9, 1e-9), diag(0.25, 0.75, 0.0))):
+        dv = measured_rel_entropy_states(leaky, r1, CFG)
+        compressed = np.diag(np.diag(leaky.mat)[:-1].tolist() + [0.0])
+        on_support = DensityMatrix(compressed / np.trace(compressed).real)
+        assert dv.upper == rel_entropy_states(on_support, r1).value
+        assert dv.value <= dv.upper + ROUNDING_TOL * max(1.0, dv.upper), dv
+    dv = measured_rel_entropy_states(diag(0.5, 0.5), diag(1.0, 0.0), CFG)
+    assert (dv.value, dv.upper) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize("l", [1, 2])

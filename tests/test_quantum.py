@@ -271,6 +271,41 @@ def test_is_pvm_agrees_with_the_per_effect_rule():
     assert any(flags) and not all(flags)
 
 
+def test_projective_povms_are_proved_positive_by_their_idempotence_residual(eig_calls):
+    """An effect with ||E^2 - E||_F <= 1e-8 has no eigenvalue below -1e-8,
+    since |l^2 - l| >= |l| for l < 0, so a POVM whose every residual is that
+    small validates without eigvalsh, even with an eigenvalue of -5e-9.
+    Every other POVM runs the stacked eigvalsh: an effect that is not
+    idempotent with an eigenvalue of -2e-8 still raises, a trine is no PVM,
+    and a PVM with a residual above 1e-8 but within 1e-8 d is checked too."""
+    rng = np.random.default_rng(11)
+    assert basis_pvm(random_unitary(16, rng)).is_pvm and eig_calls == []
+    assert Povm([np.diag([1.0, -5e-9]), np.diag([0.0, 1.0 + 5e-9])]).is_pvm and eig_calls == []
+    with pytest.raises(InvalidStateError, match="eigenvalue -2.000e-08"):
+        Povm([np.diag([0.5, -2e-8]), np.diag([0.5, 1.0 + 2e-8])])
+    assert eig_calls == ["eigvalsh"]
+    trine = [2 / 3 * np.outer(v, v) for v in ([1, 0], [-0.5, 3**0.5 / 2], [-0.5, -(3**0.5) / 2])]
+    assert not Povm(trine).is_pvm and eig_calls == ["eigvalsh"] * 2
+    assert Povm([np.diag([1.0, 1.5e-8]), np.diag([0.0, 1.0 - 1.5e-8])]).is_pvm and eig_calls == ["eigvalsh"] * 3
+
+
+def test_lifted_kraus_stacks_are_cached_read_only():
+    """Each ancilla dimension's stack A_k = I_R (x) K_k is built once and
+    cached on its channel: repeat calls return the same array, which no
+    caller can write, and it holds the Kronecker products."""
+    ch = amplitude_damping_channel(0.3)
+    a = quantum._lifted_kraus(ch, 2)
+    assert quantum._lifted_kraus(ch, 2) is a and not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        a *= 2.0
+    b = quantum._lifted_kraus(ch, 3)
+    assert b is not a and quantum._lifted_kraus(ch, 3) is b
+    for lifted, d_r in ((a, 2), (b, 3)):
+        assert np.array_equal(lifted, np.stack([np.kron(np.eye(d_r), k) for k in ch.kraus]))
+
+
 def test_outcome_distribution_normalizes():
     ch = identity_channel(2)
     rho = pure_state(np.array([1.0, 0.0]))
