@@ -59,13 +59,16 @@ already reaches the variational value sup_omega Tr rho0 log omega + 1 -
 Tr rho1 omega over positive definite omega (Berta, Fawzi & Tomamichel,
 arXiv:1512.02615), and the best of that basis, the eigenbasis of
 log rho0 - log rho1 and the identity is the witness, with the outcomes
-negligible under both states merged (optimize.basis_witness).  The
-certifier brackets each pair before it runs the program: D(rho0||rho1)
+negligible under both states merged (optimize.basis_witness, which rates
+each distinct candidate once).  Omega = exp(H) shares H's eigenvectors,
+which the program already holds, so no candidate is decomposed again.
+The certifier brackets each pair before it runs the program: D(rho0||rho1)
 bounds D_M from above, and the variational value at the program's first
 start from below.  A pair whose bracket closes within ROUNDING_TOL
 max(1, upper) keeps that start; the program runs on the other pairs only.
 A state pair's program starts at H = log rho0 - log rho1, where the
-bracket closes whenever the states commute, then at H = 0.
+bracket closes whenever the states commute, then at H = 0; that start's
+eigenbasis is the log-ratio candidate, and on a closed pair omega's too.
 
 A searched channel direction's program starts at the search's winning H
 alone, and that start is warm.  The program is concave in omega.  H ->
@@ -119,7 +122,7 @@ from .errors import (
     InvalidAlphaError,
     OptimizerFailure,
 )
-from .linalg import PSD_TOL, hermitian_eigen, support_contained
+from .linalg import PSD_TOL, support_contained
 from .optimize import (
     ROUNDING_TOL,
     OptimizerConfig,
@@ -131,7 +134,6 @@ from .optimize import (
     _variational_at,
     _variational_terms,
     basis_witness,
-    candidate_bases,
     hermitian_to_params,
     logger,
     multistart_maximize,
@@ -269,12 +271,26 @@ def _renyi_terms(s0: np.ndarray, s1: np.ndarray, alpha: float, spectrum1=None):
     return f, g0, g1
 
 
+def _state_value(kind: str, alpha: float | None, s0: DensityMatrix, s1: DensityMatrix) -> float:
+    """The sandwiched Renyi divergence for the renyi kind, else the relative
+    entropy, unfloored: the value of _renyi_terms or _relative_terms, the
+    formula the input search ascends, on the states' stored spectra; inf
+    where s0 leaves supp s1.  A rho0 that leaks within the support rule can
+    read below 0 by rounding, and a channel bracket whose lower end is that
+    value stays open, so the search runs."""
+    if _unsupported(s0, s1):
+        return math.inf
+    if kind == "renyi":
+        f = _renyi_terms(s0.mat[None], s1.mat[None], alpha, [a[None] for a in s1.spectrum])[0]
+    else:
+        f = _relative_terms(s0.mat[None], s1.mat[None], [[a[None] for a in rho.spectrum] for rho in (s0, s1)])[0]
+    return float(f[0])
+
+
 def rel_entropy_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
-    """Quantum relative entropy Tr[rho0 (log rho0 - log rho1)] in nats: the
-    value of _relative_terms, the formula the input search ascends, on the
-    states' stored spectra."""
-    return _unsupported(rho0, rho1) or DivergenceValue(float(_relative_terms(
-        rho0.mat[None], rho1.mat[None], [[a[None] for a in rho.spectrum] for rho in (rho0, rho1)])[0][0]))
+    """Quantum relative entropy Tr[rho0 (log rho0 - log rho1)] in nats:
+    _state_value's, floored at 0 as channel and measured values are."""
+    return DivergenceValue(max(_state_value("relative", None, rho0, rho1), 0.0))
 
 
 def _sandwich(s0, spectrum):
@@ -310,13 +326,11 @@ def sandwiched_renyi_states(
     rho0: DensityMatrix, rho1: DensityMatrix, alpha: float
 ) -> DivergenceValue:
     """Sandwiched Renyi divergence, alpha > 1:
-    (1/(alpha-1)) log Tr[(rho1^{(1-a)/2a} rho0 rho1^{(1-a)/2a})^a]; the value
-    of _renyi_terms, the formula the input search ascends, on rho1's stored
-    spectrum."""
+    (1/(alpha-1)) log Tr[(rho1^{(1-a)/2a} rho0 rho1^{(1-a)/2a})^a];
+    _state_value's, floored at 0 as rel_entropy_states is."""
     if alpha <= 1.0:
         raise InvalidAlphaError(f"alpha must exceed 1, got {alpha}")
-    return _unsupported(rho0, rho1) or DivergenceValue(float(_renyi_terms(
-        rho0.mat[None], rho1.mat[None], alpha, [a[None] for a in rho1.spectrum])[0][0]))
+    return DivergenceValue(max(_state_value("renyi", alpha, rho0, rho1), 0.0))
 
 
 def measured_rel_entropy_states(
@@ -342,21 +356,26 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     evaluated first: its upper end is D(rho0||rho1) >= D_M, from the
     stacked _relative_terms on the states' stored spectra, its lower end
     the variational value at its first start.  A caller that holds every
-    pair's finite rel_entropy_states value passes them as upper: they equal
-    those rows bit for bit.  Such a caller may also pass each pair's start
+    pair's finite _state_value passes them as upper: they equal those rows
+    bit for bit.  Such a caller may also pass each pair's start
     list (parameter rows of H) as starts.  Every finite value carries its
     bracket's upper end as upper.  A pair whose bracket closes (_closes)
-    keeps that start's value and omega and logs one DEBUG record with its
-    bracket; from the log-ratio start this holds whenever the two states
-    commute.  The variational program runs on the other pairs only, sharing
-    each of its objective calls.  Then the best candidate basis at the
-    omega gives the witness PVM and the KL of its outcome laws
-    (basis_witness).  A pair on which no candidate basis has a finite KL
-    passes the support rule with rho0 leaking mass onto outcomes that rho1
-    reads as exactly 0; it is certified again, from its log-ratio start, on
-    the support of rho1, as _relative_terms reads the pair: rho0 compressed
-    by rho1's support projector and renormalized, so that D_M <= D still
-    brackets it, and its upper end is D of the compressed pair.  The
+    keeps that start's value and omega's eigenbasis, H's, and logs one
+    DEBUG record with its bracket; from the log-ratio start this holds
+    whenever the two states commute.  The variational program runs on the
+    other pairs only, sharing each of its objective calls, and returns the
+    eigenbasis of each optimal omega.  Then basis_witness rates the
+    candidates, that basis, the eigenbasis of log rho0 - log rho1 and the
+    identity, and gives the witness PVM of the best and the KL of its
+    outcome laws.  The log-ratio basis is the log-ratio start's, already
+    decomposed, when starts is None, and one eigh of log rho0 - log rho1
+    when the caller passes starts.  A pair on which no candidate basis has
+    a finite KL passes the support rule with rho0 leaking mass onto
+    outcomes that rho1 reads as exactly 0; it is certified again, from its
+    log-ratio start, on the support of rho1, as _relative_terms reads the
+    pair: rho0 compressed by rho1's support projector and renormalized, so
+    that D_M <= D still brackets it, and its upper end is D of the
+    compressed pair.  The
     reported value is the larger of the witness KL and the variational
     value (both are lower bounds); disagreement beyond cfg.cross_check_tol
     attaches a ConvergenceWarning, and a variational value above the
@@ -377,9 +396,14 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
     if upper is None:
         spectra = [[np.stack(a) for a in zip(*(pairs[i][k].spectrum for i in live))] for k in (0, 1)]
         upper = _relative_terms(r0, r1, spectra)[0].tolist()
-    at = "the log-ratio start" if starts is None else "the searched H"
-    starts = starts or [[hermitian_to_params(lr), np.zeros(lr.size)] for lr in log_ratio]
-    var_vals, _, omegas = _variational_terms(np.stack([s[0] for s in starts]), r0, r1)
+    log_start = starts is None
+    at = "the log-ratio start" if log_start else "the searched H"
+    if log_start:
+        starts = [[hermitian_to_params(lr), np.zeros(lr.size)] for lr in log_ratio]
+    var_vals, _, omega_bases = _variational_terms(np.stack([s[0] for s in starts]), r0, r1)
+    # the log-ratio candidate: the log-ratio start's eigenbasis, or one eigh
+    # of log rho0 - log rho1 where the caller's starts are searched H's
+    log_bases = omega_bases.copy() if log_start else np.linalg.eigh(log_ratio)[1]
     var_vals, all_notes = var_vals.tolist(), [[] for _ in live]
     searched = []
     for j, notes in enumerate(all_notes):
@@ -388,12 +412,15 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
         else:
             searched.append(j)
     if searched:
-        found, omegas[searched] = variational_measured(r0[searched], r1[searched], [starts[j] for j in searched])
+        found, omega_bases[searched] = variational_measured(r0[searched], r1[searched],
+                                                            [starts[j] for j in searched])
         for j, value in zip(searched, found):
             var_vals[j] = value
-    for i, var_val, up, basis, s0, s1, notes in zip(live, var_vals, upper, candidate_bases(r0, r1, log_ratio, omegas),
-                                                    r0, r1, all_notes):
-        if basis is None:
+    eye = np.eye(r0.shape[-1], dtype=complex)
+    for i, var_val, up, omega_basis, log_basis, s0, s1, notes in zip(live, var_vals, upper, omega_bases, log_bases,
+                                                                     r0, r1, all_notes):
+        witness = basis_witness(s0, s1, [omega_basis, log_basis, eye])
+        if witness is None:
             # rho1's support projector; the identity basis is finite on the
             # compressed pair, so the recursion ends there
             w, v = pairs[i][1].spectrum
@@ -401,7 +428,7 @@ def _measured_values(pairs: list[tuple[DensityMatrix, DensityMatrix]], cfg: Opti
             compressed = p @ s0 @ p
             out[i] = _measured_values([(DensityMatrix(compressed / compressed.trace().real), pairs[i][1])], cfg)[0]
             continue
-        pvm_val, povm = basis_witness(basis, s0, s1)
+        pvm_val, povm = witness
         gap = abs(var_val - pvm_val)
         if gap > cfg.cross_check_tol:
             if var_val - pvm_val > 10 * cfg.cross_check_tol:
@@ -458,8 +485,8 @@ def _top_inputs(a0, a1, theta, flip):
     of M = Phi0^dag(X0) + Phi1^dag(X1), with X = H on the channel read as
     "0" (N1 where flip) and X = -exp(H) on the other: the two terms are
     summed in the same order whatever the direction."""
-    exp = _exponential(theta, a0.shape[1])
-    h, neg = exp[0], -exp[3]
+    exp = h, lam, u = _exponential(theta, a0.shape[1])
+    neg = -((u * np.exp(lam)[..., None, :]) @ _adjoint(u))
     # the adjoint channels, Phi^dag(X) = sum_k A_k^dag X A_k
     m0, m1 = ((_adjoint(a) @ _pick(flip, x, y)[:, None] @ a).sum(axis=1) for a, x, y in ((a0, h, neg), (a1, neg, h)))
     return np.linalg.eigh(m0 + m1)[1][..., -1], exp
@@ -565,12 +592,6 @@ def _channel_upper(a: QuantumChannel, b: QuantumChannel, kind: str, alpha: float
     return math.log(max(_geometric_trace(a, b, lambda x: x**alpha), 1e-300)) / (alpha - 1.0)
 
 
-def _state_value(kind: str, alpha: float | None, s0: DensityMatrix, s1: DensityMatrix) -> float:
-    """The certified value of a channel pair's outputs: the sandwiched
-    Renyi divergence for the renyi kind, else the relative entropy."""
-    return (sandwiched_renyi_states(s0, s1, alpha) if kind == "renyi" else rel_entropy_states(s0, s1)).value
-
-
 def _closes(lower: float, upper: float, notes: list[str], at: str = "the maximally entangled input") -> bool:
     """Whether the bracket [lower, upper], whose lower end is the value at
     the start at, is closed within ROUNDING_TOL.  A lower end beyond it
@@ -612,8 +633,10 @@ def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xC4)))
     inputs += [params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi)
                for _ in range(cfg.restarts - len(inputs))]
-    # H starts at the variational program's warm start for each input
-    logs = [[_safe_log_state(hermitian_eigen(_apply_to_pure(ch, psi))) for ch in (n0, n1)] for psi in inputs]
+    # H starts at the variational program's warm start for each input, read
+    # from the outputs' spectra as DensityMatrix takes them: symmetrized, eigh
+    outputs = [[_apply_to_pure(ch, psi) for ch in (n0, n1)] for psi in inputs]
+    logs = [[_safe_log_state(np.linalg.eigh(0.5 * (s + s.conj().T))) for s in pair] for pair in outputs]
     searches = [[hermitian_to_params(lg[f] - lg[1 - f]) for lg in logs] for f in flips]
     found = multistart_maximize(objective, searches, cfg.max_iters)
     a0, a1 = (_lifted_kraus(ch, n0.in_dim) for ch in (n0, n1))

@@ -9,10 +9,6 @@ class NonSquareError(ChandiscError):
     pass
 
 
-class NotHermitianError(ChandiscError):
-    pass
-
-
 class DimensionOverflowError(ChandiscError):
     pass
 

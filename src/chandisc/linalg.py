@@ -1,7 +1,8 @@
-"""Dense complex matrix kernel: Frobenius norms, the square and Hermitian
-checks, Hermitian eigendecompositions and the support-containment test (on
-one pair or a stack; a b of full rank is answered from its eigenvalues
-alone).
+"""Dense complex matrix kernel: Frobenius norms, the square check and the
+support-containment test (on one pair or a stack; a b of full rank is
+answered from its eigenvalues alone).  It wraps no eigendecomposition: each
+caller takes numpy's eigh where it holds the matrix, and DensityMatrix
+stores the one decomposition of a state.
 
 Everything downstream (states, channels, divergences) sits on top of these
 few routines, so the tolerances used here are the global numerical knobs of
@@ -18,9 +19,7 @@ import numpy as np
 # projection occurs.
 PSD_TOL = 1e-9
 
-HERMITICITY_RTOL = 1e-9
-
-from .errors import NonSquareError, NotHermitianError
+from .errors import NonSquareError
 
 
 def frob(a: np.ndarray) -> float:
@@ -37,22 +36,6 @@ def check_square(h: np.ndarray) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {h.shape}")
     return h
-
-
-def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary of eigenvectors as columns).
-    The input is symmetrized internally; a deviation from Hermiticity
-    beyond tolerance raises NotHermitianError.
-    """
-    h = check_square(h)
-    dev = frob(h - h.conj().T)
-    if dev > HERMITICITY_RTOL * max(1.0, frob(h)):
-        raise NotHermitianError(f"matrix deviates from Hermiticity by {dev:.3e}")
-    hs = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(hs)
-    return w, v
 
 
 def support_contained(a: np.ndarray, spectrum_b):

@@ -1,8 +1,10 @@
 """Shared optimization machinery: Hermitian / pure-state parametrizations,
 divided-difference kernels of Frechet derivatives, a lockstep multi-start
 L-BFGS-B driver on analytic gradients, and the pieces of the measured
-relative entropy: the variational program, the candidate bases at its
-optimum and basis_witness, the PVM that certifies the best of them.
+relative entropy: the variational program, which returns the eigenbasis of
+each optimal omega = exp(H) from the decomposition of H it already holds,
+and basis_witness, which rates a pair's candidate bases once each and
+builds the PVM that certifies the best of them.
 
 Every objective multistart_maximize ascends is batched: objective((X,
 owner)) takes one flat batch, the parameter rows X of shape (B, P) and each
@@ -35,7 +37,6 @@ import numpy as np
 from scipy.optimize import _lbfgsb
 
 from .errors import OptimizerFailure
-from .linalg import hermitian_eigen
 from .quantum import Povm, _basis_laws
 
 logger = logging.getLogger("chandisc.optimize")
@@ -387,18 +388,17 @@ def _safe_log_state(spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 def _exponential(theta: np.ndarray, d: int):
     """H = H(theta) for each row of theta (B, d^2), its eigenvalues (clipped
-    to [-200, 200]) and eigenvectors, and exp(H) from them: one eigh per
-    row."""
+    to [-200, 200]) and eigenvectors, which are those of exp(H): one eigh
+    per row."""
     h = params_to_hermitian(theta, d)
     lam, u = np.linalg.eigh(h)
-    lam = np.clip(lam, -200.0, 200.0)
-    return h, lam, u, (u * np.exp(lam)[..., None, :]) @ _adjoint(u)
+    return h, np.clip(lam, -200.0, 200.0), u
 
 
 def _variational_at(exp, rho0: np.ndarray, rho1: np.ndarray):
     """Tr[rho0 H] + 1 - Tr[rho1 exp(H)] and its gradient in theta, for each H
     of _exponential's exp and state pair (B, d, d) or (d, d)."""
-    h, lam, u, _ = exp
+    h, lam, u = exp
     elam = np.exp(lam)
     uh = _adjoint(u)
     b = uh @ rho1 @ u
@@ -410,11 +410,11 @@ def _variational_at(exp, rho0: np.ndarray, rho1: np.ndarray):
 
 def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
     """Tr[rho0 H] + 1 - Tr[rho1 exp(H)] at H = H(theta), its gradient in
-    theta and exp(H), for each row of theta (B, d^2) and state pair
-    (B, d, d) or (d, d).  The value lower-bounds the measured relative
-    entropy for every theta."""
+    theta and the eigenvectors of H, the eigenbasis of omega = exp(H), for
+    each row of theta (B, d^2) and state pair (B, d, d) or (d, d).  The
+    value lower-bounds the measured relative entropy for every theta."""
     exp = _exponential(theta, rho0.shape[-1])
-    return *_variational_at(exp, rho0, rho1), exp[3]
+    return *_variational_at(exp, rho0, rho1), exp[2]
 
 
 def variational_measured(rho0: np.ndarray, rho1: np.ndarray, starts: list[list[np.ndarray]]):
@@ -425,8 +425,8 @@ def variational_measured(rho0: np.ndarray, rho1: np.ndarray, starts: list[list[n
 
     Each optimum equals the measured relative entropy; any iterate gives a
     lower bound.  Every start runs at most 2000 iterations, and the first
-    wins ties.  Returns (the k values in nats, the optimal omegas = exp(H)
-    (k, d, d)).
+    wins ties.  Returns (the k values in nats, the eigenbases (k, d, d) of
+    the optimal omegas = exp(H), eigenvectors as columns).
     """
 
     def objective(batch):
@@ -434,42 +434,34 @@ def variational_measured(rho0: np.ndarray, rho1: np.ndarray, starts: list[list[n
         return _variational_terms(x, rho0[owner], rho1[owner])[:2]
 
     found = _lockstep(objective, starts, 2000)
-    return [float(value) for _, value in found], _variational_terms(np.stack([x for x, _ in found]), rho0, rho1)[2]
+    return [float(value) for _, value in found], _exponential(np.stack([x for x, _ in found]), rho0.shape[-1])[2]
 
 
-def candidate_bases(rho0: np.ndarray, rho1: np.ndarray, log_ratio: np.ndarray, omegas: np.ndarray) -> list[np.ndarray]:
-    """The best candidate basis of each state pair of the stacks rho0, rho1
-    (k, d, d): the one whose rank-one PVM has the largest finite KL, the
-    first of equal KLs winning.
+def basis_witness(rho0: np.ndarray, rho1: np.ndarray, candidates: list[np.ndarray]) -> tuple[float, Povm] | None:
+    """The PVM that certifies the best candidate basis of one state pair,
+    and its value: the classical KL of its outcome laws.
 
-    The candidates are the eigenbasis of the variational optimizer's omega
-    (its basis KL dominates the variational value at omega), the eigenbasis
-    of log_ratio = log rho0 - log rho1 (optimal in the commuting case) and
-    the identity.  A pair on which every candidate's KL is infinite gets
-    None."""
-    eye = np.eye(rho0.shape[-1], dtype=complex)
-    best = []
-    for j in range(len(rho0)):
-        best_val, best_u = -math.inf, None
-        for base_u in (hermitian_eigen(omegas[j])[1], hermitian_eigen(log_ratio[j])[1], eye):
-            val = kl_divergence(*_basis_laws(base_u, rho0[j], rho1[j]))
-            if math.isfinite(val) and val > best_val:
-                best_val, best_u = val, base_u
-        best.append(best_u)
-    return best
-
-
-def basis_witness(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray) -> tuple[float, Povm]:
-    """The PVM that certifies a basis, and its value: the classical KL of
-    its outcome laws.
-
-    Outcomes at or below NEGLIGIBLE_PROB under both states carry rounding
-    mass only, which a strict re-evaluation can read under rho0 alone (an
-    infinite KL).  They are merged into the outcome of largest rho1
-    probability, whose effect becomes the sum of their projectors.  The
+    The best candidate is the one whose rank-one PVM has the largest finite
+    KL, the first of equal KLs winning; a candidate equal to an earlier one
+    is not rated again.  When every candidate's KL is infinite the result is
+    None.  Outcomes at or below NEGLIGIBLE_PROB under both states carry
+    rounding mass only, which a strict re-evaluation can read under rho0
+    alone (an infinite KL).  They are merged into the outcome of largest
+    rho1 probability, whose effect becomes the sum of their projectors.  The
     effects are ordered by ascending increment log p0 - log p1, as the SPRT
     tables read it, ties in index order."""
-    p, q = _basis_laws(basis, rho0, rho1)
+    best, best_val, rated = None, -math.inf, []
+    for basis in candidates:
+        if any(np.array_equal(basis, seen) for seen in rated):
+            continue
+        rated.append(basis)
+        laws = _basis_laws(basis, rho0, rho1)
+        val = kl_divergence(*laws)
+        if math.isfinite(val) and val > best_val:
+            best, best_val = (basis, *laws), val
+    if best is None:
+        return None
+    basis, p, q = best
     effects = basis.T[:, :, None] * basis.T.conj()[:, None, :]
     merged = (p <= NEGLIGIBLE_PROB) & (q <= NEGLIGIBLE_PROB)
     if merged.any():

@@ -39,8 +39,9 @@ DIM_CAP = 4096
 @dataclass
 class DensityMatrix:
     """Hermitian PSD unit-trace matrix; validated on construction.  mat is
-    stored exactly Hermitian, and spectrum is its one eigendecomposition, equal
-    to hermitian_eigen(mat) bit for bit, which validation and readers use."""
+    stored exactly Hermitian, the mean of the matrix given and its adjoint,
+    and spectrum is its one eigendecomposition, numpy's eigh of mat, which
+    validation and readers use."""
 
     mat: np.ndarray
     label: str | None = None

@@ -6,8 +6,9 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import importlib.util
 import math
-import re
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -45,16 +46,25 @@ def assert_gradient_matches():
     return _assert_gradient_matches
 
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+def _load_outputs_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
+    spec = importlib.util.spec_from_file_location("outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+# tools/outputs.py: the corpus generator, and the one definition of the golden rule
+OUTPUTS_TOOL = _load_outputs_tool()
 
 
 def _assert_matches_golden(text: str, golden: str, name: str) -> None:
     """Text between numbers must match exactly; each number must agree
     within 1e-12 max(1, |golden|)."""
-    assert _NUMBER.split(text) == _NUMBER.split(golden), name
-    got, want = _NUMBER.findall(text), _NUMBER.findall(golden)
-    for a, b in zip(got, want):
-        assert abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(b))), (name, a, b)
+    pairs = OUTPUTS_TOOL.golden_pairs(text, golden)
+    assert pairs is not None, name
+    for a, b in pairs:
+        assert OUTPUTS_TOOL.within(a, b), (name, a, b)
 
 
 @pytest.fixture
@@ -62,6 +72,11 @@ def assert_matches_golden():
     """The rule every committed output is held to: the CLI replays and the
     output corpus."""
     return _assert_matches_golden
+
+
+@pytest.fixture
+def outputs_tool():
+    return OUTPUTS_TOOL
 
 
 def _scalar_kl(p, q):

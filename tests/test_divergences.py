@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from chandisc.divergences import (
     _relative_terms,
     _renyi_terms,
     _sandwich,
+    _state_value,
     channel_divergence,
     channel_divergence_pair,
     max_div_states,
@@ -35,7 +37,6 @@ from chandisc.optimize import (
     _safe_log_state,
     _variational_terms,
     basis_witness,
-    candidate_bases,
     kl_divergence,
     multistart_maximize,
     variational_measured,
@@ -81,6 +82,21 @@ def test_rel_entropy_pure_vs_mixed():
 def test_rel_entropy_infinite_direction():
     dv = rel_entropy_states(diag(0.5, 0.5), diag(1.0, 0.0))
     assert not dv.is_finite and math.isinf(dv.value)
+
+
+def test_state_divergences_of_a_leaking_pair_read_no_lower_than_zero():
+    """A rho0 that leaks 1e-9 onto a kernel vector of rho1 passes the
+    support rule, and the formulas, read on supp rho1 without
+    renormalizing, give about -1e-9 (relative) and -1.1e-8 (Renyi at
+    alpha = 1.1).  The state-level values are floored at 0, as channel and
+    measured values are; the value a channel bracket reads as its lower end,
+    _state_value's, is not, so that such a bracket stays open."""
+    leaky, r1 = diag(1 - 1e-9, 1e-9), diag(1.0, 0.0)
+    assert rel_entropy_states(leaky, r1).value == 0.0
+    assert _state_value("relative", None, leaky, r1) < 0.0
+    for alpha in (1.1, 1.5, 2.0, 3.0):
+        assert sandwiched_renyi_states(leaky, r1, alpha).value == 0.0, alpha
+        assert _state_value("renyi", alpha, leaky, r1) < 0.0, alpha
 
 
 def test_max_div_oracle_one_bit():
@@ -179,21 +195,25 @@ def test_measured_pairs_inside_the_support_tolerance_are_certified_on_the_suppor
 
 
 def test_leaky_classical_pairs_give_a_value_below_the_upper_end_or_fail():
-    """The classical pair W0 = [[1 - eps, .5], [eps, .5]], W1 = [[1, .5],
-    [0, .5]] passes the support rule on its Choi states for these leaks.
-    Each searched kind's value, both directions, lies at or below its
-    upper end under the rounding rule; at eps = 1.2e-7 the measured
-    search's witness leaks more than the state-level rule allows, and
-    D(N0||N1) raises OptimizerFailure naming the direction and the cause."""
-    def pair(eps):
-        return _classical_channels(([[1 - eps, 0.5], [eps, 0.5]], [[1.0, 0.5], [0.0, 0.5]]))
+    """The classical pair W0 = [[1 - eps, .5], [eps, .5]], W1 = [[1, q],
+    [0, 1 - q]] passes the support rule on its Choi states for these leaks.
+    At q = .5 each searched kind's value, both directions, lies at or below
+    its upper end under the rounding rule.  At eps = 1.2e-7 the measured
+    search's witness leaks more than the state-level rule allows, at q = .5
+    and at q = .4999, and D(N0||N1) raises OptimizerFailure naming the
+    direction and the cause.  At q = .5 the bracket at the maximally
+    entangled input reads its lower end, about -1.06e-6, unfloored, so it
+    stays open and the search runs."""
+    def pair(eps, q=0.5):
+        return _classical_channels(([[1 - eps, 0.5], [eps, 0.5]], [[1.0, q], [0.0, 1 - q]]))
 
     for eps in (1e-9, 4e-8, 6e-8):
         for kind, alpha in (("relative", None), ("measured", None), ("renyi", 1.5)):
             for dv in channel_divergence_pair(*pair(eps), kind=kind, alpha=alpha, cfg=CFG):
                 assert dv.is_finite and dv.value <= dv.upper + 1e-12 * max(1.0, dv.upper), (eps, kind, dv)
-    with pytest.raises(OptimizerFailure, match=r"^measured D\(N0\|\|N1\): the state-level support rule reads"):
-        channel_divergence_pair(*pair(1.2e-7), kind="measured", cfg=CFG)
+    for q in (0.5, 0.4999):
+        with pytest.raises(OptimizerFailure, match=r"^measured D\(N0\|\|N1\): the state-level support rule reads"):
+            channel_divergence_pair(*pair(1.2e-7, q), kind="measured", cfg=CFG)
 
 
 def test_measured_below_relative():
@@ -207,14 +227,29 @@ def test_measured_below_relative():
         assert dm >= 0.0
 
 
-def test_variational_measured_is_lower_bound_of_relative():
+def test_variational_measured_is_lower_bound_of_relative(monkeypatch):
+    """The program's value lies below D, and the basis it returns is
+    unitary and diagonalizes omega = exp(H) at the optimal H, the winner of
+    its lockstep search."""
     rng = np.random.default_rng(17)
     r0 = random_density_matrix(3, rng)
     r1 = random_density_matrix(3, rng)
     log_ratio = _safe_log_state(r0.spectrum) - _safe_log_state(r1.spectrum)
-    (v,), (omega,) = variational_measured(r0.mat[None], r1.mat[None], [[hermitian_to_params(log_ratio), np.zeros(9)]])
+    found, real = [], optimize._lockstep
+
+    def lockstep(*args):
+        found.extend(real(*args))
+        return found
+
+    monkeypatch.setattr(optimize, "_lockstep", lockstep)
+    (v,), (basis,) = variational_measured(r0.mat[None], r1.mat[None], [[hermitian_to_params(log_ratio), np.zeros(9)]])
     assert v <= rel_entropy_states(r0, r1).value + 1e-8
-    assert np.linalg.eigvalsh(omega).min() > 0  # omega = exp(H) is positive
+    ((theta, value),) = found
+    assert value == v
+    assert np.allclose(basis.conj().T @ basis, np.eye(3), rtol=0, atol=1e-12)
+    omega = scipy.linalg.expm(params_to_hermitian(theta, 3))
+    in_basis = basis.conj().T @ omega @ basis
+    assert np.allclose(in_basis, np.diag(np.diag(in_basis)), rtol=0, atol=1e-10 * np.linalg.norm(omega))
 
 
 def test_channel_divergence_replacer_reduces_to_states():
@@ -546,8 +581,8 @@ def test_open_searches_stop_at_the_rounding_floor(caplog):
 SEARCHED_BITS = {
     ("relative", None): [("0x1.f9d32f3721400p-1", "0x1.8347ae75832dbp+0"),
                          ("0x1.ae806783a5e5ap-1", "0x1.46b4e1b6d1dfap+0")],
-    ("measured", None): [("0x1.c7544f0a712d2p-1", "0x1.8347ae75832dbp+0"),
-                         ("0x1.876c03f17e8eap-1", "0x1.46b4e1b6d1dfap+0")],
+    ("measured", None): [("0x1.c7544f0a712d3p-1", "0x1.8347ae75832dbp+0"),
+                         ("0x1.876c03f17e8e6p-1", "0x1.46b4e1b6d1dfap+0")],
     ("renyi", 1.5): [("0x1.8b02e5d4b28f8p+0", "0x1.081bd2945eaa1p+1"),
                      ("0x1.2ee93d848cad5p+0", "0x1.9a9a65f2f3edap+0")],
     "block l=2 relative, per use": [("0x1.fafc8541803e6p-1", "0x1.8347ae7583319p+0"),
@@ -1158,8 +1193,10 @@ def test_certified_values_take_no_decomposition_the_code_already_holds(eig_calls
     """The state-level relative entropy reads both states' stored spectra
     and takes no eigendecomposition, and the sandwiched Renyi divergence
     takes one, its sandwich's.  The measured pair dep(0.3)/dep(0.7), whose
-    brackets close, takes at most 13 on fresh channels (2 of them their Choi
-    states) and 11 once the Choi states are cached, at l = 1 and at l = 2."""
+    brackets close, takes at most 9 on fresh channels (2 of them their Choi
+    states) and 7 once the Choi states are cached, at l = 1 and at l = 2:
+    its witness reads the log-ratio start's eigenbasis, which is also its
+    omega's."""
     rng = np.random.default_rng(5)
     rho0, rho1 = random_density_matrix(3, rng), random_density_matrix(3, rng)
     eig_calls.clear()
@@ -1169,7 +1206,7 @@ def test_certified_values_take_no_decomposition_the_code_already_holds(eig_calls
     assert eig_calls == ["eigh"]
     for l in (1, 2):
         n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
-        for most in (13, 11):
+        for most in (9, 7):
             eig_calls.clear()
             for dv in channel_divergence_pair(n0, n1, kind="measured", cfg=CFG, l=l):
                 assert abs(dv.upper - dv.value) <= 1e-12, (l, dv)
@@ -1478,8 +1515,9 @@ def test_open_measured_brackets_run_the_program_unchanged(monkeypatch, caplog):
     """With the certifier's upper end forced to inf, every measured value
     comes from the variational program's optimum: on the zoo and random
     output pairs, in both directions, the value, both estimates, the
-    witness and the warnings equal those of variational_measured,
-    candidate_bases and basis_witness run on all pairs.  On a random
+    witness and the warnings equal those of variational_measured and
+    basis_witness run on all pairs, on the candidates omega's eigenbasis,
+    the log-ratio start's and the identity.  On a random
     channel pair, whose brackets stay open, forcing changes no value,
     witness, warning or DEBUG record."""
     rng = np.random.default_rng(1)
@@ -1500,8 +1538,10 @@ def test_open_measured_brackets_run_the_program_unchanged(monkeypatch, caplog):
     for a, b in _output_pairs():
         r0, r1 = a.mat[None], b.mat[None]
         log_ratio = (_safe_log_state(a.spectrum) - _safe_log_state(b.spectrum))[None]
-        (var,), omegas = variational_measured(r0, r1, [[hermitian_to_params(log_ratio[0]), np.zeros(log_ratio.size)]])
-        pvm, povm = basis_witness(candidate_bases(r0, r1, log_ratio, omegas)[0], a.mat, b.mat)
+        start = hermitian_to_params(log_ratio[0])
+        (var,), (omega_basis,) = variational_measured(r0, r1, [[start, np.zeros(log_ratio.size)]])
+        log_basis = np.linalg.eigh(params_to_hermitian(start, a.dim))[1]
+        pvm, povm = basis_witness(a.mat, b.mat, [omega_basis, log_basis, np.eye(a.dim, dtype=complex)])
         dv = measured_rel_entropy_states(a, b, CFG)
         assert (dv.value, dv.witness.variational_value, dv.witness.pvm_value, dv.warnings) == (
             max(var, pvm, 0.0), var, pvm, [])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from chandisc import optimize
 from chandisc.divergences import _input_objectives
 from chandisc.errors import OptimizerFailure
 from chandisc.optimize import (
@@ -334,7 +335,7 @@ def test_basis_witness_merges_negligible_outcomes_and_orders_by_increment():
     increments in index order; the value is the KL of the merged laws."""
     p = np.diag([0.6, 0.0, 0.3, 3e-17, 0.1]).astype(complex)
     q = np.diag([0.1, 0.0, 0.6, 0.0, 0.3]).astype(complex)
-    value, povm = basis_witness(np.eye(5, dtype=complex), p, q)
+    value, povm = basis_witness(p, q, [np.eye(5, dtype=complex)])
     # increments log(1/3) < log(1/2) (outcome 2 with 1 and 3 merged in) < log 6
     e = np.eye(5)
     assert povm.is_pvm and len(povm.effects) == 3
@@ -343,8 +344,40 @@ def test_basis_witness_merges_negligible_outcomes_and_orders_by_increment():
     assert value == pytest.approx(kl_divergence(np.array([0.1, 0.3, 0.6]), np.array([0.3, 0.6, 0.1])), abs=1e-15)
     # equal increments keep their index order
     flat = np.diag([0.5, 0.2, 0.3]).astype(complex)
-    _, tied = basis_witness(np.eye(3, dtype=complex), flat, flat)
+    _, tied = basis_witness(flat, flat, [np.eye(3, dtype=complex)])
     assert [int(np.argmax(np.real(np.diag(t)))) for t in tied.effects] == [0, 1, 2]
+
+
+def test_basis_witness_picks_the_first_of_the_best_finite_candidates(monkeypatch):
+    """The witness is the candidate of largest finite KL, the first of equal
+    KLs winning; every candidate infinite gives None; a candidate equal to
+    an earlier one is rated once."""
+    rho0, rho1 = np.diag([0.6, 0.2, 0.2]).astype(complex), np.diag([0.1, 0.45, 0.45]).astype(complex)
+    eye = np.eye(3, dtype=complex)
+    swapped = eye[:, [0, 2, 1]]
+    # the Fourier basis reads both states as uniform: KL 0
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3.0)
+    # eye and swapped have equal laws, so equal KLs; outcomes 1 and 2 tie on
+    # their increment and keep their index order, so the effects tell the
+    # two bases apart
+    for candidates, first in (([fourier, swapped, eye], swapped), ([eye, swapped], eye)):
+        value, povm = basis_witness(rho0, rho1, candidates)
+        assert value == kl_divergence(np.array([0.2, 0.2, 0.6]), np.array([0.45, 0.45, 0.1]))
+        for effect, column in zip(povm.effects, first.T[[1, 2, 0]]):
+            assert np.array_equal(effect, np.outer(column, column.conj()))
+    # rho0 puts mass where rho1 has none in every candidate basis
+    assert basis_witness(np.diag([0.5, 0.25, 0.25]).astype(complex), np.diag([1.0, 0.0, 0.0]).astype(complex),
+                         [eye, swapped]) is None
+    rated = []
+    real = optimize._basis_laws
+
+    def counting(basis, r0, r1):
+        rated.append(basis)
+        return real(basis, r0, r1)
+
+    monkeypatch.setattr(optimize, "_basis_laws", counting)
+    basis_witness(rho0, rho1, [fourier, fourier.copy(), eye, fourier, eye.copy()])
+    assert len(rated) == 2 and rated[0] is fourier and rated[1] is eye
 
 
 @pytest.mark.parametrize("k", [2, 4, 7, 8, 9, 16])

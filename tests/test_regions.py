@@ -509,6 +509,19 @@ def test_region_chain_builds_each_tensor_power_once(monkeypatch):
     assert sorted(built) == sorted(2 * powers)
 
 
+def test_region_chain_takes_no_decomposition_the_code_already_holds(eig_calls):
+    """The chain of the block_regions benchmark's config on dep(0.3)/dep(0.7),
+    run again once its channels cache their powers and Choi states, takes at
+    most 20 eigh and 6 eigvalsh: every measured witness reads the
+    eigenbasis the certifier's log-ratio start already decomposed."""
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    cfg = OptimizerConfig(restarts=4, max_iters=100)
+    for _ in range(2):
+        eig_calls.clear()
+        region_chain(n0, n1, cfg=cfg, l_max=2, alpha_grid=(1.1, 1.5), samples=256, slack=1e-3)
+    assert eig_calls.count("eigh") <= 20 and eig_calls.count("eigvalsh") <= 6, eig_calls
+
+
 def test_region_chain_rates_each_witness_arm_once(monkeypatch):
     """On the block_regions benchmark config a chain computes 8 outcome laws:
     each of the four witness arms (l = 1 and 2) under both channels.  The

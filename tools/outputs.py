@@ -32,7 +32,12 @@ tests/data/outputs.txt holds the committed corpus, which
 tests/test_outputs.py compares with numbers within 1e-12 max(1, |v|) and
 text exactly.  --against runs the corpus of DIR in its own process, with
 DIR/src first on the import path, and prints a unified diff of the lines
-that differ, DIR's first.
+that differ, DIR's first.  One summary line ends it: the number of lines
+that differ, the largest relative move |new - old| / max(1, |old|) of any
+number paired with DIR's, and whether every line still pairs with DIR's
+with its label, text and count of numbers unchanged and every number
+within 1e-12 max(1, |old|): the golden rule below, which the tests hold
+committed outputs to.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import argparse  # noqa: E402
 import difflib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import re  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import warnings  # noqa: E402
@@ -56,6 +62,47 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tests" / "data" / "outputs.txt"
+
+
+# The golden rule every committed output is held to (tests/conftest.py reads
+# it from here): the text between numbers equal, which also means as many
+# numbers, and each number within GOLDEN_TOL max(1, |golden|).  inf and nan
+# are text.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+GOLDEN_TOL = 1e-12
+
+
+def golden_pairs(text: str, golden: str) -> list[tuple[float, float]] | None:
+    """The (new, golden) number pairs of text against golden, or None where
+    the text between their numbers differs."""
+    if NUMBER.split(text) != NUMBER.split(golden):
+        return None
+    return [(float(a), float(b)) for a, b in zip(NUMBER.findall(text), NUMBER.findall(golden))]
+
+
+def within(new: float, golden: float) -> bool:
+    return abs(new - golden) <= GOLDEN_TOL * max(1.0, abs(golden))
+
+
+def summary(old: list[str], new: list[str]) -> str:
+    """The summary line of a diff of two corpora.  Lines pair as the diff
+    pairs them: a changed block of as many lines on both sides pairs line
+    for line; any other change leaves lines unpaired."""
+    differ, largest, kept = 0, 0.0, True
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, old, new, autojunk=False).get_opcodes():
+        if tag == "equal":
+            continue
+        differ += max(i2 - i1, j2 - j1)
+        kept &= i2 - i1 == j2 - j1
+        for a, b in zip(old[i1:i2], new[j1:j2]):
+            pairs = golden_pairs(b, a)
+            kept &= pairs is not None and a.partition(":")[0] == b.partition(":")[0]
+            for v, u in pairs or []:
+                largest = max(largest, abs(v - u) / max(1.0, abs(u)))
+                kept &= within(v, u)
+    verdict = "yes" if kept else "no"
+    return (f"summary: {differ} lines differ; largest relative move {largest:.2g}; every line keeps its label, "
+            f"text and count of numbers, each number within {GOLDEN_TOL:g} max(1, |old|): {verdict}")
 
 
 def _tokens(x) -> list[str]:
@@ -202,6 +249,7 @@ def main(argv=None) -> int:
                                       text=True).stdout.splitlines() for tree in (args.against, args.tree))
         sys.stdout.writelines(line + "\n" for line in difflib.unified_diff(
             other, mine, str(args.against), str(args.tree), n=0, lineterm=""))
+        print(summary(other, mine))
         return 0
     sys.path.insert(0, str(args.tree.resolve() / "src"))
     print("\n".join(corpus()))
