@@ -92,20 +92,26 @@ Every channel value carries a certified upper end (DivergenceValue.upper),
 in closed form on the unit-trace Choi states (_channel_upper): the
 Belavkin-Staszewski channel divergence D_BS for the relative and measured
 kinds (D_M <= D <= D_BS), the geometric Renyi divergence for the renyi kind
-with alpha in (1, 2], and the Choi D_max above that.  D_max, of states and
-of channels, and both geometric traces read one sandwich kernel
-(_sandwich: X = s1^{-1/2} s0 s1^{-1/2} and s1^{1/2} on supp s1, for one
-pair or a stack).  The value's bracket has that upper end and, as its lower
-end, the value at the maximally entangled input.  When the two meet within
-ROUNDING_TOL max(1, upper) (the measured kind runs its certifier only once
-the relative value there meets it), that input is the winner and the
-direction skips the input search; on the covariant zoo (depolarizing,
-dephasing, replacers) every bracket closes.  Directions whose bracket stays
-open run the search unchanged, and a searched value above the upper end
-beyond that tolerance gets a note.  A searched direction whose witness
-outputs the state-level support rule reads as unsupported, though the
-Choi states pass it, raises OptimizerFailure: there the measured search's
-objective is unbounded, and its value would be no bound.
+with alpha in (1, 2], and the Choi D_max above that and for the max kind.
+D_max, of states and of channels, and both geometric traces read one
+sandwich kernel (_sandwich: X = s1^{-1/2} s0 s1^{-1/2} and s1^{1/2} on
+supp s1, for one pair or a stack).  The value's bracket has that upper end
+and, as its lower end, the value at the maximally entangled input, read on
+the same cached Choi states: they are the outputs of that input, the unit
+vector of quantum._max_entangled_input, so both ends of every bracket sit
+on one state pair and the bracket decomposes no state of its own.  The max
+kind's value there is its upper end, so its bracket closes by construction,
+and it runs through the same bracket as every other kind.  When the two
+ends meet within ROUNDING_TOL max(1, upper) (the measured kind runs its
+certifier only once the relative value there meets it), that input is the
+winner and the direction skips the input search; on the covariant zoo
+(depolarizing, dephasing, replacers) every bracket closes.  Directions
+whose bracket stays open run the search unchanged, and a searched value
+above the upper end beyond that tolerance gets a note.  A searched
+direction whose witness outputs the state-level support rule reads as
+unsupported, though the Choi states pass it, raises OptimizerFailure:
+there the measured search's objective is unbounded, and its value would
+be no bound.
 """
 
 from __future__ import annotations
@@ -142,11 +148,13 @@ from .optimize import (
     variational_measured,
 )
 from .quantum import (
+    STATE_TOL,
     DensityMatrix,
     Povm,
     QuantumChannel,
     _apply_to_pure,
     _lifted_kraus,
+    _max_entangled_input,
     _output,
     max_entangled_vector,
     pure_state,
@@ -328,7 +336,7 @@ def sandwiched_renyi_states(
     """Sandwiched Renyi divergence, alpha > 1:
     (1/(alpha-1)) log Tr[(rho1^{(1-a)/2a} rho0 rho1^{(1-a)/2a})^a];
     _state_value's, floored at 0 as rel_entropy_states is."""
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise InvalidAlphaError(f"alpha must exceed 1, got {alpha}")
     return DivergenceValue(max(_state_value("renyi", alpha, rho0, rho1), 0.0))
 
@@ -580,14 +588,14 @@ def _geometric_trace(a, b, g) -> float:
 
 
 def _channel_upper(a: QuantumChannel, b: QuantumChannel, kind: str, alpha: float | None) -> float:
-    """A certified upper end of the channel value D(a||b) of kind relative,
-    measured or renyi, for a pair with supp J_a in supp J_b: the
-    Belavkin-Staszewski channel divergence for D_M <= D <= D_BS, the
-    geometric Renyi one for alpha in (1, 2], which dominates the sandwiched
-    divergence, and the Choi D_max above that."""
-    if kind != "renyi":
+    """A certified upper end of the channel value D(a||b) of any kind, for a
+    pair with supp J_a in supp J_b: the Belavkin-Staszewski channel
+    divergence for D_M <= D <= D_BS, the geometric Renyi one for alpha in
+    (1, 2], which dominates the sandwiched divergence, and the Choi D_max
+    above that and for the max kind, whose value it is."""
+    if kind in ("relative", "measured"):
         return _geometric_trace(a, b, lambda x: x * np.log(np.where(x > 0.0, x, 1.0)))
-    if alpha > 2.0:
+    if kind == "max" or alpha > 2.0:
         return max_div_states(a.choi_state(), b.choi_state()).value
     return math.log(max(_geometric_trace(a, b, lambda x: x**alpha), 1e-300)) / (alpha - 1.0)
 
@@ -621,8 +629,12 @@ def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list
     not concave, pads the list up to cfg.restarts inputs with standard
     normal rows of length 2 d^2 from the seeded generator, each normalized
     as params_to_pure_vector reads it.  It searches H alone, from
-    H = log sigma0 - log sigma1 at each input; its input is psi(H) at the
-    best H, and its parameter row that H's."""
+    H = log sigma0 - log sigma1 at each input, read from the spectra of the
+    output DensityMatrix pair, each state built and decomposed by the one
+    rule every state is (an extra start whose squared norm is off 1 by
+    more than STATE_TOL is scaled to its unit vector first; H is
+    scale-free, and a start within that keeps its bits); its input is
+    psi(H) at the best H, and its parameter row that H's."""
     dim_psi = n0.in_dim**2
     objective = _input_objectives(n0, n1, kind, alpha, flips)
     inputs = [max_entangled_vector(n0.in_dim)] + extra
@@ -634,9 +646,9 @@ def _input_search(n0, n1, kind, alpha, cfg, extra: list[np.ndarray], flips: list
     inputs += [params_to_pure_vector(rng.standard_normal(2 * dim_psi), dim_psi)
                for _ in range(cfg.restarts - len(inputs))]
     # H starts at the variational program's warm start for each input, read
-    # from the outputs' spectra as DensityMatrix takes them: symmetrized, eigh
-    outputs = [[_apply_to_pure(ch, psi) for ch in (n0, n1)] for psi in inputs]
-    logs = [[_safe_log_state(np.linalg.eigh(0.5 * (s + s.conj().T))) for s in pair] for pair in outputs]
+    # from the spectra of its output states
+    inputs = [psi if abs(np.vdot(psi, psi).real - 1.0) <= STATE_TOL else psi / np.linalg.norm(psi) for psi in inputs]
+    logs = [[_safe_log_state(DensityMatrix(_apply_to_pure(ch, psi)).spectrum) for ch in (n0, n1)] for psi in inputs]
     searches = [[hermitian_to_params(lg[f] - lg[1 - f]) for lg in logs] for f in flips]
     found = multistart_maximize(objective, searches, cfg.max_iters)
     a0, a1 = (_lifted_kraus(ch, n0.in_dim) for ch in (n0, n1))
@@ -656,9 +668,10 @@ def channel_divergence(
     l > 1, the per-use value D(N0^l||N1^l) / l of the l-fold tensor powers.
 
     kind "max" is optimization-free and exact: the supremum is attained at
-    the maximally entangled input, i.e. on the unit-trace Choi pair, which
-    is the witness of a finite value.  An infinite value of any kind
-    carries no witness.  The other kinds use L-BFGS on analytic gradients
+    the maximally entangled input, i.e. on the unit-trace Choi pair, so its
+    value is the Choi D_max, which is also its upper end, and its witness is
+    that unit input, as for any closed bracket.  An infinite value of any
+    kind carries no witness.  The other kinds use L-BFGS on analytic gradients
     and return certified lower bounds with the best input as witness; each
     start stops once a step gains less than 1e-12 max(1, |value|).
     Relative and renyi search unit input vectors from the maximally
@@ -692,7 +705,8 @@ def channel_divergence(
     Choi pair (D_BS for relative and measured, the geometric Renyi
     divergence for renyi with alpha <= 2, D_max above that and for max).
     Before the search, the value at the maximally entangled input is
-    certified; when it meets the upper end within 1e-12 max(1, upper), that
+    certified on the same cached Choi states (for max it is the upper end
+    itself); when it meets the upper end within 1e-12 max(1, upper), that
     input is the witness and no search runs.  A value there above the upper
     end by more than that never skips the search and adds a note to the
     warnings, and so does a searched value above it.
@@ -726,14 +740,14 @@ def channel_divergence_pair(
 
 def _channel_divergences(n0, n1, kind, alpha, cfg, l: int, pair: bool) -> list[DivergenceValue]:
     """[D(N0||N1)], or with pair [D(N0||N1), D(N1||N0)], each with its
-    upper end, per use at block size l; the directions whose bracket stays
-    open at the maximally entangled input share one lockstep search, and a
-    searched value above its upper end beyond ROUNDING_TOL max(1, upper)
-    gets a note."""
+    upper end, per use at block size l.  Every kind brackets each direction
+    on the cached Choi pair; the directions whose bracket stays open there
+    share one lockstep search, and a searched value above its upper end
+    beyond ROUNDING_TOL max(1, upper) gets a note."""
     cfg = cfg or OptimizerConfig()
     if kind not in KINDS:
         raise ValueError(f"unknown divergence kind {kind!r}")
-    if kind == "renyi" and (alpha is None or alpha <= 1.0):
+    if kind == "renyi" and (alpha is None or not alpha > 1.0):
         raise InvalidAlphaError(f"renyi kind needs alpha > 1, got {alpha}")
     if (n0.in_dim, n0.out_dim) != (n1.in_dim, n1.out_dim):
         raise DimensionMismatchError("channel pair has mismatched dimensions")
@@ -754,29 +768,20 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, l: int, pair: bool) -> list[D
         dvs = _channel_divergences(tensor_power_channel(n0, l), tensor_power_channel(n1, l), kind, alpha, cfg, 1, pair)
         return [replace(dv, value=dv.value / l, upper=dv.upper / l) for dv in dvs]
     directions = [(n0, n1), (n1, n0)] if pair else [(n0, n1)]
-
-    if kind == "max":
-        out = [max_div_states(a.choi_state(), b.choi_state()) for a, b in directions]
-        for val in out:
-            val.witness = ChannelWitness(input_vector=max_entangled_vector(d)) if val.is_finite else None
-            val.upper = val.value
-        return out
-
     out = [_unsupported(a.choi_state(), b.choi_state()) for a, b in directions]
     live = [i for i, dv in enumerate(out) if dv is None]
     if not live:
         return out
 
-    # The bracket of each direction: the upper end, and the value at start 0
-    # (the maximally entangled input, normalized as params_to_pure_vector
-    # normalizes the search's inputs) as the certification below reads it.
-    start = max_entangled_vector(d)
-    start = start / np.linalg.norm(start)
+    # The bracket of each direction, on the cached Choi pair, the outputs of
+    # the maximally entangled unit input: the upper end, and as the lower end
+    # the value there as the certification below reads it.  The max kind's
+    # value there is its upper end, so its bracket closes by construction.
     psis, states, values, upper, notes, measured = {}, {}, {}, {}, {}, {}
-    at_start = [DensityMatrix(_apply_to_pure(ch, start)) for ch in (n0, n1)]
     for i in live:
-        psis[i], states[i], notes[i] = start, (at_start[i], at_start[1 - i]), []
-        upper[i], values[i] = _channel_upper(*directions[i], kind, alpha), _state_value(kind, alpha, *states[i])
+        psis[i], states[i], notes[i] = _max_entangled_input(d), tuple(ch.choi_state() for ch in directions[i]), []
+        upper[i] = _channel_upper(*directions[i], kind, alpha)
+        values[i] = upper[i] if kind == "max" else _state_value(kind, alpha, *states[i])
     closed = [i for i in live if _closes(values[i], upper[i], notes[i])]
     if kind == "measured" and closed:
         # D_M <= D: only a closed relative bracket can close the measured one,
@@ -810,7 +815,7 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, l: int, pair: bool) -> list[D
             notes[i] += measured[i].warnings
         # a closed direction meets its upper end, so only searched ones can note
         _closes(values[i], upper[i], notes[i], at="the searched input")
-        out[i] = DivergenceValue(float(max(values[i], 0.0)), is_lower_bound=True, witness=witness,
+        out[i] = DivergenceValue(float(max(values[i], 0.0)), is_lower_bound=kind != "max", witness=witness,
                                  warnings=notes[i], upper=upper[i])
     return out
 

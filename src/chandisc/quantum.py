@@ -6,10 +6,15 @@ built by _lifted_kraus, applied as sum_k A_k rho A_k^dag (by _output on pure
 inputs, one vector or a stack).  The stack is built once per ancilla
 dimension and cached, read-only, on the channel.  The cached unit-trace Choi
 state is that map's output on the maximally entangled input:
-J = (id (x) N)(|w><w|) with |w> the *normalized* maximally entangled vector,
-so J is itself a density matrix.  _basis_laws gives the outcome laws of every
-rank-one PVM.  A POVM whose effects are projectors is proved positive by its
-idempotence residual, so its validation takes no eigendecomposition.
+J = (id (x) N)(|w><w|) with |w> = w / |w| for w = max_entangled_vector(d),
+so J is itself a density matrix.  _max_entangled_input is that unit vector,
+the one input at which the library reads a channel's closed forms: the Choi
+states, and with them every divergence bracket's lower end and the witness
+of a direction whose bracket closes.  _basis_laws gives the outcome laws of
+every rank-one PVM.  A POVM whose effects are projectors is proved positive
+by its idempotence residual, so its validation takes no eigendecomposition.
+Every constructor check is written so that a NaN fails it, and a state, a
+channel or a POVM with a non-finite entry is rejected.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ DIM_CAP = 4096
 
 @dataclass
 class DensityMatrix:
-    """Hermitian PSD unit-trace matrix; validated on construction.  mat is
+    """Hermitian PSD unit-trace matrix; validated on construction, where a
+    NaN or infinite entry fails the Hermiticity check.  mat is
     stored exactly Hermitian, the mean of the matrix given and its adjoint,
     and spectrum is its one eigendecomposition, numpy's eigh of mat, which
     validation and readers use."""
@@ -50,15 +56,15 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.check_square(np.asarray(self.mat, dtype=complex))
-        if frob(m - m.conj().T) > STATE_TOL * max(1.0, frob(m)):
-            raise InvalidStateError("state is not Hermitian within tolerance")
+        if not frob(m - m.conj().T) <= STATE_TOL * max(1.0, frob(m)) < math.inf:
+            raise InvalidStateError("state is not Hermitian within tolerance, or not finite")
         self.mat = 0.5 * (m + m.conj().T)
         self.spectrum = np.linalg.eigh(self.mat)
         w = self.spectrum[0]
-        if w[0] < -PSD_TOL:
+        if not w[0] >= -PSD_TOL:
             raise InvalidStateError(f"state has negative eigenvalue {w[0]:.3e}")
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > STATE_TOL * 10:
+        if not abs(tr - 1.0) <= STATE_TOL * 10:
             raise InvalidStateError(f"state trace {tr} differs from 1")
         self.dim = m.shape[0]
 
@@ -71,6 +77,13 @@ def pure_state(vec: np.ndarray, label: str | None = None) -> DensityMatrix:
 
 def max_entangled_vector(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
+
+
+def _max_entangled_input(d: int) -> np.ndarray:
+    """w / |w| for w = max_entangled_vector(d): the unit input of
+    choi_state(), which the divergence brackets read too."""
+    w = max_entangled_vector(d)
+    return w / np.linalg.norm(w)
 
 
 def max_entangled_state(d: int) -> DensityMatrix:
@@ -102,7 +115,8 @@ class QuantumChannel:
             if k.shape != (out_dim, in_dim):
                 raise DimensionMismatchError("Kraus operators have mixed shapes")
         acc = sum(k.conj().T @ k for k in self.kraus)
-        if frob(acc - np.eye(in_dim)) > CHANNEL_TOL * in_dim:
+        # a non-finite Kraus entry makes the residual inf or NaN, which fails
+        if not frob(acc - np.eye(in_dim)) <= CHANNEL_TOL * in_dim:
             raise InvalidStateError(
                 f"sum K^dag K deviates from identity by {frob(acc - np.eye(in_dim)):.3e}"
             )
@@ -115,10 +129,11 @@ class QuantumChannel:
         return self.choi_state().mat
 
     def choi_state(self) -> DensityMatrix:
-        """Unit-trace Choi state J = (id (x) ch)(|w><w|), |w> normalized,
-        built once and cached."""
+        """Unit-trace Choi state J = (id (x) ch)(|w><w|) at the unit input
+        |w> of _max_entangled_input, built once and cached: the state pair
+        of every divergence bracket."""
         if self._choi_state is None:
-            j = _apply_to_pure(self, max_entangled_vector(self.in_dim))
+            j = _apply_to_pure(self, _max_entangled_input(self.in_dim))
             self._choi_state = DensityMatrix(j, label=f"choi({self.label})")
         return self._choi_state
 
@@ -150,16 +165,17 @@ class Povm:
             raise DimensionMismatchError("POVM effects have mixed shapes")
         e = np.stack(self.effects)
         eh = np.swapaxes(e.conj(), 1, 2)
-        if (frobs(e - eh) > POVM_TOL * np.maximum(1.0, frobs(e))).any():
+        if not (frobs(e - eh) <= POVM_TOL * np.maximum(1.0, frobs(e))).all():
             raise InvalidStateError("POVM effect is not Hermitian")
+        # a non-finite entry fails this check if it passed the one above
+        if not frob(e.sum(axis=0) - np.eye(dim)) <= POVM_TOL * dim:
+            raise InvalidStateError("POVM effects do not sum to identity")
         h = 0.5 * (e + eh)
         residual = frobs(h @ h - h).max()
         if not residual <= 1e-8:
             w = np.linalg.eigvalsh(h).min()
-            if w < -1e-8:
+            if not w >= -1e-8:
                 raise InvalidStateError(f"POVM effect has eigenvalue {w:.3e}")
-        if frob(e.sum(axis=0) - np.eye(dim)) > POVM_TOL * dim:
-            raise InvalidStateError("POVM effects do not sum to identity")
         self.dim = dim
         self.is_pvm = bool(residual <= 1e-8 * dim)
 

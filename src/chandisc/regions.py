@@ -223,8 +223,8 @@ def converse_region(
 
 def _check_alpha_grid(alpha_grid) -> None:
     """Raise ValueError, naming the grid, unless it is a nonempty grid of
-    orders strictly above 1."""
-    if not alpha_grid or any(a <= 1.0 for a in alpha_grid):
+    orders strictly above 1 (a NaN order is not)."""
+    if not alpha_grid or not all(a > 1.0 for a in alpha_grid):
         raise ValueError(f"alpha grid {list(alpha_grid)} must be nonempty and lie strictly above 1")
 
 

@@ -288,6 +288,20 @@ def test_non_finite_cross_check_tol_is_a_config_error(tmp_path, runner, tol):
     assert not out.exists()
 
 
+def test_a_nan_channel_parameter_is_a_config_error(tmp_path, runner):
+    """The schema lets a NaN Bernoulli weight through; the channel rejects
+    it before the run directory exists, and the command exits 2.  It got
+    past every check, created the run directory and died in an uncaught
+    LinAlgError (exit 1)."""
+    cfg = write_config(tmp_path, channels={"n0": {"name": "bernoulliReplacer", "params": {"q": float("nan")}},
+                                           "n1": {"name": "bernoulliReplacer", "params": {"q": 0.8}}})
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "divergence"])
+    assert res.exit_code == 2, res.output
+    assert "config error: invalid channel 'bernoulliReplacer': InvalidStateError" in res.output
+    assert not out.exists()
+
+
 def test_config_errors_exit_2(tmp_path, runner):
     out = tmp_path / "run"
     res = runner.invoke(main, ["--config", str(tmp_path / "nope.json"), "--out", str(out), "validate"])

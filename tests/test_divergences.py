@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chandisc import divergences, optimize
+from chandisc import divergences, optimize, quantum
 from chandisc.divergences import (
     ConvergenceWarning,
     DivergenceValue,
@@ -158,6 +158,18 @@ def test_sandwiched_renyi_rejects_alpha_below_one():
         sandwiched_renyi_states(r, r, 1.0)
 
 
+def test_a_nan_order_raises_invalid_alpha():
+    """A NaN order is not above 1: the state and channel Renyi values raise
+    InvalidAlphaError, at l = 1 and 2.  Their checks read alpha <= 1,
+    which NaN passes, and the value died in a LinAlgError."""
+    r = diag(0.5, 0.5)
+    with pytest.raises(InvalidAlphaError):
+        sandwiched_renyi_states(r, r, math.nan)
+    for l in (1, 2):
+        with pytest.raises(InvalidAlphaError):
+            channel_divergence(depolarizing_channel(0.3), depolarizing_channel(0.7), kind="renyi", alpha=math.nan, l=l)
+
+
 def test_renyi_classical_oracle():
     # diagonal states: D̃_α reduces to the classical Rényi divergence
     p = np.array([0.3, 0.7])
@@ -272,6 +284,68 @@ def test_channel_max_divergence_exact_on_choi():
     direct = max_div_states(n0.choi_state(), n1.choi_state()).value
     assert dv.value == direct
     assert not dv.is_lower_bound
+
+
+def test_max_values_run_through_the_one_bracket(caplog):
+    """The max kind is the bracket every kind runs, closed by construction:
+    its value is its upper end bit for bit, labelled exact, with the unit
+    maximally entangled input of a closed direction as witness, and each
+    finite direction logs the closed bracket's DEBUG record.  An infinite
+    direction has no witness.  The max kind had its own branch, whose
+    witness was the unnormalized maximally entangled vector."""
+    n0, n1 = identity_channel(2), depolarizing_channel(0.5)
+    for l in (1, 2):
+        with caplog.at_level(logging.DEBUG, logger="chandisc.optimize"):
+            finite, infinite = channel_divergence_pair(n0, n1, kind="max", l=l)
+        closed = [r for r in caplog.records if r.getMessage().startswith("input search skipped, bracket closed")]
+        caplog.clear()
+        assert len(closed) == 1, l
+        assert finite.is_finite and finite.value == finite.upper and not finite.is_lower_bound, (l, finite)
+        assert np.array_equal(finite.witness.input_vector, quantum._max_entangled_input(2**l))
+        assert finite.witness.povm is None
+        assert math.isinf(infinite.value) and infinite.witness is None and not infinite.is_lower_bound
+
+
+@pytest.mark.parametrize("kind, alpha", [("relative", None), ("measured", None), ("renyi", 1.5), ("max", None)])
+def test_brackets_read_the_cached_choi_states(monkeypatch, kind, alpha):
+    """The lower end of every bracket is the value on the very Choi states
+    the channels cache, at l = 1 and on the cached tensor powers at
+    l = 2: the bracket builds no state pair of its own.  It used to build
+    a second pair at the maximally entangled input on every call."""
+    seen = []
+    real = divergences._state_value
+
+    def spy(kind, alpha, s0, s1):
+        seen.append((s0, s1))
+        return real(kind, alpha, s0, s1)
+
+    monkeypatch.setattr(divergences, "_state_value", spy)
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    for l in (1, 2):
+        seen.clear()
+        dvs = channel_divergence_pair(n0, n1, kind=kind, alpha=alpha, cfg=CFG, l=l)
+        b0, b1 = tensor_power_channel(n0, l), tensor_power_channel(n1, l)
+        for dv in dvs:
+            assert np.array_equal(dv.witness.input_vector, quantum._max_entangled_input(2**l))
+        if kind == "max":
+            assert seen == []
+            continue
+        assert len(seen) == 2, (kind, l)
+        assert seen[0][0] is b0.choi_state() and seen[0][1] is b1.choi_state()
+        assert seen[1][0] is b1.choi_state() and seen[1][1] is b0.choi_state()
+
+
+def test_an_extra_start_stands_for_its_unit_vector():
+    """A measured search reads an extra start of any finite nonzero norm as
+    its unit vector: its outputs are states, so its warm start is that of
+    the unit start.  A start of norm 3 is the unit start scaled."""
+    rng = np.random.default_rng(11)
+    n0, n1 = random_channel(2, 2, 4, rng), random_channel(2, 2, 4, rng)
+    start = np.array([1.0, 0.3, 0.2j, 0.5])
+    unit = start / np.linalg.norm(start)
+    values = [channel_divergence(n0, n1, kind="measured", cfg=replace(CFG, extra_starts=[v])).value
+              for v in (unit, 3.0 * unit)]
+    assert values[1] == pytest.approx(values[0], rel=1e-12)
 
 
 def test_channel_divergence_infinite_pair():
@@ -579,12 +653,12 @@ def test_open_searches_stop_at_the_rounding_floor(caplog):
 # on the pair of test_open_searches_stop_at_the_rounding_floor, whose
 # brackets stay open: every value below comes from an input search.
 SEARCHED_BITS = {
-    ("relative", None): [("0x1.f9d32f3721400p-1", "0x1.8347ae75832dbp+0"),
-                         ("0x1.ae806783a5e5ap-1", "0x1.46b4e1b6d1dfap+0")],
-    ("measured", None): [("0x1.c7544f0a712d3p-1", "0x1.8347ae75832dbp+0"),
-                         ("0x1.876c03f17e8e6p-1", "0x1.46b4e1b6d1dfap+0")],
-    ("renyi", 1.5): [("0x1.8b02e5d4b28f8p+0", "0x1.081bd2945eaa1p+1"),
-                     ("0x1.2ee93d848cad5p+0", "0x1.9a9a65f2f3edap+0")],
+    ("relative", None): [("0x1.f9d32f3721400p-1", "0x1.8347ae75832e2p+0"),
+                         ("0x1.ae806783a5e5ap-1", "0x1.46b4e1b6d1e01p+0")],
+    ("measured", None): [("0x1.c7544f0a712d3p-1", "0x1.8347ae75832e2p+0"),
+                         ("0x1.876c03f17e8e6p-1", "0x1.46b4e1b6d1e01p+0")],
+    ("renyi", 1.5): [("0x1.8b02e5d4b28f8p+0", "0x1.081bd2945eaaep+1"),
+                     ("0x1.2ee93d848cad5p+0", "0x1.9a9a65f2f3eecp+0")],
     "block l=2 relative, per use": [("0x1.fafc8541803e6p-1", "0x1.8347ae7583319p+0"),
                                     ("0x1.aee9062f9d3c9p-1", "0x1.46b4e1b6d1e08p+0")],
 }
@@ -1193,10 +1267,10 @@ def test_certified_values_take_no_decomposition_the_code_already_holds(eig_calls
     """The state-level relative entropy reads both states' stored spectra
     and takes no eigendecomposition, and the sandwiched Renyi divergence
     takes one, its sandwich's.  The measured pair dep(0.3)/dep(0.7), whose
-    brackets close, takes at most 9 on fresh channels (2 of them their Choi
-    states) and 7 once the Choi states are cached, at l = 1 and at l = 2:
-    its witness reads the log-ratio start's eigenbasis, which is also its
-    omega's."""
+    brackets close, takes at most 7 on fresh channels (2 of them their Choi
+    states) and 5 once the Choi states are cached, at l = 1 and at l = 2:
+    its bracket reads the cached Choi states, and its witness the log-ratio
+    start's eigenbasis, which is also its omega's."""
     rng = np.random.default_rng(5)
     rho0, rho1 = random_density_matrix(3, rng), random_density_matrix(3, rng)
     eig_calls.clear()
@@ -1206,7 +1280,7 @@ def test_certified_values_take_no_decomposition_the_code_already_holds(eig_calls
     assert eig_calls == ["eigh"]
     for l in (1, 2):
         n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
-        for most in (9, 7):
+        for most in (7, 5):
             eig_calls.clear()
             for dv in channel_divergence_pair(n0, n1, kind="measured", cfg=CFG, l=l):
                 assert abs(dv.upper - dv.value) <= 1e-12, (l, dv)

@@ -41,6 +41,28 @@ def test_density_matrix_validation():
     assert s.dim == 2
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_entries_fail_validation(entry):
+    """A state, a channel or a POVM with a NaN or infinite entry raises
+    InvalidStateError, and so does a Bernoulli replacer of NaN weight.
+    Every check read x > tol, which NaN passes, so all-NaN matrices were
+    accepted, and a state's Hermiticity tolerance scales with its norm, so
+    [[0.5, inf], [0, 0.5]] passed too."""
+    bad = np.full((2, 2), entry)
+    for mat in (bad, [[0.5, entry], [0.0, 0.5]]):
+        with pytest.raises(InvalidStateError):
+            DensityMatrix(mat)
+    for kraus in ([bad], [np.array([[1.0, entry], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])]):
+        with pytest.raises(InvalidStateError):
+            QuantumChannel(kraus)
+    for effects in ([bad], [np.array([[1.0, entry], [0.0, 0.0]]), np.diag([0.0, 1.0])]):
+        with pytest.raises(InvalidStateError):
+            Povm(effects)
+    with pytest.raises(InvalidStateError):
+        bernoulli_replacer(entry)
+
+
 @given(
     dim=st.integers(1, 16),
     rank_cut=st.integers(0, 15),

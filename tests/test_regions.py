@@ -343,6 +343,20 @@ def test_converse_rejects_bad_alpha(monkeypatch):
     assert calls == []
 
 
+def test_a_nan_order_in_the_grid_raises(monkeypatch):
+    """A NaN order is not above 1: the converse and the chain name a grid
+    holding one and raise ValueError before any block pair call.  The check
+    read a <= 1, which NaN passes."""
+    calls = []
+    _route_pair_calls(monkeypatch, lambda *args, **kwargs: calls.append(args))
+    for grid in ([math.nan], [1.5, math.nan]):
+        with pytest.raises(ValueError, match=rf"alpha grid \[{', '.join(map(str, grid))}\]"):
+            converse_region(depolarizing_channel(0.5), depolarizing_channel(0.5), grid, l=1, cfg=CFG)
+        with pytest.raises(ValueError, match=r"alpha grid \["):
+            region_chain(depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=CFG, alpha_grid=grid, samples=8)
+    assert calls == []
+
+
 def test_converse_evaluates_the_smallest_order_of_the_grid():
     """On a shuffled grid the converse equals the per-use values at its
     smallest order bit for bit, and the grid is recorded whole.  The
@@ -512,14 +526,15 @@ def test_region_chain_builds_each_tensor_power_once(monkeypatch):
 def test_region_chain_takes_no_decomposition_the_code_already_holds(eig_calls):
     """The chain of the block_regions benchmark's config on dep(0.3)/dep(0.7),
     run again once its channels cache their powers and Choi states, takes at
-    most 20 eigh and 6 eigvalsh: every measured witness reads the
-    eigenbasis the certifier's log-ratio start already decomposed."""
+    most 14 eigh and 6 eigvalsh: every bracket reads the cached Choi states,
+    and every measured witness the eigenbasis the certifier's log-ratio
+    start already decomposed."""
     n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
     cfg = OptimizerConfig(restarts=4, max_iters=100)
     for _ in range(2):
         eig_calls.clear()
         region_chain(n0, n1, cfg=cfg, l_max=2, alpha_grid=(1.1, 1.5), samples=256, slack=1e-3)
-    assert eig_calls.count("eigh") <= 20 and eig_calls.count("eigvalsh") <= 6, eig_calls
+    assert eig_calls.count("eigh") <= 14 and eig_calls.count("eigvalsh") <= 6, eig_calls
 
 
 def test_region_chain_rates_each_witness_arm_once(monkeypatch):

@@ -14,6 +14,10 @@ strings and region metadata as one JSON object.  The corpus:
   0.2/0.8 and amplitude damping 0.2/0.6: each value, its upper end, its
   notes, and its witness as the Schmidt spectrum of the input and the
   number of outcomes of the POVM;
+- the measured pair at l = 1 and 2 on the 8th of eight random_channel(2, 2, 3)
+  / random_channel(2, 2, 4) pairs from seed 7, whose l = 2 search is
+  start-bound: l = 2 starts from the finite l = 1 witness with restarts=1,
+  as region_chain's block stage does;
 - measured_rel_entropy_states on six random state pairs: the value, the
   upper end and the two cross-checked estimators;
 - region_chain on dep(0.3)/(0.7) at the block_regions benchmark's config
@@ -55,6 +59,7 @@ import re  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import warnings  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
@@ -148,18 +153,31 @@ def corpus() -> list[str]:
         "bernoulli": (q.bernoulli_replacer(0.2), q.bernoulli_replacer(0.8)),
         "amplitude-damping": (q.amplitude_damping_channel(0.2), q.amplitude_damping_channel(0.6)),
     }
+
+    def put_pair(name, kind, l, values, d_r):
+        for direction, dv in zip(("01", "10"), values):
+            at = f"divergence {name} {kind} l={l} {direction}"
+            put(f"{at} value upper", dv.value, dv.upper)
+            put(f"{at} notes", dv.warnings)
+            if dv.witness is not None:
+                effects = [] if dv.witness.povm is None else [len(dv.witness.povm.effects)]
+                put(f"{at} witness schmidt effects", schmidt(dv.witness.input_vector, d_r), effects)
+
     for name, (n0, n1) in pairs.items():
         for kind, alpha in (("relative", None), ("measured", None), ("renyi", 1.5), ("max", None)):
             for l in (1, 2):
-                values = channel_divergence_pair(n0, n1, kind, alpha, cfg, l)
-                for direction, dv in zip(("01", "10"), values):
-                    at = f"divergence {name} {kind} l={l} {direction}"
-                    put(f"{at} value upper", dv.value, dv.upper)
-                    put(f"{at} notes", dv.warnings)
-                    if dv.witness is not None:
-                        effects = [] if dv.witness.povm is None else [len(dv.witness.povm.effects)]
-                        put(f"{at} witness schmidt effects", schmidt(dv.witness.input_vector, n0.in_dim**l),
-                            effects)
+                put_pair(name, kind, l, channel_divergence_pair(n0, n1, kind, alpha, cfg, l), n0.in_dim**l)
+
+    rng = np.random.default_rng(7)
+    n0, n1 = [(q.random_channel(2, 2, 3, rng), q.random_channel(2, 2, 4, rng)) for _ in range(8)][-1]
+    one = channel_divergence_pair(n0, n1, "measured", None, cfg, 1)
+    put_pair("start-bound", "measured", 1, one, n0.in_dim)
+    block_cfg = replace(cfg, extra_starts=[dv.witness.input_vector for dv in one if dv.is_finite], restarts=1)
+    with warnings.catch_warnings():
+        # its estimators disagree, which the notes line records
+        warnings.simplefilter("ignore")
+        two = channel_divergence_pair(n0, n1, "measured", None, block_cfg, 2)
+    put_pair("start-bound", "measured", 2, two, n0.in_dim**2)
 
     rng = np.random.default_rng(3)
     for i, d in enumerate((2, 2, 3, 3, 4, 4)):
