@@ -6,8 +6,10 @@ directory: a config snapshot, a manifest (version, seed, optional
 timestamp), and the result files described in docs/formats.md.  With a fixed
 seed and --no-timestamp the emitted files are byte-identical across runs.
 
-Exit codes: 0 success, 2 configuration error (an invalid channel spec or a
-pair with mismatched dimensions included), 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (an invalid channel spec, a
+pair with mismatched dimensions, or a setting the library would reject,
+such as a Renyi order outside (1, inf) or a NaN slack, included; each is
+caught before the run directory exists), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import jsonschema
 import numpy as np
 
 from . import __version__, serialize
-from .divergences import channel_divergence, channel_divergence_pair
-from .errors import ChandiscError, ConfigError, ExcessiveCensoringError, InfiniteDivergenceError
+from .divergences import _check_alpha, channel_divergence, channel_divergence_pair
+from .errors import ChandiscError, ConfigError, ExcessiveCensoringError, InfiniteDivergenceError, InvalidAlphaError
 from .optimize import OptimizerConfig
 from .quantum import (
     DensityMatrix,
@@ -37,7 +39,7 @@ from .quantum import (
     identity_channel,
     replacer_channel,
 )
-from .regions import region_chain
+from .regions import _check_alpha_grid, _check_slack, region_chain
 from .sim import SimulationPlan, check_constraint, run_trials, sweep_budgets
 from .strategies import build_non_adaptive, build_sprt, check_budgets
 
@@ -194,20 +196,21 @@ def main(ctx, config_path, seed, out, log_base, no_timestamp):
     ctx.obj["no_timestamp"] = no_timestamp
 
 
-def _run_command(ctx, command: str, fn, budgets=None) -> None:
-    """Run fn(cfg, pair, run directory).  budgets(cfg), when given, are the
-    budgets the command runs: they must hold check_budgets' rule at the
-    run's block size."""
+def _run_command(ctx, command: str, fn, check=None) -> None:
+    """Run fn(cfg, pair, run directory).  check(cfg), when given, holds the
+    command's own settings to the rules the library holds them to, and
+    raises ValueError or InvalidAlphaError on one it would reject."""
     try:
         cfg = load_config(ctx.obj["config_path"], ctx.obj["overrides"])
-        # channels, the optimizer config and the budgets are checked before
-        # the run directory exists, so a rejected config leaves nothing behind
+        # channels, the optimizer config and the command's settings are
+        # checked before the run directory exists, so a rejected config
+        # leaves nothing behind
         pair = build_pair(cfg)
         optimizer_config(cfg)
-        if budgets is not None:
+        if check is not None:
             try:
-                check_budgets(budgets(cfg), _budget(cfg)[1])
-            except ValueError as exc:
+                check(cfg)
+            except (ValueError, InvalidAlphaError) as exc:
                 raise ConfigError(f"{command} {exc}") from exc
         fn(cfg, pair, start_run(cfg, command, ctx.obj["no_timestamp"]))
     except ConfigError as exc:
@@ -233,9 +236,7 @@ def divergence(ctx):
 
     def run(cfg, pair, out):
         n0, n1 = pair
-        opts = cfg.get("divergence", {})
-        kinds = opts.get("kinds", ["relative", "measured", "max"])
-        alphas = opts.get("alpha", [2.0])
+        kinds, alphas = _kinds_and_orders(cfg)
         unit = "bits" if cfg["log_base"] == "2" else "nats"
         ocfg = optimizer_config(cfg)
         rows = []
@@ -263,7 +264,19 @@ def divergence(ctx):
                 click.echo(f"{label}: {shown} {unit}{flag}")
         (out / "divergences.json").write_text(serialize.dumps({"rows": rows}))
 
-    _run_command(ctx, "divergence", run)
+    def check(cfg):
+        kinds, alphas = _kinds_and_orders(cfg)
+        for alpha in alphas if "renyi" in kinds else []:
+            _check_alpha(alpha)
+
+    _run_command(ctx, "divergence", run, check)
+
+
+def _kinds_and_orders(cfg) -> tuple[list[str], list[float]]:
+    """divergence.kinds (default relative, measured and max) and
+    divergence.alpha, the orders of the renyi kind (default [2.0])."""
+    opts = cfg.get("divergence", {})
+    return opts.get("kinds", ["relative", "measured", "max"]), opts.get("alpha", [2.0])
 
 
 def _budget(cfg) -> tuple[int, int]:
@@ -322,7 +335,7 @@ def simulate(ctx):
             f"constraint {status} ({report.detail})"
         )
 
-    _run_command(ctx, "simulate", run, lambda cfg: _budget(cfg)[:1])
+    _run_command(ctx, "simulate", run, lambda cfg: check_budgets(_budget(cfg)[:1], _budget(cfg)[1]))
 
 
 @main.command()
@@ -352,7 +365,8 @@ def sweep(ctx):
                 f"constraint_passed={rec.report.passed}"
             )
 
-    _run_command(ctx, "sweep", run, lambda cfg: cfg.get("sweep", {}).get("budgets", _SWEEP_BUDGETS))
+    _run_command(ctx, "sweep", run,
+                 lambda cfg: check_budgets(cfg.get("sweep", {}).get("budgets", _SWEEP_BUDGETS), _budget(cfg)[1]))
 
 
 @main.command()
@@ -391,7 +405,14 @@ def regions(ctx):
         for name, region in named:
             click.echo(f"{name}: {len(region.frontier)} frontier vertices")
 
-    _run_command(ctx, "regions", run)
+    def check(cfg):
+        opts = cfg.get("regions", {})
+        if "alpha_grid" in opts:
+            _check_alpha_grid(opts["alpha_grid"])
+        if "slack" in opts:
+            _check_slack(opts["slack"])
+
+    _run_command(ctx, "regions", run, check)
 
 
 @main.command()

@@ -1,14 +1,14 @@
 """Divergences between states and channels.
 
 State level: quantum relative entropy, max-divergence, sandwiched Renyi
-divergence (alpha > 1) and the measured relative entropy (the variational
-program, cross-checked against its witness PVM).  The relative and Renyi
-values have one formula each (_relative_terms, _renyi_terms), which maps a
-stack of state pairs to the values with their matrix gradients: the input
-search ascends it on a batch of inputs and the state-level functions
-certify with it on a batch of one, from the stored spectra of their
-DensityMatrix arguments.  Channel level: ancilla-assisted input
-optimization over pure bipartite states by lockstep L-BFGS on analytic
+divergence (1 < alpha < inf) and the measured relative entropy (the
+variational program, cross-checked against its witness PVM).  The relative
+and Renyi values have one formula each (_relative_terms, _renyi_terms),
+which maps a stack of state pairs to the values with their matrix
+gradients: the input search ascends it on a batch of inputs and the
+state-level functions certify with it on a batch of one, from the stored
+spectra of their DensityMatrix arguments.  Channel level: ancilla-assisted
+input optimization over pure bipartite states by lockstep L-BFGS on analytic
 gradients, each round of the search one batched objective call
 (outputs sigma_i = sum_k A_k psi psi^dag A_k^dag with the stack
 A_k = I_R (x) K_k that quantum applies every channel with, matrix
@@ -101,17 +101,26 @@ the same cached Choi states: they are the outputs of that input, the unit
 vector of quantum._max_entangled_input, so both ends of every bracket sit
 on one state pair and the bracket decomposes no state of its own.  The max
 kind's value there is its upper end, so its bracket closes by construction,
-and it runs through the same bracket as every other kind.  When the two
-ends meet within ROUNDING_TOL max(1, upper) (the measured kind runs its
-certifier only once the relative value there meets it), that input is the
-winner and the direction skips the input search; on the covariant zoo
-(depolarizing, dephasing, replacers) every bracket closes.  Directions
-whose bracket stays open run the search unchanged, and a searched value
-above the upper end beyond that tolerance gets a note.  A searched
-direction whose witness outputs the state-level support rule reads as
-unsupported, though the Choi states pass it, raises OptimizerFailure:
-there the measured search's objective is unbounded, and its value would
-be no bound.
+and it runs through the same bracket as every other kind.  Each of these
+closed forms (the sandwich's eigendecomposition, the upper ends D_BS, the
+geometric Renyi divergence at each order and D_max, and the relative and
+Renyi values at the Choi pair) is computed once per ordered pair of channel
+objects and held on the numerator channel, keyed by its partner
+(_on_choi_pair): the relative and measured kinds share theirs, every Renyi
+order reads one sandwich decomposition, and a block pair holds its own on
+the cached tensor powers.  Nothing that depends on cfg or a search is
+held: searched values, the measured certifier's program and witness.
+
+When the two ends meet within ROUNDING_TOL max(1, upper) (the measured
+kind runs its certifier only once the relative value there meets it), that
+input is the winner and the direction skips the input search; on the
+covariant zoo (depolarizing, dephasing, replacers) every bracket closes.
+Directions whose bracket stays open run the search unchanged, and a
+searched value above the upper end beyond that tolerance gets a note.  A
+searched direction whose witness outputs the state-level support rule
+reads as unsupported, though the Choi states pass it, raises
+OptimizerFailure: there the measured search's objective is unbounded, and
+its value would be no bound.
 """
 
 from __future__ import annotations
@@ -119,6 +128,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -330,14 +340,21 @@ def max_div_states(rho0: DensityMatrix, rho1: DensityMatrix) -> DivergenceValue:
         float(_max_divs(rho0.mat[None], [a[None] for a in rho1.spectrum])[0]))
 
 
+def _check_alpha(alpha) -> None:
+    """Raise InvalidAlphaError unless 1 < alpha < inf, the orders of the
+    sandwiched Renyi divergence this module evaluates (None and NaN are
+    not)."""
+    if alpha is None or not 1.0 < alpha < math.inf:
+        raise InvalidAlphaError(f"a Renyi order must lie in (1, inf), got {alpha}")
+
+
 def sandwiched_renyi_states(
     rho0: DensityMatrix, rho1: DensityMatrix, alpha: float
 ) -> DivergenceValue:
-    """Sandwiched Renyi divergence, alpha > 1:
+    """Sandwiched Renyi divergence, 1 < alpha < inf:
     (1/(alpha-1)) log Tr[(rho1^{(1-a)/2a} rho0 rho1^{(1-a)/2a})^a];
     _state_value's, floored at 0 as rel_entropy_states is."""
-    if not alpha > 1.0:
-        raise InvalidAlphaError(f"alpha must exceed 1, got {alpha}")
+    _check_alpha(alpha)
     return DivergenceValue(max(_state_value("renyi", alpha, rho0, rho1), 0.0))
 
 
@@ -572,16 +589,53 @@ def _drop_schmidt_residue(psi: np.ndarray, d_in: int) -> np.ndarray:
     return ((u * (s / np.linalg.norm(s))) @ vh).reshape(-1)
 
 
+def _on_choi_pair(a: QuantumChannel, b: QuantumChannel, key, compute):
+    """The closed form named key of the Choi pair (a, b): compute() on the
+    first call, then the value held on a under b (QuantumChannel._pairs).
+    compute must read the two cached Choi states alone, so every later call
+    gets the same bits a fresh pair of channels would.  a holds b weakly,
+    and b's entries go with b: a long-lived channel keeps no partner alive,
+    and two channels that hold each other form no reference cycle."""
+    held = a._pairs.get(id(b))
+    if held is None or held[0]() is not b:
+        held = a._pairs[id(b)] = (weakref.ref(b, _forget(a, id(b))), {})
+    entries = held[1]
+    if key not in entries:
+        entries[key] = compute()
+    return entries[key]
+
+
+def _forget(a: QuantumChannel, key: int):
+    """The callback of a's weak reference to the partner under key: once
+    the partner goes, drop its entries from a, if a is still there.  It
+    holds a weakly too, so the entry makes no reference cycle."""
+    owner = weakref.ref(a)
+
+    def drop(_):
+        held = owner()
+        if held is not None:
+            held._pairs.pop(key, None)
+
+    return drop
+
+
 def _geometric_trace(a, b, g) -> float:
     """d lambda_max(Tr_B[(C1^{1/2} U) g(w) (C1^{1/2} U)^dag]) with
     eigh(X) = (w, U) for _sandwich's X = C1^{-1/2} C0 C1^{-1/2} of the
     unit-trace Choi states C0, C1 of channels a, b with input dimension d:
     the channel value of the geometric divergence of the operator function g
     (g(0) = 0), maximized over inputs in closed form (Fang & Fawzi,
-    arXiv:1909.05758)."""
-    x, root = _sandwich(a.choi_state().mat, b.choi_state().spectrum)
-    xw, xu = np.linalg.eigh(x)
-    r = root @ xu
+    arXiv:1909.05758).  The pair (w, C1^{1/2} U) is decomposed once per
+    Choi pair, held read-only under "sandwich", and read by every g."""
+
+    def decompose():
+        x, root = _sandwich(a.choi_state().mat, b.choi_state().spectrum)
+        xw, xu = np.linalg.eigh(x)
+        r = root @ xu
+        xw.flags.writeable = r.flags.writeable = False
+        return xw, r
+
+    xw, r = _on_choi_pair(a, b, "sandwich", decompose)
     d, n = a.in_dim, a.out_dim
     marginal = np.trace(((r * g(np.maximum(xw, 0.0))) @ r.conj().T).reshape(d, n, d, n), axis1=1, axis2=3)
     return d * float(np.linalg.eigvalsh(marginal)[-1])
@@ -592,12 +646,18 @@ def _channel_upper(a: QuantumChannel, b: QuantumChannel, kind: str, alpha: float
     pair with supp J_a in supp J_b: the Belavkin-Staszewski channel
     divergence for D_M <= D <= D_BS, the geometric Renyi one for alpha in
     (1, 2], which dominates the sandwiched divergence, and the Choi D_max
-    above that and for the max kind, whose value it is."""
+    above that and for the max kind, whose value it is.  Each is computed
+    once per Choi pair (_on_choi_pair), under "bs" for the relative and
+    measured kinds, ("geo", alpha) and "max"; D_max takes its own eigvalsh
+    of the sandwich, not the held eigh, whose values can differ in the
+    last bit."""
     if kind in ("relative", "measured"):
-        return _geometric_trace(a, b, lambda x: x * np.log(np.where(x > 0.0, x, 1.0)))
+        return _on_choi_pair(a, b, "bs",
+                             lambda: _geometric_trace(a, b, lambda x: x * np.log(np.where(x > 0.0, x, 1.0))))
     if kind == "max" or alpha > 2.0:
-        return max_div_states(a.choi_state(), b.choi_state()).value
-    return math.log(max(_geometric_trace(a, b, lambda x: x**alpha), 1e-300)) / (alpha - 1.0)
+        return _on_choi_pair(a, b, "max", lambda: max_div_states(a.choi_state(), b.choi_state()).value)
+    return _on_choi_pair(a, b, ("geo", alpha),
+                         lambda: math.log(max(_geometric_trace(a, b, lambda x: x**alpha), 1e-300)) / (alpha - 1.0))
 
 
 def _closes(lower: float, upper: float, notes: list[str], at: str = "the maximally entangled input") -> bool:
@@ -694,8 +754,8 @@ def channel_divergence(
     This is the one-direction case of channel_divergence_pair.
 
     Every argument is checked first, by the same rule at every l, before
-    any tensor power is built or any start is lifted: an unknown kind raises ValueError, a renyi alpha that
-    is not above 1 InvalidAlphaError, and a pair of mismatched dimensions
+    any tensor power is built or any start is lifted: an unknown kind raises ValueError, a renyi alpha
+    outside (1, inf) InvalidAlphaError, and a pair of mismatched dimensions
     DimensionMismatchError.  So does an extra start whose shape is neither
     (d^2,), a vector on R (x) A, nor at l > 1 (d^{2l},), a vector on the
     block system; one without a finite nonzero norm raises ValueError,
@@ -741,14 +801,17 @@ def channel_divergence_pair(
 def _channel_divergences(n0, n1, kind, alpha, cfg, l: int, pair: bool) -> list[DivergenceValue]:
     """[D(N0||N1)], or with pair [D(N0||N1), D(N1||N0)], each with its
     upper end, per use at block size l.  Every kind brackets each direction
-    on the cached Choi pair; the directions whose bracket stays open there
+    on the cached Choi pair, with both ends held on the direction's
+    numerator channel after their first call (_on_choi_pair): a later call
+    on the same channel objects, of any kind that shares them, reads them
+    without a decomposition.  The directions whose bracket stays open there
     share one lockstep search, and a searched value above its upper end
     beyond ROUNDING_TOL max(1, upper) gets a note."""
     cfg = cfg or OptimizerConfig()
     if kind not in KINDS:
         raise ValueError(f"unknown divergence kind {kind!r}")
-    if kind == "renyi" and (alpha is None or not alpha > 1.0):
-        raise InvalidAlphaError(f"renyi kind needs alpha > 1, got {alpha}")
+    if kind == "renyi":
+        _check_alpha(alpha)
     if (n0.in_dim, n0.out_dim) != (n1.in_dim, n1.out_dim):
         raise DimensionMismatchError("channel pair has mismatched dimensions")
     d = n0.in_dim
@@ -777,11 +840,15 @@ def _channel_divergences(n0, n1, kind, alpha, cfg, l: int, pair: bool) -> list[D
     # the maximally entangled unit input: the upper end, and as the lower end
     # the value there as the certification below reads it.  The max kind's
     # value there is its upper end, so its bracket closes by construction.
+    # The lower ends are held per Choi pair as the upper ends are: the
+    # measured kind's is the relative value there, under the same name.
+    key = ("renyi", alpha) if kind == "renyi" else "relative"
     psis, states, values, upper, notes, measured = {}, {}, {}, {}, {}, {}
     for i in live:
         psis[i], states[i], notes[i] = _max_entangled_input(d), tuple(ch.choi_state() for ch in directions[i]), []
         upper[i] = _channel_upper(*directions[i], kind, alpha)
-        values[i] = upper[i] if kind == "max" else _state_value(kind, alpha, *states[i])
+        values[i] = upper[i] if kind == "max" else _on_choi_pair(
+            *directions[i], key, lambda: _state_value(kind, alpha, *states[i]))
     closed = [i for i in live if _closes(values[i], upper[i], notes[i])]
     if kind == "measured" and closed:
         # D_M <= D: only a closed relative bracket can close the measured one,

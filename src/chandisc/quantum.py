@@ -10,9 +10,12 @@ J = (id (x) N)(|w><w|) with |w> = w / |w| for w = max_entangled_vector(d),
 so J is itself a density matrix.  _max_entangled_input is that unit vector,
 the one input at which the library reads a channel's closed forms: the Choi
 states, and with them every divergence bracket's lower end and the witness
-of a direction whose bracket closes.  _basis_laws gives the outcome laws of
-every rank-one PVM.  A POVM whose effects are projectors is proved positive
-by its idempotence residual, so its validation takes no eigendecomposition.
+of a direction whose bracket closes.  Each channel also keeps, per partner
+channel, the closed forms the divergences module reads on their Choi pair
+(QuantumChannel._pairs), so each is computed once.  _basis_laws gives the
+outcome laws of every rank-one PVM.  A POVM whose effects are projectors is
+proved positive by its idempotence residual, so its validation takes no
+eigendecomposition.
 Every constructor check is written so that a NaN fails it, and a state, a
 channel or a POVM with a non-finite entry is rejected.
 """
@@ -20,6 +23,7 @@ channel or a POVM with a non-finite entry is rejected.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +98,12 @@ def max_entangled_state(d: int) -> DensityMatrix:
 class QuantumChannel:
     """CPTP map held as a Kraus list; its Choi state, the tensor powers
     that tensor_power_channel builds and the lifted Kraus stacks of
-    _lifted_kraus, cached lazily."""
+    _lifted_kraus, cached lazily.  _pairs holds the closed forms that the
+    divergences module computes on the Choi pair (this channel, partner):
+    it maps id(partner) to (a weak reference to partner, entries), and
+    entries maps a name to a value of the two Choi states alone.  An entry
+    lives as long as its partner does.  It takes no part in ==, so two
+    channels that cache each other still compare."""
 
     kraus: list[np.ndarray]
     label: str | None = None
@@ -103,6 +112,8 @@ class QuantumChannel:
     _choi_state: DensityMatrix | None = field(init=False, default=None, repr=False)
     _powers: dict[int, QuantumChannel] = field(init=False, default_factory=dict, repr=False)
     _lifted: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False, compare=False)
+    _pairs: dict[int, tuple[weakref.ref, dict]] = field(init=False, default_factory=dict, repr=False,
+                                                        compare=False)
 
     def __post_init__(self):
         self.kraus = [np.asarray(k, dtype=complex) for k in self.kraus]

@@ -79,7 +79,9 @@ class ContainmentReport:
 
 
 def containment(a: ExponentRegion, b: ExponentRegion, slack: float = 0.0) -> ContainmentReport:
-    """True iff every frontier vertex of a lies in b within slack."""
+    """True iff every frontier vertex of a lies in b within slack, a finite
+    slack >= 0 (_check_slack)."""
+    _check_slack(slack)
     violations = [v for v in a.frontier if not b.contains_point(v[0], v[1], slack)]
     return ContainmentReport(contained=not violations, slack=slack, violations=violations)
 
@@ -223,9 +225,16 @@ def converse_region(
 
 def _check_alpha_grid(alpha_grid) -> None:
     """Raise ValueError, naming the grid, unless it is a nonempty grid of
-    orders strictly above 1 (a NaN order is not)."""
-    if not alpha_grid or not all(a > 1.0 for a in alpha_grid):
-        raise ValueError(f"alpha grid {list(alpha_grid)} must be nonempty and lie strictly above 1")
+    orders in (1, inf) (a NaN order is not)."""
+    if not alpha_grid or not all(1.0 < a < math.inf for a in alpha_grid):
+        raise ValueError(f"alpha grid {list(alpha_grid)} must be nonempty and lie in (1, inf)")
+
+
+def _check_slack(slack) -> None:
+    """Raise ValueError unless 0 <= slack < inf: a NaN slack would read
+    every vertex as outside, and a negative one would shrink the region."""
+    if not 0.0 <= slack < math.inf:
+        raise ValueError(f"slack {slack} must be finite and >= 0")
 
 
 @dataclass
@@ -263,10 +272,11 @@ def region_chain(
     corners of all smaller blocks, every one of which certifies it.  The converse estimate is floored by the largest
     adaptive corner.  It is evaluated at the grid's smallest order alone,
     since the sandwiched divergence is non-decreasing in alpha; the other
-    orders are recorded, not evaluated.  The grid is checked before any
-    stage runs.
+    orders are recorded, not evaluated.  The grid and the slack are checked
+    before any stage runs.
     """
     _check_alpha_grid(alpha_grid)
+    _check_slack(slack)
     cfg = cfg or OptimizerConfig()
     adaptive = {1: adaptive_region(n0, n1, 1, cfg)}
     witnesses = [w.input_vector for w in (adaptive[1].metadata[key] for key in ("witness_10", "witness_01"))

@@ -46,16 +46,18 @@ def assert_gradient_matches():
     return _assert_gradient_matches
 
 
-def _load_outputs_tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
-    spec = importlib.util.spec_from_file_location("outputs", path)
+def _load_tool(name: str):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
 
 
 # tools/outputs.py: the corpus generator, and the one definition of the golden rule
-OUTPUTS_TOOL = _load_outputs_tool()
+OUTPUTS_TOOL = _load_tool("outputs")
+# tools/eig_counts.py: the one definition of counting eigendecompositions
+EIG_COUNTS_TOOL = _load_tool("eig_counts")
 
 
 def _assert_matches_golden(text: str, golden: str, name: str) -> None:
@@ -164,20 +166,8 @@ def certifier_witnesses(monkeypatch):
 
 
 @pytest.fixture
-def eig_calls(monkeypatch):
+def eig_calls():
     """The name of every numpy.linalg.eigh and eigvalsh call from now on, in
     call order: the eigendecompositions a computation takes."""
-    seen = []
-
-    def counting(name):
-        real = getattr(np.linalg, name)
-
-        def call(*args, **kwargs):
-            seen.append(name)
-            return real(*args, **kwargs)
-
-        return call
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
-    return seen
+    with EIG_COUNTS_TOOL.eig_calls() as seen:
+        yield seen

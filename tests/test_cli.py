@@ -288,6 +288,47 @@ def test_non_finite_cross_check_tol_is_a_config_error(tmp_path, runner, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", ["NaN", "Infinity"])
+def test_a_bad_order_is_a_config_error(tmp_path, runner, order):
+    """The schema's exclusiveMinimum lets NaN and Infinity through; the
+    divergence command's renyi orders and the regions grid are held to the
+    library's rule before the run directory exists, and the command exits
+    2.  A NaN renyi order exited 3 after creating the run directory, and a
+    NaN grid order died in an uncaught ValueError (exit 1).  An order that
+    no requested kind reads is not checked."""
+    runs = (("divergence", {"divergence": {"kinds": ["renyi"], "alpha": [1.5, "ORDER"]}},
+             "config error: divergence a Renyi order must lie in (1, inf)"),
+            ("regions", {"regions": {"l_max": 1, "samples": 8, "alpha_grid": [1.5, "ORDER"]}},
+             "config error: regions alpha grid [1.5, "))
+    for command, section, error in runs:
+        cfg = write_config(tmp_path, **section)
+        cfg.write_text(cfg.read_text().replace('"ORDER"', order))
+        out = tmp_path / "run"
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", command])
+        assert res.exit_code == 2, (command, res.output)
+        assert error in res.output
+        assert not out.exists()
+    cfg = write_config(tmp_path, divergence={"kinds": ["max"], "alpha": ["ORDER"]})
+    cfg.write_text(cfg.read_text().replace('"ORDER"', order))
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path / "ok"), "--no-timestamp", "divergence"])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("slack", ["NaN", "Infinity"])
+def test_a_non_finite_slack_is_a_config_error(tmp_path, runner, slack):
+    """The schema's minimum lets NaN and Infinity through; region_chain's
+    slack rule rejects them before the run directory exists, and the
+    command exits 2.  A NaN slack exited 0 with every containment
+    violated."""
+    cfg = write_config(tmp_path, regions={"l_max": 1, "samples": 8, "slack": "SLACK"})
+    cfg.write_text(cfg.read_text().replace('"SLACK"', slack))
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "--no-timestamp", "regions"])
+    assert res.exit_code == 2, res.output
+    assert f"config error: regions slack {float(slack)} must be finite and >= 0" in res.output
+    assert not out.exists()
+
+
 def test_a_nan_channel_parameter_is_a_config_error(tmp_path, runner):
     """The schema lets a NaN Bernoulli weight through; the channel rejects
     it before the run directory exists, and the command exits 2.  It got

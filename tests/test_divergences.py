@@ -1,5 +1,8 @@
+import gc
 import logging
 import math
+import warnings
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -168,6 +171,18 @@ def test_a_nan_order_raises_invalid_alpha():
     for l in (1, 2):
         with pytest.raises(InvalidAlphaError):
             channel_divergence(depolarizing_channel(0.3), depolarizing_channel(0.7), kind="renyi", alpha=math.nan, l=l)
+
+
+def test_an_infinite_order_raises_invalid_alpha():
+    """An infinite order is outside (1, inf): the state and channel Renyi
+    values raise InvalidAlphaError, at l = 1 and 2.  The state value read
+    nan there, and the channel value died in a LinAlgError."""
+    r = diag(0.5, 0.5)
+    with pytest.raises(InvalidAlphaError):
+        sandwiched_renyi_states(r, r, math.inf)
+    for l in (1, 2):
+        with pytest.raises(InvalidAlphaError):
+            channel_divergence(depolarizing_channel(0.3), depolarizing_channel(0.7), kind="renyi", alpha=math.inf, l=l)
 
 
 def test_renyi_classical_oracle():
@@ -1268,9 +1283,10 @@ def test_certified_values_take_no_decomposition_the_code_already_holds(eig_calls
     and takes no eigendecomposition, and the sandwiched Renyi divergence
     takes one, its sandwich's.  The measured pair dep(0.3)/dep(0.7), whose
     brackets close, takes at most 7 on fresh channels (2 of them their Choi
-    states) and 5 once the Choi states are cached, at l = 1 and at l = 2:
-    its bracket reads the cached Choi states, and its witness the log-ratio
-    start's eigenbasis, which is also its omega's."""
+    states) and 1 on the same channels again, at l = 1 and at l = 2: its
+    bracket's ends are held on the channels after the first call, and its
+    witness is the log-ratio start's eigenbasis, which is also its
+    omega's, so only the certifier's program decomposes."""
     rng = np.random.default_rng(5)
     rho0, rho1 = random_density_matrix(3, rng), random_density_matrix(3, rng)
     eig_calls.clear()
@@ -1280,11 +1296,81 @@ def test_certified_values_take_no_decomposition_the_code_already_holds(eig_calls
     assert eig_calls == ["eigh"]
     for l in (1, 2):
         n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
-        for most in (7, 5):
+        for most in (7, 1):
             eig_calls.clear()
             for dv in channel_divergence_pair(n0, n1, kind="measured", cfg=CFG, l=l):
                 assert abs(dv.upper - dv.value) <= 1e-12, (l, dv)
             assert len(eig_calls) <= most, (l, eig_calls)
+
+
+def _assert_same_bits(a: DivergenceValue, b: DivergenceValue, what) -> None:
+    assert (a.value, a.upper, a.is_lower_bound, a.warnings) == (b.value, b.upper, b.is_lower_bound, b.warnings), what
+    assert (a.witness is None) == (b.witness is None), what
+    if a.witness is not None:
+        assert np.array_equal(a.witness.input_vector, b.witness.input_vector), what
+        assert (a.witness.povm is None) == (b.witness.povm is None), what
+        if a.witness.povm is not None:
+            assert np.array_equal(np.stack(a.witness.povm.effects), np.stack(b.witness.povm.effects)), what
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_warm_channels_give_the_bits_of_fresh_ones(outputs_tool, l):
+    """Every kind on the output corpus's pairs, run on the same channels in
+    reversed kind order (each kind after the first reads the closed forms
+    the kinds before it left on the channels) and then all again, equals
+    that kind on fresh channels bit for bit: value, upper end, labels,
+    notes and witness.  The orders cover every held entry: the sandwich
+    decomposition, D_BS, the geometric Renyi divergence, D_max (shared by
+    the max kind and alpha > 2) and the relative and Renyi values."""
+    kinds = (("relative", None), ("measured", None), ("renyi", 1.5), ("renyi", 2.5), ("max", None))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        fresh = {(name, kind, alpha): channel_divergence_pair(*outputs_tool.divergence_pairs()[name], kind, alpha,
+                                                              CFG, l)
+                 for name in outputs_tool.divergence_pairs() for kind, alpha in kinds}
+        for name, pair in outputs_tool.divergence_pairs().items():
+            for kind, alpha in kinds[::-1] + kinds:
+                for a, b in zip(channel_divergence_pair(*pair, kind, alpha, CFG, l), fresh[name, kind, alpha]):
+                    _assert_same_bits(a, b, (name, kind, alpha))
+
+
+def test_each_partner_gets_its_own_choi_pair_ends():
+    """One numerator channel against two partners, in turn: every kind's
+    value and upper end against each partner equal those on fresh
+    channels, so the closed forms held on the numerator are its partner's
+    own.  The two partners' ends all differ, so ends held without the
+    partner would hand one partner's to the other."""
+    n0, partners = depolarizing_channel(0.3), [depolarizing_channel(0.7), depolarizing_channel(0.9)]
+    for kind, alpha in (("relative", None), ("measured", None), ("renyi", 1.5), ("renyi", 2.5), ("max", None)):
+        ends = []
+        for p in (0.7, 0.9):
+            dv = channel_divergence(depolarizing_channel(0.3), depolarizing_channel(p), kind, alpha, CFG)
+            ends.append((dv.value, dv.upper))
+        assert ends[0][0] != ends[1][0] and ends[0][1] != ends[1][1], (kind, ends)
+        for _ in range(2):
+            for partner, want in zip(partners, ends):
+                dv = channel_divergence(n0, partner, kind, alpha, CFG)
+                assert (dv.value, dv.upper) == want, (kind, alpha, partner.label)
+
+
+def test_a_dropped_partner_is_freed_with_its_entries():
+    """A channel that outlives its partners keeps none of them: after a
+    pair call at l = 1 and 2, dropping the partner frees it by reference
+    counting alone (the cyclic collector is off), with its tensor power,
+    and leaves no entry on the survivor or on its tensor power."""
+    n0 = depolarizing_channel(0.3)
+    gc.disable()
+    try:
+        for kind, alpha in (("measured", None), ("renyi", 1.5), ("max", None)):
+            for l in (1, 2):
+                partner = depolarizing_channel(0.7)
+                channel_divergence_pair(n0, partner, kind, alpha, CFG, l)
+                gone = [weakref.ref(partner)] + [weakref.ref(ch) for ch in partner._powers.values()]
+                del partner
+                assert [ref() for ref in gone] == [None] * len(gone), (kind, l)
+                assert n0._pairs == {} and all(ch._pairs == {} for ch in n0._powers.values()), (kind, l)
+    finally:
+        gc.enable()
 
 
 def test_state_measured_values_carry_their_relative_entropy_as_upper_end():

@@ -357,6 +357,35 @@ def test_a_nan_order_in_the_grid_raises(monkeypatch):
     assert calls == []
 
 
+def test_an_infinite_order_in_the_grid_raises(monkeypatch):
+    """An infinite order is outside (1, inf): the converse and the chain
+    name a grid holding one and raise ValueError before any block pair
+    call.  The chain died in a LinAlgError in its converse stage."""
+    calls = []
+    _route_pair_calls(monkeypatch, lambda *args, **kwargs: calls.append(args))
+    for grid in ([math.inf], [1.5, math.inf]):
+        with pytest.raises(ValueError, match=rf"alpha grid \[{', '.join(map(str, grid))}\]"):
+            converse_region(depolarizing_channel(0.5), depolarizing_channel(0.5), grid, l=1, cfg=CFG)
+        with pytest.raises(ValueError, match=r"alpha grid \["):
+            region_chain(depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=CFG, alpha_grid=grid, samples=8)
+    assert calls == []
+
+
+def test_a_nan_negative_or_infinite_slack_raises(monkeypatch):
+    """containment and the chain take a slack in [0, inf) alone, and the
+    chain checks it before any stage runs.  A NaN slack read every vertex
+    as outside, so the chain reported each containment as violated."""
+    rect = ExponentRegion(kind="rectangle", frontier=[(1.0, 2.0)])
+    calls = []
+    _route_pair_calls(monkeypatch, lambda *args, **kwargs: calls.append(args))
+    for slack in (math.nan, -1e-3, math.inf):
+        with pytest.raises(ValueError, match=f"slack {slack} must be finite and >= 0"):
+            containment(rect, rect, slack)
+        with pytest.raises(ValueError, match=f"slack {slack} must be finite and >= 0"):
+            region_chain(depolarizing_channel(0.3), depolarizing_channel(0.7), cfg=CFG, samples=8, slack=slack)
+    assert calls == []
+
+
 def test_converse_evaluates_the_smallest_order_of_the_grid():
     """On a shuffled grid the converse equals the per-use values at its
     smallest order bit for bit, and the grid is recorded whole.  The
@@ -524,17 +553,21 @@ def test_region_chain_builds_each_tensor_power_once(monkeypatch):
 
 
 def test_region_chain_takes_no_decomposition_the_code_already_holds(eig_calls):
-    """The chain of the block_regions benchmark's config on dep(0.3)/dep(0.7),
-    run again once its channels cache their powers and Choi states, takes at
-    most 14 eigh and 6 eigvalsh: every bracket reads the cached Choi states,
-    and every measured witness the eigenbasis the certifier's log-ratio
+    """The chain of the block_regions benchmark's config on dep(0.3)/dep(0.7)
+    takes at most 16 eigh on fresh channels: the converse's Renyi upper end
+    at l_max reads the sandwich decomposition the adaptive stage's D_BS
+    left there.  Run again on the same channels, which then hold their
+    powers, Choi states and every bracket's ends, it takes at most 6 eigh
+    and no eigvalsh: only the measured certifiers' programs decompose, and
+    every measured witness is the eigenbasis the certifier's log-ratio
     start already decomposed."""
     n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
     cfg = OptimizerConfig(restarts=4, max_iters=100)
-    for _ in range(2):
+    for most in (16, 6):
         eig_calls.clear()
         region_chain(n0, n1, cfg=cfg, l_max=2, alpha_grid=(1.1, 1.5), samples=256, slack=1e-3)
-    assert eig_calls.count("eigh") <= 14 and eig_calls.count("eigvalsh") <= 6, eig_calls
+        assert eig_calls.count("eigh") <= most, eig_calls
+    assert eig_calls.count("eigvalsh") == 0, eig_calls
 
 
 def test_region_chain_rates_each_witness_arm_once(monkeypatch):

@@ -122,6 +122,26 @@ def _tokens(x) -> list[str]:
     return [t for a in x for t in _tokens(a)]
 
 
+def divergence_pairs() -> dict:
+    """The channel pairs of the corpus's divergence lines, built afresh on
+    every call, by name."""
+    from chandisc import quantum as q
+
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
+    import run as bench
+
+    kraus = bench.QubitDivergence(1).random_kraus
+    rng = np.random.default_rng(1)
+    return {
+        "bench-random": (q.QuantumChannel(list(kraus[0])), q.QuantumChannel(list(kraus[1]))),
+        "random": (q.random_channel(2, 2, 4, rng), q.random_channel(2, 2, 4, rng)),
+        "dep": (q.depolarizing_channel(0.3), q.depolarizing_channel(0.7)),
+        "bernoulli": (q.bernoulli_replacer(0.2), q.bernoulli_replacer(0.8)),
+        "amplitude-damping": (q.amplitude_damping_channel(0.2), q.amplitude_damping_channel(0.6)),
+    }
+
+
 def corpus() -> list[str]:
     """The corpus lines of the chandisc on the import path."""
     from chandisc import quantum as q
@@ -144,15 +164,7 @@ def corpus() -> list[str]:
         return np.linalg.svd(np.asarray(vec).reshape(d_r, -1), compute_uv=False) ** 2
 
     cfg = OptimizerConfig(restarts=4, max_iters=100)
-    kraus = bench.QubitDivergence(1).random_kraus
-    rng = np.random.default_rng(1)
-    pairs = {
-        "bench-random": (q.QuantumChannel(list(kraus[0])), q.QuantumChannel(list(kraus[1]))),
-        "random": (q.random_channel(2, 2, 4, rng), q.random_channel(2, 2, 4, rng)),
-        "dep": (q.depolarizing_channel(0.3), q.depolarizing_channel(0.7)),
-        "bernoulli": (q.bernoulli_replacer(0.2), q.bernoulli_replacer(0.8)),
-        "amplitude-damping": (q.amplitude_damping_channel(0.2), q.amplitude_damping_channel(0.6)),
-    }
+    pairs = divergence_pairs()
 
     def put_pair(name, kind, l, values, d_r):
         for direction, dv in zip(("01", "10"), values):
