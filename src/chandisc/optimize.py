@@ -418,15 +418,20 @@ def _variational_terms(theta: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
 
 
 def variational_measured(rho0: np.ndarray, rho1: np.ndarray, starts: list[list[np.ndarray]]):
-    """Concave programs sup_H Tr[rho0 H] + 1 - Tr[rho1 exp(H)], one for each
+    """The programs sup_H Tr[rho0 H] + 1 - Tr[rho1 exp(H)], one for each
     state pair of the stacks rho0, rho1 (k, d, d), each run from its own
     list of starts (parameter rows of H, length d^2) as multistart_maximize
     runs start lists, sharing every objective call.
 
-    Each optimum equals the measured relative entropy; any iterate gives a
-    lower bound.  Every start runs at most 2000 iterations, and the first
-    wins ties.  Returns (the k values in nats, the eigenbases (k, d, d) of
-    the optimal omegas = exp(H), eigenvectors as columns).
+    Each program is concave in omega = exp(H), not in H: exp is not
+    operator convex, so H -> Tr[rho1 exp(H)] need not be convex.  H ->
+    exp(H) maps the Hermitian matrices smoothly onto the positive definite
+    ones with a smooth inverse, so every stationary point in H is one in
+    omega, and global.  Each optimum equals the measured relative entropy;
+    any iterate gives a lower bound.  Every start runs at most 2000
+    iterations, and the first wins ties.  Returns (the k values in nats,
+    the eigenbases (k, d, d) of the optimal omegas = exp(H), eigenvectors
+    as columns).
     """
 
     def objective(batch):

@@ -17,7 +17,10 @@ outcome laws of every rank-one PVM.  A POVM whose effects are projectors is
 proved positive by its idempotence residual, so its validation takes no
 eigendecomposition.
 Every constructor check is written so that a NaN fails it, and a state, a
-channel or a POVM with a non-finite entry is rejected.
+channel or a POVM with a non-finite entry is rejected.  States, channels
+and POVMs hold arrays, so they compare by identity and are hashable, as
+are the divergences module's witnesses and the strategies module's arms
+and tables: == on two equal arrays has no single truth value.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ POVM_TOL = 1e-8
 DIM_CAP = 4096
 
 
-@dataclass
+@dataclass(eq=False)
 class DensityMatrix:
     """Hermitian PSD unit-trace matrix; validated on construction, where a
     NaN or infinite entry fails the Hermiticity check.  mat is
@@ -56,7 +59,7 @@ class DensityMatrix:
     mat: np.ndarray
     label: str | None = None
     dim: int = field(init=False)
-    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         m = linalg.check_square(np.asarray(self.mat, dtype=complex))
@@ -94,16 +97,16 @@ def max_entangled_state(d: int) -> DensityMatrix:
     return pure_state(max_entangled_vector(d), label=f"max-entangled({d})")
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantumChannel:
     """CPTP map held as a Kraus list; its Choi state, the tensor powers
     that tensor_power_channel builds and the lifted Kraus stacks of
     _lifted_kraus, cached lazily.  _pairs holds the closed forms that the
     divergences module computes on the Choi pair (this channel, partner):
-    it maps id(partner) to (a weak reference to partner, entries), and
-    entries maps a name to a value of the two Choi states alone.  An entry
-    lives as long as its partner does.  It takes no part in ==, so two
-    channels that cache each other still compare."""
+    it maps the partner, held weakly, to a dict from a name to a value of
+    the two Choi states alone, so an entry lives as long as its partner
+    does.  A pickled or copied channel leaves those entries behind, since
+    a weak mapping does not pickle."""
 
     kraus: list[np.ndarray]
     label: str | None = None
@@ -111,9 +114,8 @@ class QuantumChannel:
     out_dim: int = field(init=False)
     _choi_state: DensityMatrix | None = field(init=False, default=None, repr=False)
     _powers: dict[int, QuantumChannel] = field(init=False, default_factory=dict, repr=False)
-    _lifted: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False, compare=False)
-    _pairs: dict[int, tuple[weakref.ref, dict]] = field(init=False, default_factory=dict, repr=False,
-                                                        compare=False)
+    _lifted: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False)
+    _pairs: weakref.WeakKeyDictionary = field(init=False, default_factory=weakref.WeakKeyDictionary, repr=False)
 
     def __post_init__(self):
         self.kraus = [np.asarray(k, dtype=complex) for k in self.kraus]
@@ -134,6 +136,12 @@ class QuantumChannel:
         self.in_dim = in_dim
         self.out_dim = out_dim
 
+    def __getstate__(self):
+        return {**self.__dict__, "_pairs": None}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _pairs=weakref.WeakKeyDictionary())
+
     @property
     def choi(self) -> np.ndarray:
         """The Hermitian matrix of choi_state()."""
@@ -149,7 +157,7 @@ class QuantumChannel:
         return self._choi_state
 
 
-@dataclass
+@dataclass(eq=False)
 class Povm:
     """Finite family of PSD effects summing to the identity.
 
@@ -246,7 +254,11 @@ def _basis_laws(basis: np.ndarray, rho0: np.ndarray, rho1: np.ndarray):
 
 
 def tensor_power_channel(ch: QuantumChannel, l: int) -> QuantumChannel:
-    """l-fold tensor power; Kraus set is all l-fold products.
+    """l-fold tensor power; Kraus set is all l-fold products, in the order
+    and with the bits of the Kronecker products kron(...kron(kron(1, K_a),
+    K_b)..., K_z), the first factor's index running slowest: each step is
+    one broadcast multiply of the stack so far with the stacked K_k, which
+    makes np.kron's products, reshaped.
 
     The power is built once and cached on ch, as its Choi state is, so every
     caller gets the same block channel, with its own Choi state cached; l = 1
@@ -261,10 +273,13 @@ def tensor_power_channel(ch: QuantumChannel, l: int) -> QuantumChannel:
     if l == 1:
         return ch
     if l not in ch._powers:
-        kraus = [np.array([[1.0 + 0j]])]
+        k = np.asarray(ch.kraus)
+        kraus = np.ones((1, 1, 1), dtype=complex)
         for _ in range(l):
-            kraus = [np.kron(a, k) for a in kraus for k in ch.kraus]
-        ch._powers[l] = QuantumChannel(kraus, label=f"{ch.label}^(x){l}" if ch.label else None)
+            n, o, i = kraus.shape
+            kraus = (kraus[:, None, :, None, :, None] * k[None, :, None, :, None, :]).reshape(
+                n * len(k), o * ch.out_dim, i * ch.in_dim)
+        ch._powers[l] = QuantumChannel(list(kraus), label=f"{ch.label}^(x){l}" if ch.label else None)
     return ch._powers[l]
 
 

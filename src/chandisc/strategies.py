@@ -51,7 +51,7 @@ def check_budgets(budgets: list[int], block_size: int) -> None:
         raise ValueError(f"budgets {list(budgets)} are not ascending: each must exceed the one before")
 
 
-@dataclass
+@dataclass(eq=False)
 class Arm:
     """An input state and a measurement, fixed for as long as the arm is
     played."""
@@ -61,7 +61,7 @@ class Arm:
     ancilla_dim: int
 
 
-@dataclass
+@dataclass(eq=False)
 class StrategyTables:
     """Precomputed outcome distributions and increments for fast stepping.
 

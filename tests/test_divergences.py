@@ -1,6 +1,8 @@
+import copy
 import gc
 import logging
 import math
+import pickle
 import warnings
 import weakref
 from dataclasses import replace
@@ -1373,6 +1375,18 @@ def test_a_dropped_partner_is_freed_with_its_entries():
         gc.enable()
 
 
+def test_a_channel_pickles_and_copies_without_its_partner_entries():
+    """A channel that holds Choi-pair entries for a live partner pickles and
+    deep-copies: the copy holds no entries, keeps its cached Choi state and
+    gives the bits of the original against the same partner."""
+    n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
+    want = channel_divergence(n0, n1, "measured", cfg=CFG)
+    assert len(n0._pairs) == 1
+    for again in (pickle.loads(pickle.dumps(n0)), copy.deepcopy(n0)):
+        assert len(again._pairs) == 0 and again._choi_state is not None
+        _assert_same_bits(channel_divergence(again, n1, "measured", cfg=CFG), want, "copy")
+
+
 def test_state_measured_values_carry_their_relative_entropy_as_upper_end():
     """A finite state-level measured value carries its bracket's upper end,
     D(rho0||rho1), and lies at or below it under the rounding rule: on the
@@ -1707,6 +1721,20 @@ def test_open_measured_brackets_run_the_program_unchanged(monkeypatch, caplog):
             max(var, pvm, 0.0), var, pvm, [])
         assert len(dv.witness.povm.effects) == len(povm.effects)
         assert all(map(np.array_equal, dv.witness.povm.effects, povm.effects))
+
+
+@pytest.mark.parametrize("p0, p1, l, want", [(0.3, 0.5, 2, 0.32462242097395055),
+                                             (0.5, 0.3, 1, 0.3366722766578154)])
+def test_measured_values_on_rank_deficient_witness_outputs_hold(p0, p1, l, want):
+    """amplitude_damping(p0) against depolarizing(p1): the witness outputs
+    of N0 are rank-deficient, where omega must vanish on ker rho0 and the
+    certifier's program stops short of the optimum.  The log-ratio
+    candidate basis covers that shortfall; without it the first value
+    falls by 9.6e-8 (3.0e-7 relative) and the second by 5.6e-11.  Each
+    stays within 1e-12 relative of its value with all three candidate
+    bases."""
+    dv = channel_divergence(amplitude_damping_channel(p0), depolarizing_channel(p1), "measured", cfg=CFG, l=l)
+    assert abs(dv.value - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_a_log_ratio_start_above_the_upper_end_is_noted_and_searched(monkeypatch):

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from chandisc import quantum
+from chandisc.divergences import ChannelWitness, DivergenceValue, MeasuredWitness
 from chandisc.errors import DimensionMismatchError, DimensionOverflowError, InvalidStateError, NormalizationError
 from chandisc.linalg import frob
 from chandisc.quantum import (
@@ -28,6 +31,8 @@ from chandisc.quantum import (
     replacer_channel,
     tensor_power_channel,
 )
+from chandisc.regions import ExponentRegion
+from chandisc.strategies import Arm, _build_tables
 
 
 def test_density_matrix_validation():
@@ -214,6 +219,53 @@ def test_tensor_powers_are_cached_on_the_channel():
     other = depolarizing_channel(0.5)
     assert tensor_power_channel(other, 2) is not ch2
     assert all(np.array_equal(a, b) for a, b in zip(tensor_power_channel(other, 2).kraus, ch2.kraus))
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_tensor_power_kraus_are_the_kron_products_bit_for_bit(l):
+    """Each Kraus operator of a power has the bits of the np.kron product of
+    its factors, kron(...kron(kron(1, K_a), K_b)..., K_z), in the order of
+    the nested loops with the first factor's index slowest: on dep(0.3),
+    two random channels (one with out_dim != in_dim) and amplitude
+    damping."""
+    rng = np.random.default_rng(4)
+    for ch in (depolarizing_channel(0.3), random_channel(2, 2, 4, rng), random_channel(2, 3, 2, rng),
+               amplitude_damping_channel(0.2)):
+        want = [np.array([[1.0 + 0j]])]
+        for _ in range(l):
+            want = [np.kron(a, k) for a in want for k in ch.kraus]
+        got = tensor_power_channel(ch, l).kraus
+        assert [a.shape for a in got] == [b.shape for b in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), ch.label
+
+
+def test_array_holding_types_compare_by_identity():
+    """Two equal states, channels, POVMs, arms, witnesses or deep-copied
+    strategy tables compare unequal without raising (== on their arrays
+    has no single truth value); each equals itself and is hashable.  A
+    DivergenceValue or an ExponentRegion holding one compares through it."""
+    def arm():
+        return Arm(max_entangled_state(2), basis_pvm(np.eye(4)), 2)
+
+    def measured():
+        return MeasuredWitness(basis_pvm(np.eye(2)), 0.1, 0.1)
+
+    tables = _build_tables([(np.array([0.2, 0.8]), np.array([0.6, 0.4]))])
+    pairs = [(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(2) / 2)),
+             (depolarizing_channel(0.3), depolarizing_channel(0.3)),
+             (basis_pvm(np.eye(2)), basis_pvm(np.eye(2))),
+             (arm(), arm()),
+             (ChannelWitness(max_entangled_vector(2)), ChannelWitness(max_entangled_vector(2))),
+             (measured(), measured()),
+             (tables, copy.deepcopy(tables))]
+    for a, b in pairs:
+        assert a == a and a != b and not a == b and len({a, b}) == 2, type(a).__name__
+    w, other = measured(), measured()
+    assert DivergenceValue(0.1, witness=w) == DivergenceValue(0.1, witness=w)
+    assert DivergenceValue(0.1, witness=w) != DivergenceValue(0.1, witness=other)
+    a = arm()
+    assert ExponentRegion("hull", [(0.0, 1.0)], {"arm": a}) == ExponentRegion("hull", [(0.0, 1.0)], {"arm": a})
+    assert ExponentRegion("hull", [(0.0, 1.0)], {"arm": a}) != ExponentRegion("hull", [(0.0, 1.0)], {"arm": arm()})
 
 
 def test_povm_validation_and_pvm_flag():

@@ -11,6 +11,10 @@ OptimizerConfig(restarts=4, max_iters=100):
 - channel_divergence_pair(dep(0.3), dep(0.7), "measured") at l = 1 and 2,
   first on fresh channels, then again on the same channels, which by then
   cache their Choi states, tensor powers and Choi-pair closed forms;
+- channel_divergence_pair of the measured kind on the qubit_divergence
+  benchmark's seed-1 random pair (tools/outputs.py's "bench-random") at
+  l = 1 and 2, on fresh channels: its brackets stay open, so these lines
+  count the input search and the certifier's program;
 - region_chain(dep(0.3), dep(0.7)) at the block_regions benchmark's config
   (l_max 2, alpha grid (1.1, 1.5), 256 samples, slack 1e-3), first on
   fresh channels, then again on the same channels.
@@ -75,6 +79,7 @@ def counts() -> list[str]:
     from chandisc.optimize import OptimizerConfig
     from chandisc.quantum import depolarizing_channel
     from chandisc.regions import region_chain
+    from outputs import divergence_pairs
 
     cfg = OptimizerConfig(restarts=4, max_iters=100)
     lines = []
@@ -86,6 +91,10 @@ def counts() -> list[str]:
         n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
         for run in ("fresh", "cached"):
             put(f"measured dep l={l} {run}", lambda: channel_divergence_pair(n0, n1, "measured", None, cfg, l))
+
+    for l in (1, 2):
+        n0, n1 = divergence_pairs()["bench-random"]
+        put(f"measured bench-random l={l} fresh", lambda: channel_divergence_pair(n0, n1, "measured", None, cfg, l))
 
     n0, n1 = depolarizing_channel(0.3), depolarizing_channel(0.7)
     for run in ("first", "second"):
